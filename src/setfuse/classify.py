@@ -20,7 +20,6 @@ import numpy as np
 from .descriptors import DescriptorTriple, ImageSet, encode_set
 from .errors import IndexOutOfRange, NonFinite
 from .gating import softmax_columns
-from .kernels import cross_kernel_vector
 from .trainer import ModelState
 
 # Distances may round slightly below zero; anything lower signals a bug.
@@ -46,38 +45,32 @@ class Prediction:
         object.__setattr__(self, "distances", d)
 
 
-def _require_gallery(model: ModelState) -> tuple[DescriptorTriple, ...]:
+def _require_gallery(model: ModelState) -> None:
     if model.gallery is None:
         raise ValueError("model carries no gallery descriptors; cannot score probes")
-    return model.gallery
 
 
 def distance_profile(test: DescriptorTriple, model: ModelState) -> np.ndarray:
     """Gated projected distances from one probe to every gallery member.
 
-    Cross-kernel columns are computed once per channel and projected through
-    the stored transform, so the cost is O(n_train * target_dim) per channel
-    on top of the kernel evaluations.
+    Only the probe is lifted: its kernel column per channel is read against
+    the bank's lifted gallery features, and the gallery side of every
+    distance, ``E.T @ K_q``, comes cached from the model. So a probe costs one
+    lift per channel plus O(n_train * (D_q + target_dim)) per channel.
     """
-    gallery = _require_gallery(model)
-    e = model.transform
-    bank = model.bank
-    crosses = [
-        cross_kernel_vector(test, gallery, kid, normalize_ref=scale)
-        for kid, scale in zip(bank.kernel_ids, bank.scales)
-    ]
+    _require_gallery(model)
+    crosses = model.bank.probe_columns(test)
     scores = np.array(
         [
             float(model.gating.coeffs[q] @ crosses[q]) + float(model.gating.biases[q])
-            for q in range(bank.n_kernels)
+            for q in range(model.bank.n_kernels)
         ]
     )
     test_weights = softmax_columns(scores[:, None])[:, 0]
 
-    out = np.zeros(bank.n_train, dtype=np.float64)
-    for q in range(bank.n_kernels):
-        projected_gallery = e.T @ bank.grams[q]
-        projected_test = e.T @ crosses[q]
+    out = np.zeros(model.n_train, dtype=np.float64)
+    for q, projected_gallery in enumerate(model.projected_grams):
+        projected_test = model.transform.T @ crosses[q]
         sq = ((projected_test[:, None] - projected_gallery) ** 2).sum(axis=0)
         out += test_weights[q] * sq * model.train_weights[q]
     return out

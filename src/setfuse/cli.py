@@ -203,16 +203,12 @@ def train(manifest, out, **kwargs):
               help="Training sets drawn per class in each split.")
 @click.option("--report", type=click.Path(), default=None,
               help="Write per-split results to this CSV (traces go next to it).")
-@click.option("--parallel/--no-parallel", default=False, show_default=True,
-              help="Run splits concurrently.")
 @_train_options
 @_guarded
-def eval(manifest, splits, train_per_class, report, parallel, **kwargs):
+def eval(manifest, splits, train_per_class, report, **kwargs):
     """Random-split evaluation protocol with accuracy summary."""
     cfg = _build_config(**kwargs)
-    result = run_experiment(
-        manifest, cfg, n_splits=splits, train_per_class=train_per_class, parallel=parallel
-    )
+    result = run_experiment(manifest, cfg, n_splits=splits, train_per_class=train_per_class)
     _echo_summary(result)
     if report:
         _write_report_csv(result, report)
@@ -251,20 +247,13 @@ def predict(model_dir, set_file):
 @click.option("--train-per-class", type=int, default=3, show_default=True,
               help="Training sets drawn per class in each split.")
 @click.option("--report", type=click.Path(), default=None, help="Write the table to this CSV.")
-@click.option("--parallel/--no-parallel", default=False, show_default=True,
-              help="Run splits concurrently.")
 @_train_options
 @_guarded
-def ablate(manifest, splits, train_per_class, report, parallel, **kwargs):
+def ablate(manifest, splits, train_per_class, report, **kwargs):
     """Compare each descriptor alone against the combined model."""
     cfg = _build_config(**kwargs)
     result = run_experiment(
-        manifest,
-        cfg,
-        n_splits=splits,
-        train_per_class=train_per_class,
-        ablate=True,
-        parallel=parallel,
+        manifest, cfg, n_splits=splits, train_per_class=train_per_class, ablate=True
     )
     click.echo(f"{'descriptors':<12} {'mean acc':>9} {'std':>8}")
     for name, row in result.ablation.items():

@@ -26,6 +26,9 @@ RANK_EIG_RTOL = 1e-12
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
+    """A read-only array of ``values``; one that already is one is not copied."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        return values
     a = np.array(values, dtype=dtype)
     a.setflags(write=False)
     return a
@@ -224,12 +227,14 @@ def encode_set(s: ImageSet, cfg) -> DescriptorTriple:
 
     ``cfg`` is a ``TrainConfig``; only ``alpha`` and ``subspace_dim`` are
     read. Encoding is deterministic: identical inputs give bit-identical
-    descriptors.
+    descriptors. The regularized covariance is computed once: ``cov`` and
+    ``gauss.covariance`` are the same array.
     """
+    gauss = gaussian_descriptor(s, cfg.alpha)
     return DescriptorTriple(
-        cov=covariance_descriptor(s, cfg.alpha),
+        cov=gauss.covariance,
         subspace=subspace_descriptor(s, cfg.subspace_dim),
-        gauss=gaussian_descriptor(s, cfg.alpha),
+        gauss=gauss,
         label=s.label,
         set_id=s.set_id,
     )

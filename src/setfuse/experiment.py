@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -160,7 +159,6 @@ def run_experiment(
     n_splits: int = 10,
     train_per_class: int = 3,
     ablate: bool = False,
-    parallel: bool = False,
 ) -> ExperimentReport:
     """Run a split protocol end to end.
 
@@ -175,15 +173,7 @@ def run_experiment(
     sets = _resolve_sets(source)
 
     def protocol(run_cfg: TrainConfig) -> tuple[SplitResult, ...]:
-        indices = range(n_splits)
-        if parallel and n_splits > 1:
-            with ThreadPoolExecutor() as pool:
-                results = list(
-                    pool.map(lambda i: _run_split(sets, run_cfg, train_per_class, i), indices)
-                )
-        else:
-            results = [_run_split(sets, run_cfg, train_per_class, i) for i in indices]
-        return tuple(results)
+        return tuple(_run_split(sets, run_cfg, train_per_class, i) for i in range(n_splits))
 
     combined = ExperimentReport(
         splits=protocol(cfg),

@@ -22,7 +22,7 @@ from .config import TrainConfig
 from .descriptors import DescriptorTriple, GaussianDescriptor, GrassmannPoint
 from .errors import ChecksumMismatch, FormatVersionMismatch, IoError
 from .gating import GatingParams
-from .kernels import KernelBank, KernelId
+from .kernels import KernelBank, KernelId, lift_features
 from .trainer import ModelState
 
 FORMAT_VERSION = 1
@@ -58,10 +58,14 @@ def _read_array(path: Path, expect_shape: tuple[int, ...]) -> np.ndarray:
     if rank not in (1, 2) or shape != tuple(expect_shape):
         raise ChecksumMismatch(f"{path}: stored shape {shape} does not match index {expect_shape}")
     count = int(np.prod(shape, dtype=np.int64))
-    payload = blob[_HEADER.size:]
-    if len(payload) != 8 * count:
-        raise ChecksumMismatch(f"{path}: payload holds {len(payload)} bytes, expected {8 * count}")
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
+    payload = len(blob) - _HEADER.size
+    if payload != 8 * count:
+        raise ChecksumMismatch(f"{path}: payload holds {payload} bytes, expected {8 * count}")
+    # a read-only view of the file's bytes; converts only on big-endian hosts
+    a = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).astype(np.float64, copy=False)
+    a = a.reshape(shape)
+    a.setflags(write=False)
+    return a
 
 
 def _sha256(path: Path) -> str:
@@ -135,8 +139,31 @@ def save_model(model: ModelState, out_dir) -> Path:
     return meta_path
 
 
+def _stored_triple(arrays, key: str, label: str, set_id: str) -> DescriptorTriple:
+    cov = arrays[f"{key}_cov"]
+    gcov = arrays[f"{key}_gcov"]
+    # encode_set shares one covariance array between the two descriptors;
+    # keep that sharing when the stored copies agree
+    if np.array_equal(gcov, cov):
+        gcov = cov
+    gauss = GaussianDescriptor(
+        mean=arrays[f"{key}_gmean"], covariance=gcov, embedding=arrays[f"{key}_gembed"]
+    )
+    return DescriptorTriple(
+        cov=cov,
+        subspace=GrassmannPoint(basis=arrays[f"{key}_basis"]),
+        gauss=gauss,
+        label=label,
+        set_id=set_id,
+    )
+
+
 def load_model(model_dir) -> ModelState:
-    """Read a model directory back, verifying version and checksums."""
+    """Read a model directory back, verifying version and checksums.
+
+    Arrays come back read-only. The gallery descriptors are lifted once into
+    the kernel bank's features, so probes are scored without re-lifting.
+    """
     root = Path(model_dir)
     meta_path = root / META_NAME
     if not meta_path.is_file():
@@ -166,29 +193,22 @@ def load_model(model_dir) -> ModelState:
     cfg_dict["descriptors"] = tuple(cfg_dict["descriptors"])
     cfg = TrainConfig(**cfg_dict)
     kernel_ids = tuple(KernelId(k) for k in meta["kernel_ids"])
+    gallery = features = None
+    if meta["set_ids"] is not None:
+        gallery = tuple(
+            _stored_triple(arrays, f"set{i:04d}", meta["gallery_labels"][i], set_id)
+            for i, set_id in enumerate(meta["set_ids"])
+        )
+        # lifted once here, so no probe re-lifts the gallery
+        features = tuple(lift_features(gallery, kid) for kid in kernel_ids)
     bank = KernelBank(
         kernel_ids=kernel_ids,
         grams=tuple(arrays[f"gram_{int(k)}"] for k in kernel_ids),
         n_train=int(meta["n_train"]),
         normalized=tuple(bool(b) for b in meta["normalized"]),
         scales=tuple(float(s) for s in meta["scales"]),
+        features=features,
     )
-    gallery = None
-    if meta["set_ids"] is not None:
-        gallery = tuple(
-            DescriptorTriple(
-                cov=arrays[f"set{i:04d}_cov"],
-                subspace=GrassmannPoint(basis=arrays[f"set{i:04d}_basis"]),
-                gauss=GaussianDescriptor(
-                    mean=arrays[f"set{i:04d}_gmean"],
-                    covariance=arrays[f"set{i:04d}_gcov"],
-                    embedding=arrays[f"set{i:04d}_gembed"],
-                ),
-                label=meta["gallery_labels"][i],
-                set_id=meta["set_ids"][i],
-            )
-            for i in range(len(meta["set_ids"]))
-        )
     return ModelState(
         transform=arrays["transform"],
         gating=GatingParams(coeffs=arrays["gating_coeffs"], biases=arrays["gating_biases"]),

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -74,16 +75,13 @@ class ScatterPair:
 class TraceRatioResult:
     """Output of the trace-ratio solve.
 
-    ``projection`` has orthonormal columns in the reduced space;
-    ``null_basis`` (when present) maps the reduced space back to the full
-    Gram-column space; ``ratio_history`` records the objective after the
-    initial guess and after each update.
+    ``projection`` has orthonormal columns in the space the scatters were
+    given in; ``ratio_history`` records the objective after the initial
+    guess and after each update.
     """
 
     projection: np.ndarray
     ratio_history: tuple[float, ...]
-    reduced_dim: int
-    null_basis: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -106,6 +104,17 @@ class ModelState:
     @property
     def target_dim(self) -> int:
         return self.transform.shape[1]
+
+    @cached_property
+    def projected_grams(self) -> tuple[np.ndarray, ...]:
+        """``transform.T @ K_q`` per channel, the gallery side of every probe
+        distance; computed on first use and kept for the model's lifetime."""
+        out = []
+        for gram in self.bank.grams:
+            p = self.transform.T @ gram
+            p.setflags(write=False)
+            out.append(p)
+        return tuple(out)
 
 
 def scatter_matrices(bank: KernelBank, labels, weights: np.ndarray) -> ScatterPair:
@@ -221,7 +230,6 @@ def solve_trace_ratio(
     max_iters: int = 30,
     eps: float = 1e-5,
     rng: np.random.Generator | None = None,
-    null_basis: np.ndarray | None = None,
 ) -> TraceRatioResult:
     """Maximize trace(V.T B V) / trace(V.T T V) over orthonormal V.
 
@@ -267,12 +275,7 @@ def solve_trace_ratio(
             lam = new_lam
             break
         lam = new_lam
-    return TraceRatioResult(
-        projection=v,
-        ratio_history=tuple(history),
-        reduced_dim=dim,
-        null_basis=None if null_basis is None else np.asarray(null_basis, dtype=np.float64),
-    )
+    return TraceRatioResult(projection=v, ratio_history=tuple(history))
 
 
 def _objective_for_params(

@@ -247,6 +247,13 @@ class TestEncodeSet:
         assert np.array_equal(a.subspace.basis, b.subspace.basis)
         assert np.array_equal(a.gauss.embedding, b.gauss.embedding)
 
+    def test_covariance_computed_once_and_shared(self):
+        rng = np.random.default_rng(25)
+        s = random_image_set(rng, d=5, n=12)
+        t = encode_set(s, TrainConfig(subspace_dim=3))
+        assert t.cov is t.gauss.covariance
+        assert np.array_equal(t.cov, covariance_descriptor(s, TrainConfig().alpha))
+
     def test_mean_helper(self):
         s = make_set([[0.0, 2.0], [1.0, 3.0]])
         assert np.array_equal(sample_mean(s), [1.0, 2.0])

@@ -132,13 +132,6 @@ class TestRunExperiment:
         direct = run_experiment(sets, fast_cfg(), n_splits=2)
         assert np.array_equal(report.accuracies, direct.accuracies)
 
-    def test_parallel_matches_serial(self):
-        serial = run_experiment(small_source(), fast_cfg(), n_splits=3)
-        parallel = run_experiment(
-            small_source(), fast_cfg(), n_splits=3, parallel=True
-        )
-        assert np.array_equal(serial.accuracies, parallel.accuracies)
-
     def test_bad_protocol_arguments(self):
         with pytest.raises(ValueError):
             run_experiment(small_source(), fast_cfg(), n_splits=0)

@@ -15,11 +15,14 @@ from setfuse.descriptors import (
 from setfuse.errors import DimensionMismatch, NormalizationDegenerate
 from setfuse.kernels import (
     ALL_KERNELS,
+    KernelBank,
     KernelId,
+    _lift,
     build_kernel_bank,
     cross_kernel_vector,
     gaussian_embedding_kernel,
     gram_matrix,
+    lift_features,
     log_euclidean_kernel,
     projection_kernel,
 )
@@ -276,3 +279,58 @@ class TestKernelBank:
         bank = build_kernel_bank(triples, kernel_ids=(KernelId.PROJECTION,))
         assert bank.kernel_ids == (KernelId.PROJECTION,)
         assert bank.n_kernels == 1
+
+
+class TestLiftedFeatures:
+    @pytest.mark.parametrize("d", [10, 32])
+    def test_bank_grams_match_per_pair_oracle(self, d):
+        # per-pair Frobenius sums over per-descriptor lifted matrices
+        rng = np.random.default_rng(51 + d)
+        triples = encode_sets(random_gallery_sets(rng, 4, 5, d=d, n=d + 8), q=5)
+        bank = build_kernel_bank(triples)
+        n = len(triples)
+        for kid, gram in zip(bank.kernel_ids, bank.grams):
+            lifted = [_lift(t, kid) for t in triples]
+            oracle = np.empty((n, n))
+            for i in range(n):
+                for j in range(n):
+                    oracle[i, j] = float(np.sum(lifted[i] * lifted[j]))
+            assert np.array_equal(gram, oracle)
+
+    def test_rows_are_flattened_lifts(self):
+        rng = np.random.default_rng(52)
+        triples = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
+        for kid, width in zip(ALL_KERNELS, (25, 25, 36)):
+            f = lift_features(triples, kid)
+            assert f.shape == (4, width)
+            assert not f.flags.writeable
+            for i, t in enumerate(triples):
+                assert np.array_equal(f[i], _lift(t, kid).ravel())
+
+    def test_mixed_dimensions_name_the_descriptor(self):
+        rng = np.random.default_rng(53)
+        triples = encode_sets(random_gallery_sets(rng, 1, 2, d=5, n=10), q=3)
+        triples += encode_sets(random_gallery_sets(rng, 1, 1, d=6, n=10), q=3)
+        with pytest.raises(DimensionMismatch, match="descriptor 2"):
+            lift_features(triples, KernelId.LOG_EUCLIDEAN)
+
+    def test_bank_features_feed_probe_columns(self):
+        rng = np.random.default_rng(54)
+        triples = encode_sets(random_gallery_sets(rng, 2, 3, d=6, n=12), q=3)
+        bank = build_kernel_bank(triples, normalize=True)
+        for q, col in enumerate(bank.probe_columns(triples[2])):
+            assert np.array_equal(col, bank.grams[q][:, 2])
+
+    def test_bank_without_features_cannot_score_probes(self):
+        rng = np.random.default_rng(55)
+        triples = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
+        full = build_kernel_bank(triples)
+        bare = KernelBank(
+            kernel_ids=full.kernel_ids,
+            grams=full.grams,
+            n_train=full.n_train,
+            normalized=full.normalized,
+            scales=full.scales,
+        )
+        with pytest.raises(ValueError):
+            bare.probe_columns(triples[0])

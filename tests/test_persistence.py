@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from setfuse import kernels
 from setfuse.classify import predict
 from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic
@@ -63,6 +64,30 @@ class TestRoundTrip:
             after = predict(s, back)
             assert after.label == before.label
             assert np.array_equal(after.distances, before.distances)
+
+    def test_loaded_arrays_are_read_only(self, trained, tmp_path):
+        model, _ = trained
+        save_model(model, tmp_path / "m")
+        back = load_model(tmp_path / "m")
+        assert not back.transform.flags.writeable
+        assert not back.bank.grams[0].flags.writeable
+        assert not back.gallery[0].cov.flags.writeable
+
+    def test_predict_on_loaded_model_lifts_only_the_probe(self, trained, tmp_path, monkeypatch):
+        model, sets = trained
+        save_model(model, tmp_path / "m")
+        back = load_model(tmp_path / "m")
+        calls = []
+        real_log = kernels.spd_log
+
+        def counting_log(c):
+            calls.append(1)
+            return real_log(c)
+
+        monkeypatch.setattr(kernels, "spd_log", counting_log)
+        predict(sets[0], back)
+        # the probe's covariance and Gaussian embedding, never the gallery's
+        assert len(calls) == 2
 
     def test_save_is_deterministic(self, trained, tmp_path):
         model, _ = trained
