@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptors import DescriptorTriple, ImageSet, encode_set
-from .errors import IndexOutOfRange, NonFinite
+from .errors import DimensionMismatch, IndexOutOfRange, NonFinite, TooFewSamples
 from .gating import softmax_columns
 from .trainer import ModelState
 
@@ -45,11 +45,6 @@ class Prediction:
         object.__setattr__(self, "distances", d)
 
 
-def _require_gallery(model: ModelState) -> None:
-    if model.gallery is None:
-        raise ValueError("model carries no gallery descriptors; cannot score probes")
-
-
 def distance_profile(test: DescriptorTriple, model: ModelState) -> np.ndarray:
     """Gated projected distances from one probe to every gallery member.
 
@@ -58,7 +53,6 @@ def distance_profile(test: DescriptorTriple, model: ModelState) -> np.ndarray:
     distance, ``E.T @ K_q``, comes cached from the model. So a probe costs one
     lift per channel plus O(n_train * (D_q + target_dim)) per channel.
     """
-    _require_gallery(model)
     crosses = model.bank.probe_columns(test)
     scores = np.array(
         [
@@ -84,7 +78,13 @@ def set_distance(test: DescriptorTriple, model: ModelState, i: int) -> float:
 
 
 def predict(test: ImageSet, model: ModelState) -> Prediction:
-    """Encode a probe set and classify it against the model's gallery."""
+    """Check a probe set's dimension and sample count, encode it, and classify
+    it against the model's gallery."""
+    dim, q = model.bank.dim, model.config.subspace_dim
+    if test.dim != dim:
+        raise DimensionMismatch(f"probe dimension {test.dim} != gallery dimension {dim}")
+    if test.n_samples < q:
+        raise TooFewSamples(f"probe has {test.n_samples} samples, fewer than subspace_dim={q}")
     triple = encode_set(test, model.config)
     distances = distance_profile(triple, model)
     idx = int(np.argmin(distances))

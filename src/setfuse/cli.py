@@ -232,9 +232,8 @@ def predict(model_dir, set_file):
     click.echo(f"predicted label: {result.label}")
     order = np.argsort(result.distances, kind="stable")[:5]
     click.echo("closest gallery sets:")
-    gallery = model.gallery or ()
     for rank, idx in enumerate(order, start=1):
-        sid = gallery[idx].set_id if gallery else str(idx)
+        sid = model.set_ids[idx] if model.set_ids else str(idx)
         click.echo(
             f"  {rank}. {sid} (label {model.labels[idx]}, "
             f"distance {result.distances[idx]:.6e})"

@@ -102,3 +102,8 @@ class ChecksumMismatch(DataError):
 
 class IndexOutOfRange(DataError):
     """Gallery index outside [0, n_train)."""
+
+
+class NoGalleryFeatures(DataError):
+    """Kernel bank carries no lifted gallery features: it can train, but it
+    can neither score probes nor be saved."""

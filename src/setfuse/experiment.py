@@ -94,7 +94,7 @@ def train_on_sets(sets: Sequence[ImageSet], cfg: TrainConfig) -> ModelState:
     triples, cfg = encode_gallery(sets, cfg)
     bank = build_kernel_bank(triples, cfg.kernel_ids, normalize=cfg.normalize_kernels)
     labels = [s.label for s in sets]
-    return train(bank, labels, cfg, gallery=triples)
+    return train(bank, labels, cfg, set_ids=[s.set_id for s in sets])
 
 
 def split_sets(

@@ -22,6 +22,7 @@ that member's Gram column bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
@@ -29,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .descriptors import DescriptorTriple, GaussianDescriptor, GrassmannPoint
-from .errors import DimensionMismatch, NormalizationDegenerate, SetfuseError
+from .errors import DimensionMismatch, NoGalleryFeatures, NormalizationDegenerate, SetfuseError
 from .spd import spd_log
 
 # Gram traces at or below this value cannot be normalized against.
@@ -181,29 +182,26 @@ def cross_kernel_vector(
 
 @dataclass(frozen=True)
 class KernelBank:
-    """Training-side kernel state, one entry per enabled kernel channel.
+    """Kernel state of a gallery, one entry per enabled kernel channel.
 
-    ``grams[q]`` is the N x N Gram matrix, already multiplied by
-    ``scales[q]`` (1.0 when normalization is off). ``features[q]`` holds the
-    gallery's unscaled lifted rows, (N, D_q), that the Gram was derived
-    from; ``probe_columns`` scores a probe against them. A bank assembled
-    from bare Gram matrices has ``features`` None: it can train but not
-    score probes.
+    ``features[q]`` holds the gallery's unscaled lifted rows, (N, D_q), and is
+    what a saved model stores. ``grams[q]`` is the N x N Gram matrix derived
+    from them, already multiplied by ``scales[q]`` (1.0 when normalization is
+    off); ``probe_columns`` scores a probe against the same features. A bank
+    assembled from bare Gram matrices has ``features`` None: it can train
+    but neither score probes nor be saved.
     """
 
     kernel_ids: tuple[KernelId, ...]
     grams: tuple[np.ndarray, ...]
     n_train: int
-    normalized: tuple[bool, ...]
     scales: tuple[float, ...]
     features: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
         if not self.kernel_ids:
             raise ValueError("kernel bank needs at least one kernel")
-        if not (
-            len(self.grams) == len(self.kernel_ids) == len(self.normalized) == len(self.scales)
-        ):
+        if not len(self.grams) == len(self.kernel_ids) == len(self.scales):
             raise ValueError("kernel bank fields disagree on the number of kernels")
         for g in self.grams:
             if g.shape != (self.n_train, self.n_train):
@@ -223,14 +221,47 @@ class KernelBank:
     def n_kernels(self) -> int:
         return len(self.kernel_ids)
 
+    def _require_features(self) -> tuple[np.ndarray, ...]:
+        if self.features is None:
+            raise NoGalleryFeatures("kernel bank carries no lifted gallery features")
+        return self.features
+
+    @property
+    def dim(self) -> int:
+        """Feature dimension d of the sets the gallery was encoded from."""
+        width = self._require_features()[0].shape[1]
+        side = math.isqrt(width)
+        return side - 1 if self.kernel_ids[0] == KernelId.GAUSSIAN_EMBEDDED else side
+
     def probe_columns(self, test: DescriptorTriple) -> list[np.ndarray]:
         """One probe's scaled kernel column per channel, lifting only the probe."""
-        if self.features is None:
-            raise ValueError("kernel bank carries no lifted gallery features; cannot score probes")
         return [
             _probe_column(test, f, kid, s)
-            for kid, f, s in zip(self.kernel_ids, self.features, self.scales)
+            for kid, f, s in zip(self.kernel_ids, self._require_features(), self.scales)
         ]
+
+
+def bank_from_features(
+    kernel_ids: Sequence[KernelId], features: Sequence[np.ndarray], normalize: bool
+) -> KernelBank:
+    """Derive each channel's Gram (and, with ``normalize``, its trace-N scale)
+    from the gallery's lifted features; training and loading both go here."""
+    grams = []
+    scales = []
+    for f in features:
+        raw = _gram(f)
+        s = gram_normalizer(raw) if normalize else 1.0
+        gram = raw * s if normalize else raw
+        gram.setflags(write=False)
+        grams.append(gram)
+        scales.append(s)
+    return KernelBank(
+        kernel_ids=tuple(KernelId(k) for k in kernel_ids),
+        grams=tuple(grams),
+        n_train=features[0].shape[0],
+        scales=tuple(float(s) for s in scales),
+        features=tuple(features),
+    )
 
 
 def build_kernel_bank(
@@ -241,19 +272,5 @@ def build_kernel_bank(
     """Lift a gallery once per kernel and derive each Gram from the features."""
     if len(triples) < 1:
         raise ValueError("cannot build a kernel bank from an empty gallery")
-    features = tuple(lift_features(triples, kid) for kid in kernel_ids)
-    grams = []
-    scales = []
-    for f in features:
-        raw = _gram(f)
-        s = gram_normalizer(raw) if normalize else 1.0
-        grams.append(raw * s if normalize else raw)
-        scales.append(s)
-    return KernelBank(
-        kernel_ids=tuple(KernelId(k) for k in kernel_ids),
-        grams=tuple(grams),
-        n_train=len(triples),
-        normalized=tuple(bool(normalize) for _ in kernel_ids),
-        scales=tuple(float(s) for s in scales),
-        features=features,
-    )
+    features = [lift_features(triples, kid) for kid in kernel_ids]
+    return bank_from_features(kernel_ids, features, normalize)

@@ -24,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from .config import TrainConfig
-from .descriptors import DescriptorTriple
 from .errors import (
     BadDimension,
     DegenerateDenominator,
@@ -86,7 +85,11 @@ class TraceRatioResult:
 
 @dataclass(frozen=True)
 class ModelState:
-    """Everything needed to classify new sets: the frozen training state."""
+    """Everything needed to classify new sets: the frozen training state.
+
+    The gallery is ``bank.features``; a model scores probes exactly when they
+    are not None. ``labels`` and the optional ``set_ids`` follow bank order.
+    """
 
     transform: np.ndarray
     gating: GatingParams
@@ -95,7 +98,7 @@ class ModelState:
     labels: tuple
     config: TrainConfig
     objective_trace: tuple[float, ...]
-    gallery: tuple[DescriptorTriple, ...] | None = None
+    set_ids: tuple[str, ...] | None = None
 
     @property
     def n_train(self) -> int:
@@ -290,7 +293,7 @@ def train(
     bank: KernelBank,
     labels,
     cfg: TrainConfig,
-    gallery: Sequence[DescriptorTriple] | None = None,
+    set_ids: Sequence[str] | None = None,
 ) -> ModelState:
     """Alternating training loop over projection and gating parameters.
 
@@ -306,8 +309,8 @@ def train(
         raise ShapeMismatch(f"expected {n} labels, got shape {labels.shape}")
     if np.unique(labels).size < 2:
         raise SingleClassGallery("training needs at least two classes")
-    if gallery is not None and len(gallery) != n:
-        raise ShapeMismatch(f"gallery has {len(gallery)} triples for n_train={n}")
+    if set_ids is not None and len(set_ids) != n:
+        raise ShapeMismatch(f"got {len(set_ids)} set ids for n_train={n}")
 
     rng = np.random.default_rng(cfg.seed)
     params = init_gating_params(bank.n_kernels, n, rng)
@@ -384,5 +387,5 @@ def train(
         labels=tuple(labels.tolist()),
         config=cfg,
         objective_trace=tuple(trace),
-        gallery=None if gallery is None else tuple(gallery),
+        set_ids=None if set_ids is None else tuple(set_ids),
     )

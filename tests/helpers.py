@@ -45,7 +45,6 @@ def random_bank(rng, n, n_kernels):
         kernel_ids=tuple(KernelId(i + 1) for i in range(n_kernels)),
         grams=tuple(grams),
         n_train=n,
-        normalized=(False,) * n_kernels,
         scales=(1.0,) * n_kernels,
     )
 

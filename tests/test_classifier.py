@@ -1,12 +1,14 @@
 """Classifier tests: distance profiles and nearest-neighbor prediction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from setfuse.classify import Prediction, distance_profile, predict, set_distance
 from setfuse.config import TrainConfig
 from setfuse.descriptors import ImageSet, encode_set
-from setfuse.errors import IndexOutOfRange
+from setfuse.errors import IndexOutOfRange, NoGalleryFeatures
 from setfuse.gating import softmax_columns
 from setfuse.kernels import build_kernel_bank, cross_kernel_vector
 from setfuse.trainer import ModelState, train
@@ -23,15 +25,15 @@ def trained_model(seed, n_classes=3, sets_per_class=3, target_dim=3, iters=4):
     triples = [encode_set(s, cfg) for s in sets]
     labels = np.array([s.label for s in sets])
     bank = build_kernel_bank(triples, cfg.kernel_ids)
-    model = train(bank, labels, cfg, gallery=triples)
+    model = train(bank, labels, cfg)
     return model, sets, triples
 
 
-def naive_distance(test, model, i):
+def naive_distance(test, model, triples, i):
     """Term-by-term reference: per-channel projected squared distances."""
     total = 0.0
     crosses = [
-        cross_kernel_vector(test, model.gallery, kid, normalize_ref=scale)
+        cross_kernel_vector(test, triples, kid, normalize_ref=scale)
         for kid, scale in zip(model.bank.kernel_ids, model.bank.scales)
     ]
     scores = np.array(
@@ -62,7 +64,7 @@ class TestDistanceProfile:
         profile = distance_profile(probe, model)
         scale = max(1.0, float(np.max(np.abs(profile))))
         for i in range(model.n_train):
-            assert abs(profile[i] - naive_distance(probe, model, i)) <= 1e-10 * scale
+            assert abs(profile[i] - naive_distance(probe, model, triples, i)) <= 1e-10 * scale
 
     def test_nonnegative(self):
         model, sets, _ = trained_model(112)
@@ -84,7 +86,6 @@ class TestDistanceProfile:
             labels=model.labels,
             config=model.config,
             objective_trace=model.objective_trace,
-            gallery=model.gallery,
         )
         profile = distance_profile(triples[0], zeroed)
         assert np.array_equal(profile, np.zeros(model.n_train))
@@ -103,26 +104,21 @@ class TestDistanceProfile:
             labels=model.labels,
             config=model.config,
             objective_trace=model.objective_trace,
-            gallery=model.gallery,
         )
         a = distance_profile(triples[1], model)
         b = distance_profile(triples[1], shifted)
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, float(np.max(np.abs(a))))
 
     def test_missing_gallery_rejected(self):
-        model, _, triples = trained_model(115)
-        stripped = ModelState(
-            transform=model.transform,
-            gating=model.gating,
-            train_weights=model.train_weights,
-            bank=model.bank,
-            labels=model.labels,
-            config=model.config,
-            objective_trace=model.objective_trace,
-            gallery=None,
+        # a bank without lifted gallery features cannot score probes
+        model, sets, triples = trained_model(115)
+        stripped = dataclasses.replace(
+            model, bank=dataclasses.replace(model.bank, features=None)
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(NoGalleryFeatures):
             distance_profile(triples[0], stripped)
+        with pytest.raises(NoGalleryFeatures):
+            predict(sets[0], stripped)
 
 
 class TestSetDistance:
@@ -168,7 +164,6 @@ class TestPredict:
             labels=model.labels,
             config=model.config,
             objective_trace=model.objective_trace,
-            gallery=model.gallery,
         )
         # zero transform makes every distance zero, an N-way tie
         pred_profile = distance_profile(triples[5], flat)

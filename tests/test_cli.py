@@ -1,7 +1,9 @@
 """Command-line tests via click's test runner."""
 
 import csv
+import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -118,6 +120,37 @@ class TestPredict:
         assert "predicted label: class1" in result.output
         assert "closest gallery sets:" in result.output
         assert "class1_set0" in result.output
+
+    @pytest.mark.parametrize(
+        "case, code",
+        [("wrong-dim", 3), ("too-few-samples", 3), ("format-1-model", 3)],
+    )
+    def test_bad_input_exit_code(self, runner, tmp_path, case, code):
+        # the model is trained with q=4 on d=6 sets of 12 samples
+        manifest = make_dataset(runner, tmp_path)
+        model_dir = tmp_path / "model"
+        assert runner.invoke(
+            main,
+            ["train", "--manifest", str(manifest), "--out", str(model_dir), *FAST],
+        ).exit_code == 0
+        features = np.random.default_rng(7).standard_normal((6, 12))
+        if case == "wrong-dim":
+            features = features[:3]
+        elif case == "too-few-samples":
+            features = features[:, :3]
+        else:
+            meta_path = model_dir / "model.json"
+            meta = json.loads(meta_path.read_text())
+            meta["format_version"] = 1
+            meta_path.write_text(json.dumps(meta))
+        probe = tmp_path / "probe.csv"
+        np.savetxt(probe, features, delimiter=",")
+        result = runner.invoke(
+            main, ["predict", "--model", str(model_dir), "--set", str(probe)]
+        )
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
 
     def test_missing_model_exits_3(self, runner, tmp_path):
         manifest = make_dataset(runner, tmp_path)

@@ -149,7 +149,6 @@ class TestGatingGradients:
             kernel_ids=(KernelId(1), KernelId(2), KernelId(3)),
             grams=(base.grams[0],) * 3,
             n_train=6,
-            normalized=(False,) * 3,
             scales=(1.0,) * 3,
         )
         labels = random_labels(rng, 6)

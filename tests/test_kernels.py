@@ -12,7 +12,7 @@ from setfuse.descriptors import (
     embed_gaussian,
     encode_set,
 )
-from setfuse.errors import DimensionMismatch, NormalizationDegenerate
+from setfuse.errors import DimensionMismatch, NoGalleryFeatures, NormalizationDegenerate
 from setfuse.kernels import (
     ALL_KERNELS,
     KernelBank,
@@ -268,10 +268,18 @@ class TestKernelBank:
         rng = np.random.default_rng(49)
         triples = encode_sets(random_gallery_sets(rng, 2, 3, d=6, n=12), q=3)
         bank = build_kernel_bank(triples, normalize=True)
-        assert all(bank.normalized)
-        for g, s in zip(bank.grams, bank.scales):
+        raw = build_kernel_bank(triples)
+        for g, s, r in zip(bank.grams, bank.scales, raw.grams):
             assert s != 1.0
+            assert s == 6.0 / float(np.trace(r))
+            assert np.array_equal(g, r * s)
             assert abs(np.trace(g) - 6.0) <= 1e-9
+
+    def test_bank_dim_read_from_features(self):
+        rng = np.random.default_rng(56)
+        triples = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
+        for kid in ALL_KERNELS:
+            assert build_kernel_bank(triples, kernel_ids=(kid,)).dim == 5
 
     def test_subset_of_kernels(self):
         rng = np.random.default_rng(50)
@@ -329,8 +337,7 @@ class TestLiftedFeatures:
             kernel_ids=full.kernel_ids,
             grams=full.grams,
             n_train=full.n_train,
-            normalized=full.normalized,
             scales=full.scales,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(NoGalleryFeatures):
             bare.probe_columns(triples[0])

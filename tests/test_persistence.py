@@ -1,26 +1,63 @@
 """Model serialization tests: round trips and tamper detection."""
 
+import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from setfuse import kernels
-from setfuse.classify import predict
+from setfuse.classify import distance_profile, predict
 from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic
-from setfuse.errors import ChecksumMismatch, FormatVersionMismatch, IoError
+from setfuse.descriptors import encode_set
+from setfuse.errors import (
+    BadSpec,
+    ChecksumMismatch,
+    FormatVersionMismatch,
+    IoError,
+    NoGalleryFeatures,
+)
 from setfuse.experiment import train_on_sets
+from setfuse.kernels import build_kernel_bank
 from setfuse.persistence import META_NAME, load_model, save_model
+from setfuse.spd import spd_log
+from setfuse.trainer import train
+
+
+def train_small(**overrides):
+    sets = generate_synthetic(
+        classes=3, sets_per_class=3, dim=5, samples=10, separation=4.0, seed=31
+    )
+    cfg = TrainConfig(subspace_dim=3, target_dim=3, iters=3, itr_iters=10, seed=31, **overrides)
+    return train_on_sets(sets, cfg), sets
 
 
 @pytest.fixture(scope="module")
 def trained():
-    sets = generate_synthetic(
-        classes=3, sets_per_class=3, dim=5, samples=10, separation=4.0, seed=31
-    )
-    cfg = TrainConfig(subspace_dim=3, target_dim=3, iters=3, itr_iters=10, seed=31)
-    return train_on_sets(sets, cfg), sets
+    return train_small()
+
+
+# Configurations whose loaded Grams must still match training bit for bit: the
+# default, trace-N normalization (scales derived on load) and one channel.
+VARIANTS = {
+    "default": {},
+    "normalized": {"normalize_kernels": True},
+    "subspace": {"descriptors": ("subspace",)},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(VARIANTS))
+def trained_variant(request):
+    return train_small(**VARIANTS[request.param])
+
+
+def edit_meta(model_dir, edit):
+    meta_path = model_dir / META_NAME
+    meta = json.loads(meta_path.read_text())
+    edit(meta)
+    meta_path.write_text(json.dumps(meta))
 
 
 class TestRoundTrip:
@@ -41,19 +78,41 @@ class TestRoundTrip:
         assert back.config == model.config
 
     def test_gallery_descriptors_restored(self, trained, tmp_path):
-        model, _ = trained
+        # the gallery is stored as its lifted features, named by set ids and labels
+        model, sets = trained
         save_model(model, tmp_path / "m")
         back = load_model(tmp_path / "m")
-        assert back.gallery is not None
-        assert len(back.gallery) == len(model.gallery)
-        for a, b in zip(back.gallery, model.gallery):
-            assert a.set_id == b.set_id
-            assert a.label == b.label
-            assert np.array_equal(a.cov, b.cov)
-            assert np.array_equal(a.subspace.basis, b.subspace.basis)
-            assert np.array_equal(a.gauss.mean, b.gauss.mean)
-            assert np.array_equal(a.gauss.covariance, b.gauss.covariance)
-            assert np.array_equal(a.gauss.embedding, b.gauss.embedding)
+        assert len(back.bank.features) == len(model.bank.features)
+        for a, b in zip(back.bank.features, model.bank.features):
+            assert np.array_equal(a, b)
+        assert back.set_ids == tuple(s.set_id for s in sets) == model.set_ids
+        assert back.labels == tuple(s.label for s in sets) == model.labels
+
+    def test_model_is_its_learned_arrays_and_features(self, trained, tmp_path):
+        model, _ = trained
+        save_model(model, tmp_path / "m")
+        names = sorted(f.name for f in (tmp_path / "m").iterdir())
+        assert names == [
+            "features_1.bin", "features_2.bin", "features_3.bin", "gating_biases.bin",
+            "gating_coeffs.bin", META_NAME, "train_weights.bin", "transform.bin",
+        ]
+
+    def test_variant_round_trip_bit_identical(self, trained_variant, tmp_path):
+        model, sets = trained_variant
+        save_model(model, tmp_path / "m")
+        back = load_model(tmp_path / "m")
+        assert back.bank.kernel_ids == model.bank.kernel_ids
+        assert back.bank.scales == model.bank.scales
+        for name in ("grams", "features"):
+            for a, b in zip(getattr(back.bank, name), getattr(model.bank, name)):
+                assert np.array_equal(a, b)
+        for s in sets:
+            assert np.array_equal(predict(s, back).distances, predict(s, model).distances)
+        # a gallery member sent as a probe reproduces its Gram column
+        triple = encode_set(sets[4], back.config)
+        for q, col in enumerate(back.bank.probe_columns(triple)):
+            assert np.array_equal(col, back.bank.grams[q][:, 4])
+        assert distance_profile(triple, back)[4] <= 1e-12
 
     def test_predictions_identical_after_reload(self, trained, tmp_path):
         model, sets = trained
@@ -71,7 +130,7 @@ class TestRoundTrip:
         back = load_model(tmp_path / "m")
         assert not back.transform.flags.writeable
         assert not back.bank.grams[0].flags.writeable
-        assert not back.gallery[0].cov.flags.writeable
+        assert not back.bank.features[0].flags.writeable
 
     def test_predict_on_loaded_model_lifts_only_the_probe(self, trained, tmp_path, monkeypatch):
         model, sets = trained
@@ -89,6 +148,22 @@ class TestRoundTrip:
         # the probe's covariance and Gaussian embedding, never the gallery's
         assert len(calls) == 2
 
+    def test_load_lifts_nothing(self, trained, tmp_path, monkeypatch):
+        model, _ = trained
+        save_model(model, tmp_path / "m")
+        calls = []
+
+        def counting_log(c):
+            calls.append(1)
+            return spd_log(c)
+
+        # every module that binds spd_log, so no import path escapes the count
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("setfuse") and hasattr(mod, "spd_log"):
+                monkeypatch.setattr(mod, "spd_log", counting_log)
+        load_model(tmp_path / "m")
+        assert calls == []
+
     def test_save_is_deterministic(self, trained, tmp_path):
         model, _ = trained
         save_model(model, tmp_path / "a")
@@ -99,23 +174,32 @@ class TestRoundTrip:
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
 
-    def test_modelless_gallery_round_trip(self, trained, tmp_path):
-        from setfuse.trainer import ModelState
-
+    def test_featureless_bank_not_saved(self, trained, tmp_path):
         model, _ = trained
-        stripped = ModelState(
-            transform=model.transform,
-            gating=model.gating,
-            train_weights=model.train_weights,
-            bank=model.bank,
-            labels=model.labels,
-            config=model.config,
-            objective_trace=model.objective_trace,
-            gallery=None,
+        stripped = dataclasses.replace(
+            model, bank=dataclasses.replace(model.bank, features=None)
         )
-        save_model(stripped, tmp_path / "m")
+        with pytest.raises(NoGalleryFeatures):
+            save_model(stripped, tmp_path / "m")
+        assert not (tmp_path / "m").exists()
+
+    def test_bank_normalization_must_match_config(self, trained, tmp_path):
+        # loading rescales by config.normalize_kernels, so a bank built the
+        # other way would not come back as trained
+        model, sets = trained
+        cfg = model.config
+        triples = [encode_set(s, cfg) for s in sets]
+        bank = build_kernel_bank(triples, cfg.kernel_ids, normalize=True)
+        mixed = train(bank, model.labels, cfg)
+        with pytest.raises(BadSpec):
+            save_model(mixed, tmp_path / "m")
+
+    def test_model_without_set_ids_round_trips(self, trained, tmp_path):
+        model, sets = trained
+        save_model(dataclasses.replace(model, set_ids=None), tmp_path / "m")
         back = load_model(tmp_path / "m")
-        assert back.gallery is None
+        assert back.set_ids is None
+        assert np.array_equal(predict(sets[0], back).distances, predict(sets[0], model).distances)
 
 
 class TestTamperDetection:
@@ -129,13 +213,13 @@ class TestTamperDetection:
         with pytest.raises(ChecksumMismatch):
             load_model(tmp_path / "m")
 
-    def test_future_version_rejected(self, trained, tmp_path):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_future_version_rejected(self, trained, tmp_path, version):
+        # format 1 stored descriptors; there is no reader for it, only retraining
         model, _ = trained
-        meta_path = save_model(model, tmp_path / "m")
-        meta = json.loads(meta_path.read_text())
-        meta["format_version"] = 99
-        meta_path.write_text(json.dumps(meta))
-        with pytest.raises(FormatVersionMismatch):
+        save_model(model, tmp_path / "m")
+        edit_meta(tmp_path / "m", lambda m: m.update(format_version=version))
+        with pytest.raises(FormatVersionMismatch, match="retrain"):
             load_model(tmp_path / "m")
 
     def test_version_checked_before_checksums(self, trained, tmp_path):
@@ -175,4 +259,43 @@ class TestTamperDetection:
         # keep the checksum valid so the shape check itself must fire
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(ChecksumMismatch):
+            load_model(tmp_path / "m")
+
+    def test_unlisted_array_file_rejected(self, trained, tmp_path):
+        # an index entry pointing at a file no checksum covers
+        model, _ = trained
+        save_model(model, tmp_path / "m")
+        header = (tmp_path / "m" / "transform.bin").read_bytes()[:16]
+        (tmp_path / "m" / "zeros.bin").write_bytes(header + bytes(8 * model.transform.size))
+        edit_meta(tmp_path / "m", lambda m: m["arrays"]["transform"].update(file="zeros.bin"))
+        with pytest.raises(IoError):
+            load_model(tmp_path / "m")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m.update(checksums={}),
+            lambda m: m.pop("checksums"),
+            lambda m: m["config"].pop("alpha"),
+            lambda m: m["config"].update(momentum=0.9),
+            lambda m: m.pop("labels"),
+            lambda m: m.update(scales=[1.0, 1.0, 1.0]),
+            lambda m: m["arrays"].pop("features_2"),
+            lambda m: m.update(labels=m["labels"][:-1]),
+            lambda m: m.update(
+                kernel_ids=[],
+                arrays={k: v for k, v in m["arrays"].items() if not k.startswith("features")},
+                checksums={k: v for k, v in m["checksums"].items() if not k.startswith("features")},
+            ),
+        ],
+        ids=[
+            "empty-checksums", "no-checksums", "no-config-field", "unknown-config-field",
+            "no-labels", "unknown-key", "no-array", "short-labels", "no-kernels",
+        ],
+    )
+    def test_metadata_edit_rejected(self, trained, tmp_path, edit):
+        model, _ = trained
+        save_model(model, tmp_path / "m")
+        edit_meta(tmp_path / "m", edit)
+        with pytest.raises(IoError):
             load_model(tmp_path / "m")

@@ -270,7 +270,7 @@ class TestTrain:
     def test_separable_gallery_trains_well(self):
         rng = np.random.default_rng(95)
         bank, labels, cfg, triples = separable_bank(rng)
-        model = train(bank, labels, cfg, gallery=triples)
+        model = train(bank, labels, cfg)
         assert model.objective_trace[-1] >= 0.95
         assert model.transform.shape == (12, 3)
         # every training set is nearest to itself in the learned metric
