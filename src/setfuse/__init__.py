@@ -67,9 +67,11 @@ from .spd import (
     sym_eig,
 )
 from .trainer import (
+    GramSpan,
     ModelState,
     ScatterPair,
     TraceRatioResult,
+    gram_span,
     remove_null_space,
     scatter_matrices,
     solve_trace_ratio,
@@ -88,6 +90,7 @@ __all__ = [
     "ExperimentReport",
     "GatingParams",
     "GaussianDescriptor",
+    "GramSpan",
     "GrassmannPoint",
     "ImageSet",
     "KernelBank",
@@ -113,6 +116,7 @@ __all__ = [
     "generate_synthetic",
     "gradient_ascent_step",
     "gram_matrix",
+    "gram_span",
     "init_gating_params",
     "is_spd",
     "load_dataset",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptors import DescriptorTriple, ImageSet, encode_set
-from .errors import DimensionMismatch, IndexOutOfRange, NonFinite, TooFewSamples
+from .errors import DimensionMismatch, IndexOutOfRange, NegativeDistance, NonFinite, TooFewSamples
 from .gating import softmax_columns
 from .trainer import ModelState
 
@@ -39,7 +39,7 @@ class Prediction:
         if not np.isfinite(d).all():
             raise NonFinite("distance profile contains NaN or Inf")
         if float(d.min()) < DISTANCE_FLOOR:
-            raise ValueError(f"negative distance {float(d.min()):.3e} below floor")
+            raise NegativeDistance(f"negative distance {float(d.min()):.3e} below floor")
         d = d.copy()
         d.setflags(write=False)
         object.__setattr__(self, "distances", d)

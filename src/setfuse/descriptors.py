@@ -17,7 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite, NotPositiveDefinite, RankDeficient, TooFewSamples
+from .errors import (
+    BadDimension,
+    DimensionMismatch,
+    NonFinite,
+    NotOrthonormal,
+    NotPositiveDefinite,
+    RankDeficient,
+    TooFewSamples,
+)
 from .spd import check_symmetric, regularize_spd, sym_eig
 
 # Eigenvalues below this fraction of the largest are treated as rank loss
@@ -77,7 +85,7 @@ class GrassmannPoint:
             raise DimensionMismatch(f"basis must be d x q with 1 <= q <= d, got {a.shape}")
         gram = a.T @ a
         if np.max(np.abs(gram - np.eye(a.shape[1]))) > 1e-10:
-            raise ValueError("basis columns are not orthonormal")
+            raise NotOrthonormal("basis columns are not orthonormal")
         object.__setattr__(self, "basis", _frozen_array(a))
 
     @property
@@ -168,7 +176,7 @@ def subspace_descriptor(s: ImageSet, q: int) -> GrassmannPoint:
     x = s.features
     d = x.shape[0]
     if not 1 <= q <= d:
-        raise ValueError(f"subspace dimension q={q} must be in [1, {d}]")
+        raise BadDimension(f"subspace dimension q={q} must be in [1, {d}]")
     g = x @ x.T
     pair = sym_eig(0.5 * (g + g.T))
     lam_max = float(pair.values[0])

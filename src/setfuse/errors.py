@@ -59,7 +59,15 @@ class ShapeMismatch(NumericError):
 
 
 class BadDimension(NumericError):
-    """Requested projection dimension is out of the feasible range."""
+    """Requested projection or subspace dimension is out of the feasible range."""
+
+
+class NotOrthonormal(NumericError):
+    """Basis expected to have orthonormal columns does not."""
+
+
+class NegativeDistance(NumericError):
+    """A squared distance came out below the rounding floor."""
 
 
 # --- data family ------------------------------------------------------------
@@ -81,7 +89,8 @@ class ParseError(DataError):
 
 
 class BadSpec(DataError):
-    """Synthetic-data specification is invalid."""
+    """A specification is invalid: synthetic data, configuration, protocol
+    or a parameter out of its domain."""
 
 
 class InsufficientSetsPerClass(DataError):

@@ -19,7 +19,7 @@ from .classify import predict
 from .config import TrainConfig
 from .data import generate_synthetic, load_dataset
 from .descriptors import DescriptorTriple, ImageSet, encode_set
-from .errors import InsufficientSetsPerClass
+from .errors import BadSpec, InsufficientSetsPerClass
 from .kernels import build_kernel_bank
 from .trainer import ModelState, train
 
@@ -169,7 +169,7 @@ def run_experiment(
     the combined row.
     """
     if n_splits < 1 or train_per_class < 1:
-        raise ValueError("n_splits and train_per_class must be >= 1")
+        raise BadSpec(f"n_splits and train_per_class must be >= 1, got {n_splits} and {train_per_class}")
     sets = _resolve_sets(source)
 
     def protocol(run_cfg: TrainConfig) -> tuple[SplitResult, ...]:

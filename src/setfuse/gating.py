@@ -13,10 +13,11 @@ exact gradient expressions live in ``gating_gradients``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import NonFinite, NonFiniteGradient, ShapeMismatch, SingleClassGallery
+from .errors import BadSpec, NonFinite, NonFiniteGradient, ShapeMismatch, SingleClassGallery
 from .kernels import KernelBank
 
 
@@ -89,18 +90,69 @@ def gating_weights(bank: KernelBank, params: GatingParams) -> np.ndarray:
     return softmax_columns(gating_scores(bank, params))
 
 
-def _pair_masks(labels) -> tuple[np.ndarray, np.ndarray]:
+def class_codes(labels) -> np.ndarray:
+    """Class index of each sample (0 .. n_classes - 1, in sorted label order)."""
     codes = np.asarray(labels)
     if codes.ndim != 1:
         raise ShapeMismatch(f"labels must be one-dimensional, got shape {codes.shape}")
-    same = codes[:, None] == codes[None, :]
-    return same.astype(np.float64), (~same).astype(np.float64)
+    return np.unique(codes, return_inverse=True)[1].reshape(-1)
 
 
 def pair_counts(labels) -> tuple[int, int]:
     """Ordered pair counts (within-class including i == j, between-class)."""
-    same, diff = _pair_masks(labels)
-    return int(same.sum()), int(diff.sum())
+    sizes = np.bincount(class_codes(labels))
+    n = int(sizes.sum())
+    n_within = int(np.sum(sizes * sizes))
+    return n_within, n * n - n_within
+
+
+def class_means(
+    columns: np.ndarray, w: np.ndarray, classes: np.ndarray, onehot: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each class's total weight W_c and weighted mean m_c of ``columns`` (m x N).
+
+    ``onehot`` is the N x n_classes class indicator of ``classes``. A class of
+    zero weight gets a zero mean; a sample alone in its class is that class's
+    mean exactly, since its share w_i / W_c is exactly one.
+    """
+    class_w = np.bincount(classes, weights=w, minlength=onehot.shape[1])
+    share = np.divide(w, class_w[classes], out=np.zeros_like(w), where=class_w[classes] > 0.0)
+    return class_w, columns @ (onehot * share[:, None])
+
+
+def projected_pair_sums(
+    projected: Sequence[np.ndarray], weights: np.ndarray, classes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample sums of gated projected pair distances, within and between class.
+
+    For channel q with projected Gram columns ``P = projected[q]`` (p x N)
+    and gating weights ``w = weights[q]``, returns ``(g_w, g_b)``, each Q x N:
+
+        g_w[q, i] = sum over j in i's class    of w_j ||P_i - P_j||^2
+        g_b[q, i] = sum over j in other classes of w_j ||P_i - P_j||^2
+
+    so that ``sum(weights * g_w)`` is the within-class sum of
+    ``w_i w_j ||P_i - P_j||^2`` over ordered pairs (likewise between). Each
+    class c enters only through its weight W_c, its weighted mean m_c and its
+    spread rho_c = sum_{j in c} w_j ||P_j - m_c||^2, because
+    ``sum_{j in c} w_j ||P_i - P_j||^2 = W_c ||P_i - m_c||^2 + rho_c``; this
+    costs O(p N n_classes) per channel where the pairs cost O(p N^2). A
+    sample alone in its class has zero within distance exactly.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    n_classes = int(classes.max()) + 1
+    onehot = classes[:, None] == np.arange(n_classes)[None, :]
+    g_w = np.empty_like(w)
+    g_b = np.empty_like(w)
+    for q, p in enumerate(projected):
+        class_w, means = class_means(p, w[q], classes, onehot)
+        # dist[c, i] = ||P_i - m_c||^2
+        dist = ((p[:, None, :] - means[:, :, None]) ** 2).sum(axis=0)
+        spread = (dist * (onehot.T * w[q])).sum(axis=1)
+        per_class = class_w[:, None] * dist + spread[:, None]
+        g_w[q] = per_class[classes, np.arange(classes.size)]
+        g_b[q] = np.where(onehot.T, 0.0, per_class).sum(axis=0)
+    return g_w, g_b
 
 
 def gating_gradients(
@@ -112,11 +164,14 @@ def gating_gradients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient of the trace-ratio objective w.r.t. the gating params.
 
-    With H_w and H_b the projected within/between scatter traces, the
-    objective is J = H_b / (H_w + H_b) and the gradient follows from the
-    quotient rule plus the softmax derivative. Both H terms are accumulated
-    from per-pair projected squared distances, so this function never forms
-    the N x N scatter matrices.
+    With h_w and h_b the projected within/between scatter traces, the
+    objective is J = h_b / (h_w + h_b) and the gradient follows from the
+    quotient rule plus the softmax derivative. Both traces and their
+    derivatives with respect to each weight come from
+    ``projected_pair_sums`` over ``E.T @ K_q``: d(sum w_i w_j d_ij)/d w_i =
+    2 g[i]. The chain through each channel's scores ``coeffs[q] @ K_q +
+    biases[q]`` then costs one Gram matvec per channel, and no N x N matrix
+    beyond the Grams is formed.
 
     ``transform`` is the current projection (N x target_dim, held fixed),
     ``counts`` the ordered within/between pair counts used to normalize the
@@ -136,36 +191,11 @@ def gating_gradients(
         raise ShapeMismatch(f"within-pair count must be positive, got {n_within}")
 
     weights = gating_weights(bank, params)
-    same, diff = _pair_masks(labels)
-
-    n_kernels = bank.n_kernels
-    # Per-kernel matrix of projected squared distances between Gram columns:
-    # dist2[k][i, j] = || E.T @ (K_k[:, i] - K_k[:, j]) ||^2.
-    dist2 = []
-    for gram in bank.grams:
-        g = e.T @ gram
-        sq = np.einsum("di,di->i", g, g)
-        a = sq[:, None] + sq[None, :] - 2.0 * (g.T @ g)
-        dist2.append(a)
-
-    h_w = 0.0
-    h_b = 0.0
-    row_w = []
-    col_w = []
-    row_b = []
-    col_b = []
-    for k in range(n_kernels):
-        pairw = (weights[k][:, None] * weights[k][None, :]) * dist2[k]
-        mw = pairw * same
-        mb = pairw * diff
-        h_w += float(mw.sum())
-        h_b += float(mb.sum())
-        row_w.append(mw.sum(axis=1))
-        col_w.append(mw.sum(axis=0))
-        row_b.append(mb.sum(axis=1))
-        col_b.append(mb.sum(axis=0))
-    h_w /= n_within
-    h_b /= n_between
+    g_w, g_b = projected_pair_sums(
+        [e.T @ gram for gram in bank.grams], weights, class_codes(labels)
+    )
+    h_w = float(np.sum(weights * g_w)) / n_within
+    h_b = float(np.sum(weights * g_b)) / n_between
 
     coeff_grads = np.zeros_like(params.coeffs)
     bias_grads = np.zeros_like(params.biases)
@@ -174,25 +204,14 @@ def gating_gradients(
         # both scatters project to nothing; the objective is flat
         return coeff_grads, bias_grads
 
-    for q in range(n_kernels):
-        gram_q = bank.grams[q]
-        dh_w_dc = np.zeros(n, dtype=np.float64)
-        dh_b_dc = np.zeros(n, dtype=np.float64)
-        dh_w_db = 0.0
-        dh_b_db = 0.0
-        for k in range(n_kernels):
-            # derivative of softmax: d w[k,i] / d score[q,i] = w[k,i] * (1{q==k} - w[q,i])
-            f = (1.0 if q == k else 0.0) - weights[q]
-            dh_w_dc += gram_q @ (f * row_w[k]) + gram_q @ (f * col_w[k])
-            dh_b_dc += gram_q @ (f * row_b[k]) + gram_q @ (f * col_b[k])
-            dh_w_db += float(f @ row_w[k]) + float(f @ col_w[k])
-            dh_b_db += float(f @ row_b[k]) + float(f @ col_b[k])
-        dh_w_dc /= n_within
-        dh_b_dc /= n_between
-        dh_w_db /= n_within
-        dh_b_db /= n_between
-        coeff_grads[q] = (dh_b_dc * h_w - dh_w_dc * h_b) / denom
-        bias_grads[q] = (dh_b_db * h_w - dh_w_db * h_b) / denom
+    # softmax derivative: d w[k,i] / d score[q,i] = w[k,i] * (1{q==k} - w[q,i]),
+    # so d h / d score[q,i] = 2 w[q,i] (g[q,i] - sum_k w[k,i] g[k,i]) / count
+    dh_w = 2.0 * weights * (g_w - (weights * g_w).sum(axis=0)) / n_within
+    dh_b = 2.0 * weights * (g_b - (weights * g_b).sum(axis=0)) / n_between
+    dj = (dh_b * h_w - dh_w * h_b) / denom
+    for q, gram in enumerate(bank.grams):
+        coeff_grads[q] = gram @ dj[q]
+        bias_grads[q] = float(dj[q].sum())
     return coeff_grads, bias_grads
 
 
@@ -203,7 +222,7 @@ def gradient_ascent_step(
 ) -> GatingParams:
     """One gradient-ascent step; pure (returns new params, inputs untouched)."""
     if learning_rate < 0.0:
-        raise ValueError(f"learning_rate must be >= 0, got {learning_rate}")
+        raise BadSpec(f"learning_rate must be >= 0, got {learning_rate}")
     coeff_grads, bias_grads = grads
     if coeff_grads.shape != params.coeffs.shape or bias_grads.shape != params.biases.shape:
         raise ShapeMismatch("gradient shapes do not match parameter shapes")

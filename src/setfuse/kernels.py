@@ -30,7 +30,14 @@ from typing import Sequence
 import numpy as np
 
 from .descriptors import DescriptorTriple, GaussianDescriptor, GrassmannPoint
-from .errors import DimensionMismatch, NoGalleryFeatures, NormalizationDegenerate, SetfuseError
+from .errors import (
+    BadSpec,
+    DimensionMismatch,
+    NoGalleryFeatures,
+    NormalizationDegenerate,
+    SetfuseError,
+    ShapeMismatch,
+)
 from .spd import spd_log
 
 # Gram traces at or below this value cannot be normalized against.
@@ -90,7 +97,7 @@ def _lift(triple: DescriptorTriple, kid: KernelId) -> np.ndarray:
         return _projector(triple.subspace)
     if kid == KernelId.GAUSSIAN_EMBEDDED:
         return spd_log(triple.gauss.embedding)
-    raise ValueError(f"unknown kernel id {kid!r}")
+    raise BadSpec(f"unknown kernel id {kid!r}")
 
 
 def lift_features(triples: Sequence[DescriptorTriple], kid: KernelId) -> np.ndarray:
@@ -101,7 +108,7 @@ def lift_features(triples: Sequence[DescriptorTriple], kid: KernelId) -> np.ndar
     dimension differs from the first one's.
     """
     if len(triples) < 1:
-        raise ValueError("lift_features needs at least one descriptor")
+        raise BadSpec("lift_features needs at least one descriptor")
     out = None
     for i, t in enumerate(triples):
         try:
@@ -200,9 +207,9 @@ class KernelBank:
 
     def __post_init__(self):
         if not self.kernel_ids:
-            raise ValueError("kernel bank needs at least one kernel")
+            raise BadSpec("kernel bank needs at least one kernel")
         if not len(self.grams) == len(self.kernel_ids) == len(self.scales):
-            raise ValueError("kernel bank fields disagree on the number of kernels")
+            raise ShapeMismatch("kernel bank fields disagree on the number of kernels")
         for g in self.grams:
             if g.shape != (self.n_train, self.n_train):
                 raise DimensionMismatch(
@@ -210,7 +217,7 @@ class KernelBank:
                 )
         if self.features is not None:
             if len(self.features) != len(self.kernel_ids):
-                raise ValueError("kernel bank has features for a different number of kernels")
+                raise ShapeMismatch("kernel bank has features for a different number of kernels")
             for f in self.features:
                 if f.ndim != 2 or f.shape[0] != self.n_train:
                     raise DimensionMismatch(
@@ -271,6 +278,6 @@ def build_kernel_bank(
 ) -> KernelBank:
     """Lift a gallery once per kernel and derive each Gram from the features."""
     if len(triples) < 1:
-        raise ValueError("cannot build a kernel bank from an empty gallery")
+        raise BadSpec("cannot build a kernel bank from an empty gallery")
     features = [lift_features(triples, kid) for kid in kernel_ids]
     return bank_from_features(kernel_ids, features, normalize)

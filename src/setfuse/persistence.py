@@ -26,7 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import TrainConfig
-from .errors import BadSpec, ChecksumMismatch, FormatVersionMismatch, IoError, NoGalleryFeatures
+from .errors import (
+    BadSpec,
+    ChecksumMismatch,
+    FormatVersionMismatch,
+    IoError,
+    NoGalleryFeatures,
+    ShapeMismatch,
+)
 from .gating import GatingParams
 from .kernels import KernelId, bank_from_features
 from .trainer import ModelState
@@ -45,7 +52,7 @@ def _write_array(path: Path, arr: np.ndarray) -> str:
     elif a.ndim == 2:
         header = _HEADER.pack(_MAGIC, 2, a.shape[0], a.shape[1])
     else:
-        raise ValueError(f"only rank-1 and rank-2 arrays are stored, got rank {a.ndim}")
+        raise ShapeMismatch(f"only rank-1 and rank-2 arrays are stored, got rank {a.ndim}")
     blob = header + a.astype("<f8", copy=False).tobytes(order="C")
     path.write_bytes(blob)
     return hashlib.sha256(blob).hexdigest()
@@ -137,6 +144,63 @@ def _expect_keys(obj, keys, where: str) -> None:
         raise IoError(f"{where}: expected keys {sorted(keys)}, got {got}")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
+def _expect_list(value, item_ok, where: str, what: str) -> list:
+    if not isinstance(value, list) or not all(map(item_ok, value)):
+        raise IoError(f"{where}: expected a list of {what}, got {value!r:.80}")
+    return value
+
+
+# JSON type check per TrainConfig field type; ``descriptors`` is a list of names.
+_FIELD_CHECKS = {bool: lambda x: isinstance(x, bool), int: _is_int, float: _is_number}
+
+
+def _config(raw, where: str) -> TrainConfig:
+    """A ``TrainConfig`` from its stored fields, each of its field's type."""
+    _expect_keys(raw, _CONFIG_KEYS, where)
+    values = {}
+    for f in fields(TrainConfig):
+        v = raw[f.name]
+        kind = type(f.default)
+        if kind is tuple:
+            v = tuple(_expect_list(v, lambda x: isinstance(x, str), f"{where}.{f.name}", "names"))
+        elif not _FIELD_CHECKS[kind](v):
+            raise IoError(f"{where}.{f.name}: {v!r:.80} is not a {kind.__name__}")
+        values[f.name] = v
+    try:
+        return TrainConfig(**values)
+    except BadSpec as exc:
+        raise IoError(f"{where}: {exc}") from exc
+
+
+def _array_index(index, checksums, kernel_ids, where: str) -> dict:
+    """The ``arrays`` entries as ``{name: (file, shape)}``, checked against
+    ``checksums``: plain file names, shapes of one or two sizes, string digests."""
+    _expect_keys(index, _array_names(kernel_ids), f"{where} arrays")
+    out = {}
+    for name, entry in index.items():
+        _expect_keys(entry, ("file", "shape"), f"{where} arrays.{name}")
+        fname, shape = entry["file"], entry["shape"]
+        if not isinstance(fname, str) or Path(fname).name != fname or fname in ("", ".", ".."):
+            raise IoError(f"{where} arrays.{name}.file: {fname!r:.80} is not a file name")
+        _expect_list(shape, lambda x: _is_int(x) and x >= 0, f"{where} arrays.{name}.shape", "sizes")
+        if len(shape) not in (1, 2):
+            raise IoError(f"{where} arrays.{name}.shape: {shape} is not of rank 1 or 2")
+        out[name] = (fname, tuple(shape))
+    if not isinstance(checksums, dict) or sorted(f for f, _ in out.values()) != sorted(checksums):
+        raise IoError(f"{where}: the array index and the checksums name different files")
+    if not all(isinstance(d, str) for d in checksums.values()):
+        raise IoError(f"{where}: checksums must be hex digest strings")
+    return out
+
+
 def load_model(model_dir) -> ModelState:
     """Read a model directory back, verifying version, keys and checksums.
 
@@ -157,32 +221,46 @@ def load_model(model_dir) -> ModelState:
             f"{meta_path}: format version {version!r}, this build reads {FORMAT_VERSION}; "
             "retrain the model to save it in this format"
         )
-    _expect_keys(meta, _META_KEYS, str(meta_path))
-    _expect_keys(meta["config"], _CONFIG_KEYS, f"{meta_path} config")
+    where = str(meta_path)
+    _expect_keys(meta, _META_KEYS, where)
+    cfg = _config(meta["config"], f"{where} config")
+    raw_ids = _expect_list(meta["kernel_ids"], _is_int, f"{where} kernel_ids", "kernel ids")
     try:
-        kernel_ids = tuple(KernelId(k) for k in meta["kernel_ids"])
-    except (TypeError, ValueError) as exc:
-        raise IoError(f"{meta_path}: bad kernel ids {meta['kernel_ids']!r}") from exc
+        kernel_ids = tuple(KernelId(k) for k in raw_ids)
+    except ValueError as exc:
+        raise IoError(f"{where}: bad kernel ids {raw_ids!r}") from exc
     if not kernel_ids:
-        raise IoError(f"{meta_path}: no kernel ids")
-    index, checksums = meta["arrays"], meta["checksums"]
-    _expect_keys(index, _array_names(kernel_ids), f"{meta_path} arrays")
-    for name, entry in index.items():
-        _expect_keys(entry, ("file", "shape"), f"{meta_path} arrays.{name}")
-    files = sorted(e["file"] for e in index.values())
-    if not isinstance(checksums, dict) or files != sorted(checksums):
-        raise IoError(f"{meta_path}: the array index and the checksums name different files")
+        raise IoError(f"{where}: no kernel ids")
+    index = _array_index(meta["arrays"], meta["checksums"], kernel_ids, where)
+    labels = _expect_list(
+        meta["labels"], lambda x: isinstance(x, str) or _is_number(x), f"{where} labels", "labels"
+    )
+    set_ids = meta["set_ids"]
+    if set_ids is not None:
+        _expect_list(set_ids, lambda x: isinstance(x, str), f"{where} set_ids", "set ids")
+    objective_trace = _expect_list(
+        meta["objective_trace"], _is_number, f"{where} objective_trace", "numbers"
+    )
 
     arrays = {
-        name: _read_array(root / e["file"], tuple(e["shape"]), checksums[e["file"]])
-        for name, e in index.items()
+        name: _read_array(root / fname, shape, meta["checksums"][fname])
+        for name, (fname, shape) in index.items()
     }
-    cfg = TrainConfig(**{**meta["config"], "descriptors": tuple(meta["config"]["descriptors"])})
     features = [arrays[f"features_{int(kid)}"] for kid in kernel_ids]
+    q, n = len(kernel_ids), arrays["gating_coeffs"].shape[-1]
+    e = arrays["transform"]
+    if not (
+        n >= 1
+        and arrays["gating_coeffs"].shape == arrays["train_weights"].shape == (q, n)
+        and arrays["gating_biases"].shape == (q,)
+        and e.ndim == 2 and e.shape[0] == n and e.shape[1] >= 1
+        and all(f.ndim == 2 and f.shape[0] == n for f in features)
+    ):
+        shapes = {name: a.shape for name, a in arrays.items()}
+        raise IoError(f"{where}: array shapes {shapes} do not fit {q} kernels and one gallery")
     bank = bank_from_features(kernel_ids, features, cfg.normalize_kernels)
-    labels, set_ids = meta["labels"], meta["set_ids"]
     if len(labels) != bank.n_train or (set_ids is not None and len(set_ids) != bank.n_train):
-        raise IoError(f"{meta_path}: labels or set ids do not match {bank.n_train} gallery sets")
+        raise IoError(f"{where}: labels or set ids do not match {bank.n_train} gallery sets")
     return ModelState(
         transform=arrays["transform"],
         gating=GatingParams(coeffs=arrays["gating_coeffs"], biases=arrays["gating_biases"]),
@@ -190,6 +268,6 @@ def load_model(model_dir) -> ModelState:
         bank=bank,
         labels=tuple(labels),
         config=cfg,
-        objective_trace=tuple(float(x) for x in meta["objective_trace"]),
+        objective_trace=tuple(float(x) for x in objective_trace),
         set_ids=None if set_ids is None else tuple(set_ids),
     )

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonFinite, NonSymmetric, NotPositiveDefinite
+from .errors import BadSpec, NonFinite, NonSymmetric, NotPositiveDefinite
 
 # Relative tolerance for the symmetry check.
 SYMMETRY_RTOL = 1e-12
@@ -134,7 +134,7 @@ def regularize_spd(c, alpha: float) -> np.ndarray:
     no-op sentinel for tests that need the raw estimate.
     """
     if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+        raise BadSpec(f"alpha must be positive, got {alpha}")
     a = check_symmetric(c)
     d = a.shape[0]
     tr = float(np.trace(a))

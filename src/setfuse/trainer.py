@@ -12,6 +12,12 @@ Training alternates two blocks until convergence:
 
 The learned projection maps Gram columns to a low-dimensional space where
 between-class spread dominates within-class spread.
+
+Every scatter lies in the span of the Gram columns, whose rank r is at most
+the summed lifted-feature widths, so training works in an orthonormal basis
+of that span (``gram_span``): r x r scatters, factored over classes rather
+than pairs, a trace-ratio solve warm-started from the previous projection,
+and an objective and gradient read from projected Gram columns.
 """
 
 from __future__ import annotations
@@ -33,11 +39,14 @@ from .errors import (
 )
 from .gating import (
     GatingParams,
+    class_codes,
+    class_means,
     gating_gradients,
     gating_weights,
     gradient_ascent_step,
     init_gating_params,
     pair_counts,
+    projected_pair_sums,
 )
 from .kernels import KernelBank
 from .spd import sym_eig
@@ -120,16 +129,58 @@ class ModelState:
         return tuple(out)
 
 
-def scatter_matrices(bank: KernelBank, labels, weights: np.ndarray) -> ScatterPair:
+@dataclass(frozen=True)
+class GramSpan:
+    """An orthonormal basis of the span of every Gram column, and the Grams in it.
+
+    ``basis`` is N x r; ``columns[q] = basis.T @ K_q`` (r x N). Every gated
+    scatter lies in this span, since each is a sum of outer products of Gram
+    column differences, so the trainer works on r x r scatters. With lifted
+    features ``K_q = L_q L_q.T``, r is at most the sum of the D_q.
+    """
+
+    basis: np.ndarray
+    columns: tuple[np.ndarray, ...]
+
+
+def gram_span(bank: KernelBank) -> GramSpan:
+    """Span of all Gram columns: eigenvectors of ``sum_q K_q K_q`` whose
+    eigenvalues exceed ``NULL_SPACE_RTOL`` times the largest.
+
+    Reads the Grams alone, so banks without lifted features take the same
+    path. Raises ``ZeroTotalScatter`` when every Gram is numerically zero.
+    """
+    pair = sym_eig(sum(gram @ gram for gram in bank.grams))
+    lam_max = float(pair.values[0])
+    if lam_max <= TOTAL_SCATTER_FLOOR:
+        raise ZeroTotalScatter(f"Gram matrices have spectral radius {lam_max:.3e}")
+    rank = int(np.count_nonzero(pair.values > NULL_SPACE_RTOL * lam_max))
+    basis = pair.vectors[:, :rank].copy()
+    return GramSpan(basis=basis, columns=tuple(basis.T @ gram for gram in bank.grams))
+
+
+def scatter_matrices(
+    bank: KernelBank, labels, weights: np.ndarray, span: GramSpan | None = None
+) -> ScatterPair:
     """Gated scatter matrices over Gram columns.
 
     For every ordered pair of training samples (including i == j) and every
     kernel channel, the difference of Gram columns contributes an outer
     product weighted by both samples' gating weights. Same-class pairs feed
     the within scatter, different-class pairs the between scatter; each is
-    divided by its pair count. Implemented via the Laplacian identity
-    ``K @ (diag(r) + diag(c) - W - W.T) @ K`` rather than explicit pair
-    loops.
+    divided by its pair count. With ``span`` the scatters come back in its
+    basis (``span.basis.T @ S @ span.basis``, r x r), else N x N.
+
+    No pair is formed. Per channel, with columns a_i, weights w_i, class
+    weight W_c, weighted class mean m_c and d_i = a_i - m_c, the pair sums
+    factor over the classes:
+
+        within  = 2 sum_i w_i W_c(i) d_i d_i.T
+        between = 2 sum_i w_i (W - W_c(i)) d_i d_i.T
+                  + 2 W sum_c W_c (m_c - m)(m_c - m).T
+
+    with m the weighted mean of all columns; so a channel costs two
+    (r x N) @ (N x r) products.
     """
     n = bank.n_train
     labels = np.asarray(labels)
@@ -140,25 +191,30 @@ def scatter_matrices(bank: KernelBank, labels, weights: np.ndarray) -> ScatterPa
         raise ShapeMismatch(
             f"weights must be {bank.n_kernels} x {n}, got {w.shape}"
         )
-    same = (labels[:, None] == labels[None, :]).astype(np.float64)
-    diff = 1.0 - same
-    n_within = int(round(float(same.sum())))
-    n_between = int(round(float(diff.sum())))
+    columns = bank.grams if span is None else span.columns
+    if len(columns) != bank.n_kernels or any(a.ndim != 2 or a.shape[1] != n for a in columns):
+        raise ShapeMismatch(f"span columns do not fit {bank.n_kernels} kernels and n_train={n}")
+    n_within, n_between = pair_counts(labels)
     if n_between == 0:
         raise SingleClassGallery("gallery has a single class; between scatter is empty")
 
-    within = np.zeros((n, n), dtype=np.float64)
-    between = np.zeros((n, n), dtype=np.float64)
-    for k, gram in enumerate(bank.grams):
-        pairw = w[k][:, None] * w[k][None, :]
-        for mask, acc in ((same, within), (diff, between)):
-            wm = pairw * mask
-            r = wm.sum(axis=1)
-            c = wm.sum(axis=0)
-            lap = np.diag(r + c) - wm - wm.T
-            acc += gram @ lap @ gram
-    within /= n_within
-    between /= n_between
+    classes = class_codes(labels)
+    n_classes = int(classes.max()) + 1
+    onehot = classes[:, None] == np.arange(n_classes)[None, :]
+    dim = columns[0].shape[0]
+    within = np.zeros((dim, dim), dtype=np.float64)
+    between = np.zeros((dim, dim), dtype=np.float64)
+    for a, wq in zip(columns, w):
+        class_w, means = class_means(a, wq, classes, onehot)
+        total_w = float(class_w.sum())
+        d = a - means[:, classes]
+        within += (d * (wq * class_w[classes])) @ d.T
+        between += (d * (wq * (total_w - class_w[classes]))) @ d.T
+        if total_w > 0.0:
+            spread = means - (means @ class_w)[:, None] / total_w
+            between += total_w * (spread * class_w) @ spread.T
+    within *= 2.0 / n_within
+    between *= 2.0 / n_between
     within = 0.5 * (within + within.T)
     between = 0.5 * (between + between.T)
     return ScatterPair(
@@ -217,13 +273,17 @@ def _trace_ratio(v: np.ndarray, between: np.ndarray, total: np.ndarray) -> float
     return num / den
 
 
-def random_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Orthonormal columns from a QR of a Gaussian draw, with fixed signs."""
-    g = rng.standard_normal((rows, cols))
-    q, r = np.linalg.qr(g)
+def _orthonormal_columns(m: np.ndarray) -> np.ndarray:
+    """Q of a thin QR of ``m``, with column signs fixed by diag(R) >= 0."""
+    q, r = np.linalg.qr(m)
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
     return q * signs
+
+
+def random_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Orthonormal columns from a QR of a Gaussian draw, with fixed signs."""
+    return _orthonormal_columns(rng.standard_normal((rows, cols)))
 
 
 def solve_trace_ratio(
@@ -233,6 +293,7 @@ def solve_trace_ratio(
     max_iters: int = 30,
     eps: float = 1e-5,
     rng: np.random.Generator | None = None,
+    start: np.ndarray | None = None,
 ) -> TraceRatioResult:
     """Maximize trace(V.T B V) / trace(V.T T V) over orthonormal V.
 
@@ -242,6 +303,12 @@ def solve_trace_ratio(
     the ratio unchanged but makes the output basis canonical). The recorded
     ratio history is non-decreasing; iteration stops when the ratio moves
     less than ``eps`` or after ``max_iters`` updates.
+
+    The scheme is Newton's method on ``lam`` (Wang et al. 2007; Ngo,
+    Bellalij & Saad 2012), so a start near the optimum needs one
+    or two updates. ``start`` (dim x target_dim, e.g. the previous solution
+    mapped into this basis) is the warm start, re-orthonormalised here by a
+    sign-fixed QR; without it V starts from one orthonormal draw from ``rng``.
     """
     b = np.asarray(between, dtype=np.float64)
     t = np.asarray(total, dtype=np.float64)
@@ -250,10 +317,16 @@ def solve_trace_ratio(
         raise ShapeMismatch(f"scatter shapes disagree: {b.shape} vs {t.shape}")
     if not 1 <= target_dim <= dim:
         raise BadDimension(f"target_dim={target_dim} must be in [1, {dim}]")
-    if rng is None:
-        rng = np.random.default_rng(0)
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64)
+        if start.shape != (dim, target_dim):
+            raise ShapeMismatch(f"start must be {dim} x {target_dim}, got {start.shape}")
+        v = _orthonormal_columns(start)
+    else:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        v = random_orthonormal(rng, dim, target_dim)
 
-    v = random_orthonormal(rng, dim, target_dim)
     lam = _trace_ratio(v, b, t)
     history = [lam]
     for _ in range(max_iters):
@@ -281,12 +354,17 @@ def solve_trace_ratio(
     return TraceRatioResult(projection=v, ratio_history=tuple(history))
 
 
-def _objective_for_params(
-    bank: KernelBank, labels, params: GatingParams, transform: np.ndarray
+def _pair_objective(
+    projected: Sequence[np.ndarray], weights: np.ndarray, classes: np.ndarray, counts
 ) -> float:
-    weights = gating_weights(bank, params)
-    scatter = scatter_matrices(bank, labels, weights)
-    return trace_ratio_objective(transform, scatter)
+    """``trace_ratio_objective`` from projected Gram columns, in O(p N) per channel."""
+    g_w, g_b = projected_pair_sums(projected, weights, classes)
+    h_w = float(np.sum(weights * g_w)) / counts[0]
+    h_b = float(np.sum(weights * g_b)) / counts[1]
+    denom = h_w + h_b
+    if denom <= DENOMINATOR_FLOOR:
+        raise DegenerateDenominator(f"projected total scatter {denom:.3e} is degenerate")
+    return min(max(h_b / denom, 0.0), 1.0)
 
 
 def train(
@@ -297,11 +375,24 @@ def train(
 ) -> ModelState:
     """Alternating training loop over projection and gating parameters.
 
-    Randomness (parameter init, trace-ratio starting points) comes from a
-    single generator seeded with ``cfg.seed``: first the gating init, then
-    one orthonormal draw per outer iteration, in that order. Stops early
-    after iteration 2 when either the parameter update or the projection
-    update falls below ``cfg.eps`` in max norm.
+    Once per call, ``gram_span`` finds the r-dimensional span of all Gram
+    columns; each outer iteration builds the r x r gated scatters in it,
+    drops their null space, and solves the trace ratio there. From the second
+    iteration the solve warm-starts from the previous projection mapped into
+    the new reduced basis. The objective, the gating gradient and the step
+    line search read projected Gram columns ``E.T @ K_q`` through
+    ``projected_pair_sums``, O(p N n_classes) per channel. An outer iteration
+    so costs O(N r^2 + r^3) for the scatters and the solve, plus O(p N^2)
+    per channel for ``E.T @ K_q`` and one Gram matvec per channel for each
+    gating evaluation and for the gradient; scatters over whole Gram columns
+    cost O(N^3) per iteration. ``gram_span`` costs O(N^3) once.
+
+    Randomness comes from a single generator seeded with ``cfg.seed``: first
+    the gating init, then one orthonormal draw for the trace-ratio start at
+    the first outer iteration (later iterations draw again only if the
+    usable scatter rank, and with it the projection width, changes). Stops
+    early after iteration 2 when either the parameter update or the
+    projection update falls below ``cfg.eps`` in max norm.
     """
     n = bank.n_train
     labels = np.asarray(labels)
@@ -315,14 +406,17 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     params = init_gating_params(bank.n_kernels, n, rng)
     counts = pair_counts(labels)
+    classes = class_codes(labels)
+    span = gram_span(bank)
 
     trace: list[float] = []
     transform = None
     prev_transform = None
+    coords = None  # the projection in span coordinates, r x p
     clamp_warned = False
     for it in range(1, cfg.iters + 1):
         weights = gating_weights(bank, params)
-        scatter = scatter_matrices(bank, labels, weights)
+        scatter = scatter_matrices(bank, labels, weights, span)
         basis, red_between, red_total, red_dim = remove_null_space(
             scatter.within, scatter.between
         )
@@ -334,6 +428,7 @@ def train(
                 eff_dim,
             )
             clamp_warned = True
+        warm = coords is not None and coords.shape[1] == eff_dim
         itr = solve_trace_ratio(
             red_between,
             red_total,
@@ -341,21 +436,26 @@ def train(
             max_iters=cfg.itr_iters,
             eps=cfg.eps,
             rng=rng,
+            start=basis.T @ coords if warm else None,
         )
-        transform = basis @ itr.projection
-        objective = trace_ratio_objective(transform, scatter)
+        coords = basis @ itr.projection
+        transform = span.basis @ coords
+        projected = [coords.T @ a for a in span.columns]
+        objective = _pair_objective(projected, weights, classes, counts)
         trace.append(objective)
 
         grads = gating_gradients(bank, params, transform, labels, counts)
         step = cfg.learning_rate
         new_params = gradient_ascent_step(params, grads, step)
         if step > 0.0:
-            new_objective = _objective_for_params(bank, labels, new_params, transform)
+            new_weights = gating_weights(bank, new_params)
+            new_objective = _pair_objective(projected, new_weights, classes, counts)
             halvings = 0
             while new_objective < objective and halvings < MAX_STEP_HALVINGS:
                 step *= 0.5
                 new_params = gradient_ascent_step(params, grads, step)
-                new_objective = _objective_for_params(bank, labels, new_params, transform)
+                new_weights = gating_weights(bank, new_params)
+                new_objective = _pair_objective(projected, new_weights, classes, counts)
                 halvings += 1
             if new_objective < objective:
                 logger.info("iteration %d: gating step rolled back entirely", it)

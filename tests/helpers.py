@@ -84,3 +84,41 @@ def brute_force_scatters(bank, labels, weights):
                 else:
                     between += contrib
     return within / n_within, between / n_between
+
+
+def brute_force_gating_gradients(bank, params, transform, labels):
+    """Pairwise reference for ``gating_gradients``: explicit N x N projected
+    distance matrices and pair masks, the quotient rule on the traces
+    h = sum_ij w_i w_j d_ij / count, and the softmax derivative."""
+    from setfuse.gating import gating_weights
+
+    labels = np.asarray(labels)
+    same = (labels[:, None] == labels[None, :]).astype(np.float64)
+    diff = 1.0 - same
+    n_within, n_between = same.sum(), diff.sum()
+    weights = gating_weights(bank, params)
+    h_w = h_b = 0.0
+    dw_w = np.zeros_like(weights)  # d h / d w[k, i]
+    dw_b = np.zeros_like(weights)
+    for k, gram in enumerate(bank.grams):
+        p = transform.T @ gram
+        dist = ((p[:, :, None] - p[:, None, :]) ** 2).sum(axis=0)
+        pair = weights[k][:, None] * weights[k][None, :] * dist
+        h_w += (pair * same).sum() / n_within
+        h_b += (pair * diff).sum() / n_between
+        dw_w[k] = 2.0 * (dist * same) @ weights[k] / n_within
+        dw_b[k] = 2.0 * (dist * diff) @ weights[k] / n_between
+    coeff_grads = np.zeros_like(params.coeffs)
+    bias_grads = np.zeros_like(params.biases)
+    for q, gram in enumerate(bank.grams):
+        ds_w = np.zeros(bank.n_train)
+        ds_b = np.zeros(bank.n_train)
+        for k in range(bank.n_kernels):
+            # d w[k, i] / d score[q, i] = w[k, i] * (1{q == k} - w[q, i])
+            f = weights[k] * ((1.0 if q == k else 0.0) - weights[q])
+            ds_w += f * dw_w[k]
+            ds_b += f * dw_b[k]
+        ds = (ds_b * h_w - ds_w * h_b) / (h_w + h_b) ** 2
+        coeff_grads[q] = gram @ ds
+        bias_grads[q] = ds.sum()
+    return coeff_grads, bias_grads

@@ -8,7 +8,7 @@ import pytest
 from setfuse.classify import Prediction, distance_profile, predict, set_distance
 from setfuse.config import TrainConfig
 from setfuse.descriptors import ImageSet, encode_set
-from setfuse.errors import IndexOutOfRange, NoGalleryFeatures
+from setfuse.errors import IndexOutOfRange, NegativeDistance, NoGalleryFeatures
 from setfuse.gating import softmax_columns
 from setfuse.kernels import build_kernel_bank, cross_kernel_vector
 from setfuse.trainer import ModelState, train
@@ -182,5 +182,5 @@ class TestPredict:
         assert not pred.distances.flags.writeable
 
     def test_prediction_rejects_negative_distances(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NegativeDistance):
             Prediction(label="a", distances=np.array([-1.0, 0.5]), nearest_index=0)

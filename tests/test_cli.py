@@ -223,3 +223,103 @@ class TestGroup:
 
     def test_unknown_command_exits_2(self, runner):
         assert runner.invoke(main, ["frobnicate"]).exit_code == 2
+
+
+@pytest.fixture(scope="module")
+def trained_dir(tmp_path_factory):
+    """A manifest and a model trained on it (q=4 on d=6 sets of 12 samples)."""
+    root = tmp_path_factory.mktemp("cli")
+    cli = CliRunner()
+    manifest = make_dataset(cli, root)
+    model_dir = root / "model"
+    result = cli.invoke(main, ["train", "--manifest", str(manifest), "--out", str(model_dir), *FAST])
+    assert result.exit_code == 0, result.output
+    return manifest, model_dir
+
+
+def _probe(features):
+    def make(tmp_path, manifest, model_dir):
+        probe = tmp_path / "probe.csv"
+        np.savetxt(probe, features, delimiter=",")
+        return ["predict", "--model", str(model_dir), "--set", str(probe)]
+
+    return make
+
+
+def _predict_edited_model(edit):
+    def make(tmp_path, manifest, model_dir):
+        copy = tmp_path / "model"
+        copy.mkdir()
+        for f in model_dir.iterdir():
+            (copy / f.name).write_bytes(f.read_bytes())
+        edit(copy)
+        probe = manifest.parent / "class0_set0.csv"
+        return ["predict", "--model", str(copy), "--set", str(probe)]
+
+    return make
+
+
+def _edit_json(change):
+    def edit(model_dir):
+        path = model_dir / "model.json"
+        meta = json.loads(path.read_text())
+        change(meta)
+        path.write_text(json.dumps(meta))
+
+    return edit
+
+
+def _truncate(name):
+    def edit(model_dir):
+        path = model_dir / name
+        path.write_bytes(path.read_bytes()[:-8])
+
+    return edit
+
+
+def _command(*args):
+    def make(tmp_path, manifest, model_dir):
+        return [a.replace("{manifest}", str(manifest)).replace("{out}", str(tmp_path / "out"))
+                for a in args]
+
+    return make
+
+
+_RNG = np.random.default_rng(7)
+_NAN_PROBE = _RNG.standard_normal((6, 12))
+_NAN_PROBE[2, 3] = np.nan
+# rank 1: every sample the same vector, against a q=4 model
+_RANK_ONE_PROBE = np.repeat(_RNG.standard_normal((6, 1)), 12, axis=1)
+
+# Each malformed input maps to a documented exit code: 2 usage, 3 data, 4 numeric.
+EXIT_CASES = {
+    "unknown-option": (_command("eval", "--manifest", "{manifest}", "--bogus"), 2),
+    "eval-zero-splits": (_command("eval", "--manifest", "{manifest}", "--splits", "0", *FAST), 3),
+    "eval-zero-train-per-class": (
+        _command("eval", "--manifest", "{manifest}", "--train-per-class", "0", *FAST), 3
+    ),
+    "train-negative-alpha": (
+        _command("train", "--manifest", "{manifest}", "--out", "{out}", "--alpha", "-1"), 3
+    ),
+    "train-negative-gamma": (
+        _command("train", "--manifest", "{manifest}", "--out", "{out}", "--gamma", "-1"), 3
+    ),
+    "probe-wrong-dim": (_probe(_RNG.standard_normal((3, 12))), 3),
+    "probe-too-few-samples": (_probe(_RNG.standard_normal((6, 3))), 3),
+    "probe-nan-token": (_probe(_NAN_PROBE), 4),
+    "probe-rank-deficient": (_probe(_RANK_ONE_PROBE), 4),
+    "model-truncated-bin": (_predict_edited_model(_truncate("transform.bin")), 3),
+    "model-descriptors-int": (
+        _predict_edited_model(_edit_json(lambda m: m["config"].update(descriptors=5))), 3
+    ),
+    "model-labels-int": (_predict_edited_model(_edit_json(lambda m: m.update(labels=7))), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_malformed_input_exit_code(runner, trained_dir, tmp_path, case):
+    make, code = EXIT_CASES[case]
+    result = runner.invoke(main, make(tmp_path, *trained_dir))
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output

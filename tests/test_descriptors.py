@@ -16,7 +16,9 @@ from setfuse.descriptors import (
     subspace_descriptor,
 )
 from setfuse.errors import (
+    BadDimension,
     NonFinite,
+    NotOrthonormal,
     NotPositiveDefinite,
     RankDeficient,
     TooFewSamples,
@@ -154,15 +156,19 @@ class TestSubspaceDescriptor:
     def test_q_out_of_range(self):
         rng = np.random.default_rng(17)
         s = make_set(rng.standard_normal((3, 8)))
-        with pytest.raises(ValueError):
+        with pytest.raises(BadDimension):
             subspace_descriptor(s, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadDimension):
             subspace_descriptor(s, 4)
 
     def test_basis_orthonormal(self):
         rng = np.random.default_rng(18)
         y = subspace_descriptor(make_set(rng.standard_normal((7, 12))), 5)
         assert np.max(np.abs(y.basis.T @ y.basis - np.eye(5))) <= 1e-12
+
+    def test_non_orthonormal_basis_rejected(self):
+        with pytest.raises(NotOrthonormal):
+            GrassmannPoint(basis=np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestEmbedGaussian:

@@ -5,7 +5,7 @@ import pytest
 
 from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic
-from setfuse.errors import InsufficientSetsPerClass
+from setfuse.errors import BadSpec, InsufficientSetsPerClass
 from setfuse.experiment import (
     ExperimentReport,
     effective_subspace_dim,
@@ -133,9 +133,9 @@ class TestRunExperiment:
         assert np.array_equal(report.accuracies, direct.accuracies)
 
     def test_bad_protocol_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadSpec):
             run_experiment(small_source(), fast_cfg(), n_splits=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadSpec):
             run_experiment(small_source(), fast_cfg(), train_per_class=0)
 
     def test_ablation_rows(self):

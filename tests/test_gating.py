@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from setfuse.errors import NonFiniteGradient, ShapeMismatch
+from setfuse.errors import BadSpec, NonFiniteGradient, ShapeMismatch
 from setfuse.gating import (
     GatingParams,
     gating_gradients,
@@ -14,7 +14,12 @@ from setfuse.gating import (
 )
 from setfuse.trainer import scatter_matrices, trace_ratio_objective
 
-from helpers import random_bank, random_labels, random_orthonormal
+from helpers import (
+    brute_force_gating_gradients,
+    random_bank,
+    random_labels,
+    random_orthonormal,
+)
 
 
 def zero_params(n_kernels, n):
@@ -140,6 +145,26 @@ class TestGatingGradients:
                 worst = max(worst, rel)
         assert worst <= 1e-4
 
+    def test_matches_brute_force_pairwise(self):
+        rng = np.random.default_rng(77)
+        worst = 0.0
+        for _ in range(10):
+            n = int(rng.integers(4, 16))
+            n_kernels = int(rng.integers(1, 4))
+            labels = random_labels(rng, n, n_classes=int(rng.integers(2, 5)))
+            bank = random_bank(rng, n, n_kernels)
+            params = GatingParams(
+                coeffs=rng.uniform(-0.5, 0.5, (n_kernels, n)),
+                biases=rng.uniform(-0.5, 0.5, n_kernels),
+            )
+            e = random_orthonormal(rng, n, int(rng.integers(1, 4)))
+            got = gating_gradients(bank, params, e, labels, pair_counts(labels))
+            ref = brute_force_gating_gradients(bank, params, e, labels)
+            for g, r in zip(got, ref):
+                scale = max(float(np.max(np.abs(r))), 1e-300)
+                worst = max(worst, float(np.max(np.abs(g - r))) / scale)
+        assert worst <= 1e-10
+
     def test_identical_grams_give_identical_gradients(self):
         rng = np.random.default_rng(70)
         base = random_bank(rng, 6, 1)
@@ -197,6 +222,12 @@ class TestGradientAscentStep:
                 break
             rate /= 10.0
         assert after >= before
+
+    def test_rejects_negative_learning_rate(self):
+        rng = np.random.default_rng(76)
+        params = init_gating_params(2, 4, rng)
+        with pytest.raises(BadSpec):
+            gradient_ascent_step(params, (np.ones((2, 4)), np.ones(2)), -1e-4)
 
     def test_rejects_non_finite_gradient(self):
         rng = np.random.default_rng(74)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from setfuse import kernels
+from setfuse import kernels, persistence
 from setfuse.classify import distance_profile, predict
 from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic
@@ -261,6 +261,20 @@ class TestTamperDetection:
         with pytest.raises(ChecksumMismatch):
             load_model(tmp_path / "m")
 
+    def test_arrays_that_do_not_fit_rejected(self, trained, tmp_path):
+        # a transform with one row too few, indexed and checksummed consistently
+        model, _ = trained
+        save_model(model, tmp_path / "m")
+        digest = persistence._write_array(tmp_path / "m" / "transform.bin", model.transform[1:])
+
+        def edit(m):
+            m["arrays"]["transform"]["shape"] = list(model.transform[1:].shape)
+            m["checksums"]["transform.bin"] = digest
+
+        edit_meta(tmp_path / "m", edit)
+        with pytest.raises(IoError, match="do not fit"):
+            load_model(tmp_path / "m")
+
     def test_unlisted_array_file_rejected(self, trained, tmp_path):
         # an index entry pointing at a file no checksum covers
         model, _ = trained
@@ -287,10 +301,32 @@ class TestTamperDetection:
                 arrays={k: v for k, v in m["arrays"].items() if not k.startswith("features")},
                 checksums={k: v for k, v in m["checksums"].items() if not k.startswith("features")},
             ),
+            # wrong-typed values under required keys
+            lambda m: m["config"].update(descriptors=5),
+            lambda m: m["config"].update(subspace_dim="x"),
+            lambda m: m["config"].update(target_dim=3.0),
+            lambda m: m["config"].update(normalize_kernels="no"),
+            lambda m: m["config"].update(alpha=-1.0),
+            lambda m: m.update(labels=7),
+            lambda m: m.update(labels=[[c] for c in m["labels"]]),
+            lambda m: m.update(set_ids=3),
+            lambda m: m.update(kernel_ids=[True, 2, 3]),
+            lambda m: m["arrays"]["transform"].update(file=5),
+            lambda m: m["arrays"]["transform"].update(file="../m/transform.bin"),
+            lambda m: m["arrays"]["transform"].update(shape="ab"),
+            lambda m: m["arrays"]["transform"].update(shape=5),
+            lambda m: m["arrays"]["transform"].update(shape=[2, 2, 2]),
+            lambda m: m["checksums"].update({"transform.bin": 5}),
+            lambda m: m.update(objective_trace=0.5),
+            lambda m: m.update(objective_trace="0.5"),
         ],
         ids=[
             "empty-checksums", "no-checksums", "no-config-field", "unknown-config-field",
             "no-labels", "unknown-key", "no-array", "short-labels", "no-kernels",
+            "descriptors-int", "subspace-dim-str", "target-dim-float", "normalize-str",
+            "alpha-negative", "labels-int", "labels-nested", "set-ids-int", "kernel-id-bool",
+            "file-int", "file-path", "shape-str", "shape-int", "shape-rank-3",
+            "checksum-int", "trace-float", "trace-str",
         ],
     )
     def test_metadata_edit_rejected(self, trained, tmp_path, edit):

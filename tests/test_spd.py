@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from setfuse.errors import NonFinite, NonSymmetric, NotPositiveDefinite
+from setfuse.errors import BadSpec, NonFinite, NonSymmetric, NotPositiveDefinite
 from setfuse.spd import (
     EigenPair,
     is_spd,
@@ -154,7 +154,7 @@ class TestRegularize:
         assert np.array_equal(regularize_spd(c, np.inf), c)
 
     def test_rejects_nonpositive_alpha(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadSpec):
             regularize_spd(np.eye(2), 0.0)
 
     def test_rejects_asymmetric(self):

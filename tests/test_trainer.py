@@ -13,9 +13,11 @@ from setfuse.errors import (
     ZeroTotalScatter,
 )
 from setfuse.gating import gating_weights, init_gating_params
+from setfuse import trainer
 from setfuse.kernels import build_kernel_bank
 from setfuse.trainer import (
     ScatterPair,
+    gram_span,
     random_orthonormal,
     remove_null_space,
     scatter_matrices,
@@ -79,6 +81,73 @@ class TestScatterMatrices:
         bank = random_bank(rng, 4, 2)
         with pytest.raises(ShapeMismatch):
             scatter_matrices(bank, random_labels(rng, 4), np.ones((3, 4)))
+
+
+def feature_bank(rng, n_classes=4, sets_per_class=10):
+    """A real d=3 bank: N=40 sets, and Gram rank at most 9 + 9 + 16 = 34 < N."""
+    sets = random_gallery_sets(rng, n_classes=n_classes, sets_per_class=sets_per_class, d=3, n=12)
+    cfg = TrainConfig(subspace_dim=2)
+    bank = build_kernel_bank([encode_set(s, cfg) for s in sets], cfg.kernel_ids)
+    return bank, np.array([s.label for s in sets])
+
+
+def assert_reduced_matches_full(bank, labels, weights):
+    span = gram_span(bank)
+    full = scatter_matrices(bank, labels, weights)
+    reduced = scatter_matrices(bank, labels, weights, span)
+    for got, whole in ((reduced.within, full.within), (reduced.between, full.between)):
+        ref = span.basis.T @ whole @ span.basis
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert (reduced.n_within_pairs, reduced.n_between_pairs) == (
+        full.n_within_pairs,
+        full.n_between_pairs,
+    )
+    return span
+
+
+class TestGramSpan:
+    def test_reduced_scatters_match_full_on_random_banks(self):
+        rng = np.random.default_rng(102)
+        for _ in range(8):
+            n = int(rng.integers(4, 13))
+            n_kernels = int(rng.integers(1, 4))
+            bank = random_bank(rng, n, n_kernels)
+            labels = random_labels(rng, n)
+            assert_reduced_matches_full(bank, labels, random_simplex_weights(rng, n_kernels, n))
+
+    def test_reduced_scatters_match_full_on_feature_bank(self):
+        rng = np.random.default_rng(103)
+        bank, labels = feature_bank(rng)
+        span = assert_reduced_matches_full(
+            bank, labels, random_simplex_weights(rng, bank.n_kernels, bank.n_train)
+        )
+        rank = span.basis.shape[1]
+        assert rank <= sum(f.shape[1] for f in bank.features) < bank.n_train
+
+    def test_span_holds_every_gram_column(self):
+        rng = np.random.default_rng(104)
+        bank, _ = feature_bank(rng)
+        span = gram_span(bank)
+        r = span.basis.shape[1]
+        assert np.max(np.abs(span.basis.T @ span.basis - np.eye(r))) <= 1e-12
+        for gram, cols in zip(bank.grams, span.columns):
+            assert cols.shape == (r, bank.n_train)
+            assert np.max(np.abs(span.basis @ cols - gram)) <= 1e-10 * np.max(np.abs(gram))
+
+    def test_span_of_another_bank_rejected(self):
+        rng = np.random.default_rng(110)
+        bank = random_bank(rng, 6, 2)
+        other = gram_span(random_bank(rng, 5, 2))
+        with pytest.raises(ShapeMismatch):
+            scatter_matrices(bank, random_labels(rng, 6), random_simplex_weights(rng, 2, 6), other)
+
+    def test_zero_grams_raise(self):
+        bank = random_bank(np.random.default_rng(105), 4, 2)
+        zero = type(bank)(
+            kernel_ids=bank.kernel_ids, grams=(np.zeros((4, 4)),) * 2, n_train=4, scales=bank.scales
+        )
+        with pytest.raises(ZeroTotalScatter):
+            gram_span(zero)
 
 
 class TestTraceRatioObjective:
@@ -239,6 +308,24 @@ class TestSolveTraceRatio:
         off = small - np.diag(np.diag(small))
         assert np.max(np.abs(off)) <= 1e-8 * np.max(np.abs(small))
 
+    def test_warm_start_at_optimum_takes_one_step(self):
+        rng = np.random.default_rng(106)
+        a = rng.standard_normal((8, 8))
+        c = rng.standard_normal((8, 8))
+        between = a @ a.T
+        total = between + c @ c.T
+        cold = solve_trace_ratio(between, total, 3, max_iters=200, eps=0.0, rng=rng)
+        # any basis of the optimal subspace, not orthonormal
+        start = cold.projection @ rng.standard_normal((3, 3))
+        warm = solve_trace_ratio(between, total, 3, start=start)
+        assert len(warm.ratio_history) == 2
+        assert abs(warm.ratio_history[-1] - cold.ratio_history[-1]) <= 1e-12
+        assert np.max(np.abs(warm.projection.T @ warm.projection - np.eye(3))) <= 1e-12
+
+    def test_start_shape_checked(self):
+        with pytest.raises(ShapeMismatch):
+            solve_trace_ratio(np.eye(3), np.eye(3), 2, start=np.ones((3, 1)))
+
     def test_deterministic_given_seed(self):
         a = np.diag([5.0, 2.0, 1.0])
         t = np.eye(3)
@@ -299,7 +386,8 @@ class TestTrain:
         manual_rng = np.random.default_rng(cfg.seed)
         params = init_gating_params(bank.n_kernels, bank.n_train, manual_rng)
         weights = gating_weights(bank, params)
-        scatter = scatter_matrices(bank, labels, weights)
+        span = gram_span(bank)
+        scatter = scatter_matrices(bank, labels, weights, span)
         basis, red_b, red_t, red_dim = remove_null_space(
             scatter.within, scatter.between
         )
@@ -311,10 +399,59 @@ class TestTrain:
             eps=cfg.eps,
             rng=manual_rng,
         )
-        expected = basis @ itr.projection
+        expected = span.basis @ (basis @ itr.projection)
         assert np.array_equal(model.transform, expected)
         assert np.array_equal(model.gating.coeffs, params.coeffs)
         assert np.array_equal(model.gating.biases, params.biases)
+
+    def test_warm_started_solves_take_few_steps(self, monkeypatch):
+        rng = np.random.default_rng(107)
+        bank, labels, cfg, _ = separable_bank(rng)
+        calls = []
+
+        def recording(*args, **kwargs):
+            result = solve_trace_ratio(*args, **kwargs)
+            calls.append((kwargs["start"] is not None, len(result.ratio_history) - 1))
+            return result
+
+        monkeypatch.setattr(trainer, "solve_trace_ratio", recording)
+        model = train(bank, labels, cfg)
+        assert len(calls) == len(model.objective_trace) >= 3
+        assert calls[0][0] is False
+        for warm, steps in calls[1:]:
+            assert warm and steps <= 3
+
+    def test_final_projection_is_trace_ratio_optimum(self, monkeypatch):
+        rng = np.random.default_rng(108)
+        bank, labels, cfg, _ = separable_bank(rng)
+        seen = []
+
+        def recording(bank_, labels_, weights, span=None):
+            seen.append(weights)
+            return scatter_matrices(bank_, labels_, weights, span)
+
+        monkeypatch.setattr(trainer, "scatter_matrices", recording)
+        model = train(bank, labels, cfg)
+        # the scatters the last projection was solved on, over whole Gram columns
+        scatter = scatter_matrices(bank, labels, seen[-1])
+        basis, red_b, red_t, _ = remove_null_space(scatter.within, scatter.between)
+        cold = solve_trace_ratio(
+            red_b, red_t, model.target_dim, max_iters=200, eps=0.0, rng=np.random.default_rng(1)
+        )
+        gain = cold.ratio_history[-1] - trace_ratio_objective(model.transform, scatter)
+        assert gain <= 1e-6
+
+    def test_bare_gram_bank_trains(self):
+        rng = np.random.default_rng(109)
+        bank = random_bank(rng, 12, 3)
+        labels = random_labels(rng, 12)
+        cfg = TrainConfig(target_dim=3, iters=4, seed=2)
+        m1 = train(bank, labels, cfg)
+        m2 = train(bank, labels, cfg)
+        assert m1.transform.shape == (12, 3)
+        assert np.isfinite(m1.transform).all()
+        assert np.array_equal(m1.transform, m2.transform)
+        assert all(0.0 <= v <= 1.0 for v in m1.objective_trace)
 
     def test_training_is_deterministic(self):
         rng = np.random.default_rng(98)
