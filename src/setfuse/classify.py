@@ -45,15 +45,15 @@ class Prediction:
         object.__setattr__(self, "distances", d)
 
 
-def distance_profile(test: DescriptorTriple, model: ModelState) -> np.ndarray:
-    """Gated projected distances from one probe to every gallery member.
+def profile_from_rows(rows, model: ModelState) -> np.ndarray:
+    """Gated projected distances from a probe, given as its lifted rows (one
+    per channel, ``KernelBank.probe_rows``), to every gallery member.
 
-    Only the probe is lifted: its kernel column per channel is read against
-    the bank's lifted gallery features, and the gallery side of every
-    distance, ``E.T @ K_q``, comes cached from the model. So a probe costs one
-    lift per channel plus O(n_train * (D_q + target_dim)) per channel.
+    The rows are scored against the bank's lifted gallery features, and the
+    gallery side of every distance, ``E.T @ K_q``, comes cached from the
+    model; so this costs O(n_train * (D_q + target_dim)) per channel.
     """
-    crosses = model.bank.probe_columns(test)
+    crosses = model.bank.columns_from_rows(rows)
     scores = np.array(
         [
             float(model.gating.coeffs[q] @ crosses[q]) + float(model.gating.biases[q])
@@ -70,6 +70,14 @@ def distance_profile(test: DescriptorTriple, model: ModelState) -> np.ndarray:
     return out
 
 
+def distance_profile(test: DescriptorTriple, model: ModelState) -> np.ndarray:
+    """Gated projected distances from one probe to every gallery member.
+
+    Only the probe is lifted, one lift per channel; see ``profile_from_rows``.
+    """
+    return profile_from_rows(model.bank.probe_rows(test), model)
+
+
 def set_distance(test: DescriptorTriple, model: ModelState, i: int) -> float:
     """Distance from a probe descriptor triple to gallery member ``i``."""
     if not 0 <= i < model.n_train:
@@ -77,15 +85,23 @@ def set_distance(test: DescriptorTriple, model: ModelState, i: int) -> float:
     return float(distance_profile(test, model)[i])
 
 
-def predict(test: ImageSet, model: ModelState) -> Prediction:
-    """Check a probe set's dimension and sample count, encode it, and classify
-    it against the model's gallery."""
+def check_probe(test: ImageSet, model: ModelState) -> None:
+    """Reject a probe set whose dimension or sample count the model cannot encode."""
     dim, q = model.bank.dim, model.config.subspace_dim
     if test.dim != dim:
         raise DimensionMismatch(f"probe dimension {test.dim} != gallery dimension {dim}")
     if test.n_samples < q:
         raise TooFewSamples(f"probe has {test.n_samples} samples, fewer than subspace_dim={q}")
-    triple = encode_set(test, model.config)
-    distances = distance_profile(triple, model)
+
+
+def nearest(distances: np.ndarray, model: ModelState) -> Prediction:
+    """The prediction of a distance profile: its closest gallery member's label."""
     idx = int(np.argmin(distances))
     return Prediction(label=model.labels[idx], distances=distances, nearest_index=idx)
+
+
+def predict(test: ImageSet, model: ModelState) -> Prediction:
+    """Check a probe set's dimension and sample count, encode it, lift it and
+    classify it against the model's gallery."""
+    check_probe(test, model)
+    return nearest(distance_profile(encode_set(test, model.config), model), model)

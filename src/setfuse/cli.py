@@ -106,6 +106,8 @@ def _build_config(subspace_dim, alpha, target_dim, learning_rate, iters, itr_ite
 
 
 def _write_report_csv(report: ExperimentReport, path) -> None:
+    """Per-split CSV; ``train_seconds`` is the split's kernel bank build plus
+    training (each set is encoded once per run, shared by every split)."""
     import csv
 
     with open(path, "w", newline="") as fh:
@@ -202,7 +204,8 @@ def train(manifest, out, **kwargs):
 @click.option("--train-per-class", type=int, default=3, show_default=True,
               help="Training sets drawn per class in each split.")
 @click.option("--report", type=click.Path(), default=None,
-              help="Write per-split results to this CSV (traces go next to it).")
+              help="Write per-split results to this CSV (traces go next to it); its "
+                   "train_seconds column times each split's kernel bank build plus training.")
 @_train_options
 @_guarded
 def eval(manifest, splits, train_per_class, report, **kwargs):

@@ -128,8 +128,18 @@ def save_dataset(sets, out_dir) -> Path:
     """Write per-set CSVs plus a manifest; returns the manifest path.
 
     Values are printed with enough digits to reproduce the float64 bits on
-    reload.
+    reload. Each set is written to ``<set_id>.csv``, so set ids must be
+    distinct plain file-name stems (not empty, ``.`` or ``..``, no ``/`` or
+    ``\\``); ``BadSpec`` is raised before anything is written otherwise.
     """
+    sets = list(sets)
+    seen: set[str] = set()
+    for s in sets:
+        if s.set_id in ("", ".", "..") or "/" in s.set_id or "\\" in s.set_id:
+            raise BadSpec(f"set id {s.set_id!r} is not a plain file-name stem")
+        if s.set_id in seen:
+            raise BadSpec(f"set id {s.set_id!r} repeats; each set needs its own file")
+        seen.add(s.set_id)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

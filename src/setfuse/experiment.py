@@ -3,6 +3,13 @@
 Every split derives its own seed from the run seed and the split index, so
 splits are mutually independent and the whole experiment is reproducible
 from one integer.
+
+A set's descriptors and lifted rows depend only on the set, ``alpha`` and
+the split's effective subspace dimension, so one ``run_experiment`` call
+(with its ablation rows) or one ``run_dimension_sweep`` call encodes and
+lifts each set once and every split reads those rows: it builds its kernel
+bank from its training rows and scores each test set from the test set's
+rows, through the same steps ``train_on_sets`` and ``predict`` take.
 """
 
 from __future__ import annotations
@@ -15,12 +22,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classify import predict
+from .classify import check_probe, nearest, profile_from_rows
 from .config import TrainConfig
 from .data import generate_synthetic, load_dataset
 from .descriptors import DescriptorTriple, ImageSet, encode_set
 from .errors import BadSpec, InsufficientSetsPerClass
-from .kernels import build_kernel_bank
+from .kernels import KernelId, bank_from_features, build_kernel_bank, lift_row, stack_rows
 from .trainer import ModelState, train
 
 logger = logging.getLogger(__name__)
@@ -28,7 +35,12 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SplitResult:
-    """Outcome of one train/test split."""
+    """Outcome of one train/test split.
+
+    ``train_seconds`` times the split's kernel bank build (Grams from the
+    training sets' lifted rows) plus training. Encoding and lifting are shared
+    by every split of the call and not counted.
+    """
 
     split_index: int
     seed: int
@@ -82,11 +94,16 @@ def encode_gallery(
     Returns the triples and the (possibly adjusted) configuration that probe
     encoding must reuse.
     """
+    cfg = _capped_config(sets, cfg)
+    return [encode_set(s, cfg) for s in sets], cfg
+
+
+def _capped_config(sets: Sequence[ImageSet], cfg: TrainConfig) -> TrainConfig:
     q = effective_subspace_dim(sets, cfg.subspace_dim)
     if q != cfg.subspace_dim:
         logger.warning("subspace_dim capped from %d to %d for this gallery", cfg.subspace_dim, q)
         cfg = replace(cfg, subspace_dim=q)
-    return [encode_set(s, cfg) for s in sets], cfg
+    return cfg
 
 
 def train_on_sets(sets: Sequence[ImageSet], cfg: TrainConfig) -> ModelState:
@@ -105,6 +122,14 @@ def split_sets(
     Every class must contribute at least ``train_per_class + 1`` sets so the
     test side is never empty.
     """
+    train_idx, test_idx = _split_indices(sets, train_per_class, rng)
+    return [sets[i] for i in train_idx], [sets[i] for i in test_idx]
+
+
+def _split_indices(
+    sets: Sequence[ImageSet], train_per_class: int, rng: np.random.Generator
+) -> tuple[list[int], list[int]]:
+    """Positions in ``sets`` of ``split_sets``' two sides, each ascending."""
     by_label: dict[str, list[int]] = {}
     for idx, s in enumerate(sets):
         by_label.setdefault(s.label, []).append(idx)
@@ -122,7 +147,54 @@ def split_sets(
         test_idx.extend(chosen[train_per_class:])
     train_idx.sort()
     test_idx.sort()
-    return [sets[i] for i in train_idx], [sets[i] for i in test_idx]
+    return train_idx, test_idx
+
+
+class _LiftedSets:
+    """The sets of one protocol call, each encoded and lifted on first use.
+
+    Entries are keyed by position in ``sets`` and effective subspace
+    dimension q (``alpha``, the only other input of encoding, is fixed for
+    the call), never by ``set_id``, which need not be unique. A row is
+    ``lift_row`` of the encoded set, so stacked rows equal ``lift_features``
+    bit for bit. The memo lives as long as the call: for N sets it holds
+    N x sum(D_q) lifted floats plus each set's descriptors.
+    """
+
+    def __init__(self, sets: list[ImageSet]):
+        self.sets = sets
+        self._triples: dict[tuple[int, int], DescriptorTriple] = {}
+        self._rows: dict[tuple[int, int, KernelId], np.ndarray] = {}
+
+    def _triple(self, i: int, cfg: TrainConfig) -> DescriptorTriple:
+        key = (i, cfg.subspace_dim)
+        if key not in self._triples:
+            self._triples[key] = encode_set(self.sets[i], cfg)
+        return self._triples[key]
+
+    def _row(self, i: int, cfg: TrainConfig, kid: KernelId) -> np.ndarray:
+        key = (i, cfg.subspace_dim, kid)
+        if key not in self._rows:
+            row = lift_row(self._triple(i, cfg), kid)
+            row.setflags(write=False)  # every split of the call reads this array
+            self._rows[key] = row
+        return self._rows[key]
+
+    def rows(self, i: int, cfg: TrainConfig) -> tuple[np.ndarray, ...]:
+        """Set i's lifted row per channel of ``cfg``."""
+        return tuple(self._row(i, cfg, kid) for kid in cfg.kernel_ids)
+
+    def features(self, idx: Sequence[int], cfg: TrainConfig) -> list[np.ndarray]:
+        """The (len(idx), D_q) lifted features of the sets at ``idx`` per channel,
+        encoded all first and then lifted channel by channel, as
+        ``encode_gallery`` and ``build_kernel_bank`` would."""
+        for i in idx:
+            self._triple(i, cfg)
+        ids = [self.sets[i].set_id for i in idx]
+        return [
+            stack_rows((self._row(i, cfg, kid) for i in idx), len(idx), ids)
+            for kid in cfg.kernel_ids
+        ]
 
 
 def _resolve_sets(source) -> list[ImageSet]:
@@ -133,24 +205,63 @@ def _resolve_sets(source) -> list[ImageSet]:
     return list(source)
 
 
-def _run_split(sets, cfg: TrainConfig, train_per_class: int, split_index: int) -> SplitResult:
+def _run_split(
+    lifted: _LiftedSets, cfg: TrainConfig, train_per_class: int, split_index: int
+) -> SplitResult:
     seed = split_seed(cfg.seed, split_index)
-    rng = np.random.default_rng(seed)
-    train_sets, test_sets = split_sets(sets, train_per_class, rng)
-    split_cfg = replace(cfg, seed=seed)
+    sets = lifted.sets
+    train_idx, test_idx = _split_indices(sets, train_per_class, np.random.default_rng(seed))
+    split_cfg = _capped_config([sets[i] for i in train_idx], replace(cfg, seed=seed))
+    features = lifted.features(train_idx, split_cfg)
     started = time.perf_counter()
-    model = train_on_sets(train_sets, split_cfg)
+    bank = bank_from_features(split_cfg.kernel_ids, features, normalize=split_cfg.normalize_kernels)
+    model = train(
+        bank,
+        [sets[i].label for i in train_idx],
+        split_cfg,
+        set_ids=[sets[i].set_id for i in train_idx],
+    )
     elapsed = time.perf_counter() - started
-    hits = sum(1 for s in test_sets if predict(s, model).label == s.label)
+    hits = 0
+    for i in test_idx:
+        check_probe(sets[i], model)
+        prediction = nearest(profile_from_rows(lifted.rows(i, split_cfg), model), model)
+        hits += prediction.label == sets[i].label
     return SplitResult(
         split_index=split_index,
         seed=seed,
-        accuracy=hits / len(test_sets),
-        n_train=len(train_sets),
-        n_test=len(test_sets),
+        accuracy=hits / len(test_idx),
+        n_train=len(train_idx),
+        n_test=len(test_idx),
         train_seconds=elapsed,
         objective_trace=model.objective_trace,
     )
+
+
+def _check_protocol(n_splits: int, train_per_class: int) -> None:
+    if n_splits < 1 or train_per_class < 1:
+        raise BadSpec(f"n_splits and train_per_class must be >= 1, got {n_splits} and {train_per_class}")
+
+
+def _experiment(
+    lifted: _LiftedSets, cfg: TrainConfig, n_splits: int, train_per_class: int, ablate: bool
+) -> ExperimentReport:
+    def protocol(run_cfg: TrainConfig) -> ExperimentReport:
+        return ExperimentReport(
+            splits=tuple(_run_split(lifted, run_cfg, train_per_class, i) for i in range(n_splits)),
+            config=run_cfg,
+            n_splits=n_splits,
+            train_per_class=train_per_class,
+        )
+
+    combined = protocol(cfg)
+    if not ablate:
+        return combined
+    rows = {
+        name: protocol(replace(cfg, descriptors=(name,))) for name in ("cov", "subspace", "gauss")
+    }
+    rows["combined"] = combined
+    return replace(combined, ablation=rows)
 
 
 def run_experiment(
@@ -166,35 +277,12 @@ def run_experiment(
     mapping of ``generate_synthetic`` keyword arguments. With ``ablate``,
     each descriptor is also evaluated alone on the same splits and the
     single-channel reports are attached under ``report.ablation`` along with
-    the combined row.
+    the combined row. Each set is encoded and lifted once per call, however
+    many splits and ablation rows use it.
     """
-    if n_splits < 1 or train_per_class < 1:
-        raise BadSpec(f"n_splits and train_per_class must be >= 1, got {n_splits} and {train_per_class}")
-    sets = _resolve_sets(source)
-
-    def protocol(run_cfg: TrainConfig) -> tuple[SplitResult, ...]:
-        return tuple(_run_split(sets, run_cfg, train_per_class, i) for i in range(n_splits))
-
-    combined = ExperimentReport(
-        splits=protocol(cfg),
-        config=cfg,
-        n_splits=n_splits,
-        train_per_class=train_per_class,
-    )
-    if not ablate:
-        return combined
-
-    rows: dict[str, ExperimentReport] = {}
-    for name in ("cov", "subspace", "gauss"):
-        sub_cfg = replace(cfg, descriptors=(name,))
-        rows[name] = ExperimentReport(
-            splits=protocol(sub_cfg),
-            config=sub_cfg,
-            n_splits=n_splits,
-            train_per_class=train_per_class,
-        )
-    rows["combined"] = combined
-    return replace(combined, ablation=rows)
+    _check_protocol(n_splits, train_per_class)
+    lifted = _LiftedSets(_resolve_sets(source))
+    return _experiment(lifted, cfg, n_splits, train_per_class, ablate)
 
 
 def run_dimension_sweep(
@@ -204,11 +292,13 @@ def run_dimension_sweep(
     n_splits: int = 10,
     train_per_class: int = 3,
 ) -> dict[int, ExperimentReport]:
-    """Evaluate the protocol once per candidate projection width."""
-    sets = _resolve_sets(source)
+    """Evaluate the protocol once per candidate projection width; every width
+    reads the same once-encoded, once-lifted sets."""
+    lifted = _LiftedSets(_resolve_sets(source))
     out: dict[int, ExperimentReport] = {}
     for dim in target_dims:
-        out[int(dim)] = run_experiment(
-            sets, replace(cfg, target_dim=int(dim)), n_splits=n_splits, train_per_class=train_per_class
+        _check_protocol(n_splits, train_per_class)
+        out[int(dim)] = _experiment(
+            lifted, replace(cfg, target_dim=int(dim)), n_splits, train_per_class, ablate=False
         )
     return out

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -100,31 +100,47 @@ def _lift(triple: DescriptorTriple, kid: KernelId) -> np.ndarray:
     raise BadSpec(f"unknown kernel id {kid!r}")
 
 
+def lift_row(triple: DescriptorTriple, kid: KernelId) -> np.ndarray:
+    """One descriptor's flattened lifted matrix for kernel ``kid``, a 1-D row."""
+    return _lift(triple, kid).ravel()
+
+
+def stack_rows(rows: Iterable[np.ndarray], n: int, set_ids: Sequence[str]) -> np.ndarray:
+    """Copy ``n`` lifted rows, consumed in order, into a read-only (n, D_q) array.
+
+    Raises ``DimensionMismatch`` at the first row whose width differs from
+    row 0's, before the rows after it are produced.
+    """
+    if n < 1:
+        raise BadSpec("lifted features need at least one descriptor")
+    out = None
+    for i, row in enumerate(rows):
+        if out is None:
+            out = np.empty((n, row.size), dtype=np.float64)
+        elif row.size != out.shape[1]:
+            raise DimensionMismatch(
+                f"descriptor {i} ({set_ids[i]!r}): lifts to {row.size} features, "
+                f"descriptor 0 to {out.shape[1]}"
+            )
+        out[i] = row
+    out.setflags(write=False)
+    return out
+
+
 def lift_features(triples: Sequence[DescriptorTriple], kid: KernelId) -> np.ndarray:
     """Lift each descriptor once into one row of a read-only (N, D_q) array.
 
-    Row i is the flattened lifted matrix of ``triples[i]`` for kernel
-    ``kid``. Raises ``DimensionMismatch`` naming the first descriptor whose
-    dimension differs from the first one's.
+    Row i is ``lift_row(triples[i], kid)``. Raises ``DimensionMismatch``
+    naming the first descriptor whose dimension differs from the first one's.
     """
-    if len(triples) < 1:
-        raise BadSpec("lift_features needs at least one descriptor")
-    out = None
-    for i, t in enumerate(triples):
-        try:
-            lifted = _lift(t, kid)
-        except SetfuseError as exc:
-            raise type(exc)(f"descriptor {i} ({t.set_id!r}): {exc}") from exc
-        if out is None:
-            out = np.empty((len(triples), lifted.size), dtype=np.float64)
-        elif lifted.size != out.shape[1]:
-            raise DimensionMismatch(
-                f"descriptor {i} ({t.set_id!r}): lifts to {lifted.size} features, "
-                f"descriptor 0 to {out.shape[1]}"
-            )
-        out[i] = lifted.ravel()
-    out.setflags(write=False)
-    return out
+    def rows():
+        for i, t in enumerate(triples):
+            try:
+                yield lift_row(t, kid)
+            except SetfuseError as exc:
+                raise type(exc)(f"descriptor {i} ({t.set_id!r}): {exc}") from exc
+
+    return stack_rows(rows(), len(triples), [t.set_id for t in triples])
 
 
 def _gram(features: np.ndarray) -> np.ndarray:
@@ -138,10 +154,7 @@ def _gram(features: np.ndarray) -> np.ndarray:
     return k
 
 
-def _probe_column(
-    test: DescriptorTriple, features: np.ndarray, kid: KernelId, scale: float
-) -> np.ndarray:
-    row = _lift(test, kid).ravel()
+def _score_row(row: np.ndarray, features: np.ndarray, scale: float) -> np.ndarray:
     if row.size != features.shape[1]:
         raise DimensionMismatch(
             f"probe lifts to {row.size} features, gallery to {features.shape[1]}"
@@ -184,7 +197,7 @@ def cross_kernel_vector(
     normalization was off) so probe columns stay commensurate with the
     stored Gram matrix.
     """
-    return _probe_column(test, lift_features(gallery, kid), kid, normalize_ref)
+    return _score_row(lift_row(test, kid), lift_features(gallery, kid), normalize_ref)
 
 
 @dataclass(frozen=True)
@@ -194,9 +207,9 @@ class KernelBank:
     ``features[q]`` holds the gallery's unscaled lifted rows, (N, D_q), and is
     what a saved model stores. ``grams[q]`` is the N x N Gram matrix derived
     from them, already multiplied by ``scales[q]`` (1.0 when normalization is
-    off); ``probe_columns`` scores a probe against the same features. A bank
-    assembled from bare Gram matrices has ``features`` None: it can train
-    but neither score probes nor be saved.
+    off); ``columns_from_rows`` scores a probe's lifted rows (``probe_rows``)
+    against the same features. A bank assembled from bare Gram matrices has
+    ``features`` None: it can train but neither score probes nor be saved.
     """
 
     kernel_ids: tuple[KernelId, ...]
@@ -240,11 +253,17 @@ class KernelBank:
         side = math.isqrt(width)
         return side - 1 if self.kernel_ids[0] == KernelId.GAUSSIAN_EMBEDDED else side
 
-    def probe_columns(self, test: DescriptorTriple) -> list[np.ndarray]:
-        """One probe's scaled kernel column per channel, lifting only the probe."""
+    def probe_rows(self, test: DescriptorTriple) -> tuple[np.ndarray, ...]:
+        """One probe's lifted row per channel; the gallery is not read."""
+        return tuple(lift_row(test, kid) for kid in self.kernel_ids)
+
+    def columns_from_rows(self, rows: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Scaled kernel columns of a probe's lifted rows against the gallery
+        features, one per channel."""
+        if len(rows) != self.n_kernels:
+            raise ShapeMismatch(f"got {len(rows)} probe rows for {self.n_kernels} kernels")
         return [
-            _probe_column(test, f, kid, s)
-            for kid, f, s in zip(self.kernel_ids, self._require_features(), self.scales)
+            _score_row(row, f, s) for row, f, s in zip(rows, self._require_features(), self.scales)
         ]
 
 

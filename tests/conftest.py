@@ -19,3 +19,15 @@ if "numpy" in sys.modules:
     )
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = THREADS
+
+# Property tests draw a fixed, bounded sequence of examples: the suite stays
+# deterministic and its runtime stays bounded on a loaded host.
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    settings.register_profile(
+        "setfuse", derandomize=True, deadline=None, max_examples=60, database=None
+    )
+    settings.load_profile("setfuse")

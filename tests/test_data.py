@@ -49,6 +49,28 @@ class TestRoundTrip:
         assert np.array_equal(back.features, feats)
 
 
+class TestSaveRejectsUnsafeSetIds:
+    def test_duplicate_set_ids_write_nothing(self, tmp_path):
+        rng = np.random.default_rng(136)
+        sets = [random_image_set(rng, label=f"c{i}", set_id="dup") for i in range(2)]
+        out = tmp_path / "ds"
+        out.mkdir()
+        with pytest.raises(BadSpec, match="repeats"):
+            save_dataset(sets, out)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("set_id", ["../escape", "a/b", "a\\b", "", ".", ".."])
+    def test_non_stem_set_ids_write_nothing(self, tmp_path, set_id):
+        rng = np.random.default_rng(137)
+        sets = [random_image_set(rng, set_id="ok"), random_image_set(rng, set_id=set_id)]
+        out = tmp_path / "ds"
+        out.mkdir()
+        with pytest.raises(BadSpec, match="plain file-name stem"):
+            save_dataset(sets, out)
+        assert list(out.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+
 class TestManifestErrors:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(IoError):

@@ -1,11 +1,18 @@
 """Experiment orchestration tests: splits, protocols, sweeps, ablation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import setfuse.classify as classify_module
+import setfuse.experiment as experiment_module
+import setfuse.kernels as kernels_module
+from setfuse.classify import predict
 from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic
-from setfuse.errors import BadSpec, InsufficientSetsPerClass
+from setfuse.descriptors import ImageSet
+from setfuse.errors import BadSpec, DimensionMismatch, InsufficientSetsPerClass, TooFewSamples
 from setfuse.experiment import (
     ExperimentReport,
     effective_subspace_dim,
@@ -162,3 +169,144 @@ class TestDimensionSweep:
         for dim, report in sweep.items():
             assert report.config.target_dim == dim
             assert len(report.splits) == 2
+
+
+def reference_splits(sets, cfg, n_splits, train_per_class=3):
+    """Each split through the public per-split path: ``split_sets``,
+    ``train_on_sets`` and ``predict``, encoding every set afresh."""
+    out = []
+    for i in range(n_splits):
+        seed = split_seed(cfg.seed, i)
+        train_sets, test_sets = split_sets(sets, train_per_class, np.random.default_rng(seed))
+        model = train_on_sets(train_sets, replace(cfg, seed=seed))
+        hits = sum(1 for s in test_sets if predict(s, model).label == s.label)
+        out.append(
+            (hits / len(test_sets), model.objective_trace, seed, len(train_sets), len(test_sets))
+        )
+    return out
+
+
+def report_splits(report):
+    return [(s.accuracy, s.objective_trace, s.seed, s.n_train, s.n_test) for s in report.splits]
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Count ``encode_set`` and ``spd_log`` calls wherever the library binds them."""
+    calls = {"encode_set": 0, "spd_log": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for mod in (experiment_module, classify_module):
+        monkeypatch.setattr(mod, "encode_set", counting("encode_set", mod.encode_set))
+    monkeypatch.setattr(kernels_module, "spd_log", counting("spd_log", kernels_module.spd_log))
+    return calls
+
+
+class TestSharedLiftsMatchPerSplitPath:
+    """``run_experiment`` encodes and lifts each set once per call; every
+    split must still report exactly what the per-split public path gives."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"normalize_kernels": True}, {"descriptors": ("subspace",)}],
+        ids=["default", "normalized", "single-descriptor"],
+    )
+    def test_report_equals_reference(self, overrides):
+        sets = generate_synthetic(**small_source())
+        cfg = fast_cfg(**overrides)
+        report = run_experiment(sets, cfg, n_splits=3)
+        assert report_splits(report) == reference_splits(sets, cfg, 3)
+
+    def test_every_ablation_row_equals_reference(self):
+        sets = generate_synthetic(**small_source())
+        cfg = fast_cfg()
+        report = run_experiment(sets, cfg, n_splits=2, ablate=True)
+        for name, row in report.ablation.items():
+            row_cfg = cfg if name == "combined" else replace(cfg, descriptors=(name,))
+            assert report_splits(row) == reference_splits(sets, row_cfg, 2), name
+
+    def test_every_sweep_width_equals_reference(self):
+        sets = generate_synthetic(**small_source())
+        cfg = fast_cfg()
+        sweep = run_dimension_sweep(sets, cfg, target_dims=[2, 3, 4], n_splits=2)
+        for dim, report in sweep.items():
+            assert report_splits(report) == reference_splits(sets, replace(cfg, target_dim=dim), 2)
+
+    def test_duplicate_set_ids_give_reference_report(self):
+        sets = [
+            ImageSet(features=s.features, label=s.label, set_id="dup")
+            for s in generate_synthetic(**small_source())
+        ]
+        cfg = fast_cfg()
+        report = run_experiment(sets, cfg, n_splits=3)
+        assert report_splits(report) == reference_splits(sets, cfg, 3)
+
+    def test_capped_subspace_dim_gives_reference_report(self):
+        # class0 sets hold 5 samples, so every split caps subspace_dim 6 to 5
+        sets = [
+            ImageSet(features=s.features[:, :5] if s.label == "class0" else s.features,
+                     label=s.label, set_id=s.set_id)
+            for s in generate_synthetic(**small_source())
+        ]
+        cfg = fast_cfg(subspace_dim=6)
+        report = run_experiment(sets, cfg, n_splits=3)
+        assert report_splits(report) == reference_splits(sets, cfg, 3)
+
+    def test_stacked_rows_equal_lift_features(self):
+        sets = generate_synthetic(**small_source())
+        cfg = fast_cfg()
+        idx = [0, 4, 5, 11]
+        triples, _ = encode_gallery([sets[i] for i in idx], cfg)
+        features = experiment_module._LiftedSets(sets).features(idx, cfg)
+        for kid, f in zip(cfg.kernel_ids, features):
+            assert np.array_equal(f, kernels_module.lift_features(triples, kid))
+            assert not f.flags.writeable
+
+
+class TestEncodeOncePerCall:
+    def test_run_experiment(self, count_calls):
+        sets = generate_synthetic(**small_source())
+        run_experiment(sets, fast_cfg(), n_splits=3)
+        assert count_calls == {"encode_set": len(sets), "spd_log": 2 * len(sets)}
+
+    def test_ablation(self, count_calls):
+        sets = generate_synthetic(**small_source())
+        run_experiment(sets, fast_cfg(), n_splits=2, ablate=True)
+        assert count_calls == {"encode_set": len(sets), "spd_log": 2 * len(sets)}
+
+    def test_dimension_sweep(self, count_calls):
+        sets = generate_synthetic(**small_source())
+        run_dimension_sweep(sets, fast_cfg(), target_dims=[2, 4], n_splits=2)
+        assert count_calls == {"encode_set": len(sets), "spd_log": 2 * len(sets)}
+
+    def test_nothing_shared_across_calls(self, count_calls):
+        sets = generate_synthetic(**small_source())
+        run_experiment(sets, fast_cfg(), n_splits=1)
+        run_experiment(sets, fast_cfg(), n_splits=1)
+        assert count_calls["encode_set"] == 2 * len(sets)
+
+
+class TestErrorsKeepTheirClass:
+    def test_short_test_set_raises_too_few_samples(self):
+        sets = generate_synthetic(**small_source())
+        sets[5] = ImageSet(features=sets[5].features[:, :3], label=sets[5].label, set_id="short")
+        cfg = fast_cfg()
+        with pytest.raises(TooFewSamples):
+            reference_splits(sets, cfg, 4)
+        with pytest.raises(TooFewSamples):
+            run_experiment(sets, cfg, n_splits=4)
+
+    def test_mixed_dimensions_raise_dimension_mismatch(self):
+        sets = generate_synthetic(**small_source())
+        sets[7] = ImageSet(features=sets[7].features[:5], label=sets[7].label, set_id="narrow")
+        cfg = fast_cfg()
+        with pytest.raises(DimensionMismatch):
+            reference_splits(sets, cfg, 4)
+        with pytest.raises(DimensionMismatch):
+            run_experiment(sets, cfg, n_splits=4)

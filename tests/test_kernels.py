@@ -326,7 +326,7 @@ class TestLiftedFeatures:
         rng = np.random.default_rng(54)
         triples = encode_sets(random_gallery_sets(rng, 2, 3, d=6, n=12), q=3)
         bank = build_kernel_bank(triples, normalize=True)
-        for q, col in enumerate(bank.probe_columns(triples[2])):
+        for q, col in enumerate(bank.columns_from_rows(bank.probe_rows(triples[2]))):
             assert np.array_equal(col, bank.grams[q][:, 2])
 
     def test_bank_without_features_cannot_score_probes(self):
@@ -340,4 +340,4 @@ class TestLiftedFeatures:
             scales=full.scales,
         )
         with pytest.raises(NoGalleryFeatures):
-            bare.probe_columns(triples[0])
+            bare.columns_from_rows(bare.probe_rows(triples[0]))
