@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import BadSpec
@@ -27,7 +28,7 @@ class TrainConfig:
     is lower. ``alpha`` controls covariance regularization (the spectrum is
     shifted by trace/alpha). ``learning_rate`` drives the gating ascent, and
     ``eps`` is the convergence tolerance for both the outer loop and the
-    inner trace-ratio solve (0 disables early stopping).
+    inner trace-ratio solve (0 disables early stopping); both must be finite.
     """
 
     subspace_dim: int = 10
@@ -48,12 +49,12 @@ class TrainConfig:
             raise BadSpec(f"alpha must be positive, got {self.alpha}")
         if self.target_dim < 1:
             raise BadSpec(f"target_dim must be >= 1, got {self.target_dim}")
-        if self.learning_rate < 0.0:
-            raise BadSpec(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise BadSpec(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.iters < 1 or self.itr_iters < 1:
             raise BadSpec("iteration counts must be >= 1")
-        if self.eps < 0.0:
-            raise BadSpec(f"eps must be >= 0, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps >= 0.0):
+            raise BadSpec(f"eps must be finite and >= 0, got {self.eps}")
         names = tuple(self.descriptors)
         unknown = [n for n in names if n not in DESCRIPTOR_NAMES]
         if unknown or not names:

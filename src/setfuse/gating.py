@@ -7,7 +7,7 @@ Each training sample i gets a weight per kernel channel q,
 a linear read-out of the sample's Gram column plus a bias, pushed through a
 softmax across channels. The gating parameters are learned by gradient
 ascent on the same trace-ratio objective the projection is solved for; the
-exact gradient expressions live in ``gating_gradients``.
+exact gradient expressions live in ``projected_gradients``.
 """
 
 from __future__ import annotations
@@ -164,18 +164,11 @@ def gating_gradients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient of the trace-ratio objective w.r.t. the gating params.
 
-    With h_w and h_b the projected within/between scatter traces, the
-    objective is J = h_b / (h_w + h_b) and the gradient follows from the
-    quotient rule plus the softmax derivative. Both traces and their
-    derivatives with respect to each weight come from
-    ``projected_pair_sums`` over ``E.T @ K_q``: d(sum w_i w_j d_ij)/d w_i =
-    2 g[i]. The chain through each channel's scores ``coeffs[q] @ K_q +
-    biases[q]`` then costs one Gram matvec per channel, and no N x N matrix
-    beyond the Grams is formed.
-
-    ``transform`` is the current projection (N x target_dim, held fixed),
+    ``transform`` is the current projection E (N x target_dim, held fixed),
     ``counts`` the ordered within/between pair counts used to normalize the
-    scatters. Returns ``(coeff_grads, bias_grads)`` shaped like the params.
+    scatters. Checks its inputs, forms the weights and ``E.T @ K_q``, and
+    defers to ``projected_gradients``. Returns ``(coeff_grads,
+    bias_grads)`` shaped like the params.
     """
     _check_bank_params(bank, params)
     e = np.asarray(transform, dtype=np.float64)
@@ -184,21 +177,46 @@ def gating_gradients(
         raise ShapeMismatch(f"transform must be {n} x d, got {e.shape}")
     if len(labels) != n:
         raise ShapeMismatch(f"{len(labels)} labels for n_train={n}")
+    return projected_gradients(
+        bank.grams,
+        gating_weights(bank, params),
+        [e.T @ gram for gram in bank.grams],
+        class_codes(labels),
+        counts,
+    )
+
+
+def projected_gradients(
+    grams: Sequence[np.ndarray],
+    weights: np.ndarray,
+    projected: Sequence[np.ndarray],
+    classes: np.ndarray,
+    counts: tuple[int, int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The gating gradient from the weights and projected Gram columns.
+
+    With h_w and h_b the projected within/between scatter traces, the
+    objective is J = h_b / (h_w + h_b) and the gradient follows from the
+    quotient rule plus the softmax derivative. Both traces and their
+    derivatives with respect to each weight come from
+    ``projected_pair_sums`` over ``projected[q] = E.T @ K_q``:
+    d(sum w_i w_j d_ij)/d w_i = 2 g[i]. The chain through each channel's
+    scores ``coeffs[q] @ K_q + biases[q]`` then costs one Gram matvec per
+    channel, and no N x N matrix beyond the Grams is formed. Any
+    per-channel offset common to all columns of ``projected[q]`` cancels.
+    """
     n_within, n_between = counts
     if n_between <= 0:
         raise SingleClassGallery("no between-class pairs; gradients undefined")
     if n_within <= 0:
         raise ShapeMismatch(f"within-pair count must be positive, got {n_within}")
 
-    weights = gating_weights(bank, params)
-    g_w, g_b = projected_pair_sums(
-        [e.T @ gram for gram in bank.grams], weights, class_codes(labels)
-    )
+    g_w, g_b = projected_pair_sums(projected, weights, classes)
     h_w = float(np.sum(weights * g_w)) / n_within
     h_b = float(np.sum(weights * g_b)) / n_between
 
-    coeff_grads = np.zeros_like(params.coeffs)
-    bias_grads = np.zeros_like(params.biases)
+    coeff_grads = np.zeros_like(weights)
+    bias_grads = np.zeros(weights.shape[0])
     denom = (h_w + h_b) ** 2
     if denom <= 0.0:
         # both scatters project to nothing; the objective is flat
@@ -209,7 +227,7 @@ def gating_gradients(
     dh_w = 2.0 * weights * (g_w - (weights * g_w).sum(axis=0)) / n_within
     dh_b = 2.0 * weights * (g_b - (weights * g_b).sum(axis=0)) / n_between
     dj = (dh_b * h_w - dh_w * h_b) / denom
-    for q, gram in enumerate(bank.grams):
+    for q, gram in enumerate(grams):
         coeff_grads[q] = gram @ dj[q]
         bias_grads[q] = float(dj[q].sum())
     return coeff_grads, bias_grads

@@ -3,9 +3,8 @@
 Training alternates two blocks until convergence:
 
 1. with the gating parameters fixed, build gated within/between scatter
-   matrices over Gram columns, drop the null space of the total scatter,
-   and solve a trace-ratio problem for the projection by the iterative
-   trace-difference method;
+   matrices over Gram columns and solve a trace-ratio problem for the
+   projection by the iterative trace-difference method;
 2. with the projection fixed, take a gradient-ascent step on the gating
    parameters (with rollback and step halving if the objective would
    decrease).
@@ -13,11 +12,16 @@ Training alternates two blocks until convergence:
 The learned projection maps Gram columns to a low-dimensional space where
 between-class spread dominates within-class spread.
 
-Every scatter lies in the span of the Gram columns, whose rank r is at most
-the summed lifted-feature widths, so training works in an orthonormal basis
-of that span (``gram_span``): r x r scatters, factored over classes rather
-than pairs, a trace-ratio solve warm-started from the previous projection,
-and an objective and gradient read from projected Gram columns.
+Every scatter is a sum of outer products of Gram column differences, so it
+lies in the span of those differences, whose rank r is at most the summed
+lifted-feature widths. Softmax weights are positive, so no gating shrinks
+that span: training fixes one orthonormal basis of it per call
+(``gram_span``) and works there throughout, with r x r scatters factored
+over classes rather than pairs, a trace-ratio solve warm-started from the
+previous projection, and an objective and gradient read from projected Gram
+columns. A once-per-call bound on the total scatter's conditioning tells
+when extreme weights could make a direction numerically null; only then
+does an iteration cut the null space itself (``remove_null_space``).
 """
 
 from __future__ import annotations
@@ -41,11 +45,11 @@ from .gating import (
     GatingParams,
     class_codes,
     class_means,
-    gating_gradients,
     gating_weights,
     gradient_ascent_step,
     init_gating_params,
     pair_counts,
+    projected_gradients,
     projected_pair_sums,
 )
 from .kernels import KernelBank
@@ -67,12 +71,10 @@ MAX_STEP_HALVINGS = 30
 
 @dataclass(frozen=True)
 class ScatterPair:
-    """Gated within/between scatter matrices plus the ordered pair counts."""
+    """Gated within/between scatter matrices."""
 
     within: np.ndarray
     between: np.ndarray
-    n_within_pairs: int
-    n_between_pairs: int
 
     @property
     def total(self) -> np.ndarray:
@@ -131,12 +133,15 @@ class ModelState:
 
 @dataclass(frozen=True)
 class GramSpan:
-    """An orthonormal basis of the span of every Gram column, and the Grams in it.
+    """An orthonormal basis of the span of Gram column differences, and the
+    Grams in it.
 
     ``basis`` is N x r; ``columns[q] = basis.T @ K_q`` (r x N). Every gated
     scatter lies in this span, since each is a sum of outer products of Gram
-    column differences, so the trainer works on r x r scatters. With lifted
-    features ``K_q = L_q L_q.T``, r is at most the sum of the D_q.
+    column differences, so the trainer works on r x r scatters. The part of
+    a Gram column outside the span is common to all columns of its channel,
+    so it cancels from every difference and every projected distance. With
+    lifted features ``K_q = L_q L_q.T``, r is at most the sum of the D_q.
     """
 
     basis: np.ndarray
@@ -144,16 +149,21 @@ class GramSpan:
 
 
 def gram_span(bank: KernelBank) -> GramSpan:
-    """Span of all Gram columns: eigenvectors of ``sum_q K_q K_q`` whose
-    eigenvalues exceed ``NULL_SPACE_RTOL`` times the largest.
+    """Span of all Gram column differences: eigenvectors of
+    ``sum_q K_q C K_q`` (C the centring matrix) whose eigenvalues exceed
+    ``NULL_SPACE_RTOL`` times the largest.
 
-    Reads the Grams alone, so banks without lifted features take the same
-    path. Raises ``ZeroTotalScatter`` when every Gram is numerically zero.
+    ``K_q C K_q`` is the Gram of the centred columns of K_q, so its range is
+    the span of their differences; it holds the range of the total scatter
+    for every choice of positive gating weights. Reads the Grams alone, so
+    banks without lifted features take the same path. Raises
+    ``ZeroTotalScatter`` when every Gram has numerically equal columns.
     """
-    pair = sym_eig(sum(gram @ gram for gram in bank.grams))
+    centred = [gram - gram.mean(axis=1, keepdims=True) for gram in bank.grams]
+    pair = sym_eig(sum(c @ c.T for c in centred))
     lam_max = float(pair.values[0])
     if lam_max <= TOTAL_SCATTER_FLOOR:
-        raise ZeroTotalScatter(f"Gram matrices have spectral radius {lam_max:.3e}")
+        raise ZeroTotalScatter(f"centred Grams have spectral radius {lam_max:.3e}")
     rank = int(np.count_nonzero(pair.values > NULL_SPACE_RTOL * lam_max))
     basis = pair.vectors[:, :rank].copy()
     return GramSpan(basis=basis, columns=tuple(basis.T @ gram for gram in bank.grams))
@@ -179,8 +189,10 @@ def scatter_matrices(
         between = 2 sum_i w_i (W - W_c(i)) d_i d_i.T
                   + 2 W sum_c W_c (m_c - m)(m_c - m).T
 
-    with m the weighted mean of all columns; so a channel costs two
-    (r x N) @ (N x r) products.
+    with m the weighted mean of all columns. Each sum is formed as X @ X.T
+    with X the differences scaled by the square roots of their weights, a
+    symmetric rank-k product whose result is exactly symmetric; so a
+    channel costs two such (r x N) products.
     """
     n = bank.n_train
     labels = np.asarray(labels)
@@ -208,21 +220,18 @@ def scatter_matrices(
         class_w, means = class_means(a, wq, classes, onehot)
         total_w = float(class_w.sum())
         d = a - means[:, classes]
-        within += (d * (wq * class_w[classes])) @ d.T
-        between += (d * (wq * (total_w - class_w[classes]))) @ d.T
+        # total_w >= class_w[c] in floating point too: it sums non-negative terms
+        x = d * np.sqrt(wq * class_w[classes])
+        within += x @ x.T
+        x = d * np.sqrt(wq * (total_w - class_w[classes]))
+        between += x @ x.T
         if total_w > 0.0:
             spread = means - (means @ class_w)[:, None] / total_w
-            between += total_w * (spread * class_w) @ spread.T
+            x = spread * np.sqrt(total_w * class_w)
+            between += x @ x.T
     within *= 2.0 / n_within
     between *= 2.0 / n_between
-    within = 0.5 * (within + within.T)
-    between = 0.5 * (between + between.T)
-    return ScatterPair(
-        within=within,
-        between=between,
-        n_within_pairs=n_within,
-        n_between_pairs=n_between,
-    )
+    return ScatterPair(within=within, between=between)
 
 
 def trace_ratio_objective(transform: np.ndarray, scatter: ScatterPair) -> float:
@@ -248,7 +257,8 @@ def remove_null_space(
     Returns ``(basis, reduced_between, reduced_total, reduced_dim)`` where
     ``basis`` holds the eigenvectors of the total scatter with eigenvalues
     above ``NULL_SPACE_RTOL`` times the largest. Raises ``ZeroTotalScatter``
-    when the total scatter is numerically zero.
+    when the total scatter is numerically zero. ``train`` calls it only in
+    an iteration whose gating weights fail its conditioning guard.
     """
     total = np.asarray(within, dtype=np.float64) + np.asarray(between, dtype=np.float64)
     total = 0.5 * (total + total.T)
@@ -367,6 +377,19 @@ def _pair_objective(
     return min(max(h_b / denom, 0.0), 1.0)
 
 
+def _uniform_conditioning(bank: KernelBank, labels, span: GramSpan) -> float:
+    """lambda_min / lambda_max of the total scatter U with every weight 1, in
+    the span basis.
+
+    Every pair term of a gated total scatter T(w) carries w_qi w_qj, so
+    w_min^2 U <= T(w) <= w_max^2 U and the conditioning of T(w) is at least
+    (w_min / w_max)^2 times this value, for any weights.
+    """
+    ones = np.ones((bank.n_kernels, bank.n_train))
+    eig = np.linalg.eigvalsh(scatter_matrices(bank, labels, ones, span).total)
+    return float(eig[0]) / float(eig[-1])
+
+
 def train(
     bank: KernelBank,
     labels,
@@ -375,24 +398,32 @@ def train(
 ) -> ModelState:
     """Alternating training loop over projection and gating parameters.
 
-    Once per call, ``gram_span`` finds the r-dimensional span of all Gram
-    columns; each outer iteration builds the r x r gated scatters in it,
-    drops their null space, and solves the trace ratio there. From the second
-    iteration the solve warm-starts from the previous projection mapped into
-    the new reduced basis. The objective, the gating gradient and the step
-    line search read projected Gram columns ``E.T @ K_q`` through
-    ``projected_pair_sums``, O(p N n_classes) per channel. An outer iteration
-    so costs O(N r^2 + r^3) for the scatters and the solve, plus O(p N^2)
-    per channel for ``E.T @ K_q`` and one Gram matvec per channel for each
-    gating evaluation and for the gradient; scatters over whole Gram columns
-    cost O(N^3) per iteration. ``gram_span`` costs O(N^3) once.
+    Once per call, ``gram_span`` finds an orthonormal basis of the
+    r-dimensional span of all Gram column differences, which holds the range
+    of every gated total scatter, and the projection width is clamped to r.
+    Each outer iteration builds the r x r gated scatters in that basis and
+    solves the trace ratio there, from the second iteration warm-started
+    from the previous projection. The objective, the gating gradient and the
+    step line search read the projected Gram columns ``E.T @ K_q`` the
+    iteration forms once, through ``projected_pair_sums``, O(p N n_classes)
+    per channel. An outer iteration so costs O(N r^2 + r^3) for the scatters
+    and the solve, plus O(p N r) per channel for ``E.T @ K_q`` and one Gram
+    matvec per channel for each gating evaluation and for the gradient.
+    ``gram_span`` costs O(N^3) once; one more scatter and one r x r
+    ``eigvalsh`` bound the conditioning of every gated total scatter.
+
+    Guard: while (w_min / w_max)^2 times that bound exceeds
+    ``NULL_SPACE_RTOL``, a per-iteration null-space cut would keep every
+    direction, so none is made. When extreme weights break the bound, that
+    iteration cuts the null space of its total scatter (``remove_null_space``)
+    and logs it at INFO.
 
     Randomness comes from a single generator seeded with ``cfg.seed``: first
     the gating init, then one orthonormal draw for the trace-ratio start at
-    the first outer iteration (later iterations draw again only if the
-    usable scatter rank, and with it the projection width, changes). Stops
-    early after iteration 2 when either the parameter update or the
-    projection update falls below ``cfg.eps`` in max norm.
+    the first outer iteration (later iterations draw again only if a
+    null-space cut changes the projection width). Stops early after
+    iteration 2 when either the parameter update or the projection update
+    falls below ``cfg.eps`` in max norm.
     """
     n = bank.n_train
     labels = np.asarray(labels)
@@ -408,43 +439,56 @@ def train(
     counts = pair_counts(labels)
     classes = class_codes(labels)
     span = gram_span(bank)
+    width = min(cfg.target_dim, span.basis.shape[1])
+    if width < cfg.target_dim:
+        logger.warning(
+            "target_dim clamped from %d to %d (usable scatter rank)", cfg.target_dim, width
+        )
+    conditioning = _uniform_conditioning(bank, labels, span)
 
     trace: list[float] = []
     transform = None
     prev_transform = None
     coords = None  # the projection in span coordinates, r x p
-    clamp_warned = False
     for it in range(1, cfg.iters + 1):
         weights = gating_weights(bank, params)
         scatter = scatter_matrices(bank, labels, weights, span)
-        basis, red_between, red_total, red_dim = remove_null_space(
-            scatter.within, scatter.between
-        )
-        eff_dim = min(cfg.target_dim, red_dim)
-        if eff_dim < cfg.target_dim and not clamp_warned:
-            logger.warning(
-                "target_dim clamped from %d to %d (usable scatter rank)",
-                cfg.target_dim,
-                eff_dim,
+        bound = (float(weights.min()) / float(weights.max())) ** 2 * conditioning
+        if bound > NULL_SPACE_RTOL:
+            basis, between, total, dim = None, scatter.between, scatter.total, width
+        else:
+            basis, between, total, reduced = remove_null_space(scatter.within, scatter.between)
+            dim = min(width, reduced)
+            logger.info(
+                "iteration %d: conditioning bound %.3e at or below %.0e; "
+                "null-space cut keeps %d of %d dimensions",
+                it,
+                bound,
+                NULL_SPACE_RTOL,
+                reduced,
+                span.basis.shape[1],
             )
-            clamp_warned = True
-        warm = coords is not None and coords.shape[1] == eff_dim
+            if dim < width:
+                logger.warning("iteration %d: projection narrowed from %d to %d", it, width, dim)
+        start = None
+        if coords is not None and coords.shape[1] == dim:
+            start = coords if basis is None else basis.T @ coords
         itr = solve_trace_ratio(
-            red_between,
-            red_total,
-            eff_dim,
+            between,
+            total,
+            dim,
             max_iters=cfg.itr_iters,
             eps=cfg.eps,
             rng=rng,
-            start=basis.T @ coords if warm else None,
+            start=start,
         )
-        coords = basis @ itr.projection
+        coords = itr.projection if basis is None else basis @ itr.projection
         transform = span.basis @ coords
         projected = [coords.T @ a for a in span.columns]
         objective = _pair_objective(projected, weights, classes, counts)
         trace.append(objective)
 
-        grads = gating_gradients(bank, params, transform, labels, counts)
+        grads = projected_gradients(bank.grams, weights, projected, classes, counts)
         step = cfg.learning_rate
         new_params = gradient_ascent_step(params, grads, step)
         if step > 0.0:

@@ -304,6 +304,8 @@ EXIT_CASES = {
     "train-negative-gamma": (
         _command("train", "--manifest", "{manifest}", "--out", "{out}", "--gamma", "-1"), 3
     ),
+    "eval-nan-gamma": (_command("eval", "--manifest", "{manifest}", "--gamma", "nan", *FAST), 3),
+    "eval-nan-eps": (_command("eval", "--manifest", "{manifest}", "--eps", "nan", *FAST), 3),
     "probe-wrong-dim": (_probe(_RNG.standard_normal((3, 12))), 3),
     "probe-too-few-samples": (_probe(_RNG.standard_normal((6, 3))), 3),
     "probe-nan-token": (_probe(_NAN_PROBE), 4),

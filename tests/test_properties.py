@@ -1,4 +1,5 @@
-"""Property tests: eigen convention, Gaussian embedding, Gram positivity.
+"""Property tests: eigen convention, Gaussian embedding, Gram positivity,
+and the trainer's centred span.
 
 Inputs are drawn by ``hypothesis`` under the derandomized, bounded profile
 registered in ``conftest.py``.
@@ -14,8 +15,11 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from setfuse.config import TrainConfig  # noqa: E402
 from setfuse.descriptors import ImageSet, embed_gaussian, encode_set  # noqa: E402
-from setfuse.kernels import build_kernel_bank  # noqa: E402
+from setfuse.kernels import KernelBank, KernelId, build_kernel_bank  # noqa: E402
 from setfuse.spd import sym_eig  # noqa: E402
+from setfuse.trainer import NULL_SPACE_RTOL, gram_span, scatter_matrices  # noqa: E402
+
+from helpers import random_labels, random_simplex_weights  # noqa: E402
 
 finite = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
 
@@ -71,3 +75,49 @@ def test_grams_of_random_sets_are_psd(seed, d, n_sets, extra_samples, scale, nor
     for gram in bank.grams:
         eigs = np.linalg.eigvalsh(gram)
         assert eigs.min() >= -1e-10 * max(eigs.max(), 0.0)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 10),
+    n_kernels=st.integers(1, 3),
+    width=st.integers(1, 12),
+)
+def test_centred_span_holds_differences_and_scatters(seed, n, n_kernels, width):
+    """Every Gram column difference lies in the span, and every scatter S
+    over whole Gram columns equals Q (Q.T S Q) Q.T, up to what the span's
+    eigenvalue cut may drop.
+
+    A dropped direction has eigenvalue <= NULL_SPACE_RTOL * lam_max of
+    sum_q K_q C K_q, so a difference K_q (e_i - e_j) keeps at most
+    slack = sqrt(2 NULL_SPACE_RTOL lam_max) outside the span; a scatter's
+    pair coefficients sum to at most 1, so it moves by at most
+    2 D slack + slack^2 with D the largest difference norm.
+    """
+    rng = np.random.default_rng(seed)
+    grams = []
+    for _ in range(n_kernels):
+        g = rng.standard_normal((n, width))  # rank min(n, width)
+        grams.append(g @ g.T)
+    bank = KernelBank(
+        kernel_ids=tuple(KernelId(i + 1) for i in range(n_kernels)),
+        grams=tuple(grams),
+        n_train=n,
+        scales=(1.0,) * n_kernels,
+    )
+    q = gram_span(bank).basis
+    centred = [k - k.mean(axis=1, keepdims=True) for k in grams]
+    lam_max = float(np.linalg.eigvalsh(sum(c @ c.T for c in centred)).max())
+    slack = np.sqrt(2.0 * NULL_SPACE_RTOL * lam_max)
+    roundoff = 1e-10 * max(float(np.max(np.abs(k))) for k in grams)
+
+    diffs = np.concatenate([(k[:, :, None] - k[:, None, :]).reshape(n, -1) for k in grams], axis=1)
+    outside = np.linalg.norm(diffs - q @ (q.T @ diffs), axis=0)
+    assert outside.max() <= slack + roundoff
+
+    labels = random_labels(rng, n)
+    scatter = scatter_matrices(bank, labels, random_simplex_weights(rng, n_kernels, n))
+    reach = 2.0 * float(np.linalg.norm(diffs, axis=0).max()) * slack + slack**2
+    for s in (scatter.within, scatter.between):
+        back = q @ (q.T @ s @ q) @ q.T
+        assert np.max(np.abs(s - back)) <= reach + 1e-10 * max(float(np.max(np.abs(s))), 1.0)

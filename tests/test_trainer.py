@@ -1,5 +1,8 @@
 """Trainer tests: scatters, trace-ratio solver, alternating loop."""
 
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,12 +10,19 @@ from setfuse.config import TrainConfig
 from setfuse.descriptors import encode_set
 from setfuse.errors import (
     BadDimension,
+    BadSpec,
     DegenerateDenominator,
     ShapeMismatch,
     SingleClassGallery,
     ZeroTotalScatter,
 )
-from setfuse.gating import gating_weights, init_gating_params
+from setfuse.gating import (
+    gating_gradients,
+    gating_weights,
+    gradient_ascent_step,
+    init_gating_params,
+    pair_counts,
+)
 from setfuse import trainer
 from setfuse.kernels import build_kernel_bank
 from setfuse.trainer import (
@@ -51,8 +61,7 @@ class TestScatterMatrices:
         scatter = scatter_matrices(bank, labels, weights)
         # only i == j pairs are within-class and those difference vectors vanish
         assert np.array_equal(scatter.within, np.zeros((3, 3)))
-        assert scatter.n_within_pairs == 3
-        assert scatter.n_between_pairs == 6
+        assert pair_counts(labels) == (3, 6)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(82)
@@ -98,10 +107,6 @@ def assert_reduced_matches_full(bank, labels, weights):
     for got, whole in ((reduced.within, full.within), (reduced.between, full.between)):
         ref = span.basis.T @ whole @ span.basis
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert (reduced.n_within_pairs, reduced.n_between_pairs) == (
-        full.n_within_pairs,
-        full.n_between_pairs,
-    )
     return span
 
 
@@ -124,7 +129,7 @@ class TestGramSpan:
         rank = span.basis.shape[1]
         assert rank <= sum(f.shape[1] for f in bank.features) < bank.n_train
 
-    def test_span_holds_every_gram_column(self):
+    def test_span_holds_every_column_difference(self):
         rng = np.random.default_rng(104)
         bank, _ = feature_bank(rng)
         span = gram_span(bank)
@@ -132,7 +137,16 @@ class TestGramSpan:
         assert np.max(np.abs(span.basis.T @ span.basis - np.eye(r))) <= 1e-12
         for gram, cols in zip(bank.grams, span.columns):
             assert cols.shape == (r, bank.n_train)
-            assert np.max(np.abs(span.basis @ cols - gram)) <= 1e-10 * np.max(np.abs(gram))
+            # every difference is a difference of these, taken from column 0
+            diffs = gram - gram[:, :1]
+            back = span.basis @ (cols - cols[:, :1])
+            assert np.max(np.abs(back - diffs)) <= 1e-10 * np.max(np.abs(gram))
+
+    def test_centring_drops_the_common_column(self):
+        # one full-rank channel: its N columns span R^N, their differences N - 1
+        bank = random_bank(np.random.default_rng(112), 7, 1)
+        assert np.linalg.matrix_rank(bank.grams[0]) == 7
+        assert gram_span(bank).basis.shape == (7, 6)
 
     def test_span_of_another_bank_rejected(self):
         rng = np.random.default_rng(110)
@@ -154,9 +168,7 @@ class TestTraceRatioObjective:
     def test_zero_within_gives_one(self):
         rng = np.random.default_rng(85)
         b = np.eye(4)
-        scatter = ScatterPair(
-            within=np.zeros((4, 4)), between=b, n_within_pairs=1, n_between_pairs=1
-        )
+        scatter = ScatterPair(within=np.zeros((4, 4)), between=b)
         e = helper_orthonormal(rng, 4, 2)
         assert trace_ratio_objective(e, scatter) == 1.0
 
@@ -181,12 +193,7 @@ class TestTraceRatioObjective:
             assert 0.0 <= trace_ratio_objective(e, scatter) <= 1.0
 
     def test_degenerate_denominator(self):
-        scatter = ScatterPair(
-            within=np.diag([1.0, 0.0]),
-            between=np.zeros((2, 2)),
-            n_within_pairs=1,
-            n_between_pairs=1,
-        )
+        scatter = ScatterPair(within=np.diag([1.0, 0.0]), between=np.zeros((2, 2)))
         e = np.array([[0.0], [1.0]])
         with pytest.raises(DegenerateDenominator):
             trace_ratio_objective(e, scatter)
@@ -353,6 +360,39 @@ def separable_bank(rng, n_classes=2, sets_per_class=6, d=6, n=14, shift=4.0):
     return build_kernel_bank(triples, cfg.kernel_ids), labels, cfg, triples
 
 
+def count_null_space_cuts(monkeypatch):
+    """Record every call the trainer makes to ``remove_null_space``."""
+    cuts = []
+
+    def counting(*args):
+        cuts.append(1)
+        return remove_null_space(*args)
+
+    monkeypatch.setattr(trainer, "remove_null_space", counting)
+    return cuts
+
+
+def assert_trace_ratio_optimum(monkeypatch, bank, labels, cfg):
+    """Train, then check that a cold 200-iteration solve on the last
+    iteration's scatters, over whole Gram columns, gains <= 1e-6."""
+    seen = []
+
+    def recording(bank_, labels_, weights, span=None):
+        seen.append(weights)
+        return scatter_matrices(bank_, labels_, weights, span)
+
+    monkeypatch.setattr(trainer, "scatter_matrices", recording)
+    model = train(bank, labels, cfg)
+    scatter = scatter_matrices(bank, labels, seen[-1])
+    basis, red_b, red_t, _ = remove_null_space(scatter.within, scatter.between)
+    cold = solve_trace_ratio(
+        red_b, red_t, model.target_dim, max_iters=200, eps=0.0, rng=np.random.default_rng(1)
+    )
+    gain = cold.ratio_history[-1] - trace_ratio_objective(model.transform, scatter)
+    assert gain <= 1e-6
+    return model
+
+
 class TestTrain:
     def test_separable_gallery_trains_well(self):
         rng = np.random.default_rng(95)
@@ -388,18 +428,15 @@ class TestTrain:
         weights = gating_weights(bank, params)
         span = gram_span(bank)
         scatter = scatter_matrices(bank, labels, weights, span)
-        basis, red_b, red_t, red_dim = remove_null_space(
-            scatter.within, scatter.between
-        )
         itr = solve_trace_ratio(
-            red_b,
-            red_t,
-            min(cfg.target_dim, red_dim),
+            scatter.between,
+            scatter.total,
+            min(cfg.target_dim, span.basis.shape[1]),
             max_iters=cfg.itr_iters,
             eps=cfg.eps,
             rng=manual_rng,
         )
-        expected = span.basis @ (basis @ itr.projection)
+        expected = span.basis @ itr.projection
         assert np.array_equal(model.transform, expected)
         assert np.array_equal(model.gating.coeffs, params.coeffs)
         assert np.array_equal(model.gating.biases, params.biases)
@@ -424,22 +461,57 @@ class TestTrain:
     def test_final_projection_is_trace_ratio_optimum(self, monkeypatch):
         rng = np.random.default_rng(108)
         bank, labels, cfg, _ = separable_bank(rng)
-        seen = []
+        assert_trace_ratio_optimum(monkeypatch, bank, labels, cfg)
 
-        def recording(bank_, labels_, weights, span=None):
-            seen.append(weights)
-            return scatter_matrices(bank_, labels_, weights, span)
-
-        monkeypatch.setattr(trainer, "scatter_matrices", recording)
+    @pytest.mark.parametrize("which", ["separable", "feature"])
+    def test_default_rate_keeps_the_fixed_basis(self, monkeypatch, which):
+        if which == "separable":
+            bank, labels, cfg, _ = separable_bank(np.random.default_rng(113))
+        else:
+            bank, labels = feature_bank(np.random.default_rng(114))
+            cfg = TrainConfig(subspace_dim=2, target_dim=3, iters=8, seed=4)
+        cuts = count_null_space_cuts(monkeypatch)
         model = train(bank, labels, cfg)
-        # the scatters the last projection was solved on, over whole Gram columns
-        scatter = scatter_matrices(bank, labels, seen[-1])
-        basis, red_b, red_t, _ = remove_null_space(scatter.within, scatter.between)
-        cold = solve_trace_ratio(
-            red_b, red_t, model.target_dim, max_iters=200, eps=0.0, rng=np.random.default_rng(1)
-        )
-        gain = cold.ratio_history[-1] - trace_ratio_objective(model.transform, scatter)
-        assert gain <= 1e-6
+        assert len(model.objective_trace) >= 3
+        assert cuts == []
+
+    def test_extreme_weights_fall_back_to_a_null_space_cut(self, monkeypatch, caplog):
+        # at lr=1 some gating weight falls to ~6e-6, past the conditioning bound
+        bank, labels, cfg, _ = separable_bank(np.random.default_rng(95))
+        cfg = replace(cfg, learning_rate=1.0)
+        cuts = count_null_space_cuts(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="setfuse.trainer"):
+            model = assert_trace_ratio_optimum(monkeypatch, bank, labels, cfg)
+        assert cuts
+        assert float(model.train_weights.min()) < 1e-4
+        logged = [r.message for r in caplog.records if "null-space cut" in r.message]
+        assert len(logged) == len(cuts)
+
+    def test_train_gradient_matches_public_gradient(self, monkeypatch):
+        bank, labels, cfg, _ = separable_bank(np.random.default_rng(115))
+        steps = []  # (params, grads) of each outer iteration, halvings dropped
+        projections = []
+
+        def recording_step(params, grads, step):
+            if not steps or steps[-1][1] is not grads:
+                steps.append((params, grads))
+            return gradient_ascent_step(params, grads, step)
+
+        def recording_solve(*args, **kwargs):
+            result = solve_trace_ratio(*args, **kwargs)
+            projections.append(result.projection)
+            return result
+
+        monkeypatch.setattr(trainer, "gradient_ascent_step", recording_step)
+        monkeypatch.setattr(trainer, "solve_trace_ratio", recording_solve)
+        train(bank, labels, cfg)
+        basis = gram_span(bank).basis
+        assert len(steps) == len(projections) >= 3
+        for (params, (gc, gb)), coords in zip(steps, projections):
+            rc, rb = gating_gradients(bank, params, basis @ coords, labels, pair_counts(labels))
+            scale = max(np.max(np.abs(rc)), np.max(np.abs(rb)))
+            assert np.max(np.abs(gc - rc)) <= 1e-12 * scale
+            assert np.max(np.abs(gb - rb)) <= 1e-12 * scale
 
     def test_bare_gram_bank_trains(self):
         rng = np.random.default_rng(109)
@@ -485,3 +557,11 @@ class TestTrain:
         bank = random_bank(rng, 4, 2)
         with pytest.raises(ShapeMismatch):
             train(bank, ["a", "b"], TrainConfig(iters=1))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["learning_rate", "eps"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_rejected(self, field, value):
+        with pytest.raises(BadSpec, match=field):
+            TrainConfig(**{field: value})
