@@ -7,7 +7,7 @@ projection of Gram columns together with softmax gating weights over the
 kernels; classification is gated nearest neighbor in the projected space.
 """
 
-from .classify import Prediction, distance_profile, predict, set_distance
+from .classify import Prediction, distance_profile, predict
 from .config import DESCRIPTOR_NAMES, TrainConfig
 from .data import (
     DatasetManifest,
@@ -51,7 +51,6 @@ from .kernels import (
     KernelBank,
     KernelId,
     build_kernel_bank,
-    cross_kernel_vector,
     gaussian_embedding_kernel,
     gram_matrix,
     log_euclidean_kernel,
@@ -62,7 +61,6 @@ from .spd import (
     EigenPair,
     is_spd,
     regularize_spd,
-    spd_exp,
     spd_log,
     sym_eig,
 )
@@ -104,7 +102,6 @@ __all__ = [
     "TrainConfig",
     "build_kernel_bank",
     "covariance_descriptor",
-    "cross_kernel_vector",
     "distance_profile",
     "embed_gaussian",
     "encode_gallery",
@@ -134,9 +131,7 @@ __all__ = [
     "save_dataset",
     "save_model",
     "scatter_matrices",
-    "set_distance",
     "solve_trace_ratio",
-    "spd_exp",
     "spd_log",
     "split_sets",
     "subspace_descriptor",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptors import DescriptorTriple, ImageSet, encode_set
-from .errors import DimensionMismatch, IndexOutOfRange, NegativeDistance, NonFinite, TooFewSamples
+from .errors import DimensionMismatch, NegativeDistance, NonFinite, TooFewSamples
 from .gating import softmax_columns
 from .trainer import ModelState
 
@@ -76,13 +76,6 @@ def distance_profile(test: DescriptorTriple, model: ModelState) -> np.ndarray:
     Only the probe is lifted, one lift per channel; see ``profile_from_rows``.
     """
     return profile_from_rows(model.bank.probe_rows(test), model)
-
-
-def set_distance(test: DescriptorTriple, model: ModelState, i: int) -> float:
-    """Distance from a probe descriptor triple to gallery member ``i``."""
-    if not 0 <= i < model.n_train:
-        raise IndexOutOfRange(f"gallery index {i} outside [0, {model.n_train})")
-    return float(distance_profile(test, model)[i])
 
 
 def check_probe(test: ImageSet, model: ModelState) -> None:

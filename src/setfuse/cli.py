@@ -13,6 +13,7 @@ thread count.
 
 from __future__ import annotations
 
+import csv
 import functools
 import logging
 import os
@@ -32,7 +33,7 @@ from .classify import predict as predict_set
 from .config import TrainConfig
 from .data import _parse_set_file, generate_synthetic, save_dataset
 from .descriptors import ImageSet
-from .errors import DataError, SetfuseError
+from .errors import DataError, IoError, SetfuseError
 from .experiment import ExperimentReport, run_experiment, train_on_sets
 from .data import load_dataset
 
@@ -105,36 +106,37 @@ def _build_config(subspace_dim, alpha, target_dim, learning_rate, iters, itr_ite
     )
 
 
+def _write_csv(path, rows) -> None:
+    """Write rows to a CSV file; a failed write raises ``IoError``."""
+    try:
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_report_csv(report: ExperimentReport, path) -> None:
     """Per-split CSV; ``train_seconds`` is the split's kernel bank build plus
     training (each set is encoded once per run, shared by every split)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["split", "seed", "accuracy", "n_train", "n_test", "train_seconds"])
-        for s in report.splits:
-            writer.writerow([s.split_index, s.seed, f"{s.accuracy:.6f}", s.n_train,
-                             s.n_test, f"{s.train_seconds:.4f}"])
-        writer.writerow(["mean", "", f"{report.mean_accuracy:.6f}", "", "", ""])
-        writer.writerow(["std", "", f"{report.std_accuracy:.6f}", "", "", ""])
-    traces_path = str(path) + ".traces.csv"
-    with open(traces_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["split", "iteration", "objective"])
-        for s in report.splits:
-            for it, val in enumerate(s.objective_trace, start=1):
-                writer.writerow([s.split_index, it, f"{val:.12f}"])
+    rows = [["split", "seed", "accuracy", "n_train", "n_test", "train_seconds"]]
+    for s in report.splits:
+        rows.append([s.split_index, s.seed, f"{s.accuracy:.6f}", s.n_train,
+                     s.n_test, f"{s.train_seconds:.4f}"])
+    rows.append(["mean", "", f"{report.mean_accuracy:.6f}", "", "", ""])
+    rows.append(["std", "", f"{report.std_accuracy:.6f}", "", "", ""])
+    _write_csv(path, rows)
+    traces = [["split", "iteration", "objective"]]
+    for s in report.splits:
+        for it, val in enumerate(s.objective_trace, start=1):
+            traces.append([s.split_index, it, f"{val:.12f}"])
+    _write_csv(str(path) + ".traces.csv", traces)
 
 
 def _write_ablation_csv(report: ExperimentReport, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["descriptors", "mean_accuracy", "std_accuracy"])
-        for name, row in report.ablation.items():
-            writer.writerow([name, f"{row.mean_accuracy:.6f}", f"{row.std_accuracy:.6f}"])
+    rows = [["descriptors", "mean_accuracy", "std_accuracy"]]
+    for name, row in report.ablation.items():
+        rows.append([name, f"{row.mean_accuracy:.6f}", f"{row.std_accuracy:.6f}"])
+    _write_csv(path, rows)
 
 
 def _echo_summary(report: ExperimentReport) -> None:

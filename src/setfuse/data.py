@@ -131,6 +131,7 @@ def save_dataset(sets, out_dir) -> Path:
     reload. Each set is written to ``<set_id>.csv``, so set ids must be
     distinct plain file-name stems (not empty, ``.`` or ``..``, no ``/`` or
     ``\\``); ``BadSpec`` is raised before anything is written otherwise.
+    A failed write raises ``IoError``.
     """
     sets = list(sets)
     seen: set[str] = set()
@@ -141,17 +142,20 @@ def save_dataset(sets, out_dir) -> Path:
             raise BadSpec(f"set id {s.set_id!r} repeats; each set needs its own file")
         seen.add(s.set_id)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for s in sets:
-        fname = f"{s.set_id}.csv"
-        np.savetxt(out / fname, s.features, fmt=_FLOAT_FMT, delimiter=",")
-        rows.append([s.set_id, s.label, fname])
     manifest_path = out / MANIFEST_NAME
-    with manifest_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        writer.writerows(rows)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        rows = []
+        for s in sets:
+            fname = f"{s.set_id}.csv"
+            np.savetxt(out / fname, s.features, fmt=_FLOAT_FMT, delimiter=",")
+            rows.append([s.set_id, s.label, fname])
+        with manifest_path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(MANIFEST_HEADER)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise IoError(f"cannot write dataset to {out}: {exc}") from exc
     return manifest_path
 
 
@@ -178,8 +182,8 @@ def generate_synthetic(
         raise BadSpec(f"dim must be >= 2, got {dim}")
     if samples < 2:
         raise BadSpec(f"samples must be >= 2, got {samples}")
-    if separation < 0.0:
-        raise BadSpec(f"separation must be >= 0, got {separation}")
+    if not (math.isfinite(separation) and separation >= 0.0):
+        raise BadSpec(f"separation must be finite and >= 0, got {separation}")
 
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((classes, dim)) * (separation / math.sqrt(2.0))

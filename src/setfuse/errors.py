@@ -108,11 +108,3 @@ class FormatVersionMismatch(DataError):
 class ChecksumMismatch(DataError):
     """Stored array bytes do not match the recorded checksum."""
 
-
-class IndexOutOfRange(DataError):
-    """Gallery index outside [0, n_train)."""
-
-
-class NoGalleryFeatures(DataError):
-    """Kernel bank carries no lifted gallery features: it can train, but it
-    can neither score probes nor be saved."""

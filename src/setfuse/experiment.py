@@ -27,7 +27,7 @@ from .config import TrainConfig
 from .data import generate_synthetic, load_dataset
 from .descriptors import DescriptorTriple, ImageSet, encode_set
 from .errors import BadSpec, InsufficientSetsPerClass
-from .kernels import KernelId, bank_from_features, build_kernel_bank, lift_row, stack_rows
+from .kernels import KernelBank, KernelId, build_kernel_bank, lift_row, stack_rows
 from .trainer import ModelState, train
 
 logger = logging.getLogger(__name__)
@@ -214,7 +214,7 @@ def _run_split(
     split_cfg = _capped_config([sets[i] for i in train_idx], replace(cfg, seed=seed))
     features = lifted.features(train_idx, split_cfg)
     started = time.perf_counter()
-    bank = bank_from_features(split_cfg.kernel_ids, features, normalize=split_cfg.normalize_kernels)
+    bank = KernelBank(split_cfg.kernel_ids, tuple(features), split_cfg.normalize_kernels)
     model = train(
         bank,
         [sets[i].label for i in train_idx],

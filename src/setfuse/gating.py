@@ -166,9 +166,9 @@ def gating_gradients(
 
     ``transform`` is the current projection E (N x target_dim, held fixed),
     ``counts`` the ordered within/between pair counts used to normalize the
-    scatters. Checks its inputs, forms the weights and ``E.T @ K_q``, and
-    defers to ``projected_gradients``. Returns ``(coeff_grads,
-    bias_grads)`` shaped like the params.
+    scatters. Checks its inputs, forms the weights, ``E.T @ K_q`` and their
+    ``projected_pair_sums``, and defers to ``projected_gradients``. Returns
+    ``(coeff_grads, bias_grads)`` shaped like the params.
     """
     _check_bank_params(bank, params)
     e = np.asarray(transform, dtype=np.float64)
@@ -177,33 +177,39 @@ def gating_gradients(
         raise ShapeMismatch(f"transform must be {n} x d, got {e.shape}")
     if len(labels) != n:
         raise ShapeMismatch(f"{len(labels)} labels for n_train={n}")
-    return projected_gradients(
-        bank.grams,
-        gating_weights(bank, params),
-        [e.T @ gram for gram in bank.grams],
-        class_codes(labels),
-        counts,
-    )
+    weights = gating_weights(bank, params)
+    projected = [e.T @ gram for gram in bank.grams]
+    sums = projected_pair_sums(projected, weights, class_codes(labels))
+    return projected_gradients(bank.grams, weights, sums, counts)
+
+
+def pair_traces(
+    weights: np.ndarray, sums: tuple[np.ndarray, np.ndarray], counts: tuple[int, int]
+) -> tuple[float, float]:
+    """The projected within/between scatter traces ``(h_w, h_b)`` from the
+    ``projected_pair_sums`` of ``weights``, each divided by its pair count."""
+    g_w, g_b = sums
+    return float(np.sum(weights * g_w)) / counts[0], float(np.sum(weights * g_b)) / counts[1]
 
 
 def projected_gradients(
     grams: Sequence[np.ndarray],
     weights: np.ndarray,
-    projected: Sequence[np.ndarray],
-    classes: np.ndarray,
+    sums: tuple[np.ndarray, np.ndarray],
     counts: tuple[int, int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The gating gradient from the weights and projected Gram columns.
+    """The gating gradient from the weights and their projected pair sums.
 
-    With h_w and h_b the projected within/between scatter traces, the
-    objective is J = h_b / (h_w + h_b) and the gradient follows from the
-    quotient rule plus the softmax derivative. Both traces and their
-    derivatives with respect to each weight come from
-    ``projected_pair_sums`` over ``projected[q] = E.T @ K_q``:
-    d(sum w_i w_j d_ij)/d w_i = 2 g[i]. The chain through each channel's
-    scores ``coeffs[q] @ K_q + biases[q]`` then costs one Gram matvec per
-    channel, and no N x N matrix beyond the Grams is formed. Any
-    per-channel offset common to all columns of ``projected[q]`` cancels.
+    ``sums`` is ``projected_pair_sums`` of ``weights`` over the projected
+    Gram columns ``E.T @ K_q``, the same pass that gives the objective. With
+    h_w and h_b the projected within/between scatter traces
+    (``pair_traces``), the objective is J = h_b / (h_w + h_b) and the
+    gradient follows from the quotient rule plus the softmax derivative;
+    the derivative of each trace with respect to a weight is read from the
+    sums, d(sum w_i w_j d_ij)/d w_i = 2 g[i]. The chain through each
+    channel's scores ``coeffs[q] @ K_q + biases[q]`` then costs one Gram
+    matvec per channel, and no N x N matrix beyond the Grams is formed. Any
+    per-channel offset common to all projected columns cancels from the sums.
     """
     n_within, n_between = counts
     if n_between <= 0:
@@ -211,9 +217,8 @@ def projected_gradients(
     if n_within <= 0:
         raise ShapeMismatch(f"within-pair count must be positive, got {n_within}")
 
-    g_w, g_b = projected_pair_sums(projected, weights, classes)
-    h_w = float(np.sum(weights * g_w)) / n_within
-    h_b = float(np.sum(weights * g_b)) / n_between
+    g_w, g_b = sums
+    h_w, h_b = pair_traces(weights, sums, counts)
 
     coeff_grads = np.zeros_like(weights)
     bias_grads = np.zeros(weights.shape[0])

@@ -11,19 +11,19 @@ descriptor is lifted once into a flat feature row of length D_q:
                                          determinant-one embeddings,
                                          D_q = (d+1)^2
 
-``lift_features`` stacks a gallery's rows into an (N, D_q) array, and
-``KernelBank`` carries those arrays next to the Gram matrices derived from
-them. Every kernel value (a Gram entry, a probe's cross-kernel entry, a
-scalar kernel) is the same row-wise sum ``(rows * row).sum(axis=-1)``. It adds
-the products in one order whichever argument comes first, so Gram matrices
-are exactly symmetric and a probe identical to a gallery member reproduces
-that member's Gram column bit for bit.
+``lift_features`` stacks a gallery's rows into an (N, D_q) array. A
+``KernelBank`` is those arrays, one per channel, and derives its Gram
+matrices from them. Every kernel value (a Gram entry, a probe's cross-kernel
+entry, a scalar kernel) is the same row-wise sum ``(rows * row).sum(axis=-1)``.
+It adds the products in one order whichever argument comes first, so Gram
+matrices are exactly symmetric and a probe identical to a gallery member
+reproduces that member's Gram column bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Sequence
 
@@ -33,7 +33,6 @@ from .descriptors import DescriptorTriple, GaussianDescriptor, GrassmannPoint
 from .errors import (
     BadSpec,
     DimensionMismatch,
-    NoGalleryFeatures,
     NormalizationDegenerate,
     SetfuseError,
     ShapeMismatch,
@@ -143,6 +142,14 @@ def lift_features(triples: Sequence[DescriptorTriple], kid: KernelId) -> np.ndar
     return stack_rows(rows(), len(triples), [t.set_id for t in triples])
 
 
+def _read_only(features) -> np.ndarray:
+    a = np.asarray(features, dtype=np.float64)
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
 def _gram(features: np.ndarray) -> np.ndarray:
     """Exactly symmetric Gram matrix of lifted rows, lower triangle mirrored up."""
     n = features.shape[0]
@@ -154,27 +161,16 @@ def _gram(features: np.ndarray) -> np.ndarray:
     return k
 
 
-def _score_row(row: np.ndarray, features: np.ndarray, scale: float) -> np.ndarray:
-    if row.size != features.shape[1]:
-        raise DimensionMismatch(
-            f"probe lifts to {row.size} features, gallery to {features.shape[1]}"
-        )
-    return _frobenius(features, row) * scale
-
-
 def gram_matrix(
     triples: Sequence[DescriptorTriple], kid: KernelId, normalize: bool = False
 ) -> np.ndarray:
-    """Kernel Gram matrix over a gallery of descriptor triples.
+    """Kernel Gram matrix over a gallery of descriptor triples, read-only.
 
     The result is exactly symmetric. With ``normalize`` the matrix is
     rescaled to trace N (raises ``NormalizationDegenerate`` when the raw
     trace is numerically zero).
     """
-    k = _gram(lift_features(triples, kid))
-    if normalize:
-        k = k * gram_normalizer(k)
-    return k
+    return build_kernel_bank(triples, (kid,), normalize).grams[0]
 
 
 def gram_normalizer(k: np.ndarray) -> float:
@@ -185,72 +181,66 @@ def gram_normalizer(k: np.ndarray) -> float:
     return k.shape[0] / tr
 
 
-def cross_kernel_vector(
-    test: DescriptorTriple,
-    gallery: Sequence[DescriptorTriple],
-    kid: KernelId,
-    normalize_ref: float = 1.0,
-) -> np.ndarray:
-    """Kernel values between one probe and every gallery member.
-
-    ``normalize_ref`` replays the training-time Gram scaling (1.0 when
-    normalization was off) so probe columns stay commensurate with the
-    stored Gram matrix.
-    """
-    return _score_row(lift_row(test, kid), lift_features(gallery, kid), normalize_ref)
-
-
 @dataclass(frozen=True)
 class KernelBank:
-    """Kernel state of a gallery, one entry per enabled kernel channel.
+    """Kernel state of a gallery: its lifted features, one channel per kernel.
 
-    ``features[q]`` holds the gallery's unscaled lifted rows, (N, D_q), and is
-    what a saved model stores. ``grams[q]`` is the N x N Gram matrix derived
-    from them, already multiplied by ``scales[q]`` (1.0 when normalization is
-    off); ``columns_from_rows`` scores a probe's lifted rows (``probe_rows``)
-    against the same features. A bank assembled from bare Gram matrices has
-    ``features`` None: it can train but neither score probes nor be saved.
+    ``features[q]`` holds the gallery's unscaled lifted rows, (N, D_q),
+    read-only (a writable array is copied), and is what a saved model
+    stores. Everything else is derived from them on construction:
+    ``grams[q]`` is the N x N Gram matrix, multiplied by ``scales[q]`` (its
+    trace-N factor with ``normalize``, else 1.0), and ``n_train`` is N.
+    ``columns_from_rows`` scores a probe's lifted rows (``probe_rows``)
+    against the same features, so Grams and probe columns cannot disagree.
     """
 
     kernel_ids: tuple[KernelId, ...]
-    grams: tuple[np.ndarray, ...]
-    n_train: int
-    scales: tuple[float, ...]
-    features: tuple[np.ndarray, ...] | None = None
+    features: tuple[np.ndarray, ...]
+    normalize: bool = False
+    grams: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    scales: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         if not self.kernel_ids:
             raise BadSpec("kernel bank needs at least one kernel")
-        if not len(self.grams) == len(self.kernel_ids) == len(self.scales):
-            raise ShapeMismatch("kernel bank fields disagree on the number of kernels")
-        for g in self.grams:
-            if g.shape != (self.n_train, self.n_train):
+        if len(self.features) != len(self.kernel_ids):
+            raise ShapeMismatch("kernel bank has features for a different number of kernels")
+        features = tuple(_read_only(f) for f in self.features)
+        for f in features:
+            if f.ndim != 2 or f.shape[0] != features[0].shape[0]:
                 raise DimensionMismatch(
-                    f"gram shape {g.shape} does not match n_train={self.n_train}"
+                    f"feature shape {f.shape} does not match the first channel's "
+                    f"{features[0].shape}"
                 )
-        if self.features is not None:
-            if len(self.features) != len(self.kernel_ids):
-                raise ShapeMismatch("kernel bank has features for a different number of kernels")
-            for f in self.features:
-                if f.ndim != 2 or f.shape[0] != self.n_train:
-                    raise DimensionMismatch(
-                        f"feature shape {f.shape} does not match n_train={self.n_train}"
-                    )
+        if features[0].shape[0] < 1:
+            raise BadSpec("kernel bank needs at least one gallery member")
+        grams = []
+        scales = []
+        for f in features:
+            gram = _gram(f)
+            s = gram_normalizer(gram) if self.normalize else 1.0
+            if self.normalize:
+                gram = gram * s
+            gram.setflags(write=False)
+            grams.append(gram)
+            scales.append(float(s))
+        object.__setattr__(self, "kernel_ids", tuple(KernelId(k) for k in self.kernel_ids))
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "grams", tuple(grams))
+        object.__setattr__(self, "scales", tuple(scales))
+
+    @property
+    def n_train(self) -> int:
+        return self.features[0].shape[0]
 
     @property
     def n_kernels(self) -> int:
         return len(self.kernel_ids)
 
-    def _require_features(self) -> tuple[np.ndarray, ...]:
-        if self.features is None:
-            raise NoGalleryFeatures("kernel bank carries no lifted gallery features")
-        return self.features
-
     @property
     def dim(self) -> int:
         """Feature dimension d of the sets the gallery was encoded from."""
-        width = self._require_features()[0].shape[1]
-        side = math.isqrt(width)
+        side = math.isqrt(self.features[0].shape[1])
         return side - 1 if self.kernel_ids[0] == KernelId.GAUSSIAN_EMBEDDED else side
 
     def probe_rows(self, test: DescriptorTriple) -> tuple[np.ndarray, ...]:
@@ -262,32 +252,14 @@ class KernelBank:
         features, one per channel."""
         if len(rows) != self.n_kernels:
             raise ShapeMismatch(f"got {len(rows)} probe rows for {self.n_kernels} kernels")
-        return [
-            _score_row(row, f, s) for row, f, s in zip(rows, self._require_features(), self.scales)
-        ]
-
-
-def bank_from_features(
-    kernel_ids: Sequence[KernelId], features: Sequence[np.ndarray], normalize: bool
-) -> KernelBank:
-    """Derive each channel's Gram (and, with ``normalize``, its trace-N scale)
-    from the gallery's lifted features; training and loading both go here."""
-    grams = []
-    scales = []
-    for f in features:
-        raw = _gram(f)
-        s = gram_normalizer(raw) if normalize else 1.0
-        gram = raw * s if normalize else raw
-        gram.setflags(write=False)
-        grams.append(gram)
-        scales.append(s)
-    return KernelBank(
-        kernel_ids=tuple(KernelId(k) for k in kernel_ids),
-        grams=tuple(grams),
-        n_train=features[0].shape[0],
-        scales=tuple(float(s) for s in scales),
-        features=tuple(features),
-    )
+        out = []
+        for row, f, s in zip(rows, self.features, self.scales):
+            if row.size != f.shape[1]:
+                raise DimensionMismatch(
+                    f"probe lifts to {row.size} features, gallery to {f.shape[1]}"
+                )
+            out.append(_frobenius(f, row) * s)
+        return out
 
 
 def build_kernel_bank(
@@ -296,7 +268,5 @@ def build_kernel_bank(
     normalize: bool = False,
 ) -> KernelBank:
     """Lift a gallery once per kernel and derive each Gram from the features."""
-    if len(triples) < 1:
-        raise BadSpec("cannot build a kernel bank from an empty gallery")
     features = [lift_features(triples, kid) for kid in kernel_ids]
-    return bank_from_features(kernel_ids, features, normalize)
+    return KernelBank(tuple(kernel_ids), tuple(features), normalize)

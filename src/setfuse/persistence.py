@@ -2,9 +2,9 @@
 
 A model is stored as its learned arrays (``transform``, ``gating_coeffs``,
 ``gating_biases``, ``train_weights``) and, per kernel channel, the gallery's
-lifted features (``features_<kernel id>``, N x D_q). Grams, scales and
-``n_train`` are derived on load by the code training uses, so they come back
-bit for bit.
+lifted features (``features_<kernel id>``, N x D_q). That is the whole kernel
+bank: on load, ``KernelBank`` derives Grams, scales and ``n_train`` from the
+features as it does in training, so they come back bit for bit.
 
 Array files carry a 16-byte header (4-byte magic, little-endian uint32
 rank, then two little-endian uint32 dimensions; the second is zero for
@@ -31,11 +31,10 @@ from .errors import (
     ChecksumMismatch,
     FormatVersionMismatch,
     IoError,
-    NoGalleryFeatures,
     ShapeMismatch,
 )
 from .gating import GatingParams
-from .kernels import KernelId, bank_from_features
+from .kernels import KernelBank, KernelId
 from .trainer import ModelState
 
 FORMAT_VERSION = 2
@@ -99,42 +98,41 @@ def _array_names(kernel_ids) -> list[str]:
 def save_model(model: ModelState, out_dir) -> Path:
     """Write a model directory; returns the metadata path.
 
-    Raises ``NoGalleryFeatures`` when the bank has no lifted features (such a
-    model cannot score probes), and ``BadSpec`` when its Grams are not what
-    loading would derive from the features under ``config.normalize_kernels``.
+    The bank derives its Grams from its features, so only its ``normalize``
+    flag can disagree with what loading derives under
+    ``config.normalize_kernels``; ``BadSpec`` when it does. Write failures
+    raise ``IoError``.
     """
     bank = model.bank
-    if bank.features is None:
-        raise NoGalleryFeatures("model's kernel bank carries no lifted gallery features")
-    rebuilt = bank_from_features(bank.kernel_ids, bank.features, model.config.normalize_kernels)
-    if not all(map(np.array_equal, rebuilt.grams, bank.grams)):
+    if bank.normalize != model.config.normalize_kernels:
         raise BadSpec(
-            "kernel bank Grams differ from those its features give with normalize_kernels="
+            f"kernel bank normalize={bank.normalize} but normalize_kernels="
             f"{model.config.normalize_kernels}; the model would not load as saved"
         )
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     values = (model.transform, model.gating.coeffs, model.gating.biases, model.train_weights)
     index = {}
     checksums = {}
-    for name, arr in zip(_array_names(bank.kernel_ids), values + bank.features):
-        fname = f"{name}.bin"
-        checksums[fname] = _write_array(out / fname, arr)
-        index[name] = {"file": fname, "shape": list(np.shape(arr))}
-    meta = {
-        "format_version": FORMAT_VERSION,
-        "kernel_ids": [int(k) for k in bank.kernel_ids],
-        "labels": list(model.labels),
-        "set_ids": None if model.set_ids is None else list(model.set_ids),
-        "config": asdict(model.config),
-        "objective_trace": list(model.objective_trace),
-        "arrays": index,
-        "checksums": checksums,
-    }
-    meta_path = out / META_NAME
-    with meta_path.open("w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, arr in zip(_array_names(bank.kernel_ids), values + bank.features):
+            fname = f"{name}.bin"
+            checksums[fname] = _write_array(out / fname, arr)
+            index[name] = {"file": fname, "shape": list(np.shape(arr))}
+        meta = {
+            "format_version": FORMAT_VERSION,
+            "kernel_ids": [int(k) for k in bank.kernel_ids],
+            "labels": list(model.labels),
+            "set_ids": None if model.set_ids is None else list(model.set_ids),
+            "config": asdict(model.config),
+            "objective_trace": list(model.objective_trace),
+            "arrays": index,
+            "checksums": checksums,
+        }
+        meta_path = out / META_NAME
+        meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise IoError(f"cannot write model to {out}: {exc}") from exc
     return meta_path
 
 
@@ -258,7 +256,7 @@ def load_model(model_dir) -> ModelState:
     ):
         shapes = {name: a.shape for name, a in arrays.items()}
         raise IoError(f"{where}: array shapes {shapes} do not fit {q} kernels and one gallery")
-    bank = bank_from_features(kernel_ids, features, cfg.normalize_kernels)
+    bank = KernelBank(kernel_ids, tuple(features), cfg.normalize_kernels)
     if len(labels) != bank.n_train or (set_ids is not None and len(set_ids) != bank.n_train):
         raise IoError(f"{where}: labels or set ids do not match {bank.n_train} gallery sets")
     return ModelState(

@@ -113,17 +113,6 @@ def spd_log(c) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def spd_exp(s) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix via eigendecomposition.
-
-    Inverse of ``spd_log`` on its range; the output is SPD for any finite
-    symmetric input.
-    """
-    pair = sym_eig(s)
-    out = (pair.vectors * np.exp(pair.values)) @ pair.vectors.T
-    return 0.5 * (out + out.T)
-
-
 def regularize_spd(c, alpha: float) -> np.ndarray:
     """Shift a symmetric PSD matrix onto the SPD cone.
 

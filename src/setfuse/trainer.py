@@ -49,6 +49,7 @@ from .gating import (
     gradient_ascent_step,
     init_gating_params,
     pair_counts,
+    pair_traces,
     projected_gradients,
     projected_pair_sums,
 )
@@ -98,8 +99,8 @@ class TraceRatioResult:
 class ModelState:
     """Everything needed to classify new sets: the frozen training state.
 
-    The gallery is ``bank.features``; a model scores probes exactly when they
-    are not None. ``labels`` and the optional ``set_ids`` follow bank order.
+    The gallery is ``bank.features``, from which the bank derives its Grams.
+    ``labels`` and the optional ``set_ids`` follow bank order.
     """
 
     transform: np.ndarray
@@ -155,8 +156,7 @@ def gram_span(bank: KernelBank) -> GramSpan:
 
     ``K_q C K_q`` is the Gram of the centred columns of K_q, so its range is
     the span of their differences; it holds the range of the total scatter
-    for every choice of positive gating weights. Reads the Grams alone, so
-    banks without lifted features take the same path. Raises
+    for every choice of positive gating weights. Raises
     ``ZeroTotalScatter`` when every Gram has numerically equal columns.
     """
     centred = [gram - gram.mean(axis=1, keepdims=True) for gram in bank.grams]
@@ -241,11 +241,13 @@ def trace_ratio_objective(transform: np.ndarray, scatter: ScatterPair) -> float:
     [0, 1]; the clip only absorbs roundoff at the endpoints.
     """
     e = np.asarray(transform, dtype=np.float64)
-    total = scatter.total
-    denom = float(np.sum(e * (total @ e)))
+    denom = float(np.sum(e * (scatter.total @ e)))
+    return _clipped_ratio(float(np.sum(e * (scatter.between @ e))), denom)
+
+
+def _clipped_ratio(num: float, denom: float) -> float:
     if denom <= DENOMINATOR_FLOOR:
         raise DegenerateDenominator(f"projected total scatter {denom:.3e} is degenerate")
-    num = float(np.sum(e * (scatter.between @ e)))
     return min(max(num / denom, 0.0), 1.0)
 
 
@@ -364,17 +366,14 @@ def solve_trace_ratio(
     return TraceRatioResult(projection=v, ratio_history=tuple(history))
 
 
-def _pair_objective(
+def _evaluate(
     projected: Sequence[np.ndarray], weights: np.ndarray, classes: np.ndarray, counts
-) -> float:
-    """``trace_ratio_objective`` from projected Gram columns, in O(p N) per channel."""
-    g_w, g_b = projected_pair_sums(projected, weights, classes)
-    h_w = float(np.sum(weights * g_w)) / counts[0]
-    h_b = float(np.sum(weights * g_b)) / counts[1]
-    denom = h_w + h_b
-    if denom <= DENOMINATOR_FLOOR:
-        raise DegenerateDenominator(f"projected total scatter {denom:.3e} is degenerate")
-    return min(max(h_b / denom, 0.0), 1.0)
+) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """``trace_ratio_objective`` at ``weights`` from projected Gram columns, and
+    the ``projected_pair_sums`` it was read from; O(p N n_classes) per channel."""
+    sums = projected_pair_sums(projected, weights, classes)
+    h_w, h_b = pair_traces(weights, sums, counts)
+    return _clipped_ratio(h_b, h_w + h_b), sums
 
 
 def _uniform_conditioning(bank: KernelBank, labels, span: GramSpan) -> float:
@@ -406,9 +405,13 @@ def train(
     from the previous projection. The objective, the gating gradient and the
     step line search read the projected Gram columns ``E.T @ K_q`` the
     iteration forms once, through ``projected_pair_sums``, O(p N n_classes)
-    per channel. An outer iteration so costs O(N r^2 + r^3) for the scatters
-    and the solve, plus O(p N r) per channel for ``E.T @ K_q`` and one Gram
-    matvec per channel for each gating evaluation and for the gradient.
+    per channel; each gating point is evaluated once, with one pass of
+    those sums giving its objective and, at the iteration's start point, its
+    gradient. The weights of the accepted step carry into the next
+    iteration, and into ``train_weights`` after the last. An outer iteration
+    so costs O(N r^2 + r^3) for the scatters and the solve, plus O(p N r)
+    per channel for ``E.T @ K_q`` and one Gram matvec per channel for each
+    line-search try and for the gradient.
     ``gram_span`` costs O(N^3) once; one more scatter and one r x r
     ``eigvalsh`` bound the conditioning of every gated total scatter.
 
@@ -450,8 +453,8 @@ def train(
     transform = None
     prev_transform = None
     coords = None  # the projection in span coordinates, r x p
+    weights = gating_weights(bank, params)
     for it in range(1, cfg.iters + 1):
-        weights = gating_weights(bank, params)
         scatter = scatter_matrices(bank, labels, weights, span)
         bound = (float(weights.min()) / float(weights.max())) ** 2 * conditioning
         if bound > NULL_SPACE_RTOL:
@@ -485,25 +488,20 @@ def train(
         coords = itr.projection if basis is None else basis @ itr.projection
         transform = span.basis @ coords
         projected = [coords.T @ a for a in span.columns]
-        objective = _pair_objective(projected, weights, classes, counts)
+        objective, sums = _evaluate(projected, weights, classes, counts)
         trace.append(objective)
 
-        grads = projected_gradients(bank.grams, weights, projected, classes, counts)
+        grads = projected_gradients(bank.grams, weights, sums, counts)
         step = cfg.learning_rate
-        new_params = gradient_ascent_step(params, grads, step)
-        if step > 0.0:
+        for _ in range(MAX_STEP_HALVINGS + 1):
+            new_params = gradient_ascent_step(params, grads, step)
             new_weights = gating_weights(bank, new_params)
-            new_objective = _pair_objective(projected, new_weights, classes, counts)
-            halvings = 0
-            while new_objective < objective and halvings < MAX_STEP_HALVINGS:
-                step *= 0.5
-                new_params = gradient_ascent_step(params, grads, step)
-                new_weights = gating_weights(bank, new_params)
-                new_objective = _pair_objective(projected, new_weights, classes, counts)
-                halvings += 1
-            if new_objective < objective:
-                logger.info("iteration %d: gating step rolled back entirely", it)
-                new_params = params
+            if not _evaluate(projected, new_weights, classes, counts)[0] < objective:
+                break
+            step *= 0.5
+        else:
+            logger.info("iteration %d: gating step rolled back entirely", it)
+            new_params, new_weights = params, weights
 
         converged = False
         if it > 2 and prev_transform is not None:
@@ -516,17 +514,16 @@ def train(
             else:
                 transform_delta = np.inf
             converged = param_delta < cfg.eps or transform_delta < cfg.eps
-        params = new_params
+        params, weights = new_params, new_weights
         prev_transform = transform
         if converged:
             logger.info("converged after %d outer iterations", it)
             break
 
-    final_weights = gating_weights(bank, params)
     return ModelState(
         transform=transform,
         gating=params,
-        train_weights=final_weights,
+        train_weights=weights,
         bank=bank,
         labels=tuple(labels.tolist()),
         config=cfg,

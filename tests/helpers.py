@@ -35,17 +35,12 @@ def random_gallery_sets(rng, n_classes=3, sets_per_class=3, d=6, n=12, shift=3.0
 
 
 def random_bank(rng, n, n_kernels):
-    """Kernel bank whose Gram matrices are random symmetric PSD, O(1) entries."""
-    grams = []
-    for _ in range(n_kernels):
-        g = rng.standard_normal((n, n + 2))
-        k = g @ g.T / (n + 2)
-        grams.append(0.5 * (k + k.T))
+    """Kernel bank of random lifted features, (n, n + 2) per channel, whose
+    Gram matrices are random symmetric PSD with O(1) entries."""
+    features = [rng.standard_normal((n, n + 2)) / np.sqrt(n + 2) for _ in range(n_kernels)]
     return KernelBank(
         kernel_ids=tuple(KernelId(i + 1) for i in range(n_kernels)),
-        grams=tuple(grams),
-        n_train=n,
-        scales=(1.0,) * n_kernels,
+        features=tuple(features),
     )
 
 

@@ -1,16 +1,20 @@
 """Classifier tests: distance profiles and nearest-neighbor prediction."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from setfuse.classify import Prediction, distance_profile, predict, set_distance
+from setfuse.classify import Prediction, distance_profile, predict
 from setfuse.config import TrainConfig
 from setfuse.descriptors import ImageSet, encode_set
-from setfuse.errors import IndexOutOfRange, NegativeDistance, NoGalleryFeatures
+from setfuse.errors import NegativeDistance
 from setfuse.gating import softmax_columns
-from setfuse.kernels import build_kernel_bank, cross_kernel_vector
+from setfuse.kernels import (
+    KernelId,
+    build_kernel_bank,
+    gaussian_embedding_kernel,
+    log_euclidean_kernel,
+    projection_kernel,
+)
 from setfuse.trainer import ModelState, train
 
 from helpers import random_gallery_sets
@@ -29,11 +33,19 @@ def trained_model(seed, n_classes=3, sets_per_class=3, target_dim=3, iters=4):
     return model, sets, triples
 
 
+SCALAR_KERNELS = {
+    KernelId.LOG_EUCLIDEAN: lambda a, b: log_euclidean_kernel(a.cov, b.cov),
+    KernelId.PROJECTION: lambda a, b: projection_kernel(a.subspace, b.subspace),
+    KernelId.GAUSSIAN_EMBEDDED: lambda a, b: gaussian_embedding_kernel(a.gauss, b.gauss),
+}
+
+
 def naive_distance(test, model, triples, i):
-    """Term-by-term reference: per-channel projected squared distances."""
+    """Term-by-term reference: per-channel projected squared distances, with
+    the probe's kernel column built from the scalar kernels."""
     total = 0.0
     crosses = [
-        cross_kernel_vector(test, triples, kid, normalize_ref=scale)
+        scale * np.array([SCALAR_KERNELS[kid](test, t) for t in triples])
         for kid, scale in zip(model.bank.kernel_ids, model.bank.scales)
     ]
     scores = np.array(
@@ -109,31 +121,6 @@ class TestDistanceProfile:
         b = distance_profile(triples[1], shifted)
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, float(np.max(np.abs(a))))
 
-    def test_missing_gallery_rejected(self):
-        # a bank without lifted gallery features cannot score probes
-        model, sets, triples = trained_model(115)
-        stripped = dataclasses.replace(
-            model, bank=dataclasses.replace(model.bank, features=None)
-        )
-        with pytest.raises(NoGalleryFeatures):
-            distance_profile(triples[0], stripped)
-        with pytest.raises(NoGalleryFeatures):
-            predict(sets[0], stripped)
-
-
-class TestSetDistance:
-    def test_matches_profile_entry(self):
-        model, _, triples = trained_model(116)
-        profile = distance_profile(triples[3], model)
-        for i in (0, 2, 7):
-            assert set_distance(triples[3], model, i) == profile[i]
-
-    def test_index_out_of_range(self):
-        model, _, triples = trained_model(117)
-        with pytest.raises(IndexOutOfRange):
-            set_distance(triples[0], model, model.n_train)
-        with pytest.raises(IndexOutOfRange):
-            set_distance(triples[0], model, -1)
 
 
 class TestPredict:

@@ -278,11 +278,24 @@ def _truncate(name):
 
 
 def _command(*args):
+    """``{manifest}`` is the dataset, ``{out}`` a fresh path, ``{file}`` a
+    regular file (so ``{file}/x`` cannot be written)."""
     def make(tmp_path, manifest, model_dir):
-        return [a.replace("{manifest}", str(manifest)).replace("{out}", str(tmp_path / "out"))
-                for a in args]
+        (tmp_path / "file").write_text("not a directory\n")
+        paths = {"{manifest}": manifest, "{out}": tmp_path / "out", "{file}": tmp_path / "file"}
+        out = []
+        for a in args:
+            for key, path in paths.items():
+                a = a.replace(key, str(path))
+            out.append(a)
+        return out
 
     return make
+
+
+def _synth(separation, out):
+    return _command("synth", "--classes", "2", "--sets-per-class", "2", "--dim", "3",
+                    "--samples", "5", "--separation", separation, "--out", out)
 
 
 _RNG = np.random.default_rng(7)
@@ -315,6 +328,15 @@ EXIT_CASES = {
         _predict_edited_model(_edit_json(lambda m: m["config"].update(descriptors=5))), 3
     ),
     "model-labels-int": (_predict_edited_model(_edit_json(lambda m: m.update(labels=7))), 3),
+    "synth-nan-separation": (_synth("nan", "{out}"), 3),
+    "synth-inf-separation": (_synth("inf", "{out}"), 3),
+    "synth-out-under-file": (_synth("1", "{file}/x"), 3),
+    "train-out-under-file": (
+        _command("train", "--manifest", "{manifest}", "--out", "{file}/sub", *FAST), 3
+    ),
+    "eval-report-under-file": (
+        _command("eval", "--manifest", "{manifest}", "--report", "{file}/r.csv", *FAST), 3
+    ),
 }
 
 

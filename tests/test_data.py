@@ -49,6 +49,15 @@ class TestRoundTrip:
         assert np.array_equal(back.features, feats)
 
 
+class TestSaveWriteFailure:
+    def test_write_failure_raises_io_error(self, tmp_path):
+        rng = np.random.default_rng(138)
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        with pytest.raises(IoError, match="cannot write dataset"):
+            save_dataset([random_image_set(rng)], blocker / "ds")
+
+
 class TestSaveRejectsUnsafeSetIds:
     def test_duplicate_set_ids_write_nothing(self, tmp_path):
         rng = np.random.default_rng(136)
@@ -217,3 +226,10 @@ class TestGenerateSynthetic:
     def test_bad_spec_rejected(self, kwargs):
         with pytest.raises(BadSpec):
             generate_synthetic(seed=0, **kwargs)
+
+    @pytest.mark.parametrize("separation", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_separation_rejected(self, separation):
+        with pytest.raises(BadSpec, match="finite"):
+            generate_synthetic(
+                classes=2, sets_per_class=1, dim=4, samples=5, separation=separation, seed=0
+            )

@@ -172,9 +172,7 @@ class TestGatingGradients:
 
         bank = KernelBank(
             kernel_ids=(KernelId(1), KernelId(2), KernelId(3)),
-            grams=(base.grams[0],) * 3,
-            n_train=6,
-            scales=(1.0,) * 3,
+            features=(base.features[0],) * 3,
         )
         labels = random_labels(rng, 6)
         e = random_orthonormal(rng, 6, 2)

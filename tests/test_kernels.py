@@ -1,5 +1,7 @@
 """Kernel tests: scalar kernels, Gram assembly, cross-kernel consistency."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,14 +14,13 @@ from setfuse.descriptors import (
     embed_gaussian,
     encode_set,
 )
-from setfuse.errors import DimensionMismatch, NoGalleryFeatures, NormalizationDegenerate
+from setfuse.errors import BadSpec, DimensionMismatch, NormalizationDegenerate, ShapeMismatch
 from setfuse.kernels import (
     ALL_KERNELS,
     KernelBank,
     KernelId,
     _lift,
     build_kernel_bank,
-    cross_kernel_vector,
     gaussian_embedding_kernel,
     gram_matrix,
     lift_features,
@@ -208,7 +209,17 @@ class TestGramMatrix:
             gram_matrix(triples, KernelId.LOG_EUCLIDEAN, normalize=True)
 
 
+def cross_kernel_vector(probe, gallery, kid, normalize=False):
+    """One probe's kernel column against a gallery, through a one-channel bank."""
+    bank = build_kernel_bank(gallery, (kid,), normalize)
+    (column,) = bank.columns_from_rows(bank.probe_rows(probe))
+    return column
+
+
 class TestCrossKernelVector:
+    """A probe's kernel columns, ``KernelBank.columns_from_rows`` of its
+    ``probe_rows``."""
+
     def test_gallery_of_one(self):
         rng = np.random.default_rng(43)
         triples = encode_sets(random_gallery_sets(rng, 1, 2, d=5, n=10), q=3)
@@ -239,17 +250,20 @@ class TestCrossKernelVector:
             assert np.max(np.abs(v - direct)) <= 1e-12
 
     def test_normalize_ref_scales_entries(self):
+        # a normalised bank replays its trace-N scale on probe columns
         rng = np.random.default_rng(46)
         triples = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
         raw = cross_kernel_vector(triples[0], triples, KernelId.PROJECTION)
-        scaled = cross_kernel_vector(triples[0], triples, KernelId.PROJECTION, normalize_ref=2.5)
-        assert np.allclose(scaled, 2.5 * raw)
+        scaled = cross_kernel_vector(triples[0], triples, KernelId.PROJECTION, normalize=True)
+        scale = build_kernel_bank(triples, (KernelId.PROJECTION,), normalize=True).scales[0]
+        assert scale != 1.0
+        assert np.array_equal(scaled, raw * scale)
 
     def test_dimension_mismatch_identifies_pair(self):
         rng = np.random.default_rng(47)
         gallery = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
         probe = encode_sets(random_gallery_sets(rng, 1, 1, d=6, n=10), q=3)[0]
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="probe lifts to 36 features, gallery to 25"):
             cross_kernel_vector(probe, gallery, KernelId.LOG_EUCLIDEAN)
 
 
@@ -329,15 +343,64 @@ class TestLiftedFeatures:
         for q, col in enumerate(bank.columns_from_rows(bank.probe_rows(triples[2]))):
             assert np.array_equal(col, bank.grams[q][:, 2])
 
-    def test_bank_without_features_cannot_score_probes(self):
+    def test_bank_without_features_cannot_be_built(self):
         rng = np.random.default_rng(55)
         triples = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
         full = build_kernel_bank(triples)
-        bare = KernelBank(
-            kernel_ids=full.kernel_ids,
-            grams=full.grams,
-            n_train=full.n_train,
-            scales=full.scales,
-        )
-        with pytest.raises(NoGalleryFeatures):
-            bare.columns_from_rows(bare.probe_rows(triples[0]))
+        with pytest.raises(TypeError):
+            KernelBank(kernel_ids=full.kernel_ids)
+        with pytest.raises(ShapeMismatch):
+            KernelBank(kernel_ids=full.kernel_ids, features=())
+        with pytest.raises(BadSpec):
+            KernelBank(kernel_ids=(), features=())
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(full, grams=tuple(g * 2.0 for g in full.grams))
+
+
+class TestBankIsItsFeatures:
+    def test_only_features_and_flags_are_inputs(self):
+        names = [f.name for f in dataclasses.fields(KernelBank) if f.init]
+        assert names == ["kernel_ids", "features", "normalize"]
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_replaced_features_rederive_grams(self, normalize):
+        rng = np.random.default_rng(57)
+        triples = encode_sets(random_gallery_sets(rng, 2, 3, d=5, n=10), q=3)
+        bank = build_kernel_bank(triples, normalize=normalize)
+        other = build_kernel_bank(triples[::-1], normalize=normalize)
+        swapped = dataclasses.replace(bank, features=other.features)
+        assert swapped.normalize is normalize
+        for got, want in zip(swapped.grams, other.grams):
+            assert np.array_equal(got, want)
+        assert swapped.scales == other.scales
+
+    def test_writable_features_are_copied_read_only(self):
+        rng = np.random.default_rng(58)
+        f = rng.standard_normal((4, 9))
+        bank = KernelBank(kernel_ids=(KernelId.PROJECTION,), features=(f,))
+        f[0, 0] = 100.0
+        assert bank.features[0][0, 0] != 100.0
+        assert not bank.features[0].flags.writeable
+        assert not bank.grams[0].flags.writeable
+        assert bank.n_train == 4
+
+    def test_gallery_shape_checked(self):
+        rng = np.random.default_rng(59)
+        with pytest.raises(BadSpec, match="gallery member"):
+            KernelBank(kernel_ids=(KernelId.PROJECTION,), features=(np.zeros((0, 9)),))
+        with pytest.raises(BadSpec):
+            build_kernel_bank([])
+        with pytest.raises(DimensionMismatch):
+            KernelBank(
+                kernel_ids=(KernelId.LOG_EUCLIDEAN, KernelId.PROJECTION),
+                features=(rng.standard_normal((4, 9)), rng.standard_normal((5, 9))),
+            )
+        with pytest.raises(DimensionMismatch):
+            KernelBank(kernel_ids=(KernelId.PROJECTION,), features=(np.ones(9),))
+
+    def test_probe_row_count_must_match_channels(self):
+        rng = np.random.default_rng(60)
+        triples = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
+        bank = build_kernel_bank(triples)
+        with pytest.raises(ShapeMismatch):
+            bank.columns_from_rows(bank.probe_rows(triples[0])[:2])

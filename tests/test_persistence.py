@@ -17,7 +17,6 @@ from setfuse.errors import (
     ChecksumMismatch,
     FormatVersionMismatch,
     IoError,
-    NoGalleryFeatures,
 )
 from setfuse.experiment import train_on_sets
 from setfuse.kernels import build_kernel_bank
@@ -174,14 +173,18 @@ class TestRoundTrip:
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
 
-    def test_featureless_bank_not_saved(self, trained, tmp_path):
+    def test_save_builds_no_gram(self, trained, tmp_path, monkeypatch):
+        # the bank's Grams are derived from its features, so saving checks a flag
         model, _ = trained
-        stripped = dataclasses.replace(
-            model, bank=dataclasses.replace(model.bank, features=None)
-        )
-        with pytest.raises(NoGalleryFeatures):
-            save_model(stripped, tmp_path / "m")
-        assert not (tmp_path / "m").exists()
+        monkeypatch.setattr(kernels, "_gram", lambda f: pytest.fail("save_model built a Gram"))
+        save_model(model, tmp_path / "m")
+
+    def test_write_failure_raises_io_error(self, trained, tmp_path):
+        model, _ = trained
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        with pytest.raises(IoError, match="cannot write model"):
+            save_model(model, blocker / "sub")
 
     def test_bank_normalization_must_match_config(self, trained, tmp_path):
         # loading rescales by config.normalize_kernels, so a bank built the
@@ -193,6 +196,7 @@ class TestRoundTrip:
         mixed = train(bank, model.labels, cfg)
         with pytest.raises(BadSpec):
             save_model(mixed, tmp_path / "m")
+        assert not (tmp_path / "m").exists()
 
     def test_model_without_set_ids_round_trips(self, trained, tmp_path):
         model, sets = trained

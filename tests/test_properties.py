@@ -95,16 +95,12 @@ def test_centred_span_holds_differences_and_scatters(seed, n, n_kernels, width):
     2 D slack + slack^2 with D the largest difference norm.
     """
     rng = np.random.default_rng(seed)
-    grams = []
-    for _ in range(n_kernels):
-        g = rng.standard_normal((n, width))  # rank min(n, width)
-        grams.append(g @ g.T)
+    features = [rng.standard_normal((n, width)) for _ in range(n_kernels)]  # rank min(n, width)
     bank = KernelBank(
         kernel_ids=tuple(KernelId(i + 1) for i in range(n_kernels)),
-        grams=tuple(grams),
-        n_train=n,
-        scales=(1.0,) * n_kernels,
+        features=tuple(features),
     )
+    grams = bank.grams
     q = gram_span(bank).basis
     centred = [k - k.mean(axis=1, keepdims=True) for k in grams]
     lam_max = float(np.linalg.eigvalsh(sum(c @ c.T for c in centred)).max())

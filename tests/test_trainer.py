@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from setfuse.config import TrainConfig
+from setfuse.data import generate_synthetic
 from setfuse.descriptors import encode_set
 from setfuse.errors import (
     BadDimension,
@@ -24,6 +25,7 @@ from setfuse.gating import (
     pair_counts,
 )
 from setfuse import trainer
+from setfuse.experiment import split_sets, train_on_sets
 from setfuse.kernels import build_kernel_bank
 from setfuse.trainer import (
     ScatterPair,
@@ -157,9 +159,7 @@ class TestGramSpan:
 
     def test_zero_grams_raise(self):
         bank = random_bank(np.random.default_rng(105), 4, 2)
-        zero = type(bank)(
-            kernel_ids=bank.kernel_ids, grams=(np.zeros((4, 4)),) * 2, n_train=4, scales=bank.scales
-        )
+        zero = type(bank)(kernel_ids=bank.kernel_ids, features=(np.zeros((4, 6)),) * 2)
         with pytest.raises(ZeroTotalScatter):
             gram_span(zero)
 
@@ -372,6 +372,18 @@ def count_null_space_cuts(monkeypatch):
     return cuts
 
 
+def count_gating_evaluations(monkeypatch):
+    """Count the trainer's calls to the gating steps each gating point takes."""
+    calls = dict.fromkeys(("gating_weights", "projected_pair_sums", "gradient_ascent_step"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(trainer, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(trainer, name, counting)
+    return calls
+
+
 def assert_trace_ratio_optimum(monkeypatch, bank, labels, cfg):
     """Train, then check that a cold 200-iteration solve on the last
     iteration's scatters, over whole Gram columns, gains <= 1e-6."""
@@ -401,11 +413,10 @@ class TestTrain:
         assert model.objective_trace[-1] >= 0.95
         assert model.transform.shape == (12, 3)
         # every training set is nearest to itself in the learned metric
-        from setfuse.classify import set_distance
+        from setfuse.classify import distance_profile
 
         for i in range(12):
-            dists = [set_distance(triples[i], model, j) for j in range(12)]
-            assert int(np.argmin(dists)) == i
+            assert int(np.argmin(distance_profile(triples[i], model))) == i
 
     def test_objective_does_not_collapse(self):
         rng = np.random.default_rng(96)
@@ -513,7 +524,36 @@ class TestTrain:
             assert np.max(np.abs(gc - rc)) <= 1e-12 * scale
             assert np.max(np.abs(gb - rb)) <= 1e-12 * scale
 
-    def test_bare_gram_bank_trains(self):
+    def test_each_gating_point_evaluated_once(self, monkeypatch):
+        # the perfbench gallery_train data (N=250, d=10), first variant at seed 3
+        sets = generate_synthetic(
+            classes=5, sets_per_class=60, dim=10, samples=20, separation=5.0, seed=0
+        )
+        seed = int(np.random.SeedSequence([3, 0]).generate_state(1)[0])
+        gallery, _ = split_sets(sets, 50, np.random.default_rng(seed))
+        calls = count_gating_evaluations(monkeypatch)
+        model = train_on_sets(gallery, TrainConfig(subspace_dim=5, target_dim=8, seed=seed))
+        assert len(model.objective_trace) == 20
+        # one weight evaluation to start and one per line-search try; one pass of
+        # pair sums per iteration start point and one per try
+        assert calls == {"gating_weights": 21, "projected_pair_sums": 40, "gradient_ascent_step": 20}
+        assert np.array_equal(model.train_weights, gating_weights(model.bank, model.gating))
+
+    @pytest.mark.parametrize("rate", [0.0, 100.0])
+    def test_line_search_tries_are_evaluated_once(self, monkeypatch, rate):
+        rng = np.random.default_rng(109)
+        bank = random_bank(rng, 12, 3)
+        labels = random_labels(rng, 12)
+        calls = count_gating_evaluations(monkeypatch)
+        model = train(bank, labels, TrainConfig(target_dim=3, iters=8, seed=2, learning_rate=rate))
+        iters, tries = len(model.objective_trace), calls["gradient_ascent_step"]
+        assert (tries > iters) == (rate > 0.0)  # at rate 100 a step is halved
+        assert calls["gating_weights"] == 1 + tries
+        assert calls["projected_pair_sums"] == iters + tries
+        assert np.array_equal(model.train_weights, gating_weights(model.bank, model.gating))
+
+    def test_random_bank_trains(self):
+        # a bank of random lifted features, not lifted descriptors
         rng = np.random.default_rng(109)
         bank = random_bank(rng, 12, 3)
         labels = random_labels(rng, 12)
