@@ -5,10 +5,6 @@ save a model), ``eval`` (split protocol with a CSV report), ``predict``
 (classify one set file against a saved model), ``ablate`` (per-descriptor
 comparison). Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric
 failure.
-
-Set ``SETFUSE_NUM_THREADS`` to pin the BLAS thread count before heavy
-linear algebra runs; results are bit-reproducible for a fixed seed and
-thread count.
 """
 
 from __future__ import annotations
@@ -16,14 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import logging
-import os
 import sys
-
-# Thread pinning must happen before numpy initializes its BLAS backend.
-_threads = os.environ.get("SETFUSE_NUM_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
 
 import click
 import numpy as np

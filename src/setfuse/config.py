@@ -29,6 +29,7 @@ class TrainConfig:
     shifted by trace/alpha). ``learning_rate`` drives the gating ascent, and
     ``eps`` is the convergence tolerance for both the outer loop and the
     inner trace-ratio solve (0 disables early stopping); both must be finite.
+    ``seed``, the source of all training randomness, must be non-negative.
     """
 
     subspace_dim: int = 10
@@ -55,6 +56,8 @@ class TrainConfig:
             raise BadSpec("iteration counts must be >= 1")
         if not (math.isfinite(self.eps) and self.eps >= 0.0):
             raise BadSpec(f"eps must be finite and >= 0, got {self.eps}")
+        if self.seed < 0:
+            raise BadSpec(f"seed must be >= 0, got {self.seed}")
         names = tuple(self.descriptors)
         unknown = [n for n in names if n not in DESCRIPTOR_NAMES]
         if unknown or not names:

@@ -174,7 +174,7 @@ def generate_synthetic(
     centers ``separation * sqrt(dim)``. Each set then draws its own mean
     near its class center and its own random SPD covariance, and samples
     ``samples`` points from that Gaussian. Everything is a deterministic
-    function of ``seed``.
+    function of ``seed``, a non-negative integer.
     """
     if classes < 1 or sets_per_class < 1:
         raise BadSpec(f"classes and sets_per_class must be >= 1, got {classes}, {sets_per_class}")
@@ -184,6 +184,8 @@ def generate_synthetic(
         raise BadSpec(f"samples must be >= 2, got {samples}")
     if not (math.isfinite(separation) and separation >= 0.0):
         raise BadSpec(f"separation must be finite and >= 0, got {separation}")
+    if seed < 0:
+        raise BadSpec(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((classes, dim)) * (separation / math.sqrt(2.0))

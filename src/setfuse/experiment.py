@@ -80,7 +80,10 @@ def split_seed(base_seed: int, split_index: int) -> int:
 
 
 def effective_subspace_dim(sets: Sequence[ImageSet], requested: int) -> int:
-    """Cap the subspace dimension at what every set can support."""
+    """Cap the subspace dimension at what every set can support; ``BadSpec``
+    for an empty list."""
+    if not sets:
+        raise BadSpec("no image sets given")
     d = sets[0].dim
     n_min = min(s.n_samples for s in sets)
     return max(1, min(requested, d, n_min))

@@ -1,64 +1,60 @@
-"""Model serialization, format 2: a metadata file plus one binary file per array.
+"""Model serialization, format 3: a metadata file plus one ``.npy`` file per
+array that cannot be derived.
 
 A model is stored as its learned arrays (``transform``, ``gating_coeffs``,
-``gating_biases``, ``train_weights``) and, per kernel channel, the gallery's
-lifted features (``features_<kernel id>``, N x D_q). That is the whole kernel
-bank: on load, ``KernelBank`` derives Grams, scales and ``n_train`` from the
-features as it does in training, so they come back bit for bit.
+``gating_biases``) and, per kernel channel of ``config.kernel_ids``, the
+gallery's lifted features (``features_<kernel id>``, N x D_q), each in
+``<name>.npy``. Everything else is derived on load: ``KernelBank`` derives
+Grams, scales and ``n_train`` from the features as it does in training, and
+``ModelState.train_weights`` derives the gallery's gating weights, so all
+come back bit for bit.
 
-Array files carry a 16-byte header (4-byte magic, little-endian uint32
-rank, then two little-endian uint32 dimensions; the second is zero for
-vectors) followed by the float64 entries, little-endian, row-major. The
-metadata file (kernel ids, labels, set ids, configuration, objective trace)
-indexes the arrays with their shapes and SHA-256 checksums. Loading accepts
-exactly those keys and files and format 2 alone (format 1 stored
-descriptors; retrain such models), or fails with a ``DataError``.
+Array files are numpy's own ``.npy`` format, version 1.0, little-endian
+float64, row-major, so ``np.load(path, allow_pickle=False)`` reads them. The
+metadata file (labels, set ids, configuration, objective trace) records each
+file's SHA-256 checksum. Loading accepts exactly those keys and files and
+format 3 alone (formats 1 and 2 stored more than this; retrain such models),
+or fails with a ``DataError``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
-import struct
+import math
+import tokenize
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .config import TrainConfig
-from .errors import (
-    BadSpec,
-    ChecksumMismatch,
-    FormatVersionMismatch,
-    IoError,
-    ShapeMismatch,
-)
+from .errors import BadSpec, ChecksumMismatch, FormatVersionMismatch, IoError
 from .gating import GatingParams
-from .kernels import KernelBank, KernelId
+from .kernels import KernelBank
 from .trainer import ModelState
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 META_NAME = "model.json"
-_MAGIC = b"SFA1"
-_HEADER = struct.Struct("<4sIII")
 
 
 def _write_array(path: Path, arr: np.ndarray) -> str:
-    """Write one array file; returns the SHA-256 of the bytes written."""
-    a = np.ascontiguousarray(arr, dtype=np.float64)
-    if a.ndim == 1:
-        header = _HEADER.pack(_MAGIC, 1, a.shape[0], 0)
-    elif a.ndim == 2:
-        header = _HEADER.pack(_MAGIC, 2, a.shape[0], a.shape[1])
-    else:
-        raise ShapeMismatch(f"only rank-1 and rank-2 arrays are stored, got rank {a.ndim}")
-    blob = header + a.astype("<f8", copy=False).tobytes(order="C")
+    """Write one ``.npy`` file; returns the SHA-256 of the bytes written."""
+    buf = io.BytesIO()
+    np.save(buf, np.ascontiguousarray(arr, dtype="<f8"), allow_pickle=False)
+    blob = buf.getvalue()
     path.write_bytes(blob)
     return hashlib.sha256(blob).hexdigest()
 
 
-def _read_array(path: Path, expect_shape: tuple[int, ...], digest: str) -> np.ndarray:
-    """Read one array file, verifying its checksum on the bytes it parses."""
+def _read_array(path: Path, digest: str) -> np.ndarray:
+    """Read one ``.npy`` file, verifying its checksum on the bytes it parses.
+
+    Only what ``_write_array`` writes is accepted: version 1.0, ``<f8``, C
+    order, rank 1 or 2 and exactly the payload the shape needs. The result is
+    a read-only view of the file's bytes.
+    """
     try:
         blob = path.read_bytes()
     except OSError as exc:
@@ -66,67 +62,70 @@ def _read_array(path: Path, expect_shape: tuple[int, ...], digest: str) -> np.nd
     actual = hashlib.sha256(blob).hexdigest()
     if actual != digest:
         raise ChecksumMismatch(f"{path}: checksum {actual[:12]}... != recorded {digest[:12]}...")
-    if len(blob) < _HEADER.size:
-        raise ChecksumMismatch(f"{path}: truncated header")
-    magic, rank, d0, d1 = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise ChecksumMismatch(f"{path}: bad magic {magic!r}")
-    shape = (d0,) if rank == 1 else (d0, d1)
-    if rank not in (1, 2) or shape != tuple(expect_shape):
-        raise ChecksumMismatch(f"{path}: stored shape {shape} does not match index {expect_shape}")
-    count = int(np.prod(shape, dtype=np.int64))
-    payload = len(blob) - _HEADER.size
-    if payload != 8 * count:
-        raise ChecksumMismatch(f"{path}: payload holds {payload} bytes, expected {8 * count}")
-    # a read-only view of the file's bytes; converts only on big-endian hosts
-    a = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).astype(np.float64, copy=False)
-    a = a.reshape(shape)
-    a.setflags(write=False)
-    return a
+    stream = io.BytesIO(blob)
+    try:
+        version = np.lib.format.read_magic(stream)
+        if version != (1, 0):
+            raise ChecksumMismatch(f"{path}: .npy version {version}, expected (1, 0)")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(stream)
+    # numpy's header parser raises any of these on a malformed header
+    except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:
+        raise ChecksumMismatch(f"{path}: not a .npy array: {exc}") from exc
+    if dtype != np.dtype("<f8") or fortran_order or not (1 <= len(shape) <= 2 and min(shape) >= 0):
+        raise ChecksumMismatch(
+            f"{path}: holds {dtype.str} of shape {shape} (fortran_order={fortran_order}); "
+            "expected C-ordered <f8 of rank 1 or 2"
+        )
+    offset = stream.tell()
+    payload, expected = len(blob) - offset, 8 * math.prod(shape)
+    if payload != expected:
+        raise ChecksumMismatch(f"{path}: payload holds {payload} bytes, expected {expected}")
+    return np.frombuffer(blob, dtype="<f8", offset=offset).reshape(shape)
 
 
-_META_KEYS = {"format_version", "kernel_ids", "labels", "set_ids", "config",
-              "objective_trace", "arrays", "checksums"}
+_META_KEYS = {"format_version", "labels", "set_ids", "config", "objective_trace", "checksums"}
 _CONFIG_KEYS = {f.name for f in fields(TrainConfig)}
 
 
 def _array_names(kernel_ids) -> list[str]:
-    base = ["transform", "gating_coeffs", "gating_biases", "train_weights"]
-    return base + [f"features_{int(kid)}" for kid in kernel_ids]
+    """The stored arrays, in writing order; each lives in ``<name>.npy``."""
+    return ["transform", "gating_coeffs", "gating_biases"] + [
+        f"features_{int(kid)}" for kid in kernel_ids
+    ]
 
 
 def save_model(model: ModelState, out_dir) -> Path:
     """Write a model directory; returns the metadata path.
 
-    The bank derives its Grams from its features, so only its ``normalize``
-    flag can disagree with what loading derives under
-    ``config.normalize_kernels``; ``BadSpec`` when it does. Write failures
-    raise ``IoError``.
+    Loading takes the kernel ids from ``config.descriptors`` and derives the
+    Grams from the stored features under ``config.normalize_kernels``, so a
+    bank whose kernel ids or ``normalize`` flag disagree with the config
+    would not load as saved; ``BadSpec`` when they do. The gating weights are
+    not stored: ``ModelState.train_weights`` derives them from the bank and
+    the gating. Write failures raise ``IoError``.
     """
-    bank = model.bank
-    if bank.normalize != model.config.normalize_kernels:
+    bank, cfg = model.bank, model.config
+    if (bank.kernel_ids, bank.normalize) != (cfg.kernel_ids, cfg.normalize_kernels):
         raise BadSpec(
-            f"kernel bank normalize={bank.normalize} but normalize_kernels="
-            f"{model.config.normalize_kernels}; the model would not load as saved"
+            f"kernel bank has kernels {[int(k) for k in bank.kernel_ids]} and "
+            f"normalize={bank.normalize}, but the config gives "
+            f"{[int(k) for k in cfg.kernel_ids]} and normalize_kernels="
+            f"{cfg.normalize_kernels}; the model would not load as saved"
         )
     out = Path(out_dir)
-    values = (model.transform, model.gating.coeffs, model.gating.biases, model.train_weights)
-    index = {}
+    values = (model.transform, model.gating.coeffs, model.gating.biases) + bank.features
     checksums = {}
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name, arr in zip(_array_names(bank.kernel_ids), values + bank.features):
-            fname = f"{name}.bin"
+        for name, arr in zip(_array_names(cfg.kernel_ids), values):
+            fname = f"{name}.npy"
             checksums[fname] = _write_array(out / fname, arr)
-            index[name] = {"file": fname, "shape": list(np.shape(arr))}
         meta = {
             "format_version": FORMAT_VERSION,
-            "kernel_ids": [int(k) for k in bank.kernel_ids],
             "labels": list(model.labels),
             "set_ids": None if model.set_ids is None else list(model.set_ids),
-            "config": asdict(model.config),
+            "config": asdict(cfg),
             "objective_trace": list(model.objective_trace),
-            "arrays": index,
             "checksums": checksums,
         }
         meta_path = out / META_NAME
@@ -178,32 +177,12 @@ def _config(raw, where: str) -> TrainConfig:
         raise IoError(f"{where}: {exc}") from exc
 
 
-def _array_index(index, checksums, kernel_ids, where: str) -> dict:
-    """The ``arrays`` entries as ``{name: (file, shape)}``, checked against
-    ``checksums``: plain file names, shapes of one or two sizes, string digests."""
-    _expect_keys(index, _array_names(kernel_ids), f"{where} arrays")
-    out = {}
-    for name, entry in index.items():
-        _expect_keys(entry, ("file", "shape"), f"{where} arrays.{name}")
-        fname, shape = entry["file"], entry["shape"]
-        if not isinstance(fname, str) or Path(fname).name != fname or fname in ("", ".", ".."):
-            raise IoError(f"{where} arrays.{name}.file: {fname!r:.80} is not a file name")
-        _expect_list(shape, lambda x: _is_int(x) and x >= 0, f"{where} arrays.{name}.shape", "sizes")
-        if len(shape) not in (1, 2):
-            raise IoError(f"{where} arrays.{name}.shape: {shape} is not of rank 1 or 2")
-        out[name] = (fname, tuple(shape))
-    if not isinstance(checksums, dict) or sorted(f for f, _ in out.values()) != sorted(checksums):
-        raise IoError(f"{where}: the array index and the checksums name different files")
-    if not all(isinstance(d, str) for d in checksums.values()):
-        raise IoError(f"{where}: checksums must be hex digest strings")
-    return out
-
-
 def load_model(model_dir) -> ModelState:
     """Read a model directory back, verifying version, keys and checksums.
 
-    Arrays come back read-only. Grams, scales and ``n_train`` are derived
-    from the stored features as in training; nothing is re-lifted.
+    Arrays come back read-only. Kernel ids come from ``config.descriptors``;
+    Grams, scales and ``n_train`` are derived from the stored features as in
+    training, and the gating weights from the gating; nothing is re-lifted.
     """
     root = Path(model_dir)
     meta_path = root / META_NAME
@@ -222,14 +201,11 @@ def load_model(model_dir) -> ModelState:
     where = str(meta_path)
     _expect_keys(meta, _META_KEYS, where)
     cfg = _config(meta["config"], f"{where} config")
-    raw_ids = _expect_list(meta["kernel_ids"], _is_int, f"{where} kernel_ids", "kernel ids")
-    try:
-        kernel_ids = tuple(KernelId(k) for k in raw_ids)
-    except ValueError as exc:
-        raise IoError(f"{where}: bad kernel ids {raw_ids!r}") from exc
-    if not kernel_ids:
-        raise IoError(f"{where}: no kernel ids")
-    index = _array_index(meta["arrays"], meta["checksums"], kernel_ids, where)
+    names = _array_names(cfg.kernel_ids)
+    checksums = meta["checksums"]
+    _expect_keys(checksums, [f"{name}.npy" for name in names], f"{where} checksums")
+    if not all(isinstance(d, str) for d in checksums.values()):
+        raise IoError(f"{where}: checksums must be hex digest strings")
     labels = _expect_list(
         meta["labels"], lambda x: isinstance(x, str) or _is_number(x), f"{where} labels", "labels"
     )
@@ -240,29 +216,25 @@ def load_model(model_dir) -> ModelState:
         meta["objective_trace"], _is_number, f"{where} objective_trace", "numbers"
     )
 
-    arrays = {
-        name: _read_array(root / fname, shape, meta["checksums"][fname])
-        for name, (fname, shape) in index.items()
-    }
-    features = [arrays[f"features_{int(kid)}"] for kid in kernel_ids]
-    q, n = len(kernel_ids), arrays["gating_coeffs"].shape[-1]
+    arrays = {name: _read_array(root / f"{name}.npy", checksums[f"{name}.npy"]) for name in names}
+    features = [arrays[f"features_{int(kid)}"] for kid in cfg.kernel_ids]
+    q, n = len(features), arrays["gating_coeffs"].shape[-1]
     e = arrays["transform"]
     if not (
         n >= 1
-        and arrays["gating_coeffs"].shape == arrays["train_weights"].shape == (q, n)
+        and arrays["gating_coeffs"].shape == (q, n)
         and arrays["gating_biases"].shape == (q,)
         and e.ndim == 2 and e.shape[0] == n and e.shape[1] >= 1
         and all(f.ndim == 2 and f.shape[0] == n for f in features)
     ):
         shapes = {name: a.shape for name, a in arrays.items()}
         raise IoError(f"{where}: array shapes {shapes} do not fit {q} kernels and one gallery")
-    bank = KernelBank(kernel_ids, tuple(features), cfg.normalize_kernels)
+    bank = KernelBank(cfg.kernel_ids, tuple(features), cfg.normalize_kernels)
     if len(labels) != bank.n_train or (set_ids is not None and len(set_ids) != bank.n_train):
         raise IoError(f"{where}: labels or set ids do not match {bank.n_train} gallery sets")
     return ModelState(
         transform=arrays["transform"],
         gating=GatingParams(coeffs=arrays["gating_coeffs"], biases=arrays["gating_biases"]),
-        train_weights=arrays["train_weights"],
         bank=bank,
         labels=tuple(labels),
         config=cfg,

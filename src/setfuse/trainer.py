@@ -100,12 +100,13 @@ class ModelState:
     """Everything needed to classify new sets: the frozen training state.
 
     The gallery is ``bank.features``, from which the bank derives its Grams.
-    ``labels`` and the optional ``set_ids`` follow bank order.
+    ``labels`` and the optional ``set_ids`` follow bank order. Everything
+    else is derived: ``train_weights`` from the bank and the gating,
+    ``projected_grams`` from the bank and the transform.
     """
 
     transform: np.ndarray
     gating: GatingParams
-    train_weights: np.ndarray
     bank: KernelBank
     labels: tuple
     config: TrainConfig
@@ -119,6 +120,14 @@ class ModelState:
     @property
     def target_dim(self) -> int:
         return self.transform.shape[1]
+
+    @cached_property
+    def train_weights(self) -> np.ndarray:
+        """The gallery's gating weights, ``gating_weights(bank, gating)``
+        (Q x N); computed on first use and kept for the model's lifetime."""
+        w = gating_weights(self.bank, self.gating)
+        w.setflags(write=False)
+        return w
 
     @cached_property
     def projected_grams(self) -> tuple[np.ndarray, ...]:
@@ -408,10 +417,11 @@ def train(
     per channel; each gating point is evaluated once, with one pass of
     those sums giving its objective and, at the iteration's start point, its
     gradient. The weights of the accepted step carry into the next
-    iteration, and into ``train_weights`` after the last. An outer iteration
-    so costs O(N r^2 + r^3) for the scatters and the solve, plus O(p N r)
-    per channel for ``E.T @ K_q`` and one Gram matvec per channel for each
-    line-search try and for the gradient.
+    iteration; ``ModelState.train_weights`` derives the last ones from the
+    final gating. An outer iteration so costs O(N r^2 + r^3) for the
+    scatters and the solve, plus O(p N r) per channel for ``E.T @ K_q`` and
+    one Gram matvec per channel for each line-search try and for the
+    gradient.
     ``gram_span`` costs O(N^3) once; one more scatter and one r x r
     ``eigvalsh`` bound the conditioning of every gated total scatter.
 
@@ -523,7 +533,6 @@ def train(
     return ModelState(
         transform=transform,
         gating=params,
-        train_weights=weights,
         bank=bank,
         labels=tuple(labels.tolist()),
         config=cfg,

@@ -93,7 +93,6 @@ class TestDistanceProfile:
         zeroed = ModelState(
             transform=np.zeros_like(model.transform),
             gating=model.gating,
-            train_weights=model.train_weights,
             bank=model.bank,
             labels=model.labels,
             config=model.config,
@@ -111,7 +110,6 @@ class TestDistanceProfile:
         shifted = ModelState(
             transform=model.transform,
             gating=shifted_gating,
-            train_weights=model.train_weights,
             bank=model.bank,
             labels=model.labels,
             config=model.config,
@@ -146,7 +144,6 @@ class TestPredict:
         flat = ModelState(
             transform=np.zeros_like(model.transform),
             gating=model.gating,
-            train_weights=model.train_weights,
             bank=model.bank,
             labels=model.labels,
             config=model.config,

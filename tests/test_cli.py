@@ -75,7 +75,7 @@ class TestTrain:
         assert result.exit_code == 0, result.output
         assert "final objective" in result.output
         assert (model_dir / "model.json").is_file()
-        assert (model_dir / "transform.bin").is_file()
+        assert (model_dir / "transform.npy").is_file()
 
     def test_missing_manifest_exits_3(self, runner, tmp_path):
         result = runner.invoke(
@@ -293,9 +293,9 @@ def _command(*args):
     return make
 
 
-def _synth(separation, out):
+def _synth(separation, out, *extra):
     return _command("synth", "--classes", "2", "--sets-per-class", "2", "--dim", "3",
-                    "--samples", "5", "--separation", separation, "--out", out)
+                    "--samples", "5", "--separation", separation, "--out", out, *extra)
 
 
 _RNG = np.random.default_rng(7)
@@ -319,11 +319,18 @@ EXIT_CASES = {
     ),
     "eval-nan-gamma": (_command("eval", "--manifest", "{manifest}", "--gamma", "nan", *FAST), 3),
     "eval-nan-eps": (_command("eval", "--manifest", "{manifest}", "--eps", "nan", *FAST), 3),
+    "train-negative-seed": (
+        _command("train", "--manifest", "{manifest}", "--out", "{out}", "--seed", "-1", *FAST), 3
+    ),
+    "eval-negative-seed": (
+        _command("eval", "--manifest", "{manifest}", "--seed", "-1", *FAST), 3
+    ),
     "probe-wrong-dim": (_probe(_RNG.standard_normal((3, 12))), 3),
     "probe-too-few-samples": (_probe(_RNG.standard_normal((6, 3))), 3),
     "probe-nan-token": (_probe(_NAN_PROBE), 4),
     "probe-rank-deficient": (_probe(_RANK_ONE_PROBE), 4),
-    "model-truncated-bin": (_predict_edited_model(_truncate("transform.bin")), 3),
+    "model-truncated-npy": (_predict_edited_model(_truncate("transform.npy")), 3),
+    "model-format-2": (_predict_edited_model(_edit_json(lambda m: m.update(format_version=2))), 3),
     "model-descriptors-int": (
         _predict_edited_model(_edit_json(lambda m: m["config"].update(descriptors=5))), 3
     ),
@@ -331,6 +338,7 @@ EXIT_CASES = {
     "synth-nan-separation": (_synth("nan", "{out}"), 3),
     "synth-inf-separation": (_synth("inf", "{out}"), 3),
     "synth-out-under-file": (_synth("1", "{file}/x"), 3),
+    "synth-negative-seed": (_synth("1", "{out}", "--seed", "-1"), 3),
     "train-out-under-file": (
         _command("train", "--manifest", "{manifest}", "--out", "{file}/sub", *FAST), 3
     ),

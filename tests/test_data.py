@@ -227,6 +227,12 @@ class TestGenerateSynthetic:
         with pytest.raises(BadSpec):
             generate_synthetic(seed=0, **kwargs)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(BadSpec, match="seed"):
+            generate_synthetic(
+                classes=2, sets_per_class=1, dim=4, samples=5, separation=1.0, seed=-1
+            )
+
     @pytest.mark.parametrize("separation", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_separation_rejected(self, separation):
         with pytest.raises(BadSpec, match="finite"):

@@ -92,6 +92,20 @@ class TestEncodeGallery:
         assert effective_subspace_dim(sets, 0) == 1
 
 
+class TestEmptySetList:
+    def test_train_on_sets(self):
+        with pytest.raises(BadSpec, match="no image sets"):
+            train_on_sets([], fast_cfg())
+
+    def test_run_experiment(self):
+        with pytest.raises(BadSpec, match="no image sets"):
+            run_experiment([], fast_cfg())
+
+    def test_run_dimension_sweep(self):
+        with pytest.raises(BadSpec, match="no image sets"):
+            run_dimension_sweep([], fast_cfg(), target_dims=[2])
+
+
 class TestTrainOnSets:
     def test_produces_working_model(self):
         sets = generate_synthetic(**small_source())

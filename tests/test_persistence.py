@@ -1,6 +1,8 @@
 """Model serialization tests: round trips and tamper detection."""
 
 import dataclasses
+import hashlib
+import io
 import json
 import sys
 
@@ -19,10 +21,11 @@ from setfuse.errors import (
     IoError,
 )
 from setfuse.experiment import train_on_sets
-from setfuse.kernels import build_kernel_bank
+from setfuse.gating import gating_weights
+from setfuse.kernels import KernelId, build_kernel_bank
 from setfuse.persistence import META_NAME, load_model, save_model
 from setfuse.spd import spd_log
-from setfuse.trainer import train
+from setfuse.trainer import ModelState, train
 
 
 def train_small(**overrides):
@@ -59,6 +62,28 @@ def edit_meta(model_dir, edit):
     meta_path.write_text(json.dumps(meta))
 
 
+def npy_bytes(arr, version=None):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr, version=version)
+    return buf.getvalue()
+
+
+def negated_shape_npy(arr):
+    """``npy_bytes(arr)`` with every header dimension negated, the header kept
+    at its length; for a matrix, the payload length still fits the shape."""
+    blob = npy_bytes(arr)
+    old, new = repr(arr.shape).encode(), repr(tuple(-n for n in arr.shape)).encode()
+    return blob.replace(old + b", }" + b" " * (len(new) - len(old)), new + b", }")
+
+
+def replace_array_file(model_dir, fname, blob):
+    """Write ``blob`` as ``fname`` and record its checksum, so that only the
+    parse of its header and payload can object."""
+    (model_dir / fname).write_bytes(blob)
+    digest = hashlib.sha256(blob).hexdigest()
+    edit_meta(model_dir, lambda m: m["checksums"].update({fname: digest}))
+
+
 class TestRoundTrip:
     def test_arrays_bit_identical(self, trained, tmp_path):
         model, _ = trained
@@ -92,9 +117,34 @@ class TestRoundTrip:
         save_model(model, tmp_path / "m")
         names = sorted(f.name for f in (tmp_path / "m").iterdir())
         assert names == [
-            "features_1.bin", "features_2.bin", "features_3.bin", "gating_biases.bin",
-            "gating_coeffs.bin", META_NAME, "train_weights.bin", "transform.bin",
+            "features_1.npy", "features_2.npy", "features_3.npy", "gating_biases.npy",
+            "gating_coeffs.npy", META_NAME, "transform.npy",
         ]
+
+    def test_arrays_are_plain_npy_files(self, trained, tmp_path):
+        model, _ = trained
+        meta_path = save_model(model, tmp_path / "m")
+        stored = {
+            "transform": model.transform,
+            "gating_coeffs": model.gating.coeffs,
+            "gating_biases": model.gating.biases,
+        }
+        for kid, features in zip(model.bank.kernel_ids, model.bank.features):
+            stored[f"features_{int(kid)}"] = features
+        for name, arr in stored.items():
+            assert np.array_equal(np.load(tmp_path / "m" / f"{name}.npy", allow_pickle=False), arr)
+        assert sorted(json.loads(meta_path.read_text())) == sorted(
+            ["format_version", "labels", "set_ids", "config", "objective_trace", "checksums"]
+        )
+
+    def test_train_weights_are_derived(self, trained, tmp_path):
+        model, _ = trained
+        assert "train_weights" not in {f.name for f in dataclasses.fields(ModelState)}
+        save_model(model, tmp_path / "m")
+        back = load_model(tmp_path / "m")
+        for m in (model, back):
+            assert np.array_equal(m.train_weights, gating_weights(m.bank, m.gating))
+            assert not m.train_weights.flags.writeable
 
     def test_variant_round_trip_bit_identical(self, trained_variant, tmp_path):
         model, sets = trained_variant
@@ -128,6 +178,8 @@ class TestRoundTrip:
         save_model(model, tmp_path / "m")
         back = load_model(tmp_path / "m")
         assert not back.transform.flags.writeable
+        assert not back.gating.coeffs.flags.writeable
+        assert not back.gating.biases.flags.writeable
         assert not back.bank.grams[0].flags.writeable
         assert not back.bank.features[0].flags.writeable
 
@@ -198,6 +250,17 @@ class TestRoundTrip:
             save_model(mixed, tmp_path / "m")
         assert not (tmp_path / "m").exists()
 
+    def test_bank_kernels_must_match_config(self, trained, tmp_path):
+        # loading takes the kernel ids from config.descriptors
+        model, sets = trained
+        cfg = model.config
+        triples = [encode_set(s, cfg) for s in sets]
+        bank = build_kernel_bank(triples, (KernelId.PROJECTION, KernelId.LOG_EUCLIDEAN))
+        mixed = train(bank, model.labels, cfg)
+        with pytest.raises(BadSpec, match="kernels"):
+            save_model(mixed, tmp_path / "m")
+        assert not (tmp_path / "m").exists()
+
     def test_model_without_set_ids_round_trips(self, trained, tmp_path):
         model, sets = trained
         save_model(dataclasses.replace(model, set_ids=None), tmp_path / "m")
@@ -210,7 +273,7 @@ class TestTamperDetection:
     def test_flipped_byte_raises_checksum(self, trained, tmp_path):
         model, _ = trained
         save_model(model, tmp_path / "m")
-        target = tmp_path / "m" / "transform.bin"
+        target = tmp_path / "m" / "transform.npy"
         blob = bytearray(target.read_bytes())
         blob[-1] ^= 0xFF
         target.write_bytes(bytes(blob))
@@ -226,11 +289,29 @@ class TestTamperDetection:
         with pytest.raises(FormatVersionMismatch, match="retrain"):
             load_model(tmp_path / "m")
 
+    def test_format_2_directory_rejected(self, trained, tmp_path):
+        # format 2 also stored train_weights, kernel ids and an array index,
+        # in .bin files; there is no reader for it, only retraining
+        model, _ = trained
+        meta_path = save_model(model, tmp_path / "m")
+        meta = json.loads(meta_path.read_text())
+        arrays = {}
+        for fname in [*meta["checksums"], "train_weights.npy"]:
+            name = fname.removesuffix(".npy")
+            (tmp_path / "m" / f"{name}.bin").write_bytes(b"SFA1")
+            arrays[name] = {"file": f"{name}.bin", "shape": [1]}
+            (tmp_path / "m" / fname).unlink(missing_ok=True)
+        checksums = {entry["file"]: "0" * 64 for entry in arrays.values()}
+        meta.update(format_version=2, kernel_ids=[1, 2, 3], arrays=arrays, checksums=checksums)
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(FormatVersionMismatch, match="retrain"):
+            load_model(tmp_path / "m")
+
     def test_version_checked_before_checksums(self, trained, tmp_path):
         # a bumped version wins even when array files are also corrupt
         model, _ = trained
         meta_path = save_model(model, tmp_path / "m")
-        (tmp_path / "m" / "transform.bin").write_bytes(b"junk")
+        (tmp_path / "m" / "transform.npy").write_bytes(b"junk")
         meta = json.loads(meta_path.read_text())
         meta["format_version"] = 99
         meta_path.write_text(json.dumps(meta))
@@ -240,7 +321,7 @@ class TestTamperDetection:
     def test_missing_array_file(self, trained, tmp_path):
         model, _ = trained
         save_model(model, tmp_path / "m")
-        (tmp_path / "m" / "gating_biases.bin").unlink()
+        (tmp_path / "m" / "gating_biases.npy").unlink()
         with pytest.raises(IoError):
             load_model(tmp_path / "m")
 
@@ -256,37 +337,55 @@ class TestTamperDetection:
             load_model(tmp_path / "m")
 
     def test_shape_mismatch_detected(self, trained, tmp_path):
+        # a header whose shape claims one row more than the payload holds
         model, _ = trained
-        meta_path = save_model(model, tmp_path / "m")
-        meta = json.loads(meta_path.read_text())
-        meta["arrays"]["transform"]["shape"] = [1, 1]
-        # keep the checksum valid so the shape check itself must fire
-        meta_path.write_text(json.dumps(meta))
+        save_model(model, tmp_path / "m")
+        t = model.transform
+        blob = npy_bytes(np.zeros((t.shape[0] + 1, t.shape[1])))
+        replace_array_file(tmp_path / "m", "transform.npy", blob[: -8 * t.shape[1]])
+        with pytest.raises(ChecksumMismatch, match="payload"):
+            load_model(tmp_path / "m")
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda t: npy_bytes(t.astype("<f4")),
+            lambda t: npy_bytes(t.astype(">f8")),
+            lambda t: npy_bytes(np.asfortranarray(t)),
+            lambda t: npy_bytes(t[None]),
+            lambda t: npy_bytes(t)[:-8],
+            lambda t: npy_bytes(t, version=(2, 0)),
+            negated_shape_npy,
+            lambda t: b"not an npy file",
+        ],
+        ids=["f4", "big-endian", "fortran", "rank-3", "truncated", "version-2",
+             "negative-shape", "not-npy"],
+    )
+    def test_rewritten_header_rejected(self, trained, tmp_path, rewrite):
+        # the checksum is recomputed, so the header and payload checks must fire
+        model, _ = trained
+        save_model(model, tmp_path / "m")
+        blob = rewrite(model.transform)
+        assert blob != (tmp_path / "m" / "transform.npy").read_bytes()
+        replace_array_file(tmp_path / "m", "transform.npy", blob)
         with pytest.raises(ChecksumMismatch):
             load_model(tmp_path / "m")
 
     def test_arrays_that_do_not_fit_rejected(self, trained, tmp_path):
-        # a transform with one row too few, indexed and checksummed consistently
+        # a transform with one row too few, checksummed consistently
         model, _ = trained
         save_model(model, tmp_path / "m")
-        digest = persistence._write_array(tmp_path / "m" / "transform.bin", model.transform[1:])
-
-        def edit(m):
-            m["arrays"]["transform"]["shape"] = list(model.transform[1:].shape)
-            m["checksums"]["transform.bin"] = digest
-
-        edit_meta(tmp_path / "m", edit)
+        digest = persistence._write_array(tmp_path / "m" / "transform.npy", model.transform[1:])
+        edit_meta(tmp_path / "m", lambda m: m["checksums"].update({"transform.npy": digest}))
         with pytest.raises(IoError, match="do not fit"):
             load_model(tmp_path / "m")
 
     def test_unlisted_array_file_rejected(self, trained, tmp_path):
-        # an index entry pointing at a file no checksum covers
+        # a checksummed array file the format does not name: format 2's weights
         model, _ = trained
         save_model(model, tmp_path / "m")
-        header = (tmp_path / "m" / "transform.bin").read_bytes()[:16]
-        (tmp_path / "m" / "zeros.bin").write_bytes(header + bytes(8 * model.transform.size))
-        edit_meta(tmp_path / "m", lambda m: m["arrays"]["transform"].update(file="zeros.bin"))
-        with pytest.raises(IoError):
+        replace_array_file(tmp_path / "m", "train_weights.npy", npy_bytes(model.train_weights))
+        with pytest.raises(IoError, match="checksums"):
             load_model(tmp_path / "m")
 
     @pytest.mark.parametrize(
@@ -298,13 +397,9 @@ class TestTamperDetection:
             lambda m: m["config"].update(momentum=0.9),
             lambda m: m.pop("labels"),
             lambda m: m.update(scales=[1.0, 1.0, 1.0]),
-            lambda m: m["arrays"].pop("features_2"),
+            lambda m: m["checksums"].pop("features_2.npy"),
             lambda m: m.update(labels=m["labels"][:-1]),
-            lambda m: m.update(
-                kernel_ids=[],
-                arrays={k: v for k, v in m["arrays"].items() if not k.startswith("features")},
-                checksums={k: v for k, v in m["checksums"].items() if not k.startswith("features")},
-            ),
+            lambda m: m["config"].update(descriptors=[]),
             # wrong-typed values under required keys
             lambda m: m["config"].update(descriptors=5),
             lambda m: m["config"].update(subspace_dim="x"),
@@ -314,13 +409,11 @@ class TestTamperDetection:
             lambda m: m.update(labels=7),
             lambda m: m.update(labels=[[c] for c in m["labels"]]),
             lambda m: m.update(set_ids=3),
-            lambda m: m.update(kernel_ids=[True, 2, 3]),
-            lambda m: m["arrays"]["transform"].update(file=5),
-            lambda m: m["arrays"]["transform"].update(file="../m/transform.bin"),
-            lambda m: m["arrays"]["transform"].update(shape="ab"),
-            lambda m: m["arrays"]["transform"].update(shape=5),
-            lambda m: m["arrays"]["transform"].update(shape=[2, 2, 2]),
-            lambda m: m["checksums"].update({"transform.bin": 5}),
+            lambda m: m["config"].update(descriptors=["cov", True]),
+            lambda m: m["checksums"].update(
+                {"../m/transform.npy": m["checksums"].pop("transform.npy")}
+            ),
+            lambda m: m["checksums"].update({"transform.npy": 5}),
             lambda m: m.update(objective_trace=0.5),
             lambda m: m.update(objective_trace="0.5"),
         ],
@@ -329,8 +422,7 @@ class TestTamperDetection:
             "no-labels", "unknown-key", "no-array", "short-labels", "no-kernels",
             "descriptors-int", "subspace-dim-str", "target-dim-float", "normalize-str",
             "alpha-negative", "labels-int", "labels-nested", "set-ids-int", "kernel-id-bool",
-            "file-int", "file-path", "shape-str", "shape-int", "shape-rank-3",
-            "checksum-int", "trace-float", "trace-str",
+            "file-path", "checksum-int", "trace-float", "trace-str",
         ],
     )
     def test_metadata_edit_rejected(self, trained, tmp_path, edit):

@@ -605,3 +605,7 @@ class TestTrainConfig:
     def test_non_finite_or_negative_rejected(self, field, value):
         with pytest.raises(BadSpec, match=field):
             TrainConfig(**{field: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(BadSpec, match="seed"):
+            TrainConfig(seed=-1)

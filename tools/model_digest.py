@@ -1,5 +1,5 @@
-"""Print one SHA-256 per fixed training case, to check that two checkouts train
-bit-identical models.
+"""Print SHA-256 digests per fixed training case, to check that two checkouts
+train bit-identical models.
 
 Usage, from the repository root:
 
@@ -10,13 +10,16 @@ one next to this file), so one copy of this script can digest any commit:
 
     python3 tools/model_digest.py --src /path/to/other/checkout/src
 
-Each train case hashes the trained arrays (transform, gating parameters,
-training weights, every Gram, scale and lifted feature array, the objective
-trace, labels and set ids) and the bytes of the saved model directory; the
-``probe_stream`` case also hashes the loaded model's distance profiles for ten
-held-out probes. The experiment case hashes every ``SplitResult`` field but
-the wall-clock ``train_seconds``, for the combined row and each ablation row.
-BLAS is pinned to one thread, because the thread count changes the bits.
+Each train case prints two digests. ``model`` hashes the trained arrays
+(transform, gating parameters, training weights, every Gram, scale and lifted
+feature array, the objective trace, labels and set ids); for ``probe_stream``
+it also hashes the loaded model's distance profiles for ten held-out probes.
+``saved`` hashes the bytes of the saved model directory. So a change of
+persistence format alone keeps every ``model`` digest and changes the
+``saved`` ones. The experiment case prints one ``model`` digest, over every
+``SplitResult`` field but the wall-clock ``train_seconds``, for the combined
+row and each ablation row. BLAS is pinned to one thread, because the thread
+count changes the bits.
 """
 
 from __future__ import annotations
@@ -62,20 +65,19 @@ def _add_model(d: _Digest, model) -> None:
     d.add(model.objective_trace, model.labels, model.set_ids)
 
 
-def _add_saved(d: _Digest, sf, model, workdir: Path, name: str) -> Path:
-    out = workdir / name
+def _saved_digest(sf, model, out: Path) -> str:
+    d = _Digest()
     sf.save_model(model, out)
     for f in sorted(out.iterdir()):
         d.add(f.name, f.read_bytes())
-    return out
+    return d.hexdigest()
 
 
-def _train_case(sf, sets, cfg, workdir: Path, name: str) -> str:
+def _train_case(sf, sets, cfg, workdir: Path, name: str) -> tuple[str, str]:
     d = _Digest()
     model = sf.train_on_sets(sets, cfg)
     _add_model(d, model)
-    _add_saved(d, sf, model, workdir, name)
-    return d.hexdigest()
+    return d.hexdigest(), _saved_digest(sf, model, workdir / name)
 
 
 def _cases(sf, workdir: Path):
@@ -98,11 +100,12 @@ def _cases(sf, workdir: Path):
     d = _Digest()
     model = sf.train_on_sets(gallery, cfg(3))
     _add_model(d, model)
-    loaded = sf.load_model(_add_saved(d, sf, model, workdir, "probe_stream"))
+    saved = _saved_digest(sf, model, workdir / "probe_stream")
+    loaded = sf.load_model(workdir / "probe_stream")
     for probe in probes[:10]:
         pred = sf.predict(probe, loaded)
         d.add(pred.label, pred.nearest_index, pred.distances)
-    yield "probe_stream", d.hexdigest()
+    yield "probe_stream", (d.hexdigest(), saved)
 
     # the perfbench split_protocol data at seed 3, trained whole
     sets = sf.generate_synthetic(
@@ -123,7 +126,7 @@ def _cases(sf, workdir: Path):
     for name, row in sorted(report.ablation.items()):
         for s in row.splits:
             d.add(name, s.split_index, s.seed, s.accuracy, s.n_train, s.n_test, s.objective_trace)
-    yield "experiment_ablate", d.hexdigest()
+    yield "experiment_ablate", (d.hexdigest(), None)
 
 
 class _CountCuts(logging.Handler):
@@ -149,8 +152,9 @@ def main() -> None:
     trainer_log.setLevel(logging.INFO)
     trainer_log.addHandler(cuts)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, digest in _cases(sf, Path(tmp)):
-            print(f"{name:<18} {digest}  null-space cuts {cuts.count}")
+        for name, (model, saved) in _cases(sf, Path(tmp)):
+            saved = saved or "-"
+            print(f"{name:<18} model {model}  saved {saved:<64}  null-space cuts {cuts.count}")
             cuts.count = 0
 
 
