@@ -32,7 +32,6 @@ from .descriptors import (
 from .experiment import (
     ExperimentReport,
     SplitResult,
-    encode_gallery,
     run_dimension_sweep,
     run_experiment,
     split_sets,
@@ -104,7 +103,6 @@ __all__ = [
     "covariance_descriptor",
     "distance_profile",
     "embed_gaussian",
-    "encode_gallery",
     "encode_set",
     "gaussian_descriptor",
     "gaussian_embedding_kernel",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import BadSpec
@@ -18,6 +19,17 @@ _NAME_TO_KERNEL = {
 }
 
 
+def is_int(x) -> bool:
+    """True for an integer (numpy's included) that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """``BadSpec`` unless ``value`` is an integer, not a bool, and >= ``minimum``."""
+    if not (is_int(value) and value >= minimum):
+        raise BadSpec(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for descriptor encoding and metric training.
@@ -30,6 +42,7 @@ class TrainConfig:
     ``eps`` is the convergence tolerance for both the outer loop and the
     inner trace-ratio solve (0 disables early stopping); both must be finite.
     ``seed``, the source of all training randomness, must be non-negative.
+    The integer fields reject floats and bools.
     """
 
     subspace_dim: int = 10
@@ -44,20 +57,15 @@ class TrainConfig:
     descriptors: tuple[str, ...] = DESCRIPTOR_NAMES
 
     def __post_init__(self):
-        if self.subspace_dim < 1:
-            raise BadSpec(f"subspace_dim must be >= 1, got {self.subspace_dim}")
+        for name in ("subspace_dim", "target_dim", "iters", "itr_iters"):
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed, 0)
         if not self.alpha > 0.0:
             raise BadSpec(f"alpha must be positive, got {self.alpha}")
-        if self.target_dim < 1:
-            raise BadSpec(f"target_dim must be >= 1, got {self.target_dim}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
             raise BadSpec(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.iters < 1 or self.itr_iters < 1:
-            raise BadSpec("iteration counts must be >= 1")
         if not (math.isfinite(self.eps) and self.eps >= 0.0):
             raise BadSpec(f"eps must be finite and >= 0, got {self.eps}")
-        if self.seed < 0:
-            raise BadSpec(f"seed must be >= 0, got {self.seed}")
         names = tuple(self.descriptors)
         unknown = [n for n in names if n not in DESCRIPTOR_NAMES]
         if unknown or not names:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_int
 from .descriptors import ImageSet
 from .errors import BadSpec, DimensionMismatch, IoError, ParseError, TooFewSamples
 
@@ -174,18 +175,16 @@ def generate_synthetic(
     centers ``separation * sqrt(dim)``. Each set then draws its own mean
     near its class center and its own random SPD covariance, and samples
     ``samples`` points from that Gaussian. Everything is a deterministic
-    function of ``seed``, a non-negative integer.
+    function of ``seed``, a non-negative integer; every count must be an
+    integer too.
     """
-    if classes < 1 or sets_per_class < 1:
-        raise BadSpec(f"classes and sets_per_class must be >= 1, got {classes}, {sets_per_class}")
-    if dim < 2:
-        raise BadSpec(f"dim must be >= 2, got {dim}")
-    if samples < 2:
-        raise BadSpec(f"samples must be >= 2, got {samples}")
+    check_int("classes", classes, 1)
+    check_int("sets_per_class", sets_per_class, 1)
+    check_int("dim", dim, 2)
+    check_int("samples", samples, 2)
+    check_int("seed", seed, 0)
     if not (math.isfinite(separation) and separation >= 0.0):
         raise BadSpec(f"separation must be finite and >= 0, got {separation}")
-    if seed < 0:
-        raise BadSpec(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((classes, dim)) * (separation / math.sqrt(2.0))

@@ -4,12 +4,13 @@ Every split derives its own seed from the run seed and the split index, so
 splits are mutually independent and the whole experiment is reproducible
 from one integer.
 
-A set's descriptors and lifted rows depend only on the set, ``alpha`` and
-the split's effective subspace dimension, so one ``run_experiment`` call
-(with its ablation rows) or one ``run_dimension_sweep`` call encodes and
-lifts each set once and every split reads those rows: it builds its kernel
-bank from its training rows and scores each test set from the test set's
-rows, through the same steps ``train_on_sets`` and ``predict`` take.
+A split protocol call (``run_experiment`` with its ablation rows, or
+``run_dimension_sweep``) first checks its sets and every split, then
+encodes each set once and lifts the collection once per channel with
+``lift_features`` into one read-only (N, D_q) array F. Every split builds
+its kernel bank from its training rows ``F[train_idx]`` and scores test set i
+from row ``F[i]``, so it reports what ``train_on_sets`` and ``predict``
+would give on the same split.
 """
 
 from __future__ import annotations
@@ -18,16 +19,16 @@ import logging
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .classify import check_probe, nearest, profile_from_rows
-from .config import TrainConfig
+from .classify import nearest, profile_from_rows
+from .config import TrainConfig, check_int
 from .data import generate_synthetic, load_dataset
-from .descriptors import DescriptorTriple, ImageSet, encode_set
-from .errors import BadSpec, InsufficientSetsPerClass
-from .kernels import KernelBank, KernelId, build_kernel_bank, lift_row, stack_rows
+from .descriptors import ImageSet, encode_set
+from .errors import BadSpec, DimensionMismatch, InsufficientSetsPerClass, TooFewSamples
+from .kernels import ALL_KERNELS, KernelBank, KernelId, build_kernel_bank, lift_features
 from .trainer import ModelState, train
 
 logger = logging.getLogger(__name__)
@@ -80,25 +81,21 @@ def split_seed(base_seed: int, split_index: int) -> int:
 
 
 def effective_subspace_dim(sets: Sequence[ImageSet], requested: int) -> int:
-    """Cap the subspace dimension at what every set can support; ``BadSpec``
-    for an empty list."""
+    """Cap the subspace dimension at what every set can support.
+
+    ``BadSpec`` for an empty list; ``DimensionMismatch`` naming the first set
+    whose feature dimension differs from the first set's.
+    """
     if not sets:
         raise BadSpec("no image sets given")
     d = sets[0].dim
+    for i, s in enumerate(sets):
+        if s.dim != d:
+            raise DimensionMismatch(
+                f"set {i} ({s.set_id!r}) has dimension {s.dim}, set 0 has {d}"
+            )
     n_min = min(s.n_samples for s in sets)
     return max(1, min(requested, d, n_min))
-
-
-def encode_gallery(
-    sets: Sequence[ImageSet], cfg: TrainConfig
-) -> tuple[list[DescriptorTriple], TrainConfig]:
-    """Encode a gallery, capping the subspace dimension to the gallery rank.
-
-    Returns the triples and the (possibly adjusted) configuration that probe
-    encoding must reuse.
-    """
-    cfg = _capped_config(sets, cfg)
-    return [encode_set(s, cfg) for s in sets], cfg
 
 
 def _capped_config(sets: Sequence[ImageSet], cfg: TrainConfig) -> TrainConfig:
@@ -110,8 +107,10 @@ def _capped_config(sets: Sequence[ImageSet], cfg: TrainConfig) -> TrainConfig:
 
 
 def train_on_sets(sets: Sequence[ImageSet], cfg: TrainConfig) -> ModelState:
-    """Full pipeline: encode a gallery, build the kernel bank, train."""
-    triples, cfg = encode_gallery(sets, cfg)
+    """Full pipeline: encode a gallery (capping ``subspace_dim`` to what it
+    supports), build the kernel bank, train."""
+    cfg = _capped_config(sets, cfg)
+    triples = [encode_set(s, cfg) for s in sets]
     bank = build_kernel_bank(triples, cfg.kernel_ids, normalize=cfg.normalize_kernels)
     labels = [s.label for s in sets]
     return train(bank, labels, cfg, set_ids=[s.set_id for s in sets])
@@ -122,8 +121,9 @@ def split_sets(
 ) -> tuple[list[ImageSet], list[ImageSet]]:
     """Random train/test split with a fixed number of training sets per class.
 
-    Every class must contribute at least ``train_per_class + 1`` sets so the
-    test side is never empty.
+    ``train_per_class`` must be an integer >= 1, and every class must
+    contribute at least ``train_per_class + 1`` sets so the test side is
+    never empty.
     """
     train_idx, test_idx = _split_indices(sets, train_per_class, rng)
     return [sets[i] for i in train_idx], [sets[i] for i in test_idx]
@@ -133,6 +133,7 @@ def _split_indices(
     sets: Sequence[ImageSet], train_per_class: int, rng: np.random.Generator
 ) -> tuple[list[int], list[int]]:
     """Positions in ``sets`` of ``split_sets``' two sides, each ascending."""
+    check_int("train_per_class", train_per_class, 1)
     by_label: dict[str, list[int]] = {}
     for idx, s in enumerate(sets):
         by_label.setdefault(s.label, []).append(idx)
@@ -153,53 +154,6 @@ def _split_indices(
     return train_idx, test_idx
 
 
-class _LiftedSets:
-    """The sets of one protocol call, each encoded and lifted on first use.
-
-    Entries are keyed by position in ``sets`` and effective subspace
-    dimension q (``alpha``, the only other input of encoding, is fixed for
-    the call), never by ``set_id``, which need not be unique. A row is
-    ``lift_row`` of the encoded set, so stacked rows equal ``lift_features``
-    bit for bit. The memo lives as long as the call: for N sets it holds
-    N x sum(D_q) lifted floats plus each set's descriptors.
-    """
-
-    def __init__(self, sets: list[ImageSet]):
-        self.sets = sets
-        self._triples: dict[tuple[int, int], DescriptorTriple] = {}
-        self._rows: dict[tuple[int, int, KernelId], np.ndarray] = {}
-
-    def _triple(self, i: int, cfg: TrainConfig) -> DescriptorTriple:
-        key = (i, cfg.subspace_dim)
-        if key not in self._triples:
-            self._triples[key] = encode_set(self.sets[i], cfg)
-        return self._triples[key]
-
-    def _row(self, i: int, cfg: TrainConfig, kid: KernelId) -> np.ndarray:
-        key = (i, cfg.subspace_dim, kid)
-        if key not in self._rows:
-            row = lift_row(self._triple(i, cfg), kid)
-            row.setflags(write=False)  # every split of the call reads this array
-            self._rows[key] = row
-        return self._rows[key]
-
-    def rows(self, i: int, cfg: TrainConfig) -> tuple[np.ndarray, ...]:
-        """Set i's lifted row per channel of ``cfg``."""
-        return tuple(self._row(i, cfg, kid) for kid in cfg.kernel_ids)
-
-    def features(self, idx: Sequence[int], cfg: TrainConfig) -> list[np.ndarray]:
-        """The (len(idx), D_q) lifted features of the sets at ``idx`` per channel,
-        encoded all first and then lifted channel by channel, as
-        ``encode_gallery`` and ``build_kernel_bank`` would."""
-        for i in idx:
-            self._triple(i, cfg)
-        ids = [self.sets[i].set_id for i in idx]
-        return [
-            stack_rows((self._row(i, cfg, kid) for i in idx), len(idx), ids)
-            for kid in cfg.kernel_ids
-        ]
-
-
 def _resolve_sets(source) -> list[ImageSet]:
     if isinstance(source, (str, Path)):
         return load_dataset(source)
@@ -208,63 +162,99 @@ def _resolve_sets(source) -> list[ImageSet]:
     return list(source)
 
 
+@dataclass(frozen=True)
+class _Split:
+    index: int
+    seed: int
+    train: list[int]
+    test: list[int]
+
+
+def _plan_splits(
+    sets: Sequence[ImageSet], cfg: TrainConfig, n_splits: int, train_per_class: int
+) -> list[_Split]:
+    """Every split of a call, checked before anything is encoded.
+
+    A split trains at the subspace dimension its training sets support; a
+    test set with fewer samples raises ``TooFewSamples``, as ``predict``
+    would. So every split that passes uses the call's capped dimension.
+    """
+    splits = []
+    for i in range(n_splits):
+        seed = split_seed(cfg.seed, i)
+        train_idx, test_idx = _split_indices(sets, train_per_class, np.random.default_rng(seed))
+        q = effective_subspace_dim([sets[j] for j in train_idx], cfg.subspace_dim)
+        for j in test_idx:
+            if sets[j].n_samples < q:
+                raise TooFewSamples(
+                    f"split {i}: test set {j} ({sets[j].set_id!r}) has {sets[j].n_samples} "
+                    f"samples, fewer than subspace_dim={q}"
+                )
+        splits.append(_Split(i, seed, train_idx, test_idx))
+    return splits
+
+
 def _run_split(
-    lifted: _LiftedSets, cfg: TrainConfig, train_per_class: int, split_index: int
+    sets: Sequence[ImageSet],
+    lifted: Mapping[KernelId, np.ndarray],
+    cfg: TrainConfig,
+    split: _Split,
 ) -> SplitResult:
-    seed = split_seed(cfg.seed, split_index)
-    sets = lifted.sets
-    train_idx, test_idx = _split_indices(sets, train_per_class, np.random.default_rng(seed))
-    split_cfg = _capped_config([sets[i] for i in train_idx], replace(cfg, seed=seed))
-    features = lifted.features(train_idx, split_cfg)
+    split_cfg = replace(cfg, seed=split.seed)
+    kids = split_cfg.kernel_ids
+    features = tuple(lifted[kid][split.train] for kid in kids)
     started = time.perf_counter()
-    bank = KernelBank(split_cfg.kernel_ids, tuple(features), split_cfg.normalize_kernels)
+    bank = KernelBank(kids, features, split_cfg.normalize_kernels)
     model = train(
         bank,
-        [sets[i].label for i in train_idx],
+        [sets[i].label for i in split.train],
         split_cfg,
-        set_ids=[sets[i].set_id for i in train_idx],
+        set_ids=[sets[i].set_id for i in split.train],
     )
     elapsed = time.perf_counter() - started
     hits = 0
-    for i in test_idx:
-        check_probe(sets[i], model)
-        prediction = nearest(profile_from_rows(lifted.rows(i, split_cfg), model), model)
+    for i in split.test:
+        prediction = nearest(profile_from_rows([lifted[kid][i] for kid in kids], model), model)
         hits += prediction.label == sets[i].label
     return SplitResult(
-        split_index=split_index,
-        seed=seed,
-        accuracy=hits / len(test_idx),
-        n_train=len(train_idx),
-        n_test=len(test_idx),
+        split_index=split.index,
+        seed=split.seed,
+        accuracy=hits / len(split.test),
+        n_train=len(split.train),
+        n_test=len(split.test),
         train_seconds=elapsed,
         objective_trace=model.objective_trace,
     )
 
 
-def _check_protocol(n_splits: int, train_per_class: int) -> None:
-    if n_splits < 1 or train_per_class < 1:
-        raise BadSpec(f"n_splits and train_per_class must be >= 1, got {n_splits} and {train_per_class}")
+def _protocol(
+    source, cfg: TrainConfig, n_splits: int, train_per_class: int, kernel_ids
+) -> Callable[[TrainConfig], ExperimentReport]:
+    """Check a call's arguments, sets and splits, encode each set once and
+    lift the collection once per channel in ``kernel_ids``.
 
+    Returns the function that runs the split protocol for a configuration
+    that differs from ``cfg`` only in ``target_dim`` or in ``descriptors``
+    (within ``kernel_ids``).
+    """
+    check_int("n_splits", n_splits, 1)
+    check_int("train_per_class", train_per_class, 1)
+    sets = _resolve_sets(source)
+    capped = _capped_config(sets, cfg)
+    splits = _plan_splits(sets, cfg, n_splits, train_per_class)
+    triples = [encode_set(s, capped) for s in sets]
+    lifted = {kid: lift_features(triples, kid) for kid in kernel_ids}
 
-def _experiment(
-    lifted: _LiftedSets, cfg: TrainConfig, n_splits: int, train_per_class: int, ablate: bool
-) -> ExperimentReport:
-    def protocol(run_cfg: TrainConfig) -> ExperimentReport:
+    def run(row_cfg: TrainConfig) -> ExperimentReport:
+        capped_row = replace(row_cfg, subspace_dim=capped.subspace_dim)
         return ExperimentReport(
-            splits=tuple(_run_split(lifted, run_cfg, train_per_class, i) for i in range(n_splits)),
-            config=run_cfg,
+            splits=tuple(_run_split(sets, lifted, capped_row, split) for split in splits),
+            config=row_cfg,
             n_splits=n_splits,
             train_per_class=train_per_class,
         )
 
-    combined = protocol(cfg)
-    if not ablate:
-        return combined
-    rows = {
-        name: protocol(replace(cfg, descriptors=(name,))) for name in ("cov", "subspace", "gauss")
-    }
-    rows["combined"] = combined
-    return replace(combined, ablation=rows)
+    return run
 
 
 def run_experiment(
@@ -283,9 +273,13 @@ def run_experiment(
     the combined row. Each set is encoded and lifted once per call, however
     many splits and ablation rows use it.
     """
-    _check_protocol(n_splits, train_per_class)
-    lifted = _LiftedSets(_resolve_sets(source))
-    return _experiment(lifted, cfg, n_splits, train_per_class, ablate)
+    run = _protocol(source, cfg, n_splits, train_per_class, ALL_KERNELS if ablate else cfg.kernel_ids)
+    combined = run(cfg)
+    if not ablate:
+        return combined
+    rows = {name: run(replace(cfg, descriptors=(name,))) for name in ("cov", "subspace", "gauss")}
+    rows["combined"] = combined
+    return replace(combined, ablation=rows)
 
 
 def run_dimension_sweep(
@@ -297,11 +291,5 @@ def run_dimension_sweep(
 ) -> dict[int, ExperimentReport]:
     """Evaluate the protocol once per candidate projection width; every width
     reads the same once-encoded, once-lifted sets."""
-    lifted = _LiftedSets(_resolve_sets(source))
-    out: dict[int, ExperimentReport] = {}
-    for dim in target_dims:
-        _check_protocol(n_splits, train_per_class)
-        out[int(dim)] = _experiment(
-            lifted, replace(cfg, target_dim=int(dim)), n_splits, train_per_class, ablate=False
-        )
-    return out
+    run = _protocol(source, cfg, n_splits, train_per_class, cfg.kernel_ids)
+    return {int(dim): run(replace(cfg, target_dim=dim)) for dim in target_dims}

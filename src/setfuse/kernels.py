@@ -11,9 +11,10 @@ descriptor is lifted once into a flat feature row of length D_q:
                                          determinant-one embeddings,
                                          D_q = (d+1)^2
 
-``lift_features`` stacks a gallery's rows into an (N, D_q) array. A
-``KernelBank`` is those arrays, one per channel, and derives its Gram
-matrices from them. Every kernel value (a Gram entry, a probe's cross-kernel
+``lift_features`` lifts a list of descriptors into one read-only (N, D_q)
+array: a training gallery, or the whole set collection of a split protocol
+call, whose splits then slice their training rows from it. A ``KernelBank``
+is such arrays, one per channel, and derives its Gram matrices from them. Every kernel value (a Gram entry, a probe's cross-kernel
 entry, a scalar kernel) is the same row-wise sum ``(rows * row).sum(axis=-1)``.
 It adds the products in one order whichever argument comes first, so Gram
 matrices are exactly symmetric and a probe identical to a gallery member
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -104,42 +105,31 @@ def lift_row(triple: DescriptorTriple, kid: KernelId) -> np.ndarray:
     return _lift(triple, kid).ravel()
 
 
-def stack_rows(rows: Iterable[np.ndarray], n: int, set_ids: Sequence[str]) -> np.ndarray:
-    """Copy ``n`` lifted rows, consumed in order, into a read-only (n, D_q) array.
+def lift_features(triples: Sequence[DescriptorTriple], kid: KernelId) -> np.ndarray:
+    """Lift each descriptor once into one row of a read-only (N, D_q) array.
 
-    Raises ``DimensionMismatch`` at the first row whose width differs from
-    row 0's, before the rows after it are produced.
+    Row i is ``lift_row(triples[i], kid)``. Raises ``DimensionMismatch``
+    naming the first descriptor whose width differs from the first one's,
+    before the descriptors after it are lifted.
     """
-    if n < 1:
+    if not triples:
         raise BadSpec("lifted features need at least one descriptor")
     out = None
-    for i, row in enumerate(rows):
+    for i, t in enumerate(triples):
+        try:
+            row = lift_row(t, kid)
+        except SetfuseError as exc:
+            raise type(exc)(f"descriptor {i} ({t.set_id!r}): {exc}") from exc
         if out is None:
-            out = np.empty((n, row.size), dtype=np.float64)
+            out = np.empty((len(triples), row.size), dtype=np.float64)
         elif row.size != out.shape[1]:
             raise DimensionMismatch(
-                f"descriptor {i} ({set_ids[i]!r}): lifts to {row.size} features, "
+                f"descriptor {i} ({t.set_id!r}): lifts to {row.size} features, "
                 f"descriptor 0 to {out.shape[1]}"
             )
         out[i] = row
     out.setflags(write=False)
     return out
-
-
-def lift_features(triples: Sequence[DescriptorTriple], kid: KernelId) -> np.ndarray:
-    """Lift each descriptor once into one row of a read-only (N, D_q) array.
-
-    Row i is ``lift_row(triples[i], kid)``. Raises ``DimensionMismatch``
-    naming the first descriptor whose dimension differs from the first one's.
-    """
-    def rows():
-        for i, t in enumerate(triples):
-            try:
-                yield lift_row(t, kid)
-            except SetfuseError as exc:
-                raise type(exc)(f"descriptor {i} ({t.set_id!r}): {exc}") from exc
-
-    return stack_rows(rows(), len(triples), [t.set_id for t in triples])
 
 
 def _read_only(features) -> np.ndarray:

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import TrainConfig, is_int
 from .errors import BadSpec, ChecksumMismatch, FormatVersionMismatch, IoError
 from .gating import GatingParams
 from .kernels import KernelBank
@@ -141,12 +141,8 @@ def _expect_keys(obj, keys, where: str) -> None:
         raise IoError(f"{where}: expected keys {sorted(keys)}, got {got}")
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_number(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
+    return is_int(x) or isinstance(x, float)
 
 
 def _expect_list(value, item_ok, where: str, what: str) -> list:
@@ -156,7 +152,7 @@ def _expect_list(value, item_ok, where: str, what: str) -> list:
 
 
 # JSON type check per TrainConfig field type; ``descriptors`` is a list of names.
-_FIELD_CHECKS = {bool: lambda x: isinstance(x, bool), int: _is_int, float: _is_number}
+_FIELD_CHECKS = {bool: lambda x: isinstance(x, bool), int: is_int, float: _is_number}
 
 
 def _config(raw, where: str) -> TrainConfig:

@@ -233,6 +233,14 @@ class TestGenerateSynthetic:
                 classes=2, sets_per_class=1, dim=4, samples=5, separation=1.0, seed=-1
             )
 
+    @pytest.mark.parametrize("field", ["classes", "sets_per_class", "dim", "samples", "seed"])
+    @pytest.mark.parametrize("value", [3.0, 2.5, True], ids=["float", "fraction", "bool"])
+    def test_counts_reject_non_integers(self, field, value):
+        kwargs = dict(classes=2, sets_per_class=1, dim=4, samples=5, separation=1.0, seed=0)
+        kwargs[field] = value
+        with pytest.raises(BadSpec, match=field):
+            generate_synthetic(**kwargs)
+
     @pytest.mark.parametrize("separation", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_separation_rejected(self, separation):
         with pytest.raises(BadSpec, match="finite"):

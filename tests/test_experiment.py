@@ -16,7 +16,6 @@ from setfuse.errors import BadSpec, DimensionMismatch, InsufficientSetsPerClass,
 from setfuse.experiment import (
     ExperimentReport,
     effective_subspace_dim,
-    encode_gallery,
     run_dimension_sweep,
     run_experiment,
     split_seed,
@@ -73,17 +72,25 @@ class TestSplitSets:
         with pytest.raises(InsufficientSetsPerClass):
             split_sets(sets, 4, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("train_per_class", [0, -1, 1.0, True])
+    def test_train_per_class_must_be_a_positive_integer(self, train_per_class):
+        sets = generate_synthetic(**small_source())
+        with pytest.raises(BadSpec, match="train_per_class"):
+            split_sets(sets, train_per_class, np.random.default_rng(0))
 
-class TestEncodeGallery:
+
+class TestEffectiveSubspaceDim:
     def test_subspace_dim_capped_by_samples(self):
         rng = np.random.default_rng(140)
         sets = [
-            random_image_set(rng, d=8, n=5, label=f"c{i}", set_id=f"s{i}")
-            for i in range(2)
+            random_image_set(rng, d=8, n=5, label=f"c{i % 2}", set_id=f"s{i}")
+            for i in range(4)
         ]
-        triples, cfg = encode_gallery(sets, fast_cfg(subspace_dim=10))
-        assert cfg.subspace_dim == 5
-        assert triples[0].subspace.basis.shape == (8, 5)
+        model = train_on_sets(sets, fast_cfg(subspace_dim=10))
+        assert model.config.subspace_dim == 5
+        # each projection-kernel row is a flattened rank-5 projector Y Y^T
+        projectors = model.bank.features[1].reshape(-1, 8, 8)
+        assert np.allclose(np.trace(projectors, axis1=1, axis2=2), 5.0)
 
     def test_effective_dim_floor_is_one(self):
         rng = np.random.default_rng(141)
@@ -159,6 +166,15 @@ class TestRunExperiment:
         with pytest.raises(BadSpec):
             run_experiment(small_source(), fast_cfg(), train_per_class=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"n_splits": 2.0}, {"n_splits": True}, {"train_per_class": 3.0}],
+        ids=["splits-float", "splits-bool", "train-float"],
+    )
+    def test_protocol_counts_must_be_integers(self, kwargs):
+        with pytest.raises(BadSpec, match=next(iter(kwargs))):
+            run_experiment(small_source(), fast_cfg(), **kwargs)
+
     def test_ablation_rows(self):
         report = run_experiment(small_source(), fast_cfg(), n_splits=2, ablate=True)
         assert report.ablation is not None
@@ -183,6 +199,18 @@ class TestDimensionSweep:
         for dim, report in sweep.items():
             assert report.config.target_dim == dim
             assert len(report.splits) == 2
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"n_splits": 0}, {"train_per_class": 0}], ids=["no-splits", "no-train"]
+    )
+    def test_bad_protocol_arguments_rejected_without_widths(self, kwargs):
+        with pytest.raises(BadSpec):
+            run_dimension_sweep(small_source(), fast_cfg(), target_dims=[], **kwargs)
+
+    @pytest.mark.parametrize("width", [2.5, True])
+    def test_widths_must_be_integers(self, width):
+        with pytest.raises(BadSpec, match="target_dim"):
+            run_dimension_sweep(small_source(), fast_cfg(), target_dims=[width], n_splits=1)
 
 
 def reference_splits(sets, cfg, n_splits, train_per_class=3):
@@ -272,16 +300,6 @@ class TestSharedLiftsMatchPerSplitPath:
         report = run_experiment(sets, cfg, n_splits=3)
         assert report_splits(report) == reference_splits(sets, cfg, 3)
 
-    def test_stacked_rows_equal_lift_features(self):
-        sets = generate_synthetic(**small_source())
-        cfg = fast_cfg()
-        idx = [0, 4, 5, 11]
-        triples, _ = encode_gallery([sets[i] for i in idx], cfg)
-        features = experiment_module._LiftedSets(sets).features(idx, cfg)
-        for kid, f in zip(cfg.kernel_ids, features):
-            assert np.array_equal(f, kernels_module.lift_features(triples, kid))
-            assert not f.flags.writeable
-
 
 class TestEncodeOncePerCall:
     def test_run_experiment(self, count_calls):
@@ -324,3 +342,36 @@ class TestErrorsKeepTheirClass:
             reference_splits(sets, cfg, 4)
         with pytest.raises(DimensionMismatch):
             run_experiment(sets, cfg, n_splits=4)
+
+
+class TestMixedDimensionsRejectedFirst:
+    """A set narrower than ``subspace_dim`` raises ``DimensionMismatch``
+    naming it, wherever it sits, before any set is encoded."""
+
+    @staticmethod
+    def narrow_sets(position):
+        sets = generate_synthetic(**small_source())  # 6-dimensional
+        s = sets[position]
+        sets[position] = ImageSet(features=s.features[:3], label=s.label, set_id="narrow")
+        return sets
+
+    # with the narrow set first, set 1 is the first that differs from set 0
+    @pytest.mark.parametrize("position, named", [(0, "set 1 "), (7, "set 7 ")])
+    def test_train_on_sets(self, position, named, count_calls):
+        with pytest.raises(DimensionMismatch, match=named):
+            train_on_sets(self.narrow_sets(position), fast_cfg(subspace_dim=4))
+        assert count_calls["encode_set"] == 0
+
+    @pytest.mark.parametrize("position, named", [(0, "set 1 "), (7, "set 7 ")])
+    def test_run_experiment(self, position, named, count_calls):
+        with pytest.raises(DimensionMismatch, match=named):
+            run_experiment(self.narrow_sets(position), fast_cfg(subspace_dim=4), n_splits=2)
+        assert count_calls["encode_set"] == 0
+
+
+def test_short_test_set_rejected_before_encoding(count_calls):
+    sets = generate_synthetic(**small_source())
+    sets[5] = ImageSet(features=sets[5].features[:, :3], label=sets[5].label, set_id="short")
+    with pytest.raises(TooFewSamples, match="'short'"):
+        run_experiment(sets, fast_cfg(), n_splits=4)
+    assert count_calls == {"encode_set": 0, "spd_log": 0}

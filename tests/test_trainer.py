@@ -609,3 +609,13 @@ class TestTrainConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(BadSpec, match="seed"):
             TrainConfig(seed=-1)
+
+    @pytest.mark.parametrize("field", ["subspace_dim", "target_dim", "iters", "itr_iters", "seed"])
+    @pytest.mark.parametrize("value", [2.0, 2.5, True], ids=["float", "fraction", "bool"])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(BadSpec, match=field):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = TrainConfig(subspace_dim=np.int64(3), seed=np.uint32(7))
+        assert (cfg.subspace_dim, cfg.seed) == (3, 7)

@@ -16,10 +16,13 @@ feature array, the objective trace, labels and set ids); for ``probe_stream``
 it also hashes the loaded model's distance profiles for ten held-out probes.
 ``saved`` hashes the bytes of the saved model directory. So a change of
 persistence format alone keeps every ``model`` digest and changes the
-``saved`` ones. The experiment case prints one ``model`` digest, over every
-``SplitResult`` field but the wall-clock ``train_seconds``, for the combined
-row and each ablation row. BLAS is pinned to one thread, because the thread
-count changes the bits.
+``saved`` ones. Each split protocol case prints one ``model`` digest, over
+every ``SplitResult`` field but the wall-clock ``train_seconds``, of every
+report it returns: ``experiment_ablate`` the combined row and each ablation
+row, ``dimension_sweep`` one report per projection width, and
+``experiment_capped`` one report on sets short enough to cap
+``subspace_dim``. BLAS is pinned to one thread, because the thread count
+changes the bits.
 """
 
 from __future__ import annotations
@@ -80,6 +83,15 @@ def _train_case(sf, sets, cfg, workdir: Path, name: str) -> tuple[str, str]:
     return d.hexdigest(), _saved_digest(sf, model, workdir / name)
 
 
+def _reports_digest(reports) -> str:
+    """Digest of every split of each report, in key order."""
+    d = _Digest()
+    for name, report in sorted(reports.items()):
+        for s in report.splits:
+            d.add(name, s.split_index, s.seed, s.accuracy, s.n_train, s.n_test, s.objective_trace)
+    return d.hexdigest()
+
+
 def _cases(sf, workdir: Path):
     def cfg(seed, **kw):
         return sf.TrainConfig(subspace_dim=5, target_dim=8, seed=seed, **kw)
@@ -121,12 +133,23 @@ def _cases(sf, workdir: Path):
         sf, sets, cfg(3, learning_rate=0.0), workdir, "learning_rate_0"
     )
 
-    d = _Digest()
     report = sf.run_experiment(sets, cfg(3), n_splits=10, train_per_class=5, ablate=True)
-    for name, row in sorted(report.ablation.items()):
-        for s in row.splits:
-            d.add(name, s.split_index, s.seed, s.accuracy, s.n_train, s.n_test, s.objective_trace)
-    yield "experiment_ablate", (d.hexdigest(), None)
+    yield "experiment_ablate", (_reports_digest(report.ablation), None)
+
+    sweep = sf.run_dimension_sweep(sets, cfg(3), target_dims=[4, 8], n_splits=4, train_per_class=5)
+    yield "dimension_sweep", (_reports_digest(sweep), None)
+
+    # class0 sets keep 4 of their 20 samples, so every split caps subspace_dim 5 to 4
+    short = [
+        sf.ImageSet(
+            features=s.features[:, :4] if s.label == "class0" else s.features,
+            label=s.label,
+            set_id=s.set_id,
+        )
+        for s in sets
+    ]
+    report = sf.run_experiment(short, cfg(3), n_splits=4, train_per_class=5)
+    yield "experiment_capped", (_reports_digest({"combined": report}), None)
 
 
 class _CountCuts(logging.Handler):
