@@ -6,9 +6,11 @@ gallery member i sums, over channels,
 
     w_q(probe) * || E.T (k_q(probe) - K_q[:, i]) ||^2 * w_q(i)
 
-with the probe's gating weight computed from the frozen gating parameters
-and the gallery weights frozen from training. The prediction is the label
-of the closest gallery member (ties break to the lowest index).
+with the probe's gating weight the same read-out of its kernel columns as
+the gallery's (``gating.gate``), the gallery weights frozen from training,
+and the distance the one training uses (``gating.squared_distances``). The
+prediction is the label of the closest gallery member (ties break to the
+lowest index).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .descriptors import DescriptorTriple, ImageSet, encode_set
 from .errors import DimensionMismatch, NegativeDistance, NonFinite, TooFewSamples
-from .gating import softmax_columns
+from .gating import gate, squared_distances
 from .trainer import ModelState
 
 # Distances may round slightly below zero; anything lower signals a bug.
@@ -54,18 +56,11 @@ def profile_from_rows(rows, model: ModelState) -> np.ndarray:
     model; so this costs O(n_train * (D_q + target_dim)) per channel.
     """
     crosses = model.bank.columns_from_rows(rows)
-    scores = np.array(
-        [
-            float(model.gating.coeffs[q] @ crosses[q]) + float(model.gating.biases[q])
-            for q in range(model.bank.n_kernels)
-        ]
-    )
-    test_weights = softmax_columns(scores[:, None])[:, 0]
-
+    test_weights = gate(model.gating, crosses)
     out = np.zeros(model.n_train, dtype=np.float64)
     for q, projected_gallery in enumerate(model.projected_grams):
         projected_test = model.transform.T @ crosses[q]
-        sq = ((projected_test[:, None] - projected_gallery) ** 2).sum(axis=0)
+        sq = squared_distances(projected_gallery, projected_test[:, None])[0]
         out += test_weights[q] * sq * model.train_weights[q]
     return out
 

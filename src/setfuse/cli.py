@@ -20,11 +20,10 @@ import numpy as np
 from . import persistence
 from .classify import predict as predict_set
 from .config import TrainConfig
-from .data import _parse_set_file, generate_synthetic, save_dataset
+from .data import _parse_set_file, generate_synthetic, load_dataset, save_dataset
 from .descriptors import ImageSet
 from .errors import DataError, IoError, SetfuseError
 from .experiment import ExperimentReport, run_experiment, train_on_sets
-from .data import load_dataset
 
 EXIT_DATA_ERROR = 3
 EXIT_NUMERIC_ERROR = 4
@@ -78,21 +77,10 @@ def _train_options(fn):
     return fn
 
 
-def _build_config(subspace_dim, alpha, target_dim, learning_rate, iters, itr_iters,
-                  eps, seed, descriptors, normalize_kernels) -> TrainConfig:
+def _build_config(descriptors, normalize_kernels, **fields) -> TrainConfig:
+    """The config of the shared training flags; only the two string flags are converted."""
     names = tuple(n.strip() for n in descriptors.split(",") if n.strip())
-    return TrainConfig(
-        subspace_dim=subspace_dim,
-        alpha=alpha,
-        target_dim=target_dim,
-        learning_rate=learning_rate,
-        iters=iters,
-        itr_iters=itr_iters,
-        eps=eps,
-        seed=seed,
-        normalize_kernels=(normalize_kernels == "on"),
-        descriptors=names,
-    )
+    return TrainConfig(descriptors=names, normalize_kernels=normalize_kernels == "on", **fields)
 
 
 def _write_csv(path, rows) -> None:

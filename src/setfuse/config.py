@@ -30,6 +30,22 @@ def check_int(name: str, value, minimum: int) -> None:
         raise BadSpec(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def is_real(x) -> bool:
+    """True for a real number (integers and numpy's included) that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def check_real(name: str, value, minimum: float) -> None:
+    """``BadSpec`` unless ``value`` is a finite real number, not a bool, and
+    >= ``minimum``; an integer too large for a float is not finite."""
+    try:
+        ok = is_real(value) and minimum <= value and math.isfinite(value)
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise BadSpec(f"{name} must be a finite number >= {minimum}, got {value!r:.80}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for descriptor encoding and metric training.
@@ -42,7 +58,10 @@ class TrainConfig:
     ``eps`` is the convergence tolerance for both the outer loop and the
     inner trace-ratio solve (0 disables early stopping); both must be finite.
     ``seed``, the source of all training randomness, must be non-negative.
-    The integer fields reject floats and bools.
+    A field of the wrong type raises ``BadSpec``: the integer fields take
+    integers, ``alpha``, ``learning_rate`` and ``eps`` real numbers (integers
+    too), ``normalize_kernels`` a bool and ``descriptors`` a list or tuple
+    of names; no field takes a bool for a number.
     """
 
     subspace_dim: int = 10
@@ -60,17 +79,17 @@ class TrainConfig:
         for name in ("subspace_dim", "target_dim", "iters", "itr_iters"):
             check_int(name, getattr(self, name), 1)
         check_int("seed", self.seed, 0)
-        if not self.alpha > 0.0:
-            raise BadSpec(f"alpha must be positive, got {self.alpha}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
-            raise BadSpec(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if not (math.isfinite(self.eps) and self.eps >= 0.0):
-            raise BadSpec(f"eps must be finite and >= 0, got {self.eps}")
-        names = tuple(self.descriptors)
-        unknown = [n for n in names if n not in DESCRIPTOR_NAMES]
-        if unknown or not names:
+        if not (is_real(self.alpha) and self.alpha > 0.0):
+            raise BadSpec(f"alpha must be a positive number, got {self.alpha!r}")
+        check_real("learning_rate", self.learning_rate, 0.0)
+        check_real("eps", self.eps, 0.0)
+        if not isinstance(self.normalize_kernels, bool):
+            raise BadSpec(f"normalize_kernels must be a bool, got {self.normalize_kernels!r}")
+        names = self.descriptors if isinstance(self.descriptors, (list, tuple)) else ()
+        if not (names and all(isinstance(n, str) and n in DESCRIPTOR_NAMES for n in names)):
             raise BadSpec(
-                f"descriptors must be a non-empty subset of {DESCRIPTOR_NAMES}, got {names}"
+                f"descriptors must be a non-empty list or tuple of names from "
+                f"{DESCRIPTOR_NAMES}, got {self.descriptors!r}"
             )
         # canonical order, duplicates dropped
         canon = tuple(n for n in DESCRIPTOR_NAMES if n in names)

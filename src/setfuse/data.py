@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import check_int
+from .config import check_int, check_real
 from .descriptors import ImageSet
 from .errors import BadSpec, DimensionMismatch, IoError, ParseError, TooFewSamples
 
@@ -176,15 +176,14 @@ def generate_synthetic(
     near its class center and its own random SPD covariance, and samples
     ``samples`` points from that Gaussian. Everything is a deterministic
     function of ``seed``, a non-negative integer; every count must be an
-    integer too.
+    integer too, and ``separation`` a finite non-negative number.
     """
     check_int("classes", classes, 1)
     check_int("sets_per_class", sets_per_class, 1)
     check_int("dim", dim, 2)
     check_int("samples", samples, 2)
     check_int("seed", seed, 0)
-    if not (math.isfinite(separation) and separation >= 0.0):
-        raise BadSpec(f"separation must be finite and >= 0, got {separation}")
+    check_real("separation", separation, 0.0)
 
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((classes, dim)) * (separation / math.sqrt(2.0))

@@ -13,7 +13,7 @@ All three are deterministic functions of the input bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,8 +177,7 @@ def subspace_descriptor(s: ImageSet, q: int) -> GrassmannPoint:
     d = x.shape[0]
     if not 1 <= q <= d:
         raise BadDimension(f"subspace dimension q={q} must be in [1, {d}]")
-    g = x @ x.T
-    pair = sym_eig(0.5 * (g + g.T))
+    pair = sym_eig(x @ x.T)
     lam_max = float(pair.values[0])
     if lam_max <= 0.0 or float(pair.values[q - 1]) < RANK_EIG_RTOL * lam_max:
         raise RankDeficient(

@@ -15,6 +15,7 @@ would give on the same split.
 
 from __future__ import annotations
 
+import inspect
 import logging
 import time
 from dataclasses import dataclass, replace
@@ -158,6 +159,12 @@ def _resolve_sets(source) -> list[ImageSet]:
     if isinstance(source, (str, Path)):
         return load_dataset(source)
     if isinstance(source, Mapping):
+        keys = set(inspect.signature(generate_synthetic).parameters)
+        if set(source) != keys:
+            raise BadSpec(
+                f"a synthetic source needs exactly the keys {sorted(keys)}, "
+                f"got {sorted(map(str, source))}"
+            )
         return generate_synthetic(**source)
     return list(source)
 
@@ -267,7 +274,8 @@ def run_experiment(
     """Run a split protocol end to end.
 
     ``source`` may be a manifest path, an iterable of ``ImageSet``, or a
-    mapping of ``generate_synthetic`` keyword arguments. With ``ablate``,
+    mapping of every ``generate_synthetic`` keyword argument and no other
+    key (``BadSpec`` otherwise). With ``ablate``,
     each descriptor is also evaluated alone on the same splits and the
     single-channel reports are attached under ``report.ablation`` along with
     the combined row. Each set is encoded and lifted once per call, however

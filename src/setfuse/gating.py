@@ -5,9 +5,10 @@ Each training sample i gets a weight per kernel channel q,
     w[q, i] = softmax_q( coeffs[q] . K_q[:, i] + biases[q] ),
 
 a linear read-out of the sample's Gram column plus a bias, pushed through a
-softmax across channels. The gating parameters are learned by gradient
-ascent on the same trace-ratio objective the projection is solved for; the
-exact gradient expressions live in ``projected_gradients``.
+softmax across channels; a probe's weights are the same read-out (``gate``)
+of its kernel columns against the gallery. The gating parameters are learned
+by gradient ascent on the same trace-ratio objective the projection is
+solved for; the exact gradient expressions live in ``projected_gradients``.
 """
 
 from __future__ import annotations
@@ -69,15 +70,6 @@ def _check_bank_params(bank: KernelBank, params: GatingParams) -> None:
         )
 
 
-def gating_scores(bank: KernelBank, params: GatingParams) -> np.ndarray:
-    """Pre-softmax scores, one per (kernel, sample)."""
-    _check_bank_params(bank, params)
-    scores = np.empty((bank.n_kernels, bank.n_train), dtype=np.float64)
-    for q, gram in enumerate(bank.grams):
-        scores[q] = params.coeffs[q] @ gram + params.biases[q]
-    return scores
-
-
 def softmax_columns(scores: np.ndarray) -> np.ndarray:
     """Columnwise softmax with max subtraction; safe for scores up to ~1e308."""
     shifted = scores - scores.max(axis=0, keepdims=True)
@@ -85,9 +77,24 @@ def softmax_columns(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
+def gate(params: GatingParams, columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Gating weights of kernel columns: ``softmax_q(coeffs[q] @ columns[q]
+    + biases[q])``, with ``columns[q]`` channel q's kernel values against the
+    gallery (N, or N x M for M samples at once). Returns Q, or Q x M."""
+    scores = [c @ col + b for c, col, b in zip(params.coeffs, columns, params.biases)]
+    return softmax_columns(np.array(scores))
+
+
 def gating_weights(bank: KernelBank, params: GatingParams) -> np.ndarray:
-    """Per-sample kernel weights, Q x N, columns summing to one."""
-    return softmax_columns(gating_scores(bank, params))
+    """``gate`` of the Grams: per-sample kernel weights, Q x N, columns summing to one."""
+    _check_bank_params(bank, params)
+    return gate(params, bank.grams)
+
+
+def squared_distances(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """``out[c, i] = ||points[:, i] - centres[:, c]||^2`` for points m x N and
+    centres m x C; the one distance of training and classification alike."""
+    return ((points[:, None, :] - centres[:, :, None]) ** 2).sum(axis=0)
 
 
 def class_codes(labels) -> np.ndarray:
@@ -146,8 +153,7 @@ def projected_pair_sums(
     g_b = np.empty_like(w)
     for q, p in enumerate(projected):
         class_w, means = class_means(p, w[q], classes, onehot)
-        # dist[c, i] = ||P_i - m_c||^2
-        dist = ((p[:, None, :] - means[:, :, None]) ** 2).sum(axis=0)
+        dist = squared_distances(p, means)
         spread = (dist * (onehot.T * w[q])).sum(axis=1)
         per_class = class_w[:, None] * dist + spread[:, None]
         g_w[q] = per_class[classes, np.arange(classes.size)]

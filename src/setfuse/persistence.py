@@ -14,7 +14,9 @@ float64, row-major, so ``np.load(path, allow_pickle=False)`` reads them. The
 metadata file (labels, set ids, configuration, objective trace) records each
 file's SHA-256 checksum. Loading accepts exactly those keys and files and
 format 3 alone (formats 1 and 2 stored more than this; retrain such models),
-or fails with a ``DataError``.
+or fails with a ``DataError``. The types and values of the configuration's
+fields are ``TrainConfig``'s to check; a stored configuration it rejects
+fails to load with ``IoError``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import TrainConfig, is_int
+from .config import TrainConfig, is_real
 from .errors import BadSpec, ChecksumMismatch, FormatVersionMismatch, IoError
 from .gating import GatingParams
 from .kernels import KernelBank
@@ -141,34 +143,17 @@ def _expect_keys(obj, keys, where: str) -> None:
         raise IoError(f"{where}: expected keys {sorted(keys)}, got {got}")
 
 
-def _is_number(x) -> bool:
-    return is_int(x) or isinstance(x, float)
-
-
 def _expect_list(value, item_ok, where: str, what: str) -> list:
     if not isinstance(value, list) or not all(map(item_ok, value)):
         raise IoError(f"{where}: expected a list of {what}, got {value!r:.80}")
     return value
 
 
-# JSON type check per TrainConfig field type; ``descriptors`` is a list of names.
-_FIELD_CHECKS = {bool: lambda x: isinstance(x, bool), int: is_int, float: _is_number}
-
-
 def _config(raw, where: str) -> TrainConfig:
-    """A ``TrainConfig`` from its stored fields, each of its field's type."""
+    """A ``TrainConfig`` from its stored fields, which it checks itself."""
     _expect_keys(raw, _CONFIG_KEYS, where)
-    values = {}
-    for f in fields(TrainConfig):
-        v = raw[f.name]
-        kind = type(f.default)
-        if kind is tuple:
-            v = tuple(_expect_list(v, lambda x: isinstance(x, str), f"{where}.{f.name}", "names"))
-        elif not _FIELD_CHECKS[kind](v):
-            raise IoError(f"{where}.{f.name}: {v!r:.80} is not a {kind.__name__}")
-        values[f.name] = v
     try:
-        return TrainConfig(**values)
+        return TrainConfig(**raw)
     except BadSpec as exc:
         raise IoError(f"{where}: {exc}") from exc
 
@@ -203,13 +188,13 @@ def load_model(model_dir) -> ModelState:
     if not all(isinstance(d, str) for d in checksums.values()):
         raise IoError(f"{where}: checksums must be hex digest strings")
     labels = _expect_list(
-        meta["labels"], lambda x: isinstance(x, str) or _is_number(x), f"{where} labels", "labels"
+        meta["labels"], lambda x: isinstance(x, str) or is_real(x), f"{where} labels", "labels"
     )
     set_ids = meta["set_ids"]
     if set_ids is not None:
         _expect_list(set_ids, lambda x: isinstance(x, str), f"{where} set_ids", "set ids")
     objective_trace = _expect_list(
-        meta["objective_trace"], _is_number, f"{where} objective_trace", "numbers"
+        meta["objective_trace"], is_real, f"{where} objective_trace", "numbers"
     )
 
     arrays = {name: _read_array(root / f"{name}.npy", checksums[f"{name}.npy"]) for name in names}

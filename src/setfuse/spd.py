@@ -65,10 +65,12 @@ def sym_eig(m) -> EigenPair:
     largest-magnitude entry made positive, which pins the sign that ``eigh``
     would otherwise leave arbitrary. Reconstruction
     ``vectors @ diag(values) @ vectors.T`` recovers the input to roundoff.
+
+    The input need only be symmetric to ``SYMMETRY_RTOL``. Its symmetric
+    part ``0.5 * (m + m.T)`` is what gets decomposed, so callers pass raw
+    products such as ``v.T @ t @ v`` and get the bits symmetrizing gives.
     """
     a = check_symmetric(m)
-    # eigh only reads one triangle; feeding the symmetric part keeps the
-    # result well defined for inputs that are symmetric only to tolerance.
     values, vectors = np.linalg.eigh(0.5 * (a + a.T))
     values = values[::-1].copy()
     vectors = vectors[:, ::-1].copy()

@@ -158,6 +158,18 @@ class GramSpan:
     columns: tuple[np.ndarray, ...]
 
 
+def _signal_basis(m: np.ndarray, what: str) -> np.ndarray:
+    """Eigenvectors of symmetric ``m`` whose eigenvalues exceed
+    ``NULL_SPACE_RTOL`` times the largest; ``ZeroTotalScatter`` naming
+    ``what`` when the largest is at or below ``TOTAL_SCATTER_FLOOR``."""
+    pair = sym_eig(m)
+    lam_max = float(pair.values[0])
+    if lam_max <= TOTAL_SCATTER_FLOOR:
+        raise ZeroTotalScatter(f"{what}: spectral radius {lam_max:.3e}")
+    rank = int(np.count_nonzero(pair.values > NULL_SPACE_RTOL * lam_max))
+    return pair.vectors[:, :rank].copy()
+
+
 def gram_span(bank: KernelBank) -> GramSpan:
     """Span of all Gram column differences: eigenvectors of
     ``sum_q K_q C K_q`` (C the centring matrix) whose eigenvalues exceed
@@ -169,12 +181,7 @@ def gram_span(bank: KernelBank) -> GramSpan:
     ``ZeroTotalScatter`` when every Gram has numerically equal columns.
     """
     centred = [gram - gram.mean(axis=1, keepdims=True) for gram in bank.grams]
-    pair = sym_eig(sum(c @ c.T for c in centred))
-    lam_max = float(pair.values[0])
-    if lam_max <= TOTAL_SCATTER_FLOOR:
-        raise ZeroTotalScatter(f"centred Grams have spectral radius {lam_max:.3e}")
-    rank = int(np.count_nonzero(pair.values > NULL_SPACE_RTOL * lam_max))
-    basis = pair.vectors[:, :rank].copy()
+    basis = _signal_basis(sum(c @ c.T for c in centred), "centred Grams")
     return GramSpan(basis=basis, columns=tuple(basis.T @ gram for gram in bank.grams))
 
 
@@ -250,14 +257,20 @@ def trace_ratio_objective(transform: np.ndarray, scatter: ScatterPair) -> float:
     [0, 1]; the clip only absorbs roundoff at the endpoints.
     """
     e = np.asarray(transform, dtype=np.float64)
-    denom = float(np.sum(e * (scatter.total @ e)))
-    return _clipped_ratio(float(np.sum(e * (scatter.between @ e))), denom)
+    return min(max(_trace_ratio(e, scatter.between, scatter.total), 0.0), 1.0)
 
 
-def _clipped_ratio(num: float, denom: float) -> float:
+def _quotient(num: float, denom: float) -> float:
+    """``num / denom``; ``DegenerateDenominator`` when the projected total
+    scatter ``denom`` is at or below ``DENOMINATOR_FLOOR``."""
     if denom <= DENOMINATOR_FLOOR:
         raise DegenerateDenominator(f"projected total scatter {denom:.3e} is degenerate")
-    return min(max(num / denom, 0.0), 1.0)
+    return num / denom
+
+
+def _trace_ratio(v: np.ndarray, between: np.ndarray, total: np.ndarray) -> float:
+    """trace(V.T B V) / trace(V.T T V), unclipped."""
+    return _quotient(float(np.sum(v * (between @ v))), float(np.sum(v * (total @ v))))
 
 
 def remove_null_space(
@@ -273,25 +286,12 @@ def remove_null_space(
     """
     total = np.asarray(within, dtype=np.float64) + np.asarray(between, dtype=np.float64)
     total = 0.5 * (total + total.T)
-    pair = sym_eig(total)
-    lam_max = float(pair.values[0])
-    if lam_max <= TOTAL_SCATTER_FLOOR:
-        raise ZeroTotalScatter(f"total scatter spectral radius {lam_max:.3e}")
-    reduced_dim = int(np.count_nonzero(pair.values > NULL_SPACE_RTOL * lam_max))
-    basis = pair.vectors[:, :reduced_dim].copy()
+    basis = _signal_basis(total, "total scatter")
     reduced_total = basis.T @ total @ basis
     reduced_between = basis.T @ np.asarray(between, dtype=np.float64) @ basis
     reduced_total = 0.5 * (reduced_total + reduced_total.T)
     reduced_between = 0.5 * (reduced_between + reduced_between.T)
-    return basis, reduced_between, reduced_total, reduced_dim
-
-
-def _trace_ratio(v: np.ndarray, between: np.ndarray, total: np.ndarray) -> float:
-    num = float(np.sum(v * (between @ v)))
-    den = float(np.sum(v * (total @ v)))
-    if den <= DENOMINATOR_FLOOR:
-        raise DegenerateDenominator(f"projected total scatter {den:.3e} is degenerate")
-    return num / den
+    return basis, reduced_between, reduced_total, basis.shape[1]
 
 
 def _orthonormal_columns(m: np.ndarray) -> np.ndarray:
@@ -351,8 +351,7 @@ def solve_trace_ratio(
     lam = _trace_ratio(v, b, t)
     history = [lam]
     for _ in range(max_iters):
-        m = b - lam * t
-        pair = sym_eig(0.5 * (m + m.T))
+        pair = sym_eig(b - lam * t)
         if target_dim < dim:
             gap = float(pair.values[target_dim - 1] - pair.values[target_dim])
             if gap < EIGEN_GAP_TOL:
@@ -363,9 +362,7 @@ def solve_trace_ratio(
                 )
         v = pair.vectors[:, :target_dim]
         # canonical rotation: eigenbasis of the total scatter restricted to span(V)
-        small = v.T @ t @ v
-        rot = sym_eig(0.5 * (small + small.T))
-        v = v @ rot.vectors
+        v = v @ sym_eig(v.T @ t @ v).vectors
         new_lam = _trace_ratio(v, b, t)
         history.append(new_lam)
         if abs(new_lam - lam) < eps:
@@ -382,7 +379,7 @@ def _evaluate(
     the ``projected_pair_sums`` it was read from; O(p N n_classes) per channel."""
     sums = projected_pair_sums(projected, weights, classes)
     h_w, h_b = pair_traces(weights, sums, counts)
-    return _clipped_ratio(h_b, h_w + h_b), sums
+    return min(max(_quotient(h_b, h_w + h_b), 0.0), 1.0), sums
 
 
 def _uniform_conditioning(bank: KernelBank, labels, span: GramSpan) -> float:
@@ -434,8 +431,8 @@ def train(
     Randomness comes from a single generator seeded with ``cfg.seed``: first
     the gating init, then one orthonormal draw for the trace-ratio start at
     the first outer iteration (later iterations draw again only if a
-    null-space cut changes the projection width). Stops early after
-    iteration 2 when either the parameter update or the projection update
+    null-space cut changes the projection width). From iteration 3 on, it
+    stops early when either the parameter update or the projection update
     falls below ``cfg.eps`` in max norm.
     """
     n = bank.n_train

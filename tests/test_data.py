@@ -247,3 +247,16 @@ class TestGenerateSynthetic:
             generate_synthetic(
                 classes=2, sets_per_class=1, dim=4, samples=5, separation=separation, seed=0
             )
+
+    @pytest.mark.parametrize("separation", ["1", True, None], ids=["str", "bool", "none"])
+    def test_separation_must_be_a_number(self, separation):
+        with pytest.raises(BadSpec, match="separation"):
+            generate_synthetic(
+                classes=2, sets_per_class=1, dim=4, samples=5, separation=separation, seed=0
+            )
+
+    def test_integer_separation_accepted(self):
+        kwargs = dict(classes=2, sets_per_class=1, dim=4, samples=5, seed=0)
+        as_int = generate_synthetic(separation=2, **kwargs)
+        as_float = generate_synthetic(separation=2.0, **kwargs)
+        assert all(np.array_equal(a.features, b.features) for a, b in zip(as_int, as_float))

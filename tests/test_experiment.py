@@ -1,5 +1,6 @@
 """Experiment orchestration tests: splits, protocols, sweeps, ablation."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -111,6 +112,26 @@ class TestEmptySetList:
     def test_run_dimension_sweep(self):
         with pytest.raises(BadSpec, match="no image sets"):
             run_dimension_sweep([], fast_cfg(), target_dims=[2])
+
+
+class TestMappingSource:
+    @pytest.mark.parametrize(
+        "source",
+        [{"classes": 3}, {**small_source(), "bogus": 1}],
+        ids=["missing-keys", "extra-key"],
+    )
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda source: run_experiment(source, fast_cfg(), n_splits=1),
+            lambda source: run_dimension_sweep(source, fast_cfg(), target_dims=[2], n_splits=1),
+        ],
+        ids=["experiment", "sweep"],
+    )
+    def test_keys_must_be_the_generator_parameters(self, source, run):
+        got = re.escape(str(sorted(source)))
+        with pytest.raises(BadSpec, match=f"exactly the keys .*got {got}"):
+            run(source)
 
 
 class TestTrainOnSets:

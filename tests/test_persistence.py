@@ -406,6 +406,8 @@ class TestTamperDetection:
             lambda m: m["config"].update(target_dim=3.0),
             lambda m: m["config"].update(normalize_kernels="no"),
             lambda m: m["config"].update(alpha=-1.0),
+            lambda m: m["config"].update(alpha="1"),
+            lambda m: m["config"].update(eps=True),
             lambda m: m.update(labels=7),
             lambda m: m.update(labels=[[c] for c in m["labels"]]),
             lambda m: m.update(set_ids=3),
@@ -421,7 +423,7 @@ class TestTamperDetection:
             "empty-checksums", "no-checksums", "no-config-field", "unknown-config-field",
             "no-labels", "unknown-key", "no-array", "short-labels", "no-kernels",
             "descriptors-int", "subspace-dim-str", "target-dim-float", "normalize-str",
-            "alpha-negative", "labels-int", "labels-nested", "set-ids-int", "kernel-id-bool",
+            "alpha-negative", "alpha-str", "eps-bool", "labels-int", "labels-nested", "set-ids-int", "kernel-id-bool",
             "file-path", "checksum-int", "trace-float", "trace-str",
         ],
     )

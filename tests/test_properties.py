@@ -1,5 +1,5 @@
-"""Property tests: eigen convention, Gaussian embedding, Gram positivity,
-and the trainer's centred span.
+"""Property tests: eigen convention and symmetrization, Gaussian embedding,
+Gram positivity, and the trainer's centred span.
 
 Inputs are drawn by ``hypothesis`` under the derandomized, bounded profile
 registered in ``conftest.py``.
@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from setfuse.config import TrainConfig  # noqa: E402
 from setfuse.descriptors import ImageSet, embed_gaussian, encode_set  # noqa: E402
 from setfuse.kernels import KernelBank, KernelId, build_kernel_bank  # noqa: E402
-from setfuse.spd import sym_eig  # noqa: E402
+from setfuse.spd import SYMMETRY_RTOL, check_symmetric, sym_eig  # noqa: E402
 from setfuse.trainer import NULL_SPACE_RTOL, gram_span, scatter_matrices  # noqa: E402
 
 from helpers import random_labels, random_simplex_weights  # noqa: E402
@@ -38,6 +38,18 @@ def test_sym_eig_descending_with_positive_largest_entry(m):
     for k in range(m.shape[0]):
         v = pair.vectors[:, k]
         assert v[np.argmax(np.abs(v))] > 0.0
+
+
+@given(symmetric_matrices(), st.data())
+def test_sym_eig_symmetrizes_its_input(s, data):
+    """A matrix symmetric only to ``SYMMETRY_RTOL`` decomposes to the same
+    bits as its symmetric part, so callers need not symmetrize."""
+    noise = data.draw(arrays(np.float64, s.shape, elements=st.floats(-1.0, 1.0)))
+    m = s + (0.25 * SYMMETRY_RTOL * float(np.max(np.abs(s)))) * noise
+    check_symmetric(m)
+    raw, symmetrized = sym_eig(m), sym_eig(0.5 * (m + m.T))
+    assert np.array_equal(raw.values, symmetrized.values)
+    assert np.array_equal(raw.vectors, symmetrized.vectors)
 
 
 @given(

@@ -601,7 +601,9 @@ class TestTrain:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field", ["learning_rate", "eps"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -1.0, pytest.param(10**400, id="huge-int")]
+    )
     def test_non_finite_or_negative_rejected(self, field, value):
         with pytest.raises(BadSpec, match=field):
             TrainConfig(**{field: value})
@@ -619,3 +621,35 @@ class TestTrainConfig:
     def test_numpy_integers_accepted(self):
         cfg = TrainConfig(subspace_dim=np.int64(3), seed=np.uint32(7))
         assert (cfg.subspace_dim, cfg.seed) == (3, 7)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"normalize_kernels": "no"},
+            {"normalize_kernels": 1},
+            {"alpha": True},
+            {"eps": True},
+            {"learning_rate": False},
+            {"alpha": "1"},
+            {"learning_rate": "x"},
+            {"eps": None},
+            {"descriptors": 5},
+            {"descriptors": "cov"},
+            {"descriptors": ["cov", 1]},
+        ],
+        ids=[
+            "normalize-str", "normalize-int", "alpha-bool", "eps-bool", "lr-bool",
+            "alpha-str", "lr-str", "eps-none", "descriptors-int", "descriptors-str",
+            "descriptors-int-item",
+        ],
+    )
+    def test_wrong_field_types_rejected(self, kwargs):
+        with pytest.raises(BadSpec, match=next(iter(kwargs))):
+            TrainConfig(**kwargs)
+
+    def test_integer_reals_and_name_lists_accepted(self):
+        cfg = TrainConfig(
+            alpha=10, learning_rate=0, eps=np.float32(0.5), descriptors=["gauss", "cov"]
+        )
+        assert (cfg.alpha, cfg.learning_rate, cfg.eps) == (10, 0, 0.5)
+        assert cfg.descriptors == ("cov", "gauss")
