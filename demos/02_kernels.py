@@ -9,9 +9,8 @@
 import numpy as np
 
 from setfuse import (
-    ALL_KERNELS,
+    DESCRIPTOR_NAMES,
     ImageSet,
-    KernelId,
     TrainConfig,
     build_kernel_bank,
     encode_set,
@@ -41,15 +40,15 @@ print("projection kernel self value:",
 
 # --- Gram matrices --------------------------------------------------------
 print("\nGram matrix spectra (min eigenvalue ~ 0 up to roundoff):")
-for kid in ALL_KERNELS:
-    k = gram_matrix(triples, kid)
+for name in DESCRIPTOR_NAMES:
+    k = gram_matrix(triples, name)
     eigs = np.linalg.eigvalsh(k)
-    print(f"  {kid.name:<18} shape {k.shape}  min eig {eigs.min():+.2e}  "
+    print(f"  {name:<9} shape {k.shape}  min eig {eigs.min():+.2e}  "
           f"max eig {eigs.max():.2e}")
 
 # Same-class pairs should look more alike than cross-class pairs. The
 # projection kernel makes that visible directly in the Gram values.
-k_proj = gram_matrix(triples, KernelId.PROJECTION)
+k_proj = gram_matrix(triples, "subspace")
 labels = np.array([s.label for s in sets])
 same = labels[:, None] == labels[None, :]
 off_diag = ~np.eye(len(sets), dtype=bool)
@@ -61,7 +60,7 @@ print(f"  cross-class pairs  {k_proj[~same].mean():.4f}")
 # build_kernel_bank evaluates every configured kernel once and freezes the
 # result; optional normalization rescales each Gram to trace N so channels
 # with different units become comparable.
-bank = build_kernel_bank(triples, cfg.kernel_ids, normalize=True)
+bank = build_kernel_bank(triples, cfg.descriptors, normalize=True)
 print("\nnormalized bank:")
-for kid, gram, scale in zip(bank.kernel_ids, bank.grams, bank.scales):
-    print(f"  {kid.name:<18} trace {np.trace(gram):.1f}  (scale {scale:.3e})")
+for name, gram, scale in zip(bank.descriptors, bank.grams, bank.scales):
+    print(f"  {name:<9} trace {np.trace(gram):.1f}  (scale {scale:.3e})")

@@ -38,8 +38,8 @@ print(f"\ntransform shape: {model.transform.shape}")
 # this data usually shifts weight toward the most discriminative channel.
 weights = gating_weights(model.bank, model.gating)
 print("mean gating weight per kernel channel:")
-for kid, row in zip(model.bank.kernel_ids, weights):
-    print(f"  {kid.name:<18} {row.mean():.4f}  (min {row.min():.4f}, max {row.max():.4f})")
+for name, row in zip(model.bank.descriptors, weights):
+    print(f"  {name:<9} {row.mean():.4f}  (min {row.min():.4f}, max {row.max():.4f})")
 
 # --- reproducibility ------------------------------------------------------
 again = train_on_sets(sets, cfg)

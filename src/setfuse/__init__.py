@@ -8,7 +8,7 @@ kernels; classification is gated nearest neighbor in the projected space.
 """
 
 from .classify import Prediction, distance_profile, predict
-from .config import DESCRIPTOR_NAMES, TrainConfig
+from .config import TrainConfig
 from .data import (
     DatasetManifest,
     ManifestEntry,
@@ -46,9 +46,8 @@ from .gating import (
     pair_counts,
 )
 from .kernels import (
-    ALL_KERNELS,
+    DESCRIPTOR_NAMES,
     KernelBank,
-    KernelId,
     build_kernel_bank,
     gaussian_embedding_kernel,
     gram_matrix,
@@ -79,7 +78,6 @@ from .trainer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_KERNELS",
     "DESCRIPTOR_NAMES",
     "DatasetManifest",
     "DescriptorTriple",
@@ -91,7 +89,6 @@ __all__ = [
     "GrassmannPoint",
     "ImageSet",
     "KernelBank",
-    "KernelId",
     "ManifestEntry",
     "ModelState",
     "Prediction",

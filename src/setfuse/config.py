@@ -1,4 +1,5 @@
-"""Training configuration shared by the library and the command line."""
+"""Training configuration shared by the library and the command line; its
+``descriptors`` name the kernel channels, from ``kernels.DESCRIPTOR_NAMES``."""
 
 from __future__ import annotations
 
@@ -7,16 +8,7 @@ import numbers
 from dataclasses import dataclass
 
 from .errors import BadSpec
-from .kernels import KernelId
-
-# Canonical descriptor names, in the fixed kernel-channel order.
-DESCRIPTOR_NAMES = ("cov", "subspace", "gauss")
-
-_NAME_TO_KERNEL = {
-    "cov": KernelId.LOG_EUCLIDEAN,
-    "subspace": KernelId.PROJECTION,
-    "gauss": KernelId.GAUSSIAN_EMBEDDED,
-}
+from .kernels import DESCRIPTOR_NAMES
 
 
 def is_int(x) -> bool:
@@ -54,9 +46,10 @@ class TrainConfig:
     at what the gallery can support. ``target_dim`` is the width of the
     learned projection, clamped during training when the usable scatter rank
     is lower. ``alpha`` controls covariance regularization (the spectrum is
-    shifted by trace/alpha). ``learning_rate`` drives the gating ascent, and
-    ``eps`` is the convergence tolerance for both the outer loop and the
-    inner trace-ratio solve (0 disables early stopping); both must be finite.
+    shifted by trace/alpha) and must be finite and positive.
+    ``learning_rate`` drives the gating ascent, and ``eps`` is the
+    convergence tolerance for both the outer loop and the inner trace-ratio
+    solve (0 disables early stopping); both must be finite.
     ``seed``, the source of all training randomness, must be non-negative.
     A field of the wrong type raises ``BadSpec``: the integer fields take
     integers, ``alpha``, ``learning_rate`` and ``eps`` real numbers (integers
@@ -81,6 +74,7 @@ class TrainConfig:
         check_int("seed", self.seed, 0)
         if not (is_real(self.alpha) and self.alpha > 0.0):
             raise BadSpec(f"alpha must be a positive number, got {self.alpha!r}")
+        check_real("alpha", self.alpha, 0.0)
         check_real("learning_rate", self.learning_rate, 0.0)
         check_real("eps", self.eps, 0.0)
         if not isinstance(self.normalize_kernels, bool):
@@ -94,7 +88,3 @@ class TrainConfig:
         # canonical order, duplicates dropped
         canon = tuple(n for n in DESCRIPTOR_NAMES if n in names)
         object.__setattr__(self, "descriptors", canon)
-
-    @property
-    def kernel_ids(self) -> tuple[KernelId, ...]:
-        return tuple(_NAME_TO_KERNEL[n] for n in self.descriptors)

@@ -29,7 +29,7 @@ from .config import TrainConfig, check_int
 from .data import generate_synthetic, load_dataset
 from .descriptors import ImageSet, encode_set
 from .errors import BadSpec, DimensionMismatch, InsufficientSetsPerClass, TooFewSamples
-from .kernels import ALL_KERNELS, KernelBank, KernelId, build_kernel_bank, lift_features
+from .kernels import DESCRIPTOR_NAMES, KernelBank, build_kernel_bank, lift_features
 from .trainer import ModelState, train
 
 logger = logging.getLogger(__name__)
@@ -112,7 +112,7 @@ def train_on_sets(sets: Sequence[ImageSet], cfg: TrainConfig) -> ModelState:
     supports), build the kernel bank, train."""
     cfg = _capped_config(sets, cfg)
     triples = [encode_set(s, cfg) for s in sets]
-    bank = build_kernel_bank(triples, cfg.kernel_ids, normalize=cfg.normalize_kernels)
+    bank = build_kernel_bank(triples, cfg.descriptors, normalize=cfg.normalize_kernels)
     labels = [s.label for s in sets]
     return train(bank, labels, cfg, set_ids=[s.set_id for s in sets])
 
@@ -203,15 +203,15 @@ def _plan_splits(
 
 def _run_split(
     sets: Sequence[ImageSet],
-    lifted: Mapping[KernelId, np.ndarray],
+    lifted: Mapping[str, np.ndarray],
     cfg: TrainConfig,
     split: _Split,
 ) -> SplitResult:
     split_cfg = replace(cfg, seed=split.seed)
-    kids = split_cfg.kernel_ids
-    features = tuple(lifted[kid][split.train] for kid in kids)
+    names = split_cfg.descriptors
+    features = tuple(lifted[name][split.train] for name in names)
     started = time.perf_counter()
-    bank = KernelBank(kids, features, split_cfg.normalize_kernels)
+    bank = KernelBank(names, features, split_cfg.normalize_kernels)
     model = train(
         bank,
         [sets[i].label for i in split.train],
@@ -221,7 +221,7 @@ def _run_split(
     elapsed = time.perf_counter() - started
     hits = 0
     for i in split.test:
-        prediction = nearest(profile_from_rows([lifted[kid][i] for kid in kids], model), model)
+        prediction = nearest(profile_from_rows([lifted[name][i] for name in names], model), model)
         hits += prediction.label == sets[i].label
     return SplitResult(
         split_index=split.index,
@@ -235,14 +235,14 @@ def _run_split(
 
 
 def _protocol(
-    source, cfg: TrainConfig, n_splits: int, train_per_class: int, kernel_ids
+    source, cfg: TrainConfig, n_splits: int, train_per_class: int, descriptors
 ) -> Callable[[TrainConfig], ExperimentReport]:
     """Check a call's arguments, sets and splits, encode each set once and
-    lift the collection once per channel in ``kernel_ids``.
+    lift the collection once per channel in ``descriptors``.
 
     Returns the function that runs the split protocol for a configuration
     that differs from ``cfg`` only in ``target_dim`` or in ``descriptors``
-    (within ``kernel_ids``).
+    (within ``descriptors``).
     """
     check_int("n_splits", n_splits, 1)
     check_int("train_per_class", train_per_class, 1)
@@ -250,7 +250,7 @@ def _protocol(
     capped = _capped_config(sets, cfg)
     splits = _plan_splits(sets, cfg, n_splits, train_per_class)
     triples = [encode_set(s, capped) for s in sets]
-    lifted = {kid: lift_features(triples, kid) for kid in kernel_ids}
+    lifted = {name: lift_features(triples, name) for name in descriptors}
 
     def run(row_cfg: TrainConfig) -> ExperimentReport:
         capped_row = replace(row_cfg, subspace_dim=capped.subspace_dim)
@@ -281,11 +281,12 @@ def run_experiment(
     the combined row. Each set is encoded and lifted once per call, however
     many splits and ablation rows use it.
     """
-    run = _protocol(source, cfg, n_splits, train_per_class, ALL_KERNELS if ablate else cfg.kernel_ids)
+    names = DESCRIPTOR_NAMES if ablate else cfg.descriptors
+    run = _protocol(source, cfg, n_splits, train_per_class, names)
     combined = run(cfg)
     if not ablate:
         return combined
-    rows = {name: run(replace(cfg, descriptors=(name,))) for name in ("cov", "subspace", "gauss")}
+    rows = {name: run(replace(cfg, descriptors=(name,))) for name in DESCRIPTOR_NAMES}
     rows["combined"] = combined
     return replace(combined, ablation=rows)
 
@@ -299,5 +300,5 @@ def run_dimension_sweep(
 ) -> dict[int, ExperimentReport]:
     """Evaluate the protocol once per candidate projection width; every width
     reads the same once-encoded, once-lifted sets."""
-    run = _protocol(source, cfg, n_splits, train_per_class, cfg.kernel_ids)
+    run = _protocol(source, cfg, n_splits, train_per_class, cfg.descriptors)
     return {int(dim): run(replace(cfg, target_dim=dim)) for dim in target_dims}

@@ -1,31 +1,33 @@
 """Riemannian kernels over the three set descriptors, as lifted features.
 
-Each kernel is a Frobenius inner product of lifted matrices, so every
-descriptor is lifted once into a flat feature row of length D_q:
+A kernel channel is named by the descriptor it reads. Its kernel is a
+Frobenius inner product of lifted matrices, so every descriptor is lifted
+once into a flat feature row of length D_q:
 
-* log-Euclidean kernel on SPD matrices:  <vec log C1, vec log C2>
+* ``cov``: log-Euclidean kernel on SPD matrices, <vec log C1, vec log C2>
   = trace(log(C1) @ log(C2)), D_q = d^2 (Arsigny et al. 2006)
-* projection kernel on subspaces:        <vec Y1 Y1^T, vec Y2 Y2^T>
+* ``subspace``: projection kernel, <vec Y1 Y1^T, vec Y2 Y2^T>
   = ||Y1.T @ Y2||_F^2, D_q = d^2 (Hamm & Lee 2008)
-* Gaussian-embedding kernel:             log-Euclidean kernel on the
-                                         determinant-one embeddings,
-                                         D_q = (d+1)^2
+* ``gauss``: log-Euclidean kernel on the determinant-one Gaussian
+  embeddings, D_q = (d+1)^2
 
-``lift_features`` lifts a list of descriptors into one read-only (N, D_q)
-array: a training gallery, or the whole set collection of a split protocol
-call, whose splits then slice their training rows from it. A ``KernelBank``
-is such arrays, one per channel, and derives its Gram matrices from them. Every kernel value (a Gram entry, a probe's cross-kernel
-entry, a scalar kernel) is the same row-wise sum ``(rows * row).sum(axis=-1)``.
-It adds the products in one order whichever argument comes first, so Gram
-matrices are exactly symmetric and a probe identical to a gallery member
-reproduces that member's Gram column bit for bit.
+``_LIFTS`` holds each channel's lift, and its key order ``DESCRIPTOR_NAMES``
+is the channel order; an unknown name raises ``BadSpec``. ``lift_features``
+lifts a list of descriptors into one read-only (N, D_q) array: a training
+gallery, or the whole set collection of a split protocol call, whose splits
+then slice their training rows from it. A ``KernelBank`` is such arrays, one
+per channel, and derives its Gram matrices from them. Every kernel value (a
+Gram entry, a probe's cross-kernel entry, a scalar kernel) is the same
+row-wise sum ``(rows * row).sum(axis=-1)``. It adds the products in one
+order whichever argument comes first, so Gram matrices are exactly symmetric
+and a probe identical to a gallery member reproduces that member's Gram
+column bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import IntEnum
 from typing import Sequence
 
 import numpy as np
@@ -42,17 +44,6 @@ from .spd import spd_log
 
 # Gram traces at or below this value cannot be normalized against.
 NORMALIZATION_TRACE_FLOOR = 1e-12
-
-
-class KernelId(IntEnum):
-    """Which descriptor a kernel channel reads."""
-
-    LOG_EUCLIDEAN = 1
-    PROJECTION = 2
-    GAUSSIAN_EMBEDDED = 3
-
-
-ALL_KERNELS = (KernelId.LOG_EUCLIDEAN, KernelId.PROJECTION, KernelId.GAUSSIAN_EMBEDDED)
 
 
 def _frobenius(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -89,35 +80,41 @@ def gaussian_embedding_kernel(g1: GaussianDescriptor, g2: GaussianDescriptor) ->
     return log_euclidean_kernel(g1.embedding, g2.embedding)
 
 
-def _lift(triple: DescriptorTriple, kid: KernelId) -> np.ndarray:
-    """Per-descriptor matrix in which the kernel is a Frobenius inner product."""
-    if kid == KernelId.LOG_EUCLIDEAN:
-        return spd_log(triple.cov)
-    if kid == KernelId.PROJECTION:
-        return _projector(triple.subspace)
-    if kid == KernelId.GAUSSIAN_EMBEDDED:
-        return spd_log(triple.gauss.embedding)
-    raise BadSpec(f"unknown kernel id {kid!r}")
+# Per channel, the matrix whose Frobenius inner product is its kernel.
+_LIFTS = {
+    "cov": lambda t: spd_log(t.cov),
+    "subspace": lambda t: _projector(t.subspace),
+    "gauss": lambda t: spd_log(t.gauss.embedding),
+}
+DESCRIPTOR_NAMES = tuple(_LIFTS)
 
 
-def lift_row(triple: DescriptorTriple, kid: KernelId) -> np.ndarray:
-    """One descriptor's flattened lifted matrix for kernel ``kid``, a 1-D row."""
-    return _lift(triple, kid).ravel()
+def _lift(name: str):
+    """The lift of channel ``name``; ``BadSpec`` for an unknown name."""
+    if name not in DESCRIPTOR_NAMES:
+        raise BadSpec(f"unknown kernel channel {name!r}; the channels are {DESCRIPTOR_NAMES}")
+    return _LIFTS[name]
 
 
-def lift_features(triples: Sequence[DescriptorTriple], kid: KernelId) -> np.ndarray:
+def lift_row(triple: DescriptorTriple, name: str) -> np.ndarray:
+    """One descriptor's flattened lifted matrix for channel ``name``, a 1-D row."""
+    return _lift(name)(triple).ravel()
+
+
+def lift_features(triples: Sequence[DescriptorTriple], name: str) -> np.ndarray:
     """Lift each descriptor once into one row of a read-only (N, D_q) array.
 
-    Row i is ``lift_row(triples[i], kid)``. Raises ``DimensionMismatch``
+    Row i is ``lift_row(triples[i], name)``. Raises ``DimensionMismatch``
     naming the first descriptor whose width differs from the first one's,
     before the descriptors after it are lifted.
     """
+    lift = _lift(name)
     if not triples:
         raise BadSpec("lifted features need at least one descriptor")
     out = None
     for i, t in enumerate(triples):
         try:
-            row = lift_row(t, kid)
+            row = lift(t).ravel()
         except SetfuseError as exc:
             raise type(exc)(f"descriptor {i} ({t.set_id!r}): {exc}") from exc
         if out is None:
@@ -152,7 +149,7 @@ def _gram(features: np.ndarray) -> np.ndarray:
 
 
 def gram_matrix(
-    triples: Sequence[DescriptorTriple], kid: KernelId, normalize: bool = False
+    triples: Sequence[DescriptorTriple], name: str, normalize: bool = False
 ) -> np.ndarray:
     """Kernel Gram matrix over a gallery of descriptor triples, read-only.
 
@@ -160,7 +157,7 @@ def gram_matrix(
     rescaled to trace N (raises ``NormalizationDegenerate`` when the raw
     trace is numerically zero).
     """
-    return build_kernel_bank(triples, (kid,), normalize).grams[0]
+    return build_kernel_bank(triples, (name,), normalize).grams[0]
 
 
 def gram_normalizer(k: np.ndarray) -> float:
@@ -173,7 +170,8 @@ def gram_normalizer(k: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class KernelBank:
-    """Kernel state of a gallery: its lifted features, one channel per kernel.
+    """Kernel state of a gallery: its lifted features, one channel per name
+    in ``descriptors``.
 
     ``features[q]`` holds the gallery's unscaled lifted rows, (N, D_q),
     read-only (a writable array is copied), and is what a saved model
@@ -184,16 +182,18 @@ class KernelBank:
     against the same features, so Grams and probe columns cannot disagree.
     """
 
-    kernel_ids: tuple[KernelId, ...]
+    descriptors: tuple[str, ...]
     features: tuple[np.ndarray, ...]
     normalize: bool = False
     grams: tuple[np.ndarray, ...] = field(init=False, repr=False)
     scales: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        if not self.kernel_ids:
+        if not self.descriptors:
             raise BadSpec("kernel bank needs at least one kernel")
-        if len(self.features) != len(self.kernel_ids):
+        for name in self.descriptors:
+            _lift(name)  # BadSpec for an unknown channel
+        if len(self.features) != len(self.descriptors):
             raise ShapeMismatch("kernel bank has features for a different number of kernels")
         features = tuple(_read_only(f) for f in self.features)
         for f in features:
@@ -204,20 +204,15 @@ class KernelBank:
                 )
         if features[0].shape[0] < 1:
             raise BadSpec("kernel bank needs at least one gallery member")
-        grams = []
-        scales = []
-        for f in features:
-            gram = _gram(f)
-            s = gram_normalizer(gram) if self.normalize else 1.0
-            if self.normalize:
-                gram = gram * s
-            gram.setflags(write=False)
-            grams.append(gram)
-            scales.append(float(s))
-        object.__setattr__(self, "kernel_ids", tuple(KernelId(k) for k in self.kernel_ids))
+        grams = tuple(_gram(f) for f in features)
+        scales = tuple(gram_normalizer(g) if self.normalize else 1.0 for g in grams)
+        for g, s in zip(grams, scales):
+            g *= s
+            g.setflags(write=False)
+        object.__setattr__(self, "descriptors", tuple(self.descriptors))
         object.__setattr__(self, "features", features)
-        object.__setattr__(self, "grams", tuple(grams))
-        object.__setattr__(self, "scales", tuple(scales))
+        object.__setattr__(self, "grams", grams)
+        object.__setattr__(self, "scales", scales)
 
     @property
     def n_train(self) -> int:
@@ -225,17 +220,17 @@ class KernelBank:
 
     @property
     def n_kernels(self) -> int:
-        return len(self.kernel_ids)
+        return len(self.descriptors)
 
     @property
     def dim(self) -> int:
         """Feature dimension d of the sets the gallery was encoded from."""
         side = math.isqrt(self.features[0].shape[1])
-        return side - 1 if self.kernel_ids[0] == KernelId.GAUSSIAN_EMBEDDED else side
+        return side - 1 if self.descriptors[0] == "gauss" else side
 
     def probe_rows(self, test: DescriptorTriple) -> tuple[np.ndarray, ...]:
         """One probe's lifted row per channel; the gallery is not read."""
-        return tuple(lift_row(test, kid) for kid in self.kernel_ids)
+        return tuple(lift_row(test, name) for name in self.descriptors)
 
     def columns_from_rows(self, rows: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Scaled kernel columns of a probe's lifted rows against the gallery
@@ -254,9 +249,9 @@ class KernelBank:
 
 def build_kernel_bank(
     triples: Sequence[DescriptorTriple],
-    kernel_ids: Sequence[KernelId] = ALL_KERNELS,
+    descriptors: Sequence[str] = DESCRIPTOR_NAMES,
     normalize: bool = False,
 ) -> KernelBank:
-    """Lift a gallery once per kernel and derive each Gram from the features."""
-    features = [lift_features(triples, kid) for kid in kernel_ids]
-    return KernelBank(tuple(kernel_ids), tuple(features), normalize)
+    """Lift a gallery once per channel and derive each Gram from the features."""
+    features = [lift_features(triples, name) for name in descriptors]
+    return KernelBank(tuple(descriptors), tuple(features), normalize)

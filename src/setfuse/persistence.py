@@ -1,22 +1,23 @@
-"""Model serialization, format 3: a metadata file plus one ``.npy`` file per
+"""Model serialization, format 4: a metadata file plus one ``.npy`` file per
 array that cannot be derived.
 
 A model is stored as its learned arrays (``transform``, ``gating_coeffs``,
-``gating_biases``) and, per kernel channel of ``config.kernel_ids``, the
-gallery's lifted features (``features_<kernel id>``, N x D_q), each in
-``<name>.npy``. Everything else is derived on load: ``KernelBank`` derives
-Grams, scales and ``n_train`` from the features as it does in training, and
-``ModelState.train_weights`` derives the gallery's gating weights, so all
-come back bit for bit.
+``gating_biases``) and, per kernel channel of ``config.descriptors``, the
+gallery's lifted features (``features_<descriptor>``, such as
+``features_cov``, N x D_q), each in ``<name>.npy``. Everything else is
+derived on load: ``KernelBank`` derives Grams, scales and ``n_train`` from
+the features as it does in training, and ``ModelState.train_weights``
+derives the gallery's gating weights, so all come back bit for bit.
 
 Array files are numpy's own ``.npy`` format, version 1.0, little-endian
 float64, row-major, so ``np.load(path, allow_pickle=False)`` reads them. The
 metadata file (labels, set ids, configuration, objective trace) records each
 file's SHA-256 checksum. Loading accepts exactly those keys and files and
-format 3 alone (formats 1 and 2 stored more than this; retrain such models),
-or fails with a ``DataError``. The types and values of the configuration's
-fields are ``TrainConfig``'s to check; a stored configuration it rejects
-fails to load with ``IoError``.
+format 4 alone (formats 1 and 2 stored more than this, and format 3 named
+features by kernel number; retrain such models), or fails with a
+``DataError``. The types and values of the configuration's fields are
+``TrainConfig``'s to check; a stored configuration it rejects fails to load
+with ``IoError``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .gating import GatingParams
 from .kernels import KernelBank
 from .trainer import ModelState
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 META_NAME = "model.json"
 
 
@@ -89,29 +90,28 @@ _META_KEYS = {"format_version", "labels", "set_ids", "config", "objective_trace"
 _CONFIG_KEYS = {f.name for f in fields(TrainConfig)}
 
 
-def _array_names(kernel_ids) -> list[str]:
+def _array_names(descriptors) -> list[str]:
     """The stored arrays, in writing order; each lives in ``<name>.npy``."""
     return ["transform", "gating_coeffs", "gating_biases"] + [
-        f"features_{int(kid)}" for kid in kernel_ids
+        f"features_{name}" for name in descriptors
     ]
 
 
 def save_model(model: ModelState, out_dir) -> Path:
     """Write a model directory; returns the metadata path.
 
-    Loading takes the kernel ids from ``config.descriptors`` and derives the
+    Loading takes the channels from ``config.descriptors`` and derives the
     Grams from the stored features under ``config.normalize_kernels``, so a
-    bank whose kernel ids or ``normalize`` flag disagree with the config
+    bank whose ``descriptors`` or ``normalize`` flag disagree with the config
     would not load as saved; ``BadSpec`` when they do. The gating weights are
     not stored: ``ModelState.train_weights`` derives them from the bank and
     the gating. Write failures raise ``IoError``.
     """
     bank, cfg = model.bank, model.config
-    if (bank.kernel_ids, bank.normalize) != (cfg.kernel_ids, cfg.normalize_kernels):
+    if (bank.descriptors, bank.normalize) != (cfg.descriptors, cfg.normalize_kernels):
         raise BadSpec(
-            f"kernel bank has kernels {[int(k) for k in bank.kernel_ids]} and "
-            f"normalize={bank.normalize}, but the config gives "
-            f"{[int(k) for k in cfg.kernel_ids]} and normalize_kernels="
+            f"kernel bank has channels {bank.descriptors} and normalize={bank.normalize}, "
+            f"but the config gives {cfg.descriptors} and normalize_kernels="
             f"{cfg.normalize_kernels}; the model would not load as saved"
         )
     out = Path(out_dir)
@@ -119,7 +119,7 @@ def save_model(model: ModelState, out_dir) -> Path:
     checksums = {}
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name, arr in zip(_array_names(cfg.kernel_ids), values):
+        for name, arr in zip(_array_names(cfg.descriptors), values):
             fname = f"{name}.npy"
             checksums[fname] = _write_array(out / fname, arr)
         meta = {
@@ -161,7 +161,7 @@ def _config(raw, where: str) -> TrainConfig:
 def load_model(model_dir) -> ModelState:
     """Read a model directory back, verifying version, keys and checksums.
 
-    Arrays come back read-only. Kernel ids come from ``config.descriptors``;
+    Arrays come back read-only. The channels come from ``config.descriptors``;
     Grams, scales and ``n_train`` are derived from the stored features as in
     training, and the gating weights from the gating; nothing is re-lifted.
     """
@@ -182,7 +182,7 @@ def load_model(model_dir) -> ModelState:
     where = str(meta_path)
     _expect_keys(meta, _META_KEYS, where)
     cfg = _config(meta["config"], f"{where} config")
-    names = _array_names(cfg.kernel_ids)
+    names = _array_names(cfg.descriptors)
     checksums = meta["checksums"]
     _expect_keys(checksums, [f"{name}.npy" for name in names], f"{where} checksums")
     if not all(isinstance(d, str) for d in checksums.values()):
@@ -198,7 +198,7 @@ def load_model(model_dir) -> ModelState:
     )
 
     arrays = {name: _read_array(root / f"{name}.npy", checksums[f"{name}.npy"]) for name in names}
-    features = [arrays[f"features_{int(kid)}"] for kid in cfg.kernel_ids]
+    features = [arrays[f"features_{name}"] for name in cfg.descriptors]
     q, n = len(features), arrays["gating_coeffs"].shape[-1]
     e = arrays["transform"]
     if not (
@@ -210,7 +210,7 @@ def load_model(model_dir) -> ModelState:
     ):
         shapes = {name: a.shape for name, a in arrays.items()}
         raise IoError(f"{where}: array shapes {shapes} do not fit {q} kernels and one gallery")
-    bank = KernelBank(cfg.kernel_ids, tuple(features), cfg.normalize_kernels)
+    bank = KernelBank(cfg.descriptors, tuple(features), cfg.normalize_kernels)
     if len(labels) != bank.n_train or (set_ids is not None and len(set_ids) != bank.n_train):
         raise IoError(f"{where}: labels or set ids do not match {bank.n_train} gallery sets")
     return ModelState(

@@ -39,11 +39,11 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
-def check_symmetric(m, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
+def check_symmetric(m) -> np.ndarray:
     """Validate that ``m`` is a finite symmetric square matrix.
 
     Returns the validated float64 array. Raises ``NonFinite`` on NaN/Inf and
-    ``NonSymmetric`` when the relative asymmetry exceeds ``rtol``.
+    ``NonSymmetric`` when the relative asymmetry exceeds ``SYMMETRY_RTOL``.
     """
     a = _as_square(m)
     if not np.isfinite(a).all():
@@ -51,9 +51,9 @@ def check_symmetric(m, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     scale = float(np.max(np.abs(a)))
     if scale > 0.0:
         asym = float(np.max(np.abs(a - a.T)))
-        if asym > rtol * scale:
+        if asym > SYMMETRY_RTOL * scale:
             raise NonSymmetric(
-                f"matrix asymmetry {asym:.3e} exceeds {rtol:.1e} * {scale:.3e}"
+                f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.1e} * {scale:.3e}"
             )
     return a
 
@@ -81,12 +81,12 @@ def sym_eig(m) -> EigenPair:
     return EigenPair(values, vectors)
 
 
-def is_spd(m, rtol: float = SPD_EIG_RTOL) -> bool:
+def is_spd(m) -> bool:
     """True when ``m`` is symmetric with spectrum bounded away from zero.
 
-    The test requires ``lambda_min > rtol * lambda_max``, so barely-positive
-    spectra with huge condition numbers are rejected along with indefinite
-    ones.
+    The test requires ``lambda_min > SPD_EIG_RTOL * lambda_max``, so
+    barely-positive spectra with huge condition numbers are rejected along
+    with indefinite ones.
     """
     try:
         pair = sym_eig(m)
@@ -95,7 +95,7 @@ def is_spd(m, rtol: float = SPD_EIG_RTOL) -> bool:
     lam_max = float(pair.values[0])
     if lam_max <= 0.0:
         return False
-    return float(pair.values[-1]) > rtol * lam_max
+    return float(pair.values[-1]) > SPD_EIG_RTOL * lam_max
 
 
 def spd_log(c) -> np.ndarray:
@@ -121,8 +121,9 @@ def regularize_spd(c, alpha: float) -> np.ndarray:
     Adds ``trace(c) / alpha`` times the identity. When the trace is at or
     below ``TRACE_EPS_FLOOR * d`` (e.g. the zero matrix from a constant image
     set) the shift falls back to the absolute floor ``TRACE_EPS_FLOOR`` so the
-    output is still usable downstream. ``alpha = inf`` is an intentional
-    no-op sentinel for tests that need the raw estimate.
+    output is still usable downstream. ``alpha = inf`` is a no-op sentinel
+    for direct callers (tests) that need the raw estimate; ``TrainConfig``
+    requires a finite ``alpha``, so training never passes it.
     """
     if not alpha > 0.0:
         raise BadSpec(f"alpha must be positive, got {alpha}")

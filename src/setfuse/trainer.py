@@ -511,7 +511,7 @@ def train(
             new_params, new_weights = params, weights
 
         converged = False
-        if it > 2 and prev_transform is not None:
+        if it > 2:
             param_delta = max(
                 float(np.max(np.abs(new_params.coeffs - params.coeffs))),
                 float(np.max(np.abs(new_params.biases - params.biases))),

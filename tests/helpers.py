@@ -3,7 +3,7 @@
 import numpy as np
 
 from setfuse.descriptors import ImageSet
-from setfuse.kernels import KernelBank, KernelId
+from setfuse.kernels import DESCRIPTOR_NAMES, KernelBank
 
 
 def random_spd(rng, d, eig_low=0.5, eig_high=2.0):
@@ -39,7 +39,7 @@ def random_bank(rng, n, n_kernels):
     Gram matrices are random symmetric PSD with O(1) entries."""
     features = [rng.standard_normal((n, n + 2)) / np.sqrt(n + 2) for _ in range(n_kernels)]
     return KernelBank(
-        kernel_ids=tuple(KernelId(i + 1) for i in range(n_kernels)),
+        descriptors=DESCRIPTOR_NAMES[:n_kernels],
         features=tuple(features),
     )
 

@@ -9,7 +9,6 @@ from setfuse.descriptors import ImageSet, encode_set
 from setfuse.errors import NegativeDistance
 from setfuse.gating import softmax_columns
 from setfuse.kernels import (
-    KernelId,
     build_kernel_bank,
     gaussian_embedding_kernel,
     log_euclidean_kernel,
@@ -28,15 +27,15 @@ def trained_model(seed, n_classes=3, sets_per_class=3, target_dim=3, iters=4):
     cfg = TrainConfig(subspace_dim=3, target_dim=target_dim, iters=iters, seed=seed)
     triples = [encode_set(s, cfg) for s in sets]
     labels = np.array([s.label for s in sets])
-    bank = build_kernel_bank(triples, cfg.kernel_ids)
+    bank = build_kernel_bank(triples, cfg.descriptors)
     model = train(bank, labels, cfg)
     return model, sets, triples
 
 
 SCALAR_KERNELS = {
-    KernelId.LOG_EUCLIDEAN: lambda a, b: log_euclidean_kernel(a.cov, b.cov),
-    KernelId.PROJECTION: lambda a, b: projection_kernel(a.subspace, b.subspace),
-    KernelId.GAUSSIAN_EMBEDDED: lambda a, b: gaussian_embedding_kernel(a.gauss, b.gauss),
+    "cov": lambda a, b: log_euclidean_kernel(a.cov, b.cov),
+    "subspace": lambda a, b: projection_kernel(a.subspace, b.subspace),
+    "gauss": lambda a, b: gaussian_embedding_kernel(a.gauss, b.gauss),
 }
 
 
@@ -45,8 +44,8 @@ def naive_distance(test, model, triples, i):
     the probe's kernel column built from the scalar kernels."""
     total = 0.0
     crosses = [
-        scale * np.array([SCALAR_KERNELS[kid](test, t) for t in triples])
-        for kid, scale in zip(model.bank.kernel_ids, model.bank.scales)
+        scale * np.array([SCALAR_KERNELS[channel](test, t) for t in triples])
+        for channel, scale in zip(model.bank.descriptors, model.bank.scales)
     ]
     scores = np.array(
         [

@@ -314,6 +314,9 @@ EXIT_CASES = {
     "train-negative-alpha": (
         _command("train", "--manifest", "{manifest}", "--out", "{out}", "--alpha", "-1"), 3
     ),
+    "train-inf-alpha": (
+        _command("train", "--manifest", "{manifest}", "--out", "{out}", "--alpha", "inf"), 3
+    ),
     "train-negative-gamma": (
         _command("train", "--manifest", "{manifest}", "--out", "{out}", "--gamma", "-1"), 3
     ),

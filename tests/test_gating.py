@@ -168,10 +168,10 @@ class TestGatingGradients:
     def test_identical_grams_give_identical_gradients(self):
         rng = np.random.default_rng(70)
         base = random_bank(rng, 6, 1)
-        from setfuse.kernels import KernelBank, KernelId
+        from setfuse.kernels import DESCRIPTOR_NAMES, KernelBank
 
         bank = KernelBank(
-            kernel_ids=(KernelId(1), KernelId(2), KernelId(3)),
+            descriptors=DESCRIPTOR_NAMES,
             features=(base.features[0],) * 3,
         )
         labels = random_labels(rng, 6)

@@ -1,4 +1,5 @@
-"""Every name a library module imports is read somewhere in that module.
+"""Every name a library module imports is read somewhere in that module,
+and the package's export list names each public object once.
 
 The check parses each ``src/setfuse/*.py`` with the stdlib ``ast`` module,
 so it needs no linter. A name counts as used when the module reads it or
@@ -9,6 +10,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import setfuse
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "setfuse"
 
@@ -47,3 +50,12 @@ def test_checker_flags_unused_names_only():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_exports_are_consistent():
+    names = setfuse.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(setfuse, n)] == []
+    namespace = {}
+    exec("from setfuse import *", namespace)
+    assert set(names) <= set(namespace)

@@ -16,14 +16,14 @@ from setfuse.descriptors import (
 )
 from setfuse.errors import BadSpec, DimensionMismatch, NormalizationDegenerate, ShapeMismatch
 from setfuse.kernels import (
-    ALL_KERNELS,
+    DESCRIPTOR_NAMES,
     KernelBank,
-    KernelId,
     _lift,
     build_kernel_bank,
     gaussian_embedding_kernel,
     gram_matrix,
     lift_features,
+    lift_row,
     log_euclidean_kernel,
     projection_kernel,
 )
@@ -150,22 +150,22 @@ class TestGramMatrix:
     def test_single_descriptor(self):
         rng = np.random.default_rng(37)
         triples = encode_sets(random_gallery_sets(rng, 1, 1, d=5, n=10), q=3)
-        for kid in ALL_KERNELS:
-            k = gram_matrix(triples, kid)
+        for channel in DESCRIPTOR_NAMES:
+            k = gram_matrix(triples, channel)
             assert k.shape == (1, 1)
 
     def test_bitwise_symmetric(self):
         rng = np.random.default_rng(38)
         triples = encode_sets(random_gallery_sets(rng, 2, 4, d=6, n=12), q=3)
-        for kid in ALL_KERNELS:
-            k = gram_matrix(triples, kid)
+        for channel in DESCRIPTOR_NAMES:
+            k = gram_matrix(triples, channel)
             assert np.array_equal(k, k.T)
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(39)
         triples = encode_sets(random_gallery_sets(rng, 4, 5, d=6, n=12), q=3)
-        for kid in ALL_KERNELS:
-            k = gram_matrix(triples, kid)
+        for channel in DESCRIPTOR_NAMES:
+            k = gram_matrix(triples, channel)
             vals = np.linalg.eigvalsh(k)
             bound = -1e-8 * max(abs(vals[0]), abs(vals[-1]))
             assert vals[0] >= bound
@@ -173,20 +173,20 @@ class TestGramMatrix:
     def test_repeated_descriptor_rank_one(self):
         rng = np.random.default_rng(40)
         triple = encode_sets(random_gallery_sets(rng, 1, 1, d=5, n=10), q=3)[0]
-        k = gram_matrix([triple] * 4, KernelId.LOG_EUCLIDEAN)
+        k = gram_matrix([triple] * 4, "cov")
         vals = np.linalg.eigvalsh(k)
         assert np.all(np.abs(vals[:-1]) <= 1e-10 * max(1.0, abs(vals[-1])))
 
     def test_projection_diagonal_equals_subspace_dim(self):
         rng = np.random.default_rng(41)
         triples = encode_sets(random_gallery_sets(rng, 2, 3, d=7, n=12), q=4)
-        k = gram_matrix(triples, KernelId.PROJECTION)
+        k = gram_matrix(triples, "subspace")
         assert np.max(np.abs(np.diag(k) - 4.0)) <= 1e-10
 
     def test_normalization_trace(self):
         rng = np.random.default_rng(42)
         triples = encode_sets(random_gallery_sets(rng, 2, 4, d=6, n=12), q=3)
-        k = gram_matrix(triples, KernelId.LOG_EUCLIDEAN, normalize=True)
+        k = gram_matrix(triples, "cov", normalize=True)
         assert abs(np.trace(k) - len(triples)) <= 1e-9
 
     def test_normalization_degenerate(self):
@@ -206,12 +206,12 @@ class TestGramMatrix:
                 )
             )
         with pytest.raises(NormalizationDegenerate):
-            gram_matrix(triples, KernelId.LOG_EUCLIDEAN, normalize=True)
+            gram_matrix(triples, "cov", normalize=True)
 
 
-def cross_kernel_vector(probe, gallery, kid, normalize=False):
+def cross_kernel_vector(probe, gallery, channel, normalize=False):
     """One probe's kernel column against a gallery, through a one-channel bank."""
-    bank = build_kernel_bank(gallery, (kid,), normalize)
+    bank = build_kernel_bank(gallery, (channel,), normalize)
     (column,) = bank.columns_from_rows(bank.probe_rows(probe))
     return column
 
@@ -223,16 +223,16 @@ class TestCrossKernelVector:
     def test_gallery_of_one(self):
         rng = np.random.default_rng(43)
         triples = encode_sets(random_gallery_sets(rng, 1, 2, d=5, n=10), q=3)
-        v = cross_kernel_vector(triples[0], triples[1:], KernelId.LOG_EUCLIDEAN)
+        v = cross_kernel_vector(triples[0], triples[1:], "cov")
         assert v.shape == (1,)
 
     def test_probe_in_gallery_reproduces_gram_column(self):
         rng = np.random.default_rng(44)
         triples = encode_sets(random_gallery_sets(rng, 3, 3, d=6, n=12), q=3)
         j = 4
-        for kid in ALL_KERNELS:
-            k = gram_matrix(triples, kid)
-            v = cross_kernel_vector(triples[j], triples, kid)
+        for channel in DESCRIPTOR_NAMES:
+            k = gram_matrix(triples, channel)
+            v = cross_kernel_vector(triples[j], triples, channel)
             assert np.array_equal(v, k[:, j])
 
     def test_matches_scalar_kernels(self):
@@ -240,22 +240,22 @@ class TestCrossKernelVector:
         triples = encode_sets(random_gallery_sets(rng, 3, 5, d=6, n=12), q=3)
         probe = encode_sets(random_gallery_sets(rng, 1, 1, d=6, n=12), q=3)[0]
         scalar = {
-            KernelId.LOG_EUCLIDEAN: lambda a, b: log_euclidean_kernel(a.cov, b.cov),
-            KernelId.PROJECTION: lambda a, b: projection_kernel(a.subspace, b.subspace),
-            KernelId.GAUSSIAN_EMBEDDED: lambda a, b: gaussian_embedding_kernel(a.gauss, b.gauss),
+            "cov": lambda a, b: log_euclidean_kernel(a.cov, b.cov),
+            "subspace": lambda a, b: projection_kernel(a.subspace, b.subspace),
+            "gauss": lambda a, b: gaussian_embedding_kernel(a.gauss, b.gauss),
         }
-        for kid in ALL_KERNELS:
-            v = cross_kernel_vector(probe, triples, kid)
-            direct = np.array([scalar[kid](probe, t) for t in triples])
+        for channel in DESCRIPTOR_NAMES:
+            v = cross_kernel_vector(probe, triples, channel)
+            direct = np.array([scalar[channel](probe, t) for t in triples])
             assert np.max(np.abs(v - direct)) <= 1e-12
 
     def test_normalize_ref_scales_entries(self):
         # a normalised bank replays its trace-N scale on probe columns
         rng = np.random.default_rng(46)
         triples = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
-        raw = cross_kernel_vector(triples[0], triples, KernelId.PROJECTION)
-        scaled = cross_kernel_vector(triples[0], triples, KernelId.PROJECTION, normalize=True)
-        scale = build_kernel_bank(triples, (KernelId.PROJECTION,), normalize=True).scales[0]
+        raw = cross_kernel_vector(triples[0], triples, "subspace")
+        scaled = cross_kernel_vector(triples[0], triples, "subspace", normalize=True)
+        scale = build_kernel_bank(triples, ("subspace",), normalize=True).scales[0]
         assert scale != 1.0
         assert np.array_equal(scaled, raw * scale)
 
@@ -264,7 +264,7 @@ class TestCrossKernelVector:
         gallery = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
         probe = encode_sets(random_gallery_sets(rng, 1, 1, d=6, n=10), q=3)[0]
         with pytest.raises(DimensionMismatch, match="probe lifts to 36 features, gallery to 25"):
-            cross_kernel_vector(probe, gallery, KernelId.LOG_EUCLIDEAN)
+            cross_kernel_vector(probe, gallery, "cov")
 
 
 class TestKernelBank:
@@ -292,14 +292,14 @@ class TestKernelBank:
     def test_bank_dim_read_from_features(self):
         rng = np.random.default_rng(56)
         triples = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
-        for kid in ALL_KERNELS:
-            assert build_kernel_bank(triples, kernel_ids=(kid,)).dim == 5
+        for channel in DESCRIPTOR_NAMES:
+            assert build_kernel_bank(triples, descriptors=(channel,)).dim == 5
 
     def test_subset_of_kernels(self):
         rng = np.random.default_rng(50)
         triples = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
-        bank = build_kernel_bank(triples, kernel_ids=(KernelId.PROJECTION,))
-        assert bank.kernel_ids == (KernelId.PROJECTION,)
+        bank = build_kernel_bank(triples, descriptors=("subspace",))
+        assert bank.descriptors == ("subspace",)
         assert bank.n_kernels == 1
 
 
@@ -311,8 +311,8 @@ class TestLiftedFeatures:
         triples = encode_sets(random_gallery_sets(rng, 4, 5, d=d, n=d + 8), q=5)
         bank = build_kernel_bank(triples)
         n = len(triples)
-        for kid, gram in zip(bank.kernel_ids, bank.grams):
-            lifted = [_lift(t, kid) for t in triples]
+        for channel, gram in zip(bank.descriptors, bank.grams):
+            lifted = [_lift(channel)(t) for t in triples]
             oracle = np.empty((n, n))
             for i in range(n):
                 for j in range(n):
@@ -322,19 +322,19 @@ class TestLiftedFeatures:
     def test_rows_are_flattened_lifts(self):
         rng = np.random.default_rng(52)
         triples = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
-        for kid, width in zip(ALL_KERNELS, (25, 25, 36)):
-            f = lift_features(triples, kid)
+        for channel, width in zip(DESCRIPTOR_NAMES, (25, 25, 36)):
+            f = lift_features(triples, channel)
             assert f.shape == (4, width)
             assert not f.flags.writeable
             for i, t in enumerate(triples):
-                assert np.array_equal(f[i], _lift(t, kid).ravel())
+                assert np.array_equal(f[i], lift_row(t, channel))
 
     def test_mixed_dimensions_name_the_descriptor(self):
         rng = np.random.default_rng(53)
         triples = encode_sets(random_gallery_sets(rng, 1, 2, d=5, n=10), q=3)
         triples += encode_sets(random_gallery_sets(rng, 1, 1, d=6, n=10), q=3)
         with pytest.raises(DimensionMismatch, match="descriptor 2"):
-            lift_features(triples, KernelId.LOG_EUCLIDEAN)
+            lift_features(triples, "cov")
 
     def test_bank_features_feed_probe_columns(self):
         rng = np.random.default_rng(54)
@@ -348,19 +348,48 @@ class TestLiftedFeatures:
         triples = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
         full = build_kernel_bank(triples)
         with pytest.raises(TypeError):
-            KernelBank(kernel_ids=full.kernel_ids)
+            KernelBank(descriptors=full.descriptors)
         with pytest.raises(ShapeMismatch):
-            KernelBank(kernel_ids=full.kernel_ids, features=())
+            KernelBank(descriptors=full.descriptors, features=())
         with pytest.raises(BadSpec):
-            KernelBank(kernel_ids=(), features=())
+            KernelBank(descriptors=(), features=())
         with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(full, grams=tuple(g * 2.0 for g in full.grams))
+
+
+class TestChannelNames:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda triples: KernelBank(("bogus",), (np.ones((len(triples), 9)),)),
+            lambda triples: KernelBank((7,), (np.ones((len(triples), 9)),)),
+            lambda triples: build_kernel_bank(triples, ("bogus",)),
+            lambda triples: build_kernel_bank(triples, ("cov", "bogus")),
+            lambda triples: lift_features(triples, "bogus"),
+            lambda triples: lift_row(triples[0], "bogus"),
+            lambda triples: gram_matrix(triples, "bogus"),
+        ],
+        ids=["bank", "bank-int", "build", "build-second", "lift-features", "lift-row", "gram"],
+    )
+    def test_unknown_channel_is_bad_spec(self, make):
+        rng = np.random.default_rng(61)
+        triples = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
+        names = r"the channels are \('cov', 'subspace', 'gauss'\)"
+        with pytest.raises(BadSpec, match=names):
+            make(triples)
+
+    def test_default_channels_follow_the_lift_table(self):
+        rng = np.random.default_rng(62)
+        triples = encode_sets(random_gallery_sets(rng, 1, 2, d=5, n=10), q=3)
+        assert DESCRIPTOR_NAMES == ("cov", "subspace", "gauss")
+        assert TrainConfig().descriptors == DESCRIPTOR_NAMES
+        assert build_kernel_bank(triples).descriptors == DESCRIPTOR_NAMES
 
 
 class TestBankIsItsFeatures:
     def test_only_features_and_flags_are_inputs(self):
         names = [f.name for f in dataclasses.fields(KernelBank) if f.init]
-        assert names == ["kernel_ids", "features", "normalize"]
+        assert names == ["descriptors", "features", "normalize"]
 
     @pytest.mark.parametrize("normalize", [False, True])
     def test_replaced_features_rederive_grams(self, normalize):
@@ -377,7 +406,7 @@ class TestBankIsItsFeatures:
     def test_writable_features_are_copied_read_only(self):
         rng = np.random.default_rng(58)
         f = rng.standard_normal((4, 9))
-        bank = KernelBank(kernel_ids=(KernelId.PROJECTION,), features=(f,))
+        bank = KernelBank(descriptors=("subspace",), features=(f,))
         f[0, 0] = 100.0
         assert bank.features[0][0, 0] != 100.0
         assert not bank.features[0].flags.writeable
@@ -387,16 +416,16 @@ class TestBankIsItsFeatures:
     def test_gallery_shape_checked(self):
         rng = np.random.default_rng(59)
         with pytest.raises(BadSpec, match="gallery member"):
-            KernelBank(kernel_ids=(KernelId.PROJECTION,), features=(np.zeros((0, 9)),))
+            KernelBank(descriptors=("subspace",), features=(np.zeros((0, 9)),))
         with pytest.raises(BadSpec):
             build_kernel_bank([])
         with pytest.raises(DimensionMismatch):
             KernelBank(
-                kernel_ids=(KernelId.LOG_EUCLIDEAN, KernelId.PROJECTION),
+                descriptors=("cov", "subspace"),
                 features=(rng.standard_normal((4, 9)), rng.standard_normal((5, 9))),
             )
         with pytest.raises(DimensionMismatch):
-            KernelBank(kernel_ids=(KernelId.PROJECTION,), features=(np.ones(9),))
+            KernelBank(descriptors=("subspace",), features=(np.ones(9),))
 
     def test_probe_row_count_must_match_channels(self):
         rng = np.random.default_rng(60)

@@ -22,7 +22,7 @@ from setfuse.errors import (
 )
 from setfuse.experiment import train_on_sets
 from setfuse.gating import gating_weights
-from setfuse.kernels import KernelId, build_kernel_bank
+from setfuse.kernels import build_kernel_bank
 from setfuse.persistence import META_NAME, load_model, save_model
 from setfuse.spd import spd_log
 from setfuse.trainer import ModelState, train
@@ -95,7 +95,7 @@ class TestRoundTrip:
         assert np.array_equal(back.train_weights, model.train_weights)
         for a, b in zip(back.bank.grams, model.bank.grams):
             assert np.array_equal(a, b)
-        assert back.bank.kernel_ids == model.bank.kernel_ids
+        assert back.bank.descriptors == model.bank.descriptors
         assert back.bank.scales == model.bank.scales
         assert back.labels == model.labels
         assert back.objective_trace == model.objective_trace
@@ -117,8 +117,8 @@ class TestRoundTrip:
         save_model(model, tmp_path / "m")
         names = sorted(f.name for f in (tmp_path / "m").iterdir())
         assert names == [
-            "features_1.npy", "features_2.npy", "features_3.npy", "gating_biases.npy",
-            "gating_coeffs.npy", META_NAME, "transform.npy",
+            "features_cov.npy", "features_gauss.npy", "features_subspace.npy",
+            "gating_biases.npy", "gating_coeffs.npy", META_NAME, "transform.npy",
         ]
 
     def test_arrays_are_plain_npy_files(self, trained, tmp_path):
@@ -129,13 +129,24 @@ class TestRoundTrip:
             "gating_coeffs": model.gating.coeffs,
             "gating_biases": model.gating.biases,
         }
-        for kid, features in zip(model.bank.kernel_ids, model.bank.features):
-            stored[f"features_{int(kid)}"] = features
+        for channel, features in zip(model.bank.descriptors, model.bank.features):
+            stored[f"features_{channel}"] = features
         for name, arr in stored.items():
             assert np.array_equal(np.load(tmp_path / "m" / f"{name}.npy", allow_pickle=False), arr)
         assert sorted(json.loads(meta_path.read_text())) == sorted(
             ["format_version", "labels", "set_ids", "config", "objective_trace", "checksums"]
         )
+
+    def test_metadata_is_strict_json(self, trained, tmp_path):
+        # NaN and Infinity are not JSON; TrainConfig keeps them out of model.json
+        model, _ = trained
+        meta_path = save_model(model, tmp_path / "m")
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        meta = json.loads(meta_path.read_text(), parse_constant=reject)
+        assert meta["config"]["alpha"] == model.config.alpha
 
     def test_train_weights_are_derived(self, trained, tmp_path):
         model, _ = trained
@@ -150,7 +161,7 @@ class TestRoundTrip:
         model, sets = trained_variant
         save_model(model, tmp_path / "m")
         back = load_model(tmp_path / "m")
-        assert back.bank.kernel_ids == model.bank.kernel_ids
+        assert back.bank.descriptors == model.bank.descriptors
         assert back.bank.scales == model.bank.scales
         for name in ("grams", "features"):
             for a, b in zip(getattr(back.bank, name), getattr(model.bank, name)):
@@ -244,20 +255,20 @@ class TestRoundTrip:
         model, sets = trained
         cfg = model.config
         triples = [encode_set(s, cfg) for s in sets]
-        bank = build_kernel_bank(triples, cfg.kernel_ids, normalize=True)
+        bank = build_kernel_bank(triples, cfg.descriptors, normalize=True)
         mixed = train(bank, model.labels, cfg)
         with pytest.raises(BadSpec):
             save_model(mixed, tmp_path / "m")
         assert not (tmp_path / "m").exists()
 
     def test_bank_kernels_must_match_config(self, trained, tmp_path):
-        # loading takes the kernel ids from config.descriptors
+        # loading takes the channels from config.descriptors
         model, sets = trained
         cfg = model.config
         triples = [encode_set(s, cfg) for s in sets]
-        bank = build_kernel_bank(triples, (KernelId.PROJECTION, KernelId.LOG_EUCLIDEAN))
+        bank = build_kernel_bank(triples, ("subspace", "cov"))
         mixed = train(bank, model.labels, cfg)
-        with pytest.raises(BadSpec, match="kernels"):
+        with pytest.raises(BadSpec, match="channels"):
             save_model(mixed, tmp_path / "m")
         assert not (tmp_path / "m").exists()
 
@@ -280,9 +291,10 @@ class TestTamperDetection:
         with pytest.raises(ChecksumMismatch):
             load_model(tmp_path / "m")
 
-    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("version", [1, 3, 99])
     def test_future_version_rejected(self, trained, tmp_path, version):
-        # format 1 stored descriptors; there is no reader for it, only retraining
+        # format 1 stored descriptors and format 3 named features by kernel
+        # number; there is no reader for either, only retraining
         model, _ = trained
         save_model(model, tmp_path / "m")
         edit_meta(tmp_path / "m", lambda m: m.update(format_version=version))
@@ -290,7 +302,7 @@ class TestTamperDetection:
             load_model(tmp_path / "m")
 
     def test_format_2_directory_rejected(self, trained, tmp_path):
-        # format 2 also stored train_weights, kernel ids and an array index,
+        # format 2 also stored train_weights, kernel numbers and an array index,
         # in .bin files; there is no reader for it, only retraining
         model, _ = trained
         meta_path = save_model(model, tmp_path / "m")
@@ -302,7 +314,7 @@ class TestTamperDetection:
             arrays[name] = {"file": f"{name}.bin", "shape": [1]}
             (tmp_path / "m" / fname).unlink(missing_ok=True)
         checksums = {entry["file"]: "0" * 64 for entry in arrays.values()}
-        meta.update(format_version=2, kernel_ids=[1, 2, 3], arrays=arrays, checksums=checksums)
+        meta.update(format_version=2, arrays=arrays, checksums=checksums)
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(FormatVersionMismatch, match="retrain"):
             load_model(tmp_path / "m")
@@ -397,7 +409,7 @@ class TestTamperDetection:
             lambda m: m["config"].update(momentum=0.9),
             lambda m: m.pop("labels"),
             lambda m: m.update(scales=[1.0, 1.0, 1.0]),
-            lambda m: m["checksums"].pop("features_2.npy"),
+            lambda m: m["checksums"].pop("features_subspace.npy"),
             lambda m: m.update(labels=m["labels"][:-1]),
             lambda m: m["config"].update(descriptors=[]),
             # wrong-typed values under required keys
@@ -407,6 +419,7 @@ class TestTamperDetection:
             lambda m: m["config"].update(normalize_kernels="no"),
             lambda m: m["config"].update(alpha=-1.0),
             lambda m: m["config"].update(alpha="1"),
+            lambda m: m["config"].update(alpha=float("inf")),
             lambda m: m["config"].update(eps=True),
             lambda m: m.update(labels=7),
             lambda m: m.update(labels=[[c] for c in m["labels"]]),
@@ -423,8 +436,8 @@ class TestTamperDetection:
             "empty-checksums", "no-checksums", "no-config-field", "unknown-config-field",
             "no-labels", "unknown-key", "no-array", "short-labels", "no-kernels",
             "descriptors-int", "subspace-dim-str", "target-dim-float", "normalize-str",
-            "alpha-negative", "alpha-str", "eps-bool", "labels-int", "labels-nested", "set-ids-int", "kernel-id-bool",
-            "file-path", "checksum-int", "trace-float", "trace-str",
+            "alpha-negative", "alpha-str", "alpha-inf", "eps-bool", "labels-int",
+            "labels-nested", "set-ids-int", "kernel-id-bool", "file-path", "checksum-int", "trace-float", "trace-str",
         ],
     )
     def test_metadata_edit_rejected(self, trained, tmp_path, edit):

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from setfuse.config import TrainConfig  # noqa: E402
 from setfuse.descriptors import ImageSet, embed_gaussian, encode_set  # noqa: E402
-from setfuse.kernels import KernelBank, KernelId, build_kernel_bank  # noqa: E402
+from setfuse.kernels import DESCRIPTOR_NAMES, KernelBank, build_kernel_bank  # noqa: E402
 from setfuse.spd import SYMMETRY_RTOL, check_symmetric, sym_eig  # noqa: E402
 from setfuse.trainer import NULL_SPACE_RTOL, gram_span, scatter_matrices  # noqa: E402
 
@@ -83,7 +83,7 @@ def test_grams_of_random_sets_are_psd(seed, d, n_sets, extra_samples, scale, nor
         x = rng.standard_normal(d)[:, None] + rng.standard_normal((d, d + extra_samples))
         sets.append(ImageSet(features=scale * x, label=f"c{i % 2}", set_id=f"s{i}"))
     triples = [encode_set(s, cfg) for s in sets]
-    bank = build_kernel_bank(triples, cfg.kernel_ids, normalize=normalize)
+    bank = build_kernel_bank(triples, cfg.descriptors, normalize=normalize)
     for gram in bank.grams:
         eigs = np.linalg.eigvalsh(gram)
         assert eigs.min() >= -1e-10 * max(eigs.max(), 0.0)
@@ -109,7 +109,7 @@ def test_centred_span_holds_differences_and_scatters(seed, n, n_kernels, width):
     rng = np.random.default_rng(seed)
     features = [rng.standard_normal((n, width)) for _ in range(n_kernels)]  # rank min(n, width)
     bank = KernelBank(
-        kernel_ids=tuple(KernelId(i + 1) for i in range(n_kernels)),
+        descriptors=DESCRIPTOR_NAMES[:n_kernels],
         features=tuple(features),
     )
     grams = bank.grams

@@ -98,7 +98,7 @@ def feature_bank(rng, n_classes=4, sets_per_class=10):
     """A real d=3 bank: N=40 sets, and Gram rank at most 9 + 9 + 16 = 34 < N."""
     sets = random_gallery_sets(rng, n_classes=n_classes, sets_per_class=sets_per_class, d=3, n=12)
     cfg = TrainConfig(subspace_dim=2)
-    bank = build_kernel_bank([encode_set(s, cfg) for s in sets], cfg.kernel_ids)
+    bank = build_kernel_bank([encode_set(s, cfg) for s in sets], cfg.descriptors)
     return bank, np.array([s.label for s in sets])
 
 
@@ -159,7 +159,7 @@ class TestGramSpan:
 
     def test_zero_grams_raise(self):
         bank = random_bank(np.random.default_rng(105), 4, 2)
-        zero = type(bank)(kernel_ids=bank.kernel_ids, features=(np.zeros((4, 6)),) * 2)
+        zero = type(bank)(descriptors=bank.descriptors, features=(np.zeros((4, 6)),) * 2)
         with pytest.raises(ZeroTotalScatter):
             gram_span(zero)
 
@@ -357,7 +357,7 @@ def separable_bank(rng, n_classes=2, sets_per_class=6, d=6, n=14, shift=4.0):
     cfg = TrainConfig(subspace_dim=3, target_dim=3, iters=8, seed=5)
     triples = [encode_set(s, cfg) for s in sets]
     labels = np.array([s.label for s in sets])
-    return build_kernel_bank(triples, cfg.kernel_ids), labels, cfg, triples
+    return build_kernel_bank(triples, cfg.descriptors), labels, cfg, triples
 
 
 def count_null_space_cuts(monkeypatch):
@@ -600,7 +600,7 @@ class TestTrain:
 
 
 class TestTrainConfig:
-    @pytest.mark.parametrize("field", ["learning_rate", "eps"])
+    @pytest.mark.parametrize("field", ["alpha", "learning_rate", "eps"])
     @pytest.mark.parametrize(
         "value", [float("nan"), float("inf"), -1.0, pytest.param(10**400, id="huge-int")]
     )
