@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import DescriptorTriple, ImageSet, encode_set
+from .descriptors import ImageSet, encode_sets
 from .errors import DimensionMismatch, NegativeDistance, NonFinite, TooFewSamples
 from .gating import gate, squared_distances
 from .trainer import ModelState
@@ -65,8 +65,8 @@ def profile_from_rows(rows, model: ModelState) -> np.ndarray:
     return out
 
 
-def distance_profile(test: DescriptorTriple, model: ModelState) -> np.ndarray:
-    """Gated projected distances from one probe to every gallery member.
+def distance_profile(test, model: ModelState) -> np.ndarray:
+    """Gated projected distances from one probe (triple or stack of one) to each gallery member.
 
     Only the probe is lifted, one lift per channel; see ``profile_from_rows``.
     """
@@ -92,4 +92,4 @@ def predict(test: ImageSet, model: ModelState) -> Prediction:
     """Check a probe set's dimension and sample count, encode it, lift it and
     classify it against the model's gallery."""
     check_probe(test, model)
-    return nearest(distance_profile(encode_set(test, model.config), model), model)
+    return nearest(distance_profile(encode_sets([test], model.config), model), model)

@@ -8,32 +8,38 @@ from the individual images. Three complementary descriptors summarize it:
 * a single Gaussian, embedded as a determinant-one SPD matrix of size
   (d+1) x (d+1) so that mean and covariance live in one object.
 
-All three are deterministic functions of the input bits.
+All three are deterministic functions of the input bits, computed for a
+whole collection by ``encode_sets`` as stacks (``DescriptorStack``); a set's
+descriptors are the same bits alone or in any stack. ``encode_set`` and the
+per-descriptor functions are the one-set view of the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     BadDimension,
+    BadSpec,
     DimensionMismatch,
     NonFinite,
     NotOrthonormal,
     NotPositiveDefinite,
     RankDeficient,
+    SetfuseError,
     TooFewSamples,
 )
-from .spd import check_symmetric, regularize_spd, sym_eig
+from .spd import check_symmetric, raise_first, regularize_spd, sym_eig
 
 # Eigenvalues below this fraction of the largest are treated as rank loss
 # when extracting a subspace basis.
 RANK_EIG_RTOL = 1e-12
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
+def read_only(values, dtype=np.float64) -> np.ndarray:
     """A read-only array of ``values``; one that already is one is not copied."""
     if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
         return values
@@ -62,7 +68,7 @@ class ImageSet:
             )
         if not np.isfinite(a).all():
             raise NonFinite(f"set {self.set_id!r}: features contain NaN or Inf")
-        object.__setattr__(self, "features", _frozen_array(a))
+        object.__setattr__(self, "features", read_only(a))
 
     @property
     def dim(self) -> int:
@@ -86,7 +92,7 @@ class GrassmannPoint:
         gram = a.T @ a
         if np.max(np.abs(gram - np.eye(a.shape[1]))) > 1e-10:
             raise NotOrthonormal("basis columns are not orthonormal")
-        object.__setattr__(self, "basis", _frozen_array(a))
+        object.__setattr__(self, "basis", read_only(a))
 
     @property
     def dim(self) -> int:
@@ -118,9 +124,9 @@ class GaussianDescriptor:
             raise DimensionMismatch(
                 f"inconsistent Gaussian shapes: mean {m.shape}, cov {c.shape}, embedding {p.shape}"
             )
-        object.__setattr__(self, "mean", _frozen_array(m))
-        object.__setattr__(self, "covariance", _frozen_array(c))
-        object.__setattr__(self, "embedding", _frozen_array(p))
+        object.__setattr__(self, "mean", read_only(m))
+        object.__setattr__(self, "covariance", read_only(c))
+        object.__setattr__(self, "embedding", read_only(p))
 
     @property
     def dim(self) -> int:
@@ -138,57 +144,82 @@ class DescriptorTriple:
     set_id: str
 
     def __post_init__(self):
-        object.__setattr__(self, "cov", _frozen_array(self.cov))
+        object.__setattr__(self, "cov", read_only(self.cov))
 
     @property
     def dim(self) -> int:
         return self.cov.shape[0]
 
 
-def sample_mean(s: ImageSet) -> np.ndarray:
-    """Column mean of the set."""
-    return s.features.mean(axis=1)
+@dataclass(frozen=True)
+class DescriptorStack:
+    """The descriptors of N sets as read-only stacks, row i from set i: ``cov``
+    (N, d, d), ``basis`` (N, d, q) and ``embedding`` (N, d+1, d+1)."""
+
+    cov: np.ndarray
+    basis: np.ndarray
+    embedding: np.ndarray
+    set_ids: tuple[str, ...]
 
 
-def covariance_descriptor(s: ImageSet, alpha: float) -> np.ndarray:
-    """Regularized sample covariance of the set's columns.
+def as_stack(descriptors) -> DescriptorStack:
+    """``descriptors`` as a ``DescriptorStack``: a stack as is, a triple as a
+    stack of one, a sequence of triples stacked (``BadSpec`` for none,
+    ``DimensionMismatch`` naming the first whose shapes differ from the first's)."""
+    if isinstance(descriptors, DescriptorStack):
+        return descriptors
+    triples = [descriptors] if isinstance(descriptors, DescriptorTriple) else list(descriptors)
+    if not triples:
+        raise BadSpec("a descriptor stack needs at least one descriptor")
+    rows = [(t.cov, t.subspace.basis, t.gauss.embedding) for t in triples]
+    for i, row in enumerate(rows):
+        if [a.shape for a in row] != [a.shape for a in rows[0]]:
+            raise DimensionMismatch(f"descriptor {i} ({triples[i].set_id!r}): shapes differ")
+    stacks = (read_only(np.stack(column)) for column in zip(*rows))
+    return DescriptorStack(*stacks, tuple(t.set_id for t in triples))
 
-    Uses the unbiased estimator (divisor n - 1), then shifts the spectrum by
-    ``trace / alpha`` via ``regularize_spd`` so the result is always SPD.
-    """
-    x = s.features
-    n = x.shape[1]
-    if n < 2:
-        raise TooFewSamples(f"set {s.set_id!r}: covariance needs n >= 2, got {n}")
-    centered = x - x.mean(axis=1)[:, None]
-    c = (centered @ centered.T) / (n - 1)
-    c = 0.5 * (c + c.T)
-    return regularize_spd(c, alpha)
+
+def common_dim(sets: Sequence[ImageSet]) -> int:
+    """The feature dimension every set shares: ``BadSpec`` for no sets,
+    ``DimensionMismatch`` naming the first that differs from set 0."""
+    if not sets:
+        raise BadSpec("no image sets given")
+    for i, s in enumerate(sets):
+        if s.dim != sets[0].dim:
+            raise DimensionMismatch(
+                f"set {i} ({s.set_id!r}) has dimension {s.dim}, set 0 has {sets[0].dim}"
+            )
+    return sets[0].dim
 
 
-def subspace_descriptor(s: ImageSet, q: int) -> GrassmannPoint:
-    """Dominant q-dimensional span of the set's (uncentered) columns.
+def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Means, symmetrized sample covariances (divisor n - 1) and ``X @ X.T``
+    of a (k, d, n) stack of sets. An overflow does not warn: the Inf it
+    leaves fails the finiteness check of ``regularize_spd`` or ``sym_eig``."""
+    with np.errstate(over="ignore"):
+        mean = x.mean(axis=-1)
+        centered = x - mean[..., None]
+        c = (centered @ centered.swapaxes(-1, -2)) / (x.shape[-1] - 1)
+        return mean, 0.5 * (c + c.swapaxes(-1, -2)), x @ x.swapaxes(-1, -2)
 
-    The basis consists of the top-q eigenvectors of ``X @ X.T``. Raises
-    ``RankDeficient`` when the q-th eigenvalue is negligible relative to the
-    largest, i.e. the requested dimension exceeds the numerical rank.
-    """
-    x = s.features
-    d = x.shape[0]
-    if not 1 <= q <= d:
-        raise BadDimension(f"subspace dimension q={q} must be in [1, {d}]")
-    pair = sym_eig(x @ x.T)
-    lam_max = float(pair.values[0])
-    if lam_max <= 0.0 or float(pair.values[q - 1]) < RANK_EIG_RTOL * lam_max:
-        raise RankDeficient(
-            f"set {s.set_id!r}: numerical rank below q={q} "
-            f"(eigenvalue {float(pair.values[q - 1]):.3e} vs max {lam_max:.3e})"
-        )
-    return GrassmannPoint(basis=pair.vectors[:, :q].copy())
+
+def _bases(gram: np.ndarray, q: int) -> np.ndarray:
+    """Top-q eigenvectors of each ``X @ X.T`` of a (k, d, d) stack, (k, d, q)."""
+    if not 1 <= q <= gram.shape[-1]:
+        raise BadDimension(f"subspace dimension q={q} must be in [1, {gram.shape[-1]}]")
+    values, vectors = sym_eig(gram)
+    top, qth = values[:, 0], values[:, q - 1]
+    raise_first((top <= 0.0) | (qth < RANK_EIG_RTOL * top), RankDeficient, lambda i: (
+        f"numerical rank below q={q} (eigenvalue {qth[i]:.3e} vs max {top[i]:.3e})"))
+    basis = vectors[..., :q].copy()
+    off = np.abs(basis.swapaxes(-1, -2) @ basis - np.eye(q)).max(axis=(1, 2))
+    raise_first(off > 1e-10, NotOrthonormal, lambda i: "basis columns are not orthonormal")
+    return basis
 
 
 def embed_gaussian(mean, covariance) -> np.ndarray:
-    """Embed a Gaussian (mean, covariance) as a determinant-one SPD matrix.
+    """Embed a Gaussian (mean, covariance) as a determinant-one SPD matrix,
+    or each of a stack of means (..., d) and covariances (..., d, d).
 
     With A the lower Cholesky factor of the covariance, the embedding is
 
@@ -198,50 +229,91 @@ def embed_gaussian(mean, covariance) -> np.ndarray:
     which has determinant exactly one and is congruence-covariant under
     affine maps of the underlying space.
     """
-    m = np.asarray(mean, dtype=np.float64).reshape(-1)
+    m = np.asarray(mean, dtype=np.float64)
     c = check_symmetric(covariance)
-    d = m.shape[0]
-    if c.shape != (d, d):
-        raise DimensionMismatch(f"mean has dim {d} but covariance shape is {c.shape}")
+    d = c.shape[-1]
+    if m.size != c.size // d:
+        raise DimensionMismatch(f"mean has shape {m.shape} but covariance {c.shape}")
+    m = m.reshape(c.shape[:-1])
     try:
         chol = np.linalg.cholesky(c)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"covariance is not positive definite: {exc}") from exc
+    except np.linalg.LinAlgError:
+        # a stacked Cholesky names no matrix, so find the first that fails alone
+        for i, ci in enumerate(c.reshape(-1, d, d)):
+            try:
+                np.linalg.cholesky(ci)
+            except np.linalg.LinAlgError:
+                exc = NotPositiveDefinite("covariance is not positive definite")
+                exc.index = i
+                raise exc from None
+        raise
     # log-space determinant of the Cholesky factor, robust for larger d
-    log_det_a = float(np.sum(np.log(np.diag(chol))))
-    scale = np.exp(-2.0 / (d + 1) * log_det_a)
-    p = np.empty((d + 1, d + 1), dtype=np.float64)
-    p[:d, :d] = c + np.outer(m, m)
-    p[:d, d] = m
-    p[d, :d] = m
-    p[d, d] = 1.0
-    return scale * p
+    log_det_a = np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    p = np.empty(c.shape[:-2] + (d + 1, d + 1), dtype=np.float64)
+    p[..., :d, :d] = c + m[..., :, None] * m[..., None, :]
+    p[..., :d, d] = p[..., d, :d] = m
+    p[..., d, d] = 1.0
+    return np.exp(-2.0 / (d + 1) * log_det_a)[..., None, None] * p
+
+
+def encode_sets(sets: Sequence[ImageSet], cfg) -> DescriptorStack:
+    """All three descriptors of every set under a ``TrainConfig`` (only
+    ``alpha`` and ``subspace_dim`` are read). Sets are stacked by sample count
+    for their moments, and every later step is one stacked call; a set's
+    descriptors are bit-identical alone and inside any stack. An error names
+    the first set at fault, ``set i ('<set_id>')``, as a set-by-set encoding would."""
+    d, n = common_dim(sets), len(sets)
+    groups: dict[int, list[int]] = {}
+    for i, s in enumerate(sets):
+        groups.setdefault(s.n_samples, []).append(i)
+    mean, scatter, gram = np.empty((n, d)), np.empty((n, d, d)), np.empty((n, d, d))
+    try:
+        for members in groups.values():
+            x = np.array([sets[i].features for i in members])
+            mean[members], scatter[members], gram[members] = _moments(x)
+        cov = regularize_spd(scatter, cfg.alpha)
+        embedding = embed_gaussian(mean, cov)
+        basis = _bases(gram, cfg.subspace_dim)
+    except SetfuseError as exc:
+        i = getattr(exc, "index", 0)
+        if i:  # an earlier set may fail a later check; this raises naming it
+            encode_sets(sets[:i], cfg)
+        raise type(exc)(f"set {i} ({sets[i].set_id!r}): {exc}") from exc
+    for a in (cov, basis, embedding):
+        a.setflags(write=False)
+    return DescriptorStack(cov, basis, embedding, tuple(s.set_id for s in sets))
+
+
+def sample_mean(s: ImageSet) -> np.ndarray:
+    """Column mean of the set."""
+    return s.features.mean(axis=1)
+
+
+def covariance_descriptor(s: ImageSet, alpha: float) -> np.ndarray:
+    """Regularized sample covariance of the set's columns: the unbiased
+    estimate (divisor n - 1) with its spectrum shifted by ``trace / alpha``
+    via ``regularize_spd``, so the result is always SPD."""
+    return regularize_spd(_moments(s.features[None])[1], alpha)[0]
+
+
+def subspace_descriptor(s: ImageSet, q: int) -> GrassmannPoint:
+    """Dominant q-dimensional span of the set's (uncentered) columns: the
+    top-q eigenvectors of ``X @ X.T``. ``RankDeficient`` when the q-th
+    eigenvalue is negligible next to the largest (q exceeds the rank)."""
+    return GrassmannPoint(basis=_bases(_moments(s.features[None])[2], q)[0])
 
 
 def gaussian_descriptor(s: ImageSet, alpha: float) -> GaussianDescriptor:
-    """Single-Gaussian model of the set with its SPD embedding.
-
-    The covariance here is exactly the matrix ``covariance_descriptor``
-    returns, so the two descriptors never drift apart numerically.
-    """
-    cov = covariance_descriptor(s, alpha)
-    mean = sample_mean(s)
+    """Single-Gaussian model of the set with its SPD embedding; its
+    covariance is exactly the matrix ``covariance_descriptor`` returns."""
+    cov, mean = covariance_descriptor(s, alpha), sample_mean(s)
     return GaussianDescriptor(mean=mean, covariance=cov, embedding=embed_gaussian(mean, cov))
 
 
 def encode_set(s: ImageSet, cfg) -> DescriptorTriple:
-    """Compute all three descriptors of a set under a model configuration.
-
-    ``cfg`` is a ``TrainConfig``; only ``alpha`` and ``subspace_dim`` are
-    read. Encoding is deterministic: identical inputs give bit-identical
-    descriptors. The regularized covariance is computed once: ``cov`` and
-    ``gauss.covariance`` are the same array.
-    """
-    gauss = gaussian_descriptor(s, cfg.alpha)
-    return DescriptorTriple(
-        cov=gauss.covariance,
-        subspace=subspace_descriptor(s, cfg.subspace_dim),
-        gauss=gauss,
-        label=s.label,
-        set_id=s.set_id,
-    )
+    """All three descriptors of one set, row 0 of ``encode_sets([s], cfg)``:
+    bit-identical for identical inputs, with ``cov`` and ``gauss.covariance``
+    the same array."""
+    e = encode_sets([s], cfg)
+    gauss = GaussianDescriptor(mean=sample_mean(s), covariance=e.cov[0], embedding=e.embedding[0])
+    return DescriptorTriple(gauss.covariance, GrassmannPoint(e.basis[0]), gauss, s.label, s.set_id)

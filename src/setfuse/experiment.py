@@ -6,8 +6,8 @@ from one integer.
 
 A split protocol call (``run_experiment`` with its ablation rows, or
 ``run_dimension_sweep``) first checks its sets and every split, then
-encodes each set once and lifts the collection once per channel with
-``lift_features`` into one read-only (N, D_q) array F. Every split builds
+encodes the sets with one ``encode_sets`` call and lifts the collection with
+one ``lift_features`` call per channel into a read-only (N, D_q) array F. Every split builds
 its kernel bank from its training rows ``F[train_idx]`` and scores test set i
 from row ``F[i]``, so it reports what ``train_on_sets`` and ``predict``
 would give on the same split.
@@ -27,8 +27,8 @@ import numpy as np
 from .classify import nearest, profile_from_rows
 from .config import TrainConfig, check_int
 from .data import generate_synthetic, load_dataset
-from .descriptors import ImageSet, encode_set
-from .errors import BadSpec, DimensionMismatch, InsufficientSetsPerClass, TooFewSamples
+from .descriptors import ImageSet, common_dim, encode_sets
+from .errors import BadSpec, InsufficientSetsPerClass, TooFewSamples
 from .kernels import DESCRIPTOR_NAMES, KernelBank, build_kernel_bank, lift_features
 from .trainer import ModelState, train
 
@@ -87,16 +87,7 @@ def effective_subspace_dim(sets: Sequence[ImageSet], requested: int) -> int:
     ``BadSpec`` for an empty list; ``DimensionMismatch`` naming the first set
     whose feature dimension differs from the first set's.
     """
-    if not sets:
-        raise BadSpec("no image sets given")
-    d = sets[0].dim
-    for i, s in enumerate(sets):
-        if s.dim != d:
-            raise DimensionMismatch(
-                f"set {i} ({s.set_id!r}) has dimension {s.dim}, set 0 has {d}"
-            )
-    n_min = min(s.n_samples for s in sets)
-    return max(1, min(requested, d, n_min))
+    return max(1, min(requested, common_dim(sets), min(s.n_samples for s in sets)))
 
 
 def _capped_config(sets: Sequence[ImageSet], cfg: TrainConfig) -> TrainConfig:
@@ -111,8 +102,7 @@ def train_on_sets(sets: Sequence[ImageSet], cfg: TrainConfig) -> ModelState:
     """Full pipeline: encode a gallery (capping ``subspace_dim`` to what it
     supports), build the kernel bank, train."""
     cfg = _capped_config(sets, cfg)
-    triples = [encode_set(s, cfg) for s in sets]
-    bank = build_kernel_bank(triples, cfg.descriptors, normalize=cfg.normalize_kernels)
+    bank = build_kernel_bank(encode_sets(sets, cfg), cfg.descriptors, cfg.normalize_kernels)
     labels = [s.label for s in sets]
     return train(bank, labels, cfg, set_ids=[s.set_id for s in sets])
 
@@ -249,8 +239,8 @@ def _protocol(
     sets = _resolve_sets(source)
     capped = _capped_config(sets, cfg)
     splits = _plan_splits(sets, cfg, n_splits, train_per_class)
-    triples = [encode_set(s, capped) for s in sets]
-    lifted = {name: lift_features(triples, name) for name in descriptors}
+    stack = encode_sets(sets, capped)
+    lifted = {name: lift_features(stack, name) for name in descriptors}
 
     def run(row_cfg: TrainConfig) -> ExperimentReport:
         capped_row = replace(row_cfg, subspace_dim=capped.subspace_dim)

@@ -13,9 +13,10 @@ once into a flat feature row of length D_q:
 
 ``_LIFTS`` holds each channel's lift, and its key order ``DESCRIPTOR_NAMES``
 is the channel order; an unknown name raises ``BadSpec``. ``lift_features``
-lifts a list of descriptors into one read-only (N, D_q) array: a training
-gallery, or the whole set collection of a split protocol call, whose splits
-then slice their training rows from it. A ``KernelBank`` is such arrays, one
+lifts a ``DescriptorStack`` with one stacked call (one ``spd_log`` for
+``cov`` and ``gauss``) into one read-only (N, D_q) array: a training gallery,
+a probe (a stack of one), or the set collection of a split protocol call,
+whose splits then slice their training rows from it. A ``KernelBank`` is such arrays, one
 per channel, and derives its Gram matrices from them. Every kernel value (a
 Gram entry, a probe's cross-kernel entry, a scalar kernel) is the same
 row-wise sum ``(rows * row).sum(axis=-1)``. It adds the products in one
@@ -32,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .descriptors import DescriptorTriple, GaussianDescriptor, GrassmannPoint
+from .descriptors import DescriptorTriple, GaussianDescriptor, GrassmannPoint, as_stack, read_only
 from .errors import (
     BadSpec,
     DimensionMismatch,
@@ -51,8 +52,9 @@ def _frobenius(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
     return (rows * row).sum(axis=-1)
 
 
-def _projector(y: GrassmannPoint) -> np.ndarray:
-    return y.basis @ y.basis.T
+def _projector(basis: np.ndarray) -> np.ndarray:
+    """``Y @ Y.T`` of a basis, or of each basis of a stack."""
+    return basis @ basis.swapaxes(-1, -2)
 
 
 def log_euclidean_kernel(c1, c2) -> float:
@@ -70,7 +72,7 @@ def projection_kernel(y1: GrassmannPoint, y2: GrassmannPoint) -> float:
         raise DimensionMismatch(
             f"subspace shapes differ: {y1.basis.shape} vs {y2.basis.shape}"
         )
-    return float(_frobenius(_projector(y1).ravel(), _projector(y2).ravel()))
+    return float(_frobenius(_projector(y1.basis).ravel(), _projector(y2.basis).ravel()))
 
 
 def gaussian_embedding_kernel(g1: GaussianDescriptor, g2: GaussianDescriptor) -> float:
@@ -80,11 +82,12 @@ def gaussian_embedding_kernel(g1: GaussianDescriptor, g2: GaussianDescriptor) ->
     return log_euclidean_kernel(g1.embedding, g2.embedding)
 
 
-# Per channel, the matrix whose Frobenius inner product is its kernel.
+# Per channel, the matrices whose Frobenius inner products are its kernel,
+# one per descriptor of a stack, from one call.
 _LIFTS = {
-    "cov": lambda t: spd_log(t.cov),
-    "subspace": lambda t: _projector(t.subspace),
-    "gauss": lambda t: spd_log(t.gauss.embedding),
+    "cov": lambda e: spd_log(e.cov),
+    "subspace": lambda e: _projector(e.basis),
+    "gauss": lambda e: spd_log(e.embedding),
 }
 DESCRIPTOR_NAMES = tuple(_LIFTS)
 
@@ -98,43 +101,25 @@ def _lift(name: str):
 
 def lift_row(triple: DescriptorTriple, name: str) -> np.ndarray:
     """One descriptor's flattened lifted matrix for channel ``name``, a 1-D row."""
-    return _lift(name)(triple).ravel()
+    return lift_features(triple, name)[0]
 
 
-def lift_features(triples: Sequence[DescriptorTriple], name: str) -> np.ndarray:
-    """Lift each descriptor once into one row of a read-only (N, D_q) array.
+def lift_features(descriptors, name: str) -> np.ndarray:
+    """Lift a stack of descriptors (anything ``descriptors.as_stack`` takes)
+    with one call into one read-only (N, D_q) array, row i from descriptor i.
 
-    Row i is ``lift_row(triples[i], name)``. Raises ``DimensionMismatch``
-    naming the first descriptor whose width differs from the first one's,
-    before the descriptors after it are lifted.
+    An error of the lift names the first descriptor at fault.
     """
     lift = _lift(name)
-    if not triples:
-        raise BadSpec("lifted features need at least one descriptor")
-    out = None
-    for i, t in enumerate(triples):
-        try:
-            row = lift(t).ravel()
-        except SetfuseError as exc:
-            raise type(exc)(f"descriptor {i} ({t.set_id!r}): {exc}") from exc
-        if out is None:
-            out = np.empty((len(triples), row.size), dtype=np.float64)
-        elif row.size != out.shape[1]:
-            raise DimensionMismatch(
-                f"descriptor {i} ({t.set_id!r}): lifts to {row.size} features, "
-                f"descriptor 0 to {out.shape[1]}"
-            )
-        out[i] = row
+    stack = as_stack(descriptors)
+    try:
+        lifted = lift(stack)
+    except SetfuseError as exc:
+        i = getattr(exc, "index", 0)
+        raise type(exc)(f"descriptor {i} ({stack.set_ids[i]!r}): {exc}") from exc
+    out = lifted.reshape(len(stack.set_ids), -1)
     out.setflags(write=False)
     return out
-
-
-def _read_only(features) -> np.ndarray:
-    a = np.asarray(features, dtype=np.float64)
-    if a.flags.writeable:
-        a = a.copy()
-        a.setflags(write=False)
-    return a
 
 
 def _gram(features: np.ndarray) -> np.ndarray:
@@ -148,16 +133,14 @@ def _gram(features: np.ndarray) -> np.ndarray:
     return k
 
 
-def gram_matrix(
-    triples: Sequence[DescriptorTriple], name: str, normalize: bool = False
-) -> np.ndarray:
-    """Kernel Gram matrix over a gallery of descriptor triples, read-only.
+def gram_matrix(gallery, name: str, normalize: bool = False) -> np.ndarray:
+    """Kernel Gram matrix over a gallery (as ``build_kernel_bank``), read-only.
 
     The result is exactly symmetric. With ``normalize`` the matrix is
     rescaled to trace N (raises ``NormalizationDegenerate`` when the raw
     trace is numerically zero).
     """
-    return build_kernel_bank(triples, (name,), normalize).grams[0]
+    return build_kernel_bank(gallery, (name,), normalize).grams[0]
 
 
 def gram_normalizer(k: np.ndarray) -> float:
@@ -195,7 +178,7 @@ class KernelBank:
             _lift(name)  # BadSpec for an unknown channel
         if len(self.features) != len(self.descriptors):
             raise ShapeMismatch("kernel bank has features for a different number of kernels")
-        features = tuple(_read_only(f) for f in self.features)
+        features = tuple(read_only(f) for f in self.features)
         for f in features:
             if f.ndim != 2 or f.shape[0] != features[0].shape[0]:
                 raise DimensionMismatch(
@@ -228,9 +211,9 @@ class KernelBank:
         side = math.isqrt(self.features[0].shape[1])
         return side - 1 if self.descriptors[0] == "gauss" else side
 
-    def probe_rows(self, test: DescriptorTriple) -> tuple[np.ndarray, ...]:
-        """One probe's lifted row per channel; the gallery is not read."""
-        return tuple(lift_row(test, name) for name in self.descriptors)
+    def probe_rows(self, test) -> tuple[np.ndarray, ...]:
+        """A probe's lifted row per channel (a triple or a stack of one)."""
+        return tuple(lift_features(test, name)[0] for name in self.descriptors)
 
     def columns_from_rows(self, rows: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Scaled kernel columns of a probe's lifted rows against the gallery
@@ -248,10 +231,10 @@ class KernelBank:
 
 
 def build_kernel_bank(
-    triples: Sequence[DescriptorTriple],
-    descriptors: Sequence[str] = DESCRIPTOR_NAMES,
-    normalize: bool = False,
+    gallery, descriptors: Sequence[str] = DESCRIPTOR_NAMES, normalize: bool = False
 ) -> KernelBank:
-    """Lift a gallery once per channel and derive each Gram from the features."""
-    features = [lift_features(triples, name) for name in descriptors]
+    """Lift a gallery (anything ``descriptors.as_stack`` takes) with one call
+    per channel and derive each Gram from the features."""
+    stack = as_stack(gallery)
+    features = [lift_features(stack, name) for name in descriptors]
     return KernelBank(tuple(descriptors), tuple(features), normalize)

@@ -1,13 +1,17 @@
 """Symmetric / SPD matrix primitives.
 
-Everything here operates on plain float64 numpy arrays. Eigendecompositions
-follow one deterministic convention used across the package: eigenvalues in
-descending order, and each eigenvector scaled so its largest-magnitude entry
-is positive. That convention is what makes training runs bit-reproducible.
+Everything here operates on plain float64 numpy arrays: a matrix, or a stack
+``(..., d, d)`` of them, which takes one numpy call per step and gives each
+matrix the bits it gets alone. A check that fails on a stack names the first
+matrix at fault (``raise_first``). Eigendecompositions follow one
+deterministic convention used across the package: eigenvalues in descending
+order, and each eigenvector scaled so its largest-magnitude entry is
+positive. That convention is what makes training runs bit-reproducible.
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -32,52 +36,60 @@ class EigenPair(NamedTuple):
     vectors: np.ndarray
 
 
-def _as_square(m) -> np.ndarray:
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise NonSymmetric(f"expected a square matrix, got shape {a.shape}")
-    return a
+def raise_first(bad: np.ndarray, error, describe) -> None:
+    """Raise ``error(describe(i))`` for the first matrix ``i`` of a stack that
+    the mask ``bad`` flags, with ``i`` (its flat stack position) as ``index``."""
+    if bad.any():
+        i = int(np.argmax(np.ravel(bad)))
+        exc = error(describe(i))
+        exc.index = i
+        raise exc
 
 
 def check_symmetric(m) -> np.ndarray:
-    """Validate that ``m`` is a finite symmetric square matrix.
+    """Validate that ``m`` is a finite symmetric square matrix, or a stack
+    ``(..., d, d)`` of them.
 
     Returns the validated float64 array. Raises ``NonFinite`` on NaN/Inf and
-    ``NonSymmetric`` when the relative asymmetry exceeds ``SYMMETRY_RTOL``.
+    ``NonSymmetric`` when the relative asymmetry exceeds ``SYMMETRY_RTOL``,
+    for the first matrix at fault.
     """
-    a = _as_square(m)
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise NonSymmetric(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise NonFinite("matrix contains NaN or Inf")
-    scale = float(np.max(np.abs(a)))
-    if scale > 0.0:
-        asym = float(np.max(np.abs(a - a.T)))
-        if asym > SYMMETRY_RTOL * scale:
-            raise NonSymmetric(
-                f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.1e} * {scale:.3e}"
-            )
+        bad = ~np.isfinite(a).all(axis=(-2, -1))
+        raise_first(bad, NonFinite, lambda i: "matrix contains NaN or Inf")
+    if not (a == a.swapaxes(-1, -2)).all():  # an exactly symmetric input needs no tolerance
+        scale = np.abs(a).max(axis=(-2, -1))
+        asym = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1))
+        raise_first(asym > SYMMETRY_RTOL * scale, NonSymmetric, lambda i: (
+            f"matrix asymmetry {asym.flat[i]:.3e} exceeds "
+            f"{SYMMETRY_RTOL:.1e} * {scale.flat[i]:.3e}"))
     return a
 
 
 def sym_eig(m) -> EigenPair:
-    """Eigendecomposition of a symmetric matrix with a fixed convention.
+    """Eigendecomposition of a symmetric matrix, or of each of a stack.
 
     Eigenvalues are returned in descending order. Each eigenvector has its
     largest-magnitude entry made positive, which pins the sign that ``eigh``
     would otherwise leave arbitrary. Reconstruction
     ``vectors @ diag(values) @ vectors.T`` recovers the input to roundoff.
+    A matrix gets the same bits alone as inside a stack.
 
     The input need only be symmetric to ``SYMMETRY_RTOL``. Its symmetric
     part ``0.5 * (m + m.T)`` is what gets decomposed, so callers pass raw
     products such as ``v.T @ t @ v`` and get the bits symmetrizing gives.
     """
     a = check_symmetric(m)
-    values, vectors = np.linalg.eigh(0.5 * (a + a.T))
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
-    idx = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
-    signs[signs == 0.0] = 1.0
-    vectors *= signs
+    values, vectors = np.linalg.eigh(0.5 * (a + a.swapaxes(-1, -2)))
+    values = values[..., ::-1].copy()
+    vectors = vectors[..., ::-1].copy()
+    flat = vectors.reshape((-1,) + a.shape[-2:])
+    rows = np.argmax(np.abs(flat), axis=1)
+    largest = flat[np.arange(len(flat))[:, None], rows, np.arange(flat.shape[2])]
+    flat *= np.where(largest < 0.0, -1.0, 1.0)[:, None, :]
     return EigenPair(values, vectors)
 
 
@@ -88,6 +100,8 @@ def is_spd(m) -> bool:
     barely-positive spectra with huge condition numbers are rejected along
     with indefinite ones.
     """
+    if np.ndim(m) != 2:
+        return False
     try:
         pair = sym_eig(m)
     except (NonSymmetric, NonFinite):
@@ -99,39 +113,40 @@ def is_spd(m) -> bool:
 
 
 def spd_log(c) -> np.ndarray:
-    """Matrix logarithm of an SPD matrix via eigendecomposition.
+    """Matrix logarithm of an SPD matrix, or of each matrix of a stack, via
+    eigendecomposition; a matrix gets the same bits alone as inside a stack.
 
-    Raises ``NotPositiveDefinite`` when any eigenvalue falls at or below
-    ``LOG_EIG_FLOOR_RTOL`` times the largest eigenvalue.
+    Raises ``NotPositiveDefinite`` for the first matrix with an eigenvalue
+    at or below ``LOG_EIG_FLOOR_RTOL`` times its largest (so for any whose
+    largest is at or below 0).
     """
-    pair = sym_eig(c)
-    lam_max = float(pair.values[0])
-    if lam_max <= 0.0 or float(pair.values[-1]) <= LOG_EIG_FLOOR_RTOL * lam_max:
-        raise NotPositiveDefinite(
-            f"matrix log needs a strictly positive spectrum, eigenvalues in "
-            f"[{pair.values[-1]:.3e}, {lam_max:.3e}]"
-        )
-    out = (pair.vectors * np.log(pair.values)) @ pair.vectors.T
-    return 0.5 * (out + out.T)
+    values, vectors = sym_eig(c)
+    lam_max, lam_min = values[..., 0], values[..., -1]
+    raise_first(lam_min <= LOG_EIG_FLOOR_RTOL * lam_max, NotPositiveDefinite, lambda i: (
+        "matrix log needs a strictly positive spectrum, eigenvalues in "
+        f"[{lam_min.flat[i]:.3e}, {lam_max.flat[i]:.3e}]"))
+    out = (vectors * np.log(values)[..., None, :]) @ vectors.swapaxes(-1, -2)
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def regularize_spd(c, alpha: float) -> np.ndarray:
-    """Shift a symmetric PSD matrix onto the SPD cone.
+    """Shift a symmetric PSD matrix, or each of a stack, onto the SPD cone.
 
     Adds ``trace(c) / alpha`` times the identity. When the trace is at or
     below ``TRACE_EPS_FLOOR * d`` (e.g. the zero matrix from a constant image
     set) the shift falls back to the absolute floor ``TRACE_EPS_FLOOR`` so the
-    output is still usable downstream. ``alpha = inf`` is a no-op sentinel
-    for direct callers (tests) that need the raw estimate; ``TrainConfig``
-    requires a finite ``alpha``, so training never passes it.
+    output is still usable downstream. ``alpha`` must be a positive real
+    number (not a bool) that a float holds, else ``BadSpec``; ``inf`` is a
+    no-op sentinel for direct callers (tests) that need the raw estimate.
     """
-    if not alpha > 0.0:
-        raise BadSpec(f"alpha must be positive, got {alpha}")
+    try:
+        ok = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool) and float(alpha) > 0.0
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise BadSpec(f"alpha must be a positive number, got {alpha!r:.80}")
     a = check_symmetric(c)
-    d = a.shape[0]
-    tr = float(np.trace(a))
-    if tr <= TRACE_EPS_FLOOR * d:
-        shift = TRACE_EPS_FLOOR
-    else:
-        shift = tr / alpha
-    return a + shift * np.eye(d)
+    d = a.shape[-1]
+    tr = np.trace(a, axis1=-2, axis2=-1)
+    shift = np.where(tr <= TRACE_EPS_FLOOR * d, TRACE_EPS_FLOOR, tr / float(alpha))
+    return a + shift[..., None, None] * np.eye(d)

@@ -6,6 +6,11 @@ from setfuse.descriptors import ImageSet
 from setfuse.kernels import DESCRIPTOR_NAMES, KernelBank
 
 
+def stack_length(m):
+    """How many matrices a 2-D matrix or a stack ``(..., d, d)`` holds."""
+    return int(np.prod(np.shape(m)[:-2]))
+
+
 def random_spd(rng, d, eig_low=0.5, eig_high=2.0):
     """Random SPD matrix with eigenvalues drawn uniformly in a safe band."""
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))

@@ -11,12 +11,15 @@ from setfuse.descriptors import (
     covariance_descriptor,
     embed_gaussian,
     encode_set,
+    encode_sets,
     gaussian_descriptor,
     sample_mean,
     subspace_descriptor,
 )
 from setfuse.errors import (
     BadDimension,
+    BadSpec,
+    DimensionMismatch,
     NonFinite,
     NotOrthonormal,
     NotPositiveDefinite,
@@ -263,3 +266,42 @@ class TestEncodeSet:
     def test_mean_helper(self):
         s = make_set([[0.0, 2.0], [1.0, 3.0]])
         assert np.array_equal(sample_mean(s), [1.0, 2.0])
+
+
+class TestEncodeSets:
+    def test_rows_are_the_one_set_encodings(self):
+        # three interleaved sample counts: rows come back in input order
+        rng = np.random.default_rng(26)
+        sets = [random_image_set(rng, d=6, n=9 + i % 3, set_id=f"s{i}") for i in range(10)]
+        cfg = TrainConfig(subspace_dim=3)
+        stack = encode_sets(sets, cfg)
+        assert stack.set_ids == tuple(s.set_id for s in sets)
+        for a in (stack.cov, stack.basis, stack.embedding):
+            assert not a.flags.writeable
+        for i, s in enumerate(sets):
+            t = encode_set(s, cfg)
+            assert np.array_equal(stack.cov[i], t.cov)
+            assert np.array_equal(stack.basis[i], t.subspace.basis)
+            assert np.array_equal(stack.embedding[i], t.gauss.embedding)
+            assert np.array_equal(t.gauss.embedding, embed_gaussian(t.gauss.mean, t.cov))
+
+    def test_embed_gaussian_takes_a_stack(self):
+        rng = np.random.default_rng(27)
+        means = rng.standard_normal((4, 3))
+        covs = np.stack([random_spd(rng, 3) for _ in range(4)])
+        out = embed_gaussian(means, covs)
+        for i in range(4):
+            assert np.array_equal(out[i], embed_gaussian(means[i], covs[i]))
+        covs[2] = np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(NotPositiveDefinite) as info:
+            embed_gaussian(means, covs)
+        assert info.value.index == 2
+
+    def test_no_sets_or_mixed_dimensions(self):
+        rng = np.random.default_rng(28)
+        cfg = TrainConfig(subspace_dim=2)
+        with pytest.raises(BadSpec):
+            encode_sets([], cfg)
+        sets = [random_image_set(rng, d=4), random_image_set(rng, d=5, set_id="wide")]
+        with pytest.raises(DimensionMismatch, match=r"set 1 \('wide'\)"):
+            encode_sets(sets, cfg)

@@ -1,6 +1,7 @@
 """Experiment orchestration tests: splits, protocols, sweeps, ablation."""
 
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,14 @@ from setfuse.classify import predict
 from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic
 from setfuse.descriptors import ImageSet
-from setfuse.errors import BadSpec, DimensionMismatch, InsufficientSetsPerClass, TooFewSamples
+from setfuse.errors import (
+    BadSpec,
+    DimensionMismatch,
+    InsufficientSetsPerClass,
+    NonFinite,
+    RankDeficient,
+    TooFewSamples,
+)
 from setfuse.experiment import (
     ExperimentReport,
     effective_subspace_dim,
@@ -24,7 +32,7 @@ from setfuse.experiment import (
     train_on_sets,
 )
 
-from helpers import random_image_set
+from helpers import random_image_set, stack_length
 
 
 def small_source():
@@ -255,19 +263,23 @@ def report_splits(report):
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """Count ``encode_set`` and ``spd_log`` calls wherever the library binds them."""
+    """Count the sets ``encode_sets`` encodes (key ``encode_set``) and the
+    matrices ``spd_log`` lifts, wherever the library binds them: a stacked
+    call adds its stack length."""
     calls = {"encode_set": 0, "spd_log": 0}
 
-    def counting(name, real):
+    def counting(name, real, size):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += size(args[0])
             return real(*args, **kwargs)
 
         return wrapper
 
     for mod in (experiment_module, classify_module):
-        monkeypatch.setattr(mod, "encode_set", counting("encode_set", mod.encode_set))
-    monkeypatch.setattr(kernels_module, "spd_log", counting("spd_log", kernels_module.spd_log))
+        monkeypatch.setattr(mod, "encode_sets", counting("encode_set", mod.encode_sets, len))
+    monkeypatch.setattr(
+        kernels_module, "spd_log", counting("spd_log", kernels_module.spd_log, stack_length)
+    )
     return calls
 
 
@@ -396,3 +408,60 @@ def test_short_test_set_rejected_before_encoding(count_calls):
     with pytest.raises(TooFewSamples, match="'short'"):
         run_experiment(sets, fast_cfg(), n_splits=4)
     assert count_calls == {"encode_set": 0, "spd_log": 0}
+
+
+def spoiled(faults, ragged=False):
+    """The small source's sets, with set i made to fail encoding with
+    ``faults[i]``: scaled until its covariance overflows (``NonFinite``) or
+    squeezed to rank 1 (``RankDeficient`` at subspace_dim 4). With
+    ``ragged``, set i keeps 12 - i % 3 samples, three interleaved groups."""
+    out = []
+    for i, s in enumerate(generate_synthetic(**small_source())):
+        x = s.features[:, : 12 - i % 3] if ragged else s.features
+        if faults.get(i) is NonFinite:
+            x = x * 1e200
+        elif faults.get(i) is RankDeficient:
+            x = np.outer(x[:, 0], np.arange(1.0, x.shape[1] + 1))
+        out.append(ImageSet(features=x, label=s.label, set_id=f"s{i}"))
+    return out
+
+
+FAULTS = {
+    "non-finite": {3: NonFinite, 7: NonFinite},
+    "rank": {3: RankDeficient, 7: RankDeficient},
+    # set 3 fails a check that runs after set 7's; set 3 is still the first at fault
+    "rank-then-non-finite": {3: RankDeficient, 7: NonFinite},
+    "non-finite-then-rank": {3: NonFinite, 7: RankDeficient},
+}
+
+
+class TestEncodingErrorsNameTheFirstSet:
+    """An encoding error is typed and names the first set at fault,
+    ``set i ('<set_id>')``, in one sample-count group or across several,
+    and raises no numpy warning on the way."""
+
+    @pytest.mark.parametrize("ragged", [False, True], ids=["one-group", "ragged"])
+    @pytest.mark.parametrize("faults", FAULTS.values(), ids=FAULTS.keys())
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda sets: train_on_sets(sets, fast_cfg()),
+            lambda sets: run_experiment(sets, fast_cfg(), n_splits=2),
+        ],
+        ids=["train_on_sets", "run_experiment"],
+    )
+    def test_names_set_3(self, run, faults, ragged):
+        sets = spoiled(faults, ragged)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(faults[3], match=r"^set 3 \('s3'\): "):
+                run(sets)
+
+    @pytest.mark.parametrize("fault", [NonFinite, RankDeficient])
+    def test_predict_names_the_probe(self, fault):
+        model = train_on_sets(spoiled({}), fast_cfg())
+        probe = spoiled({3: fault})[3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fault, match=r"^set 0 \('s3'\): "):
+                predict(probe, model)

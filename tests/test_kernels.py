@@ -11,14 +11,15 @@ from setfuse.descriptors import (
     DescriptorTriple,
     GaussianDescriptor,
     GrassmannPoint,
+    ImageSet,
     embed_gaussian,
     encode_set,
 )
+from setfuse.descriptors import encode_sets as encode_stack
 from setfuse.errors import BadSpec, DimensionMismatch, NormalizationDegenerate, ShapeMismatch
 from setfuse.kernels import (
     DESCRIPTOR_NAMES,
     KernelBank,
-    _lift,
     build_kernel_bank,
     gaussian_embedding_kernel,
     gram_matrix,
@@ -306,18 +307,30 @@ class TestKernelBank:
 class TestLiftedFeatures:
     @pytest.mark.parametrize("d", [10, 32])
     def test_bank_grams_match_per_pair_oracle(self, d):
-        # per-pair Frobenius sums over per-descriptor lifted matrices
+        # a ragged gallery (three interleaved sample counts) encoded and lifted
+        # as stacks: every row has the bits of its set encoded and lifted
+        # alone, every Gram entry is the per-pair Frobenius sum of those rows,
+        # and every member sent as a probe reproduces its Gram column
         rng = np.random.default_rng(51 + d)
-        triples = encode_sets(random_gallery_sets(rng, 4, 5, d=d, n=d + 8), q=5)
-        bank = build_kernel_bank(triples)
-        n = len(triples)
-        for channel, gram in zip(bank.descriptors, bank.grams):
-            lifted = [_lift(channel)(t) for t in triples]
+        sets = [
+            ImageSet(features=s.features[:, : d + 8 - 3 * (i % 3)], label=s.label, set_id=s.set_id)
+            for i, s in enumerate(random_gallery_sets(rng, 4, 6, d=d, n=d + 8))
+        ]
+        cfg = TrainConfig(subspace_dim=5)
+        bank = build_kernel_bank(encode_stack(sets, cfg))
+        alone = [encode_set(s, cfg) for s in sets]
+        n = len(sets)
+        for channel, features, gram in zip(bank.descriptors, bank.features, bank.grams):
+            lifted = [lift_row(t, channel) for t in alone]
+            assert all(np.array_equal(f, row) for f, row in zip(features, lifted))
             oracle = np.empty((n, n))
             for i in range(n):
                 for j in range(n):
                     oracle[i, j] = float(np.sum(lifted[i] * lifted[j]))
             assert np.array_equal(gram, oracle)
+        for j, t in enumerate(alone):
+            for q, col in enumerate(bank.columns_from_rows(bank.probe_rows(t))):
+                assert np.array_equal(col, bank.grams[q][:, j])
 
     def test_rows_are_flattened_lifts(self):
         rng = np.random.default_rng(52)

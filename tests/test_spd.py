@@ -7,6 +7,7 @@ import scipy.linalg
 from setfuse.errors import BadSpec, NonFinite, NonSymmetric, NotPositiveDefinite
 from setfuse.spd import (
     EigenPair,
+    check_symmetric,
     is_spd,
     regularize_spd,
     spd_log,
@@ -160,6 +161,79 @@ class TestRegularize:
     def test_rejects_asymmetric(self):
         with pytest.raises(NonSymmetric):
             regularize_spd(np.array([[1.0, 1.0], [0.0, 1.0]]), 1000.0)
+
+    @pytest.mark.parametrize(
+        "alpha", [10**400, "1", True, np.bool_(True), float("nan"), -np.inf],
+        ids=["huge-int", "str", "bool", "numpy-bool", "nan", "minus-inf"],
+    )
+    def test_bad_alpha_is_bad_spec(self, alpha):
+        with pytest.raises(BadSpec, match="alpha"):
+            regularize_spd(np.eye(3), alpha)
+
+    def test_integer_alpha_matches_float(self):
+        rng = np.random.default_rng(6)
+        c = random_spd(rng, 4)
+        assert np.array_equal(regularize_spd(c, 1000), regularize_spd(c, 1000.0))
+
+
+def random_stack(rng, k, d):
+    """k random SPD matrices of size d, with spectra over several decades."""
+    return np.stack([random_spd(rng, d) * 10.0 ** rng.uniform(-3, 3) for _ in range(k)])
+
+
+class TestStacks:
+    """Every primitive maps a stack (..., d, d) matrix by matrix, each with
+    the bits it gets alone, and names the first matrix at fault."""
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 11, 32])
+    def test_each_matrix_has_its_lone_bits(self, d):
+        rng = np.random.default_rng(70 + d)
+        stack = random_stack(rng, 9, d)
+        values, vectors = sym_eig(stack)
+        logs = spd_log(stack)
+        shifted = regularize_spd(stack, 1000.0)
+        for i, c in enumerate(stack):
+            alone = sym_eig(c)
+            assert np.array_equal(values[i], alone.values)
+            assert np.array_equal(vectors[i], alone.vectors)
+            assert np.array_equal(logs[i], spd_log(c))
+            assert np.array_equal(shifted[i], regularize_spd(c, 1000.0))
+
+    def test_leading_shape_is_kept(self):
+        rng = np.random.default_rng(77)
+        stack = random_stack(rng, 6, 4).reshape(2, 3, 4, 4)
+        logs = spd_log(stack)
+        assert logs.shape == (2, 3, 4, 4)
+        assert np.array_equal(logs[1, 2], spd_log(stack[1, 2]))
+        assert check_symmetric(stack) is not None
+
+    @pytest.mark.parametrize(
+        "spoil, error, func",
+        [
+            (lambda c: c * np.nan, NonFinite, check_symmetric),
+            (lambda c: c + np.triu(np.ones_like(c), 1), NonSymmetric, sym_eig),
+            (lambda c: -c, NotPositiveDefinite, spd_log),
+            (lambda c: c * np.inf, NonFinite, lambda s: regularize_spd(s, 1000.0)),
+        ],
+        ids=["non-finite", "asymmetric", "not-positive", "regularize-non-finite"],
+    )
+    def test_first_matrix_at_fault_is_named(self, spoil, error, func):
+        rng = np.random.default_rng(78)
+        stack = random_stack(rng, 9, 5)
+        for i in (3, 7):
+            stack[i] = spoil(stack[i])
+        with pytest.raises(error) as info:
+            func(stack)
+        assert info.value.index == 3
+
+    def test_not_square_is_rejected(self):
+        for bad in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3)), np.ones((2, 0, 0))):
+            with pytest.raises(NonSymmetric, match="square"):
+                check_symmetric(bad)
+
+    def test_is_spd_takes_one_matrix(self):
+        rng = np.random.default_rng(79)
+        assert not is_spd(random_stack(rng, 2, 3))
 
 
 class TestIsSpd:

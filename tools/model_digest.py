@@ -16,7 +16,8 @@ feature array, the objective trace, labels and set ids); for ``probe_stream``
 it also hashes the loaded model's distance profiles for ten held-out probes.
 ``saved`` hashes the bytes of the saved model directory. So a change of
 persistence format alone keeps every ``model`` digest and changes the
-``saved`` ones. Each split protocol case prints one ``model`` digest, over
+``saved`` ones. ``train_ragged`` trains on sets of 12, 16 and 20 samples,
+interleaved. Each split protocol case prints one ``model`` digest, over
 every ``SplitResult`` field but the wall-clock ``train_seconds``, of every
 report it returns: ``experiment_ablate`` the combined row and each ablation
 row, ``dimension_sweep`` one report per projection width, and
@@ -132,6 +133,12 @@ def _cases(sf, workdir: Path):
     yield "learning_rate_0", _train_case(
         sf, sets, cfg(3, learning_rate=0.0), workdir, "learning_rate_0"
     )
+    # the same sets holding 12, 16 and 20 samples, interleaved
+    ragged = [
+        sf.ImageSet(features=s.features[:, : (12, 16, 20)[i % 3]], label=s.label, set_id=s.set_id)
+        for i, s in enumerate(sets)
+    ]
+    yield "train_ragged", _train_case(sf, ragged, cfg(3), workdir, "train_ragged")
 
     report = sf.run_experiment(sets, cfg(3), n_splits=10, train_per_class=5, ablate=True)
     yield "experiment_ablate", (_reports_digest(report.ablation), None)
