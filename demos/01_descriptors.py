@@ -1,23 +1,15 @@
 # Three views of one image set
 #
 # An image set is a d x n matrix: n feature vectors of dimension d observed
-# under varying conditions. This walk-through encodes a single synthetic set
-# as (1) a regularized covariance matrix, (2) an orthonormal subspace basis,
-# and (3) a determinant-one Gaussian embedding, and checks the structural
-# properties each encoder guarantees.
+# under varying conditions. This walk-through encodes synthetic sets with
+# encode_sets, which returns one DescriptorStack: (1) regularized covariance
+# matrices, (2) orthonormal subspace bases and (3) determinant-one Gaussian
+# embeddings, row i from set i. It checks the structural properties each
+# row is guaranteed to have.
 
 import numpy as np
 
-from setfuse import (
-    ImageSet,
-    TrainConfig,
-    covariance_descriptor,
-    embed_gaussian,
-    encode_set,
-    gaussian_descriptor,
-    is_spd,
-    subspace_descriptor,
-)
+from setfuse import ImageSet, TrainConfig, embed_gaussian, encode_sets, is_spd
 
 rng = np.random.default_rng(0)
 d, n = 8, 25
@@ -25,10 +17,17 @@ features = rng.standard_normal((d, 1)) * 2.0 + rng.standard_normal((d, n))
 image_set = ImageSet(features=features, label="demo", set_id="demo_set")
 print(f"one set: {n} samples in {d} dimensions")
 
+# A single set is a stack of one; its descriptors are row 0 of each stack.
+q = 3
+cfg = TrainConfig(subspace_dim=q, alpha=1000.0)
+stack = encode_sets([image_set], cfg)
+print(f"encode_sets: cov {stack.cov.shape}, basis {stack.basis.shape}, "
+      f"embedding {stack.embedding.shape}, set_ids {stack.set_ids}")
+
 # --- covariance view ------------------------------------------------------
 # The sample covariance can be rank deficient when n <= d, so a small
 # spectrum shift (trace / alpha) keeps it safely positive definite.
-cov = covariance_descriptor(image_set, alpha=1000.0)
+cov = stack.cov[0]
 eigs = np.linalg.eigvalsh(cov)
 print("\ncovariance descriptor")
 print(f"  shape {cov.shape}, symmetric positive definite: {is_spd(cov)}")
@@ -37,30 +36,40 @@ print(f"  eigenvalue range [{eigs.min():.4f}, {eigs.max():.4f}]")
 # --- subspace view --------------------------------------------------------
 # The top-q eigenvectors of X X^T span the directions the set actually
 # occupies. Only the span matters; the basis is one canonical representative.
-q = 3
-point = subspace_descriptor(image_set, q)
-gram = point.basis.T @ point.basis
+basis = stack.basis[0]
+gram = basis.T @ basis
 print("\nsubspace descriptor")
-print(f"  basis shape {point.basis.shape}")
+print(f"  basis shape {basis.shape}")
 print(f"  orthonormality residual {np.max(np.abs(gram - np.eye(q))):.2e}")
 
 # --- Gaussian view --------------------------------------------------------
 # Mean and covariance together map to one (d+1) x (d+1) SPD matrix with
 # determinant exactly one, so Gaussians can be compared with SPD machinery.
-gauss = gaussian_descriptor(image_set, alpha=1000.0)
+embedding = stack.embedding[0]
 print("\nGaussian descriptor")
-print(f"  embedding shape {gauss.embedding.shape}")
-print(f"  det(embedding) = {np.linalg.det(gauss.embedding):.12f}")
-print(f"  embedding SPD: {is_spd(gauss.embedding)}")
+print(f"  embedding shape {embedding.shape}")
+print(f"  det(embedding) = {np.linalg.det(embedding):.12f}")
+print(f"  embedding SPD: {is_spd(embedding)}")
+# Its top-left block over its corner entry is covariance + mean mean^T.
+mean = features.mean(axis=1)
+block = embedding[:d, :d] / embedding[d, d]
+print(f"  block residual vs cov + m m^T: {np.max(np.abs(block - cov - np.outer(mean, mean))):.2e}")
 
 # The embedding of a zero-mean identity-covariance Gaussian is the identity.
 ident = embed_gaussian(np.zeros(3), np.eye(3))
 print(f"  embed(0, I) == I(4): {np.array_equal(ident, np.eye(4))}")
 
-# --- all three at once ----------------------------------------------------
-cfg = TrainConfig(subspace_dim=3, alpha=1000.0)
-triple = encode_set(image_set, cfg)
-print("\nencode_set bundles all three:")
-print(f"  cov {triple.cov.shape}, basis {triple.subspace.basis.shape}, "
-      f"embedding {triple.gauss.embedding.shape}")
-print(f"  label {triple.label!r}, set_id {triple.set_id!r}")
+# --- many sets at once ----------------------------------------------------
+# A collection is encoded in one call, sets of different sample counts
+# included, and each row has the bits its set gets when encoded alone.
+sets = [image_set] + [
+    ImageSet(features=rng.standard_normal((d, 10 + 5 * i)), label="demo", set_id=f"extra{i}")
+    for i in range(3)
+]
+many = encode_sets(sets, cfg)
+same = all(
+    np.array_equal(getattr(many, name)[i], getattr(encode_sets([s], cfg), name)[0])
+    for i, s in enumerate(sets)
+    for name in ("cov", "basis", "embedding")
+)
+print(f"\n{len(sets)} sets in one stack, rows identical to one-set encodings: {same}")

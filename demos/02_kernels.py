@@ -13,8 +13,7 @@ from setfuse import (
     ImageSet,
     TrainConfig,
     build_kernel_bank,
-    encode_set,
-    gram_matrix,
+    encode_sets,
     log_euclidean_kernel,
     projection_kernel,
 )
@@ -29,26 +28,29 @@ for c in range(3):
     for s in range(4):
         x = center[:, None] + rng.standard_normal((6, 20))
         sets.append(ImageSet(features=x, label=f"c{c}", set_id=f"c{c}_s{s}"))
-triples = [encode_set(s, cfg) for s in sets]
+# One DescriptorStack holds every set's descriptors, row i from set i.
+gallery = encode_sets(sets, cfg)
 
 # --- scalar kernels -------------------------------------------------------
 # The SPD kernel is trace(log C1 . log C2); with C1 = C2 = I both logs are
 # zero. The projection kernel of a subspace with itself is its dimension.
 print("log kernel at (I, I):", log_euclidean_kernel(np.eye(4), np.eye(4)))
 print("projection kernel self value:",
-      projection_kernel(triples[0].subspace, triples[0].subspace))
+      projection_kernel(gallery.basis[0], gallery.basis[0]))
 
 # --- Gram matrices --------------------------------------------------------
+# build_kernel_bank lifts every set once per channel and derives each
+# channel's Gram matrix from the lifted rows.
+raw = build_kernel_bank(gallery, DESCRIPTOR_NAMES)
 print("\nGram matrix spectra (min eigenvalue ~ 0 up to roundoff):")
-for name in DESCRIPTOR_NAMES:
-    k = gram_matrix(triples, name)
+for name, k in zip(raw.descriptors, raw.grams):
     eigs = np.linalg.eigvalsh(k)
     print(f"  {name:<9} shape {k.shape}  min eig {eigs.min():+.2e}  "
           f"max eig {eigs.max():.2e}")
 
 # Same-class pairs should look more alike than cross-class pairs. The
 # projection kernel makes that visible directly in the Gram values.
-k_proj = gram_matrix(triples, "subspace")
+k_proj = raw.grams[raw.descriptors.index("subspace")]
 labels = np.array([s.label for s in sets])
 same = labels[:, None] == labels[None, :]
 off_diag = ~np.eye(len(sets), dtype=bool)
@@ -57,10 +59,10 @@ print(f"  same-class pairs   {k_proj[same & off_diag].mean():.4f}")
 print(f"  cross-class pairs  {k_proj[~same].mean():.4f}")
 
 # --- the kernel bank ------------------------------------------------------
-# build_kernel_bank evaluates every configured kernel once and freezes the
-# result; optional normalization rescales each Gram to trace N so channels
-# with different units become comparable.
-bank = build_kernel_bank(triples, cfg.descriptors, normalize=True)
+# The bank freezes its lifted features and Grams; optional normalization
+# rescales each Gram to trace N so channels with different units become
+# comparable.
+bank = build_kernel_bank(gallery, cfg.descriptors, normalize=True)
 print("\nnormalized bank:")
 for name, gram, scale in zip(bank.descriptors, bank.grams, bank.scales):
     print(f"  {name:<9} trace {np.trace(gram):.1f}  (scale {scale:.3e})")

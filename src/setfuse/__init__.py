@@ -17,18 +17,7 @@ from .data import (
     load_manifest,
     save_dataset,
 )
-from .descriptors import (
-    DescriptorTriple,
-    GaussianDescriptor,
-    GrassmannPoint,
-    ImageSet,
-    covariance_descriptor,
-    embed_gaussian,
-    encode_set,
-    gaussian_descriptor,
-    sample_mean,
-    subspace_descriptor,
-)
+from .descriptors import DescriptorStack, ImageSet, embed_gaussian, encode_sets
 from .experiment import (
     ExperimentReport,
     SplitResult,
@@ -49,8 +38,6 @@ from .kernels import (
     DESCRIPTOR_NAMES,
     KernelBank,
     build_kernel_bank,
-    gaussian_embedding_kernel,
-    gram_matrix,
     log_euclidean_kernel,
     projection_kernel,
 )
@@ -80,13 +67,11 @@ __version__ = "0.1.0"
 __all__ = [
     "DESCRIPTOR_NAMES",
     "DatasetManifest",
-    "DescriptorTriple",
+    "DescriptorStack",
     "EigenPair",
     "ExperimentReport",
     "GatingParams",
-    "GaussianDescriptor",
     "GramSpan",
-    "GrassmannPoint",
     "ImageSet",
     "KernelBank",
     "ManifestEntry",
@@ -97,17 +82,13 @@ __all__ = [
     "TraceRatioResult",
     "TrainConfig",
     "build_kernel_bank",
-    "covariance_descriptor",
     "distance_profile",
     "embed_gaussian",
-    "encode_set",
-    "gaussian_descriptor",
-    "gaussian_embedding_kernel",
+    "encode_sets",
     "gating_gradients",
     "gating_weights",
     "generate_synthetic",
     "gradient_ascent_step",
-    "gram_matrix",
     "gram_span",
     "init_gating_params",
     "is_spd",
@@ -122,14 +103,12 @@ __all__ = [
     "remove_null_space",
     "run_dimension_sweep",
     "run_experiment",
-    "sample_mean",
     "save_dataset",
     "save_model",
     "scatter_matrices",
     "solve_trace_ratio",
     "spd_log",
     "split_sets",
-    "subspace_descriptor",
     "sym_eig",
     "trace_ratio_objective",
     "train",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import ImageSet, encode_sets
+from .descriptors import DescriptorStack, ImageSet, encode_sets
 from .errors import DimensionMismatch, NegativeDistance, NonFinite, TooFewSamples
 from .gating import gate, squared_distances
 from .trainer import ModelState
@@ -65,8 +65,9 @@ def profile_from_rows(rows, model: ModelState) -> np.ndarray:
     return out
 
 
-def distance_profile(test, model: ModelState) -> np.ndarray:
-    """Gated projected distances from one probe (triple or stack of one) to each gallery member.
+def distance_profile(test: DescriptorStack, model: ModelState) -> np.ndarray:
+    """Gated projected distances from one probe, a descriptor stack of one
+    set (``encode_sets([s], model.config)``), to each gallery member.
 
     Only the probe is lifted, one lift per channel; see ``profile_from_rows``.
     """

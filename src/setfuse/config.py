@@ -27,15 +27,18 @@ def is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-def check_real(name: str, value, minimum: float) -> None:
+def check_real(name: str, value, minimum: float, strict: bool = False) -> None:
     """``BadSpec`` unless ``value`` is a finite real number, not a bool, and
-    >= ``minimum``; an integer too large for a float is not finite."""
+    >= ``minimum`` (> with ``strict``); an integer too large for a float is
+    not finite."""
     try:
-        ok = is_real(value) and minimum <= value and math.isfinite(value)
+        above = is_real(value) and (minimum < value if strict else minimum <= value)
+        ok = above and math.isfinite(value)
     except OverflowError:
         ok = False
     if not ok:
-        raise BadSpec(f"{name} must be a finite number >= {minimum}, got {value!r:.80}")
+        bound = ">" if strict else ">="
+        raise BadSpec(f"{name} must be a finite number {bound} {minimum}, got {value!r:.80}")
 
 
 @dataclass(frozen=True)
@@ -72,9 +75,7 @@ class TrainConfig:
         for name in ("subspace_dim", "target_dim", "iters", "itr_iters"):
             check_int(name, getattr(self, name), 1)
         check_int("seed", self.seed, 0)
-        if not (is_real(self.alpha) and self.alpha > 0.0):
-            raise BadSpec(f"alpha must be a positive number, got {self.alpha!r}")
-        check_real("alpha", self.alpha, 0.0)
+        check_real("alpha", self.alpha, 0.0, strict=True)
         check_real("learning_rate", self.learning_rate, 0.0)
         check_real("eps", self.eps, 0.0)
         if not isinstance(self.normalize_kernels, bool):

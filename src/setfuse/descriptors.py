@@ -9,9 +9,9 @@ from the individual images. Three complementary descriptors summarize it:
   (d+1) x (d+1) so that mean and covariance live in one object.
 
 All three are deterministic functions of the input bits, computed for a
-whole collection by ``encode_sets`` as stacks (``DescriptorStack``); a set's
-descriptors are the same bits alone or in any stack. ``encode_set`` and the
-per-descriptor functions are the one-set view of the same code.
+whole collection by ``encode_sets`` as stacks (``DescriptorStack``), the one
+form a descriptor takes; a set's descriptors are the same bits alone or in
+any stack, and a single set is a stack of one.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from .spd import check_symmetric, raise_first, regularize_spd, sym_eig
 # Eigenvalues below this fraction of the largest are treated as rank loss
 # when extracting a subspace basis.
 RANK_EIG_RTOL = 1e-12
+# Largest entry of |B^T B - I| an orthonormal basis B may show.
+ORTHONORMAL_ATOL = 1e-10
 
 
 def read_only(values, dtype=np.float64) -> np.ndarray:
@@ -80,78 +82,6 @@ class ImageSet:
 
 
 @dataclass(frozen=True)
-class GrassmannPoint:
-    """Orthonormal basis of a q-dimensional subspace of R^d, as d x q columns."""
-
-    basis: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.basis, dtype=np.float64)
-        if a.ndim != 2 or not 1 <= a.shape[1] <= a.shape[0]:
-            raise DimensionMismatch(f"basis must be d x q with 1 <= q <= d, got {a.shape}")
-        gram = a.T @ a
-        if np.max(np.abs(gram - np.eye(a.shape[1]))) > 1e-10:
-            raise NotOrthonormal("basis columns are not orthonormal")
-        object.__setattr__(self, "basis", read_only(a))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def subspace_dim(self) -> int:
-        return self.basis.shape[1]
-
-
-@dataclass(frozen=True)
-class GaussianDescriptor:
-    """Gaussian model of a set plus its SPD embedding.
-
-    ``embedding`` is the (d+1) x (d+1) determinant-one SPD matrix built from
-    the mean and covariance; it is the object the Gaussian kernel consumes.
-    """
-
-    mean: np.ndarray
-    covariance: np.ndarray
-    embedding: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.mean, dtype=np.float64).reshape(-1)
-        c = np.asarray(self.covariance, dtype=np.float64)
-        p = np.asarray(self.embedding, dtype=np.float64)
-        d = m.shape[0]
-        if c.shape != (d, d) or p.shape != (d + 1, d + 1):
-            raise DimensionMismatch(
-                f"inconsistent Gaussian shapes: mean {m.shape}, cov {c.shape}, embedding {p.shape}"
-            )
-        object.__setattr__(self, "mean", read_only(m))
-        object.__setattr__(self, "covariance", read_only(c))
-        object.__setattr__(self, "embedding", read_only(p))
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-
-@dataclass(frozen=True)
-class DescriptorTriple:
-    """All three descriptors of one set, with its label carried along."""
-
-    cov: np.ndarray
-    subspace: GrassmannPoint
-    gauss: GaussianDescriptor
-    label: str
-    set_id: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "cov", read_only(self.cov))
-
-    @property
-    def dim(self) -> int:
-        return self.cov.shape[0]
-
-
-@dataclass(frozen=True)
 class DescriptorStack:
     """The descriptors of N sets as read-only stacks, row i from set i: ``cov``
     (N, d, d), ``basis`` (N, d, q) and ``embedding`` (N, d+1, d+1)."""
@@ -160,23 +90,6 @@ class DescriptorStack:
     basis: np.ndarray
     embedding: np.ndarray
     set_ids: tuple[str, ...]
-
-
-def as_stack(descriptors) -> DescriptorStack:
-    """``descriptors`` as a ``DescriptorStack``: a stack as is, a triple as a
-    stack of one, a sequence of triples stacked (``BadSpec`` for none,
-    ``DimensionMismatch`` naming the first whose shapes differ from the first's)."""
-    if isinstance(descriptors, DescriptorStack):
-        return descriptors
-    triples = [descriptors] if isinstance(descriptors, DescriptorTriple) else list(descriptors)
-    if not triples:
-        raise BadSpec("a descriptor stack needs at least one descriptor")
-    rows = [(t.cov, t.subspace.basis, t.gauss.embedding) for t in triples]
-    for i, row in enumerate(rows):
-        if [a.shape for a in row] != [a.shape for a in rows[0]]:
-            raise DimensionMismatch(f"descriptor {i} ({triples[i].set_id!r}): shapes differ")
-    stacks = (read_only(np.stack(column)) for column in zip(*rows))
-    return DescriptorStack(*stacks, tuple(t.set_id for t in triples))
 
 
 def common_dim(sets: Sequence[ImageSet]) -> int:
@@ -211,10 +124,21 @@ def _bases(gram: np.ndarray, q: int) -> np.ndarray:
     top, qth = values[:, 0], values[:, q - 1]
     raise_first((top <= 0.0) | (qth < RANK_EIG_RTOL * top), RankDeficient, lambda i: (
         f"numerical rank below q={q} (eigenvalue {qth[i]:.3e} vs max {top[i]:.3e})"))
-    basis = vectors[..., :q].copy()
-    off = np.abs(basis.swapaxes(-1, -2) @ basis - np.eye(q)).max(axis=(1, 2))
-    raise_first(off > 1e-10, NotOrthonormal, lambda i: "basis columns are not orthonormal")
-    return basis
+    return check_orthonormal(vectors[..., :q].copy())
+
+
+def check_orthonormal(basis) -> np.ndarray:
+    """``basis`` as a float64 d x q array with 1 <= q <= d, or a stack
+    (..., d, q) of them, checked to have orthonormal columns: ``NotOrthonormal``
+    names the first basis that has not (``DimensionMismatch`` for a bad shape)."""
+    b = np.asarray(basis, dtype=np.float64)
+    if b.ndim < 2 or not 1 <= b.shape[-1] <= b.shape[-2]:
+        raise DimensionMismatch(f"basis must be d x q with 1 <= q <= d, got {b.shape}")
+    off = np.abs(b.swapaxes(-1, -2) @ b - np.eye(b.shape[-1])).max(axis=(-2, -1))
+    raise_first(
+        off > ORTHONORMAL_ATOL, NotOrthonormal, lambda i: "basis columns are not orthonormal"
+    )
+    return b
 
 
 def embed_gaussian(mean, covariance) -> np.ndarray:
@@ -275,45 +199,12 @@ def encode_sets(sets: Sequence[ImageSet], cfg) -> DescriptorStack:
         embedding = embed_gaussian(mean, cov)
         basis = _bases(gram, cfg.subspace_dim)
     except SetfuseError as exc:
-        i = getattr(exc, "index", 0)
+        if not hasattr(exc, "index"):  # an error of no one set, such as a bad q
+            raise
+        i = exc.index
         if i:  # an earlier set may fail a later check; this raises naming it
             encode_sets(sets[:i], cfg)
         raise type(exc)(f"set {i} ({sets[i].set_id!r}): {exc}") from exc
     for a in (cov, basis, embedding):
         a.setflags(write=False)
     return DescriptorStack(cov, basis, embedding, tuple(s.set_id for s in sets))
-
-
-def sample_mean(s: ImageSet) -> np.ndarray:
-    """Column mean of the set."""
-    return s.features.mean(axis=1)
-
-
-def covariance_descriptor(s: ImageSet, alpha: float) -> np.ndarray:
-    """Regularized sample covariance of the set's columns: the unbiased
-    estimate (divisor n - 1) with its spectrum shifted by ``trace / alpha``
-    via ``regularize_spd``, so the result is always SPD."""
-    return regularize_spd(_moments(s.features[None])[1], alpha)[0]
-
-
-def subspace_descriptor(s: ImageSet, q: int) -> GrassmannPoint:
-    """Dominant q-dimensional span of the set's (uncentered) columns: the
-    top-q eigenvectors of ``X @ X.T``. ``RankDeficient`` when the q-th
-    eigenvalue is negligible next to the largest (q exceeds the rank)."""
-    return GrassmannPoint(basis=_bases(_moments(s.features[None])[2], q)[0])
-
-
-def gaussian_descriptor(s: ImageSet, alpha: float) -> GaussianDescriptor:
-    """Single-Gaussian model of the set with its SPD embedding; its
-    covariance is exactly the matrix ``covariance_descriptor`` returns."""
-    cov, mean = covariance_descriptor(s, alpha), sample_mean(s)
-    return GaussianDescriptor(mean=mean, covariance=cov, embedding=embed_gaussian(mean, cov))
-
-
-def encode_set(s: ImageSet, cfg) -> DescriptorTriple:
-    """All three descriptors of one set, row 0 of ``encode_sets([s], cfg)``:
-    bit-identical for identical inputs, with ``cov`` and ``gauss.covariance``
-    the same array."""
-    e = encode_sets([s], cfg)
-    gauss = GaussianDescriptor(mean=sample_mean(s), covariance=e.cov[0], embedding=e.embedding[0])
-    return DescriptorTriple(gauss.covariance, GrassmannPoint(e.basis[0]), gauss, s.label, s.set_id)

@@ -13,16 +13,17 @@ once into a flat feature row of length D_q:
 
 ``_LIFTS`` holds each channel's lift, and its key order ``DESCRIPTOR_NAMES``
 is the channel order; an unknown name raises ``BadSpec``. ``lift_features``
-lifts a ``DescriptorStack`` with one stacked call (one ``spd_log`` for
-``cov`` and ``gauss``) into one read-only (N, D_q) array: a training gallery,
-a probe (a stack of one), or the set collection of a split protocol call,
-whose splits then slice their training rows from it. A ``KernelBank`` is such arrays, one
-per channel, and derives its Gram matrices from them. Every kernel value (a
-Gram entry, a probe's cross-kernel entry, a scalar kernel) is the same
-row-wise sum ``(rows * row).sum(axis=-1)``. It adds the products in one
-order whichever argument comes first, so Gram matrices are exactly symmetric
-and a probe identical to a gallery member reproduces that member's Gram
-column bit for bit.
+lifts a ``DescriptorStack`` (from ``descriptors.encode_sets``) with one
+stacked call (one ``spd_log`` for ``cov`` and ``gauss``) into one read-only
+(N, D_q) array: a training gallery, a probe (a stack of one), or the set
+collection of a split protocol call, whose splits then slice their training
+rows from it. A ``KernelBank`` is such arrays, one per channel, and derives
+its Gram matrices from them. Every kernel value (a Gram entry, a probe's
+cross-kernel entry, a scalar kernel) is the same row-wise sum
+``(rows * row).sum(axis=-1)``. It adds the products in one order whichever
+argument comes first, so Gram matrices are exactly symmetric and a probe
+identical to a gallery member reproduces that member's Gram column bit for
+bit.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .descriptors import DescriptorTriple, GaussianDescriptor, GrassmannPoint, as_stack, read_only
+from .descriptors import DescriptorStack, check_orthonormal, read_only
 from .errors import (
     BadSpec,
     DimensionMismatch,
@@ -66,20 +67,13 @@ def log_euclidean_kernel(c1, c2) -> float:
     return float(_frobenius(spd_log(a1).ravel(), spd_log(a2).ravel()))
 
 
-def projection_kernel(y1: GrassmannPoint, y2: GrassmannPoint) -> float:
-    """||Y1.T @ Y2||_F^2 for subspace bases of equal ambient and subspace dim."""
-    if y1.dim != y2.dim or y1.subspace_dim != y2.subspace_dim:
-        raise DimensionMismatch(
-            f"subspace shapes differ: {y1.basis.shape} vs {y2.basis.shape}"
-        )
-    return float(_frobenius(_projector(y1.basis).ravel(), _projector(y2.basis).ravel()))
-
-
-def gaussian_embedding_kernel(g1: GaussianDescriptor, g2: GaussianDescriptor) -> float:
-    """Log-Euclidean kernel applied to the two Gaussian embeddings."""
-    if g1.dim != g2.dim:
-        raise DimensionMismatch(f"Gaussian dims differ: {g1.dim} vs {g2.dim}")
-    return log_euclidean_kernel(g1.embedding, g2.embedding)
+def projection_kernel(y1, y2) -> float:
+    """||Y1.T @ Y2||_F^2 for orthonormal d x q subspace bases of equal shape
+    (``descriptors.check_orthonormal`` checks each)."""
+    b1, b2 = check_orthonormal(y1), check_orthonormal(y2)
+    if b1.shape != b2.shape:
+        raise DimensionMismatch(f"subspace shapes differ: {b1.shape} vs {b2.shape}")
+    return float(_frobenius(_projector(b1).ravel(), _projector(b2).ravel()))
 
 
 # Per channel, the matrices whose Frobenius inner products are its kernel,
@@ -99,25 +93,21 @@ def _lift(name: str):
     return _LIFTS[name]
 
 
-def lift_row(triple: DescriptorTriple, name: str) -> np.ndarray:
-    """One descriptor's flattened lifted matrix for channel ``name``, a 1-D row."""
-    return lift_features(triple, name)[0]
+def lift_features(stack: DescriptorStack, name: str) -> np.ndarray:
+    """Lift a stack of descriptors with one call into one read-only (N, D_q)
+    array, row i from descriptor i.
 
-
-def lift_features(descriptors, name: str) -> np.ndarray:
-    """Lift a stack of descriptors (anything ``descriptors.as_stack`` takes)
-    with one call into one read-only (N, D_q) array, row i from descriptor i.
-
-    An error of the lift names the first descriptor at fault.
+    An error of the lift that belongs to one descriptor names the first at fault.
     """
     lift = _lift(name)
-    stack = as_stack(descriptors)
     try:
         lifted = lift(stack)
     except SetfuseError as exc:
-        i = getattr(exc, "index", 0)
+        if not hasattr(exc, "index"):
+            raise
+        i = exc.index
         raise type(exc)(f"descriptor {i} ({stack.set_ids[i]!r}): {exc}") from exc
-    out = lifted.reshape(len(stack.set_ids), -1)
+    out = lifted.reshape(lifted.shape[0], math.prod(lifted.shape[1:]))
     out.setflags(write=False)
     return out
 
@@ -131,16 +121,6 @@ def _gram(features: np.ndarray) -> np.ndarray:
         k[j:, j] = col
         k[j, j:] = col
     return k
-
-
-def gram_matrix(gallery, name: str, normalize: bool = False) -> np.ndarray:
-    """Kernel Gram matrix over a gallery (as ``build_kernel_bank``), read-only.
-
-    The result is exactly symmetric. With ``normalize`` the matrix is
-    rescaled to trace N (raises ``NormalizationDegenerate`` when the raw
-    trace is numerically zero).
-    """
-    return build_kernel_bank(gallery, (name,), normalize).grams[0]
 
 
 def gram_normalizer(k: np.ndarray) -> float:
@@ -211,8 +191,11 @@ class KernelBank:
         side = math.isqrt(self.features[0].shape[1])
         return side - 1 if self.descriptors[0] == "gauss" else side
 
-    def probe_rows(self, test) -> tuple[np.ndarray, ...]:
-        """A probe's lifted row per channel (a triple or a stack of one)."""
+    def probe_rows(self, test: DescriptorStack) -> tuple[np.ndarray, ...]:
+        """A probe's lifted row per channel, from a stack of one set
+        (``ShapeMismatch`` for any other length)."""
+        if len(test.set_ids) != 1:
+            raise ShapeMismatch(f"a probe is a stack of one set, got {len(test.set_ids)}")
         return tuple(lift_features(test, name)[0] for name in self.descriptors)
 
     def columns_from_rows(self, rows: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -231,10 +214,9 @@ class KernelBank:
 
 
 def build_kernel_bank(
-    gallery, descriptors: Sequence[str] = DESCRIPTOR_NAMES, normalize: bool = False
+    gallery: DescriptorStack, descriptors: Sequence[str] = DESCRIPTOR_NAMES, normalize: bool = False
 ) -> KernelBank:
-    """Lift a gallery (anything ``descriptors.as_stack`` takes) with one call
-    per channel and derive each Gram from the features."""
-    stack = as_stack(gallery)
-    features = [lift_features(stack, name) for name in descriptors]
+    """Lift a gallery's descriptor stack with one call per channel and derive
+    each Gram from the features."""
+    features = [lift_features(gallery, name) for name in descriptors]
     return KernelBank(tuple(descriptors), tuple(features), normalize)

@@ -2,13 +2,42 @@
 
 import numpy as np
 
-from setfuse.descriptors import ImageSet
-from setfuse.kernels import DESCRIPTOR_NAMES, KernelBank
+from setfuse.descriptors import DescriptorStack, ImageSet, encode_sets
+from setfuse.kernels import DESCRIPTOR_NAMES, KernelBank, log_euclidean_kernel, projection_kernel
+
+# Per channel, the descriptor stack field it reads and its scalar kernel.
+SCALAR_KERNELS = {
+    "cov": ("cov", log_euclidean_kernel),
+    "subspace": ("basis", projection_kernel),
+    "gauss": ("embedding", log_euclidean_kernel),
+}
 
 
 def stack_length(m):
     """How many matrices a 2-D matrix or a stack ``(..., d, d)`` holds."""
     return int(np.prod(np.shape(m)[:-2]))
+
+
+def encode_one(s, cfg):
+    """Row 0 of ``encode_sets([s], cfg)``: the set's covariance, subspace
+    basis and Gaussian embedding, encoded alone."""
+    e = encode_sets([s], cfg)
+    return e.cov[0], e.basis[0], e.embedding[0]
+
+
+def rows(stack, index):
+    """The rows ``index`` (an int, a slice or a list of positions) of a
+    descriptor stack, as a stack of their own."""
+    keep = np.atleast_1d(np.arange(len(stack.set_ids))[index])
+    arrays = (a[keep] for a in (stack.cov, stack.basis, stack.embedding))
+    return DescriptorStack(*arrays, tuple(stack.set_ids[i] for i in keep))
+
+
+def scalar_kernel_column(channel, probe, gallery):
+    """A probe's (a stack of one) kernel values against each gallery row,
+    one scalar kernel call per pair."""
+    field, kernel = SCALAR_KERNELS[channel]
+    return np.array([kernel(getattr(probe, field)[0], row) for row in getattr(gallery, field)])
 
 
 def random_spd(rng, d, eig_low=0.5, eig_high=2.0):

@@ -14,15 +14,10 @@ import scipy.linalg
 from setfuse.classify import predict
 from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic
-from setfuse.descriptors import gaussian_descriptor
+from setfuse.descriptors import encode_sets
 from setfuse.experiment import run_experiment, train_on_sets
 from setfuse.gating import GatingParams, gating_gradients, gating_weights, pair_counts
-from setfuse.kernels import (
-    gaussian_embedding_kernel,
-    gram_matrix,
-    log_euclidean_kernel,
-    projection_kernel,
-)
+from setfuse.kernels import build_kernel_bank, log_euclidean_kernel, projection_kernel
 from setfuse.trainer import (
     scatter_matrices,
     solve_trace_ratio,
@@ -75,23 +70,20 @@ def test_kernel_geometry():
         oracle = float(np.sum(np.real(diff) ** 2))
         worst_polar = max(worst_polar, abs(via_kernel - oracle))
 
-        from setfuse.descriptors import GrassmannPoint
-
-        y1 = GrassmannPoint(basis=helper_orthonormal(rng, d, q))
-        y2 = GrassmannPoint(basis=helper_orthonormal(rng, d, q))
-        p1 = y1.basis @ y1.basis.T
-        p2 = y2.basis @ y2.basis.T
+        y1 = helper_orthonormal(rng, d, q)
+        y2 = helper_orthonormal(rng, d, q)
+        p1 = y1 @ y1.T
+        p2 = y2 @ y2.T
         dist2 = 0.5 * float(np.sum((p1 - p2) ** 2))
         worst_grass = max(worst_grass, abs(dist2 - (q - projection_kernel(y1, y2))))
 
-        g1 = gaussian_descriptor(random_image_set(rng, d=d, n=d + 5), alpha=1000.0)
-        g2 = gaussian_descriptor(random_image_set(rng, d=d, n=d + 5), alpha=1000.0)
-        if gaussian_embedding_kernel(g1, g2) != log_euclidean_kernel(
-            g1.embedding, g2.embedding
-        ):
-            failures.append("gaussian kernel differs from log kernel on embeddings")
+        pair = [random_image_set(rng, d=d, n=d + 5) for _ in range(2)]
+        stack = encode_sets(pair, TrainConfig(subspace_dim=1, alpha=1000.0))
+        g1, g2 = stack.embedding
+        if build_kernel_bank(stack, ("gauss",)).grams[0][1, 0] != log_euclidean_kernel(g1, g2):
+            failures.append("gauss channel differs from log kernel on embeddings")
         for g in (g1, g2):
-            worst_det = max(worst_det, abs(float(np.linalg.det(g.embedding)) - 1.0))
+            worst_det = max(worst_det, abs(float(np.linalg.det(g)) - 1.0))
 
     if worst_polar > 1e-8:
         failures.append(f"polarization identity error {worst_polar:.3e} > 1e-8")
@@ -114,11 +106,8 @@ def test_gram_psd():
             random_image_set(rng, d=d, n=n, label=f"c{i % 4}", set_id=f"s{i}")
             for i in range(50)
         ]
-        from setfuse.descriptors import encode_set
-
-        triples = [encode_set(s, cfg) for s in sets]
-        for kid in ("cov", "subspace", "gauss"):
-            k = gram_matrix(triples, kid)
+        bank = build_kernel_bank(encode_sets(sets, cfg))
+        for kid, k in zip(bank.descriptors, bank.grams):
             eigs = np.linalg.eigvalsh(k)
             norm = float(np.max(np.abs(eigs)))
             if float(eigs.min()) < -1e-8 * norm:

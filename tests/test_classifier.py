@@ -5,18 +5,13 @@ import pytest
 
 from setfuse.classify import Prediction, distance_profile, predict
 from setfuse.config import TrainConfig
-from setfuse.descriptors import ImageSet, encode_set
-from setfuse.errors import NegativeDistance
+from setfuse.descriptors import ImageSet, encode_sets
+from setfuse.errors import NegativeDistance, ShapeMismatch
 from setfuse.gating import softmax_columns
-from setfuse.kernels import (
-    build_kernel_bank,
-    gaussian_embedding_kernel,
-    log_euclidean_kernel,
-    projection_kernel,
-)
+from setfuse.kernels import build_kernel_bank
 from setfuse.trainer import ModelState, train
 
-from helpers import random_gallery_sets
+from helpers import random_gallery_sets, rows, scalar_kernel_column
 
 
 def trained_model(seed, n_classes=3, sets_per_class=3, target_dim=3, iters=4):
@@ -25,26 +20,19 @@ def trained_model(seed, n_classes=3, sets_per_class=3, target_dim=3, iters=4):
         rng, n_classes=n_classes, sets_per_class=sets_per_class, d=6, n=14
     )
     cfg = TrainConfig(subspace_dim=3, target_dim=target_dim, iters=iters, seed=seed)
-    triples = [encode_set(s, cfg) for s in sets]
+    gallery = encode_sets(sets, cfg)
     labels = np.array([s.label for s in sets])
-    bank = build_kernel_bank(triples, cfg.descriptors)
+    bank = build_kernel_bank(gallery, cfg.descriptors)
     model = train(bank, labels, cfg)
-    return model, sets, triples
+    return model, sets, gallery
 
 
-SCALAR_KERNELS = {
-    "cov": lambda a, b: log_euclidean_kernel(a.cov, b.cov),
-    "subspace": lambda a, b: projection_kernel(a.subspace, b.subspace),
-    "gauss": lambda a, b: gaussian_embedding_kernel(a.gauss, b.gauss),
-}
-
-
-def naive_distance(test, model, triples, i):
+def naive_distance(test, model, gallery, i):
     """Term-by-term reference: per-channel projected squared distances, with
     the probe's kernel column built from the scalar kernels."""
     total = 0.0
     crosses = [
-        scale * np.array([SCALAR_KERNELS[channel](test, t) for t in triples])
+        scale * scalar_kernel_column(channel, test, gallery)
         for channel, scale in zip(model.bank.descriptors, model.bank.scales)
     ]
     scores = np.array(
@@ -63,19 +51,24 @@ def naive_distance(test, model, triples, i):
 
 class TestDistanceProfile:
     def test_gallery_member_is_closest_to_itself(self):
-        model, _, triples = trained_model(110)
+        model, _, gallery = trained_model(110)
         for i in (0, 4, 8):
-            profile = distance_profile(triples[i], model)
+            profile = distance_profile(rows(gallery, i), model)
             assert int(np.argmin(profile)) == i
             assert profile[i] <= 1e-9
 
     def test_matches_naive_per_pair_computation(self):
-        model, _, triples = trained_model(111)
-        probe = triples[2]
+        model, _, gallery = trained_model(111)
+        probe = rows(gallery, 2)
         profile = distance_profile(probe, model)
         scale = max(1.0, float(np.max(np.abs(profile))))
         for i in range(model.n_train):
-            assert abs(profile[i] - naive_distance(probe, model, triples, i)) <= 1e-10 * scale
+            assert abs(profile[i] - naive_distance(probe, model, gallery, i)) <= 1e-10 * scale
+
+    def test_probe_must_be_a_stack_of_one(self):
+        model, sets, _ = trained_model(115)
+        with pytest.raises(ShapeMismatch, match="a probe is a stack of one set, got 3"):
+            distance_profile(encode_sets(sets[3:6], model.config), model)
 
     def test_nonnegative(self):
         model, sets, _ = trained_model(112)
@@ -83,12 +76,11 @@ class TestDistanceProfile:
         probe = ImageSet(
             features=rng.standard_normal((6, 14)), label="?", set_id="probe"
         )
-        triple = encode_set(probe, model.config)
-        profile = distance_profile(triple, model)
+        profile = distance_profile(encode_sets([probe], model.config), model)
         assert np.all(profile >= -1e-12)
 
     def test_zero_transform_gives_zero_profile(self):
-        model, _, triples = trained_model(113)
+        model, _, gallery = trained_model(113)
         zeroed = ModelState(
             transform=np.zeros_like(model.transform),
             gating=model.gating,
@@ -97,12 +89,12 @@ class TestDistanceProfile:
             config=model.config,
             objective_trace=model.objective_trace,
         )
-        profile = distance_profile(triples[0], zeroed)
+        profile = distance_profile(rows(gallery, 0), zeroed)
         assert np.array_equal(profile, np.zeros(model.n_train))
 
     def test_probe_weights_sum_to_one_effect(self):
         # shifting every gating bias by a constant leaves distances unchanged
-        model, _, triples = trained_model(114)
+        model, _, gallery = trained_model(114)
         shifted_gating = type(model.gating)(
             coeffs=model.gating.coeffs, biases=model.gating.biases + 3.0
         )
@@ -114,8 +106,8 @@ class TestDistanceProfile:
             config=model.config,
             objective_trace=model.objective_trace,
         )
-        a = distance_profile(triples[1], model)
-        b = distance_profile(triples[1], shifted)
+        a = distance_profile(rows(gallery, 1), model)
+        b = distance_profile(rows(gallery, 1), shifted)
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, float(np.max(np.abs(a))))
 
 
@@ -139,7 +131,7 @@ class TestPredict:
         assert predict(noisy, model).label == base.label
 
     def test_tie_breaks_to_lowest_index(self):
-        model, _, triples = trained_model(120)
+        model, _, gallery = trained_model(120)
         flat = ModelState(
             transform=np.zeros_like(model.transform),
             gating=model.gating,
@@ -149,7 +141,7 @@ class TestPredict:
             objective_trace=model.objective_trace,
         )
         # zero transform makes every distance zero, an N-way tie
-        pred_profile = distance_profile(triples[5], flat)
+        pred_profile = distance_profile(rows(gallery, 5), flat)
         assert np.array_equal(pred_profile, np.zeros(model.n_train))
         idx = int(np.argmin(pred_profile))
         assert idx == 0

@@ -5,16 +5,11 @@ import pytest
 
 from setfuse.config import TrainConfig
 from setfuse.descriptors import (
-    DescriptorTriple,
-    GrassmannPoint,
     ImageSet,
-    covariance_descriptor,
+    _moments,
+    check_orthonormal,
     embed_gaussian,
-    encode_set,
     encode_sets,
-    gaussian_descriptor,
-    sample_mean,
-    subspace_descriptor,
 )
 from setfuse.errors import (
     BadDimension,
@@ -28,11 +23,26 @@ from setfuse.errors import (
 )
 from setfuse.spd import is_spd
 
-from helpers import random_image_set, random_spd
+from helpers import encode_one, random_image_set, random_orthonormal, random_spd
 
 
 def make_set(features, label="c0", set_id="s"):
     return ImageSet(features=np.asarray(features, dtype=float), label=label, set_id=set_id)
+
+
+def covariance_of(s, alpha):
+    """The set's regularized covariance, encoded alone."""
+    return encode_one(s, TrainConfig(subspace_dim=1, alpha=alpha))[0]
+
+
+def raw_covariance(s):
+    """The unregularized sample covariance the encoder starts from."""
+    return _moments(s.features[None])[1][0]
+
+
+def basis_of(s, q):
+    """The set's q-dimensional subspace basis, encoded alone."""
+    return encode_one(s, TrainConfig(subspace_dim=q))[1]
 
 
 class TestImageSet:
@@ -57,12 +67,12 @@ class TestImageSet:
 class TestCovarianceDescriptor:
     def test_constant_set_gets_floor(self):
         s = make_set([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-        out = covariance_descriptor(s, 1000.0)
+        out = covariance_of(s, 1000.0)
         assert np.array_equal(out, 1e-8 * np.eye(2))
 
     def test_two_point_example(self):
         s = make_set([[0.0, 2.0], [0.0, 0.0]])
-        out = covariance_descriptor(s, 1000.0)
+        out = covariance_of(s, 1000.0)
         assert np.allclose(out, [[2.002, 0.0], [0.0, 0.002]], atol=1e-15)
 
     def test_matches_two_pass_oracle(self):
@@ -79,29 +89,29 @@ class TestCovarianceDescriptor:
             dev = x[:, j] - m
             c += np.outer(dev, dev)
         c /= 49
-        out = covariance_descriptor(s, np.inf)
+        out = raw_covariance(s)
         assert np.max(np.abs(out - c)) <= 1e-10
 
     def test_column_permutation_invariance(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((5, 20))
         perm = rng.permutation(20)
-        a = covariance_descriptor(make_set(x), 1000.0)
-        b = covariance_descriptor(make_set(x[:, perm]), 1000.0)
+        a = covariance_of(make_set(x), 1000.0)
+        b = covariance_of(make_set(x[:, perm]), 1000.0)
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_scaling_property_without_regularization(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((4, 15))
-        base = covariance_descriptor(make_set(x), np.inf)
-        scaled = covariance_descriptor(make_set(3.0 * x), np.inf)
+        base = raw_covariance(make_set(x))
+        scaled = raw_covariance(make_set(3.0 * x))
         assert np.max(np.abs(scaled - 9.0 * base)) <= 1e-10 * np.max(np.abs(base))
 
     def test_output_is_spd(self):
         rng = np.random.default_rng(13)
         for n in (2, 3, 30):
             s = make_set(rng.standard_normal((6, n)))
-            assert is_spd(covariance_descriptor(s, 1000.0))
+            assert is_spd(covariance_of(s, 1000.0))
 
 
 class TestSubspaceDescriptor:
@@ -110,36 +120,36 @@ class TestSubspaceDescriptor:
         x = np.zeros((4, 5))
         x[0] = [1.0, 2.0, 3.0, 4.0, 5.0]
         x[1] = [5.0, 4.0, 3.0, 2.0, 1.0]
-        y = subspace_descriptor(make_set(x), 2)
-        proj = y.basis @ y.basis.T
+        y = basis_of(make_set(x), 2)
+        proj = y @ y.T
         expected = np.diag([1.0, 1.0, 0.0, 0.0])
         assert np.max(np.abs(proj - expected)) <= 1e-10
 
     def test_rank_one_sign_convention(self):
         x = np.outer([1.0, 0.0, 0.0], [1.0, -2.0, 3.0])
-        y = subspace_descriptor(make_set(x), 1)
-        assert np.allclose(y.basis.ravel(), [1.0, 0.0, 0.0])
+        y = basis_of(make_set(x), 1)
+        assert np.allclose(y.ravel(), [1.0, 0.0, 0.0])
 
     def test_eigen_equation_residual(self):
         rng = np.random.default_rng(14)
         x = rng.standard_normal((8, 20))
         s = make_set(x)
         q = 3
-        y = subspace_descriptor(s, q)
+        y = basis_of(s, q)
         g = x @ x.T
         # oracle: columns satisfy the eigen equation of X X^T
-        rayleigh = np.diag(y.basis.T @ g @ y.basis)
-        resid = g @ y.basis - y.basis * rayleigh
+        rayleigh = np.diag(y.T @ g @ y)
+        resid = g @ y - y * rayleigh
         assert np.max(np.abs(resid)) <= 1e-9 * np.max(np.abs(g))
 
     def test_projector_invariant_to_column_permutation(self):
         rng = np.random.default_rng(15)
         x = rng.standard_normal((6, 10))
         perm = rng.permutation(10)
-        a = subspace_descriptor(make_set(x), 3)
-        b = subspace_descriptor(make_set(x[:, perm]), 3)
-        pa = a.basis @ a.basis.T
-        pb = b.basis @ b.basis.T
+        a = basis_of(make_set(x), 3)
+        b = basis_of(make_set(x[:, perm]), 3)
+        pa = a @ a.T
+        pb = b @ b.T
         assert np.max(np.abs(pa - pb)) <= 1e-9
 
     def test_projector_invariant_to_orthogonal_mixing(self):
@@ -147,31 +157,47 @@ class TestSubspaceDescriptor:
         rng = np.random.default_rng(16)
         x = rng.standard_normal((6, 10))
         r, _ = np.linalg.qr(rng.standard_normal((10, 10)))
-        a = subspace_descriptor(make_set(x), 4)
-        b = subspace_descriptor(make_set(x @ r), 4)
-        assert np.max(np.abs(a.basis @ a.basis.T - b.basis @ b.basis.T)) <= 1e-9
+        a = basis_of(make_set(x), 4)
+        b = basis_of(make_set(x @ r), 4)
+        assert np.max(np.abs(a @ a.T - b @ b.T)) <= 1e-9
 
     def test_rank_deficient_raises(self):
         x = np.outer([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])  # rank one
         with pytest.raises(RankDeficient):
-            subspace_descriptor(make_set(x), 2)
+            basis_of(make_set(x), 2)
 
     def test_q_out_of_range(self):
+        # q = 0 cannot reach the encoder: the config rejects it first
         rng = np.random.default_rng(17)
         s = make_set(rng.standard_normal((3, 8)))
+        with pytest.raises(BadSpec, match="subspace_dim"):
+            basis_of(s, 0)
         with pytest.raises(BadDimension):
-            subspace_descriptor(s, 0)
-        with pytest.raises(BadDimension):
-            subspace_descriptor(s, 4)
+            basis_of(s, 4)
 
     def test_basis_orthonormal(self):
         rng = np.random.default_rng(18)
-        y = subspace_descriptor(make_set(rng.standard_normal((7, 12))), 5)
-        assert np.max(np.abs(y.basis.T @ y.basis - np.eye(5))) <= 1e-12
+        y = basis_of(make_set(rng.standard_normal((7, 12))), 5)
+        assert np.max(np.abs(y.T @ y - np.eye(5))) <= 1e-12
 
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(NotOrthonormal):
-            GrassmannPoint(basis=np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
+            check_orthonormal(np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
+
+    def test_orthonormality_check_names_the_first_basis(self):
+        rng = np.random.default_rng(29)
+        bases = np.stack([random_orthonormal(rng, 4, 2) for _ in range(4)])
+        assert np.array_equal(check_orthonormal(bases), bases)
+        bases[2] = [[1.0, 1.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
+        bases[3] = 2.0 * bases[3]
+        with pytest.raises(NotOrthonormal) as info:
+            check_orthonormal(bases)
+        assert info.value.index == 2
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 0)], ids=["1-d", "wide", "empty"])
+    def test_orthonormality_check_rejects_bad_shapes(self, shape):
+        with pytest.raises(DimensionMismatch):
+            check_orthonormal(np.zeros(shape))
 
 
 class TestEmbedGaussian:
@@ -205,18 +231,19 @@ class TestEmbedGaussian:
 class TestGaussianDescriptor:
     def test_two_point_example(self):
         s = make_set([[0.0, 2.0]])
-        g = gaussian_descriptor(s, 1000.0)
-        assert np.allclose(g.mean, [1.0])
-        assert np.allclose(g.covariance, [[2.002]])
+        cov, _, embedding = encode_one(s, TrainConfig(subspace_dim=1, alpha=1000.0))
+        assert np.allclose(_moments(s.features[None])[0], [[1.0]])
+        assert np.allclose(cov, [[2.002]])
         scale = 2.002 ** -0.5
         expected = scale * np.array([[3.002, 1.0], [1.0, 1.0]])
-        assert np.max(np.abs(g.embedding - expected)) <= 1e-14
+        assert np.max(np.abs(embedding - expected)) <= 1e-14
 
     def test_shares_covariance_estimator_exactly(self):
         rng = np.random.default_rng(21)
         s = random_image_set(rng, d=5, n=30)
-        g = gaussian_descriptor(s, 1000.0)
-        assert np.array_equal(g.covariance, covariance_descriptor(s, 1000.0))
+        cov, _, embedding = encode_one(s, TrainConfig(subspace_dim=1, alpha=1000.0))
+        assert np.array_equal(cov, covariance_of(s, 1000.0))
+        assert np.array_equal(embedding, embed_gaussian(s.features.mean(axis=1), cov))
 
     def test_law_of_large_numbers(self):
         # standardized n=10^4 sample (mean zero, sample cov = identity):
@@ -226,21 +253,19 @@ class TestGaussianDescriptor:
         x = x - x.mean(axis=1, keepdims=True)
         chol = np.linalg.cholesky(np.cov(x))
         x = np.linalg.solve(chol, x)
-        g = gaussian_descriptor(make_set(x), 1000.0)
-        assert np.linalg.norm(g.embedding - np.eye(4)) <= 0.05
+        embedding = encode_one(make_set(x), TrainConfig(subspace_dim=1, alpha=1000.0))[2]
+        assert np.linalg.norm(embedding - np.eye(4)) <= 0.05
 
 
 class TestEncodeSet:
     def test_produces_valid_triple(self):
         rng = np.random.default_rng(23)
         s = random_image_set(rng, d=6, n=15, label="cat", set_id="x1")
-        t = encode_set(s, TrainConfig(subspace_dim=4))
-        assert isinstance(t, DescriptorTriple)
-        assert t.label == "cat" and t.set_id == "x1"
-        assert is_spd(t.cov)
-        assert isinstance(t.subspace, GrassmannPoint)
-        assert t.subspace.subspace_dim == 4
-        assert t.gauss.embedding.shape == (7, 7)
+        e = encode_sets([s], TrainConfig(subspace_dim=4))
+        assert e.set_ids == ("x1",)
+        assert is_spd(e.cov[0])
+        assert e.basis.shape == (1, 6, 4)
+        assert e.embedding.shape == (1, 7, 7)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(TooFewSamples):
@@ -250,22 +275,22 @@ class TestEncodeSet:
         rng = np.random.default_rng(24)
         x = rng.standard_normal((5, 12))
         cfg = TrainConfig(subspace_dim=3)
-        a = encode_set(make_set(x), cfg)
-        b = encode_set(make_set(x.copy()), cfg)
-        assert np.array_equal(a.cov, b.cov)
-        assert np.array_equal(a.subspace.basis, b.subspace.basis)
-        assert np.array_equal(a.gauss.embedding, b.gauss.embedding)
+        a = encode_one(make_set(x), cfg)
+        b = encode_one(make_set(x.copy()), cfg)
+        for u, v in zip(a, b):
+            assert np.array_equal(u, v)
 
     def test_covariance_computed_once_and_shared(self):
+        # the embedding is built from the very covariance the stack holds
         rng = np.random.default_rng(25)
         s = random_image_set(rng, d=5, n=12)
-        t = encode_set(s, TrainConfig(subspace_dim=3))
-        assert t.cov is t.gauss.covariance
-        assert np.array_equal(t.cov, covariance_descriptor(s, TrainConfig().alpha))
+        cov, _, embedding = encode_one(s, TrainConfig(subspace_dim=3))
+        assert np.array_equal(cov, covariance_of(s, TrainConfig().alpha))
+        assert np.array_equal(embedding, embed_gaussian(s.features.mean(axis=1), cov))
 
     def test_mean_helper(self):
         s = make_set([[0.0, 2.0], [1.0, 3.0]])
-        assert np.array_equal(sample_mean(s), [1.0, 2.0])
+        assert np.array_equal(_moments(s.features[None])[0], [[1.0, 2.0]])
 
 
 class TestEncodeSets:
@@ -279,11 +304,11 @@ class TestEncodeSets:
         for a in (stack.cov, stack.basis, stack.embedding):
             assert not a.flags.writeable
         for i, s in enumerate(sets):
-            t = encode_set(s, cfg)
-            assert np.array_equal(stack.cov[i], t.cov)
-            assert np.array_equal(stack.basis[i], t.subspace.basis)
-            assert np.array_equal(stack.embedding[i], t.gauss.embedding)
-            assert np.array_equal(t.gauss.embedding, embed_gaussian(t.gauss.mean, t.cov))
+            cov, basis, embedding = encode_one(s, cfg)
+            assert np.array_equal(stack.cov[i], cov)
+            assert np.array_equal(stack.basis[i], basis)
+            assert np.array_equal(stack.embedding[i], embedding)
+            assert np.array_equal(embedding, embed_gaussian(s.features.mean(axis=1), cov))
 
     def test_embed_gaussian_takes_a_stack(self):
         rng = np.random.default_rng(27)
@@ -305,3 +330,11 @@ class TestEncodeSets:
         sets = [random_image_set(rng, d=4), random_image_set(rng, d=5, set_id="wide")]
         with pytest.raises(DimensionMismatch, match=r"set 1 \('wide'\)"):
             encode_sets(sets, cfg)
+
+    def test_error_of_no_one_set_names_no_set(self):
+        # q exceeds the dimension of every set: no set is at fault
+        rng = np.random.default_rng(30)
+        sets = [random_image_set(rng, d=4, set_id=f"class0_set{i}") for i in range(3)]
+        with pytest.raises(BadDimension) as info:
+            encode_sets(sets, TrainConfig(subspace_dim=5))
+        assert str(info.value) == "subspace dimension q=5 must be in [1, 4]"

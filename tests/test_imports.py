@@ -1,5 +1,6 @@
 """Every name a library module imports is read somewhere in that module,
-and the package's export list names each public object once.
+every function and class a library module defines is read by the library
+or exported, and the package's export list names each public object once.
 
 The check parses each ``src/setfuse/*.py`` with the stdlib ``ast`` module,
 so it needs no linter. A name counts as used when the module reads it or
@@ -50,6 +51,60 @@ def test_checker_flags_unused_names_only():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def is_click_command(node) -> bool:
+    """True for a definition registered by a ``@<group>.command()`` or
+    ``@click.group()`` decorator, which no Python code reads by name."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+        and d.func.attr in ("command", "group")
+        for d in node.decorator_list
+    )
+
+
+def unread_definitions(sources: dict[str, str], exported) -> list[str]:
+    """``module.name`` of each top-level function or class that no other
+    top-level statement of any module reads (by name or as an attribute)
+    and that ``exported`` does not list; click commands are exempt."""
+    defined, readers = [], {}
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not is_click_command(stmt):
+                defined.append((module, own))
+            for n in ast.walk(stmt):
+                name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+                if name is not None and not isinstance(getattr(n, "ctx", None), ast.Store):
+                    readers.setdefault(name, set()).add((module, own))
+    return [
+        f"{module}.{name}"
+        for module, name in defined
+        if name not in exported and not readers.get(name, set()) - {(module, name)}
+    ]
+
+
+def test_definition_checker_flags_unread_names_only():
+    sources = {
+        "a": (
+            "import click\n"
+            "def used(): pass\n"
+            "def exported(): pass\n"
+            "def recursive(): return recursive()\n"
+            "class Unread: pass\n"
+            "@click.group()\n"
+            "def main(): pass\n"
+            "@main.command()\n"
+            "def cmd(): pass\n"
+        ),
+        "b": "from a import used\nx = used()\n",
+    }
+    assert unread_definitions(sources, ["exported"]) == ["a.recursive", "a.Unread"]
+
+
+def test_every_definition_is_read_or_exported():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_definitions(sources, setfuse.__all__) == []
 
 
 def test_package_exports_are_consistent():

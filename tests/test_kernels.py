@@ -7,40 +7,52 @@ import pytest
 import scipy.linalg
 
 from setfuse.config import TrainConfig
-from setfuse.descriptors import (
-    DescriptorTriple,
-    GaussianDescriptor,
-    GrassmannPoint,
-    ImageSet,
-    embed_gaussian,
-    encode_set,
-)
+from setfuse.descriptors import DescriptorStack, ImageSet, embed_gaussian
 from setfuse.descriptors import encode_sets as encode_stack
-from setfuse.errors import BadSpec, DimensionMismatch, NormalizationDegenerate, ShapeMismatch
+from setfuse.errors import (
+    BadSpec,
+    DimensionMismatch,
+    NonSymmetric,
+    NormalizationDegenerate,
+    NotOrthonormal,
+    ShapeMismatch,
+)
 from setfuse.kernels import (
     DESCRIPTOR_NAMES,
     KernelBank,
     build_kernel_bank,
-    gaussian_embedding_kernel,
-    gram_matrix,
     lift_features,
-    lift_row,
     log_euclidean_kernel,
     projection_kernel,
 )
 
-from helpers import random_gallery_sets, random_orthonormal, random_spd
+from helpers import (
+    random_gallery_sets,
+    random_orthonormal,
+    random_spd,
+    rows,
+    scalar_kernel_column,
+)
 
 
 def encode_sets(sets, q=4):
-    cfg = TrainConfig(subspace_dim=q)
-    return [encode_set(s, cfg) for s in sets]
+    return encode_stack(sets, TrainConfig(subspace_dim=q))
 
 
-def make_gauss(rng, d):
-    mean = rng.standard_normal(d)
-    cov = random_spd(rng, d)
-    return GaussianDescriptor(mean=mean, covariance=cov, embedding=embed_gaussian(mean, cov))
+def make_embedding(rng, d):
+    """The Gaussian embedding of a random mean and SPD covariance."""
+    return embed_gaussian(rng.standard_normal(d), random_spd(rng, d))
+
+
+def stack_of(cov, basis, embedding):
+    """A descriptor stack of the given rows, one list per descriptor."""
+    arrays = (np.array(a, dtype=np.float64) for a in (cov, basis, embedding))
+    return DescriptorStack(*arrays, tuple(f"s{i}" for i in range(len(cov))))
+
+
+def gram_matrix(stack, name, normalize=False):
+    """One channel's Gram matrix, through a one-channel bank."""
+    return build_kernel_bank(stack, (name,), normalize).grams[0]
 
 
 class TestLogEuclideanKernel:
@@ -91,17 +103,17 @@ class TestLogEuclideanKernel:
 
 class TestProjectionKernel:
     def test_self_kernel_equals_dim(self):
-        y = GrassmannPoint(basis=np.eye(5)[:, :3])
+        y = np.eye(5)[:, :3]
         assert projection_kernel(y, y) == 3.0
 
     def test_self_kernel_random_basis(self):
         rng = np.random.default_rng(33)
-        y = GrassmannPoint(basis=random_orthonormal(rng, 8, 4))
+        y = random_orthonormal(rng, 8, 4)
         assert abs(projection_kernel(y, y) - 4.0) <= 1e-10
 
     def test_orthogonal_subspaces_give_zero(self):
-        y1 = GrassmannPoint(basis=np.eye(4)[:, :2])
-        y2 = GrassmannPoint(basis=np.eye(4)[:, 2:])
+        y1 = np.eye(4)[:, :2]
+        y2 = np.eye(4)[:, 2:]
         assert projection_kernel(y1, y2) == 0.0
 
     def test_distance_identity(self):
@@ -110,104 +122,99 @@ class TestProjectionKernel:
         for _ in range(20):
             d = int(rng.integers(3, 9))
             q = int(rng.integers(1, d))
-            y1 = GrassmannPoint(basis=random_orthonormal(rng, d, q))
-            y2 = GrassmannPoint(basis=random_orthonormal(rng, d, q))
-            p1 = y1.basis @ y1.basis.T
-            p2 = y2.basis @ y2.basis.T
+            y1 = random_orthonormal(rng, d, q)
+            y2 = random_orthonormal(rng, d, q)
+            p1 = y1 @ y1.T
+            p2 = y2 @ y2.T
             dist2 = 0.5 * np.linalg.norm(p1 - p2, "fro") ** 2
             assert abs(dist2 - (q - projection_kernel(y1, y2))) <= 1e-10
 
     def test_dimension_mismatch(self):
-        y1 = GrassmannPoint(basis=np.eye(4)[:, :2])
-        y2 = GrassmannPoint(basis=np.eye(5)[:, :2])
+        y1 = np.eye(4)[:, :2]
+        y2 = np.eye(5)[:, :2]
         with pytest.raises(DimensionMismatch):
             projection_kernel(y1, y2)
+        with pytest.raises(DimensionMismatch):
+            projection_kernel(y1, np.eye(4)[:, :3])
+
+    def test_non_orthonormal_basis_rejected(self):
+        y = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NotOrthonormal):
+            projection_kernel(y, np.eye(3)[:, :2])
+        with pytest.raises(NotOrthonormal):
+            projection_kernel(np.eye(3)[:, :2], y)
 
 
 class TestGaussianKernel:
+    """The gauss channel is the log-Euclidean kernel on the embeddings."""
+
     def test_standard_normal_gives_zero(self):
-        g = GaussianDescriptor(
-            mean=np.zeros(3), covariance=np.eye(3), embedding=embed_gaussian(np.zeros(3), np.eye(3))
-        )
-        assert gaussian_embedding_kernel(g, g) == 0.0
+        g = embed_gaussian(np.zeros(3), np.eye(3))
+        assert log_euclidean_kernel(g, g) == 0.0
 
     def test_delegates_to_log_kernel_exactly(self):
         rng = np.random.default_rng(35)
-        g1, g2 = make_gauss(rng, 4), make_gauss(rng, 4)
-        assert gaussian_embedding_kernel(g1, g2) == log_euclidean_kernel(
-            g1.embedding, g2.embedding
-        )
+        g1, g2 = make_embedding(rng, 4), make_embedding(rng, 4)
+        stack = stack_of([np.eye(4)] * 2, [np.eye(4)[:, :1]] * 2, [g1, g2])
+        k = gram_matrix(stack, "gauss")
+        assert k[1, 0] == k[0, 1] == log_euclidean_kernel(g1, g2)
 
     def test_scalar_case_against_schur_oracle(self):
         rng = np.random.default_rng(36)
-        g1, g2 = make_gauss(rng, 1), make_gauss(rng, 1)
-        oracle = float(
-            np.trace(scipy.linalg.logm(g1.embedding) @ scipy.linalg.logm(g2.embedding))
-        )
-        assert abs(gaussian_embedding_kernel(g1, g2) - oracle) <= 1e-10
+        g1, g2 = make_embedding(rng, 1), make_embedding(rng, 1)
+        oracle = float(np.trace(scipy.linalg.logm(g1) @ scipy.linalg.logm(g2)))
+        assert abs(log_euclidean_kernel(g1, g2) - oracle) <= 1e-10
 
 
 class TestGramMatrix:
     def test_single_descriptor(self):
         rng = np.random.default_rng(37)
-        triples = encode_sets(random_gallery_sets(rng, 1, 1, d=5, n=10), q=3)
+        gallery = encode_sets(random_gallery_sets(rng, 1, 1, d=5, n=10), q=3)
         for channel in DESCRIPTOR_NAMES:
-            k = gram_matrix(triples, channel)
+            k = gram_matrix(gallery, channel)
             assert k.shape == (1, 1)
 
     def test_bitwise_symmetric(self):
         rng = np.random.default_rng(38)
-        triples = encode_sets(random_gallery_sets(rng, 2, 4, d=6, n=12), q=3)
+        gallery = encode_sets(random_gallery_sets(rng, 2, 4, d=6, n=12), q=3)
         for channel in DESCRIPTOR_NAMES:
-            k = gram_matrix(triples, channel)
+            k = gram_matrix(gallery, channel)
             assert np.array_equal(k, k.T)
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(39)
-        triples = encode_sets(random_gallery_sets(rng, 4, 5, d=6, n=12), q=3)
+        gallery = encode_sets(random_gallery_sets(rng, 4, 5, d=6, n=12), q=3)
         for channel in DESCRIPTOR_NAMES:
-            k = gram_matrix(triples, channel)
+            k = gram_matrix(gallery, channel)
             vals = np.linalg.eigvalsh(k)
             bound = -1e-8 * max(abs(vals[0]), abs(vals[-1]))
             assert vals[0] >= bound
 
     def test_repeated_descriptor_rank_one(self):
         rng = np.random.default_rng(40)
-        triple = encode_sets(random_gallery_sets(rng, 1, 1, d=5, n=10), q=3)[0]
-        k = gram_matrix([triple] * 4, "cov")
+        gallery = encode_sets(random_gallery_sets(rng, 1, 1, d=5, n=10), q=3)
+        k = gram_matrix(rows(gallery, [0] * 4), "cov")
         vals = np.linalg.eigvalsh(k)
         assert np.all(np.abs(vals[:-1]) <= 1e-10 * max(1.0, abs(vals[-1])))
 
     def test_projection_diagonal_equals_subspace_dim(self):
         rng = np.random.default_rng(41)
-        triples = encode_sets(random_gallery_sets(rng, 2, 3, d=7, n=12), q=4)
-        k = gram_matrix(triples, "subspace")
+        gallery = encode_sets(random_gallery_sets(rng, 2, 3, d=7, n=12), q=4)
+        k = gram_matrix(gallery, "subspace")
         assert np.max(np.abs(np.diag(k) - 4.0)) <= 1e-10
 
     def test_normalization_trace(self):
         rng = np.random.default_rng(42)
-        triples = encode_sets(random_gallery_sets(rng, 2, 4, d=6, n=12), q=3)
-        k = gram_matrix(triples, "cov", normalize=True)
-        assert abs(np.trace(k) - len(triples)) <= 1e-9
+        gallery = encode_sets(random_gallery_sets(rng, 2, 4, d=6, n=12), q=3)
+        k = gram_matrix(gallery, "cov", normalize=True)
+        assert abs(np.trace(k) - len(gallery.set_ids)) <= 1e-9
 
     def test_normalization_degenerate(self):
         # identity covariances produce an all-zero log-kernel Gram
-        triples = []
-        for i in range(3):
-            g = GaussianDescriptor(
-                mean=np.zeros(2), covariance=np.eye(2), embedding=embed_gaussian(np.zeros(2), np.eye(2))
-            )
-            triples.append(
-                DescriptorTriple(
-                    cov=np.eye(2),
-                    subspace=GrassmannPoint(basis=np.eye(2)[:, :1]),
-                    gauss=g,
-                    label="c",
-                    set_id=f"s{i}",
-                )
-            )
+        g = embed_gaussian(np.zeros(2), np.eye(2))
+        gallery = stack_of([np.eye(2)] * 3, [np.eye(2)[:, :1]] * 3, [g] * 3)
         with pytest.raises(NormalizationDegenerate):
-            gram_matrix(triples, "cov", normalize=True)
+            gram_matrix(gallery, "cov", normalize=True)
 
 
 def cross_kernel_vector(probe, gallery, channel, normalize=False):
@@ -223,56 +230,59 @@ class TestCrossKernelVector:
 
     def test_gallery_of_one(self):
         rng = np.random.default_rng(43)
-        triples = encode_sets(random_gallery_sets(rng, 1, 2, d=5, n=10), q=3)
-        v = cross_kernel_vector(triples[0], triples[1:], "cov")
+        gallery = encode_sets(random_gallery_sets(rng, 1, 2, d=5, n=10), q=3)
+        v = cross_kernel_vector(rows(gallery, 0), rows(gallery, slice(1, None)), "cov")
         assert v.shape == (1,)
 
     def test_probe_in_gallery_reproduces_gram_column(self):
         rng = np.random.default_rng(44)
-        triples = encode_sets(random_gallery_sets(rng, 3, 3, d=6, n=12), q=3)
+        gallery = encode_sets(random_gallery_sets(rng, 3, 3, d=6, n=12), q=3)
         j = 4
         for channel in DESCRIPTOR_NAMES:
-            k = gram_matrix(triples, channel)
-            v = cross_kernel_vector(triples[j], triples, channel)
+            k = gram_matrix(gallery, channel)
+            v = cross_kernel_vector(rows(gallery, j), gallery, channel)
             assert np.array_equal(v, k[:, j])
 
     def test_matches_scalar_kernels(self):
         rng = np.random.default_rng(45)
-        triples = encode_sets(random_gallery_sets(rng, 3, 5, d=6, n=12), q=3)
-        probe = encode_sets(random_gallery_sets(rng, 1, 1, d=6, n=12), q=3)[0]
-        scalar = {
-            "cov": lambda a, b: log_euclidean_kernel(a.cov, b.cov),
-            "subspace": lambda a, b: projection_kernel(a.subspace, b.subspace),
-            "gauss": lambda a, b: gaussian_embedding_kernel(a.gauss, b.gauss),
-        }
+        gallery = encode_sets(random_gallery_sets(rng, 3, 5, d=6, n=12), q=3)
+        probe = encode_sets(random_gallery_sets(rng, 1, 1, d=6, n=12), q=3)
         for channel in DESCRIPTOR_NAMES:
-            v = cross_kernel_vector(probe, triples, channel)
-            direct = np.array([scalar[channel](probe, t) for t in triples])
+            v = cross_kernel_vector(probe, gallery, channel)
+            direct = scalar_kernel_column(channel, probe, gallery)
             assert np.max(np.abs(v - direct)) <= 1e-12
 
     def test_normalize_ref_scales_entries(self):
         # a normalised bank replays its trace-N scale on probe columns
         rng = np.random.default_rng(46)
-        triples = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
-        raw = cross_kernel_vector(triples[0], triples, "subspace")
-        scaled = cross_kernel_vector(triples[0], triples, "subspace", normalize=True)
-        scale = build_kernel_bank(triples, ("subspace",), normalize=True).scales[0]
+        gallery = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
+        raw = cross_kernel_vector(rows(gallery, 0), gallery, "subspace")
+        scaled = cross_kernel_vector(rows(gallery, 0), gallery, "subspace", normalize=True)
+        scale = build_kernel_bank(gallery, ("subspace",), normalize=True).scales[0]
         assert scale != 1.0
         assert np.array_equal(scaled, raw * scale)
 
     def test_dimension_mismatch_identifies_pair(self):
         rng = np.random.default_rng(47)
         gallery = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
-        probe = encode_sets(random_gallery_sets(rng, 1, 1, d=6, n=10), q=3)[0]
+        probe = encode_sets(random_gallery_sets(rng, 1, 1, d=6, n=10), q=3)
         with pytest.raises(DimensionMismatch, match="probe lifts to 36 features, gallery to 25"):
             cross_kernel_vector(probe, gallery, "cov")
+
+    @pytest.mark.parametrize("index", [[], [0, 1], [1, 2, 3]], ids=["none", "two", "three"])
+    def test_probe_must_be_a_stack_of_one(self, index):
+        rng = np.random.default_rng(63)
+        gallery = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
+        bank = build_kernel_bank(gallery)
+        with pytest.raises(ShapeMismatch, match=f"a probe is a stack of one set, got {len(index)}"):
+            bank.probe_rows(rows(gallery, index))
 
 
 class TestKernelBank:
     def test_bank_shapes_and_scales(self):
         rng = np.random.default_rng(48)
-        triples = encode_sets(random_gallery_sets(rng, 2, 3, d=6, n=12), q=3)
-        bank = build_kernel_bank(triples)
+        gallery = encode_sets(random_gallery_sets(rng, 2, 3, d=6, n=12), q=3)
+        bank = build_kernel_bank(gallery)
         assert bank.n_kernels == 3
         assert bank.n_train == 6
         assert bank.scales == (1.0, 1.0, 1.0)
@@ -281,9 +291,9 @@ class TestKernelBank:
 
     def test_normalized_bank_records_factors(self):
         rng = np.random.default_rng(49)
-        triples = encode_sets(random_gallery_sets(rng, 2, 3, d=6, n=12), q=3)
-        bank = build_kernel_bank(triples, normalize=True)
-        raw = build_kernel_bank(triples)
+        gallery = encode_sets(random_gallery_sets(rng, 2, 3, d=6, n=12), q=3)
+        bank = build_kernel_bank(gallery, normalize=True)
+        raw = build_kernel_bank(gallery)
         for g, s, r in zip(bank.grams, bank.scales, raw.grams):
             assert s != 1.0
             assert s == 6.0 / float(np.trace(r))
@@ -292,14 +302,14 @@ class TestKernelBank:
 
     def test_bank_dim_read_from_features(self):
         rng = np.random.default_rng(56)
-        triples = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
+        gallery = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
         for channel in DESCRIPTOR_NAMES:
-            assert build_kernel_bank(triples, descriptors=(channel,)).dim == 5
+            assert build_kernel_bank(gallery, descriptors=(channel,)).dim == 5
 
     def test_subset_of_kernels(self):
         rng = np.random.default_rng(50)
-        triples = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
-        bank = build_kernel_bank(triples, descriptors=("subspace",))
+        gallery = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
+        bank = build_kernel_bank(gallery, descriptors=("subspace",))
         assert bank.descriptors == ("subspace",)
         assert bank.n_kernels == 1
 
@@ -318,10 +328,10 @@ class TestLiftedFeatures:
         ]
         cfg = TrainConfig(subspace_dim=5)
         bank = build_kernel_bank(encode_stack(sets, cfg))
-        alone = [encode_set(s, cfg) for s in sets]
+        alone = [encode_stack([s], cfg) for s in sets]
         n = len(sets)
         for channel, features, gram in zip(bank.descriptors, bank.features, bank.grams):
-            lifted = [lift_row(t, channel) for t in alone]
+            lifted = [lift_features(t, channel)[0] for t in alone]
             assert all(np.array_equal(f, row) for f, row in zip(features, lifted))
             oracle = np.empty((n, n))
             for i in range(n):
@@ -334,32 +344,38 @@ class TestLiftedFeatures:
 
     def test_rows_are_flattened_lifts(self):
         rng = np.random.default_rng(52)
-        triples = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
+        gallery = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
         for channel, width in zip(DESCRIPTOR_NAMES, (25, 25, 36)):
-            f = lift_features(triples, channel)
+            f = lift_features(gallery, channel)
             assert f.shape == (4, width)
             assert not f.flags.writeable
-            for i, t in enumerate(triples):
-                assert np.array_equal(f[i], lift_row(t, channel))
+            for i in range(4):
+                assert np.array_equal(f[i], lift_features(rows(gallery, i), channel)[0])
 
-    def test_mixed_dimensions_name_the_descriptor(self):
+    def test_lift_error_names_the_descriptor_at_fault_only(self):
         rng = np.random.default_rng(53)
-        triples = encode_sets(random_gallery_sets(rng, 1, 2, d=5, n=10), q=3)
-        triples += encode_sets(random_gallery_sets(rng, 1, 1, d=6, n=10), q=3)
-        with pytest.raises(DimensionMismatch, match="descriptor 2"):
-            lift_features(triples, "cov")
+        gallery = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
+        cov = gallery.cov.copy()
+        cov[2, 0, 1] += 1.0
+        bad_row = dataclasses.replace(gallery, cov=cov)
+        with pytest.raises(NonSymmetric, match=r"^descriptor 2 \('c1_s0'\): matrix asymmetry"):
+            lift_features(bad_row, "cov")
+        # a stack of non-square matrices is no one descriptor's fault
+        not_square = dataclasses.replace(gallery, cov=gallery.cov[:, :, :4])
+        with pytest.raises(NonSymmetric, match="^expected a square matrix"):
+            lift_features(not_square, "cov")
 
     def test_bank_features_feed_probe_columns(self):
         rng = np.random.default_rng(54)
-        triples = encode_sets(random_gallery_sets(rng, 2, 3, d=6, n=12), q=3)
-        bank = build_kernel_bank(triples, normalize=True)
-        for q, col in enumerate(bank.columns_from_rows(bank.probe_rows(triples[2]))):
+        gallery = encode_sets(random_gallery_sets(rng, 2, 3, d=6, n=12), q=3)
+        bank = build_kernel_bank(gallery, normalize=True)
+        for q, col in enumerate(bank.columns_from_rows(bank.probe_rows(rows(gallery, 2)))):
             assert np.array_equal(col, bank.grams[q][:, 2])
 
     def test_bank_without_features_cannot_be_built(self):
         rng = np.random.default_rng(55)
-        triples = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
-        full = build_kernel_bank(triples)
+        gallery = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
+        full = build_kernel_bank(gallery)
         with pytest.raises(TypeError):
             KernelBank(descriptors=full.descriptors)
         with pytest.raises(ShapeMismatch):
@@ -374,29 +390,27 @@ class TestChannelNames:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda triples: KernelBank(("bogus",), (np.ones((len(triples), 9)),)),
-            lambda triples: KernelBank((7,), (np.ones((len(triples), 9)),)),
-            lambda triples: build_kernel_bank(triples, ("bogus",)),
-            lambda triples: build_kernel_bank(triples, ("cov", "bogus")),
-            lambda triples: lift_features(triples, "bogus"),
-            lambda triples: lift_row(triples[0], "bogus"),
-            lambda triples: gram_matrix(triples, "bogus"),
+            lambda gallery: KernelBank(("bogus",), (np.ones((len(gallery.set_ids), 9)),)),
+            lambda gallery: KernelBank((7,), (np.ones((len(gallery.set_ids), 9)),)),
+            lambda gallery: build_kernel_bank(gallery, ("bogus",)),
+            lambda gallery: build_kernel_bank(gallery, ("cov", "bogus")),
+            lambda gallery: lift_features(gallery, "bogus"),
         ],
-        ids=["bank", "bank-int", "build", "build-second", "lift-features", "lift-row", "gram"],
+        ids=["bank", "bank-int", "build", "build-second", "lift-features"],
     )
     def test_unknown_channel_is_bad_spec(self, make):
         rng = np.random.default_rng(61)
-        triples = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
+        gallery = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
         names = r"the channels are \('cov', 'subspace', 'gauss'\)"
         with pytest.raises(BadSpec, match=names):
-            make(triples)
+            make(gallery)
 
     def test_default_channels_follow_the_lift_table(self):
         rng = np.random.default_rng(62)
-        triples = encode_sets(random_gallery_sets(rng, 1, 2, d=5, n=10), q=3)
+        gallery = encode_sets(random_gallery_sets(rng, 1, 2, d=5, n=10), q=3)
         assert DESCRIPTOR_NAMES == ("cov", "subspace", "gauss")
         assert TrainConfig().descriptors == DESCRIPTOR_NAMES
-        assert build_kernel_bank(triples).descriptors == DESCRIPTOR_NAMES
+        assert build_kernel_bank(gallery).descriptors == DESCRIPTOR_NAMES
 
 
 class TestBankIsItsFeatures:
@@ -407,9 +421,9 @@ class TestBankIsItsFeatures:
     @pytest.mark.parametrize("normalize", [False, True])
     def test_replaced_features_rederive_grams(self, normalize):
         rng = np.random.default_rng(57)
-        triples = encode_sets(random_gallery_sets(rng, 2, 3, d=5, n=10), q=3)
-        bank = build_kernel_bank(triples, normalize=normalize)
-        other = build_kernel_bank(triples[::-1], normalize=normalize)
+        gallery = encode_sets(random_gallery_sets(rng, 2, 3, d=5, n=10), q=3)
+        bank = build_kernel_bank(gallery, normalize=normalize)
+        other = build_kernel_bank(rows(gallery, slice(None, None, -1)), normalize=normalize)
         swapped = dataclasses.replace(bank, features=other.features)
         assert swapped.normalize is normalize
         for got, want in zip(swapped.grams, other.grams):
@@ -430,8 +444,9 @@ class TestBankIsItsFeatures:
         rng = np.random.default_rng(59)
         with pytest.raises(BadSpec, match="gallery member"):
             KernelBank(descriptors=("subspace",), features=(np.zeros((0, 9)),))
-        with pytest.raises(BadSpec):
-            build_kernel_bank([])
+        empty = stack_of(np.zeros((0, 3, 3)), np.zeros((0, 3, 1)), np.zeros((0, 4, 4)))
+        with pytest.raises(BadSpec, match="gallery member"):
+            build_kernel_bank(empty)
         with pytest.raises(DimensionMismatch):
             KernelBank(
                 descriptors=("cov", "subspace"),
@@ -442,7 +457,7 @@ class TestBankIsItsFeatures:
 
     def test_probe_row_count_must_match_channels(self):
         rng = np.random.default_rng(60)
-        triples = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
-        bank = build_kernel_bank(triples)
+        gallery = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
+        bank = build_kernel_bank(gallery)
         with pytest.raises(ShapeMismatch):
-            bank.columns_from_rows(bank.probe_rows(triples[0])[:2])
+            bank.columns_from_rows(bank.probe_rows(rows(gallery, 0))[:2])

@@ -13,7 +13,7 @@ from setfuse import kernels, persistence
 from setfuse.classify import distance_profile, predict
 from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic
-from setfuse.descriptors import encode_set
+from setfuse.descriptors import encode_sets
 from setfuse.errors import (
     BadSpec,
     ChecksumMismatch,
@@ -171,10 +171,10 @@ class TestRoundTrip:
         for s in sets:
             assert np.array_equal(predict(s, back).distances, predict(s, model).distances)
         # a gallery member sent as a probe reproduces its Gram column
-        triple = encode_set(sets[4], back.config)
-        for q, col in enumerate(back.bank.columns_from_rows(back.bank.probe_rows(triple))):
+        probe = encode_sets([sets[4]], back.config)
+        for q, col in enumerate(back.bank.columns_from_rows(back.bank.probe_rows(probe))):
             assert np.array_equal(col, back.bank.grams[q][:, 4])
-        assert distance_profile(triple, back)[4] <= 1e-12
+        assert distance_profile(probe, back)[4] <= 1e-12
 
     def test_predictions_identical_after_reload(self, trained, tmp_path):
         model, sets = trained
@@ -256,8 +256,7 @@ class TestRoundTrip:
         # other way would not come back as trained
         model, sets = trained
         cfg = model.config
-        triples = [encode_set(s, cfg) for s in sets]
-        bank = build_kernel_bank(triples, cfg.descriptors, normalize=True)
+        bank = build_kernel_bank(encode_sets(sets, cfg), cfg.descriptors, normalize=True)
         mixed = train(bank, model.labels, cfg)
         with pytest.raises(BadSpec):
             save_model(mixed, tmp_path / "m")
@@ -267,8 +266,7 @@ class TestRoundTrip:
         # loading takes the channels from config.descriptors
         model, sets = trained
         cfg = model.config
-        triples = [encode_set(s, cfg) for s in sets]
-        bank = build_kernel_bank(triples, ("subspace", "cov"))
+        bank = build_kernel_bank(encode_sets(sets, cfg), ("subspace", "cov"))
         mixed = train(bank, model.labels, cfg)
         with pytest.raises(BadSpec, match="channels"):
             save_model(mixed, tmp_path / "m")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from setfuse.config import TrainConfig  # noqa: E402
-from setfuse.descriptors import ImageSet, embed_gaussian, encode_set  # noqa: E402
+from setfuse.descriptors import ImageSet, embed_gaussian, encode_sets  # noqa: E402
 from setfuse.kernels import DESCRIPTOR_NAMES, KernelBank, build_kernel_bank  # noqa: E402
 from setfuse.spd import SYMMETRY_RTOL, check_symmetric, sym_eig  # noqa: E402
 from setfuse.trainer import NULL_SPACE_RTOL, gram_span, scatter_matrices  # noqa: E402
@@ -82,8 +82,7 @@ def test_grams_of_random_sets_are_psd(seed, d, n_sets, extra_samples, scale, nor
     for i in range(n_sets):
         x = rng.standard_normal(d)[:, None] + rng.standard_normal((d, d + extra_samples))
         sets.append(ImageSet(features=scale * x, label=f"c{i % 2}", set_id=f"s{i}"))
-    triples = [encode_set(s, cfg) for s in sets]
-    bank = build_kernel_bank(triples, cfg.descriptors, normalize=normalize)
+    bank = build_kernel_bank(encode_sets(sets, cfg), cfg.descriptors, normalize=normalize)
     for gram in bank.grams:
         eigs = np.linalg.eigvalsh(gram)
         assert eigs.min() >= -1e-10 * max(eigs.max(), 0.0)

@@ -8,7 +8,7 @@ import pytest
 
 from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic
-from setfuse.descriptors import encode_set
+from setfuse.descriptors import encode_sets
 from setfuse.errors import (
     BadDimension,
     BadSpec,
@@ -44,6 +44,7 @@ from helpers import (
     random_gallery_sets,
     random_labels,
     random_simplex_weights,
+    rows,
 )
 from helpers import random_orthonormal as helper_orthonormal
 
@@ -98,7 +99,7 @@ def feature_bank(rng, n_classes=4, sets_per_class=10):
     """A real d=3 bank: N=40 sets, and Gram rank at most 9 + 9 + 16 = 34 < N."""
     sets = random_gallery_sets(rng, n_classes=n_classes, sets_per_class=sets_per_class, d=3, n=12)
     cfg = TrainConfig(subspace_dim=2)
-    bank = build_kernel_bank([encode_set(s, cfg) for s in sets], cfg.descriptors)
+    bank = build_kernel_bank(encode_sets(sets, cfg), cfg.descriptors)
     return bank, np.array([s.label for s in sets])
 
 
@@ -355,9 +356,9 @@ def separable_bank(rng, n_classes=2, sets_per_class=6, d=6, n=14, shift=4.0):
         rng, n_classes=n_classes, sets_per_class=sets_per_class, d=d, n=n, shift=shift
     )
     cfg = TrainConfig(subspace_dim=3, target_dim=3, iters=8, seed=5)
-    triples = [encode_set(s, cfg) for s in sets]
+    gallery = encode_sets(sets, cfg)
     labels = np.array([s.label for s in sets])
-    return build_kernel_bank(triples, cfg.descriptors), labels, cfg, triples
+    return build_kernel_bank(gallery, cfg.descriptors), labels, cfg, gallery
 
 
 def count_null_space_cuts(monkeypatch):
@@ -408,7 +409,7 @@ def assert_trace_ratio_optimum(monkeypatch, bank, labels, cfg):
 class TestTrain:
     def test_separable_gallery_trains_well(self):
         rng = np.random.default_rng(95)
-        bank, labels, cfg, triples = separable_bank(rng)
+        bank, labels, cfg, gallery = separable_bank(rng)
         model = train(bank, labels, cfg)
         assert model.objective_trace[-1] >= 0.95
         assert model.transform.shape == (12, 3)
@@ -416,7 +417,7 @@ class TestTrain:
         from setfuse.classify import distance_profile
 
         for i in range(12):
-            assert int(np.argmin(distance_profile(triples[i], model))) == i
+            assert int(np.argmin(distance_profile(rows(gallery, i), model))) == i
 
     def test_objective_does_not_collapse(self):
         rng = np.random.default_rng(96)
@@ -628,6 +629,9 @@ class TestTrainConfig:
             {"normalize_kernels": "no"},
             {"normalize_kernels": 1},
             {"alpha": True},
+            {"alpha": 0},
+            {"alpha": 0.0},
+            {"alpha": float("-inf")},
             {"eps": True},
             {"learning_rate": False},
             {"alpha": "1"},
@@ -638,7 +642,8 @@ class TestTrainConfig:
             {"descriptors": ["cov", 1]},
         ],
         ids=[
-            "normalize-str", "normalize-int", "alpha-bool", "eps-bool", "lr-bool",
+            "normalize-str", "normalize-int", "alpha-bool", "alpha-zero", "alpha-zero-float",
+            "alpha-minus-inf", "eps-bool", "lr-bool",
             "alpha-str", "lr-str", "eps-none", "descriptors-int", "descriptors-str",
             "descriptors-int-item",
         ],
