@@ -42,10 +42,16 @@ ORTHONORMAL_ATOL = 1e-10
 
 
 def read_only(values, dtype=np.float64) -> np.ndarray:
-    """A read-only array of ``values``; one that already is one is not copied."""
-    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+    """A read-only C-contiguous array of ``values``; one that already is one
+    is not copied."""
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == dtype
+        and not values.flags.writeable
+        and values.flags.c_contiguous
+    ):
         return values
-    a = np.array(values, dtype=dtype)
+    a = np.array(values, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
 

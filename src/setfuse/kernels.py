@@ -19,11 +19,15 @@ stacked call (one ``spd_log`` for ``cov`` and ``gauss``) into one read-only
 collection of a split protocol call, whose splits then slice their training
 rows from it. A ``KernelBank`` is such arrays, one per channel, and derives
 its Gram matrices from them. Every kernel value (a Gram entry, a probe's
-cross-kernel entry, a scalar kernel) is the same row-wise sum
-``(rows * row).sum(axis=-1)``. It adds the products in one order whichever
-argument comes first, so Gram matrices are exactly symmetric and a probe
-identical to a gallery member reproduces that member's Gram column bit for
-bit.
+cross-kernel entry, a scalar kernel) is the one dot ``np.vecdot(rows, row)``
+in ``_frobenius``. It computes each row's dot the same way wherever the row
+sits, so a Gram, built column by column with its lower triangle mirrored up,
+is exactly symmetric, and a probe identical to a gallery member reproduces
+that member's Gram column bit for bit. The bits of a dot depend on the
+layout of its rows (a strided row takes another summation path), so every
+lifted row is C-contiguous: ``lift_features`` returns C order, a
+``KernelBank`` stores its features in C order (a loaded model's included),
+and ``KernelBank.columns_from_rows`` makes each probe row contiguous.
 """
 
 from __future__ import annotations
@@ -49,8 +53,13 @@ NORMALIZATION_TRACE_FLOOR = 1e-12
 
 
 def _frobenius(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Dot product of ``row`` with each lifted row (a scalar for 1-D ``rows``)."""
-    return (rows * row).sum(axis=-1)
+    """Dot product of ``row`` with each lifted row (a scalar for 1-D ``rows``).
+
+    ``np.vecdot`` is the one dot of every kernel value. Its bits depend on
+    the layout of the rows, not on where a row sits, so callers pass
+    C-contiguous rows: then a row gives the same dot alone or inside ``rows``.
+    """
+    return np.vecdot(rows, row)
 
 
 def _projector(basis: np.ndarray) -> np.ndarray:
@@ -107,7 +116,7 @@ def lift_features(stack: DescriptorStack, name: str) -> np.ndarray:
             raise
         i = exc.index
         raise type(exc)(f"descriptor {i} ({stack.set_ids[i]!r}): {exc}") from exc
-    out = lifted.reshape(lifted.shape[0], math.prod(lifted.shape[1:]))
+    out = np.ascontiguousarray(lifted.reshape(lifted.shape[0], math.prod(lifted.shape[1:])))
     out.setflags(write=False)
     return out
 
@@ -137,8 +146,8 @@ class KernelBank:
     in ``descriptors``.
 
     ``features[q]`` holds the gallery's unscaled lifted rows, (N, D_q),
-    read-only (a writable array is copied), and is what a saved model
-    stores. Everything else is derived from them on construction:
+    read-only and C-contiguous (any other array is copied), and is what a
+    saved model stores. Everything else is derived from them on construction:
     ``grams[q]`` is the N x N Gram matrix, multiplied by ``scales[q]`` (its
     trace-N factor with ``normalize``, else 1.0), and ``n_train`` is N.
     ``columns_from_rows`` scores a probe's lifted rows (``probe_rows``)
@@ -209,7 +218,7 @@ class KernelBank:
                 raise DimensionMismatch(
                     f"probe lifts to {row.size} features, gallery to {f.shape[1]}"
                 )
-            out.append(_frobenius(f, row) * s)
+            out.append(_frobenius(f, np.ascontiguousarray(row)) * s)
         return out
 
 

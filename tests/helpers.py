@@ -40,6 +40,15 @@ def scalar_kernel_column(channel, probe, gallery):
     return np.array([kernel(getattr(probe, field)[0], row) for row in getattr(gallery, field)])
 
 
+def fortran_read_only(a):
+    """A read-only Fortran-order copy of ``a``: the values of a C-order array
+    in another memory layout, which ``descriptors.read_only`` would not copy
+    unless it also asks for C order."""
+    f = np.asfortranarray(a)
+    f.setflags(write=False)
+    return f
+
+
 def random_spd(rng, d, eig_low=0.5, eig_high=2.0):
     """Random SPD matrix with eigenvalues drawn uniformly in a safe band."""
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))

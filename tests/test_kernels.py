@@ -27,6 +27,7 @@ from setfuse.kernels import (
 )
 
 from helpers import (
+    fortran_read_only,
     random_gallery_sets,
     random_orthonormal,
     random_spd,
@@ -319,8 +320,10 @@ class TestLiftedFeatures:
     def test_bank_grams_match_per_pair_oracle(self, d):
         # a ragged gallery (three interleaved sample counts) encoded and lifted
         # as stacks: every row has the bits of its set encoded and lifted
-        # alone, every Gram entry is the per-pair Frobenius sum of those rows,
-        # and every member sent as a probe reproduces its Gram column
+        # alone, every Gram entry is the per-pair dot ``np.vecdot`` of those
+        # rows bit for bit and their naive product sum to 1e-12 of the rows'
+        # norm product (the scale of a dot's rounding), and every member sent
+        # as a probe reproduces its Gram column
         rng = np.random.default_rng(51 + d)
         sets = [
             ImageSet(features=s.features[:, : d + 8 - 3 * (i % 3)], label=s.label, set_id=s.set_id)
@@ -333,11 +336,14 @@ class TestLiftedFeatures:
         for channel, features, gram in zip(bank.descriptors, bank.features, bank.grams):
             lifted = [lift_features(t, channel)[0] for t in alone]
             assert all(np.array_equal(f, row) for f, row in zip(features, lifted))
-            oracle = np.empty((n, n))
+            oracle, naive = np.empty((n, n)), np.empty((n, n))
             for i in range(n):
                 for j in range(n):
-                    oracle[i, j] = float(np.sum(lifted[i] * lifted[j]))
+                    oracle[i, j] = float(np.vecdot(lifted[i], lifted[j]))
+                    naive[i, j] = float(np.sum(lifted[i] * lifted[j]))
             assert np.array_equal(gram, oracle)
+            norms = np.linalg.norm(np.array(lifted), axis=1)
+            assert np.all(np.abs(gram - naive) <= 1e-12 * np.outer(norms, norms))
         for j, t in enumerate(alone):
             for q, col in enumerate(bank.columns_from_rows(bank.probe_rows(t))):
                 assert np.array_equal(col, bank.grams[q][:, j])
@@ -440,6 +446,22 @@ class TestBankIsItsFeatures:
         assert not bank.grams[0].flags.writeable
         assert bank.n_train == 4
 
+    def test_fortran_order_features_are_stored_in_c_order(self):
+        # the bits of a dot depend on its rows' layout, so a bank stores C
+        # order: a read-only Fortran-order array, and its strided rows sent
+        # as probes, give the Grams and columns of the same values in C order
+        rng = np.random.default_rng(64)
+        f = rng.standard_normal((97, 121))
+        fortran = fortran_read_only(f)
+        c_bank = KernelBank(("gauss",), (f,))
+        f_bank = KernelBank(("gauss",), (fortran,))
+        assert f_bank.features[0].flags.c_contiguous
+        assert np.array_equal(f_bank.grams[0], c_bank.grams[0])
+        for j in range(f.shape[0]):
+            (col,) = f_bank.columns_from_rows([fortran[j]])
+            assert np.array_equal(col, c_bank.columns_from_rows([f[j]])[0])
+            assert np.array_equal(col, c_bank.grams[0][:, j])
+
     def test_gallery_shape_checked(self):
         rng = np.random.default_rng(59)
         with pytest.raises(BadSpec, match="gallery member"):
@@ -461,3 +483,24 @@ class TestBankIsItsFeatures:
         bank = build_kernel_bank(gallery)
         with pytest.raises(ShapeMismatch):
             bank.columns_from_rows(bank.probe_rows(rows(gallery, 0))[:2])
+
+
+class TestOneDot:
+    """Every kernel value is one ``np.vecdot`` over C-contiguous rows."""
+
+    @pytest.mark.parametrize("width", [1, 55, 66, 100, 121, 1024, 1089])
+    @pytest.mark.parametrize("n", [1, 2, 97, 251])
+    def test_self_probes_reproduce_symmetric_gram(self, n, width):
+        # a member's row sent as a probe, copied to a fresh array or as an
+        # 8-byte-offset read-only view into a bytes buffer (the way
+        # load_model reads arrays), gives its Gram column bit for bit
+        rng = np.random.default_rng(1000 * n + width)
+        bank = KernelBank(("cov",), (rng.standard_normal((n, width)),))
+        (gram,) = bank.grams
+        assert np.array_equal(gram, gram.T)
+        for j, row in enumerate(bank.features[0]):
+            view = np.frombuffer(b"\0" * 8 + row.tobytes(), dtype="<f8", offset=8)
+            assert not view.flags.writeable
+            for probe in (row.copy(), view):
+                (col,) = bank.columns_from_rows([probe])
+                assert np.array_equal(col, gram[:, j])

@@ -27,7 +27,7 @@ from setfuse.persistence import META_NAME, load_model, save_model
 from setfuse.spd import spd_log
 from setfuse.trainer import ModelState, train
 
-from helpers import stack_length
+from helpers import fortran_read_only, stack_length
 
 
 def train_small(**overrides):
@@ -185,6 +185,28 @@ class TestRoundTrip:
             after = predict(s, back)
             assert after.label == before.label
             assert np.array_equal(after.distances, before.distances)
+
+    def test_fortran_order_bank_predicts_alike_after_reload(self, tmp_path):
+        # load_model returns C-order features; a bank built from read-only
+        # Fortran-order features stores them in C order too, so its model
+        # gives the C-order model's distances before and after a reload
+        sets = generate_synthetic(
+            classes=3, sets_per_class=5, dim=10, samples=15, separation=4.0, seed=32
+        )
+        cfg = TrainConfig(subspace_dim=3, target_dim=3, iters=3, itr_iters=10, seed=32)
+        gallery, probes = sets[::2], sets[1::2]
+        c_bank = build_kernel_bank(encode_sets(gallery, cfg))
+        fortran = tuple(fortran_read_only(f) for f in c_bank.features)
+        labels = [s.label for s in gallery]
+        c_model = train(c_bank, labels, cfg)
+        f_model = train(kernels.KernelBank(c_bank.descriptors, fortran), labels, cfg)
+        save_model(f_model, tmp_path / "m")
+        back = load_model(tmp_path / "m")
+        for s in probes:
+            probe = encode_sets([s], cfg)
+            want = distance_profile(probe, c_model)
+            assert np.array_equal(distance_profile(probe, f_model), want)
+            assert np.array_equal(distance_profile(probe, back), want)
 
     def test_loaded_arrays_are_read_only(self, trained, tmp_path):
         model, _ = trained

@@ -5,14 +5,36 @@ scipy is a test-only dependency (the acceptance oracles use it). Importing
 a library import of it would show up in every workload's peak memory. A
 fresh interpreter imports ``setfuse``, trains once and predicts once, and no
 ``scipy`` module may be loaded by then.
+
+Every kernel value is an ``np.vecdot``, which numpy 2.0 added, so the
+declared numpy floor must be at least 2.0. ``pyproject.toml`` is read as
+plain text, since ``tomllib`` is missing on Python 3.10.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+def _version(text: str) -> tuple[int, ...]:
+    """The leading numeric release of a version string, as a tuple."""
+    return tuple(int(part) for part in re.match(r"\d+(?:\.\d+)*", text).group().split("."))
+
+
+def test_declared_numpy_floor_has_vecdot():
+    floors = re.findall(r'"numpy>=([^",;]+)"', (ROOT / "pyproject.toml").read_text())
+    assert len(floors) == 1, floors
+    floor = _version(floors[0])
+    assert floor >= (2, 0)
+    assert _version(np.__version__) >= floor
+
 
 SCRIPT = """
 import sys
