@@ -1,8 +1,8 @@
 """Nearest-neighbor classification in the learned kernel subspace.
 
-A probe set is encoded into the three descriptors, its kernel values
-against the stored gallery form one column per channel, and the distance to
-gallery member i sums, over channels,
+A probe set is encoded into the three descriptors and lifted to one row per
+channel; its kernel values against the stored gallery form one column per
+channel, and the distance to gallery member i sums, over channels,
 
     w_q(probe) * || E.T (k_q(probe) - K_q[:, i]) ||^2 * w_q(i)
 
@@ -10,7 +10,8 @@ with the probe's gating weight the same read-out of its kernel columns as
 the gallery's (``gating.gate``), the gallery weights frozen from training,
 and the distance the one training uses (``gating.squared_distances``). The
 prediction is the label of the closest gallery member (ties break to the
-lowest index).
+lowest index). ``distance_profile`` scores lifted rows, so ``predict`` and
+every test set of a split protocol take the same path.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import DescriptorStack, ImageSet, encode_sets
+from .descriptors import ImageSet, encode_sets
 from .errors import DimensionMismatch, NegativeDistance, NonFinite, TooFewSamples
 from .gating import gate, squared_distances
+from .kernels import lift_features
 from .trainer import ModelState
 
 # Distances may round slightly below zero; anything lower signals a bug.
@@ -47,9 +49,10 @@ class Prediction:
         object.__setattr__(self, "distances", d)
 
 
-def profile_from_rows(rows, model: ModelState) -> np.ndarray:
+def distance_profile(rows, model: ModelState) -> np.ndarray:
     """Gated projected distances from a probe, given as its lifted rows (one
-    per channel, ``KernelBank.probe_rows``), to every gallery member.
+    per channel of ``model.bank.descriptors``, from ``lift_features``), to
+    every gallery member.
 
     The rows are scored against the bank's lifted gallery features, and the
     gallery side of every distance, ``E.T @ K_q``, comes cached from the
@@ -63,15 +66,6 @@ def profile_from_rows(rows, model: ModelState) -> np.ndarray:
         sq = squared_distances(projected_gallery, projected_test[:, None])[0]
         out += test_weights[q] * sq * model.train_weights[q]
     return out
-
-
-def distance_profile(test: DescriptorStack, model: ModelState) -> np.ndarray:
-    """Gated projected distances from one probe, a descriptor stack of one
-    set (``encode_sets([s], model.config)``), to each gallery member.
-
-    Only the probe is lifted, one lift per channel; see ``profile_from_rows``.
-    """
-    return profile_from_rows(model.bank.probe_rows(test), model)
 
 
 def check_probe(test: ImageSet, model: ModelState) -> None:
@@ -90,7 +84,9 @@ def nearest(distances: np.ndarray, model: ModelState) -> Prediction:
 
 
 def predict(test: ImageSet, model: ModelState) -> Prediction:
-    """Check a probe set's dimension and sample count, encode it, lift it and
-    classify it against the model's gallery."""
+    """Check a probe set's dimension and sample count, encode it, lift it
+    (one lift per channel) and classify it against the model's gallery."""
     check_probe(test, model)
-    return nearest(distance_profile(encode_sets([test], model.config), model), model)
+    stack = encode_sets([test], model.config)
+    rows = [lift_features(stack, name)[0] for name in model.bank.descriptors]
+    return nearest(distance_profile(rows, model), model)

@@ -7,10 +7,10 @@ from one integer.
 A split protocol call (``run_experiment`` with its ablation rows, or
 ``run_dimension_sweep``) first checks its sets and every split, then
 encodes the sets with one ``encode_sets`` call and lifts the collection with
-one ``lift_features`` call per channel into a read-only (N, D_q) array F. Every split builds
-its kernel bank from its training rows ``F[train_idx]`` and scores test set i
-from row ``F[i]``, so it reports what ``train_on_sets`` and ``predict``
-would give on the same split.
+one ``lift_features`` call per channel into a read-only (N, D_q) array F.
+Every split builds its kernel bank from its training rows ``F[train_idx]``
+and scores test set i with ``classify.distance_profile`` of its rows
+``F[i]``, so it reports what ``train_on_sets`` and ``predict`` would give.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .classify import nearest, profile_from_rows
+from .classify import distance_profile, nearest
 from .config import TrainConfig, check_int
 from .data import generate_synthetic, load_dataset
 from .descriptors import ImageSet, common_dim, encode_sets
@@ -59,9 +59,12 @@ class ExperimentReport:
 
     splits: tuple[SplitResult, ...]
     config: TrainConfig
-    n_splits: int
     train_per_class: int
     ablation: Mapping[str, "ExperimentReport"] | None = None
+
+    @property
+    def n_splits(self) -> int:
+        return len(self.splits)
 
     @property
     def accuracies(self) -> np.ndarray:
@@ -200,6 +203,8 @@ def _run_split(
     split_cfg = replace(cfg, seed=split.seed)
     names = split_cfg.descriptors
     features = tuple(lifted[name][split.train] for name in names)
+    for f in features:
+        f.setflags(write=False)  # a fresh C-contiguous copy, so KernelBank keeps it
     started = time.perf_counter()
     bank = KernelBank(names, features, split_cfg.normalize_kernels)
     model = train(
@@ -211,7 +216,7 @@ def _run_split(
     elapsed = time.perf_counter() - started
     hits = 0
     for i in split.test:
-        prediction = nearest(profile_from_rows([lifted[name][i] for name in names], model), model)
+        prediction = nearest(distance_profile([lifted[name][i] for name in names], model), model)
         hits += prediction.label == sets[i].label
     return SplitResult(
         split_index=split.index,
@@ -247,7 +252,6 @@ def _protocol(
         return ExperimentReport(
             splits=tuple(_run_split(sets, lifted, capped_row, split) for split in splits),
             config=row_cfg,
-            n_splits=n_splits,
             train_per_class=train_per_class,
         )
 

@@ -45,14 +45,6 @@ class GatingParams:
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "biases", b)
 
-    @property
-    def n_kernels(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def n_train(self) -> int:
-        return self.coeffs.shape[1]
-
 
 def init_gating_params(n_kernels: int, n_train: int, rng: np.random.Generator) -> GatingParams:
     """Small random initialization, scaled down with the gallery size."""

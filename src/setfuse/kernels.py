@@ -150,8 +150,9 @@ class KernelBank:
     saved model stores. Everything else is derived from them on construction:
     ``grams[q]`` is the N x N Gram matrix, multiplied by ``scales[q]`` (its
     trace-N factor with ``normalize``, else 1.0), and ``n_train`` is N.
-    ``columns_from_rows`` scores a probe's lifted rows (``probe_rows``)
-    against the same features, so Grams and probe columns cannot disagree.
+    ``columns_from_rows`` scores a probe's lifted rows (``lift_features`` of
+    a stack of one) against the same features, so Grams and probe columns
+    cannot disagree.
     """
 
     descriptors: tuple[str, ...]
@@ -199,13 +200,6 @@ class KernelBank:
         """Feature dimension d of the sets the gallery was encoded from."""
         side = math.isqrt(self.features[0].shape[1])
         return side - 1 if self.descriptors[0] == "gauss" else side
-
-    def probe_rows(self, test: DescriptorStack) -> tuple[np.ndarray, ...]:
-        """A probe's lifted row per channel, from a stack of one set
-        (``ShapeMismatch`` for any other length)."""
-        if len(test.set_ids) != 1:
-            raise ShapeMismatch(f"a probe is a stack of one set, got {len(test.set_ids)}")
-        return tuple(lift_features(test, name)[0] for name in self.descriptors)
 
     def columns_from_rows(self, rows: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Scaled kernel columns of a probe's lifted rows against the gallery

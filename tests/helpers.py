@@ -3,7 +3,13 @@
 import numpy as np
 
 from setfuse.descriptors import DescriptorStack, ImageSet, encode_sets
-from setfuse.kernels import DESCRIPTOR_NAMES, KernelBank, log_euclidean_kernel, projection_kernel
+from setfuse.kernels import (
+    DESCRIPTOR_NAMES,
+    KernelBank,
+    lift_features,
+    log_euclidean_kernel,
+    projection_kernel,
+)
 
 # Per channel, the descriptor stack field it reads and its scalar kernel.
 SCALAR_KERNELS = {
@@ -31,6 +37,13 @@ def rows(stack, index):
     keep = np.atleast_1d(np.arange(len(stack.set_ids))[index])
     arrays = (a[keep] for a in (stack.cov, stack.basis, stack.embedding))
     return DescriptorStack(*arrays, tuple(stack.set_ids[i] for i in keep))
+
+
+def probe_rows(probe, bank):
+    """A probe's lifted row per channel of ``bank``, from a stack of one set,
+    as ``predict`` lifts it: the rows ``distance_profile`` and
+    ``KernelBank.columns_from_rows`` score."""
+    return [lift_features(probe, name)[0] for name in bank.descriptors]
 
 
 def scalar_kernel_column(channel, probe, gallery):

@@ -6,12 +6,12 @@ import pytest
 from setfuse.classify import Prediction, distance_profile, predict
 from setfuse.config import TrainConfig
 from setfuse.descriptors import ImageSet, encode_sets
-from setfuse.errors import NegativeDistance, ShapeMismatch
+from setfuse.errors import NegativeDistance
 from setfuse.gating import softmax_columns
 from setfuse.kernels import build_kernel_bank
 from setfuse.trainer import ModelState, train
 
-from helpers import random_gallery_sets, rows, scalar_kernel_column
+from helpers import probe_rows, random_gallery_sets, rows, scalar_kernel_column
 
 
 def trained_model(seed, n_classes=3, sets_per_class=3, target_dim=3, iters=4):
@@ -53,22 +53,17 @@ class TestDistanceProfile:
     def test_gallery_member_is_closest_to_itself(self):
         model, _, gallery = trained_model(110)
         for i in (0, 4, 8):
-            profile = distance_profile(rows(gallery, i), model)
+            profile = distance_profile(probe_rows(rows(gallery, i), model.bank), model)
             assert int(np.argmin(profile)) == i
             assert profile[i] <= 1e-9
 
     def test_matches_naive_per_pair_computation(self):
         model, _, gallery = trained_model(111)
         probe = rows(gallery, 2)
-        profile = distance_profile(probe, model)
+        profile = distance_profile(probe_rows(probe, model.bank), model)
         scale = max(1.0, float(np.max(np.abs(profile))))
         for i in range(model.n_train):
             assert abs(profile[i] - naive_distance(probe, model, gallery, i)) <= 1e-10 * scale
-
-    def test_probe_must_be_a_stack_of_one(self):
-        model, sets, _ = trained_model(115)
-        with pytest.raises(ShapeMismatch, match="a probe is a stack of one set, got 3"):
-            distance_profile(encode_sets(sets[3:6], model.config), model)
 
     def test_nonnegative(self):
         model, sets, _ = trained_model(112)
@@ -76,7 +71,8 @@ class TestDistanceProfile:
         probe = ImageSet(
             features=rng.standard_normal((6, 14)), label="?", set_id="probe"
         )
-        profile = distance_profile(encode_sets([probe], model.config), model)
+        lifted = probe_rows(encode_sets([probe], model.config), model.bank)
+        profile = distance_profile(lifted, model)
         assert np.all(profile >= -1e-12)
 
     def test_zero_transform_gives_zero_profile(self):
@@ -89,7 +85,7 @@ class TestDistanceProfile:
             config=model.config,
             objective_trace=model.objective_trace,
         )
-        profile = distance_profile(rows(gallery, 0), zeroed)
+        profile = distance_profile(probe_rows(rows(gallery, 0), zeroed.bank), zeroed)
         assert np.array_equal(profile, np.zeros(model.n_train))
 
     def test_probe_weights_sum_to_one_effect(self):
@@ -106,8 +102,8 @@ class TestDistanceProfile:
             config=model.config,
             objective_trace=model.objective_trace,
         )
-        a = distance_profile(rows(gallery, 1), model)
-        b = distance_profile(rows(gallery, 1), shifted)
+        a = distance_profile(probe_rows(rows(gallery, 1), model.bank), model)
+        b = distance_profile(probe_rows(rows(gallery, 1), shifted.bank), shifted)
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, float(np.max(np.abs(a))))
 
 
@@ -141,7 +137,7 @@ class TestPredict:
             objective_trace=model.objective_trace,
         )
         # zero transform makes every distance zero, an N-way tie
-        pred_profile = distance_profile(rows(gallery, 5), flat)
+        pred_profile = distance_profile(probe_rows(rows(gallery, 5), flat.bank), flat)
         assert np.array_equal(pred_profile, np.zeros(model.n_train))
         idx = int(np.argmin(pred_profile))
         assert idx == 0

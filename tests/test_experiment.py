@@ -357,6 +357,63 @@ class TestEncodeOncePerCall:
         assert count_calls["encode_set"] == 2 * len(sets)
 
 
+@pytest.fixture
+def count_profiles(monkeypatch):
+    """The probe row counts of every ``classify.distance_profile`` call,
+    wherever the library binds it."""
+    calls = []
+    real = classify_module.distance_profile
+
+    def counting(rows, model):
+        calls.append(len(rows))
+        return real(rows, model)
+
+    for mod in (classify_module, experiment_module):
+        monkeypatch.setattr(mod, "distance_profile", counting)
+    return calls
+
+
+class TestOneProbePath:
+    """``predict`` and every test set of a split protocol score a probe with
+    one ``distance_profile`` call on its lifted rows."""
+
+    def test_predict_calls_distance_profile_once(self, count_profiles):
+        sets = generate_synthetic(**small_source())
+        model = train_on_sets(sets[:9], fast_cfg())
+        for s in sets[9:]:
+            predict(s, model)
+        assert count_profiles == [3] * 3
+
+    @pytest.mark.parametrize("ablate", [False, True], ids=["combined", "ablate"])
+    def test_one_call_per_test_set_per_split(self, count_profiles, ablate):
+        report = run_experiment(small_source(), fast_cfg(), n_splits=3, ablate=ablate)
+        rows = report.ablation.values() if ablate else [report]
+        want = [
+            len(r.config.descriptors) for r in rows for s in r.splits for _ in range(s.n_test)
+        ]
+        assert sorted(count_profiles) == sorted(want)
+
+    def test_split_training_rows_are_kept_by_the_bank(self, monkeypatch):
+        # each split's training rows reach KernelBank read-only and
+        # C-contiguous, so the bank keeps them without a second copy
+        seen = []
+        real = experiment_module.KernelBank
+
+        def recording(descriptors, features, normalize):
+            bank = real(descriptors, features, normalize)
+            seen.append((features, bank))
+            return bank
+
+        monkeypatch.setattr(experiment_module, "KernelBank", recording)
+        run_experiment(small_source(), fast_cfg(), n_splits=2)
+        assert len(seen) == 2
+        for features, bank in seen:
+            for f, kept in zip(features, bank.features, strict=True):
+                assert not f.flags.writeable
+                assert f.flags.c_contiguous
+                assert kept is f
+
+
 class TestErrorsKeepTheirClass:
     def test_short_test_set_raises_too_few_samples(self):
         sets = generate_synthetic(**small_source())

@@ -28,6 +28,7 @@ from setfuse.kernels import (
 
 from helpers import (
     fortran_read_only,
+    probe_rows,
     random_gallery_sets,
     random_orthonormal,
     random_spd,
@@ -221,13 +222,13 @@ class TestGramMatrix:
 def cross_kernel_vector(probe, gallery, channel, normalize=False):
     """One probe's kernel column against a gallery, through a one-channel bank."""
     bank = build_kernel_bank(gallery, (channel,), normalize)
-    (column,) = bank.columns_from_rows(bank.probe_rows(probe))
+    (column,) = bank.columns_from_rows(probe_rows(probe, bank))
     return column
 
 
 class TestCrossKernelVector:
     """A probe's kernel columns, ``KernelBank.columns_from_rows`` of its
-    ``probe_rows``."""
+    lifted rows."""
 
     def test_gallery_of_one(self):
         rng = np.random.default_rng(43)
@@ -269,14 +270,6 @@ class TestCrossKernelVector:
         probe = encode_sets(random_gallery_sets(rng, 1, 1, d=6, n=10), q=3)
         with pytest.raises(DimensionMismatch, match="probe lifts to 36 features, gallery to 25"):
             cross_kernel_vector(probe, gallery, "cov")
-
-    @pytest.mark.parametrize("index", [[], [0, 1], [1, 2, 3]], ids=["none", "two", "three"])
-    def test_probe_must_be_a_stack_of_one(self, index):
-        rng = np.random.default_rng(63)
-        gallery = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
-        bank = build_kernel_bank(gallery)
-        with pytest.raises(ShapeMismatch, match=f"a probe is a stack of one set, got {len(index)}"):
-            bank.probe_rows(rows(gallery, index))
 
 
 class TestKernelBank:
@@ -345,7 +338,7 @@ class TestLiftedFeatures:
             norms = np.linalg.norm(np.array(lifted), axis=1)
             assert np.all(np.abs(gram - naive) <= 1e-12 * np.outer(norms, norms))
         for j, t in enumerate(alone):
-            for q, col in enumerate(bank.columns_from_rows(bank.probe_rows(t))):
+            for q, col in enumerate(bank.columns_from_rows(probe_rows(t, bank))):
                 assert np.array_equal(col, bank.grams[q][:, j])
 
     def test_rows_are_flattened_lifts(self):
@@ -375,7 +368,7 @@ class TestLiftedFeatures:
         rng = np.random.default_rng(54)
         gallery = encode_sets(random_gallery_sets(rng, 2, 3, d=6, n=12), q=3)
         bank = build_kernel_bank(gallery, normalize=True)
-        for q, col in enumerate(bank.columns_from_rows(bank.probe_rows(rows(gallery, 2)))):
+        for q, col in enumerate(bank.columns_from_rows(probe_rows(rows(gallery, 2), bank))):
             assert np.array_equal(col, bank.grams[q][:, 2])
 
     def test_bank_without_features_cannot_be_built(self):
@@ -482,7 +475,7 @@ class TestBankIsItsFeatures:
         gallery = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
         bank = build_kernel_bank(gallery)
         with pytest.raises(ShapeMismatch):
-            bank.columns_from_rows(bank.probe_rows(rows(gallery, 0))[:2])
+            bank.columns_from_rows(probe_rows(rows(gallery, 0), bank)[:2])
 
 
 class TestOneDot:

@@ -27,7 +27,7 @@ from setfuse.persistence import META_NAME, load_model, save_model
 from setfuse.spd import spd_log
 from setfuse.trainer import ModelState, train
 
-from helpers import fortran_read_only, stack_length
+from helpers import fortran_read_only, probe_rows, stack_length
 
 
 def train_small(**overrides):
@@ -171,8 +171,8 @@ class TestRoundTrip:
         for s in sets:
             assert np.array_equal(predict(s, back).distances, predict(s, model).distances)
         # a gallery member sent as a probe reproduces its Gram column
-        probe = encode_sets([sets[4]], back.config)
-        for q, col in enumerate(back.bank.columns_from_rows(back.bank.probe_rows(probe))):
+        probe = probe_rows(encode_sets([sets[4]], back.config), back.bank)
+        for q, col in enumerate(back.bank.columns_from_rows(probe)):
             assert np.array_equal(col, back.bank.grams[q][:, 4])
         assert distance_profile(probe, back)[4] <= 1e-12
 
@@ -203,7 +203,7 @@ class TestRoundTrip:
         save_model(f_model, tmp_path / "m")
         back = load_model(tmp_path / "m")
         for s in probes:
-            probe = encode_sets([s], cfg)
+            probe = probe_rows(encode_sets([s], cfg), c_bank)
             want = distance_profile(probe, c_model)
             assert np.array_equal(distance_profile(probe, f_model), want)
             assert np.array_equal(distance_profile(probe, back), want)

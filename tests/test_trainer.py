@@ -40,6 +40,7 @@ from setfuse.trainer import (
 
 from helpers import (
     brute_force_scatters,
+    probe_rows,
     random_bank,
     random_gallery_sets,
     random_labels,
@@ -417,7 +418,7 @@ class TestTrain:
         from setfuse.classify import distance_profile
 
         for i in range(12):
-            assert int(np.argmin(distance_profile(rows(gallery, i), model))) == i
+            assert int(np.argmin(distance_profile(probe_rows(rows(gallery, i), bank), model))) == i
 
     def test_objective_does_not_collapse(self):
         rng = np.random.default_rng(96)
