@@ -9,7 +9,7 @@
 
 import numpy as np
 
-from setfuse import ImageSet, TrainConfig, embed_gaussian, encode_sets, is_spd
+from setfuse import ImageSet, TrainConfig, embed_gaussian, encode_sets
 
 rng = np.random.default_rng(0)
 d, n = 8, 25
@@ -30,7 +30,8 @@ print(f"encode_sets: cov {stack.cov.shape}, basis {stack.basis.shape}, "
 cov = stack.cov[0]
 eigs = np.linalg.eigvalsh(cov)
 print("\ncovariance descriptor")
-print(f"  shape {cov.shape}, symmetric positive definite: {is_spd(cov)}")
+spd = np.array_equal(cov, cov.T) and eigs.min() > 0.0
+print(f"  shape {cov.shape}, symmetric positive definite: {spd}")
 print(f"  eigenvalue range [{eigs.min():.4f}, {eigs.max():.4f}]")
 
 # --- subspace view --------------------------------------------------------
@@ -49,7 +50,7 @@ embedding = stack.embedding[0]
 print("\nGaussian descriptor")
 print(f"  embedding shape {embedding.shape}")
 print(f"  det(embedding) = {np.linalg.det(embedding):.12f}")
-print(f"  embedding SPD: {is_spd(embedding)}")
+print(f"  embedding SPD: {np.linalg.eigvalsh(embedding).min() > 0.0}")
 # Its top-left block over its corner entry is covariance + mean mean^T.
 mean = features.mean(axis=1)
 block = embedding[:d, :d] / embedding[d, d]

@@ -14,8 +14,6 @@ from setfuse import (
     TrainConfig,
     build_kernel_bank,
     encode_sets,
-    log_euclidean_kernel,
-    projection_kernel,
 )
 
 rng = np.random.default_rng(1)
@@ -31,17 +29,16 @@ for c in range(3):
 # One DescriptorStack holds every set's descriptors, row i from set i.
 gallery = encode_sets(sets, cfg)
 
-# --- scalar kernels -------------------------------------------------------
-# The SPD kernel is trace(log C1 . log C2); with C1 = C2 = I both logs are
-# zero. The projection kernel of a subspace with itself is its dimension.
-print("log kernel at (I, I):", log_euclidean_kernel(np.eye(4), np.eye(4)))
-print("projection kernel self value:",
-      projection_kernel(gallery.basis[0], gallery.basis[0]))
-
 # --- Gram matrices --------------------------------------------------------
 # build_kernel_bank lifts every set once per channel and derives each
 # channel's Gram matrix from the lifted rows.
 raw = build_kernel_bank(gallery, DESCRIPTOR_NAMES)
+
+# A Gram's diagonal holds each set's kernel with itself. The projection
+# kernel of a subspace with itself is its dimension, here q = 3.
+print("kernel self values of set 0:")
+for name, k in zip(raw.descriptors, raw.grams):
+    print(f"  {name:<9} {k[0, 0]:.4f}")
 print("\nGram matrix spectra (min eigenvalue ~ 0 up to roundoff):")
 for name, k in zip(raw.descriptors, raw.grams):
     eigs = np.linalg.eigvalsh(k)

@@ -9,7 +9,7 @@
 
 import numpy as np
 
-from setfuse import TrainConfig, gating_weights, generate_synthetic, train_on_sets
+from setfuse import TrainConfig, generate_synthetic, train_on_sets
 
 sets = generate_synthetic(
     classes=3, sets_per_class=6, dim=10, samples=20, separation=5.0, seed=42
@@ -36,9 +36,8 @@ print(f"\ntransform shape: {model.transform.shape}")
 # Gating assigns each training set a softmax weight over the three kernel
 # channels. Averages near 1/3 mean the channels stay balanced; training on
 # this data usually shifts weight toward the most discriminative channel.
-weights = gating_weights(model.bank, model.gating)
 print("mean gating weight per kernel channel:")
-for name, row in zip(model.bank.descriptors, weights):
+for name, row in zip(model.bank.descriptors, model.train_weights):
     print(f"  {name:<9} {row.mean():.4f}  (min {row.min():.4f}, max {row.max():.4f})")
 
 # --- reproducibility ------------------------------------------------------

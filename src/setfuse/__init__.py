@@ -28,27 +28,14 @@ from .experiment import (
 )
 from .gating import (
     GatingParams,
-    gating_gradients,
     gating_weights,
     gradient_ascent_step,
     init_gating_params,
     pair_counts,
 )
-from .kernels import (
-    DESCRIPTOR_NAMES,
-    KernelBank,
-    build_kernel_bank,
-    log_euclidean_kernel,
-    projection_kernel,
-)
+from .kernels import DESCRIPTOR_NAMES, KernelBank, build_kernel_bank
 from .persistence import load_model, save_model
-from .spd import (
-    EigenPair,
-    is_spd,
-    regularize_spd,
-    spd_log,
-    sym_eig,
-)
+from .spd import EigenPair, regularize_spd, spd_log, sym_eig
 from .trainer import (
     GramSpan,
     ModelState,
@@ -58,7 +45,6 @@ from .trainer import (
     remove_null_space,
     scatter_matrices,
     solve_trace_ratio,
-    trace_ratio_objective,
     train,
 )
 
@@ -85,20 +71,16 @@ __all__ = [
     "distance_profile",
     "embed_gaussian",
     "encode_sets",
-    "gating_gradients",
     "gating_weights",
     "generate_synthetic",
     "gradient_ascent_step",
     "gram_span",
     "init_gating_params",
-    "is_spd",
     "load_dataset",
     "load_manifest",
     "load_model",
-    "log_euclidean_kernel",
     "pair_counts",
     "predict",
-    "projection_kernel",
     "regularize_spd",
     "remove_null_space",
     "run_dimension_sweep",
@@ -110,7 +92,6 @@ __all__ = [
     "spd_log",
     "split_sets",
     "sym_eig",
-    "trace_ratio_objective",
     "train",
     "train_on_sets",
 ]

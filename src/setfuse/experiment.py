@@ -293,6 +293,8 @@ def run_dimension_sweep(
     train_per_class: int = 3,
 ) -> dict[int, ExperimentReport]:
     """Evaluate the protocol once per candidate projection width; every width
-    reads the same once-encoded, once-lifted sets."""
+    reads the same once-encoded, once-lifted sets. ``TrainConfig`` checks
+    every width before the first run."""
     run = _protocol(source, cfg, n_splits, train_per_class, cfg.descriptors)
-    return {int(dim): run(replace(cfg, target_dim=dim)) for dim in target_dims}
+    configs = [replace(cfg, target_dim=dim) for dim in target_dims]
+    return {c.target_dim: run(c) for c in configs}

@@ -153,34 +153,6 @@ def projected_pair_sums(
     return g_w, g_b
 
 
-def gating_gradients(
-    bank: KernelBank,
-    params: GatingParams,
-    transform: np.ndarray,
-    labels,
-    counts: tuple[int, int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact gradient of the trace-ratio objective w.r.t. the gating params.
-
-    ``transform`` is the current projection E (N x target_dim, held fixed),
-    ``counts`` the ordered within/between pair counts used to normalize the
-    scatters. Checks its inputs, forms the weights, ``E.T @ K_q`` and their
-    ``projected_pair_sums``, and defers to ``projected_gradients``. Returns
-    ``(coeff_grads, bias_grads)`` shaped like the params.
-    """
-    _check_bank_params(bank, params)
-    e = np.asarray(transform, dtype=np.float64)
-    n = bank.n_train
-    if e.ndim != 2 or e.shape[0] != n:
-        raise ShapeMismatch(f"transform must be {n} x d, got {e.shape}")
-    if len(labels) != n:
-        raise ShapeMismatch(f"{len(labels)} labels for n_train={n}")
-    weights = gating_weights(bank, params)
-    projected = [e.T @ gram for gram in bank.grams]
-    sums = projected_pair_sums(projected, weights, class_codes(labels))
-    return projected_gradients(bank.grams, weights, sums, counts)
-
-
 def pair_traces(
     weights: np.ndarray, sums: tuple[np.ndarray, np.ndarray], counts: tuple[int, int]
 ) -> tuple[float, float]:

@@ -19,8 +19,8 @@ stacked call (one ``spd_log`` for ``cov`` and ``gauss``) into one read-only
 collection of a split protocol call, whose splits then slice their training
 rows from it. A ``KernelBank`` is such arrays, one per channel, and derives
 its Gram matrices from them. Every kernel value (a Gram entry, a probe's
-cross-kernel entry, a scalar kernel) is the one dot ``np.vecdot(rows, row)``
-in ``_frobenius``. It computes each row's dot the same way wherever the row
+cross-kernel entry) is the one dot ``np.vecdot(rows, row)`` in
+``_frobenius``. It computes each row's dot the same way wherever the row
 sits, so a Gram, built column by column with its lower triangle mirrored up,
 is exactly symmetric, and a probe identical to a gallery member reproduces
 that member's Gram column bit for bit. The bits of a dot depend on the
@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .descriptors import DescriptorStack, check_orthonormal, read_only
+from .descriptors import DescriptorStack, read_only
 from .errors import (
     BadSpec,
     DimensionMismatch,
@@ -53,7 +53,7 @@ NORMALIZATION_TRACE_FLOOR = 1e-12
 
 
 def _frobenius(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Dot product of ``row`` with each lifted row (a scalar for 1-D ``rows``).
+    """Dot product of ``row`` with each lifted row.
 
     ``np.vecdot`` is the one dot of every kernel value. Its bits depend on
     the layout of the rows, not on where a row sits, so callers pass
@@ -65,24 +65,6 @@ def _frobenius(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
 def _projector(basis: np.ndarray) -> np.ndarray:
     """``Y @ Y.T`` of a basis, or of each basis of a stack."""
     return basis @ basis.swapaxes(-1, -2)
-
-
-def log_euclidean_kernel(c1, c2) -> float:
-    """trace(log(C1) @ log(C2)) for SPD matrices of equal size."""
-    a1 = np.asarray(c1, dtype=np.float64)
-    a2 = np.asarray(c2, dtype=np.float64)
-    if a1.shape != a2.shape:
-        raise DimensionMismatch(f"SPD shapes differ: {a1.shape} vs {a2.shape}")
-    return float(_frobenius(spd_log(a1).ravel(), spd_log(a2).ravel()))
-
-
-def projection_kernel(y1, y2) -> float:
-    """||Y1.T @ Y2||_F^2 for orthonormal d x q subspace bases of equal shape
-    (``descriptors.check_orthonormal`` checks each)."""
-    b1, b2 = check_orthonormal(y1), check_orthonormal(y2)
-    if b1.shape != b2.shape:
-        raise DimensionMismatch(f"subspace shapes differ: {b1.shape} vs {b2.shape}")
-    return float(_frobenius(_projector(b1).ravel(), _projector(b2).ravel()))
 
 
 # Per channel, the matrices whose Frobenius inner products are its kernel,

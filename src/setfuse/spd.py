@@ -20,9 +20,6 @@ from .errors import BadSpec, NonFinite, NonSymmetric, NotPositiveDefinite
 
 # Relative tolerance for the symmetry check.
 SYMMETRY_RTOL = 1e-12
-# An SPD check passes when the smallest eigenvalue exceeds this fraction of
-# the largest one.
-SPD_EIG_RTOL = 1e-10
 # Matrix log refuses eigenvalues at or below this fraction of the largest.
 LOG_EIG_FLOOR_RTOL = 1e-12
 # Additive floor used when a covariance has (numerically) zero trace.
@@ -91,25 +88,6 @@ def sym_eig(m) -> EigenPair:
     largest = flat[np.arange(len(flat))[:, None], rows, np.arange(flat.shape[2])]
     flat *= np.where(largest < 0.0, -1.0, 1.0)[:, None, :]
     return EigenPair(values, vectors)
-
-
-def is_spd(m) -> bool:
-    """True when ``m`` is symmetric with spectrum bounded away from zero.
-
-    The test requires ``lambda_min > SPD_EIG_RTOL * lambda_max``, so
-    barely-positive spectra with huge condition numbers are rejected along
-    with indefinite ones.
-    """
-    if np.ndim(m) != 2:
-        return False
-    try:
-        pair = sym_eig(m)
-    except (NonSymmetric, NonFinite):
-        return False
-    lam_max = float(pair.values[0])
-    if lam_max <= 0.0:
-        return False
-    return float(pair.values[-1]) > SPD_EIG_RTOL * lam_max
 
 
 def spd_log(c) -> np.ndarray:

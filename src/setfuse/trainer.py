@@ -117,10 +117,6 @@ class ModelState:
     def n_train(self) -> int:
         return self.bank.n_train
 
-    @property
-    def target_dim(self) -> int:
-        return self.transform.shape[1]
-
     @cached_property
     def train_weights(self) -> np.ndarray:
         """The gallery's gating weights, ``gating_weights(bank, gating)``
@@ -185,17 +181,16 @@ def gram_span(bank: KernelBank) -> GramSpan:
     return GramSpan(basis=basis, columns=tuple(basis.T @ gram for gram in bank.grams))
 
 
-def scatter_matrices(
-    bank: KernelBank, labels, weights: np.ndarray, span: GramSpan | None = None
-) -> ScatterPair:
+def scatter_matrices(columns: Sequence[np.ndarray], labels, weights: np.ndarray) -> ScatterPair:
     """Gated scatter matrices over Gram columns.
 
-    For every ordered pair of training samples (including i == j) and every
-    kernel channel, the difference of Gram columns contributes an outer
+    ``columns[q]`` holds channel q's N Gram columns, m x N; the trainer
+    passes ``GramSpan.columns``, so the scatters come back m x m in the span
+    basis. For every ordered pair of training samples (including i == j) and
+    every kernel channel, the difference of columns contributes an outer
     product weighted by both samples' gating weights. Same-class pairs feed
     the within scatter, different-class pairs the between scatter; each is
-    divided by its pair count. With ``span`` the scatters come back in its
-    basis (``span.basis.T @ S @ span.basis``, r x r), else N x N.
+    divided by its pair count.
 
     No pair is formed. Per channel, with columns a_i, weights w_i, class
     weight W_c, weighted class mean m_c and d_i = a_i - m_c, the pair sums
@@ -208,20 +203,18 @@ def scatter_matrices(
     with m the weighted mean of all columns. Each sum is formed as X @ X.T
     with X the differences scaled by the square roots of their weights, a
     symmetric rank-k product whose result is exactly symmetric; so a
-    channel costs two such (r x N) products.
+    channel costs two such (m x N) products.
     """
-    n = bank.n_train
+    w = np.asarray(weights, dtype=np.float64)
+    if not columns or w.ndim != 2 or w.shape[0] != len(columns):
+        raise ShapeMismatch(f"weights must be {len(columns)} x N, got {w.shape}")
+    n = w.shape[1]
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ShapeMismatch(f"expected {n} labels, got shape {labels.shape}")
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (bank.n_kernels, n):
-        raise ShapeMismatch(
-            f"weights must be {bank.n_kernels} x {n}, got {w.shape}"
-        )
-    columns = bank.grams if span is None else span.columns
-    if len(columns) != bank.n_kernels or any(a.ndim != 2 or a.shape[1] != n for a in columns):
-        raise ShapeMismatch(f"span columns do not fit {bank.n_kernels} kernels and n_train={n}")
+    dim = columns[0].shape[0]
+    if any(a.shape != (dim, n) for a in columns):
+        raise ShapeMismatch(f"columns do not all have shape {dim} x {n}")
     n_within, n_between = pair_counts(labels)
     if n_between == 0:
         raise SingleClassGallery("gallery has a single class; between scatter is empty")
@@ -229,7 +222,6 @@ def scatter_matrices(
     classes = class_codes(labels)
     n_classes = int(classes.max()) + 1
     onehot = classes[:, None] == np.arange(n_classes)[None, :]
-    dim = columns[0].shape[0]
     within = np.zeros((dim, dim), dtype=np.float64)
     between = np.zeros((dim, dim), dtype=np.float64)
     for a, wq in zip(columns, w):
@@ -250,16 +242,6 @@ def scatter_matrices(
     return ScatterPair(within=within, between=between)
 
 
-def trace_ratio_objective(transform: np.ndarray, scatter: ScatterPair) -> float:
-    """J = trace(E.T B E) / trace(E.T (W + B) E), clipped into [0, 1].
-
-    Both scatters are positive semidefinite, so the true value lies in
-    [0, 1]; the clip only absorbs roundoff at the endpoints.
-    """
-    e = np.asarray(transform, dtype=np.float64)
-    return min(max(_trace_ratio(e, scatter.between, scatter.total), 0.0), 1.0)
-
-
 def _quotient(num: float, denom: float) -> float:
     """``num / denom``; ``DegenerateDenominator`` when the projected total
     scatter ``denom`` is at or below ``DENOMINATOR_FLOOR``."""
@@ -275,12 +257,12 @@ def _trace_ratio(v: np.ndarray, between: np.ndarray, total: np.ndarray) -> float
 
 def remove_null_space(
     within: np.ndarray, between: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Restrict the scatter pair to the span of the total scatter.
 
-    Returns ``(basis, reduced_between, reduced_total, reduced_dim)`` where
-    ``basis`` holds the eigenvectors of the total scatter with eigenvalues
-    above ``NULL_SPACE_RTOL`` times the largest. Raises ``ZeroTotalScatter``
+    Returns ``(basis, reduced_between, reduced_total)`` where ``basis`` holds
+    the eigenvectors of the total scatter with eigenvalues above
+    ``NULL_SPACE_RTOL`` times the largest. Raises ``ZeroTotalScatter``
     when the total scatter is numerically zero. ``train`` calls it only in
     an iteration whose gating weights fail its conditioning guard.
     """
@@ -291,7 +273,7 @@ def remove_null_space(
     reduced_between = basis.T @ np.asarray(between, dtype=np.float64) @ basis
     reduced_total = 0.5 * (reduced_total + reduced_total.T)
     reduced_between = 0.5 * (reduced_between + reduced_between.T)
-    return basis, reduced_between, reduced_total, basis.shape[1]
+    return basis, reduced_between, reduced_total
 
 
 def _orthonormal_columns(m: np.ndarray) -> np.ndarray:
@@ -375,14 +357,15 @@ def solve_trace_ratio(
 def _evaluate(
     projected: Sequence[np.ndarray], weights: np.ndarray, classes: np.ndarray, counts
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """``trace_ratio_objective`` at ``weights`` from projected Gram columns, and
-    the ``projected_pair_sums`` it was read from; O(p N n_classes) per channel."""
+    """The trace-ratio objective at ``weights``, clipped into [0, 1], from
+    projected Gram columns, and the ``projected_pair_sums`` it was read from;
+    O(p N n_classes) per channel."""
     sums = projected_pair_sums(projected, weights, classes)
     h_w, h_b = pair_traces(weights, sums, counts)
     return min(max(_quotient(h_b, h_w + h_b), 0.0), 1.0), sums
 
 
-def _uniform_conditioning(bank: KernelBank, labels, span: GramSpan) -> float:
+def _uniform_conditioning(span: GramSpan, labels) -> float:
     """lambda_min / lambda_max of the total scatter U with every weight 1, in
     the span basis.
 
@@ -390,8 +373,8 @@ def _uniform_conditioning(bank: KernelBank, labels, span: GramSpan) -> float:
     w_min^2 U <= T(w) <= w_max^2 U and the conditioning of T(w) is at least
     (w_min / w_max)^2 times this value, for any weights.
     """
-    ones = np.ones((bank.n_kernels, bank.n_train))
-    eig = np.linalg.eigvalsh(scatter_matrices(bank, labels, ones, span).total)
+    ones = np.ones((len(span.columns), span.basis.shape[0]))
+    eig = np.linalg.eigvalsh(scatter_matrices(span.columns, labels, ones).total)
     return float(eig[0]) / float(eig[-1])
 
 
@@ -454,7 +437,7 @@ def train(
         logger.warning(
             "target_dim clamped from %d to %d (usable scatter rank)", cfg.target_dim, width
         )
-    conditioning = _uniform_conditioning(bank, labels, span)
+    conditioning = _uniform_conditioning(span, labels)
 
     trace: list[float] = []
     transform = None
@@ -462,20 +445,20 @@ def train(
     coords = None  # the projection in span coordinates, r x p
     weights = gating_weights(bank, params)
     for it in range(1, cfg.iters + 1):
-        scatter = scatter_matrices(bank, labels, weights, span)
+        scatter = scatter_matrices(span.columns, labels, weights)
         bound = (float(weights.min()) / float(weights.max())) ** 2 * conditioning
         if bound > NULL_SPACE_RTOL:
             basis, between, total, dim = None, scatter.between, scatter.total, width
         else:
-            basis, between, total, reduced = remove_null_space(scatter.within, scatter.between)
-            dim = min(width, reduced)
+            basis, between, total = remove_null_space(scatter.within, scatter.between)
+            dim = min(width, basis.shape[1])
             logger.info(
                 "iteration %d: conditioning bound %.3e at or below %.0e; "
                 "null-space cut keeps %d of %d dimensions",
                 it,
                 bound,
                 NULL_SPACE_RTOL,
-                reduced,
+                basis.shape[1],
                 span.basis.shape[1],
             )
             if dim < width:

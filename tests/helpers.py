@@ -1,15 +1,91 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators and reference implementations for the test suite.
+
+The references (scalar kernels, ``is_spd``, the trace-ratio objective of
+N x N scatters, the gating gradient of a bank) are oracles the pipeline is
+checked against; the library computes the same quantities only in the forms
+training and classification need.
+"""
 
 import numpy as np
 
-from setfuse.descriptors import DescriptorStack, ImageSet, encode_sets
-from setfuse.kernels import (
-    DESCRIPTOR_NAMES,
-    KernelBank,
-    lift_features,
-    log_euclidean_kernel,
-    projection_kernel,
-)
+from setfuse.descriptors import DescriptorStack, ImageSet, check_orthonormal, encode_sets
+from setfuse.errors import DegenerateDenominator, DimensionMismatch, NonFinite, NonSymmetric
+from setfuse.gating import class_codes, gating_weights, projected_gradients, projected_pair_sums
+from setfuse.kernels import DESCRIPTOR_NAMES, KernelBank, lift_features
+from setfuse.spd import spd_log, sym_eig
+from setfuse.trainer import DENOMINATOR_FLOOR
+from setfuse.trainer import scatter_matrices as library_scatter_matrices
+
+# An SPD check passes when the smallest eigenvalue exceeds this fraction of
+# the largest one.
+SPD_EIG_RTOL = 1e-10
+
+
+def is_spd(m) -> bool:
+    """True when ``m`` is one symmetric matrix with spectrum bounded away
+    from zero: ``lambda_min > SPD_EIG_RTOL * lambda_max``, so barely-positive
+    spectra with huge condition numbers are rejected along with indefinite
+    ones."""
+    if np.ndim(m) != 2:
+        return False
+    try:
+        pair = sym_eig(m)
+    except (NonSymmetric, NonFinite):
+        return False
+    lam_max = float(pair.values[0])
+    if lam_max <= 0.0:
+        return False
+    return float(pair.values[-1]) > SPD_EIG_RTOL * lam_max
+
+
+def log_euclidean_kernel(c1, c2) -> float:
+    """trace(log(C1) @ log(C2)) for SPD matrices of equal size, as the one
+    dot of the library's kernel values."""
+    a1 = np.asarray(c1, dtype=np.float64)
+    a2 = np.asarray(c2, dtype=np.float64)
+    if a1.shape != a2.shape:
+        raise DimensionMismatch(f"SPD shapes differ: {a1.shape} vs {a2.shape}")
+    return float(np.vecdot(spd_log(a1).ravel(), spd_log(a2).ravel()))
+
+
+def projection_kernel(y1, y2) -> float:
+    """||Y1.T @ Y2||_F^2 for orthonormal d x q subspace bases of equal shape,
+    as the dot of their projectors."""
+    b1, b2 = check_orthonormal(y1), check_orthonormal(y2)
+    if b1.shape != b2.shape:
+        raise DimensionMismatch(f"subspace shapes differ: {b1.shape} vs {b2.shape}")
+    return float(np.vecdot((b1 @ b1.T).ravel(), (b2 @ b2.T).ravel()))
+
+
+def scatter_matrices(bank, labels, weights):
+    """The gated scatters over whole Gram columns, N x N: the library's
+    ``scatter_matrices`` of ``bank.grams``, bound at import, so a test that
+    patches ``trainer.scatter_matrices`` does not reach it through here."""
+    return library_scatter_matrices(bank.grams, labels, weights)
+
+
+def trace_ratio_objective(transform, scatter) -> float:
+    """J = trace(E.T B E) / trace(E.T (W + B) E), clipped into [0, 1];
+    ``DegenerateDenominator`` when the projected total scatter is at or
+    below ``DENOMINATOR_FLOOR``."""
+    e = np.asarray(transform, dtype=np.float64)
+    num = float(np.sum(e * (scatter.between @ e)))
+    denom = float(np.sum(e * (scatter.total @ e)))
+    if denom <= DENOMINATOR_FLOOR:
+        raise DegenerateDenominator(f"projected total scatter {denom:.3e} is degenerate")
+    return min(max(num / denom, 0.0), 1.0)
+
+
+def gating_gradients(bank, params, transform, labels, counts):
+    """Gradient of ``trace_ratio_objective`` with respect to the gating
+    params at a fixed transform E (N x p), from the pipeline's own steps:
+    the weights, the ``projected_pair_sums`` of ``E.T @ K_q`` and
+    ``projected_gradients``."""
+    weights = gating_weights(bank, params)
+    projected = [transform.T @ gram for gram in bank.grams]
+    sums = projected_pair_sums(projected, weights, class_codes(labels))
+    return projected_gradients(bank.grams, weights, sums, counts)
+
 
 # Per channel, the descriptor stack field it reads and its scalar kernel.
 SCALAR_KERNELS = {
@@ -141,8 +217,6 @@ def brute_force_gating_gradients(bank, params, transform, labels):
     """Pairwise reference for ``gating_gradients``: explicit N x N projected
     distance matrices and pair masks, the quotient rule on the traces
     h = sum_ij w_i w_j d_ij / count, and the softmax derivative."""
-    from setfuse.gating import gating_weights
-
     labels = np.asarray(labels)
     same = (labels[:, None] == labels[None, :]).astype(np.float64)
     diff = 1.0 - same

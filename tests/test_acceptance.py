@@ -16,21 +16,22 @@ from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic
 from setfuse.descriptors import encode_sets
 from setfuse.experiment import run_experiment, train_on_sets
-from setfuse.gating import GatingParams, gating_gradients, gating_weights, pair_counts
-from setfuse.kernels import build_kernel_bank, log_euclidean_kernel, projection_kernel
-from setfuse.trainer import (
-    scatter_matrices,
-    solve_trace_ratio,
-    trace_ratio_objective,
-)
+from setfuse.gating import GatingParams, gating_weights, pair_counts
+from setfuse.kernels import build_kernel_bank
+from setfuse.trainer import solve_trace_ratio
 
 from helpers import (
     brute_force_scatters,
+    gating_gradients,
+    log_euclidean_kernel,
+    projection_kernel,
     random_bank,
     random_image_set,
     random_labels,
     random_simplex_weights,
     random_spd,
+    scatter_matrices,
+    trace_ratio_objective,
 )
 from helpers import random_orthonormal as helper_orthonormal
 

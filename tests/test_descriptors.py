@@ -21,9 +21,7 @@ from setfuse.errors import (
     RankDeficient,
     TooFewSamples,
 )
-from setfuse.spd import is_spd
-
-from helpers import encode_one, random_image_set, random_orthonormal, random_spd
+from helpers import encode_one, is_spd, random_image_set, random_orthonormal, random_spd
 
 
 def make_set(features, label="c0", set_id="s"):

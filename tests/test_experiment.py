@@ -236,7 +236,7 @@ class TestDimensionSweep:
         with pytest.raises(BadSpec):
             run_dimension_sweep(small_source(), fast_cfg(), target_dims=[], **kwargs)
 
-    @pytest.mark.parametrize("width", [2.5, True])
+    @pytest.mark.parametrize("width", [2.5, True, "a", None])
     def test_widths_must_be_integers(self, width):
         with pytest.raises(BadSpec, match="target_dim"):
             run_dimension_sweep(small_source(), fast_cfg(), target_dims=[width], n_splits=1)

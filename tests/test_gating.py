@@ -6,19 +6,20 @@ import pytest
 from setfuse.errors import BadSpec, NonFiniteGradient, ShapeMismatch
 from setfuse.gating import (
     GatingParams,
-    gating_gradients,
     gating_weights,
     gradient_ascent_step,
     init_gating_params,
     pair_counts,
 )
-from setfuse.trainer import scatter_matrices, trace_ratio_objective
 
 from helpers import (
     brute_force_gating_gradients,
+    gating_gradients,
     random_bank,
     random_labels,
     random_orthonormal,
+    scatter_matrices,
+    trace_ratio_objective,
 )
 
 

@@ -1,6 +1,7 @@
 """Every name a library module imports is read somewhere in that module,
 every function and class a library module defines is read by the library
-or exported, and the package's export list names each public object once.
+or exported, every export is read by the library or is an entry point, and
+the package's export list names each public object once.
 
 The check parses each ``src/setfuse/*.py`` with the stdlib ``ast`` module,
 so it needs no linter. A name counts as used when the module reads it or
@@ -63,20 +64,38 @@ def is_click_command(node) -> bool:
     )
 
 
-def unread_definitions(sources: dict[str, str], exported) -> list[str]:
-    """``module.name`` of each top-level function or class that no other
-    top-level statement of any module reads (by name or as an attribute)
-    and that ``exported`` does not list; click commands are exempt."""
-    defined, readers = [], {}
+def name_readers(sources: dict[str, str]) -> dict[str, set]:
+    """Each name that a top-level statement of a module reads (by name, as
+    an attribute or in a ``from`` import, aliased or not), mapped to the
+    ``(module, statement name)`` of every statement that reads it."""
+    readers = {}
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
             own = getattr(stmt, "name", None)
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not is_click_command(stmt):
-                defined.append((module, own))
             for n in ast.walk(stmt):
-                name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
-                if name is not None and not isinstance(getattr(n, "ctx", None), ast.Store):
-                    readers.setdefault(name, set()).add((module, own))
+                if isinstance(n, ast.ImportFrom):
+                    names = [a.name for a in n.names]
+                elif isinstance(getattr(n, "ctx", None), ast.Store):
+                    names = []
+                else:
+                    names = [n.id] if isinstance(n, ast.Name) else [getattr(n, "attr", None)]
+                for name in names:
+                    if name is not None:
+                        readers.setdefault(name, set()).add((module, own))
+    return readers
+
+
+def unread_definitions(sources: dict[str, str], exported) -> list[str]:
+    """``module.name`` of each top-level function or class that no other
+    top-level statement of any module reads and that ``exported`` does not
+    list; click commands are exempt."""
+    defined = [
+        (module, stmt.name)
+        for module, source in sources.items()
+        for stmt in ast.parse(source).body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not is_click_command(stmt)
+    ]
+    readers = name_readers(sources)
     return [
         f"{module}.{name}"
         for module, name in defined
@@ -105,6 +124,36 @@ def test_definition_checker_flags_unread_names_only():
 def test_every_definition_is_read_or_exported():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_definitions(sources, setfuse.__all__) == []
+
+
+def unread_exports(sources: dict[str, str], exports) -> list[str]:
+    """Each name of ``exports`` that no top-level statement of a module other
+    than ``__init__`` reads, outside the name's own definition."""
+    readers = name_readers({m: s for m, s in sources.items() if m != "__init__"})
+    return [name for name in exports if not {own for _, own in readers.get(name, ())} - {name}]
+
+
+def test_export_checker_counts_aliased_imports():
+    sources = {
+        "__init__": "from .a import f, g, h\n__all__ = ['f', 'g', 'h']\n",
+        "a": "def f(): pass\ndef g(): return g()\ndef h(): pass\n",
+        "cli": "from .a import f as run\nrun()\n",
+    }
+    assert unread_exports(sources, ["f", "g", "h"]) == ["g", "h"]
+
+
+# Exports that no library module reads: the public entry points that code
+# outside the package calls, each with the reason it stays.
+ENTRY_POINTS = (
+    ("split_sets", "tools/ and perfbench/ split a collection into gallery and probes"),
+    ("run_dimension_sweep", "tools/model_digest.py digests a projection-width sweep"),
+)
+
+
+def test_every_export_is_read_or_an_entry_point():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    unread = unread_exports(sources, setfuse.__all__)
+    assert sorted(unread) == sorted(name for name, _ in ENTRY_POINTS)
 
 
 def test_package_exports_are_consistent():

@@ -22,13 +22,13 @@ from setfuse.kernels import (
     KernelBank,
     build_kernel_bank,
     lift_features,
-    log_euclidean_kernel,
-    projection_kernel,
 )
 
 from helpers import (
     fortran_read_only,
+    log_euclidean_kernel,
     probe_rows,
+    projection_kernel,
     random_gallery_sets,
     random_orthonormal,
     random_spd,

@@ -8,13 +8,12 @@ from setfuse.errors import BadSpec, NonFinite, NonSymmetric, NotPositiveDefinite
 from setfuse.spd import (
     EigenPair,
     check_symmetric,
-    is_spd,
     regularize_spd,
     spd_log,
     sym_eig,
 )
 
-from helpers import random_spd
+from helpers import is_spd, random_spd
 
 
 class TestSymEig:

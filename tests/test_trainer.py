@@ -18,7 +18,6 @@ from setfuse.errors import (
     ZeroTotalScatter,
 )
 from setfuse.gating import (
-    gating_gradients,
     gating_weights,
     gradient_ascent_step,
     init_gating_params,
@@ -32,20 +31,21 @@ from setfuse.trainer import (
     gram_span,
     random_orthonormal,
     remove_null_space,
-    scatter_matrices,
     solve_trace_ratio,
-    trace_ratio_objective,
     train,
 )
 
 from helpers import (
     brute_force_scatters,
+    gating_gradients,
     probe_rows,
     random_bank,
     random_gallery_sets,
     random_labels,
     random_simplex_weights,
     rows,
+    scatter_matrices,
+    trace_ratio_objective,
 )
 from helpers import random_orthonormal as helper_orthonormal
 
@@ -107,7 +107,7 @@ def feature_bank(rng, n_classes=4, sets_per_class=10):
 def assert_reduced_matches_full(bank, labels, weights):
     span = gram_span(bank)
     full = scatter_matrices(bank, labels, weights)
-    reduced = scatter_matrices(bank, labels, weights, span)
+    reduced = trainer.scatter_matrices(span.columns, labels, weights)
     for got, whole in ((reduced.within, full.within), (reduced.between, full.between)):
         ref = span.basis.T @ whole @ span.basis
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -157,7 +157,9 @@ class TestGramSpan:
         bank = random_bank(rng, 6, 2)
         other = gram_span(random_bank(rng, 5, 2))
         with pytest.raises(ShapeMismatch):
-            scatter_matrices(bank, random_labels(rng, 6), random_simplex_weights(rng, 2, 6), other)
+            trainer.scatter_matrices(
+                other.columns, random_labels(rng, 6), random_simplex_weights(rng, 2, 6)
+            )
 
     def test_zero_grams_raise(self):
         bank = random_bank(np.random.default_rng(105), 4, 2)
@@ -207,16 +209,16 @@ class TestRemoveNullSpace:
         bank = random_bank(rng, 6, 2)
         labels = random_labels(rng, 6)
         scatter = scatter_matrices(bank, labels, random_simplex_weights(rng, 2, 6))
-        basis, red_b, red_t, dim = remove_null_space(scatter.within, scatter.between)
-        assert dim == 6
+        basis, red_b, red_t = remove_null_space(scatter.within, scatter.between)
+        assert basis.shape[1] == 6
         assert np.max(np.abs(basis.T @ basis - np.eye(6))) <= 1e-12
         assert np.max(np.abs(red_t - basis.T @ scatter.total @ basis)) <= 1e-12
 
     def test_rank_one_total(self):
         within = np.diag([1.0, 0.0])
         between = np.zeros((2, 2))
-        basis, red_b, red_t, dim = remove_null_space(within, between)
-        assert dim == 1
+        basis, red_b, red_t = remove_null_space(within, between)
+        assert basis.shape[1] == 1
         assert abs(abs(basis[0, 0]) - 1.0) <= 1e-12
         assert abs(basis[1, 0]) <= 1e-12
         assert red_t.shape == (1, 1)
@@ -227,8 +229,8 @@ class TestRemoveNullSpace:
         for r in (1, 3, 5):
             a = rng.standard_normal((8, r))
             within = a @ a.T
-            _, _, red_t, dim = remove_null_space(within, np.zeros((8, 8)))
-            assert dim == r
+            basis, _, red_t = remove_null_space(within, np.zeros((8, 8)))
+            assert basis.shape[1] == r
             assert red_t.shape == (r, r)
 
     def test_ratio_preserved_through_basis(self):
@@ -242,9 +244,9 @@ class TestRemoveNullSpace:
         proj = np.eye(7) - null @ null.T
         within = proj @ within @ proj
         between = proj @ between @ proj
-        basis, red_b, red_t, dim = remove_null_space(within, between)
-        assert dim == 5
-        v = helper_orthonormal(rng, dim, 2)
+        basis, red_b, red_t = remove_null_space(within, between)
+        assert basis.shape[1] == 5
+        v = helper_orthonormal(rng, 5, 2)
         lifted = basis @ v
         top = np.trace(v.T @ red_b @ v) / np.trace(v.T @ red_t @ v)
         ref = np.trace(lifted.T @ between @ lifted) / np.trace(
@@ -391,16 +393,17 @@ def assert_trace_ratio_optimum(monkeypatch, bank, labels, cfg):
     iteration's scatters, over whole Gram columns, gains <= 1e-6."""
     seen = []
 
-    def recording(bank_, labels_, weights, span=None):
+    def recording(columns, labels_, weights, _scatter=trainer.scatter_matrices):
         seen.append(weights)
-        return scatter_matrices(bank_, labels_, weights, span)
+        return _scatter(columns, labels_, weights)
 
     monkeypatch.setattr(trainer, "scatter_matrices", recording)
     model = train(bank, labels, cfg)
     scatter = scatter_matrices(bank, labels, seen[-1])
-    basis, red_b, red_t, _ = remove_null_space(scatter.within, scatter.between)
+    basis, red_b, red_t = remove_null_space(scatter.within, scatter.between)
     cold = solve_trace_ratio(
-        red_b, red_t, model.target_dim, max_iters=200, eps=0.0, rng=np.random.default_rng(1)
+        red_b, red_t, model.transform.shape[1], max_iters=200, eps=0.0,
+        rng=np.random.default_rng(1),
     )
     gain = cold.ratio_history[-1] - trace_ratio_objective(model.transform, scatter)
     assert gain <= 1e-6
@@ -440,7 +443,7 @@ class TestTrain:
         params = init_gating_params(bank.n_kernels, bank.n_train, manual_rng)
         weights = gating_weights(bank, params)
         span = gram_span(bank)
-        scatter = scatter_matrices(bank, labels, weights, span)
+        scatter = trainer.scatter_matrices(span.columns, labels, weights)
         itr = solve_trace_ratio(
             scatter.between,
             scatter.total,
