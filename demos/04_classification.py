@@ -40,7 +40,7 @@ for probe in probes[:5]:
 print(f"first five probes: {hits}/5 correct\n")
 
 # --- the split protocol ---------------------------------------------------
-report = run_experiment(source, cfg, n_splits=10, train_per_class=3)
+report = run_experiment(sets, cfg, n_splits=10, train_per_class=3)
 print("10-split protocol:")
 print(f"  per-split accuracy: {np.round(report.accuracies, 3)}")
 print(f"  mean {report.mean_accuracy:.4f}, std {report.std_accuracy:.4f}")
@@ -48,11 +48,12 @@ print(f"  mean {report.mean_accuracy:.4f}, std {report.std_accuracy:.4f}")
 # With separation 0 every class center coincides and accuracy drops to
 # roughly chance (1/3 here), confirming the pipeline cannot hallucinate
 # structure.
-control = run_experiment(dict(source, separation=0.0), cfg, n_splits=10)
+control_sets = generate_synthetic(**dict(source, separation=0.0))
+control = run_experiment(control_sets, cfg, n_splits=10)
 print(f"  zero-separation control: mean {control.mean_accuracy:.4f}\n")
 
 # --- ablation: is fusing the three descriptors worth it? ------------------
-ablated = run_experiment(source, cfg, n_splits=10, train_per_class=3,
+ablated = run_experiment(sets, cfg, n_splits=10, train_per_class=3,
                          ablate=True)
 print("descriptor ablation (mean accuracy over the same splits):")
 for name, row in ablated.ablation.items():
@@ -60,7 +61,7 @@ for name, row in ablated.ablation.items():
 print()
 
 # --- choosing the projection width ----------------------------------------
-sweep = run_dimension_sweep(source, cfg, target_dims=[2, 4, 8], n_splits=4)
+sweep = run_dimension_sweep(sets, cfg, target_dims=[2, 4, 8], n_splits=4)
 print("projection width sweep:")
 for dim, rep in sweep.items():
     print(f"  target_dim {dim:>2}: mean accuracy {rep.mean_accuracy:.4f}")

@@ -9,14 +9,7 @@ kernels; classification is gated nearest neighbor in the projected space.
 
 from .classify import Prediction, distance_profile, predict
 from .config import TrainConfig
-from .data import (
-    DatasetManifest,
-    ManifestEntry,
-    generate_synthetic,
-    load_dataset,
-    load_manifest,
-    save_dataset,
-)
+from .data import generate_synthetic, load_dataset, save_dataset
 from .descriptors import DescriptorStack, ImageSet, embed_gaussian, encode_sets
 from .experiment import (
     ExperimentReport,
@@ -52,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DESCRIPTOR_NAMES",
-    "DatasetManifest",
     "DescriptorStack",
     "EigenPair",
     "ExperimentReport",
@@ -60,7 +52,6 @@ __all__ = [
     "GramSpan",
     "ImageSet",
     "KernelBank",
-    "ManifestEntry",
     "ModelState",
     "Prediction",
     "ScatterPair",
@@ -77,7 +68,6 @@ __all__ = [
     "gram_span",
     "init_gating_params",
     "load_dataset",
-    "load_manifest",
     "load_model",
     "pair_counts",
     "predict",

@@ -190,7 +190,8 @@ def train(manifest, out, **kwargs):
 def eval(manifest, splits, train_per_class, report, **kwargs):
     """Random-split evaluation protocol with accuracy summary."""
     cfg = _build_config(**kwargs)
-    result = run_experiment(manifest, cfg, n_splits=splits, train_per_class=train_per_class)
+    sets = load_dataset(manifest)
+    result = run_experiment(sets, cfg, n_splits=splits, train_per_class=train_per_class)
     _echo_summary(result)
     if report:
         _write_report_csv(result, report)
@@ -233,8 +234,9 @@ def predict(model_dir, set_file):
 def ablate(manifest, splits, train_per_class, report, **kwargs):
     """Compare each descriptor alone against the combined model."""
     cfg = _build_config(**kwargs)
+    sets = load_dataset(manifest)
     result = run_experiment(
-        manifest, cfg, n_splits=splits, train_per_class=train_per_class, ablate=True
+        sets, cfg, n_splits=splits, train_per_class=train_per_class, ablate=True
     )
     click.echo(f"{'descriptors':<12} {'mean acc':>9} {'std':>8}")
     for name, row in result.ablation.items():

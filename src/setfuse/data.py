@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import check_int, check_real
 from .descriptors import ImageSet
-from .errors import BadSpec, DimensionMismatch, IoError, ParseError, TooFewSamples
+from .errors import BadSpec, DimensionMismatch, IoError, ParseError
 
 MANIFEST_HEADER = ["set_id", "label", "path"]
 MANIFEST_NAME = "manifest.csv"
@@ -25,27 +24,12 @@ MANIFEST_NAME = "manifest.csv"
 _FLOAT_FMT = "%.17g"
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
-    set_id: str
-    label: str
-    path: str
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    """Parsed manifest: root directory plus one entry per set file."""
-
-    root: Path
-    entries: tuple[ManifestEntry, ...]
-
-
-def load_manifest(manifest_path) -> DatasetManifest:
-    """Parse a manifest CSV; raises ``ParseError`` citing file and line."""
-    path = Path(manifest_path)
+def _manifest_rows(path: Path) -> list[list[str]]:
+    """The stripped ``set_id, label, path`` rows of a manifest CSV; raises
+    ``ParseError`` citing file and line."""
     if not path.is_file():
         raise IoError(f"manifest not found: {path}")
-    entries = []
+    rows = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -57,16 +41,14 @@ def load_manifest(manifest_path) -> DatasetManifest:
                 f"{path}:1: expected header {','.join(MANIFEST_HEADER)!r}, got {','.join(header)!r}"
             )
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            if not any(c.strip() for c in row):
                 continue
             if len(row) != 3:
                 raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            entries.append(
-                ManifestEntry(set_id=row[0].strip(), label=row[1].strip(), path=row[2].strip())
-            )
-    if not entries:
+            rows.append([c.strip() for c in row])
+    if not rows:
         raise ParseError(f"{path}: manifest lists no sets")
-    return DatasetManifest(root=path.parent, entries=tuple(entries))
+    return rows
 
 
 def _parse_set_file(path: Path) -> np.ndarray:
@@ -101,27 +83,20 @@ def _parse_set_file(path: Path) -> np.ndarray:
 
 
 def load_dataset(manifest_path) -> list[ImageSet]:
-    """Load every set listed in a manifest, validating shape agreement."""
-    manifest = load_manifest(manifest_path)
+    """Load every set a manifest lists, reading the whole manifest first; a
+    set file whose feature dimension differs from the first file's raises
+    ``DimensionMismatch`` naming both files."""
+    path = Path(manifest_path)
+    rows = _manifest_rows(path)
     sets = []
-    dim = None
-    dim_source = None
-    for entry in manifest.entries:
-        features = _parse_set_file(manifest.root / entry.path)
-        if features.shape[1] < 2:
-            raise TooFewSamples(
-                f"set {entry.set_id!r} ({entry.path}): needs at least 2 samples, "
-                f"got {features.shape[1]}"
-            )
-        if dim is None:
-            dim = features.shape[0]
-            dim_source = entry.path
-        elif features.shape[0] != dim:
+    for set_id, label, rel in rows:
+        features = _parse_set_file(path.parent / rel)
+        if sets and features.shape[0] != sets[0].dim:
             raise DimensionMismatch(
-                f"set {entry.set_id!r} ({entry.path}) has {features.shape[0]} feature rows "
-                f"but {dim_source} has {dim}"
+                f"set {set_id!r} ({rel}) has {features.shape[0]} feature rows "
+                f"but {rows[0][2]} has {sets[0].dim}"
             )
-        sets.append(ImageSet(features=features, label=entry.label, set_id=entry.set_id))
+        sets.append(ImageSet(features=features, label=label, set_id=set_id))
     return sets
 
 

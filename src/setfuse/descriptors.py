@@ -99,11 +99,16 @@ class DescriptorStack:
 
 
 def common_dim(sets: Sequence[ImageSet]) -> int:
-    """The feature dimension every set shares: ``BadSpec`` for no sets,
-    ``DimensionMismatch`` naming the first that differs from set 0."""
+    """The feature dimension every set shares: ``BadSpec`` unless ``sets`` is
+    a non-empty list or tuple of ``ImageSet`` (naming the first item that is
+    not one), ``DimensionMismatch`` naming the first set that differs from set 0."""
+    if not isinstance(sets, (list, tuple)):
+        raise BadSpec(f"expected a list or tuple of ImageSet, got {type(sets).__name__}")
     if not sets:
         raise BadSpec("no image sets given")
     for i, s in enumerate(sets):
+        if not isinstance(s, ImageSet):
+            raise BadSpec(f"item {i} is a {type(s).__name__}, not an ImageSet")
         if s.dim != sets[0].dim:
             raise DimensionMismatch(
                 f"set {i} ({s.set_id!r}) has dimension {s.dim}, set 0 has {sets[0].dim}"

@@ -5,9 +5,10 @@ splits are mutually independent and the whole experiment is reproducible
 from one integer.
 
 A split protocol call (``run_experiment`` with its ablation rows, or
-``run_dimension_sweep``) first checks its sets and every split, then
-encodes the sets with one ``encode_sets`` call and lifts the collection with
-one ``lift_features`` call per channel into a read-only (N, D_q) array F.
+``run_dimension_sweep``) takes the list of ``ImageSet`` that ``train_on_sets``
+takes. It first checks its sets and every split, then encodes the sets with
+one ``encode_sets`` call and lifts the collection with one ``lift_features``
+call per channel into a read-only (N, D_q) array F.
 Every split builds its kernel bank from its training rows ``F[train_idx]``
 and scores test set i with ``classify.distance_profile`` of its rows
 ``F[i]``, so it reports what ``train_on_sets`` and ``predict`` would give.
@@ -15,20 +16,17 @@ and scores test set i with ``classify.distance_profile`` of its rows
 
 from __future__ import annotations
 
-import inspect
 import logging
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .classify import distance_profile, nearest
 from .config import TrainConfig, check_int
-from .data import generate_synthetic, load_dataset
 from .descriptors import ImageSet, common_dim, encode_sets
-from .errors import BadSpec, InsufficientSetsPerClass, TooFewSamples
+from .errors import InsufficientSetsPerClass, TooFewSamples
 from .kernels import DESCRIPTOR_NAMES, KernelBank, build_kernel_bank, lift_features
 from .trainer import ModelState, train
 
@@ -87,8 +85,8 @@ def split_seed(base_seed: int, split_index: int) -> int:
 def effective_subspace_dim(sets: Sequence[ImageSet], requested: int) -> int:
     """Cap the subspace dimension at what every set can support.
 
-    ``BadSpec`` for an empty list; ``DimensionMismatch`` naming the first set
-    whose feature dimension differs from the first set's.
+    ``BadSpec`` unless ``sets`` is a non-empty list or tuple of ``ImageSet``;
+    ``DimensionMismatch`` naming the first set whose dimension differs.
     """
     return max(1, min(requested, common_dim(sets), min(s.n_samples for s in sets)))
 
@@ -146,20 +144,6 @@ def _split_indices(
     train_idx.sort()
     test_idx.sort()
     return train_idx, test_idx
-
-
-def _resolve_sets(source) -> list[ImageSet]:
-    if isinstance(source, (str, Path)):
-        return load_dataset(source)
-    if isinstance(source, Mapping):
-        keys = set(inspect.signature(generate_synthetic).parameters)
-        if set(source) != keys:
-            raise BadSpec(
-                f"a synthetic source needs exactly the keys {sorted(keys)}, "
-                f"got {sorted(map(str, source))}"
-            )
-        return generate_synthetic(**source)
-    return list(source)
 
 
 @dataclass(frozen=True)
@@ -230,7 +214,7 @@ def _run_split(
 
 
 def _protocol(
-    source, cfg: TrainConfig, n_splits: int, train_per_class: int, descriptors
+    sets: Sequence[ImageSet], cfg: TrainConfig, n_splits: int, train_per_class: int, descriptors
 ) -> Callable[[TrainConfig], ExperimentReport]:
     """Check a call's arguments, sets and splits, encode each set once and
     lift the collection once per channel in ``descriptors``.
@@ -241,7 +225,6 @@ def _protocol(
     """
     check_int("n_splits", n_splits, 1)
     check_int("train_per_class", train_per_class, 1)
-    sets = _resolve_sets(source)
     capped = _capped_config(sets, cfg)
     splits = _plan_splits(sets, cfg, n_splits, train_per_class)
     stack = encode_sets(sets, capped)
@@ -259,24 +242,21 @@ def _protocol(
 
 
 def run_experiment(
-    source,
+    sets: Sequence[ImageSet],
     cfg: TrainConfig,
     n_splits: int = 10,
     train_per_class: int = 3,
     ablate: bool = False,
 ) -> ExperimentReport:
-    """Run a split protocol end to end.
+    """Run a split protocol end to end over a list of ``ImageSet``.
 
-    ``source`` may be a manifest path, an iterable of ``ImageSet``, or a
-    mapping of every ``generate_synthetic`` keyword argument and no other
-    key (``BadSpec`` otherwise). With ``ablate``,
-    each descriptor is also evaluated alone on the same splits and the
-    single-channel reports are attached under ``report.ablation`` along with
-    the combined row. Each set is encoded and lifted once per call, however
-    many splits and ablation rows use it.
+    With ``ablate``, each descriptor is also evaluated alone on the same
+    splits and the single-channel reports are attached under
+    ``report.ablation`` along with the combined row. Each set is encoded and
+    lifted once per call, however many splits and ablation rows use it.
     """
     names = DESCRIPTOR_NAMES if ablate else cfg.descriptors
-    run = _protocol(source, cfg, n_splits, train_per_class, names)
+    run = _protocol(sets, cfg, n_splits, train_per_class, names)
     combined = run(cfg)
     if not ablate:
         return combined
@@ -286,15 +266,15 @@ def run_experiment(
 
 
 def run_dimension_sweep(
-    source,
+    sets: Sequence[ImageSet],
     cfg: TrainConfig,
     target_dims: Sequence[int],
     n_splits: int = 10,
     train_per_class: int = 3,
 ) -> dict[int, ExperimentReport]:
-    """Evaluate the protocol once per candidate projection width; every width
-    reads the same once-encoded, once-lifted sets. ``TrainConfig`` checks
-    every width before the first run."""
-    run = _protocol(source, cfg, n_splits, train_per_class, cfg.descriptors)
-    configs = [replace(cfg, target_dim=dim) for dim in target_dims]
-    return {c.target_dim: run(c) for c in configs}
+    """Evaluate the protocol once per distinct projection width, in first-seen
+    order; every width reads the same once-encoded, once-lifted sets.
+    ``TrainConfig`` checks every width before the first run."""
+    run = _protocol(sets, cfg, n_splits, train_per_class, cfg.descriptors)
+    configs = {c.target_dim: c for c in [replace(cfg, target_dim=dim) for dim in target_dims]}
+    return {dim: run(c) for dim, c in configs.items()}

@@ -261,12 +261,12 @@ def test_end_to_end_accuracy():
     started = time.perf_counter()
     failures = []
     benchmark = run_experiment(
-        STANDARD_SOURCE, STANDARD_CFG, n_splits=10, train_per_class=3
+        generate_synthetic(**STANDARD_SOURCE), STANDARD_CFG, n_splits=10, train_per_class=3
     )
     if benchmark.mean_accuracy < 0.95:
         failures.append(f"benchmark mean accuracy {benchmark.mean_accuracy:.4f} < 0.95")
     control = run_experiment(
-        dict(STANDARD_SOURCE, separation=0.0),
+        generate_synthetic(**dict(STANDARD_SOURCE, separation=0.0)),
         STANDARD_CFG,
         n_splits=10,
         train_per_class=3,
@@ -280,7 +280,11 @@ def test_ablation_property():
     started = time.perf_counter()
     failures = []
     result = run_experiment(
-        STANDARD_SOURCE, STANDARD_CFG, n_splits=10, train_per_class=3, ablate=True
+        generate_synthetic(**STANDARD_SOURCE),
+        STANDARD_CFG,
+        n_splits=10,
+        train_per_class=3,
+        ablate=True,
     )
     singles = {
         name: result.ablation[name].mean_accuracy

@@ -7,7 +7,6 @@ from setfuse.data import (
     MANIFEST_NAME,
     generate_synthetic,
     load_dataset,
-    load_manifest,
     save_dataset,
 )
 from setfuse.errors import (
@@ -83,31 +82,31 @@ class TestSaveRejectsUnsafeSetIds:
 class TestManifestErrors:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(IoError):
-            load_manifest(tmp_path / "nope.csv")
+            load_dataset(tmp_path / "nope.csv")
 
     def test_empty_manifest(self, tmp_path):
         p = tmp_path / MANIFEST_NAME
         p.write_text("")
         with pytest.raises(ParseError, match=r":1:"):
-            load_manifest(p)
+            load_dataset(p)
 
     def test_wrong_header(self, tmp_path):
         p = tmp_path / MANIFEST_NAME
         p.write_text("id,lbl,file\na,b,c.csv\n")
         with pytest.raises(ParseError, match=r":1:"):
-            load_manifest(p)
+            load_dataset(p)
 
     def test_wrong_field_count_cites_line(self, tmp_path):
         p = tmp_path / MANIFEST_NAME
         p.write_text("set_id,label,path\na,b,c.csv\nbroken,row\n")
         with pytest.raises(ParseError, match=r":3:"):
-            load_manifest(p)
+            load_dataset(p)
 
     def test_header_only_manifest(self, tmp_path):
         p = tmp_path / MANIFEST_NAME
         p.write_text("set_id,label,path\n")
         with pytest.raises(ParseError, match="no sets"):
-            load_manifest(p)
+            load_dataset(p)
 
     def test_blank_lines_skipped(self, tmp_path):
         rng = np.random.default_rng(131)
@@ -165,6 +164,14 @@ class TestSetFileErrors:
         p.write_text("set_id,label,path\na,x,a.csv\nb,y,b.csv\n")
         (tmp_path / "a.csv").write_text("1,2\n3,4\n")
         (tmp_path / "b.csv").write_text("1,2\n3,4\n5,6\n")
+        with pytest.raises(DimensionMismatch, match="b.csv"):
+            load_dataset(p)
+
+    def test_dimension_mismatch_reported_before_non_finite(self, tmp_path):
+        p = tmp_path / MANIFEST_NAME
+        p.write_text("set_id,label,path\na,x,a.csv\nb,y,b.csv\n")
+        (tmp_path / "a.csv").write_text("1,2\n3,4\n")
+        (tmp_path / "b.csv").write_text("1,2\n3,nan\n5,6\n")
         with pytest.raises(DimensionMismatch, match="b.csv"):
             load_dataset(p)
 

@@ -1,8 +1,8 @@
 """Experiment orchestration tests: splits, protocols, sweeps, ablation."""
 
-import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +12,8 @@ import setfuse.experiment as experiment_module
 import setfuse.kernels as kernels_module
 from setfuse.classify import predict
 from setfuse.config import TrainConfig
-from setfuse.data import generate_synthetic
-from setfuse.descriptors import ImageSet
+from setfuse.data import generate_synthetic, load_dataset, save_dataset
+from setfuse.descriptors import ImageSet, encode_sets
 from setfuse.errors import (
     BadSpec,
     DimensionMismatch,
@@ -39,6 +39,10 @@ def small_source():
     return dict(
         classes=3, sets_per_class=4, dim=6, samples=12, separation=5.0, seed=21
     )
+
+
+def small_sets():
+    return generate_synthetic(**small_source())
 
 
 def fast_cfg(**overrides):
@@ -122,24 +126,39 @@ class TestEmptySetList:
             run_dimension_sweep([], fast_cfg(), target_dims=[2])
 
 
-class TestMappingSource:
+class TestCollectionMustBeAListOfSets:
+    """Every entry point takes a list or tuple of ``ImageSet``; anything else,
+    a manifest path included, is a ``BadSpec``."""
+
     @pytest.mark.parametrize(
-        "source",
-        [{"classes": 3}, {**small_source(), "bogus": 1}],
-        ids=["missing-keys", "extra-key"],
+        "sets, match",
+        [
+            ("data/manifest.csv", "got str"),
+            (Path("data/manifest.csv"), "got .*Path"),
+            (["x"], "item 0 is a str"),
+            (None, "got NoneType"),
+        ],
+        ids=["str-path", "path", "list-of-str", "none"],
     )
     @pytest.mark.parametrize(
         "run",
         [
-            lambda source: run_experiment(source, fast_cfg(), n_splits=1),
-            lambda source: run_dimension_sweep(source, fast_cfg(), target_dims=[2], n_splits=1),
+            lambda sets: train_on_sets(sets, fast_cfg()),
+            lambda sets: encode_sets(sets, fast_cfg()),
+            lambda sets: run_experiment(sets, fast_cfg(), n_splits=1),
+            lambda sets: run_dimension_sweep(sets, fast_cfg(), target_dims=[2], n_splits=1),
         ],
-        ids=["experiment", "sweep"],
+        ids=["train_on_sets", "encode_sets", "run_experiment", "run_dimension_sweep"],
     )
-    def test_keys_must_be_the_generator_parameters(self, source, run):
-        got = re.escape(str(sorted(source)))
-        with pytest.raises(BadSpec, match=f"exactly the keys .*got {got}"):
-            run(source)
+    def test_raises_bad_spec(self, run, sets, match):
+        with pytest.raises(BadSpec, match=match):
+            run(sets)
+
+    def test_tuple_accepted(self):
+        sets = small_sets()
+        assert report_splits(run_experiment(tuple(sets), fast_cfg(), n_splits=1)) == (
+            report_splits(run_experiment(sets, fast_cfg(), n_splits=1))
+        )
 
 
 class TestTrainOnSets:
@@ -156,7 +175,7 @@ class TestTrainOnSets:
 
 class TestRunExperiment:
     def test_report_shape_and_accuracy(self):
-        report = run_experiment(small_source(), fast_cfg(), n_splits=3)
+        report = run_experiment(small_sets(), fast_cfg(), n_splits=3)
         assert isinstance(report, ExperimentReport)
         assert len(report.splits) == 3
         assert report.accuracies.shape == (3,)
@@ -170,8 +189,8 @@ class TestRunExperiment:
             assert split.train_seconds >= 0.0
 
     def test_reproducible(self):
-        a = run_experiment(small_source(), fast_cfg(), n_splits=2)
-        b = run_experiment(small_source(), fast_cfg(), n_splits=2)
+        a = run_experiment(small_sets(), fast_cfg(), n_splits=2)
+        b = run_experiment(small_sets(), fast_cfg(), n_splits=2)
         assert np.array_equal(a.accuracies, b.accuracies)
         assert a.splits[0].objective_trace == b.splits[0].objective_trace
 
@@ -181,19 +200,17 @@ class TestRunExperiment:
         assert len(report.splits) == 2
 
     def test_manifest_source(self, tmp_path):
-        from setfuse.data import save_dataset
-
         sets = generate_synthetic(**small_source())
         manifest = save_dataset(sets, tmp_path / "ds")
-        report = run_experiment(manifest, fast_cfg(), n_splits=2)
+        report = run_experiment(load_dataset(manifest), fast_cfg(), n_splits=2)
         direct = run_experiment(sets, fast_cfg(), n_splits=2)
         assert np.array_equal(report.accuracies, direct.accuracies)
 
     def test_bad_protocol_arguments(self):
         with pytest.raises(BadSpec):
-            run_experiment(small_source(), fast_cfg(), n_splits=0)
+            run_experiment(small_sets(), fast_cfg(), n_splits=0)
         with pytest.raises(BadSpec):
-            run_experiment(small_source(), fast_cfg(), train_per_class=0)
+            run_experiment(small_sets(), fast_cfg(), train_per_class=0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -202,10 +219,10 @@ class TestRunExperiment:
     )
     def test_protocol_counts_must_be_integers(self, kwargs):
         with pytest.raises(BadSpec, match=next(iter(kwargs))):
-            run_experiment(small_source(), fast_cfg(), **kwargs)
+            run_experiment(small_sets(), fast_cfg(), **kwargs)
 
     def test_ablation_rows(self):
-        report = run_experiment(small_source(), fast_cfg(), n_splits=2, ablate=True)
+        report = run_experiment(small_sets(), fast_cfg(), n_splits=2, ablate=True)
         assert report.ablation is not None
         assert sorted(report.ablation) == ["combined", "cov", "gauss", "subspace"]
         assert report.ablation["combined"].mean_accuracy == report.mean_accuracy
@@ -215,14 +232,14 @@ class TestRunExperiment:
             assert len(row.splits) == 2
 
     def test_no_ablation_by_default(self):
-        report = run_experiment(small_source(), fast_cfg(), n_splits=1)
+        report = run_experiment(small_sets(), fast_cfg(), n_splits=1)
         assert report.ablation is None
 
 
 class TestDimensionSweep:
     def test_one_report_per_dimension(self):
         sweep = run_dimension_sweep(
-            small_source(), fast_cfg(), target_dims=[2, 4], n_splits=2
+            small_sets(), fast_cfg(), target_dims=[2, 4], n_splits=2
         )
         assert sorted(sweep) == [2, 4]
         for dim, report in sweep.items():
@@ -234,12 +251,28 @@ class TestDimensionSweep:
     )
     def test_bad_protocol_arguments_rejected_without_widths(self, kwargs):
         with pytest.raises(BadSpec):
-            run_dimension_sweep(small_source(), fast_cfg(), target_dims=[], **kwargs)
+            run_dimension_sweep(small_sets(), fast_cfg(), target_dims=[], **kwargs)
+
+    @pytest.mark.parametrize(
+        "target_dims, keys", [([2, 2], [2]), ([4, 2, 4], [4, 2])], ids=["twice", "first-seen"]
+    )
+    def test_each_width_runs_once(self, monkeypatch, target_dims, keys):
+        calls = []
+        real = experiment_module.train
+
+        def counting(bank, labels, cfg, **kwargs):
+            calls.append(cfg.target_dim)
+            return real(bank, labels, cfg, **kwargs)
+
+        monkeypatch.setattr(experiment_module, "train", counting)
+        sweep = run_dimension_sweep(small_sets(), fast_cfg(), target_dims=target_dims, n_splits=2)
+        assert list(sweep) == keys
+        assert calls == [dim for dim in keys for _ in range(2)]
 
     @pytest.mark.parametrize("width", [2.5, True, "a", None])
     def test_widths_must_be_integers(self, width):
         with pytest.raises(BadSpec, match="target_dim"):
-            run_dimension_sweep(small_source(), fast_cfg(), target_dims=[width], n_splits=1)
+            run_dimension_sweep(small_sets(), fast_cfg(), target_dims=[width], n_splits=1)
 
 
 def reference_splits(sets, cfg, n_splits, train_per_class=3):
@@ -386,7 +419,7 @@ class TestOneProbePath:
 
     @pytest.mark.parametrize("ablate", [False, True], ids=["combined", "ablate"])
     def test_one_call_per_test_set_per_split(self, count_profiles, ablate):
-        report = run_experiment(small_source(), fast_cfg(), n_splits=3, ablate=ablate)
+        report = run_experiment(small_sets(), fast_cfg(), n_splits=3, ablate=ablate)
         rows = report.ablation.values() if ablate else [report]
         want = [
             len(r.config.descriptors) for r in rows for s in r.splits for _ in range(s.n_test)
@@ -405,7 +438,7 @@ class TestOneProbePath:
             return bank
 
         monkeypatch.setattr(experiment_module, "KernelBank", recording)
-        run_experiment(small_source(), fast_cfg(), n_splits=2)
+        run_experiment(small_sets(), fast_cfg(), n_splits=2)
         assert len(seen) == 2
         for features, bank in seen:
             for f, kept in zip(features, bank.features, strict=True):
