@@ -24,7 +24,6 @@ from .gating import (
     gating_weights,
     gradient_ascent_step,
     init_gating_params,
-    pair_counts,
 )
 from .kernels import DESCRIPTOR_NAMES, KernelBank, build_kernel_bank
 from .persistence import load_model, save_model
@@ -69,7 +68,6 @@ __all__ = [
     "init_gating_params",
     "load_dataset",
     "load_model",
-    "pair_counts",
     "predict",
     "regularize_spd",
     "remove_null_space",

@@ -13,6 +13,7 @@ import csv
 import functools
 import logging
 import sys
+from pathlib import Path
 
 import click
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import persistence
 from .classify import predict as predict_set
 from .config import TrainConfig
-from .data import _parse_set_file, generate_synthetic, load_dataset, save_dataset
+from .data import generate_synthetic, load_dataset, read_set_file, save_dataset
 from .descriptors import ImageSet
 from .errors import DataError, IoError, SetfuseError
 from .experiment import ExperimentReport, run_experiment, train_on_sets
@@ -206,10 +207,8 @@ def eval(manifest, splits, train_per_class, report, **kwargs):
 @_guarded
 def predict(model_dir, set_file):
     """Classify one probe set and show the closest gallery members."""
-    from pathlib import Path
-
     model = persistence.load_model(model_dir)
-    features = _parse_set_file(Path(set_file))
+    features = read_set_file(Path(set_file))
     probe = ImageSet(features=features, label="?", set_id=Path(set_file).stem)
     result = predict_set(probe, model)
     click.echo(f"predicted label: {result.label}")

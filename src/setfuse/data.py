@@ -51,7 +51,8 @@ def _manifest_rows(path: Path) -> list[list[str]]:
     return rows
 
 
-def _parse_set_file(path: Path) -> np.ndarray:
+def read_set_file(path: Path) -> np.ndarray:
+    """One set CSV as a d x n matrix; ``ParseError`` cites file and line."""
     if not path.is_file():
         raise IoError(f"set file not found: {path}")
     rows = []
@@ -90,7 +91,7 @@ def load_dataset(manifest_path) -> list[ImageSet]:
     rows = _manifest_rows(path)
     sets = []
     for set_id, label, rel in rows:
-        features = _parse_set_file(path.parent / rel)
+        features = read_set_file(path.parent / rel)
         if sets and features.shape[0] != sets[0].dim:
             raise DimensionMismatch(
                 f"set {set_id!r} ({rel}) has {features.shape[0]} feature rows "

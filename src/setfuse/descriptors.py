@@ -58,13 +58,18 @@ def read_only(values, dtype=np.float64) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ImageSet:
-    """One labeled image set: columns of ``features`` are per-image vectors."""
+    """One labeled image set: columns of ``features`` are per-image vectors.
+    ``label`` and ``set_id`` are each a str (numpy's ``str_`` is one), else
+    ``BadSpec`` names the set."""
 
     features: np.ndarray
     label: str
     set_id: str
 
     def __post_init__(self):
+        for what, value in (("label", self.label), ("set id", self.set_id)):
+            if not isinstance(value, str):
+                raise BadSpec(f"set {self.set_id!r}: {what} must be a str, got {value!r:.80}")
         a = np.asarray(self.features, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] < 1:
             raise DimensionMismatch(

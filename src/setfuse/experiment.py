@@ -104,8 +104,7 @@ def train_on_sets(sets: Sequence[ImageSet], cfg: TrainConfig) -> ModelState:
     supports), build the kernel bank, train."""
     cfg = _capped_config(sets, cfg)
     bank = build_kernel_bank(encode_sets(sets, cfg), cfg.descriptors, cfg.normalize_kernels)
-    labels = [s.label for s in sets]
-    return train(bank, labels, cfg, set_ids=[s.set_id for s in sets])
+    return train(bank, [s.label for s in sets], cfg, set_ids=[s.set_id for s in sets])
 
 
 def split_sets(
@@ -234,7 +233,7 @@ def _protocol(
         capped_row = replace(row_cfg, subspace_dim=capped.subspace_dim)
         return ExperimentReport(
             splits=tuple(_run_split(sets, lifted, capped_row, split) for split in splits),
-            config=row_cfg,
+            config=capped_row,
             train_per_class=train_per_class,
         )
 

@@ -9,6 +9,11 @@ softmax across channels; a probe's weights are the same read-out (``gate``)
 of its kernel columns against the gallery. The gating parameters are learned
 by gradient ascent on the same trace-ratio objective the projection is
 solved for; the exact gradient expressions live in ``projected_gradients``.
+
+Every scatter, pair sum and gradient sums over same-class and different-class
+pairs, and reads the gallery's classes from one frozen ``ClassLayout`` (class
+codes, one-hot indicator, pair counts) that ``class_layout`` builds once per
+``train`` call; it is also where labels are checked.
 """
 
 from __future__ import annotations
@@ -54,14 +59,6 @@ def init_gating_params(n_kernels: int, n_train: int, rng: np.random.Generator) -
     return GatingParams(coeffs=coeffs, biases=biases)
 
 
-def _check_bank_params(bank: KernelBank, params: GatingParams) -> None:
-    if params.coeffs.shape != (bank.n_kernels, bank.n_train):
-        raise ShapeMismatch(
-            f"gating params shaped {params.coeffs.shape} do not match bank with "
-            f"{bank.n_kernels} kernels and n_train={bank.n_train}"
-        )
-
-
 def softmax_columns(scores: np.ndarray) -> np.ndarray:
     """Columnwise softmax with max subtraction; safe for scores up to ~1e308."""
     shifted = scores - scores.max(axis=0, keepdims=True)
@@ -79,7 +76,11 @@ def gate(params: GatingParams, columns: Sequence[np.ndarray]) -> np.ndarray:
 
 def gating_weights(bank: KernelBank, params: GatingParams) -> np.ndarray:
     """``gate`` of the Grams: per-sample kernel weights, Q x N, columns summing to one."""
-    _check_bank_params(bank, params)
+    if params.coeffs.shape != (bank.n_kernels, bank.n_train):
+        raise ShapeMismatch(
+            f"gating params shaped {params.coeffs.shape} do not match bank with "
+            f"{bank.n_kernels} kernels and n_train={bank.n_train}"
+        )
     return gate(params, bank.grams)
 
 
@@ -89,38 +90,54 @@ def squared_distances(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
     return ((points[:, None, :] - centres[:, :, None]) ** 2).sum(axis=0)
 
 
-def class_codes(labels) -> np.ndarray:
-    """Class index of each sample (0 .. n_classes - 1, in sorted label order)."""
-    codes = np.asarray(labels)
-    if codes.ndim != 1:
-        raise ShapeMismatch(f"labels must be one-dimensional, got shape {codes.shape}")
-    return np.unique(codes, return_inverse=True)[1].reshape(-1)
+@dataclass(frozen=True)
+class ClassLayout:
+    """A gallery's classes: ``codes`` (N, class indices in sorted label order),
+    their N x C bool indicator ``onehot`` and the ordered-pair counts
+    ``n_within`` (i == j included) and ``n_between``, both positive."""
+
+    codes: np.ndarray
+    onehot: np.ndarray
+    n_within: int
+    n_between: int
 
 
-def pair_counts(labels) -> tuple[int, int]:
-    """Ordered pair counts (within-class including i == j, between-class)."""
-    sizes = np.bincount(class_codes(labels))
-    n = int(sizes.sum())
-    n_within = int(np.sum(sizes * sizes))
-    return n_within, n * n - n_within
+def class_layout(labels, n: int) -> ClassLayout:
+    """The ``ClassLayout`` of ``n`` labels: ``ShapeMismatch`` unless they form
+    a sequence of ``n``, ``BadSpec`` naming the first label that is not a str
+    (numpy's ``str_`` is one), ``SingleClassGallery`` for fewer than two classes."""
+    given = np.asarray(labels, dtype=object)
+    if given.shape != (n,):
+        raise ShapeMismatch(f"expected {n} labels, got shape {given.shape}")
+    for i, label in enumerate(given):
+        if not isinstance(label, str):
+            raise BadSpec(f"label {i} must be a str, got {label!r:.80}")
+    names, codes = np.unique(given, return_inverse=True)
+    if names.size < 2:
+        raise SingleClassGallery("training needs at least two classes")
+    onehot = codes[:, None] == np.arange(names.size)[None, :]
+    codes.setflags(write=False)
+    onehot.setflags(write=False)
+    n_within = int(np.sum(np.bincount(codes) ** 2))
+    return ClassLayout(codes, onehot, n_within, n * n - n_within)
 
 
 def class_means(
-    columns: np.ndarray, w: np.ndarray, classes: np.ndarray, onehot: np.ndarray
+    columns: np.ndarray, w: np.ndarray, classes: ClassLayout
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each class's total weight W_c and weighted mean m_c of ``columns`` (m x N).
 
-    ``onehot`` is the N x n_classes class indicator of ``classes``. A class of
-    zero weight gets a zero mean; a sample alone in its class is that class's
-    mean exactly, since its share w_i / W_c is exactly one.
+    A class of zero weight gets a zero mean; a sample alone in its class is
+    that class's mean exactly, since its share w_i / W_c is exactly one.
     """
-    class_w = np.bincount(classes, weights=w, minlength=onehot.shape[1])
-    share = np.divide(w, class_w[classes], out=np.zeros_like(w), where=class_w[classes] > 0.0)
+    codes, onehot = classes.codes, classes.onehot
+    class_w = np.bincount(codes, weights=w, minlength=onehot.shape[1])
+    share = np.divide(w, class_w[codes], out=np.zeros_like(w), where=class_w[codes] > 0.0)
     return class_w, columns @ (onehot * share[:, None])
 
 
 def projected_pair_sums(
-    projected: Sequence[np.ndarray], weights: np.ndarray, classes: np.ndarray
+    projected: Sequence[np.ndarray], weights: np.ndarray, classes: ClassLayout
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample sums of gated projected pair distances, within and between class.
 
@@ -139,34 +156,34 @@ def projected_pair_sums(
     sample alone in its class has zero within distance exactly.
     """
     w = np.asarray(weights, dtype=np.float64)
-    n_classes = int(classes.max()) + 1
-    onehot = classes[:, None] == np.arange(n_classes)[None, :]
+    codes, onehot = classes.codes, classes.onehot
     g_w = np.empty_like(w)
     g_b = np.empty_like(w)
     for q, p in enumerate(projected):
-        class_w, means = class_means(p, w[q], classes, onehot)
+        class_w, means = class_means(p, w[q], classes)
         dist = squared_distances(p, means)
         spread = (dist * (onehot.T * w[q])).sum(axis=1)
         per_class = class_w[:, None] * dist + spread[:, None]
-        g_w[q] = per_class[classes, np.arange(classes.size)]
+        g_w[q] = per_class[codes, np.arange(codes.size)]
         g_b[q] = np.where(onehot.T, 0.0, per_class).sum(axis=0)
     return g_w, g_b
 
 
 def pair_traces(
-    weights: np.ndarray, sums: tuple[np.ndarray, np.ndarray], counts: tuple[int, int]
+    weights: np.ndarray, sums: tuple[np.ndarray, np.ndarray], classes: ClassLayout
 ) -> tuple[float, float]:
     """The projected within/between scatter traces ``(h_w, h_b)`` from the
     ``projected_pair_sums`` of ``weights``, each divided by its pair count."""
     g_w, g_b = sums
-    return float(np.sum(weights * g_w)) / counts[0], float(np.sum(weights * g_b)) / counts[1]
+    h_w = float(np.sum(weights * g_w)) / classes.n_within
+    return h_w, float(np.sum(weights * g_b)) / classes.n_between
 
 
 def projected_gradients(
     grams: Sequence[np.ndarray],
     weights: np.ndarray,
     sums: tuple[np.ndarray, np.ndarray],
-    counts: tuple[int, int],
+    classes: ClassLayout,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The gating gradient from the weights and their projected pair sums.
 
@@ -181,14 +198,8 @@ def projected_gradients(
     matvec per channel, and no N x N matrix beyond the Grams is formed. Any
     per-channel offset common to all projected columns cancels from the sums.
     """
-    n_within, n_between = counts
-    if n_between <= 0:
-        raise SingleClassGallery("no between-class pairs; gradients undefined")
-    if n_within <= 0:
-        raise ShapeMismatch(f"within-pair count must be positive, got {n_within}")
-
     g_w, g_b = sums
-    h_w, h_b = pair_traces(weights, sums, counts)
+    h_w, h_b = pair_traces(weights, sums, classes)
 
     coeff_grads = np.zeros_like(weights)
     bias_grads = np.zeros(weights.shape[0])
@@ -199,8 +210,8 @@ def projected_gradients(
 
     # softmax derivative: d w[k,i] / d score[q,i] = w[k,i] * (1{q==k} - w[q,i]),
     # so d h / d score[q,i] = 2 w[q,i] (g[q,i] - sum_k w[k,i] g[k,i]) / count
-    dh_w = 2.0 * weights * (g_w - (weights * g_w).sum(axis=0)) / n_within
-    dh_b = 2.0 * weights * (g_b - (weights * g_b).sum(axis=0)) / n_between
+    dh_w = 2.0 * weights * (g_w - (weights * g_w).sum(axis=0)) / classes.n_within
+    dh_b = 2.0 * weights * (g_b - (weights * g_b).sum(axis=0)) / classes.n_between
     dj = (dh_b * h_w - dh_w * h_b) / denom
     for q, gram in enumerate(grams):
         coeff_grads[q] = gram @ dj[q]

@@ -11,10 +11,10 @@ derives the gallery's gating weights, so all come back bit for bit.
 
 Array files are numpy's own ``.npy`` format, version 1.0, little-endian
 float64, row-major, so ``np.load(path, allow_pickle=False)`` reads them. The
-metadata file (labels, set ids, configuration, objective trace) records each
-file's SHA-256 checksum. Loading accepts exactly those keys and files and
-format 4 alone (formats 1 and 2 stored more than this, and format 3 named
-features by kernel number; retrain such models), or fails with a
+metadata file (str labels and set ids, configuration, objective trace)
+records each file's SHA-256 checksum. Loading accepts exactly those keys and
+files and format 4 alone (formats 1 and 2 stored more than this, and format
+3 named features by kernel number; retrain such models), or fails with a
 ``DataError``. The types and values of the configuration's fields are
 ``TrainConfig``'s to check; a stored configuration it rejects fails to load
 with ``IoError``.
@@ -187,9 +187,7 @@ def load_model(model_dir) -> ModelState:
     _expect_keys(checksums, [f"{name}.npy" for name in names], f"{where} checksums")
     if not all(isinstance(d, str) for d in checksums.values()):
         raise IoError(f"{where}: checksums must be hex digest strings")
-    labels = _expect_list(
-        meta["labels"], lambda x: isinstance(x, str) or is_real(x), f"{where} labels", "labels"
-    )
+    labels = _expect_list(meta["labels"], lambda x: isinstance(x, str), f"{where} labels", "strs")
     set_ids = meta["set_ids"]
     if set_ids is not None:
         _expect_list(set_ids, lambda x: isinstance(x, str), f"{where} set_ids", "set ids")

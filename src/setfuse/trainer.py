@@ -34,21 +34,15 @@ from typing import Sequence
 import numpy as np
 
 from .config import TrainConfig
-from .errors import (
-    BadDimension,
-    DegenerateDenominator,
-    ShapeMismatch,
-    SingleClassGallery,
-    ZeroTotalScatter,
-)
+from .errors import BadDimension, BadSpec, DegenerateDenominator, ShapeMismatch, ZeroTotalScatter
 from .gating import (
+    ClassLayout,
     GatingParams,
-    class_codes,
+    class_layout,
     class_means,
     gating_weights,
     gradient_ascent_step,
     init_gating_params,
-    pair_counts,
     pair_traces,
     projected_gradients,
     projected_pair_sums,
@@ -108,7 +102,7 @@ class ModelState:
     transform: np.ndarray
     gating: GatingParams
     bank: KernelBank
-    labels: tuple
+    labels: tuple[str, ...]
     config: TrainConfig
     objective_trace: tuple[float, ...]
     set_ids: tuple[str, ...] | None = None
@@ -181,8 +175,10 @@ def gram_span(bank: KernelBank) -> GramSpan:
     return GramSpan(basis=basis, columns=tuple(basis.T @ gram for gram in bank.grams))
 
 
-def scatter_matrices(columns: Sequence[np.ndarray], labels, weights: np.ndarray) -> ScatterPair:
-    """Gated scatter matrices over Gram columns.
+def scatter_matrices(
+    columns: Sequence[np.ndarray], classes: ClassLayout, weights: np.ndarray
+) -> ScatterPair:
+    """Gated scatter matrices over Gram columns of the N samples ``classes`` lays out.
 
     ``columns[q]`` holds channel q's N Gram columns, m x N; the trainer
     passes ``GramSpan.columns``, so the scatters come back m x m in the span
@@ -206,39 +202,30 @@ def scatter_matrices(columns: Sequence[np.ndarray], labels, weights: np.ndarray)
     channel costs two such (m x N) products.
     """
     w = np.asarray(weights, dtype=np.float64)
-    if not columns or w.ndim != 2 or w.shape[0] != len(columns):
-        raise ShapeMismatch(f"weights must be {len(columns)} x N, got {w.shape}")
-    n = w.shape[1]
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise ShapeMismatch(f"expected {n} labels, got shape {labels.shape}")
+    codes, n = classes.codes, classes.codes.size
+    if not columns or w.shape != (len(columns), n):
+        raise ShapeMismatch(f"weights must be {len(columns)} x {n}, got {w.shape}")
     dim = columns[0].shape[0]
     if any(a.shape != (dim, n) for a in columns):
         raise ShapeMismatch(f"columns do not all have shape {dim} x {n}")
-    n_within, n_between = pair_counts(labels)
-    if n_between == 0:
-        raise SingleClassGallery("gallery has a single class; between scatter is empty")
 
-    classes = class_codes(labels)
-    n_classes = int(classes.max()) + 1
-    onehot = classes[:, None] == np.arange(n_classes)[None, :]
     within = np.zeros((dim, dim), dtype=np.float64)
     between = np.zeros((dim, dim), dtype=np.float64)
     for a, wq in zip(columns, w):
-        class_w, means = class_means(a, wq, classes, onehot)
+        class_w, means = class_means(a, wq, classes)
         total_w = float(class_w.sum())
-        d = a - means[:, classes]
+        d = a - means[:, codes]
         # total_w >= class_w[c] in floating point too: it sums non-negative terms
-        x = d * np.sqrt(wq * class_w[classes])
+        x = d * np.sqrt(wq * class_w[codes])
         within += x @ x.T
-        x = d * np.sqrt(wq * (total_w - class_w[classes]))
+        x = d * np.sqrt(wq * (total_w - class_w[codes]))
         between += x @ x.T
         if total_w > 0.0:
             spread = means - (means @ class_w)[:, None] / total_w
             x = spread * np.sqrt(total_w * class_w)
             between += x @ x.T
-    within *= 2.0 / n_within
-    between *= 2.0 / n_between
+    within *= 2.0 / classes.n_within
+    between *= 2.0 / classes.n_between
     return ScatterPair(within=within, between=between)
 
 
@@ -355,17 +342,17 @@ def solve_trace_ratio(
 
 
 def _evaluate(
-    projected: Sequence[np.ndarray], weights: np.ndarray, classes: np.ndarray, counts
+    projected: Sequence[np.ndarray], weights: np.ndarray, classes: ClassLayout
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """The trace-ratio objective at ``weights``, clipped into [0, 1], from
     projected Gram columns, and the ``projected_pair_sums`` it was read from;
     O(p N n_classes) per channel."""
     sums = projected_pair_sums(projected, weights, classes)
-    h_w, h_b = pair_traces(weights, sums, counts)
+    h_w, h_b = pair_traces(weights, sums, classes)
     return min(max(_quotient(h_b, h_w + h_b), 0.0), 1.0), sums
 
 
-def _uniform_conditioning(span: GramSpan, labels) -> float:
+def _uniform_conditioning(span: GramSpan, classes: ClassLayout) -> float:
     """lambda_min / lambda_max of the total scatter U with every weight 1, in
     the span basis.
 
@@ -374,7 +361,7 @@ def _uniform_conditioning(span: GramSpan, labels) -> float:
     (w_min / w_max)^2 times this value, for any weights.
     """
     ones = np.ones((len(span.columns), span.basis.shape[0]))
-    eig = np.linalg.eigvalsh(scatter_matrices(span.columns, labels, ones).total)
+    eig = np.linalg.eigvalsh(scatter_matrices(span.columns, classes, ones).total)
     return float(eig[0]) / float(eig[-1])
 
 
@@ -386,6 +373,9 @@ def train(
 ) -> ModelState:
     """Alternating training loop over projection and gating parameters.
 
+    ``labels`` gives each gallery set's class as a str (``set_ids``, if
+    given, its id); ``class_layout`` checks the labels and derives, once per
+    call, the class structure every scatter, objective and gradient reads.
     Once per call, ``gram_span`` finds an orthonormal basis of the
     r-dimensional span of all Gram column differences, which holds the range
     of every gated total scatter, and the projection width is clamped to r.
@@ -419,25 +409,21 @@ def train(
     falls below ``cfg.eps`` in max norm.
     """
     n = bank.n_train
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise ShapeMismatch(f"expected {n} labels, got shape {labels.shape}")
-    if np.unique(labels).size < 2:
-        raise SingleClassGallery("training needs at least two classes")
+    classes = class_layout(labels, n)
     if set_ids is not None and len(set_ids) != n:
         raise ShapeMismatch(f"got {len(set_ids)} set ids for n_train={n}")
+    if set_ids is not None and not all(isinstance(s, str) for s in set_ids):
+        raise BadSpec(f"set ids must be strs, got {list(set_ids)!r:.80}")
 
     rng = np.random.default_rng(cfg.seed)
     params = init_gating_params(bank.n_kernels, n, rng)
-    counts = pair_counts(labels)
-    classes = class_codes(labels)
     span = gram_span(bank)
     width = min(cfg.target_dim, span.basis.shape[1])
     if width < cfg.target_dim:
         logger.warning(
             "target_dim clamped from %d to %d (usable scatter rank)", cfg.target_dim, width
         )
-    conditioning = _uniform_conditioning(span, labels)
+    conditioning = _uniform_conditioning(span, classes)
 
     trace: list[float] = []
     transform = None
@@ -445,7 +431,7 @@ def train(
     coords = None  # the projection in span coordinates, r x p
     weights = gating_weights(bank, params)
     for it in range(1, cfg.iters + 1):
-        scatter = scatter_matrices(span.columns, labels, weights)
+        scatter = scatter_matrices(span.columns, classes, weights)
         bound = (float(weights.min()) / float(weights.max())) ** 2 * conditioning
         if bound > NULL_SPACE_RTOL:
             basis, between, total, dim = None, scatter.between, scatter.total, width
@@ -478,15 +464,15 @@ def train(
         coords = itr.projection if basis is None else basis @ itr.projection
         transform = span.basis @ coords
         projected = [coords.T @ a for a in span.columns]
-        objective, sums = _evaluate(projected, weights, classes, counts)
+        objective, sums = _evaluate(projected, weights, classes)
         trace.append(objective)
 
-        grads = projected_gradients(bank.grams, weights, sums, counts)
+        grads = projected_gradients(bank.grams, weights, sums, classes)
         step = cfg.learning_rate
         for _ in range(MAX_STEP_HALVINGS + 1):
             new_params = gradient_ascent_step(params, grads, step)
             new_weights = gating_weights(bank, new_params)
-            if not _evaluate(projected, new_weights, classes, counts)[0] < objective:
+            if not _evaluate(projected, new_weights, classes)[0] < objective:
                 break
             step *= 0.5
         else:
@@ -514,7 +500,7 @@ def train(
         transform=transform,
         gating=params,
         bank=bank,
-        labels=tuple(labels.tolist()),
+        labels=tuple(map(str, labels)),
         config=cfg,
         objective_trace=tuple(trace),
         set_ids=None if set_ids is None else tuple(set_ids),

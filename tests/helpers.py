@@ -10,7 +10,7 @@ import numpy as np
 
 from setfuse.descriptors import DescriptorStack, ImageSet, check_orthonormal, encode_sets
 from setfuse.errors import DegenerateDenominator, DimensionMismatch, NonFinite, NonSymmetric
-from setfuse.gating import class_codes, gating_weights, projected_gradients, projected_pair_sums
+from setfuse.gating import class_layout, gating_weights, projected_gradients, projected_pair_sums
 from setfuse.kernels import DESCRIPTOR_NAMES, KernelBank, lift_features
 from setfuse.spd import spd_log, sym_eig
 from setfuse.trainer import DENOMINATOR_FLOOR
@@ -59,9 +59,11 @@ def projection_kernel(y1, y2) -> float:
 
 def scatter_matrices(bank, labels, weights):
     """The gated scatters over whole Gram columns, N x N: the library's
-    ``scatter_matrices`` of ``bank.grams``, bound at import, so a test that
-    patches ``trainer.scatter_matrices`` does not reach it through here."""
-    return library_scatter_matrices(bank.grams, labels, weights)
+    ``scatter_matrices`` of ``bank.grams`` and the ``class_layout`` of
+    ``labels``, bound at import, so a test that patches
+    ``trainer.scatter_matrices`` or ``trainer.class_layout`` does not reach
+    them through here."""
+    return library_scatter_matrices(bank.grams, class_layout(labels, bank.n_train), weights)
 
 
 def trace_ratio_objective(transform, scatter) -> float:
@@ -76,15 +78,16 @@ def trace_ratio_objective(transform, scatter) -> float:
     return min(max(num / denom, 0.0), 1.0)
 
 
-def gating_gradients(bank, params, transform, labels, counts):
+def gating_gradients(bank, params, transform, labels):
     """Gradient of ``trace_ratio_objective`` with respect to the gating
     params at a fixed transform E (N x p), from the pipeline's own steps:
-    the weights, the ``projected_pair_sums`` of ``E.T @ K_q`` and
-    ``projected_gradients``."""
+    the ``class_layout`` of ``labels``, the weights, the
+    ``projected_pair_sums`` of ``E.T @ K_q`` and ``projected_gradients``."""
+    classes = class_layout(labels, bank.n_train)
     weights = gating_weights(bank, params)
     projected = [transform.T @ gram for gram in bank.grams]
-    sums = projected_pair_sums(projected, weights, class_codes(labels))
-    return projected_gradients(bank.grams, weights, sums, counts)
+    sums = projected_pair_sums(projected, weights, classes)
+    return projected_gradients(bank.grams, weights, sums, classes)
 
 
 # Per channel, the descriptor stack field it reads and its scalar kernel.

@@ -16,7 +16,7 @@ from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic
 from setfuse.descriptors import encode_sets
 from setfuse.experiment import run_experiment, train_on_sets
-from setfuse.gating import GatingParams, gating_weights, pair_counts
+from setfuse.gating import GatingParams, gating_weights
 from setfuse.kernels import build_kernel_bank
 from setfuse.trainer import solve_trace_ratio
 
@@ -165,7 +165,7 @@ def test_gradient_finite_difference():
             biases=rng.uniform(-0.5, 0.5, n_kernels),
         )
         e = helper_orthonormal(rng, n, dw)
-        gc, gb = gating_gradients(bank, params, e, labels, pair_counts(labels))
+        gc, gb = gating_gradients(bank, params, e, labels)
         for q in range(n_kernels):
             for m in range(n):
                 cp = params.coeffs.copy()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from setfuse.config import TrainConfig
+from setfuse.data import generate_synthetic
 from setfuse.descriptors import (
     ImageSet,
     _moments,
@@ -60,6 +61,27 @@ class TestImageSet:
         s = make_set([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             s.features[0, 0] = 5.0
+
+    @pytest.mark.parametrize(
+        "label, set_id, match",
+        [(1, "s7", "set 's7': label"), ("c0", 7, "set 7: set id"), (None, "s7", "set 's7'")],
+        ids=["int-label", "int-set-id", "no-label"],
+    )
+    def test_label_and_set_id_must_be_str(self, label, set_id, match):
+        with pytest.raises(BadSpec, match=match):
+            make_set([[0.0, 1.0], [1.0, 0.0]], label=label, set_id=set_id)
+
+    def test_mixed_int_and_str_relabelling_names_the_set(self):
+        sets = generate_synthetic(2, 4, 4, 8, 3.0, seed=1)
+        with pytest.raises(BadSpec, match="class0_set0"):
+            [
+                ImageSet(s.features, label=1 if s.label == "class0" else "a", set_id=s.set_id)
+                for s in sets
+            ]
+
+    def test_numpy_str_accepted(self):
+        s = make_set([[0.0, 1.0], [1.0, 0.0]], label=np.str_("c0"), set_id=np.str_("s"))
+        assert s.label == "c0" and s.set_id == "s"
 
 
 class TestCovarianceDescriptor:

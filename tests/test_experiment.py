@@ -275,6 +275,16 @@ class TestDimensionSweep:
             run_dimension_sweep(small_sets(), fast_cfg(), target_dims=[width], n_splits=1)
 
 
+def capped_sets():
+    """The small sets, with every class0 set cut to 5 samples, so that each
+    split caps a ``subspace_dim`` of 6 to 5."""
+    return [
+        ImageSet(features=s.features[:, :5] if s.label == "class0" else s.features,
+                 label=s.label, set_id=s.set_id)
+        for s in generate_synthetic(**small_source())
+    ]
+
+
 def reference_splits(sets, cfg, n_splits, train_per_class=3):
     """Each split through the public per-split path: ``split_sets``,
     ``train_on_sets`` and ``predict``, encoding every set afresh."""
@@ -356,15 +366,26 @@ class TestSharedLiftsMatchPerSplitPath:
         assert report_splits(report) == reference_splits(sets, cfg, 3)
 
     def test_capped_subspace_dim_gives_reference_report(self):
-        # class0 sets hold 5 samples, so every split caps subspace_dim 6 to 5
-        sets = [
-            ImageSet(features=s.features[:, :5] if s.label == "class0" else s.features,
-                     label=s.label, set_id=s.set_id)
-            for s in generate_synthetic(**small_source())
-        ]
+        sets = capped_sets()
         cfg = fast_cfg(subspace_dim=6)
         report = run_experiment(sets, cfg, n_splits=3)
         assert report_splits(report) == reference_splits(sets, cfg, 3)
+
+    def test_capped_reports_record_the_capped_config(self):
+        sets = capped_sets()
+        cfg = fast_cfg(subspace_dim=6)
+        capped = replace(cfg, subspace_dim=5)
+        train_sets, _ = split_sets(sets, 3, np.random.default_rng(split_seed(cfg.seed, 0)))
+        assert train_on_sets(train_sets, cfg).config == capped
+        report = run_experiment(sets, cfg, n_splits=1, ablate=True)
+        assert report.config == capped
+        for name, row in report.ablation.items():
+            want = capped if name == "combined" else replace(capped, descriptors=(name,))
+            assert row.config == want, name
+        sweep = run_dimension_sweep(sets, cfg, target_dims=[2, 4], n_splits=1)
+        assert [r.config for r in sweep.values()] == [
+            replace(capped, target_dim=dim) for dim in (2, 4)
+        ]
 
 
 class TestEncodeOncePerCall:

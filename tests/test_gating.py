@@ -8,8 +8,8 @@ from setfuse.gating import (
     GatingParams,
     gating_weights,
     gradient_ascent_step,
+    class_layout,
     init_gating_params,
-    pair_counts,
 )
 
 from helpers import (
@@ -100,7 +100,7 @@ class TestGatingGradients:
         bank = random_bank(rng, 6, 1)
         labels = random_labels(rng, 6)
         e = random_orthonormal(rng, 6, 2)
-        gc, gb = gating_gradients(bank, zero_params(1, 6), e, labels, pair_counts(labels))
+        gc, gb = gating_gradients(bank, zero_params(1, 6), e, labels)
         assert np.array_equal(gc, np.zeros((1, 6)))
         assert np.array_equal(gb, np.zeros(1))
 
@@ -120,8 +120,7 @@ class TestGatingGradients:
                 biases=rng.uniform(-0.5, 0.5, n_kernels),
             )
             e = random_orthonormal(rng, n, dw)
-            counts = pair_counts(labels)
-            gc, gb = gating_gradients(bank, params, e, labels, counts)
+            gc, gb = gating_gradients(bank, params, e, labels)
             for q in range(n_kernels):
                 for m in range(n):
                     cp = params.coeffs.copy()
@@ -159,7 +158,7 @@ class TestGatingGradients:
                 biases=rng.uniform(-0.5, 0.5, n_kernels),
             )
             e = random_orthonormal(rng, n, int(rng.integers(1, 4)))
-            got = gating_gradients(bank, params, e, labels, pair_counts(labels))
+            got = gating_gradients(bank, params, e, labels)
             ref = brute_force_gating_gradients(bank, params, e, labels)
             for g, r in zip(got, ref):
                 scale = max(float(np.max(np.abs(r))), 1e-300)
@@ -177,7 +176,7 @@ class TestGatingGradients:
         )
         labels = random_labels(rng, 6)
         e = random_orthonormal(rng, 6, 2)
-        gc, gb = gating_gradients(bank, zero_params(3, 6), e, labels, pair_counts(labels))
+        gc, gb = gating_gradients(bank, zero_params(3, 6), e, labels)
         for q in (1, 2):
             assert np.max(np.abs(gc[q] - gc[0])) <= 1e-10
             assert abs(gb[q] - gb[0]) <= 1e-10
@@ -209,8 +208,7 @@ class TestGradientAscentStep:
             biases=rng.uniform(-0.3, 0.3, n_kernels),
         )
         e = random_orthonormal(rng, n, 2)
-        counts = pair_counts(labels)
-        grads = gating_gradients(bank, params, e, labels, counts)
+        grads = gating_gradients(bank, params, e, labels)
         before = objective_at(bank, labels, params, e)
         rate = 1e-4
         for _ in range(6):
@@ -247,6 +245,7 @@ class TestGradientAscentStep:
 class TestPairCounts:
     def test_counts_include_self_pairs(self):
         labels = np.array(["a", "a", "b"])
-        n_within, n_between = pair_counts(labels)
+        classes = class_layout(labels, 3)
+        n_within, n_between = classes.n_within, classes.n_between
         assert n_within == 5  # (0,0),(0,1),(1,0),(1,1),(2,2)
         assert n_between == 4  # (0,2),(2,0),(1,2),(2,1)

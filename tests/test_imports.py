@@ -1,7 +1,8 @@
 """Every name a library module imports is read somewhere in that module,
-every function and class a library module defines is read by the library
-or exported, every export is read by the library or is an entry point, and
-the package's export list names each public object once.
+no module imports another's underscore name, every function and class a
+library module defines is read by the library or exported, every export is
+read by the library or is an entry point, and the package's export list
+names each public object once.
 
 The check parses each ``src/setfuse/*.py`` with the stdlib ``ast`` module,
 so it needs no linter. A name counts as used when the module reads it or
@@ -52,6 +53,22 @@ def test_checker_flags_unused_names_only():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names the module imports from another package module."""
+    return sorted(
+        a.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for a in node.names
+        if a.name.startswith("_")
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_imported_across_modules(path):
+    assert private_imports(path.read_text()) == []
 
 
 def is_click_command(node) -> bool:

@@ -445,6 +445,7 @@ class TestTamperDetection:
             lambda m: m["config"].update(eps=True),
             lambda m: m.update(labels=7),
             lambda m: m.update(labels=[[c] for c in m["labels"]]),
+            lambda m: m.update(labels=list(range(len(m["labels"])))),
             lambda m: m.update(set_ids=3),
             lambda m: m["config"].update(descriptors=["cov", True]),
             lambda m: m["checksums"].update(
@@ -459,7 +460,8 @@ class TestTamperDetection:
             "no-labels", "unknown-key", "no-array", "short-labels", "no-kernels",
             "descriptors-int", "subspace-dim-str", "target-dim-float", "normalize-str",
             "alpha-negative", "alpha-str", "alpha-inf", "eps-bool", "labels-int",
-            "labels-nested", "set-ids-int", "kernel-id-bool", "file-path", "checksum-int", "trace-float", "trace-str",
+            "labels-nested", "labels-numbers", "set-ids-int", "kernel-id-bool", "file-path",
+            "checksum-int", "trace-float", "trace-str",
         ],
     )
     def test_metadata_edit_rejected(self, trained, tmp_path, edit):

@@ -20,8 +20,8 @@ from setfuse.errors import (
 from setfuse.gating import (
     gating_weights,
     gradient_ascent_step,
+    class_layout,
     init_gating_params,
-    pair_counts,
 )
 from setfuse import trainer
 from setfuse.experiment import split_sets, train_on_sets
@@ -65,7 +65,8 @@ class TestScatterMatrices:
         scatter = scatter_matrices(bank, labels, weights)
         # only i == j pairs are within-class and those difference vectors vanish
         assert np.array_equal(scatter.within, np.zeros((3, 3)))
-        assert pair_counts(labels) == (3, 6)
+        classes = class_layout(labels, 3)
+        assert (classes.n_within, classes.n_between) == (3, 6)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(82)
@@ -107,7 +108,7 @@ def feature_bank(rng, n_classes=4, sets_per_class=10):
 def assert_reduced_matches_full(bank, labels, weights):
     span = gram_span(bank)
     full = scatter_matrices(bank, labels, weights)
-    reduced = trainer.scatter_matrices(span.columns, labels, weights)
+    reduced = trainer.scatter_matrices(span.columns, class_layout(labels, bank.n_train), weights)
     for got, whole in ((reduced.within, full.within), (reduced.between, full.between)):
         ref = span.basis.T @ whole @ span.basis
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -158,7 +159,9 @@ class TestGramSpan:
         other = gram_span(random_bank(rng, 5, 2))
         with pytest.raises(ShapeMismatch):
             trainer.scatter_matrices(
-                other.columns, random_labels(rng, 6), random_simplex_weights(rng, 2, 6)
+                other.columns,
+                class_layout(random_labels(rng, 6), 6),
+                random_simplex_weights(rng, 2, 6),
             )
 
     def test_zero_grams_raise(self):
@@ -393,9 +396,9 @@ def assert_trace_ratio_optimum(monkeypatch, bank, labels, cfg):
     iteration's scatters, over whole Gram columns, gains <= 1e-6."""
     seen = []
 
-    def recording(columns, labels_, weights, _scatter=trainer.scatter_matrices):
+    def recording(columns, classes, weights, _scatter=trainer.scatter_matrices):
         seen.append(weights)
-        return _scatter(columns, labels_, weights)
+        return _scatter(columns, classes, weights)
 
     monkeypatch.setattr(trainer, "scatter_matrices", recording)
     model = train(bank, labels, cfg)
@@ -443,7 +446,8 @@ class TestTrain:
         params = init_gating_params(bank.n_kernels, bank.n_train, manual_rng)
         weights = gating_weights(bank, params)
         span = gram_span(bank)
-        scatter = trainer.scatter_matrices(span.columns, labels, weights)
+        classes = class_layout(labels, bank.n_train)
+        scatter = trainer.scatter_matrices(span.columns, classes, weights)
         itr = solve_trace_ratio(
             scatter.between,
             scatter.total,
@@ -524,7 +528,7 @@ class TestTrain:
         basis = gram_span(bank).basis
         assert len(steps) == len(projections) >= 3
         for (params, (gc, gb)), coords in zip(steps, projections):
-            rc, rb = gating_gradients(bank, params, basis @ coords, labels, pair_counts(labels))
+            rc, rb = gating_gradients(bank, params, basis @ coords, labels)
             scale = max(np.max(np.abs(rc)), np.max(np.abs(rb)))
             assert np.max(np.abs(gc - rc)) <= 1e-12 * scale
             assert np.max(np.abs(gb - rb)) <= 1e-12 * scale
@@ -602,6 +606,54 @@ class TestTrain:
         bank = random_bank(rng, 4, 2)
         with pytest.raises(ShapeMismatch):
             train(bank, ["a", "b"], TrainConfig(iters=1))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[0, 1, 0, 1], np.array([0, 1, 0, 1]), ["a", 1, "a", "b"], [b"a", b"b", b"a", b"b"]],
+        ids=["ints", "int-array", "mixed", "bytes"],
+    )
+    def test_labels_must_be_str(self, labels):
+        bank = random_bank(np.random.default_rng(101), 4, 2)
+        with pytest.raises(BadSpec, match="label"):
+            train(bank, labels, TrainConfig(iters=1))
+
+    def test_set_ids_must_be_str(self):
+        # a model with an int set id would save but not load
+        bank = random_bank(np.random.default_rng(101), 4, 2)
+        with pytest.raises(BadSpec, match="set ids"):
+            train(bank, ["a", "b", "a", "b"], TrainConfig(iters=1), set_ids=["s0", 1, "s2", "s3"])
+
+    def test_numpy_str_labels_train_as_str(self):
+        rng = np.random.default_rng(109)
+        bank = random_bank(rng, 12, 3)
+        labels = random_labels(rng, 12)
+        assert isinstance(labels[0], np.str_)
+        model = train(bank, labels, TrainConfig(target_dim=3, iters=2, seed=2))
+        assert model.labels == tuple(labels.tolist())
+        assert all(type(label) is str for label in model.labels)
+
+    def test_class_layout_built_once_per_call(self, monkeypatch):
+        bank, labels, cfg, _ = separable_bank(np.random.default_rng(116))
+        calls = dict.fromkeys(("class_layout", "scatter_matrices", "unique"), 0)
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("class_layout", "scatter_matrices"):
+            monkeypatch.setattr(trainer, name, counting(name, getattr(trainer, name)))
+        monkeypatch.setattr(np, "unique", counting("unique", np.unique))
+        model = train(bank, labels, cfg)
+        assert len(model.objective_trace) >= 3
+        # one scatter per outer iteration plus one for the conditioning bound
+        assert calls == {
+            "class_layout": 1,
+            "scatter_matrices": len(model.objective_trace) + 1,
+            "unique": 1,
+        }
 
 
 class TestTrainConfig:
