@@ -11,9 +11,10 @@ import numpy as np
 from setfuse import (
     DESCRIPTOR_NAMES,
     ImageSet,
+    KernelBank,
     TrainConfig,
-    build_kernel_bank,
     encode_sets,
+    lift_features,
 )
 
 rng = np.random.default_rng(1)
@@ -30,9 +31,10 @@ for c in range(3):
 gallery = encode_sets(sets, cfg)
 
 # --- Gram matrices --------------------------------------------------------
-# build_kernel_bank lifts every set once per channel and derives each
-# channel's Gram matrix from the lifted rows.
-raw = build_kernel_bank(gallery, DESCRIPTOR_NAMES)
+# lift_features lifts every set of the stack once per channel into one row,
+# and a KernelBank derives each channel's Gram matrix from those rows.
+features = tuple(lift_features(gallery, name) for name in DESCRIPTOR_NAMES)
+raw = KernelBank(DESCRIPTOR_NAMES, features)
 
 # A Gram's diagonal holds each set's kernel with itself. The projection
 # kernel of a subspace with itself is its dimension, here q = 3.
@@ -58,8 +60,9 @@ print(f"  cross-class pairs  {k_proj[~same].mean():.4f}")
 # --- the kernel bank ------------------------------------------------------
 # The bank freezes its lifted features and Grams; optional normalization
 # rescales each Gram to trace N so channels with different units become
-# comparable.
-bank = build_kernel_bank(gallery, cfg.descriptors, normalize=True)
+# comparable. Training builds its bank the same way, from the lifted rows
+# and the config's descriptors and normalize_kernels flag.
+bank = KernelBank(cfg.descriptors, features, normalize=True)
 print("\nnormalized bank:")
 for name, gram, scale in zip(bank.descriptors, bank.grams, bank.scales):
     print(f"  {name:<9} trace {np.trace(gram):.1f}  (scale {scale:.3e})")

@@ -25,7 +25,7 @@ from .gating import (
     gradient_ascent_step,
     init_gating_params,
 )
-from .kernels import DESCRIPTOR_NAMES, KernelBank, build_kernel_bank
+from .kernels import DESCRIPTOR_NAMES, KernelBank, lift_features
 from .persistence import load_model, save_model
 from .spd import EigenPair, regularize_spd, spd_log, sym_eig
 from .trainer import (
@@ -57,7 +57,6 @@ __all__ = [
     "SplitResult",
     "TraceRatioResult",
     "TrainConfig",
-    "build_kernel_bank",
     "distance_profile",
     "embed_gaussian",
     "encode_sets",
@@ -66,6 +65,7 @@ __all__ = [
     "gradient_ascent_step",
     "gram_span",
     "init_gating_params",
+    "lift_features",
     "load_dataset",
     "load_model",
     "predict",

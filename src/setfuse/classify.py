@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptors import ImageSet, encode_sets
-from .errors import DimensionMismatch, NegativeDistance, NonFinite, TooFewSamples
+from .errors import BadSpec, DimensionMismatch, NegativeDistance, NonFinite, TooFewSamples
 from .gating import gate, squared_distances
 from .kernels import lift_features
 from .trainer import ModelState
@@ -69,7 +69,10 @@ def distance_profile(rows, model: ModelState) -> np.ndarray:
 
 
 def check_probe(test: ImageSet, model: ModelState) -> None:
-    """Reject a probe set whose dimension or sample count the model cannot encode."""
+    """Reject a probe that is not an ``ImageSet`` (``BadSpec``), or whose
+    dimension or sample count the model cannot encode."""
+    if not isinstance(test, ImageSet):
+        raise BadSpec(f"probe must be an ImageSet, got {type(test).__name__}")
     dim, q = model.bank.dim, model.config.subspace_dim
     if test.dim != dim:
         raise DimensionMismatch(f"probe dimension {test.dim} != gallery dimension {dim}")

@@ -215,9 +215,8 @@ def predict(model_dir, set_file):
     order = np.argsort(result.distances, kind="stable")[:5]
     click.echo("closest gallery sets:")
     for rank, idx in enumerate(order, start=1):
-        sid = model.set_ids[idx] if model.set_ids else str(idx)
         click.echo(
-            f"  {rank}. {sid} (label {model.labels[idx]}, "
+            f"  {rank}. {model.set_ids[idx]} (label {model.labels[idx]}, "
             f"distance {result.distances[idx]:.6e})"
         )
 

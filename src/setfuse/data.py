@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import check_int, check_real
-from .descriptors import ImageSet
+from .descriptors import ImageSet, common_dim
 from .errors import BadSpec, DimensionMismatch, IoError, ParseError
 
 MANIFEST_HEADER = ["set_id", "label", "path"]
@@ -105,12 +105,14 @@ def save_dataset(sets, out_dir) -> Path:
     """Write per-set CSVs plus a manifest; returns the manifest path.
 
     Values are printed with enough digits to reproduce the float64 bits on
-    reload. Each set is written to ``<set_id>.csv``, so set ids must be
-    distinct plain file-name stems (not empty, ``.`` or ``..``, no ``/`` or
-    ``\\``); ``BadSpec`` is raised before anything is written otherwise.
-    A failed write raises ``IoError``.
+    reload. ``sets`` must be a non-empty list or tuple of ``ImageSet`` of one
+    dimension (``descriptors.common_dim``), as ``load_dataset`` reads them.
+    Each set is written to ``<set_id>.csv``, so set ids must be distinct
+    plain file-name stems (not empty, ``.`` or ``..``, no ``/`` or ``\\``).
+    ``BadSpec`` (``DimensionMismatch`` for mixed dimensions) is raised before
+    anything is written otherwise. A failed write raises ``IoError``.
     """
-    sets = list(sets)
+    common_dim(sets)
     seen: set[str] = set()
     for s in sets:
         if s.set_id in ("", ".", "..") or "/" in s.set_id or "\\" in s.set_id:

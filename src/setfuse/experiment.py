@@ -8,10 +8,10 @@ A split protocol call (``run_experiment`` with its ablation rows, or
 ``run_dimension_sweep``) takes the list of ``ImageSet`` that ``train_on_sets``
 takes. It first checks its sets and every split, then encodes the sets with
 one ``encode_sets`` call and lifts the collection with one ``lift_features``
-call per channel into a read-only (N, D_q) array F.
-Every split builds its kernel bank from its training rows ``F[train_idx]``
-and scores test set i with ``classify.distance_profile`` of its rows
-``F[i]``, so it reports what ``train_on_sets`` and ``predict`` would give.
+call per channel into a read-only (N, D_q) array F. Every split trains on
+its training rows ``F[train_idx]`` and scores test set i with
+``classify.distance_profile`` of its rows ``F[i]``, so it reports what
+``train_on_sets`` and ``predict`` would give.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 from .classify import distance_profile, nearest
 from .config import TrainConfig, check_int
 from .descriptors import ImageSet, common_dim, encode_sets
-from .errors import InsufficientSetsPerClass, TooFewSamples
-from .kernels import DESCRIPTOR_NAMES, KernelBank, build_kernel_bank, lift_features
+from .errors import BadSpec, InsufficientSetsPerClass, TooFewSamples
+from .kernels import DESCRIPTOR_NAMES, lift_features
 from .trainer import ModelState, train
 
 logger = logging.getLogger(__name__)
@@ -101,10 +101,11 @@ def _capped_config(sets: Sequence[ImageSet], cfg: TrainConfig) -> TrainConfig:
 
 def train_on_sets(sets: Sequence[ImageSet], cfg: TrainConfig) -> ModelState:
     """Full pipeline: encode a gallery (capping ``subspace_dim`` to what it
-    supports), build the kernel bank, train."""
+    supports), lift it once per channel, train."""
     cfg = _capped_config(sets, cfg)
-    bank = build_kernel_bank(encode_sets(sets, cfg), cfg.descriptors, cfg.normalize_kernels)
-    return train(bank, [s.label for s in sets], cfg, set_ids=[s.set_id for s in sets])
+    stack = encode_sets(sets, cfg)
+    features = [lift_features(stack, name) for name in cfg.descriptors]
+    return train(features, [s.label for s in sets], [s.set_id for s in sets], cfg)
 
 
 def split_sets(
@@ -112,10 +113,12 @@ def split_sets(
 ) -> tuple[list[ImageSet], list[ImageSet]]:
     """Random train/test split with a fixed number of training sets per class.
 
-    ``train_per_class`` must be an integer >= 1, and every class must
-    contribute at least ``train_per_class + 1`` sets so the test side is
-    never empty.
+    ``sets`` must be a non-empty list or tuple of ``ImageSet`` of one
+    dimension (``descriptors.common_dim``), ``train_per_class`` an integer
+    >= 1, and every class must contribute at least ``train_per_class + 1``
+    sets so the test side is never empty.
     """
+    common_dim(sets)
     train_idx, test_idx = _split_indices(sets, train_per_class, rng)
     return [sets[i] for i in train_idx], [sets[i] for i in test_idx]
 
@@ -185,16 +188,13 @@ def _run_split(
 ) -> SplitResult:
     split_cfg = replace(cfg, seed=split.seed)
     names = split_cfg.descriptors
-    features = tuple(lifted[name][split.train] for name in names)
+    features = [lifted[name][split.train] for name in names]
     for f in features:
         f.setflags(write=False)  # a fresh C-contiguous copy, so KernelBank keeps it
+    train_sets = [sets[i] for i in split.train]
     started = time.perf_counter()
-    bank = KernelBank(names, features, split_cfg.normalize_kernels)
     model = train(
-        bank,
-        [sets[i].label for i in split.train],
-        split_cfg,
-        set_ids=[sets[i].set_id for i in split.train],
+        features, [s.label for s in train_sets], [s.set_id for s in train_sets], split_cfg
     )
     elapsed = time.perf_counter() - started
     hits = 0
@@ -273,7 +273,11 @@ def run_dimension_sweep(
 ) -> dict[int, ExperimentReport]:
     """Evaluate the protocol once per distinct projection width, in first-seen
     order; every width reads the same once-encoded, once-lifted sets.
-    ``TrainConfig`` checks every width before the first run."""
+    ``BadSpec`` before anything is encoded unless ``target_dims`` is a
+    non-empty list or tuple; ``TrainConfig`` checks every width before the
+    first run."""
+    if not (isinstance(target_dims, (list, tuple)) and target_dims):
+        raise BadSpec(f"target_dims must be a non-empty list or tuple, got {target_dims!r:.80}")
     run = _protocol(sets, cfg, n_splits, train_per_class, cfg.descriptors)
     configs = {c.target_dim: c for c in [replace(cfg, target_dim=dim) for dim in target_dims]}
     return {dim: run(c) for dim, c in configs.items()}

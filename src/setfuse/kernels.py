@@ -196,12 +196,3 @@ class KernelBank:
                 )
             out.append(_frobenius(f, np.ascontiguousarray(row)) * s)
         return out
-
-
-def build_kernel_bank(
-    gallery: DescriptorStack, descriptors: Sequence[str] = DESCRIPTOR_NAMES, normalize: bool = False
-) -> KernelBank:
-    """Lift a gallery's descriptor stack with one call per channel and derive
-    each Gram from the features."""
-    features = [lift_features(gallery, name) for name in descriptors]
-    return KernelBank(tuple(descriptors), tuple(features), normalize)

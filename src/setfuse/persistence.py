@@ -6,18 +6,19 @@ A model is stored as its learned arrays (``transform``, ``gating_coeffs``,
 gallery's lifted features (``features_<descriptor>``, such as
 ``features_cov``, N x D_q), each in ``<name>.npy``. Everything else is
 derived on load: ``KernelBank`` derives Grams, scales and ``n_train`` from
-the features as it does in training, and ``ModelState.train_weights``
-derives the gallery's gating weights, so all come back bit for bit.
+the features and the configuration as in training, and
+``ModelState.train_weights`` the gallery's gating weights, so all come back
+bit for bit.
 
 Array files are numpy's own ``.npy`` format, version 1.0, little-endian
 float64, row-major, so ``np.load(path, allow_pickle=False)`` reads them. The
-metadata file (str labels and set ids, configuration, objective trace)
-records each file's SHA-256 checksum. Loading accepts exactly those keys and
-files and format 4 alone (formats 1 and 2 stored more than this, and format
-3 named features by kernel number; retrain such models), or fails with a
-``DataError``. The types and values of the configuration's fields are
-``TrainConfig``'s to check; a stored configuration it rejects fails to load
-with ``IoError``.
+metadata file (a str label and a str set id per gallery set, configuration,
+objective trace) records each file's SHA-256 checksum. Loading accepts
+exactly those keys and files and format 4 alone (formats 1 and 2 stored more
+than this, and format 3 named features by kernel number; retrain such
+models), or fails with a ``DataError``. The types and values of the
+configuration's fields are ``TrainConfig``'s to check; a stored configuration
+it rejects fails to load with ``IoError``.
 """
 
 from __future__ import annotations
@@ -101,32 +102,24 @@ def save_model(model: ModelState, out_dir) -> Path:
     """Write a model directory; returns the metadata path.
 
     Loading takes the channels from ``config.descriptors`` and derives the
-    Grams from the stored features under ``config.normalize_kernels``, so a
-    bank whose ``descriptors`` or ``normalize`` flag disagree with the config
-    would not load as saved; ``BadSpec`` when they do. The gating weights are
-    not stored: ``ModelState.train_weights`` derives them from the bank and
-    the gating. Write failures raise ``IoError``.
+    Grams from the stored features under ``config.normalize_kernels``, which
+    ``ModelState`` holds to its bank's. The gating weights are not stored:
+    ``ModelState.train_weights`` derives them from the bank and the gating.
+    Write failures raise ``IoError``.
     """
-    bank, cfg = model.bank, model.config
-    if (bank.descriptors, bank.normalize) != (cfg.descriptors, cfg.normalize_kernels):
-        raise BadSpec(
-            f"kernel bank has channels {bank.descriptors} and normalize={bank.normalize}, "
-            f"but the config gives {cfg.descriptors} and normalize_kernels="
-            f"{cfg.normalize_kernels}; the model would not load as saved"
-        )
     out = Path(out_dir)
-    values = (model.transform, model.gating.coeffs, model.gating.biases) + bank.features
+    values = (model.transform, model.gating.coeffs, model.gating.biases) + model.bank.features
     checksums = {}
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name, arr in zip(_array_names(cfg.descriptors), values):
+        for name, arr in zip(_array_names(model.config.descriptors), values):
             fname = f"{name}.npy"
             checksums[fname] = _write_array(out / fname, arr)
         meta = {
             "format_version": FORMAT_VERSION,
             "labels": list(model.labels),
-            "set_ids": None if model.set_ids is None else list(model.set_ids),
-            "config": asdict(cfg),
+            "set_ids": list(model.set_ids),
+            "config": asdict(model.config),
             "objective_trace": list(model.objective_trace),
             "checksums": checksums,
         }
@@ -187,10 +180,10 @@ def load_model(model_dir) -> ModelState:
     _expect_keys(checksums, [f"{name}.npy" for name in names], f"{where} checksums")
     if not all(isinstance(d, str) for d in checksums.values()):
         raise IoError(f"{where}: checksums must be hex digest strings")
-    labels = _expect_list(meta["labels"], lambda x: isinstance(x, str), f"{where} labels", "strs")
-    set_ids = meta["set_ids"]
-    if set_ids is not None:
-        _expect_list(set_ids, lambda x: isinstance(x, str), f"{where} set_ids", "set ids")
+    labels, set_ids = (
+        _expect_list(meta[key], lambda x: isinstance(x, str), f"{where} {key}", "strs")
+        for key in ("labels", "set_ids")
+    )
     objective_trace = _expect_list(
         meta["objective_trace"], is_real, f"{where} objective_trace", "numbers"
     )
@@ -209,14 +202,14 @@ def load_model(model_dir) -> ModelState:
         shapes = {name: a.shape for name, a in arrays.items()}
         raise IoError(f"{where}: array shapes {shapes} do not fit {q} kernels and one gallery")
     bank = KernelBank(cfg.descriptors, tuple(features), cfg.normalize_kernels)
-    if len(labels) != bank.n_train or (set_ids is not None and len(set_ids) != bank.n_train):
+    if len(labels) != bank.n_train or len(set_ids) != bank.n_train:
         raise IoError(f"{where}: labels or set ids do not match {bank.n_train} gallery sets")
     return ModelState(
         transform=arrays["transform"],
         gating=GatingParams(coeffs=arrays["gating_coeffs"], biases=arrays["gating_biases"]),
         bank=bank,
         labels=tuple(labels),
+        set_ids=tuple(set_ids),
         config=cfg,
         objective_trace=tuple(float(x) for x in objective_trace),
-        set_ids=None if set_ids is None else tuple(set_ids),
     )

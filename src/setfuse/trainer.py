@@ -94,8 +94,10 @@ class ModelState:
     """Everything needed to classify new sets: the frozen training state.
 
     The gallery is ``bank.features``, from which the bank derives its Grams.
-    ``labels`` and the optional ``set_ids`` follow bank order. Everything
-    else is derived: ``train_weights`` from the bank and the gating,
+    ``labels`` and ``set_ids`` follow bank order. The bank's channels and
+    ``normalize`` flag are the config's (``BadSpec`` otherwise), as loading
+    rebuilds them, so every model saves as it loads. Everything else is
+    derived: ``train_weights`` from the bank and the gating,
     ``projected_grams`` from the bank and the transform.
     """
 
@@ -103,9 +105,17 @@ class ModelState:
     gating: GatingParams
     bank: KernelBank
     labels: tuple[str, ...]
+    set_ids: tuple[str, ...]
     config: TrainConfig
     objective_trace: tuple[float, ...]
-    set_ids: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        bank, cfg = self.bank, self.config
+        if (bank.descriptors, bank.normalize) != (cfg.descriptors, cfg.normalize_kernels):
+            raise BadSpec(
+                f"kernel bank has channels {bank.descriptors} and normalize={bank.normalize}, "
+                f"the config {cfg.descriptors} and normalize_kernels={cfg.normalize_kernels}"
+            )
 
     @property
     def n_train(self) -> int:
@@ -366,16 +376,16 @@ def _uniform_conditioning(span: GramSpan, classes: ClassLayout) -> float:
 
 
 def train(
-    bank: KernelBank,
-    labels,
-    cfg: TrainConfig,
-    set_ids: Sequence[str] | None = None,
+    features: Sequence[np.ndarray], labels, set_ids: Sequence[str], cfg: TrainConfig
 ) -> ModelState:
     """Alternating training loop over projection and gating parameters.
 
-    ``labels`` gives each gallery set's class as a str (``set_ids``, if
-    given, its id); ``class_layout`` checks the labels and derives, once per
-    call, the class structure every scatter, objective and gradient reads.
+    ``features`` holds the gallery's lifted rows (``lift_features``), one
+    (N, D_q) array per channel of ``cfg.descriptors``; the bank is built from
+    them and the config, as ``load_model`` builds it. ``labels`` gives each
+    set's class and ``set_ids`` its id, as strs; ``class_layout`` checks the
+    labels and derives, once per call, the class structure every scatter,
+    objective and gradient reads.
     Once per call, ``gram_span`` finds an orthonormal basis of the
     r-dimensional span of all Gram column differences, which holds the range
     of every gated total scatter, and the projection width is clamped to r.
@@ -408,11 +418,13 @@ def train(
     stops early when either the parameter update or the projection update
     falls below ``cfg.eps`` in max norm.
     """
+    bank = KernelBank(cfg.descriptors, tuple(features), cfg.normalize_kernels)
     n = bank.n_train
     classes = class_layout(labels, n)
-    if set_ids is not None and len(set_ids) != n:
-        raise ShapeMismatch(f"got {len(set_ids)} set ids for n_train={n}")
-    if set_ids is not None and not all(isinstance(s, str) for s in set_ids):
+    ids = np.asarray(set_ids, dtype=object)
+    if ids.shape != (n,):
+        raise ShapeMismatch(f"expected {n} set ids, got shape {ids.shape}")
+    if not all(isinstance(s, str) for s in ids):
         raise BadSpec(f"set ids must be strs, got {list(set_ids)!r:.80}")
 
     rng = np.random.default_rng(cfg.seed)
@@ -501,7 +513,7 @@ def train(
         gating=params,
         bank=bank,
         labels=tuple(map(str, labels)),
+        set_ids=tuple(set_ids),
         config=cfg,
         objective_trace=tuple(trace),
-        set_ids=None if set_ids is None else tuple(set_ids),
     )

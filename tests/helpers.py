@@ -3,7 +3,9 @@
 The references (scalar kernels, ``is_spd``, the trace-ratio objective of
 N x N scatters, the gating gradient of a bank) are oracles the pipeline is
 checked against; the library computes the same quantities only in the forms
-training and classification need.
+training and classification need. ``build_kernel_bank`` builds a bank of any
+channels from a descriptor stack, where ``train`` builds its own from the
+lifted rows and its config.
 """
 
 import numpy as np
@@ -169,9 +171,23 @@ def random_gallery_sets(rng, n_classes=3, sets_per_class=3, d=6, n=12, shift=3.0
     return sets
 
 
+def build_kernel_bank(gallery, descriptors=DESCRIPTOR_NAMES, normalize=False):
+    """The ``KernelBank`` of a descriptor stack, lifted with one
+    ``lift_features`` call per channel of ``descriptors``."""
+    names = tuple(descriptors)
+    return KernelBank(names, tuple(lift_features(gallery, name) for name in names), normalize)
+
+
+def ids_of(bank):
+    """Distinct set ids ``s0``, ``s1``, ... for the members of ``bank``."""
+    return [f"s{i}" for i in range(bank.n_train)]
+
+
 def random_bank(rng, n, n_kernels):
     """Kernel bank of random lifted features, (n, n + 2) per channel, whose
-    Gram matrices are random symmetric PSD with O(1) entries."""
+    Gram matrices are random symmetric PSD with O(1) entries; its channels
+    are ``DESCRIPTOR_NAMES[:n_kernels]``, so ``train`` takes its features with
+    a config that names them."""
     features = [rng.standard_normal((n, n + 2)) / np.sqrt(n + 2) for _ in range(n_kernels)]
     return KernelBank(
         descriptors=DESCRIPTOR_NAMES[:n_kernels],

@@ -17,11 +17,11 @@ from setfuse.data import generate_synthetic
 from setfuse.descriptors import encode_sets
 from setfuse.experiment import run_experiment, train_on_sets
 from setfuse.gating import GatingParams, gating_weights
-from setfuse.kernels import build_kernel_bank
 from setfuse.trainer import solve_trace_ratio
 
 from helpers import (
     brute_force_scatters,
+    build_kernel_bank,
     gating_gradients,
     log_euclidean_kernel,
     projection_kernel,

@@ -1,17 +1,18 @@
 """Classifier tests: distance profiles and nearest-neighbor prediction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from setfuse.classify import Prediction, distance_profile, predict
 from setfuse.config import TrainConfig
 from setfuse.descriptors import ImageSet, encode_sets
-from setfuse.errors import NegativeDistance
+from setfuse.errors import BadSpec, NegativeDistance
 from setfuse.gating import softmax_columns
-from setfuse.kernels import build_kernel_bank
-from setfuse.trainer import ModelState, train
+from setfuse.trainer import train
 
-from helpers import probe_rows, random_gallery_sets, rows, scalar_kernel_column
+from helpers import build_kernel_bank, probe_rows, random_gallery_sets, rows, scalar_kernel_column
 
 
 def trained_model(seed, n_classes=3, sets_per_class=3, target_dim=3, iters=4):
@@ -23,7 +24,7 @@ def trained_model(seed, n_classes=3, sets_per_class=3, target_dim=3, iters=4):
     gallery = encode_sets(sets, cfg)
     labels = np.array([s.label for s in sets])
     bank = build_kernel_bank(gallery, cfg.descriptors)
-    model = train(bank, labels, cfg)
+    model = train(bank.features, labels, [s.set_id for s in sets], cfg)
     return model, sets, gallery
 
 
@@ -77,14 +78,7 @@ class TestDistanceProfile:
 
     def test_zero_transform_gives_zero_profile(self):
         model, _, gallery = trained_model(113)
-        zeroed = ModelState(
-            transform=np.zeros_like(model.transform),
-            gating=model.gating,
-            bank=model.bank,
-            labels=model.labels,
-            config=model.config,
-            objective_trace=model.objective_trace,
-        )
+        zeroed = replace(model, transform=np.zeros_like(model.transform))
         profile = distance_profile(probe_rows(rows(gallery, 0), zeroed.bank), zeroed)
         assert np.array_equal(profile, np.zeros(model.n_train))
 
@@ -94,14 +88,7 @@ class TestDistanceProfile:
         shifted_gating = type(model.gating)(
             coeffs=model.gating.coeffs, biases=model.gating.biases + 3.0
         )
-        shifted = ModelState(
-            transform=model.transform,
-            gating=shifted_gating,
-            bank=model.bank,
-            labels=model.labels,
-            config=model.config,
-            objective_trace=model.objective_trace,
-        )
+        shifted = replace(model, gating=shifted_gating)
         a = distance_profile(probe_rows(rows(gallery, 1), model.bank), model)
         b = distance_profile(probe_rows(rows(gallery, 1), shifted.bank), shifted)
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, float(np.max(np.abs(a))))
@@ -128,14 +115,7 @@ class TestPredict:
 
     def test_tie_breaks_to_lowest_index(self):
         model, _, gallery = trained_model(120)
-        flat = ModelState(
-            transform=np.zeros_like(model.transform),
-            gating=model.gating,
-            bank=model.bank,
-            labels=model.labels,
-            config=model.config,
-            objective_trace=model.objective_trace,
-        )
+        flat = replace(model, transform=np.zeros_like(model.transform))
         # zero transform makes every distance zero, an N-way tie
         pred_profile = distance_profile(probe_rows(rows(gallery, 5), flat.bank), flat)
         assert np.array_equal(pred_profile, np.zeros(model.n_train))
@@ -151,6 +131,16 @@ class TestPredict:
         assert pred.nearest_index == int(np.argmin(pred.distances))
         assert pred.label == model.labels[pred.nearest_index]
         assert not pred.distances.flags.writeable
+
+    @pytest.mark.parametrize(
+        "probe",
+        [np.ones((6, 12)), None, "probe.csv"],
+        ids=["array", "none", "str"],
+    )
+    def test_probe_must_be_an_image_set(self, probe):
+        model, _, _ = trained_model(122)
+        with pytest.raises(BadSpec, match="ImageSet"):
+            predict(probe, model)
 
     def test_prediction_rejects_negative_distances(self):
         with pytest.raises(NegativeDistance):

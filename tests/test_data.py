@@ -79,6 +79,31 @@ class TestSaveRejectsUnsafeSetIds:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
 
 
+class TestSaveRejectsWhatLoadRefuses:
+    """``save_dataset`` takes what ``load_dataset`` returns, a non-empty list
+    or tuple of ``ImageSet`` of one dimension, and writes nothing otherwise."""
+
+    @pytest.mark.parametrize(
+        "make, error, match",
+        [
+            (lambda rng: [], BadSpec, "no image sets"),
+            (lambda rng: iter([random_image_set(rng)]), BadSpec, "got list_iterator"),
+            (lambda rng: ["x"], BadSpec, "item 0 is a str"),
+            (
+                lambda rng: [random_image_set(rng, d=6), random_image_set(rng, d=8, set_id="s1")],
+                DimensionMismatch,
+                "'s1'",
+            ),
+        ],
+        ids=["empty", "iterator", "list-of-str", "mixed-dims"],
+    )
+    def test_write_nothing(self, tmp_path, make, error, match):
+        out = tmp_path / "ds"
+        with pytest.raises(error, match=match):
+            save_dataset(make(np.random.default_rng(139)), out)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestManifestErrors:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(IoError):

@@ -1,5 +1,6 @@
 """Experiment orchestration tests: splits, protocols, sweeps, ablation."""
 
+import os
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 import setfuse.classify as classify_module
 import setfuse.experiment as experiment_module
 import setfuse.kernels as kernels_module
+import setfuse.trainer as trainer_module
 from setfuse.classify import predict
 from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic, load_dataset, save_dataset
@@ -125,10 +127,19 @@ class TestEmptySetList:
         with pytest.raises(BadSpec, match="no image sets"):
             run_dimension_sweep([], fast_cfg(), target_dims=[2])
 
+    def test_split_sets(self):
+        with pytest.raises(BadSpec, match="no image sets"):
+            split_sets([], 1, np.random.default_rng(0))
+
+
+# A directory that cannot be made, so a save that passed its checks would
+# fail with IoError instead of writing.
+UNWRITABLE = Path(os.devnull) / "ds"
+
 
 class TestCollectionMustBeAListOfSets:
     """Every entry point takes a list or tuple of ``ImageSet``; anything else,
-    a manifest path included, is a ``BadSpec``."""
+    a manifest path or a generator included, is a ``BadSpec``."""
 
     @pytest.mark.parametrize(
         "sets, match",
@@ -137,8 +148,9 @@ class TestCollectionMustBeAListOfSets:
             (Path("data/manifest.csv"), "got .*Path"),
             (["x"], "item 0 is a str"),
             (None, "got NoneType"),
+            ((s for s in ()), "got generator"),
         ],
-        ids=["str-path", "path", "list-of-str", "none"],
+        ids=["str-path", "path", "list-of-str", "none", "generator"],
     )
     @pytest.mark.parametrize(
         "run",
@@ -147,8 +159,13 @@ class TestCollectionMustBeAListOfSets:
             lambda sets: encode_sets(sets, fast_cfg()),
             lambda sets: run_experiment(sets, fast_cfg(), n_splits=1),
             lambda sets: run_dimension_sweep(sets, fast_cfg(), target_dims=[2], n_splits=1),
+            lambda sets: split_sets(sets, 1, np.random.default_rng(0)),
+            lambda sets: save_dataset(sets, UNWRITABLE),
         ],
-        ids=["train_on_sets", "encode_sets", "run_experiment", "run_dimension_sweep"],
+        ids=[
+            "train_on_sets", "encode_sets", "run_experiment", "run_dimension_sweep",
+            "split_sets", "save_dataset",
+        ],
     )
     def test_raises_bad_spec(self, run, sets, match):
         with pytest.raises(BadSpec, match=match):
@@ -250,8 +267,8 @@ class TestDimensionSweep:
         "kwargs", [{"n_splits": 0}, {"train_per_class": 0}], ids=["no-splits", "no-train"]
     )
     def test_bad_protocol_arguments_rejected_without_widths(self, kwargs):
-        with pytest.raises(BadSpec):
-            run_dimension_sweep(small_sets(), fast_cfg(), target_dims=[], **kwargs)
+        with pytest.raises(BadSpec, match=next(iter(kwargs))):
+            run_dimension_sweep(small_sets(), fast_cfg(), target_dims=[2], **kwargs)
 
     @pytest.mark.parametrize(
         "target_dims, keys", [([2, 2], [2]), ([4, 2, 4], [4, 2])], ids=["twice", "first-seen"]
@@ -260,14 +277,24 @@ class TestDimensionSweep:
         calls = []
         real = experiment_module.train
 
-        def counting(bank, labels, cfg, **kwargs):
+        def counting(features, labels, set_ids, cfg):
             calls.append(cfg.target_dim)
-            return real(bank, labels, cfg, **kwargs)
+            return real(features, labels, set_ids, cfg)
 
         monkeypatch.setattr(experiment_module, "train", counting)
         sweep = run_dimension_sweep(small_sets(), fast_cfg(), target_dims=target_dims, n_splits=2)
         assert list(sweep) == keys
         assert calls == [dim for dim in keys for _ in range(2)]
+
+    @pytest.mark.parametrize(
+        "target_dims",
+        [[], (), 4, None, "4", {4}],
+        ids=["empty", "empty-tuple", "int", "none", "str", "set"],
+    )
+    def test_widths_must_be_a_non_empty_list_or_tuple(self, target_dims, count_calls):
+        with pytest.raises(BadSpec, match="target_dims"):
+            run_dimension_sweep(small_sets(), fast_cfg(), target_dims=target_dims, n_splits=1)
+        assert count_calls == {"encode_set": 0, "spd_log": 0}
 
     @pytest.mark.parametrize("width", [2.5, True, "a", None])
     def test_widths_must_be_integers(self, width):
@@ -451,14 +478,14 @@ class TestOneProbePath:
         # each split's training rows reach KernelBank read-only and
         # C-contiguous, so the bank keeps them without a second copy
         seen = []
-        real = experiment_module.KernelBank
+        real = trainer_module.KernelBank
 
         def recording(descriptors, features, normalize):
             bank = real(descriptors, features, normalize)
             seen.append((features, bank))
             return bank
 
-        monkeypatch.setattr(experiment_module, "KernelBank", recording)
+        monkeypatch.setattr(trainer_module, "KernelBank", recording)
         run_experiment(small_sets(), fast_cfg(), n_splits=2)
         assert len(seen) == 2
         for features, bank in seen:
@@ -511,6 +538,11 @@ class TestMixedDimensionsRejectedFirst:
         with pytest.raises(DimensionMismatch, match=named):
             run_experiment(self.narrow_sets(position), fast_cfg(subspace_dim=4), n_splits=2)
         assert count_calls["encode_set"] == 0
+
+    @pytest.mark.parametrize("position, named", [(0, "set 1 "), (7, "set 7 ")])
+    def test_split_sets(self, position, named):
+        with pytest.raises(DimensionMismatch, match=named):
+            split_sets(self.narrow_sets(position), 1, np.random.default_rng(0))
 
 
 def test_short_test_set_rejected_before_encoding(count_calls):

@@ -1,8 +1,9 @@
 """Every name a library module imports is read somewhere in that module,
 no module imports another's underscore name, every function and class a
 library module defines is read by the library or exported, every export is
-read by the library or is an entry point, and the package's export list
-names each public object once.
+read by the library or is an entry point, the package's export list
+names each public object once, and only ``train`` and ``load_model`` build a
+``KernelBank``.
 
 The check parses each ``src/setfuse/*.py`` with the stdlib ``ast`` module,
 so it needs no linter. A name counts as used when the module reads it or
@@ -180,3 +181,31 @@ def test_package_exports_are_consistent():
     namespace = {}
     exec("from setfuse import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def callers(sources: dict[str, str], name: str) -> set:
+    """``(module, top-level statement name)`` of each call of ``name``, by
+    name or as an attribute."""
+    found = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Call) and name in (
+                    getattr(n.func, "id", None), getattr(n.func, "attr", None)
+                ):
+                    found.add((module, getattr(stmt, "name", None)))
+    return found
+
+
+def test_caller_checker_finds_calls_by_name_and_attribute():
+    sources = {
+        "a": "def f(): return KernelBank(1)\ndef g(): return KernelBank\n",
+        "b": "import a\nx = a.KernelBank(2)\nclass C:\n    def m(self): KernelBank(3)\n",
+    }
+    assert callers(sources, "KernelBank") == {("a", "f"), ("b", None), ("b", "C")}
+
+
+def test_a_kernel_bank_is_built_only_by_train_and_load_model():
+    # one way to make a model's bank: from lifted rows and a TrainConfig
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert callers(sources, "KernelBank") == {("trainer", "train"), ("persistence", "load_model")}

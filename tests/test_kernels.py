@@ -20,11 +20,11 @@ from setfuse.errors import (
 from setfuse.kernels import (
     DESCRIPTOR_NAMES,
     KernelBank,
-    build_kernel_bank,
     lift_features,
 )
 
 from helpers import (
+    build_kernel_bank,
     fortran_read_only,
     log_euclidean_kernel,
     probe_rows,

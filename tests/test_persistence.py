@@ -22,12 +22,11 @@ from setfuse.errors import (
 )
 from setfuse.experiment import train_on_sets
 from setfuse.gating import gating_weights
-from setfuse.kernels import build_kernel_bank
 from setfuse.persistence import META_NAME, load_model, save_model
 from setfuse.spd import spd_log
 from setfuse.trainer import ModelState, train
 
-from helpers import fortran_read_only, probe_rows, stack_length
+from helpers import build_kernel_bank, fortran_read_only, ids_of, probe_rows, stack_length
 
 
 def train_small(**overrides):
@@ -198,8 +197,8 @@ class TestRoundTrip:
         c_bank = build_kernel_bank(encode_sets(gallery, cfg))
         fortran = tuple(fortran_read_only(f) for f in c_bank.features)
         labels = [s.label for s in gallery]
-        c_model = train(c_bank, labels, cfg)
-        f_model = train(kernels.KernelBank(c_bank.descriptors, fortran), labels, cfg)
+        c_model = train(c_bank.features, labels, ids_of(c_bank), cfg)
+        f_model = train(fortran, labels, ids_of(c_bank), cfg)
         save_model(f_model, tmp_path / "m")
         back = load_model(tmp_path / "m")
         for s in probes:
@@ -273,33 +272,20 @@ class TestRoundTrip:
         with pytest.raises(IoError, match="cannot write model"):
             save_model(model, blocker / "sub")
 
-    def test_bank_normalization_must_match_config(self, trained, tmp_path):
-        # loading rescales by config.normalize_kernels, so a bank built the
-        # other way would not come back as trained
-        model, sets = trained
-        cfg = model.config
-        bank = build_kernel_bank(encode_sets(sets, cfg), cfg.descriptors, normalize=True)
-        mixed = train(bank, model.labels, cfg)
-        with pytest.raises(BadSpec):
-            save_model(mixed, tmp_path / "m")
-        assert not (tmp_path / "m").exists()
+    def test_bank_normalization_must_match_config(self, trained):
+        # loading rescales by config.normalize_kernels, so a model whose bank
+        # is scaled the other way would not come back as trained
+        model, _ = trained
+        cfg = dataclasses.replace(model.config, normalize_kernels=True)
+        with pytest.raises(BadSpec, match="normalize"):
+            dataclasses.replace(model, config=cfg)
 
-    def test_bank_kernels_must_match_config(self, trained, tmp_path):
+    def test_bank_kernels_must_match_config(self, trained):
         # loading takes the channels from config.descriptors
-        model, sets = trained
-        cfg = model.config
-        bank = build_kernel_bank(encode_sets(sets, cfg), ("subspace", "cov"))
-        mixed = train(bank, model.labels, cfg)
+        model, _ = trained
+        cfg = dataclasses.replace(model.config, descriptors=("subspace", "cov"))
         with pytest.raises(BadSpec, match="channels"):
-            save_model(mixed, tmp_path / "m")
-        assert not (tmp_path / "m").exists()
-
-    def test_model_without_set_ids_round_trips(self, trained, tmp_path):
-        model, sets = trained
-        save_model(dataclasses.replace(model, set_ids=None), tmp_path / "m")
-        back = load_model(tmp_path / "m")
-        assert back.set_ids is None
-        assert np.array_equal(predict(sets[0], back).distances, predict(sets[0], model).distances)
+            dataclasses.replace(model, config=cfg)
 
 
 class TestTamperDetection:
@@ -447,6 +433,7 @@ class TestTamperDetection:
             lambda m: m.update(labels=[[c] for c in m["labels"]]),
             lambda m: m.update(labels=list(range(len(m["labels"])))),
             lambda m: m.update(set_ids=3),
+            lambda m: m.update(set_ids=None),
             lambda m: m["config"].update(descriptors=["cov", True]),
             lambda m: m["checksums"].update(
                 {"../m/transform.npy": m["checksums"].pop("transform.npy")}
@@ -460,7 +447,8 @@ class TestTamperDetection:
             "no-labels", "unknown-key", "no-array", "short-labels", "no-kernels",
             "descriptors-int", "subspace-dim-str", "target-dim-float", "normalize-str",
             "alpha-negative", "alpha-str", "alpha-inf", "eps-bool", "labels-int",
-            "labels-nested", "labels-numbers", "set-ids-int", "kernel-id-bool", "file-path",
+            "labels-nested", "labels-numbers", "set-ids-int", "set-ids-null", "kernel-id-bool",
+            "file-path",
             "checksum-int", "trace-float", "trace-str",
         ],
     )

@@ -15,11 +15,16 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from setfuse.config import TrainConfig  # noqa: E402
 from setfuse.descriptors import ImageSet, embed_gaussian, encode_sets  # noqa: E402
-from setfuse.kernels import DESCRIPTOR_NAMES, KernelBank, build_kernel_bank  # noqa: E402
+from setfuse.kernels import DESCRIPTOR_NAMES, KernelBank  # noqa: E402
 from setfuse.spd import SYMMETRY_RTOL, check_symmetric, sym_eig  # noqa: E402
 from setfuse.trainer import NULL_SPACE_RTOL, gram_span  # noqa: E402
 
-from helpers import random_labels, random_simplex_weights, scatter_matrices  # noqa: E402
+from helpers import (  # noqa: E402
+    build_kernel_bank,
+    random_labels,
+    random_simplex_weights,
+    scatter_matrices,
+)
 
 finite = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
 

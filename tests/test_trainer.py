@@ -25,7 +25,7 @@ from setfuse.gating import (
 )
 from setfuse import trainer
 from setfuse.experiment import split_sets, train_on_sets
-from setfuse.kernels import build_kernel_bank
+from setfuse.kernels import DESCRIPTOR_NAMES
 from setfuse.trainer import (
     ScatterPair,
     gram_span,
@@ -37,7 +37,9 @@ from setfuse.trainer import (
 
 from helpers import (
     brute_force_scatters,
+    build_kernel_bank,
     gating_gradients,
+    ids_of,
     probe_rows,
     random_bank,
     random_gallery_sets,
@@ -48,6 +50,9 @@ from helpers import (
     trace_ratio_objective,
 )
 from helpers import random_orthonormal as helper_orthonormal
+
+# A one-iteration config naming the channels of ``random_bank(rng, n, 2)``.
+TWO_CHANNELS = TrainConfig(iters=1, descriptors=DESCRIPTOR_NAMES[:2])
 
 
 class TestScatterMatrices:
@@ -401,7 +406,7 @@ def assert_trace_ratio_optimum(monkeypatch, bank, labels, cfg):
         return _scatter(columns, classes, weights)
 
     monkeypatch.setattr(trainer, "scatter_matrices", recording)
-    model = train(bank, labels, cfg)
+    model = train(bank.features, labels, ids_of(bank), cfg)
     scatter = scatter_matrices(bank, labels, seen[-1])
     basis, red_b, red_t = remove_null_space(scatter.within, scatter.between)
     cold = solve_trace_ratio(
@@ -417,7 +422,7 @@ class TestTrain:
     def test_separable_gallery_trains_well(self):
         rng = np.random.default_rng(95)
         bank, labels, cfg, gallery = separable_bank(rng)
-        model = train(bank, labels, cfg)
+        model = train(bank.features, labels, ids_of(bank), cfg)
         assert model.objective_trace[-1] >= 0.95
         assert model.transform.shape == (12, 3)
         # every training set is nearest to itself in the learned metric
@@ -429,7 +434,7 @@ class TestTrain:
     def test_objective_does_not_collapse(self):
         rng = np.random.default_rng(96)
         bank, labels, cfg, _ = separable_bank(rng)
-        model = train(bank, labels, cfg)
+        model = train(bank.features, labels, ids_of(bank), cfg)
         trace = np.asarray(model.objective_trace)
         assert np.all((trace >= 0.0) & (trace <= 1.0))
         assert trace[-1] >= trace[0] - 1e-9
@@ -440,7 +445,7 @@ class TestTrain:
         cfg = TrainConfig(
             subspace_dim=3, target_dim=3, iters=1, learning_rate=0.0, seed=11
         )
-        model = train(bank, labels, cfg)
+        model = train(bank.features, labels, ids_of(bank), cfg)
 
         manual_rng = np.random.default_rng(cfg.seed)
         params = init_gating_params(bank.n_kernels, bank.n_train, manual_rng)
@@ -472,7 +477,7 @@ class TestTrain:
             return result
 
         monkeypatch.setattr(trainer, "solve_trace_ratio", recording)
-        model = train(bank, labels, cfg)
+        model = train(bank.features, labels, ids_of(bank), cfg)
         assert len(calls) == len(model.objective_trace) >= 3
         assert calls[0][0] is False
         for warm, steps in calls[1:]:
@@ -491,7 +496,7 @@ class TestTrain:
             bank, labels = feature_bank(np.random.default_rng(114))
             cfg = TrainConfig(subspace_dim=2, target_dim=3, iters=8, seed=4)
         cuts = count_null_space_cuts(monkeypatch)
-        model = train(bank, labels, cfg)
+        model = train(bank.features, labels, ids_of(bank), cfg)
         assert len(model.objective_trace) >= 3
         assert cuts == []
 
@@ -524,7 +529,7 @@ class TestTrain:
 
         monkeypatch.setattr(trainer, "gradient_ascent_step", recording_step)
         monkeypatch.setattr(trainer, "solve_trace_ratio", recording_solve)
-        train(bank, labels, cfg)
+        train(bank.features, labels, ids_of(bank), cfg)
         basis = gram_span(bank).basis
         assert len(steps) == len(projections) >= 3
         for (params, (gc, gb)), coords in zip(steps, projections):
@@ -554,7 +559,8 @@ class TestTrain:
         bank = random_bank(rng, 12, 3)
         labels = random_labels(rng, 12)
         calls = count_gating_evaluations(monkeypatch)
-        model = train(bank, labels, TrainConfig(target_dim=3, iters=8, seed=2, learning_rate=rate))
+        cfg = TrainConfig(target_dim=3, iters=8, seed=2, learning_rate=rate)
+        model = train(bank.features, labels, ids_of(bank), cfg)
         iters, tries = len(model.objective_trace), calls["gradient_ascent_step"]
         assert (tries > iters) == (rate > 0.0)  # at rate 100 a step is halved
         assert calls["gating_weights"] == 1 + tries
@@ -567,8 +573,8 @@ class TestTrain:
         bank = random_bank(rng, 12, 3)
         labels = random_labels(rng, 12)
         cfg = TrainConfig(target_dim=3, iters=4, seed=2)
-        m1 = train(bank, labels, cfg)
-        m2 = train(bank, labels, cfg)
+        m1 = train(bank.features, labels, ids_of(bank), cfg)
+        m2 = train(bank.features, labels, ids_of(bank), cfg)
         assert m1.transform.shape == (12, 3)
         assert np.isfinite(m1.transform).all()
         assert np.array_equal(m1.transform, m2.transform)
@@ -577,8 +583,8 @@ class TestTrain:
     def test_training_is_deterministic(self):
         rng = np.random.default_rng(98)
         bank, labels, cfg, _ = separable_bank(rng)
-        m1 = train(bank, labels, cfg)
-        m2 = train(bank, labels, cfg)
+        m1 = train(bank.features, labels, ids_of(bank), cfg)
+        m2 = train(bank.features, labels, ids_of(bank), cfg)
         assert np.array_equal(m1.transform, m2.transform)
         assert np.array_equal(m1.gating.coeffs, m2.gating.coeffs)
         assert np.array_equal(m1.gating.biases, m2.gating.biases)
@@ -591,7 +597,7 @@ class TestTrain:
         import logging
 
         with caplog.at_level(logging.WARNING, logger="setfuse.trainer"):
-            model = train(bank, labels, cfg)
+            model = train(bank.features, labels, ids_of(bank), cfg)
         assert model.transform.shape[1] <= bank.n_train
         assert any("clamped" in rec.message for rec in caplog.records)
 
@@ -599,13 +605,13 @@ class TestTrain:
         rng = np.random.default_rng(100)
         bank = random_bank(rng, 4, 2)
         with pytest.raises(SingleClassGallery):
-            train(bank, ["a"] * 4, TrainConfig(iters=1))
+            train(bank.features, ["a"] * 4, ids_of(bank), TWO_CHANNELS)
 
     def test_label_count_mismatch(self):
         rng = np.random.default_rng(101)
         bank = random_bank(rng, 4, 2)
         with pytest.raises(ShapeMismatch):
-            train(bank, ["a", "b"], TrainConfig(iters=1))
+            train(bank.features, ["a", "b"], ids_of(bank), TWO_CHANNELS)
 
     @pytest.mark.parametrize(
         "labels",
@@ -615,20 +621,47 @@ class TestTrain:
     def test_labels_must_be_str(self, labels):
         bank = random_bank(np.random.default_rng(101), 4, 2)
         with pytest.raises(BadSpec, match="label"):
-            train(bank, labels, TrainConfig(iters=1))
+            train(bank.features, labels, ids_of(bank), TWO_CHANNELS)
 
     def test_set_ids_must_be_str(self):
         # a model with an int set id would save but not load
         bank = random_bank(np.random.default_rng(101), 4, 2)
         with pytest.raises(BadSpec, match="set ids"):
-            train(bank, ["a", "b", "a", "b"], TrainConfig(iters=1), set_ids=["s0", 1, "s2", "s3"])
+            train(bank.features, ["a", "b", "a", "b"], ["s0", 1, "s2", "s3"], TWO_CHANNELS)
+
+    @pytest.mark.parametrize(
+        "set_ids", [None, ["s0", "s1", "s2"], "s0s1"], ids=["none", "short", "str"]
+    )
+    def test_set_ids_are_required(self, set_ids):
+        bank = random_bank(np.random.default_rng(101), 4, 2)
+        with pytest.raises(ShapeMismatch, match="set ids"):
+            train(bank.features, ["a", "b", "a", "b"], set_ids, TWO_CHANNELS)
+
+    def test_features_must_match_the_config_channels(self):
+        bank = random_bank(np.random.default_rng(101), 4, 2)
+        with pytest.raises(ShapeMismatch, match="number of kernels"):
+            train(bank.features, ["a", "b", "a", "b"], ids_of(bank), TrainConfig(iters=1))
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_bank_is_built_from_the_config(self, normalize):
+        # the model's bank takes its channels and scaling from the config and
+        # keeps the read-only rows it was given
+        rng = np.random.default_rng(109)
+        bank = random_bank(rng, 12, 2)
+        cfg = replace(TWO_CHANNELS, target_dim=3, normalize_kernels=normalize)
+        model = train(bank.features, random_labels(rng, 12), ids_of(bank), cfg)
+        assert (model.bank.descriptors, model.bank.normalize) == (cfg.descriptors, normalize)
+        for kept, given in zip(model.bank.features, bank.features, strict=True):
+            assert kept is given
+        assert model.set_ids == tuple(ids_of(bank))
 
     def test_numpy_str_labels_train_as_str(self):
         rng = np.random.default_rng(109)
         bank = random_bank(rng, 12, 3)
         labels = random_labels(rng, 12)
         assert isinstance(labels[0], np.str_)
-        model = train(bank, labels, TrainConfig(target_dim=3, iters=2, seed=2))
+        cfg = TrainConfig(target_dim=3, iters=2, seed=2)
+        model = train(bank.features, labels, ids_of(bank), cfg)
         assert model.labels == tuple(labels.tolist())
         assert all(type(label) is str for label in model.labels)
 
@@ -646,7 +679,7 @@ class TestTrain:
         for name in ("class_layout", "scatter_matrices"):
             monkeypatch.setattr(trainer, name, counting(name, getattr(trainer, name)))
         monkeypatch.setattr(np, "unique", counting("unique", np.unique))
-        model = train(bank, labels, cfg)
+        model = train(bank.features, labels, ids_of(bank), cfg)
         assert len(model.objective_trace) >= 3
         # one scatter per outer iteration plus one for the conditioning bound
         assert calls == {
