@@ -34,7 +34,6 @@ from .trainer import (
     ScatterPair,
     TraceRatioResult,
     gram_span,
-    remove_null_space,
     scatter_matrices,
     solve_trace_ratio,
     train,
@@ -70,7 +69,6 @@ __all__ = [
     "load_model",
     "predict",
     "regularize_spd",
-    "remove_null_space",
     "run_dimension_sweep",
     "run_experiment",
     "save_dataset",

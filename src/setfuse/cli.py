@@ -170,10 +170,9 @@ def train(manifest, out, **kwargs):
     sets = load_dataset(manifest)
     model = train_on_sets(sets, cfg)
     persistence.save_model(model, out)
-    final = model.objective_trace[-1] if model.objective_trace else float("nan")
     click.echo(
         f"trained on {model.n_train} sets "
-        f"({len(set(model.labels))} classes); final objective {final:.4f}"
+        f"({len(set(model.labels))} classes); final objective {model.objective_trace[-1]:.4f}"
     )
     click.echo(f"model saved to {out}")
 

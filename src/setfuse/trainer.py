@@ -19,9 +19,10 @@ that span: training fixes one orthonormal basis of it per call
 (``gram_span``) and works there throughout, with r x r scatters factored
 over classes rather than pairs, a trace-ratio solve warm-started from the
 previous projection, and an objective and gradient read from projected Gram
-columns. A once-per-call bound on the total scatter's conditioning tells
-when extreme weights could make a direction numerically null; only then
-does an iteration cut the null space itself (``remove_null_space``).
+columns. No iteration cuts a null space: extreme weights can make a
+direction of the span numerically thin, but such a direction adds about 0
+to both traces of the ratio, and a projection whose total scatter vanishes
+raises ``DegenerateDenominator``.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ from .spd import sym_eig
 
 logger = logging.getLogger(__name__)
 
-# Total-scatter eigenvalues above this fraction of the largest count as signal.
+# Eigenvalues of the centred Grams' sum above this fraction of the largest
+# span the Gram column differences (``gram_span``).
 NULL_SPACE_RTOL = 1e-10
-# Below this absolute spectral radius the total scatter is considered zero.
+# At or below this spectral radius every Gram has numerically equal columns.
 TOTAL_SCATTER_FLOOR = 1e-15
 # Trace-ratio denominators at or below this value are degenerate.
 DENOMINATOR_FLOOR = 1e-15
@@ -158,18 +160,6 @@ class GramSpan:
     columns: tuple[np.ndarray, ...]
 
 
-def _signal_basis(m: np.ndarray, what: str) -> np.ndarray:
-    """Eigenvectors of symmetric ``m`` whose eigenvalues exceed
-    ``NULL_SPACE_RTOL`` times the largest; ``ZeroTotalScatter`` naming
-    ``what`` when the largest is at or below ``TOTAL_SCATTER_FLOOR``."""
-    pair = sym_eig(m)
-    lam_max = float(pair.values[0])
-    if lam_max <= TOTAL_SCATTER_FLOOR:
-        raise ZeroTotalScatter(f"{what}: spectral radius {lam_max:.3e}")
-    rank = int(np.count_nonzero(pair.values > NULL_SPACE_RTOL * lam_max))
-    return pair.vectors[:, :rank].copy()
-
-
 def gram_span(bank: KernelBank) -> GramSpan:
     """Span of all Gram column differences: eigenvectors of
     ``sum_q K_q C K_q`` (C the centring matrix) whose eigenvalues exceed
@@ -181,7 +171,12 @@ def gram_span(bank: KernelBank) -> GramSpan:
     ``ZeroTotalScatter`` when every Gram has numerically equal columns.
     """
     centred = [gram - gram.mean(axis=1, keepdims=True) for gram in bank.grams]
-    basis = _signal_basis(sum(c @ c.T for c in centred), "centred Grams")
+    pair = sym_eig(sum(c @ c.T for c in centred))
+    lam_max = float(pair.values[0])
+    if lam_max <= TOTAL_SCATTER_FLOOR:
+        raise ZeroTotalScatter(f"centred Grams: spectral radius {lam_max:.3e}")
+    rank = int(np.count_nonzero(pair.values > NULL_SPACE_RTOL * lam_max))
+    basis = pair.vectors[:, :rank].copy()
     return GramSpan(basis=basis, columns=tuple(basis.T @ gram for gram in bank.grams))
 
 
@@ -252,27 +247,6 @@ def _trace_ratio(v: np.ndarray, between: np.ndarray, total: np.ndarray) -> float
     return _quotient(float(np.sum(v * (between @ v))), float(np.sum(v * (total @ v))))
 
 
-def remove_null_space(
-    within: np.ndarray, between: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Restrict the scatter pair to the span of the total scatter.
-
-    Returns ``(basis, reduced_between, reduced_total)`` where ``basis`` holds
-    the eigenvectors of the total scatter with eigenvalues above
-    ``NULL_SPACE_RTOL`` times the largest. Raises ``ZeroTotalScatter``
-    when the total scatter is numerically zero. ``train`` calls it only in
-    an iteration whose gating weights fail its conditioning guard.
-    """
-    total = np.asarray(within, dtype=np.float64) + np.asarray(between, dtype=np.float64)
-    total = 0.5 * (total + total.T)
-    basis = _signal_basis(total, "total scatter")
-    reduced_total = basis.T @ total @ basis
-    reduced_between = basis.T @ np.asarray(between, dtype=np.float64) @ basis
-    reduced_total = 0.5 * (reduced_total + reduced_total.T)
-    reduced_between = 0.5 * (reduced_between + reduced_between.T)
-    return basis, reduced_between, reduced_total
-
-
 def _orthonormal_columns(m: np.ndarray) -> np.ndarray:
     """Q of a thin QR of ``m``, with column signs fixed by diag(R) >= 0."""
     q, r = np.linalg.qr(m)
@@ -306,9 +280,9 @@ def solve_trace_ratio(
 
     The scheme is Newton's method on ``lam`` (Wang et al. 2007; Ngo,
     Bellalij & Saad 2012), so a start near the optimum needs one
-    or two updates. ``start`` (dim x target_dim, e.g. the previous solution
-    mapped into this basis) is the warm start, re-orthonormalised here by a
-    sign-fixed QR; without it V starts from one orthonormal draw from ``rng``.
+    or two updates. ``start`` (dim x target_dim, e.g. the previous solution)
+    is the warm start, re-orthonormalised here by a sign-fixed QR; without
+    it V starts from one orthonormal draw from ``rng``.
     """
     b = np.asarray(between, dtype=np.float64)
     t = np.asarray(total, dtype=np.float64)
@@ -362,19 +336,6 @@ def _evaluate(
     return min(max(_quotient(h_b, h_w + h_b), 0.0), 1.0), sums
 
 
-def _uniform_conditioning(span: GramSpan, classes: ClassLayout) -> float:
-    """lambda_min / lambda_max of the total scatter U with every weight 1, in
-    the span basis.
-
-    Every pair term of a gated total scatter T(w) carries w_qi w_qj, so
-    w_min^2 U <= T(w) <= w_max^2 U and the conditioning of T(w) is at least
-    (w_min / w_max)^2 times this value, for any weights.
-    """
-    ones = np.ones((len(span.columns), span.basis.shape[0]))
-    eig = np.linalg.eigvalsh(scatter_matrices(span.columns, classes, ones).total)
-    return float(eig[0]) / float(eig[-1])
-
-
 def train(
     features: Sequence[np.ndarray], labels, set_ids: Sequence[str], cfg: TrainConfig
 ) -> ModelState:
@@ -402,21 +363,17 @@ def train(
     scatters and the solve, plus O(p N r) per channel for ``E.T @ K_q`` and
     one Gram matvec per channel for each line-search try and for the
     gradient.
-    ``gram_span`` costs O(N^3) once; one more scatter and one r x r
-    ``eigvalsh`` bound the conditioning of every gated total scatter.
-
-    Guard: while (w_min / w_max)^2 times that bound exceeds
-    ``NULL_SPACE_RTOL``, a per-iteration null-space cut would keep every
-    direction, so none is made. When extreme weights break the bound, that
-    iteration cuts the null space of its total scatter (``remove_null_space``)
-    and logs it at INFO.
+    ``gram_span`` costs O(N^3) once. Every iteration solves in the full
+    span basis, however small a gating weight gets: a numerically thin
+    direction adds about 0 to both traces of the ratio, so it needs no cut,
+    and a projection whose total scatter vanishes raises
+    ``DegenerateDenominator``.
 
     Randomness comes from a single generator seeded with ``cfg.seed``: first
     the gating init, then one orthonormal draw for the trace-ratio start at
-    the first outer iteration (later iterations draw again only if a
-    null-space cut changes the projection width). From iteration 3 on, it
-    stops early when either the parameter update or the projection update
-    falls below ``cfg.eps`` in max norm.
+    the first outer iteration. From iteration 3 on, it stops early when
+    either the parameter update or the projection update falls below
+    ``cfg.eps`` in max norm.
     """
     bank = KernelBank(cfg.descriptors, tuple(features), cfg.normalize_kernels)
     n = bank.n_train
@@ -435,45 +392,24 @@ def train(
         logger.warning(
             "target_dim clamped from %d to %d (usable scatter rank)", cfg.target_dim, width
         )
-    conditioning = _uniform_conditioning(span, classes)
 
     trace: list[float] = []
     transform = None
-    prev_transform = None
     coords = None  # the projection in span coordinates, r x p
     weights = gating_weights(bank, params)
     for it in range(1, cfg.iters + 1):
         scatter = scatter_matrices(span.columns, classes, weights)
-        bound = (float(weights.min()) / float(weights.max())) ** 2 * conditioning
-        if bound > NULL_SPACE_RTOL:
-            basis, between, total, dim = None, scatter.between, scatter.total, width
-        else:
-            basis, between, total = remove_null_space(scatter.within, scatter.between)
-            dim = min(width, basis.shape[1])
-            logger.info(
-                "iteration %d: conditioning bound %.3e at or below %.0e; "
-                "null-space cut keeps %d of %d dimensions",
-                it,
-                bound,
-                NULL_SPACE_RTOL,
-                basis.shape[1],
-                span.basis.shape[1],
-            )
-            if dim < width:
-                logger.warning("iteration %d: projection narrowed from %d to %d", it, width, dim)
-        start = None
-        if coords is not None and coords.shape[1] == dim:
-            start = coords if basis is None else basis.T @ coords
         itr = solve_trace_ratio(
-            between,
-            total,
-            dim,
+            scatter.between,
+            scatter.total,
+            width,
             max_iters=cfg.itr_iters,
             eps=cfg.eps,
             rng=rng,
-            start=start,
+            start=coords,
         )
-        coords = itr.projection if basis is None else basis @ itr.projection
+        prev_transform = transform
+        coords = itr.projection
         transform = span.basis @ coords
         projected = [coords.T @ a for a in span.columns]
         objective, sums = _evaluate(projected, weights, classes)
@@ -497,13 +433,9 @@ def train(
                 float(np.max(np.abs(new_params.coeffs - params.coeffs))),
                 float(np.max(np.abs(new_params.biases - params.biases))),
             )
-            if prev_transform.shape == transform.shape:
-                transform_delta = float(np.max(np.abs(transform - prev_transform)))
-            else:
-                transform_delta = np.inf
+            transform_delta = float(np.max(np.abs(transform - prev_transform)))
             converged = param_delta < cfg.eps or transform_delta < cfg.eps
         params, weights = new_params, new_weights
-        prev_transform = transform
         if converged:
             logger.info("converged after %d outer iterations", it)
             break

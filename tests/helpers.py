@@ -1,21 +1,27 @@
 """Shared random generators and reference implementations for the test suite.
 
 The references (scalar kernels, ``is_spd``, the trace-ratio objective of
-N x N scatters, the gating gradient of a bank) are oracles the pipeline is
-checked against; the library computes the same quantities only in the forms
-training and classification need. ``build_kernel_bank`` builds a bank of any
-channels from a descriptor stack, where ``train`` builds its own from the
-lifted rows and its config.
+N x N scatters and their null-space reduction, the gating gradient of a
+bank) are oracles the pipeline is checked against; the library computes the
+same quantities only in the forms training and classification need.
+``build_kernel_bank`` builds a bank of any channels from a descriptor stack,
+where ``train`` builds its own from the lifted rows and its config.
 """
 
 import numpy as np
 
 from setfuse.descriptors import DescriptorStack, ImageSet, check_orthonormal, encode_sets
-from setfuse.errors import DegenerateDenominator, DimensionMismatch, NonFinite, NonSymmetric
+from setfuse.errors import (
+    DegenerateDenominator,
+    DimensionMismatch,
+    NonFinite,
+    NonSymmetric,
+    ZeroTotalScatter,
+)
 from setfuse.gating import class_layout, gating_weights, projected_gradients, projected_pair_sums
 from setfuse.kernels import DESCRIPTOR_NAMES, KernelBank, lift_features
 from setfuse.spd import spd_log, sym_eig
-from setfuse.trainer import DENOMINATOR_FLOOR
+from setfuse.trainer import DENOMINATOR_FLOOR, NULL_SPACE_RTOL, TOTAL_SCATTER_FLOOR
 from setfuse.trainer import scatter_matrices as library_scatter_matrices
 
 # An SPD check passes when the smallest eigenvalue exceeds this fraction of
@@ -78,6 +84,32 @@ def trace_ratio_objective(transform, scatter) -> float:
     if denom <= DENOMINATOR_FLOOR:
         raise DegenerateDenominator(f"projected total scatter {denom:.3e} is degenerate")
     return min(max(num / denom, 0.0), 1.0)
+
+
+def remove_null_space(within, between):
+    """Restrict the scatter pair to the span of the total scatter.
+
+    Returns ``(basis, reduced_between, reduced_total)`` where ``basis`` holds
+    the eigenvectors of the total scatter with eigenvalues above
+    ``NULL_SPACE_RTOL`` times the largest. Raises ``ZeroTotalScatter`` when
+    the spectral radius of the total scatter is at or below
+    ``TOTAL_SCATTER_FLOOR``.
+    """
+    between = np.asarray(between, dtype=np.float64)
+    total = np.asarray(within, dtype=np.float64) + between
+    total = 0.5 * (total + total.T)
+    pair = sym_eig(total)
+    lam_max = float(pair.values[0])
+    if lam_max <= TOTAL_SCATTER_FLOOR:
+        raise ZeroTotalScatter(f"total scatter: spectral radius {lam_max:.3e}")
+    basis = pair.vectors[:, : int(np.count_nonzero(pair.values > NULL_SPACE_RTOL * lam_max))]
+    reduced_total = basis.T @ total @ basis
+    reduced_between = basis.T @ between @ basis
+    return (
+        basis,
+        0.5 * (reduced_between + reduced_between.T),
+        0.5 * (reduced_total + reduced_total.T),
+    )
 
 
 def gating_gradients(bank, params, transform, labels):

@@ -35,7 +35,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import hashlib
-import logging
 import sys
 import tempfile
 from pathlib import Path
@@ -159,17 +158,6 @@ def _cases(sf, workdir: Path):
     yield "experiment_capped", (_reports_digest({"combined": report}), None)
 
 
-class _CountCuts(logging.Handler):
-    """Counts the trainer's null-space fallback log records."""
-
-    def __init__(self):
-        super().__init__(logging.INFO)
-        self.count = 0
-
-    def emit(self, record) -> None:
-        self.count += "null-space cut" in record.getMessage()
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=SRC, help="src directory to import")
@@ -177,15 +165,9 @@ def main() -> None:
     sys.path.insert(0, str(args.src.resolve()))
     import setfuse as sf
 
-    cuts = _CountCuts()
-    trainer_log = logging.getLogger("setfuse.trainer")
-    trainer_log.setLevel(logging.INFO)
-    trainer_log.addHandler(cuts)
     with tempfile.TemporaryDirectory() as tmp:
         for name, (model, saved) in _cases(sf, Path(tmp)):
-            saved = saved or "-"
-            print(f"{name:<18} model {model}  saved {saved:<64}  null-space cuts {cuts.count}")
-            cuts.count = 0
+            print(f"{name:<18} model {model}  saved {saved or '-'}")
 
 
 if __name__ == "__main__":
