@@ -9,7 +9,8 @@
 
 import numpy as np
 
-from setfuse import ImageSet, TrainConfig, embed_gaussian, encode_sets
+from setfuse import ImageSet, TrainConfig
+from setfuse.descriptors import embed_gaussian, encode_sets
 
 rng = np.random.default_rng(0)
 d, n = 8, 25

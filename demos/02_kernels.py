@@ -8,14 +8,9 @@
 
 import numpy as np
 
-from setfuse import (
-    DESCRIPTOR_NAMES,
-    ImageSet,
-    KernelBank,
-    TrainConfig,
-    encode_sets,
-    lift_features,
-)
+from setfuse import DESCRIPTOR_NAMES, ImageSet, TrainConfig
+from setfuse.descriptors import encode_sets
+from setfuse.kernels import KernelBank, lift_features
 
 rng = np.random.default_rng(1)
 cfg = TrainConfig(subspace_dim=3)

@@ -21,18 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptors import ImageSet, encode_sets
-from .errors import BadSpec, DimensionMismatch, NegativeDistance, NonFinite, TooFewSamples
+from .errors import BadSpec, DimensionMismatch, NonFinite, TooFewSamples
 from .gating import gate, squared_distances
 from .kernels import lift_features
 from .trainer import ModelState
 
-# Distances may round slightly below zero; anything lower signals a bug.
-DISTANCE_FLOOR = -1e-9
-
-
 @dataclass(frozen=True)
 class Prediction:
-    """Predicted label plus the full gallery distance profile."""
+    """Predicted label plus the full gallery distance profile, which is
+    non-negative: each distance sums ``w * ||.||^2 * w`` with softmax weights."""
 
     label: str
     distances: np.ndarray
@@ -42,8 +39,6 @@ class Prediction:
         d = np.asarray(self.distances, dtype=np.float64)
         if not np.isfinite(d).all():
             raise NonFinite("distance profile contains NaN or Inf")
-        if float(d.min()) < DISTANCE_FLOOR:
-            raise NegativeDistance(f"negative distance {float(d.min()):.3e} below floor")
         d = d.copy()
         d.setflags(write=False)
         object.__setattr__(self, "distances", d)

@@ -146,10 +146,8 @@ def _bases(gram: np.ndarray, q: int) -> np.ndarray:
 def check_orthonormal(basis) -> np.ndarray:
     """``basis`` as a float64 d x q array with 1 <= q <= d, or a stack
     (..., d, q) of them, checked to have orthonormal columns: ``NotOrthonormal``
-    names the first basis that has not (``DimensionMismatch`` for a bad shape)."""
+    names the first basis that has not."""
     b = np.asarray(basis, dtype=np.float64)
-    if b.ndim < 2 or not 1 <= b.shape[-1] <= b.shape[-2]:
-        raise DimensionMismatch(f"basis must be d x q with 1 <= q <= d, got {b.shape}")
     off = np.abs(b.swapaxes(-1, -2) @ b - np.eye(b.shape[-1])).max(axis=(-2, -1))
     raise_first(
         off > ORTHONORMAL_ATOL, NotOrthonormal, lambda i: "basis columns are not orthonormal"
@@ -172,9 +170,6 @@ def embed_gaussian(mean, covariance) -> np.ndarray:
     m = np.asarray(mean, dtype=np.float64)
     c = check_symmetric(covariance)
     d = c.shape[-1]
-    if m.size != c.size // d:
-        raise DimensionMismatch(f"mean has shape {m.shape} but covariance {c.shape}")
-    m = m.reshape(c.shape[:-1])
     try:
         chol = np.linalg.cholesky(c)
     except np.linalg.LinAlgError:

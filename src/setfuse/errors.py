@@ -54,20 +54,12 @@ class NonFiniteGradient(NumericError):
     """Gradient contains NaN or Inf; ascent step refused."""
 
 
-class ShapeMismatch(NumericError):
-    """Array arguments disagree on shape where agreement is required."""
-
-
 class BadDimension(NumericError):
     """Requested projection or subspace dimension is out of the feasible range."""
 
 
 class NotOrthonormal(NumericError):
     """Basis expected to have orthonormal columns does not."""
-
-
-class NegativeDistance(NumericError):
-    """A squared distance came out below the rounding floor."""
 
 
 # --- data family ------------------------------------------------------------

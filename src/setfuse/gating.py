@@ -13,7 +13,7 @@ solved for; the exact gradient expressions live in ``projected_gradients``.
 Every scatter, pair sum and gradient sums over same-class and different-class
 pairs, and reads the gallery's classes from one frozen ``ClassLayout`` (class
 codes, one-hot indicator, pair counts) that ``class_layout`` builds once per
-``train`` call; it is also where labels are checked.
+``train`` call.
 """
 
 from __future__ import annotations
@@ -23,13 +23,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadSpec, NonFinite, NonFiniteGradient, ShapeMismatch, SingleClassGallery
+from .errors import NonFinite, NonFiniteGradient, SingleClassGallery
 from .kernels import KernelBank
 
 
 @dataclass(frozen=True)
 class GatingParams:
-    """Per-kernel read-out vectors (``coeffs``, Q x N) and biases (Q,)."""
+    """Per-kernel read-out vectors (``coeffs``, Q x N) and biases (Q,);
+    ``train`` makes them in those shapes and ``load_model`` checks a file's."""
 
     coeffs: np.ndarray
     biases: np.ndarray
@@ -37,10 +38,6 @@ class GatingParams:
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.float64)
         b = np.asarray(self.biases, dtype=np.float64)
-        if c.ndim != 2 or b.shape != (c.shape[0],):
-            raise ShapeMismatch(
-                f"coeffs must be Q x N and biases length Q, got {c.shape} and {b.shape}"
-            )
         if not (np.isfinite(c).all() and np.isfinite(b).all()):
             raise NonFinite("gating parameters contain NaN or Inf")
         c = c.copy()
@@ -76,11 +73,6 @@ def gate(params: GatingParams, columns: Sequence[np.ndarray]) -> np.ndarray:
 
 def gating_weights(bank: KernelBank, params: GatingParams) -> np.ndarray:
     """``gate`` of the Grams: per-sample kernel weights, Q x N, columns summing to one."""
-    if params.coeffs.shape != (bank.n_kernels, bank.n_train):
-        raise ShapeMismatch(
-            f"gating params shaped {params.coeffs.shape} do not match bank with "
-            f"{bank.n_kernels} kernels and n_train={bank.n_train}"
-        )
     return gate(params, bank.grams)
 
 
@@ -102,24 +94,17 @@ class ClassLayout:
     n_between: int
 
 
-def class_layout(labels, n: int) -> ClassLayout:
-    """The ``ClassLayout`` of ``n`` labels: ``ShapeMismatch`` unless they form
-    a sequence of ``n``, ``BadSpec`` naming the first label that is not a str
-    (numpy's ``str_`` is one), ``SingleClassGallery`` for fewer than two classes."""
-    given = np.asarray(labels, dtype=object)
-    if given.shape != (n,):
-        raise ShapeMismatch(f"expected {n} labels, got shape {given.shape}")
-    for i, label in enumerate(given):
-        if not isinstance(label, str):
-            raise BadSpec(f"label {i} must be a str, got {label!r:.80}")
-    names, codes = np.unique(given, return_inverse=True)
+def class_layout(labels: Sequence[str]) -> ClassLayout:
+    """The ``ClassLayout`` of a gallery's str labels (``ImageSet`` checks
+    them); ``SingleClassGallery`` for fewer than two classes."""
+    names, codes = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
     if names.size < 2:
         raise SingleClassGallery("training needs at least two classes")
     onehot = codes[:, None] == np.arange(names.size)[None, :]
     codes.setflags(write=False)
     onehot.setflags(write=False)
     n_within = int(np.sum(np.bincount(codes) ** 2))
-    return ClassLayout(codes, onehot, n_within, n * n - n_within)
+    return ClassLayout(codes, onehot, n_within, codes.size**2 - n_within)
 
 
 def class_means(
@@ -203,11 +188,9 @@ def projected_gradients(
 
     coeff_grads = np.zeros_like(weights)
     bias_grads = np.zeros(weights.shape[0])
+    # positive: train reads its objective from these sums first, and that
+    # raises DegenerateDenominator when h_w + h_b vanishes
     denom = (h_w + h_b) ** 2
-    if denom <= 0.0:
-        # both scatters project to nothing; the objective is flat
-        return coeff_grads, bias_grads
-
     # softmax derivative: d w[k,i] / d score[q,i] = w[k,i] * (1{q==k} - w[q,i]),
     # so d h / d score[q,i] = 2 w[q,i] (g[q,i] - sum_k w[k,i] g[k,i]) / count
     dh_w = 2.0 * weights * (g_w - (weights * g_w).sum(axis=0)) / classes.n_within
@@ -224,12 +207,9 @@ def gradient_ascent_step(
     grads: tuple[np.ndarray, np.ndarray],
     learning_rate: float,
 ) -> GatingParams:
-    """One gradient-ascent step; pure (returns new params, inputs untouched)."""
-    if learning_rate < 0.0:
-        raise BadSpec(f"learning_rate must be >= 0, got {learning_rate}")
+    """One gradient-ascent step; pure (returns new params, inputs untouched).
+    ``grads`` has the shapes of ``params`` and the rate is ``TrainConfig``'s."""
     coeff_grads, bias_grads = grads
-    if coeff_grads.shape != params.coeffs.shape or bias_grads.shape != params.biases.shape:
-        raise ShapeMismatch("gradient shapes do not match parameter shapes")
     if not (np.isfinite(coeff_grads).all() and np.isfinite(bias_grads).all()):
         raise NonFiniteGradient("gradient contains NaN or Inf")
     return GatingParams(

@@ -12,7 +12,7 @@ once into a flat feature row of length D_q:
   embeddings, D_q = (d+1)^2
 
 ``_LIFTS`` holds each channel's lift, and its key order ``DESCRIPTOR_NAMES``
-is the channel order; an unknown name raises ``BadSpec``. ``lift_features``
+is the channel order; ``TrainConfig`` refuses any other name. ``lift_features``
 lifts a ``DescriptorStack`` (from ``descriptors.encode_sets``) with one
 stacked call (one ``spd_log`` for ``cov`` and ``gauss``) into one read-only
 (N, D_q) array: a training gallery, a probe (a stack of one), or the set
@@ -39,13 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .descriptors import DescriptorStack, read_only
-from .errors import (
-    BadSpec,
-    DimensionMismatch,
-    NormalizationDegenerate,
-    SetfuseError,
-    ShapeMismatch,
-)
+from .errors import NormalizationDegenerate, SetfuseError
 from .spd import spd_log
 
 # Gram traces at or below this value cannot be normalized against.
@@ -77,11 +71,15 @@ _LIFTS = {
 DESCRIPTOR_NAMES = tuple(_LIFTS)
 
 
-def _lift(name: str):
-    """The lift of channel ``name``; ``BadSpec`` for an unknown name."""
-    if name not in DESCRIPTOR_NAMES:
-        raise BadSpec(f"unknown kernel channel {name!r}; the channels are {DESCRIPTOR_NAMES}")
-    return _LIFTS[name]
+def lift_width(name: str, dim: int) -> int:
+    """D_q, the width of channel ``name``'s lifted rows for sets of dimension ``dim``."""
+    return (dim + 1) ** 2 if name == "gauss" else dim**2
+
+
+def lifted_dim(name: str, width: int) -> int:
+    """The set dimension d of channel ``name``'s lifted rows ``width`` wide,
+    for a width that is ``lift_width(name, d)``."""
+    return math.isqrt(width) - (name == "gauss")
 
 
 def lift_features(stack: DescriptorStack, name: str) -> np.ndarray:
@@ -90,9 +88,8 @@ def lift_features(stack: DescriptorStack, name: str) -> np.ndarray:
 
     An error of the lift that belongs to one descriptor names the first at fault.
     """
-    lift = _lift(name)
     try:
-        lifted = lift(stack)
+        lifted = _LIFTS[name](stack)
     except SetfuseError as exc:
         if not hasattr(exc, "index"):
             raise
@@ -125,7 +122,8 @@ def gram_normalizer(k: np.ndarray) -> float:
 @dataclass(frozen=True)
 class KernelBank:
     """Kernel state of a gallery: its lifted features, one channel per name
-    in ``descriptors``.
+    in ``descriptors``, made only by ``train`` and ``load_model`` from a
+    ``TrainConfig`` and one (N, D_q) array per channel, N >= 1.
 
     ``features[q]`` holds the gallery's unscaled lifted rows, (N, D_q),
     read-only and C-contiguous (any other array is copied), and is what a
@@ -144,21 +142,7 @@ class KernelBank:
     scales: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        if not self.descriptors:
-            raise BadSpec("kernel bank needs at least one kernel")
-        for name in self.descriptors:
-            _lift(name)  # BadSpec for an unknown channel
-        if len(self.features) != len(self.descriptors):
-            raise ShapeMismatch("kernel bank has features for a different number of kernels")
         features = tuple(read_only(f) for f in self.features)
-        for f in features:
-            if f.ndim != 2 or f.shape[0] != features[0].shape[0]:
-                raise DimensionMismatch(
-                    f"feature shape {f.shape} does not match the first channel's "
-                    f"{features[0].shape}"
-                )
-        if features[0].shape[0] < 1:
-            raise BadSpec("kernel bank needs at least one gallery member")
         grams = tuple(_gram(f) for f in features)
         scales = tuple(gram_normalizer(g) if self.normalize else 1.0 for g in grams)
         for g, s in zip(grams, scales):
@@ -180,19 +164,12 @@ class KernelBank:
     @property
     def dim(self) -> int:
         """Feature dimension d of the sets the gallery was encoded from."""
-        side = math.isqrt(self.features[0].shape[1])
-        return side - 1 if self.descriptors[0] == "gauss" else side
+        return lifted_dim(self.descriptors[0], self.features[0].shape[1])
 
     def columns_from_rows(self, rows: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Scaled kernel columns of a probe's lifted rows against the gallery
-        features, one per channel."""
-        if len(rows) != self.n_kernels:
-            raise ShapeMismatch(f"got {len(rows)} probe rows for {self.n_kernels} kernels")
-        out = []
-        for row, f, s in zip(rows, self.features, self.scales):
-            if row.size != f.shape[1]:
-                raise DimensionMismatch(
-                    f"probe lifts to {row.size} features, gallery to {f.shape[1]}"
-                )
-            out.append(_frobenius(f, np.ascontiguousarray(row)) * s)
-        return out
+        """Scaled kernel columns of a probe's lifted rows, one per channel and
+        each as wide as the gallery's, against the gallery features."""
+        return [
+            _frobenius(f, np.ascontiguousarray(row)) * s
+            for row, f, s in zip(rows, self.features, self.scales)
+        ]

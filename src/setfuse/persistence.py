@@ -8,7 +8,9 @@ gallery's lifted features (``features_<descriptor>``, such as
 derived on load: ``KernelBank`` derives Grams, scales and ``n_train`` from
 the features and the configuration as in training, and
 ``ModelState.train_weights`` the gallery's gating weights, so all come back
-bit for bit.
+bit for bit. Each features file must be as wide as its channel's lift for one
+set dimension d (d^2 for ``cov`` and ``subspace``, (d+1)^2 for ``gauss``),
+which a probe of dimension d then matches.
 
 Array files are numpy's own ``.npy`` format, version 1.0, little-endian
 float64, row-major, so ``np.load(path, allow_pickle=False)`` reads them. The
@@ -36,7 +38,7 @@ import numpy as np
 from .config import TrainConfig, is_real
 from .errors import BadSpec, ChecksumMismatch, FormatVersionMismatch, IoError
 from .gating import GatingParams
-from .kernels import KernelBank
+from .kernels import KernelBank, lift_width, lifted_dim
 from .trainer import ModelState
 
 FORMAT_VERSION = 4
@@ -152,7 +154,9 @@ def _config(raw, where: str) -> TrainConfig:
 
 
 def load_model(model_dir) -> ModelState:
-    """Read a model directory back, verifying version, keys and checksums.
+    """Read a model directory back, verifying version, keys, checksums and
+    array shapes: ``IoError`` names a features file whose width is no lift
+    of the model's set dimension.
 
     Arrays come back read-only. The channels come from ``config.descriptors``;
     Grams, scales and ``n_train`` are derived from the stored features as in
@@ -201,6 +205,13 @@ def load_model(model_dir) -> ModelState:
     ):
         shapes = {name: a.shape for name, a in arrays.items()}
         raise IoError(f"{where}: array shapes {shapes} do not fit {q} kernels and one gallery")
+    dim = lifted_dim(cfg.descriptors[0], features[0].shape[1])
+    for name, f in zip(cfg.descriptors, features):
+        if dim < 1 or f.shape[1] != lift_width(name, dim):
+            raise IoError(
+                f"{root / f'features_{name}.npy'}: {f.shape[1]} features per set, where the "
+                f"{name} lift of sets of dimension {dim} has {lift_width(name, dim)}"
+            )
     bank = KernelBank(cfg.descriptors, tuple(features), cfg.normalize_kernels)
     if len(labels) != bank.n_train or len(set_ids) != bank.n_train:
         raise IoError(f"{where}: labels or set ids do not match {bank.n_train} gallery sets")

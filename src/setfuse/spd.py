@@ -11,12 +11,11 @@ positive. That convention is what makes training runs bit-reproducible.
 
 from __future__ import annotations
 
-import numbers
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadSpec, NonFinite, NonSymmetric, NotPositiveDefinite
+from .errors import NonFinite, NonSymmetric, NotPositiveDefinite
 
 # Relative tolerance for the symmetry check.
 SYMMETRY_RTOL = 1e-12
@@ -113,16 +112,10 @@ def regularize_spd(c, alpha: float) -> np.ndarray:
     Adds ``trace(c) / alpha`` times the identity. When the trace is at or
     below ``TRACE_EPS_FLOOR * d`` (e.g. the zero matrix from a constant image
     set) the shift falls back to the absolute floor ``TRACE_EPS_FLOOR`` so the
-    output is still usable downstream. ``alpha`` must be a positive real
-    number (not a bool) that a float holds, else ``BadSpec``; ``inf`` is a
-    no-op sentinel for direct callers (tests) that need the raw estimate.
+    output is still usable downstream. ``alpha`` is positive, as ``TrainConfig``
+    checks it; ``inf`` is a no-op sentinel for direct callers (tests) that
+    need the raw estimate.
     """
-    try:
-        ok = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool) and float(alpha) > 0.0
-    except OverflowError:
-        ok = False
-    if not ok:
-        raise BadSpec(f"alpha must be a positive number, got {alpha!r:.80}")
     a = check_symmetric(c)
     d = a.shape[-1]
     tr = np.trace(a, axis1=-2, axis2=-1)

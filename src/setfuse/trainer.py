@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import TrainConfig
-from .errors import BadDimension, BadSpec, DegenerateDenominator, ShapeMismatch, ZeroTotalScatter
+from .errors import BadSpec, DegenerateDenominator, ZeroTotalScatter
 from .gating import (
     ClassLayout,
     GatingParams,
@@ -206,17 +206,10 @@ def scatter_matrices(
     symmetric rank-k product whose result is exactly symmetric; so a
     channel costs two such (m x N) products.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    codes, n = classes.codes, classes.codes.size
-    if not columns or w.shape != (len(columns), n):
-        raise ShapeMismatch(f"weights must be {len(columns)} x {n}, got {w.shape}")
-    dim = columns[0].shape[0]
-    if any(a.shape != (dim, n) for a in columns):
-        raise ShapeMismatch(f"columns do not all have shape {dim} x {n}")
-
+    codes, dim = classes.codes, columns[0].shape[0]
     within = np.zeros((dim, dim), dtype=np.float64)
     between = np.zeros((dim, dim), dtype=np.float64)
-    for a, wq in zip(columns, w):
+    for a, wq in zip(columns, weights):
         class_w, means = class_means(a, wq, classes)
         total_w = float(class_w.sum())
         d = a - means[:, codes]
@@ -276,7 +269,8 @@ def solve_trace_ratio(
     onto eigenvectors of the subspace-restricted total scatter (which leaves
     the ratio unchanged but makes the output basis canonical). The recorded
     ratio history is non-decreasing; iteration stops when the ratio moves
-    less than ``eps`` or after ``max_iters`` updates.
+    less than ``eps`` or after ``max_iters`` updates. ``target_dim`` lies in
+    [1, dim], as ``train`` clamps it.
 
     The scheme is Newton's method on ``lam`` (Wang et al. 2007; Ngo,
     Bellalij & Saad 2012), so a start near the optimum needs one
@@ -287,14 +281,7 @@ def solve_trace_ratio(
     b = np.asarray(between, dtype=np.float64)
     t = np.asarray(total, dtype=np.float64)
     dim = t.shape[0]
-    if b.shape != t.shape or b.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ShapeMismatch(f"scatter shapes disagree: {b.shape} vs {t.shape}")
-    if not 1 <= target_dim <= dim:
-        raise BadDimension(f"target_dim={target_dim} must be in [1, {dim}]")
     if start is not None:
-        start = np.asarray(start, dtype=np.float64)
-        if start.shape != (dim, target_dim):
-            raise ShapeMismatch(f"start must be {dim} x {target_dim}, got {start.shape}")
         v = _orthonormal_columns(start)
     else:
         if rng is None:
@@ -344,9 +331,9 @@ def train(
     ``features`` holds the gallery's lifted rows (``lift_features``), one
     (N, D_q) array per channel of ``cfg.descriptors``; the bank is built from
     them and the config, as ``load_model`` builds it. ``labels`` gives each
-    set's class and ``set_ids`` its id, as strs; ``class_layout`` checks the
-    labels and derives, once per call, the class structure every scatter,
-    objective and gradient reads.
+    set's class and ``set_ids`` its id, one str each, as the gallery's
+    ``ImageSet`` carry them; ``class_layout`` derives from the labels, once
+    per call, the class structure every scatter, objective and gradient reads.
     Once per call, ``gram_span`` finds an orthonormal basis of the
     r-dimensional span of all Gram column differences, which holds the range
     of every gated total scatter, and the projection width is clamped to r.
@@ -377,13 +364,7 @@ def train(
     """
     bank = KernelBank(cfg.descriptors, tuple(features), cfg.normalize_kernels)
     n = bank.n_train
-    classes = class_layout(labels, n)
-    ids = np.asarray(set_ids, dtype=object)
-    if ids.shape != (n,):
-        raise ShapeMismatch(f"expected {n} set ids, got shape {ids.shape}")
-    if not all(isinstance(s, str) for s in ids):
-        raise BadSpec(f"set ids must be strs, got {list(set_ids)!r:.80}")
-
+    classes = class_layout(labels)
     rng = np.random.default_rng(cfg.seed)
     params = init_gating_params(bank.n_kernels, n, rng)
     span = gram_span(bank)

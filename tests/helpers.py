@@ -71,7 +71,7 @@ def scatter_matrices(bank, labels, weights):
     ``labels``, bound at import, so a test that patches
     ``trainer.scatter_matrices`` or ``trainer.class_layout`` does not reach
     them through here."""
-    return library_scatter_matrices(bank.grams, class_layout(labels, bank.n_train), weights)
+    return library_scatter_matrices(bank.grams, class_layout(labels), weights)
 
 
 def trace_ratio_objective(transform, scatter) -> float:
@@ -117,7 +117,7 @@ def gating_gradients(bank, params, transform, labels):
     params at a fixed transform E (N x p), from the pipeline's own steps:
     the ``class_layout`` of ``labels``, the weights, the
     ``projected_pair_sums`` of ``E.T @ K_q`` and ``projected_gradients``."""
-    classes = class_layout(labels, bank.n_train)
+    classes = class_layout(labels)
     weights = gating_weights(bank, params)
     projected = [transform.T @ gram for gram in bank.grams]
     sums = projected_pair_sums(projected, weights, classes)

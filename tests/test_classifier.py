@@ -8,7 +8,7 @@ import pytest
 from setfuse.classify import Prediction, distance_profile, predict
 from setfuse.config import TrainConfig
 from setfuse.descriptors import ImageSet, encode_sets
-from setfuse.errors import BadSpec, NegativeDistance
+from setfuse.errors import BadSpec
 from setfuse.gating import softmax_columns
 from setfuse.trainer import train
 
@@ -141,7 +141,3 @@ class TestPredict:
         model, _, _ = trained_model(122)
         with pytest.raises(BadSpec, match="ImageSet"):
             predict(probe, model)
-
-    def test_prediction_rejects_negative_distances(self):
-        with pytest.raises(NegativeDistance):
-            Prediction(label="a", distances=np.array([-1.0, 0.5]), nearest_index=0)

@@ -214,11 +214,6 @@ class TestSubspaceDescriptor:
             check_orthonormal(bases)
         assert info.value.index == 2
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 0)], ids=["1-d", "wide", "empty"])
-    def test_orthonormality_check_rejects_bad_shapes(self, shape):
-        with pytest.raises(DimensionMismatch):
-            check_orthonormal(np.zeros(shape))
-
 
 class TestEmbedGaussian:
     def test_scalar_example(self):

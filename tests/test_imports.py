@@ -2,7 +2,7 @@
 no module imports another's underscore name, every function and class a
 library module defines is read by the library or exported, every export is
 read by the library or is an entry point, the package's export list
-names each public object once, and only ``train`` and ``load_model`` build a
+is the pipeline's 17 names, each once, and only ``train`` and ``load_model`` build a
 ``KernelBank``.
 
 The check parses each ``src/setfuse/*.py`` with the stdlib ``ast`` module,
@@ -172,6 +172,16 @@ def test_every_export_is_read_or_an_entry_point():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     unread = unread_exports(sources, setfuse.__all__)
     assert sorted(unread) == sorted(name for name, _ in ENTRY_POINTS)
+
+
+def test_exports_are_the_pipeline():
+    # what a user calls; every other name is an internal at its module path
+    assert sorted(setfuse.__all__) == sorted([
+        "ImageSet", "TrainConfig", "generate_synthetic", "load_dataset", "save_dataset",
+        "split_sets", "train_on_sets", "predict", "Prediction", "ModelState", "save_model",
+        "load_model", "run_experiment", "run_dimension_sweep", "ExperimentReport",
+        "SplitResult", "DESCRIPTOR_NAMES",
+    ])
 
 
 def test_package_exports_are_consistent():

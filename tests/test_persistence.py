@@ -400,6 +400,18 @@ class TestTamperDetection:
         with pytest.raises(IoError, match="do not fit"):
             load_model(tmp_path / "m")
 
+    @pytest.mark.parametrize("name", ["cov", "subspace", "gauss"])
+    def test_features_of_no_set_dimension_rejected(self, trained, tmp_path, name):
+        # one extra column, checksummed consistently: no d lifts to that width,
+        # so loading names the file instead of predict failing on every probe
+        model, _ = trained
+        save_model(model, tmp_path / "m")
+        f = model.bank.features[model.bank.descriptors.index(name)]
+        wide = np.hstack([f, f[:, :1]])
+        replace_array_file(tmp_path / "m", f"features_{name}.npy", npy_bytes(wide))
+        with pytest.raises(IoError, match=f"features_{name}.npy: {f.shape[1] + 1} features"):
+            load_model(tmp_path / "m")
+
     def test_unlisted_array_file_rejected(self, trained, tmp_path):
         # a checksummed array file the format does not name: format 2's weights
         model, _ = trained

@@ -10,10 +10,8 @@ from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic
 from setfuse.descriptors import encode_sets
 from setfuse.errors import (
-    BadDimension,
     BadSpec,
     DegenerateDenominator,
-    ShapeMismatch,
     SingleClassGallery,
     ZeroTotalScatter,
 )
@@ -70,7 +68,7 @@ class TestScatterMatrices:
         scatter = scatter_matrices(bank, labels, weights)
         # only i == j pairs are within-class and those difference vectors vanish
         assert np.array_equal(scatter.within, np.zeros((3, 3)))
-        classes = class_layout(labels, 3)
+        classes = class_layout(labels)
         assert (classes.n_within, classes.n_between) == (3, 6)
 
     def test_matches_brute_force(self):
@@ -95,12 +93,6 @@ class TestScatterMatrices:
             assert np.array_equal(m, m.T)
             assert np.linalg.eigvalsh(m).min() >= -1e-10
 
-    def test_bad_weight_shape(self):
-        rng = np.random.default_rng(84)
-        bank = random_bank(rng, 4, 2)
-        with pytest.raises(ShapeMismatch):
-            scatter_matrices(bank, random_labels(rng, 4), np.ones((3, 4)))
-
 
 def feature_bank(rng, n_classes=4, sets_per_class=10):
     """A real d=3 bank: N=40 sets, and Gram rank at most 9 + 9 + 16 = 34 < N."""
@@ -113,7 +105,7 @@ def feature_bank(rng, n_classes=4, sets_per_class=10):
 def assert_reduced_matches_full(bank, labels, weights):
     span = gram_span(bank)
     full = scatter_matrices(bank, labels, weights)
-    reduced = trainer.scatter_matrices(span.columns, class_layout(labels, bank.n_train), weights)
+    reduced = trainer.scatter_matrices(span.columns, class_layout(labels), weights)
     for got, whole in ((reduced.within, full.within), (reduced.between, full.between)):
         ref = span.basis.T @ whole @ span.basis
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -157,17 +149,6 @@ class TestGramSpan:
         bank = random_bank(np.random.default_rng(112), 7, 1)
         assert np.linalg.matrix_rank(bank.grams[0]) == 7
         assert gram_span(bank).basis.shape == (7, 6)
-
-    def test_span_of_another_bank_rejected(self):
-        rng = np.random.default_rng(110)
-        bank = random_bank(rng, 6, 2)
-        other = gram_span(random_bank(rng, 5, 2))
-        with pytest.raises(ShapeMismatch):
-            trainer.scatter_matrices(
-                other.columns,
-                class_layout(random_labels(rng, 6), 6),
-                random_simplex_weights(rng, 2, 6),
-            )
 
     def test_zero_grams_raise(self):
         bank = random_bank(np.random.default_rng(105), 4, 2)
@@ -341,10 +322,6 @@ class TestSolveTraceRatio:
         assert abs(warm.ratio_history[-1] - cold.ratio_history[-1]) <= 1e-12
         assert np.max(np.abs(warm.projection.T @ warm.projection - np.eye(3))) <= 1e-12
 
-    def test_start_shape_checked(self):
-        with pytest.raises(ShapeMismatch):
-            solve_trace_ratio(np.eye(3), np.eye(3), 2, start=np.ones((3, 1)))
-
     def test_deterministic_given_seed(self):
         a = np.diag([5.0, 2.0, 1.0])
         t = np.eye(3)
@@ -352,14 +329,6 @@ class TestSolveTraceRatio:
         r2 = solve_trace_ratio(a, t, 2, rng=np.random.default_rng(7))
         assert np.array_equal(r1.projection, r2.projection)
         assert r1.ratio_history == r2.ratio_history
-
-    def test_bad_dimensions(self):
-        with pytest.raises(BadDimension):
-            solve_trace_ratio(np.eye(3), np.eye(3), 0)
-        with pytest.raises(BadDimension):
-            solve_trace_ratio(np.eye(3), np.eye(3), 4)
-        with pytest.raises(ShapeMismatch):
-            solve_trace_ratio(np.eye(3), np.eye(2), 1)
 
 
 def separable_bank(rng, n_classes=2, sets_per_class=6, d=6, n=14, shift=4.0):
@@ -439,7 +408,7 @@ class TestTrain:
         params = init_gating_params(bank.n_kernels, bank.n_train, manual_rng)
         weights = gating_weights(bank, params)
         span = gram_span(bank)
-        classes = class_layout(labels, bank.n_train)
+        classes = class_layout(labels)
         scatter = trainer.scatter_matrices(span.columns, classes, weights)
         itr = solve_trace_ratio(
             scatter.between,
@@ -590,41 +559,6 @@ class TestTrain:
         with pytest.raises(SingleClassGallery):
             train(bank.features, ["a"] * 4, ids_of(bank), TWO_CHANNELS)
 
-    def test_label_count_mismatch(self):
-        rng = np.random.default_rng(101)
-        bank = random_bank(rng, 4, 2)
-        with pytest.raises(ShapeMismatch):
-            train(bank.features, ["a", "b"], ids_of(bank), TWO_CHANNELS)
-
-    @pytest.mark.parametrize(
-        "labels",
-        [[0, 1, 0, 1], np.array([0, 1, 0, 1]), ["a", 1, "a", "b"], [b"a", b"b", b"a", b"b"]],
-        ids=["ints", "int-array", "mixed", "bytes"],
-    )
-    def test_labels_must_be_str(self, labels):
-        bank = random_bank(np.random.default_rng(101), 4, 2)
-        with pytest.raises(BadSpec, match="label"):
-            train(bank.features, labels, ids_of(bank), TWO_CHANNELS)
-
-    def test_set_ids_must_be_str(self):
-        # a model with an int set id would save but not load
-        bank = random_bank(np.random.default_rng(101), 4, 2)
-        with pytest.raises(BadSpec, match="set ids"):
-            train(bank.features, ["a", "b", "a", "b"], ["s0", 1, "s2", "s3"], TWO_CHANNELS)
-
-    @pytest.mark.parametrize(
-        "set_ids", [None, ["s0", "s1", "s2"], "s0s1"], ids=["none", "short", "str"]
-    )
-    def test_set_ids_are_required(self, set_ids):
-        bank = random_bank(np.random.default_rng(101), 4, 2)
-        with pytest.raises(ShapeMismatch, match="set ids"):
-            train(bank.features, ["a", "b", "a", "b"], set_ids, TWO_CHANNELS)
-
-    def test_features_must_match_the_config_channels(self):
-        bank = random_bank(np.random.default_rng(101), 4, 2)
-        with pytest.raises(ShapeMismatch, match="number of kernels"):
-            train(bank.features, ["a", "b", "a", "b"], ids_of(bank), TrainConfig(iters=1))
-
     @pytest.mark.parametrize("normalize", [False, True])
     def test_bank_is_built_from_the_config(self, normalize):
         # the model's bank takes its channels and scaling from the config and
@@ -700,6 +634,7 @@ class TestTrainConfig:
             {"normalize_kernels": "no"},
             {"normalize_kernels": 1},
             {"alpha": True},
+            {"alpha": np.bool_(True)},
             {"alpha": 0},
             {"alpha": 0.0},
             {"alpha": float("-inf")},
@@ -713,7 +648,7 @@ class TestTrainConfig:
             {"descriptors": ["cov", 1]},
         ],
         ids=[
-            "normalize-str", "normalize-int", "alpha-bool", "alpha-zero", "alpha-zero-float",
+            "normalize-str", "normalize-int", "alpha-bool", "alpha-numpy-bool", "alpha-zero", "alpha-zero-float",
             "alpha-minus-inf", "eps-bool", "lr-bool",
             "alpha-str", "lr-str", "eps-none", "descriptors-int", "descriptors-str",
             "descriptors-int-item",
