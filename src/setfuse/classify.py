@@ -1,17 +1,21 @@
 """Nearest-neighbor classification in the learned kernel subspace.
 
-A probe set is encoded into the three descriptors and lifted to one row per
-channel; its kernel values against the stored gallery form one column per
-channel, and the distance to gallery member i sums, over channels,
+A probe set is encoded into the three descriptors and lifted to one row f_q
+per channel. Every kernel is a Frobenius inner product of lifted rows, so
+the probe's kernel column is k_q = s_q F_q f_q (F_q the gallery's rows, s_q
+the channel's scale), and the learned metric reads it only through linear
+maps of f_q that the model derives once (``ModelState.probe_maps``). The
+distance to gallery member i sums, over channels,
 
     w_q(probe) * || E.T (k_q(probe) - K_q[:, i]) ||^2 * w_q(i)
 
-with the probe's gating weight the same read-out of its kernel columns as
-the gallery's (``gating.gate``), the gallery weights frozen from training,
-and the distance the one training uses (``gating.squared_distances``). The
-prediction is the label of the closest gallery member (ties break to the
-lowest index). ``distance_profile`` scores lifted rows, so ``predict`` and
-every test set of a split protocol take the same path.
+with the probe's gating weight the same read-out of its kernel column as
+the gallery's (``gating.gating_weights``), the gallery weights frozen from
+training, and the distance the one training uses
+(``gating.squared_distances``). The prediction is the label of the closest
+gallery member (ties break to the lowest index). ``distance_profile``
+scores lifted rows, so ``predict`` and every test set of a split protocol
+take the same path.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .descriptors import ImageSet, encode_sets
 from .errors import BadSpec, DimensionMismatch, NonFinite, TooFewSamples
-from .gating import gate, squared_distances
+from .gating import softmax_columns, squared_distances
 from .kernels import lift_features
 from .trainer import ModelState
 
@@ -49,16 +53,19 @@ def distance_profile(rows, model: ModelState) -> np.ndarray:
     per channel of ``model.bank.descriptors``, from ``lift_features``), to
     every gallery member.
 
-    The rows are scored against the bank's lifted gallery features, and the
-    gallery side of every distance, ``E.T @ K_q``, comes cached from the
-    model; so this costs O(n_train * (D_q + target_dim)) per channel.
+    Each row f_q enters only through the channel's ``ProbeMap``: its gating
+    score ``score @ f_q`` plus the bias, and its projection
+    ``projection @ f_q``, measured against the projected Gram columns. This
+    costs O(target_dim * (D_q + n_train)) per channel and forms no kernel
+    column.
     """
-    crosses = model.bank.columns_from_rows(rows)
-    test_weights = gate(model.gating, crosses)
+    maps = model.probe_maps
+    scores = [m.score @ row + b for m, row, b in zip(maps, rows, model.gating.biases)]
+    test_weights = softmax_columns(np.array(scores))
     out = np.zeros(model.n_train, dtype=np.float64)
-    for q, projected_gallery in enumerate(model.projected_grams):
-        projected_test = model.transform.T @ crosses[q]
-        sq = squared_distances(projected_gallery, projected_test[:, None])[0]
+    for q, (m, row) in enumerate(zip(maps, rows)):
+        projected_test = m.projection @ row
+        sq = squared_distances(m.gallery, projected_test[:, None])[0]
         out += test_weights[q] * sq * model.train_weights[q]
     return out
 

@@ -5,8 +5,8 @@ Each training sample i gets a weight per kernel channel q,
     w[q, i] = softmax_q( coeffs[q] . K_q[:, i] + biases[q] ),
 
 a linear read-out of the sample's Gram column plus a bias, pushed through a
-softmax across channels; a probe's weights are the same read-out (``gate``)
-of its kernel columns against the gallery. The gating parameters are learned
+softmax across channels; a probe's weights are the same read-out of its
+kernel columns against the gallery. The gating parameters are learned
 by gradient ascent on the same trace-ratio objective the projection is
 solved for; the exact gradient expressions live in ``projected_gradients``.
 
@@ -63,17 +63,11 @@ def softmax_columns(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
-def gate(params: GatingParams, columns: Sequence[np.ndarray]) -> np.ndarray:
-    """Gating weights of kernel columns: ``softmax_q(coeffs[q] @ columns[q]
-    + biases[q])``, with ``columns[q]`` channel q's kernel values against the
-    gallery (N, or N x M for M samples at once). Returns Q, or Q x M."""
-    scores = [c @ col + b for c, col, b in zip(params.coeffs, columns, params.biases)]
-    return softmax_columns(np.array(scores))
-
-
 def gating_weights(bank: KernelBank, params: GatingParams) -> np.ndarray:
-    """``gate`` of the Grams: per-sample kernel weights, Q x N, columns summing to one."""
-    return gate(params, bank.grams)
+    """Per-sample kernel weights, Q x N, columns summing to one:
+    ``softmax_q(coeffs[q] @ K_q + biases[q])`` of the bank's Grams."""
+    scores = [c @ gram + b for c, gram, b in zip(params.coeffs, bank.grams, params.biases)]
+    return softmax_columns(np.array(scores))
 
 
 def squared_distances(points: np.ndarray, centres: np.ndarray) -> np.ndarray:

@@ -18,23 +18,23 @@ stacked call (one ``spd_log`` for ``cov`` and ``gauss``) into one read-only
 (N, D_q) array: a training gallery, a probe (a stack of one), or the set
 collection of a split protocol call, whose splits then slice their training
 rows from it. A ``KernelBank`` is such arrays, one per channel, and derives
-its Gram matrices from them. Every kernel value (a Gram entry, a probe's
-cross-kernel entry) is the one dot ``np.vecdot(rows, row)`` in
-``_frobenius``. It computes each row's dot the same way wherever the row
-sits, so a Gram, built column by column with its lower triangle mirrored up,
-is exactly symmetric, and a probe identical to a gallery member reproduces
-that member's Gram column bit for bit. The bits of a dot depend on the
-layout of its rows (a strided row takes another summation path), so every
-lifted row is C-contiguous: ``lift_features`` returns C order, a
-``KernelBank`` stores its features in C order (a loaded model's included),
-and ``KernelBank.columns_from_rows`` makes each probe row contiguous.
+its Gram matrices from them. Every Gram entry is the one dot
+``np.vecdot(rows, row)`` in ``_frobenius``. It computes each row's dot the
+same way wherever the row sits, so a Gram, built column by column with its
+lower triangle mirrored up, is exactly symmetric, and the same dot of a
+gallery member's row, sent as a probe, against the gallery reproduces that
+member's Gram column bit for bit. The bits of a dot depend on the layout of
+its rows (a strided row takes another summation path), so every lifted row
+is C-contiguous: ``lift_features`` returns C order, and a ``KernelBank``
+stores its features in C order (a loaded model's included). A probe is never
+scored by kernel columns: prediction reads its lifted rows through linear
+maps of the gallery features (``trainer.ProbeMap``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -130,9 +130,9 @@ class KernelBank:
     saved model stores. Everything else is derived from them on construction:
     ``grams[q]`` is the N x N Gram matrix, multiplied by ``scales[q]`` (its
     trace-N factor with ``normalize``, else 1.0), and ``n_train`` is N.
-    ``columns_from_rows`` scores a probe's lifted rows (``lift_features`` of
-    a stack of one) against the same features, so Grams and probe columns
-    cannot disagree.
+    A probe's kernel column against channel q would be ``scales[q]`` times
+    the dot of its lifted row with ``features[q]``; prediction folds that
+    product into the learned maps (``ModelState.probe_maps``).
     """
 
     descriptors: tuple[str, ...]
@@ -165,11 +165,3 @@ class KernelBank:
     def dim(self) -> int:
         """Feature dimension d of the sets the gallery was encoded from."""
         return lifted_dim(self.descriptors[0], self.features[0].shape[1])
-
-    def columns_from_rows(self, rows: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Scaled kernel columns of a probe's lifted rows, one per channel and
-        each as wide as the gallery's, against the gallery features."""
-        return [
-            _frobenius(f, np.ascontiguousarray(row)) * s
-            for row, f, s in zip(rows, self.features, self.scales)
-        ]

@@ -30,11 +30,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .config import TrainConfig
+from .descriptors import read_only
 from .errors import BadSpec, DegenerateDenominator, ZeroTotalScatter
 from .gating import (
     ClassLayout,
@@ -91,16 +92,36 @@ class TraceRatioResult:
     ratio_history: tuple[float, ...]
 
 
+class ProbeMap(NamedTuple):
+    """One channel's learned metric as linear maps on a probe's lifted row f
+    (D_q), derived from the gallery rows F_q, the channel's scale s_q, the
+    transform E and the gating read-out ``coeffs_q``.
+
+    ``projection`` (p x D_q, ``s_q E.T F_q``) gives the probe's projection
+    ``projection @ f``, which is ``E.T k_q`` for its kernel column k_q;
+    ``score`` (D_q, ``s_q coeffs_q @ F_q``) gives its gating score less the
+    bias, ``score @ f = coeffs_q @ k_q``; ``gallery`` (p x N) is ``E.T K_q``,
+    the projected Gram columns.
+    """
+
+    projection: np.ndarray
+    score: np.ndarray
+    gallery: np.ndarray
+
+
 @dataclass(frozen=True)
 class ModelState:
     """Everything needed to classify new sets: the frozen training state.
 
     The gallery is ``bank.features``, from which the bank derives its Grams.
     ``labels`` and ``set_ids`` follow bank order. The bank's channels and
-    ``normalize`` flag are the config's (``BadSpec`` otherwise), as loading
-    rebuilds them, so every model saves as it loads. Everything else is
-    derived: ``train_weights`` from the bank and the gating,
-    ``projected_grams`` from the bank and the transform.
+    ``normalize`` flag are the config's, the transform has one row per
+    gallery set, the gating is Q x N coefficients and Q biases, and there is
+    one label and one set id per gallery set (``BadSpec`` otherwise), as
+    loading rebuilds them, so every model saves as it loads. The transform
+    is kept read-only and C-contiguous (any other array is copied). Everything
+    else is derived: ``train_weights`` from the bank and the gating,
+    ``probe_maps`` from the bank, the gating and the transform.
     """
 
     transform: np.ndarray
@@ -118,6 +139,23 @@ class ModelState:
                 f"kernel bank has channels {bank.descriptors} and normalize={bank.normalize}, "
                 f"the config {cfg.descriptors} and normalize_kernels={cfg.normalize_kernels}"
             )
+        # read-only, as ``probe_maps`` caches maps of it
+        object.__setattr__(self, "transform", read_only(self.transform))
+        q, n = bank.n_kernels, bank.n_train
+        shape = self.transform.shape
+        if len(shape) != 2 or shape[0] != n:
+            raise BadSpec(f"transform of shape {shape} does not fit {n} gallery sets")
+        coeffs, biases = self.gating.coeffs.shape, self.gating.biases.shape
+        if (coeffs, biases) != ((q, n), (q,)):
+            raise BadSpec(
+                f"gating of shapes {coeffs} and {biases} does not fit {q} kernels "
+                f"and {n} gallery sets"
+            )
+        if len(self.labels) != n or len(self.set_ids) != n:
+            raise BadSpec(
+                f"{len(self.labels)} labels and {len(self.set_ids)} set ids "
+                f"do not match {n} gallery sets"
+            )
 
     @property
     def n_train(self) -> int:
@@ -132,14 +170,17 @@ class ModelState:
         return w
 
     @cached_property
-    def projected_grams(self) -> tuple[np.ndarray, ...]:
-        """``transform.T @ K_q`` per channel, the gallery side of every probe
-        distance; computed on first use and kept for the model's lifetime."""
+    def probe_maps(self) -> tuple[ProbeMap, ...]:
+        """One read-only ``ProbeMap`` per channel, the whole of what a probe's
+        distances read besides the biases and ``train_weights``; computed on
+        first use and kept for the model's lifetime."""
+        e, bank = self.transform, self.bank
         out = []
-        for gram in self.bank.grams:
-            p = self.transform.T @ gram
-            p.setflags(write=False)
-            out.append(p)
+        for f, s, gram, c in zip(bank.features, bank.scales, bank.grams, self.gating.coeffs):
+            arrays = ProbeMap(s * (e.T @ f), s * (c @ f), e.T @ gram)
+            for a in arrays:
+                a.setflags(write=False)
+            out.append(arrays)
         return tuple(out)
 
 

@@ -155,8 +155,20 @@ def rows(stack, index):
 def probe_rows(probe, bank):
     """A probe's lifted row per channel of ``bank``, from a stack of one set,
     as ``predict`` lifts it: the rows ``distance_profile`` and
-    ``KernelBank.columns_from_rows`` score."""
+    ``columns_from_rows`` score."""
     return [lift_features(probe, name)[0] for name in bank.descriptors]
+
+
+def columns_from_rows(bank, rows):
+    """Scaled kernel columns of a probe's lifted rows, one per channel and
+    each as wide as the gallery, from the dot every Gram entry is built
+    with (``np.vecdot`` over C-contiguous rows): the oracle of the invariant
+    that a gallery member sent as a probe reproduces its Gram column bit
+    for bit."""
+    return [
+        np.vecdot(f, np.ascontiguousarray(row)) * s
+        for row, f, s in zip(rows, bank.features, bank.scales)
+    ]
 
 
 def scalar_kernel_column(channel, probe, gallery):

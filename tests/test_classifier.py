@@ -15,12 +15,14 @@ from setfuse.trainer import train
 from helpers import build_kernel_bank, probe_rows, random_gallery_sets, rows, scalar_kernel_column
 
 
-def trained_model(seed, n_classes=3, sets_per_class=3, target_dim=3, iters=4):
+def trained_model(seed, n_classes=3, sets_per_class=3, target_dim=3, iters=4, normalize=False):
     rng = np.random.default_rng(seed)
     sets = random_gallery_sets(
         rng, n_classes=n_classes, sets_per_class=sets_per_class, d=6, n=14
     )
-    cfg = TrainConfig(subspace_dim=3, target_dim=target_dim, iters=iters, seed=seed)
+    cfg = TrainConfig(
+        subspace_dim=3, target_dim=target_dim, iters=iters, seed=seed, normalize_kernels=normalize
+    )
     gallery = encode_sets(sets, cfg)
     labels = np.array([s.label for s in sets])
     bank = build_kernel_bank(gallery, cfg.descriptors)
@@ -59,12 +61,15 @@ class TestDistanceProfile:
             assert profile[i] <= 1e-9
 
     def test_matches_naive_per_pair_computation(self):
-        model, _, gallery = trained_model(111)
-        probe = rows(gallery, 2)
-        profile = distance_profile(probe_rows(probe, model.bank), model)
-        scale = max(1.0, float(np.max(np.abs(profile))))
-        for i in range(model.n_train):
-            assert abs(profile[i] - naive_distance(probe, model, gallery, i)) <= 1e-10 * scale
+        # trace-N normalization puts each channel's scale into the probe maps
+        for normalize in (False, True):
+            model, _, gallery = trained_model(111, normalize=normalize)
+            assert all((s != 1.0) == normalize for s in model.bank.scales)
+            probe = rows(gallery, 2)
+            profile = distance_profile(probe_rows(probe, model.bank), model)
+            scale = max(1.0, float(np.max(np.abs(profile))))
+            for i in range(model.n_train):
+                assert abs(profile[i] - naive_distance(probe, model, gallery, i)) <= 1e-10 * scale
 
     def test_nonnegative(self):
         model, sets, _ = trained_model(112)

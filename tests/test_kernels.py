@@ -23,6 +23,7 @@ from setfuse.kernels import (
 
 from helpers import (
     build_kernel_bank,
+    columns_from_rows,
     fortran_read_only,
     log_euclidean_kernel,
     probe_rows,
@@ -220,13 +221,12 @@ class TestGramMatrix:
 def cross_kernel_vector(probe, gallery, channel, normalize=False):
     """One probe's kernel column against a gallery, through a one-channel bank."""
     bank = build_kernel_bank(gallery, (channel,), normalize)
-    (column,) = bank.columns_from_rows(probe_rows(probe, bank))
+    (column,) = columns_from_rows(bank, probe_rows(probe, bank))
     return column
 
 
 class TestCrossKernelVector:
-    """A probe's kernel columns, ``KernelBank.columns_from_rows`` of its
-    lifted rows."""
+    """A probe's kernel columns, ``columns_from_rows`` of its lifted rows."""
 
     def test_gallery_of_one(self):
         rng = np.random.default_rng(43)
@@ -329,7 +329,7 @@ class TestLiftedFeatures:
             norms = np.linalg.norm(np.array(lifted), axis=1)
             assert np.all(np.abs(gram - naive) <= 1e-12 * np.outer(norms, norms))
         for j, t in enumerate(alone):
-            for q, col in enumerate(bank.columns_from_rows(probe_rows(t, bank))):
+            for q, col in enumerate(columns_from_rows(bank, probe_rows(t, bank))):
                 assert np.array_equal(col, bank.grams[q][:, j])
 
     def test_rows_are_flattened_lifts(self):
@@ -359,7 +359,7 @@ class TestLiftedFeatures:
         rng = np.random.default_rng(54)
         gallery = encode_sets(random_gallery_sets(rng, 2, 3, d=6, n=12), q=3)
         bank = build_kernel_bank(gallery, normalize=True)
-        for q, col in enumerate(bank.columns_from_rows(probe_rows(rows(gallery, 2), bank))):
+        for q, col in enumerate(columns_from_rows(bank, probe_rows(rows(gallery, 2), bank))):
             assert np.array_equal(col, bank.grams[q][:, 2])
 
     def test_bank_without_features_cannot_be_built(self):
@@ -420,8 +420,8 @@ class TestBankIsItsFeatures:
         assert f_bank.features[0].flags.c_contiguous
         assert np.array_equal(f_bank.grams[0], c_bank.grams[0])
         for j in range(f.shape[0]):
-            (col,) = f_bank.columns_from_rows([fortran[j]])
-            assert np.array_equal(col, c_bank.columns_from_rows([f[j]])[0])
+            (col,) = columns_from_rows(f_bank, [fortran[j]])
+            assert np.array_equal(col, columns_from_rows(c_bank, [f[j]])[0])
             assert np.array_equal(col, c_bank.grams[0][:, j])
 
 
@@ -442,5 +442,5 @@ class TestOneDot:
             view = np.frombuffer(b"\0" * 8 + row.tobytes(), dtype="<f8", offset=8)
             assert not view.flags.writeable
             for probe in (row.copy(), view):
-                (col,) = bank.columns_from_rows([probe])
+                (col,) = columns_from_rows(bank, [probe])
                 assert np.array_equal(col, gram[:, j])

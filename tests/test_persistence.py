@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from setfuse import kernels, persistence
+from setfuse import kernels, persistence, trainer
 from setfuse.classify import distance_profile, predict
 from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic
@@ -21,12 +21,19 @@ from setfuse.errors import (
     IoError,
 )
 from setfuse.experiment import train_on_sets
-from setfuse.gating import gating_weights
+from setfuse.gating import GatingParams, gating_weights
 from setfuse.persistence import META_NAME, load_model, save_model
 from setfuse.spd import spd_log
 from setfuse.trainer import ModelState, train
 
-from helpers import build_kernel_bank, fortran_read_only, ids_of, probe_rows, stack_length
+from helpers import (
+    build_kernel_bank,
+    columns_from_rows,
+    fortran_read_only,
+    ids_of,
+    probe_rows,
+    stack_length,
+)
 
 
 def train_small(**overrides):
@@ -171,9 +178,23 @@ class TestRoundTrip:
             assert np.array_equal(predict(s, back).distances, predict(s, model).distances)
         # a gallery member sent as a probe reproduces its Gram column
         probe = probe_rows(encode_sets([sets[4]], back.config), back.bank)
-        for q, col in enumerate(back.bank.columns_from_rows(probe)):
+        for q, col in enumerate(columns_from_rows(back.bank, probe)):
             assert np.array_equal(col, back.bank.grams[q][:, 4])
         assert distance_profile(probe, back)[4] <= 1e-12
+
+    def test_every_member_probes_to_itself(self, trained_variant, tmp_path):
+        # every gallery member sent as a probe comes back as its own nearest
+        # member, at a distance within the rounding of its projection (the
+        # bound of perfbench's self-probe check), before and after a reload
+        model, sets = trained_variant
+        save_model(model, tmp_path / "m")
+        back = load_model(tmp_path / "m")
+        for m in (model, back):
+            for i, s in enumerate(sets):
+                pred = predict(s, m)
+                d = pred.distances
+                assert pred.nearest_index == i
+                assert d[i] <= 1e-12 * max(float(np.median(d)), 1.0)
 
     def test_predictions_identical_after_reload(self, trained, tmp_path):
         model, sets = trained
@@ -233,6 +254,28 @@ class TestRoundTrip:
         # the probe's covariance and Gaussian embedding, never the gallery's
         assert sum(calls) == 2
 
+    def test_predict_on_loaded_model_forms_no_kernel_column(
+        self, trained, tmp_path, monkeypatch
+    ):
+        # loading builds the Grams; predict then reads each probe row through
+        # the model's maps, derived once per channel for the model's lifetime,
+        # and takes no dot against the N gallery rows
+        model, sets = trained
+        save_model(model, tmp_path / "m")
+        back = load_model(tmp_path / "m")
+        made = []
+        real_map = trainer.ProbeMap
+
+        def counting_map(*arrays):
+            made.append(arrays)
+            return real_map(*arrays)
+
+        monkeypatch.setattr(trainer, "ProbeMap", counting_map)
+        monkeypatch.setattr(np, "vecdot", lambda *a, **k: pytest.fail("predict took a kernel dot"))
+        for s in sets:
+            predict(s, back)
+        assert len(made) == back.bank.n_kernels
+
     def test_load_lifts_nothing(self, trained, tmp_path, monkeypatch):
         model, _ = trained
         save_model(model, tmp_path / "m")
@@ -286,6 +329,32 @@ class TestRoundTrip:
         cfg = dataclasses.replace(model.config, descriptors=("subspace", "cov"))
         with pytest.raises(BadSpec, match="channels"):
             dataclasses.replace(model, config=cfg)
+
+    def test_transform_cannot_change_under_the_probe_maps(self, trained):
+        model, sets = trained
+        predict(sets[0], model)
+        with pytest.raises(ValueError, match="read-only"):
+            model.transform[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "field, cut",
+        [
+            ("transform", lambda m: m.transform[1:]),
+            ("transform", lambda m: m.transform[:, 0]),
+            ("gating", lambda m: GatingParams(m.gating.coeffs[:, 1:], m.gating.biases)),
+            ("gating", lambda m: GatingParams(m.gating.coeffs[1:], m.gating.biases)),
+            ("gating", lambda m: GatingParams(m.gating.coeffs, m.gating.biases[1:])),
+            ("labels", lambda m: m.labels[1:]),
+            ("set_ids", lambda m: m.set_ids + ("extra",)),
+        ],
+        ids=["transform-rows", "transform-1d", "coeffs-n", "coeffs-q", "biases", "labels", "ids"],
+    )
+    def test_arrays_must_fit_the_bank(self, trained, field, cut):
+        # a hand-built model that does not fit its gallery fails when it is
+        # made, not at its first predict
+        model, _ = trained
+        with pytest.raises(BadSpec, match="gallery sets"):
+            dataclasses.replace(model, **{field: cut(model)})
 
 
 class TestTamperDetection:

@@ -12,15 +12,18 @@ one next to this file), so one copy of this script can digest any commit:
 
 Each train case prints two digests. ``model`` hashes the trained arrays
 (transform, gating parameters, training weights, every Gram, scale and lifted
-feature array, the objective trace, labels and set ids); for ``probe_stream``
-it also hashes the loaded model's distance profiles for ten held-out probes.
-``saved`` hashes the bytes of the saved model directory. So a change of
-persistence format alone keeps every ``model`` digest and changes the
-``saved`` ones. ``train_ragged`` trains on sets of 12, 16 and 20 samples,
-interleaved. Each split protocol case prints one ``model`` digest, over
-every ``SplitResult`` field but the wall-clock ``train_seconds``, of every
-report it returns: ``experiment_ablate`` the combined row and each ablation
-row, ``dimension_sweep`` one report per projection width, and
+feature array, the objective trace, labels and set ids). ``saved`` hashes the
+bytes of the saved model directory. So a change of persistence format alone
+keeps every ``model`` digest and changes the ``saved`` ones. ``probe_stream``
+prints one more line for ten held-out probes sent to the loaded model:
+``predictions`` hashes each probe's label and nearest index, ``profiles``
+its distance profile. So a change that rounds distances differently but
+predicts alike keeps every digest but ``profiles``. ``train_ragged`` trains
+on sets of 12, 16 and 20 samples, interleaved. Each split protocol case
+prints one ``model`` digest, over every ``SplitResult`` field but the
+wall-clock ``train_seconds``, of every report it returns:
+``experiment_ablate`` the combined row and each ablation row,
+``dimension_sweep`` one report per projection width, and
 ``experiment_capped`` one report on sets short enough to cap
 ``subspace_dim``. BLAS is pinned to one thread, because the thread count
 changes the bits.
@@ -76,11 +79,12 @@ def _saved_digest(sf, model, out: Path) -> str:
     return d.hexdigest()
 
 
-def _train_case(sf, sets, cfg, workdir: Path, name: str) -> tuple[str, str]:
+def _train_case(sf, sets, cfg, workdir: Path, name: str):
+    """The ``model`` and ``saved`` digests of one training, saved to ``workdir / name``."""
     d = _Digest()
     model = sf.train_on_sets(sets, cfg)
     _add_model(d, model)
-    return d.hexdigest(), _saved_digest(sf, model, workdir / name)
+    return ("model", d.hexdigest()), ("saved", _saved_digest(sf, model, workdir / name))
 
 
 def _reports_digest(reports) -> str:
@@ -109,15 +113,17 @@ def _cases(sf, workdir: Path):
         classes=6, sets_per_class=36, dim=32, samples=40, separation=5.0, seed=3
     )
     gallery, probes = sf.split_sets(sets, 16, np.random.default_rng(3))
-    d = _Digest()
-    model = sf.train_on_sets(gallery, cfg(3))
-    _add_model(d, model)
-    saved = _saved_digest(sf, model, workdir / "probe_stream")
+    yield "probe_stream", _train_case(sf, gallery, cfg(3), workdir, "probe_stream")
     loaded = sf.load_model(workdir / "probe_stream")
+    predictions, profiles = _Digest(), _Digest()
     for probe in probes[:10]:
         pred = sf.predict(probe, loaded)
-        d.add(pred.label, pred.nearest_index, pred.distances)
-    yield "probe_stream", (d.hexdigest(), saved)
+        predictions.add(pred.label, pred.nearest_index)
+        profiles.add(pred.distances)
+    yield "probe_stream", (
+        ("predictions", predictions.hexdigest()),
+        ("profiles", profiles.hexdigest()),
+    )
 
     # the perfbench split_protocol data at seed 3, trained whole
     sets = sf.generate_synthetic(
@@ -140,10 +146,10 @@ def _cases(sf, workdir: Path):
     yield "train_ragged", _train_case(sf, ragged, cfg(3), workdir, "train_ragged")
 
     report = sf.run_experiment(sets, cfg(3), n_splits=10, train_per_class=5, ablate=True)
-    yield "experiment_ablate", (_reports_digest(report.ablation), None)
+    yield "experiment_ablate", (("model", _reports_digest(report.ablation)), ("saved", None))
 
     sweep = sf.run_dimension_sweep(sets, cfg(3), target_dims=[4, 8], n_splits=4, train_per_class=5)
-    yield "dimension_sweep", (_reports_digest(sweep), None)
+    yield "dimension_sweep", (("model", _reports_digest(sweep)), ("saved", None))
 
     # class0 sets keep 4 of their 20 samples, so every split caps subspace_dim 5 to 4
     short = [
@@ -155,7 +161,10 @@ def _cases(sf, workdir: Path):
         for s in sets
     ]
     report = sf.run_experiment(short, cfg(3), n_splits=4, train_per_class=5)
-    yield "experiment_capped", (_reports_digest({"combined": report}), None)
+    yield "experiment_capped", (
+        ("model", _reports_digest({"combined": report})),
+        ("saved", None),
+    )
 
 
 def main() -> None:
@@ -166,8 +175,8 @@ def main() -> None:
     import setfuse as sf
 
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (model, saved) in _cases(sf, Path(tmp)):
-            print(f"{name:<18} model {model}  saved {saved or '-'}")
+        for name, digests in _cases(sf, Path(tmp)):
+            print(f"{name:<18} " + "  ".join(f"{k} {v or '-'}" for k, v in digests))
 
 
 if __name__ == "__main__":
