@@ -37,7 +37,7 @@ print(f"\ntransform shape: {model.transform.shape}")
 # channels. Averages near 1/3 mean the channels stay balanced; training on
 # this data usually shifts weight toward the most discriminative channel.
 print("mean gating weight per kernel channel:")
-for name, row in zip(model.bank.descriptors, model.train_weights):
+for name, row in zip(model.config.descriptors, model.train_weights):
     print(f"  {name:<9} {row.mean():.4f}  (min {row.min():.4f}, max {row.max():.4f})")
 
 # --- reproducibility ------------------------------------------------------

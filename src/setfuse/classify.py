@@ -4,18 +4,18 @@ A probe set is encoded into the three descriptors and lifted to one row f_q
 per channel. Every kernel is a Frobenius inner product of lifted rows, so
 the probe's kernel column is k_q = s_q F_q f_q (F_q the gallery's rows, s_q
 the channel's scale), and the learned metric reads it only through linear
-maps of f_q that the model derives once (``ModelState.probe_maps``). The
-distance to gallery member i sums, over channels,
+maps of f_q that the model derives once from its rows
+(``ModelState.probe_maps``). The distance to gallery member i sums, over
+channels,
 
     w_q(probe) * || E.T (k_q(probe) - K_q[:, i]) ||^2 * w_q(i)
 
-with the probe's gating weight the same read-out of its kernel column as
-the gallery's (``gating.gating_weights``), the gallery weights frozen from
-training, and the distance the one training uses
-(``gating.squared_distances``). The prediction is the label of the closest
-gallery member (ties break to the lowest index). ``distance_profile``
-scores lifted rows, so ``predict`` and every test set of a split protocol
-take the same path.
+with the probe's gating weights and the gallery's the one read-out of lifted
+rows (``ModelState.gate``), and the distance the one training uses
+(``gating.squared_distances``); no Gram matrix or kernel column is formed.
+The prediction is the label of the closest gallery member (ties break to
+the lowest index). ``distance_profile`` scores lifted rows, so ``predict``
+and every test set of a split protocol take the same path.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .descriptors import ImageSet, encode_sets
 from .errors import BadSpec, DimensionMismatch, NonFinite, TooFewSamples
-from .gating import softmax_columns, squared_distances
+from .gating import squared_distances
 from .kernels import lift_features
 from .trainer import ModelState
 
@@ -50,20 +50,18 @@ class Prediction:
 
 def distance_profile(rows, model: ModelState) -> np.ndarray:
     """Gated projected distances from a probe, given as its lifted rows (one
-    per channel of ``model.bank.descriptors``, from ``lift_features``), to
+    per channel of ``model.config.descriptors``, from ``lift_features``), to
     every gallery member.
 
     Each row f_q enters only through the channel's ``ProbeMap``: its gating
-    score ``score @ f_q`` plus the bias, and its projection
-    ``projection @ f_q``, measured against the projected Gram columns. This
+    score ``f_q @ score`` plus the bias (``model.gate``), and its projection
+    ``projection @ f_q``, measured against the gallery's projections. This
     costs O(target_dim * (D_q + n_train)) per channel and forms no kernel
     column.
     """
-    maps = model.probe_maps
-    scores = [m.score @ row + b for m, row, b in zip(maps, rows, model.gating.biases)]
-    test_weights = softmax_columns(np.array(scores))
+    test_weights = model.gate(rows)
     out = np.zeros(model.n_train, dtype=np.float64)
-    for q, (m, row) in enumerate(zip(maps, rows)):
+    for q, (m, row) in enumerate(zip(model.probe_maps, rows)):
         projected_test = m.projection @ row
         sq = squared_distances(m.gallery, projected_test[:, None])[0]
         out += test_weights[q] * sq * model.train_weights[q]
@@ -75,7 +73,7 @@ def check_probe(test: ImageSet, model: ModelState) -> None:
     dimension or sample count the model cannot encode."""
     if not isinstance(test, ImageSet):
         raise BadSpec(f"probe must be an ImageSet, got {type(test).__name__}")
-    dim, q = model.bank.dim, model.config.subspace_dim
+    dim, q = model.dim, model.config.subspace_dim
     if test.dim != dim:
         raise DimensionMismatch(f"probe dimension {test.dim} != gallery dimension {dim}")
     if test.n_samples < q:
@@ -93,5 +91,5 @@ def predict(test: ImageSet, model: ModelState) -> Prediction:
     (one lift per channel) and classify it against the model's gallery."""
     check_probe(test, model)
     stack = encode_sets([test], model.config)
-    rows = [lift_features(stack, name)[0] for name in model.bank.descriptors]
+    rows = [lift_features(stack, name)[0] for name in model.config.descriptors]
     return nearest(distance_profile(rows, model), model)

@@ -94,7 +94,7 @@ def _write_csv(path, rows) -> None:
 
 
 def _write_report_csv(report: ExperimentReport, path) -> None:
-    """Per-split CSV; ``train_seconds`` is the split's kernel bank build plus
+    """Per-split CSV; ``train_seconds`` is the split's Gram build plus
     training (each set is encoded once per run, shared by every split)."""
     rows = [["split", "seed", "accuracy", "n_train", "n_test", "train_seconds"]]
     for s in report.splits:
@@ -184,7 +184,7 @@ def train(manifest, out, **kwargs):
               help="Training sets drawn per class in each split.")
 @click.option("--report", type=click.Path(), default=None,
               help="Write per-split results to this CSV (traces go next to it); its "
-                   "train_seconds column times each split's kernel bank build plus training.")
+                   "train_seconds column times each split's Gram build plus training.")
 @_train_options
 @_guarded
 def eval(manifest, splits, train_per_class, report, **kwargs):

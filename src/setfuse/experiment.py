@@ -37,8 +37,8 @@ logger = logging.getLogger(__name__)
 class SplitResult:
     """Outcome of one train/test split.
 
-    ``train_seconds`` times the split's kernel bank build (Grams from the
-    training sets' lifted rows) plus training. Encoding and lifting are shared
+    ``train_seconds`` times the split's Gram build (from the training sets'
+    lifted rows) plus training. Encoding and lifting are shared
     by every split of the call and not counted.
     """
 
@@ -190,7 +190,7 @@ def _run_split(
     names = split_cfg.descriptors
     features = [lifted[name][split.train] for name in names]
     for f in features:
-        f.setflags(write=False)  # a fresh C-contiguous copy, so KernelBank keeps it
+        f.setflags(write=False)  # a fresh C-contiguous copy, so the model keeps it
     train_sets = [sets[i] for i in split.train]
     started = time.perf_counter()
     model = train(

@@ -5,8 +5,10 @@ Each training sample i gets a weight per kernel channel q,
     w[q, i] = softmax_q( coeffs[q] . K_q[:, i] + biases[q] ),
 
 a linear read-out of the sample's Gram column plus a bias, pushed through a
-softmax across channels; a probe's weights are the same read-out of its
-kernel columns against the gallery. The gating parameters are learned
+softmax across channels. ``train`` reads it from its Grams; a model reads
+the same weights, for its gallery and for a probe alike, from lifted rows
+through ``ModelState.gate``, since each Gram column is a scaled dot of the
+gallery rows with a row. The gating parameters are learned
 by gradient ascent on the same trace-ratio objective the projection is
 solved for; the exact gradient expressions live in ``projected_gradients``.
 
@@ -24,13 +26,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonFinite, NonFiniteGradient, SingleClassGallery
-from .kernels import KernelBank
 
 
 @dataclass(frozen=True)
 class GatingParams:
     """Per-kernel read-out vectors (``coeffs``, Q x N) and biases (Q,);
-    ``train`` makes them in those shapes and ``load_model`` checks a file's."""
+    ``train`` makes them in those shapes and ``ModelState`` checks a model's."""
 
     coeffs: np.ndarray
     biases: np.ndarray
@@ -63,10 +64,10 @@ def softmax_columns(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
-def gating_weights(bank: KernelBank, params: GatingParams) -> np.ndarray:
+def gating_weights(grams: Sequence[np.ndarray], params: GatingParams) -> np.ndarray:
     """Per-sample kernel weights, Q x N, columns summing to one:
-    ``softmax_q(coeffs[q] @ K_q + biases[q])`` of the bank's Grams."""
-    scores = [c @ gram + b for c, gram, b in zip(params.coeffs, bank.grams, params.biases)]
+    ``softmax_q(coeffs[q] @ K_q + biases[q])`` of the scaled Grams K_q."""
+    scores = [c @ k + b for c, k, b in zip(params.coeffs, grams, params.biases)]
     return softmax_columns(np.array(scores))
 
 

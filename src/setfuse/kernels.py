@@ -17,28 +17,29 @@ lifts a ``DescriptorStack`` (from ``descriptors.encode_sets``) with one
 stacked call (one ``spd_log`` for ``cov`` and ``gauss``) into one read-only
 (N, D_q) array: a training gallery, a probe (a stack of one), or the set
 collection of a split protocol call, whose splits then slice their training
-rows from it. A ``KernelBank`` is such arrays, one per channel, and derives
-its Gram matrices from them. Every Gram entry is the one dot
-``np.vecdot(rows, row)`` in ``_frobenius``. It computes each row's dot the
-same way wherever the row sits, so a Gram, built column by column with its
-lower triangle mirrored up, is exactly symmetric, and the same dot of a
-gallery member's row, sent as a probe, against the gallery reproduces that
-member's Gram column bit for bit. The bits of a dot depend on the layout of
-its rows (a strided row takes another summation path), so every lifted row
-is C-contiguous: ``lift_features`` returns C order, and a ``KernelBank``
-stores its features in C order (a loaded model's included). A probe is never
-scored by kernel columns: prediction reads its lifted rows through linear
-maps of the gallery features (``trainer.ProbeMap``).
+rows from it. These arrays are a channel's one representation: a model
+(``trainer.ModelState``) holds them and derives everything else from them,
+and only ``trainer.train`` builds Gram matrices, with ``gram`` and
+``gram_scale``. Every Gram entry is the one dot ``np.vecdot(rows, row)`` in
+``_frobenius``. It computes each row's dot the same way wherever the row
+sits, so a Gram, built column by column with its lower triangle mirrored
+up, is exactly symmetric, and the same dot of a gallery member's row
+against the gallery reproduces that member's Gram column bit for bit. The
+bits of a dot depend on the layout of its rows (a strided row takes another
+summation path), so every lifted row is C-contiguous: ``lift_features``
+returns C order, and ``train`` and ``ModelState`` keep features in C order
+(a loaded model's included). A probe is never scored by kernel columns:
+prediction reads its lifted rows through linear maps of the gallery
+features (``trainer.ProbeMap``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descriptors import DescriptorStack, read_only
+from .descriptors import DescriptorStack
 from .errors import NormalizationDegenerate, SetfuseError
 from .spd import spd_log
 
@@ -100,68 +101,26 @@ def lift_features(stack: DescriptorStack, name: str) -> np.ndarray:
     return out
 
 
-def _gram(features: np.ndarray) -> np.ndarray:
-    """Exactly symmetric Gram matrix of lifted rows, lower triangle mirrored up."""
+def gram_scale(features: np.ndarray, normalize: bool) -> float:
+    """A channel's kernel scale s_q: with ``normalize``, N over the trace of
+    its Gram matrix, read from its lifted rows as the sum of their squared
+    norms (the Gram diagonal's dots), so a scaled Gram has trace N; else 1.0."""
+    if not normalize:
+        return 1.0
+    tr = float(np.sum(_frobenius(features, features)))
+    if tr <= NORMALIZATION_TRACE_FLOOR:
+        raise NormalizationDegenerate(f"gram trace {tr:.3e} too small to normalize")
+    return features.shape[0] / tr
+
+
+def gram(features: np.ndarray, scale: float) -> np.ndarray:
+    """``scale`` times the exactly symmetric Gram matrix of lifted rows
+    (C-contiguous), built column by column with its lower triangle mirrored up."""
     n = features.shape[0]
     k = np.empty((n, n), dtype=np.float64)
     for j in range(n):
         col = _frobenius(features[j:], features[j])
         k[j:, j] = col
         k[j, j:] = col
+    k *= scale
     return k
-
-
-def gram_normalizer(k: np.ndarray) -> float:
-    """Factor that rescales a Gram matrix to trace N."""
-    tr = float(np.trace(k))
-    if tr <= NORMALIZATION_TRACE_FLOOR:
-        raise NormalizationDegenerate(f"gram trace {tr:.3e} too small to normalize")
-    return k.shape[0] / tr
-
-
-@dataclass(frozen=True)
-class KernelBank:
-    """Kernel state of a gallery: its lifted features, one channel per name
-    in ``descriptors``, made only by ``train`` and ``load_model`` from a
-    ``TrainConfig`` and one (N, D_q) array per channel, N >= 1.
-
-    ``features[q]`` holds the gallery's unscaled lifted rows, (N, D_q),
-    read-only and C-contiguous (any other array is copied), and is what a
-    saved model stores. Everything else is derived from them on construction:
-    ``grams[q]`` is the N x N Gram matrix, multiplied by ``scales[q]`` (its
-    trace-N factor with ``normalize``, else 1.0), and ``n_train`` is N.
-    A probe's kernel column against channel q would be ``scales[q]`` times
-    the dot of its lifted row with ``features[q]``; prediction folds that
-    product into the learned maps (``ModelState.probe_maps``).
-    """
-
-    descriptors: tuple[str, ...]
-    features: tuple[np.ndarray, ...]
-    normalize: bool = False
-    grams: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    scales: tuple[float, ...] = field(init=False)
-
-    def __post_init__(self):
-        features = tuple(read_only(f) for f in self.features)
-        grams = tuple(_gram(f) for f in features)
-        scales = tuple(gram_normalizer(g) if self.normalize else 1.0 for g in grams)
-        for g, s in zip(grams, scales):
-            g *= s
-            g.setflags(write=False)
-        object.__setattr__(self, "descriptors", tuple(self.descriptors))
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "grams", grams)
-        object.__setattr__(self, "scales", scales)
-
-    @property
-    def n_train(self) -> int:
-        return self.features[0].shape[0]
-
-    @property
-    def n_kernels(self) -> int:
-        return len(self.descriptors)
-
-    @property
-    def dim(self) -> int:
-        """Feature dimension d of the sets the gallery was encoded from."""
-        return lifted_dim(self.descriptors[0], self.features[0].shape[1])

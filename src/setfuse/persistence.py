@@ -4,13 +4,14 @@ array that cannot be derived.
 A model is stored as its learned arrays (``transform``, ``gating_coeffs``,
 ``gating_biases``) and, per kernel channel of ``config.descriptors``, the
 gallery's lifted features (``features_<descriptor>``, such as
-``features_cov``, N x D_q), each in ``<name>.npy``. Everything else is
-derived on load: ``KernelBank`` derives Grams, scales and ``n_train`` from
-the features and the configuration as in training, and
-``ModelState.train_weights`` the gallery's gating weights, so all come back
-bit for bit. Each features file must be as wide as its channel's lift for one
-set dimension d (d^2 for ``cov`` and ``subspace``, (d+1)^2 for ``gauss``),
-which a probe of dimension d then matches.
+``features_cov``, N x D_q), each in ``<name>.npy``. These are a
+``ModelState``'s fields, and it derives everything else from them (scales,
+gating weights, the maps a probe is scored through), so a loaded model
+gives the saved one's distances bit for bit; loading builds no Gram
+matrix. ``ModelState`` checks the shapes: each features file must be as wide
+as its channel's lift for one set dimension d (d^2 for ``cov`` and
+``subspace``, (d+1)^2 for ``gauss``), which a probe of dimension d then
+matches.
 
 Array files are numpy's own ``.npy`` format, version 1.0, little-endian
 float64, row-major, so ``np.load(path, allow_pickle=False)`` reads them. The
@@ -19,8 +20,9 @@ objective trace) records each file's SHA-256 checksum. Loading accepts
 exactly those keys and files and format 4 alone (formats 1 and 2 stored more
 than this, and format 3 named features by kernel number; retrain such
 models), or fails with a ``DataError``. The types and values of the
-configuration's fields are ``TrainConfig``'s to check; a stored configuration
-it rejects fails to load with ``IoError``.
+configuration's fields are ``TrainConfig``'s to check, and the arrays'
+shapes, the labels, the set ids and the objective trace ``ModelState``'s;
+what either rejects fails to load with ``IoError``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import numpy as np
 from .config import TrainConfig, is_real
 from .errors import BadSpec, ChecksumMismatch, FormatVersionMismatch, IoError
 from .gating import GatingParams
-from .kernels import KernelBank, lift_width, lifted_dim
 from .trainer import ModelState
 
 FORMAT_VERSION = 4
@@ -103,14 +104,12 @@ def _array_names(descriptors) -> list[str]:
 def save_model(model: ModelState, out_dir) -> Path:
     """Write a model directory; returns the metadata path.
 
-    Loading takes the channels from ``config.descriptors`` and derives the
-    Grams from the stored features under ``config.normalize_kernels``, which
-    ``ModelState`` holds to its bank's. The gating weights are not stored:
-    ``ModelState.train_weights`` derives them from the bank and the gating.
-    Write failures raise ``IoError``.
+    Loading takes the channels from ``config.descriptors``. Nothing a model
+    derives is stored: ``ModelState`` derives it again from the stored
+    arrays. Write failures raise ``IoError``.
     """
     out = Path(out_dir)
-    values = (model.transform, model.gating.coeffs, model.gating.biases) + model.bank.features
+    values = (model.transform, model.gating.coeffs, model.gating.biases) + model.features
     checksums = {}
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -154,13 +153,13 @@ def _config(raw, where: str) -> TrainConfig:
 
 
 def load_model(model_dir) -> ModelState:
-    """Read a model directory back, verifying version, keys, checksums and
-    array shapes: ``IoError`` names a features file whose width is no lift
-    of the model's set dimension.
+    """Read a model directory back, verifying version, keys and checksums;
+    ``ModelState`` checks the shapes, and whatever it rejects (``BadSpec``)
+    fails to load with ``IoError``.
 
     Arrays come back read-only. The channels come from ``config.descriptors``;
-    Grams, scales and ``n_train`` are derived from the stored features as in
-    training, and the gating weights from the gating; nothing is re-lifted.
+    everything else a model holds is derived from the stored arrays as in
+    training. Nothing is re-lifted and no Gram is built.
     """
     root = Path(model_dir)
     meta_path = root / META_NAME
@@ -191,36 +190,16 @@ def load_model(model_dir) -> ModelState:
     objective_trace = _expect_list(
         meta["objective_trace"], is_real, f"{where} objective_trace", "numbers"
     )
-
     arrays = {name: _read_array(root / f"{name}.npy", checksums[f"{name}.npy"]) for name in names}
-    features = [arrays[f"features_{name}"] for name in cfg.descriptors]
-    q, n = len(features), arrays["gating_coeffs"].shape[-1]
-    e = arrays["transform"]
-    if not (
-        n >= 1
-        and arrays["gating_coeffs"].shape == (q, n)
-        and arrays["gating_biases"].shape == (q,)
-        and e.ndim == 2 and e.shape[0] == n and e.shape[1] >= 1
-        and all(f.ndim == 2 and f.shape[0] == n for f in features)
-    ):
-        shapes = {name: a.shape for name, a in arrays.items()}
-        raise IoError(f"{where}: array shapes {shapes} do not fit {q} kernels and one gallery")
-    dim = lifted_dim(cfg.descriptors[0], features[0].shape[1])
-    for name, f in zip(cfg.descriptors, features):
-        if dim < 1 or f.shape[1] != lift_width(name, dim):
-            raise IoError(
-                f"{root / f'features_{name}.npy'}: {f.shape[1]} features per set, where the "
-                f"{name} lift of sets of dimension {dim} has {lift_width(name, dim)}"
-            )
-    bank = KernelBank(cfg.descriptors, tuple(features), cfg.normalize_kernels)
-    if len(labels) != bank.n_train or len(set_ids) != bank.n_train:
-        raise IoError(f"{where}: labels or set ids do not match {bank.n_train} gallery sets")
-    return ModelState(
-        transform=arrays["transform"],
-        gating=GatingParams(coeffs=arrays["gating_coeffs"], biases=arrays["gating_biases"]),
-        bank=bank,
-        labels=tuple(labels),
-        set_ids=tuple(set_ids),
-        config=cfg,
-        objective_trace=tuple(float(x) for x in objective_trace),
-    )
+    try:
+        return ModelState(
+            transform=arrays["transform"],
+            gating=GatingParams(coeffs=arrays["gating_coeffs"], biases=arrays["gating_biases"]),
+            features=tuple(arrays[f"features_{name}"] for name in cfg.descriptors),
+            labels=tuple(labels),
+            set_ids=tuple(set_ids),
+            config=cfg,
+            objective_trace=tuple(objective_trace),
+        )
+    except BadSpec as exc:
+        raise IoError(f"{where}: {exc}") from exc

@@ -23,18 +23,23 @@ columns. No iteration cuts a null space: extreme weights can make a
 direction of the span numerically thin, but such a direction adds about 0
 to both traces of the ratio, and a projection whose total scatter vanishes
 raises ``DegenerateDenominator``.
+
+Gram matrices exist only inside ``train``: it builds each channel's scaled
+Gram from the gallery's lifted rows (``kernels.gram``) and drops them when
+it returns. The model it returns, ``ModelState``, holds those rows and
+derives what prediction reads from them, the transform and the gating.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import TrainConfig, is_real
 from .descriptors import read_only
 from .errors import BadSpec, DegenerateDenominator, ZeroTotalScatter
 from .gating import (
@@ -48,8 +53,9 @@ from .gating import (
     pair_traces,
     projected_gradients,
     projected_pair_sums,
+    softmax_columns,
 )
-from .kernels import KernelBank
+from .kernels import gram, gram_scale, lift_width, lifted_dim
 from .spd import sym_eig
 
 logger = logging.getLogger(__name__)
@@ -93,15 +99,16 @@ class TraceRatioResult:
 
 
 class ProbeMap(NamedTuple):
-    """One channel's learned metric as linear maps on a probe's lifted row f
-    (D_q), derived from the gallery rows F_q, the channel's scale s_q, the
-    transform E and the gating read-out ``coeffs_q``.
+    """One channel's learned metric as linear maps on a lifted row f (D_q),
+    derived from the gallery rows F_q, the channel's scale s_q, the transform
+    E and the gating read-out ``coeffs_q``.
 
-    ``projection`` (p x D_q, ``s_q E.T F_q``) gives the probe's projection
+    ``projection`` (p x D_q, ``s_q E.T F_q``) gives a row's projection
     ``projection @ f``, which is ``E.T k_q`` for its kernel column k_q;
     ``score`` (D_q, ``s_q coeffs_q @ F_q``) gives its gating score less the
-    bias, ``score @ f = coeffs_q @ k_q``; ``gallery`` (p x N) is ``E.T K_q``,
-    the projected Gram columns.
+    bias, ``score @ f = coeffs_q @ k_q``; ``gallery`` (p x N,
+    ``projection @ F_q.T``) holds the gallery's own projections, the
+    projected Gram columns ``E.T K_q``.
     """
 
     projection: np.ndarray
@@ -113,75 +120,111 @@ class ProbeMap(NamedTuple):
 class ModelState:
     """Everything needed to classify new sets: the frozen training state.
 
-    The gallery is ``bank.features``, from which the bank derives its Grams.
-    ``labels`` and ``set_ids`` follow bank order. The bank's channels and
-    ``normalize`` flag are the config's, the transform has one row per
-    gallery set, the gating is Q x N coefficients and Q biases, and there is
-    one label and one set id per gallery set (``BadSpec`` otherwise), as
-    loading rebuilds them, so every model saves as it loads. The transform
-    is kept read-only and C-contiguous (any other array is copied). Everything
-    else is derived: ``train_weights`` from the bank and the gating,
-    ``probe_maps`` from the bank, the gating and the transform.
+    The gallery is ``features``, its unscaled lifted rows, one (N, D_q) array
+    per channel of ``config.descriptors``; they are what a saved model stores.
+    ``labels`` and ``set_ids`` follow their row order. A model holds no Gram
+    matrix: it derives ``scales`` (``gram_scale`` under
+    ``config.normalize_kernels``, as ``train`` scales its Grams), ``n_train``
+    and ``dim`` from the features, and ``probe_maps`` and ``train_weights``
+    from the features, the gating and the transform.
+
+    This is the one place that checks a model's shapes, so every model saves
+    as it loads. ``BadSpec`` unless the model fits one gallery of N >= 1 sets:
+    one features array per channel, N rows each, as wide as the channel's
+    lift of one set dimension d >= 1 (``lift_width``); an N x p transform,
+    p >= 1; Q x N gating coefficients and Q biases; one label and one set id
+    per set; and an objective trace of finite numbers in [0, 1], where
+    ``train`` clips every objective. The features and the transform are kept
+    read-only and C-contiguous (any other array is copied).
     """
 
     transform: np.ndarray
     gating: GatingParams
-    bank: KernelBank
+    features: tuple[np.ndarray, ...]
     labels: tuple[str, ...]
     set_ids: tuple[str, ...]
     config: TrainConfig
     objective_trace: tuple[float, ...]
+    scales: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        bank, cfg = self.bank, self.config
-        if (bank.descriptors, bank.normalize) != (cfg.descriptors, cfg.normalize_kernels):
-            raise BadSpec(
-                f"kernel bank has channels {bank.descriptors} and normalize={bank.normalize}, "
-                f"the config {cfg.descriptors} and normalize_kernels={cfg.normalize_kernels}"
-            )
-        # read-only, as ``probe_maps`` caches maps of it
+        # read-only, as ``probe_maps`` caches maps of them
+        object.__setattr__(self, "features", tuple(read_only(f) for f in self.features))
         object.__setattr__(self, "transform", read_only(self.transform))
-        q, n = bank.n_kernels, bank.n_train
-        shape = self.transform.shape
-        if len(shape) != 2 or shape[0] != n:
-            raise BadSpec(f"transform of shape {shape} does not fit {n} gallery sets")
+        names, features, e = self.config.descriptors, self.features, self.transform
         coeffs, biases = self.gating.coeffs.shape, self.gating.biases.shape
-        if (coeffs, biases) != ((q, n), (q,)):
+        n = features[0].shape[0] if features and features[0].ndim == 2 else 0
+        if not (
+            n >= 1
+            and len(features) == len(names)
+            and all(f.ndim == 2 and f.shape[0] == n for f in features)
+            and e.ndim == 2 and e.shape[0] == n and e.shape[1] >= 1
+            and (coeffs, biases) == ((len(names), n), (len(names),))
+        ):
             raise BadSpec(
-                f"gating of shapes {coeffs} and {biases} does not fit {q} kernels "
-                f"and {n} gallery sets"
+                f"features of shapes {[f.shape for f in features]}, transform {e.shape} and "
+                f"gating {coeffs} and {biases} do not fit the channels {names} and "
+                f"{n} gallery sets"
             )
+        dim = self.dim
+        for name, f in zip(names, features):
+            if dim < 1 or f.shape[1] != lift_width(name, dim):
+                raise BadSpec(
+                    f"features_{name}: {f.shape[1]} features per set, where the {name} "
+                    f"lift of sets of dimension {dim} has {lift_width(name, dim)}"
+                )
         if len(self.labels) != n or len(self.set_ids) != n:
             raise BadSpec(
                 f"{len(self.labels)} labels and {len(self.set_ids)} set ids "
                 f"do not match {n} gallery sets"
             )
+        trace = tuple(self.objective_trace)
+        if not all(is_real(x) and 0.0 <= x <= 1.0 for x in trace):
+            raise BadSpec(f"objective trace {trace!r:.80} holds a value that is not in [0, 1]")
+        object.__setattr__(self, "objective_trace", tuple(map(float, trace)))
+        scales = tuple(gram_scale(f, self.config.normalize_kernels) for f in features)
+        object.__setattr__(self, "scales", scales)
 
     @property
     def n_train(self) -> int:
-        return self.bank.n_train
+        return self.features[0].shape[0]
 
-    @cached_property
-    def train_weights(self) -> np.ndarray:
-        """The gallery's gating weights, ``gating_weights(bank, gating)``
-        (Q x N); computed on first use and kept for the model's lifetime."""
-        w = gating_weights(self.bank, self.gating)
-        w.setflags(write=False)
-        return w
+    @property
+    def dim(self) -> int:
+        """Dimension d of the sets the gallery was encoded from."""
+        return lifted_dim(self.config.descriptors[0], self.features[0].shape[1])
 
     @cached_property
     def probe_maps(self) -> tuple[ProbeMap, ...]:
         """One read-only ``ProbeMap`` per channel, the whole of what a probe's
         distances read besides the biases and ``train_weights``; computed on
         first use and kept for the model's lifetime."""
-        e, bank = self.transform, self.bank
+        e = self.transform
         out = []
-        for f, s, gram, c in zip(bank.features, bank.scales, bank.grams, self.gating.coeffs):
-            arrays = ProbeMap(s * (e.T @ f), s * (c @ f), e.T @ gram)
+        for f, s, c in zip(self.features, self.scales, self.gating.coeffs):
+            projection = s * (e.T @ f)
+            arrays = ProbeMap(projection, s * (c @ f), projection @ f.T)
             for a in arrays:
                 a.setflags(write=False)
             out.append(arrays)
         return tuple(out)
+
+    def gate(self, rows) -> np.ndarray:
+        """Gating weights of lifted rows, one array per channel:
+        ``softmax_q(rows_q @ score_q + biases[q])`` with each channel's
+        ``ProbeMap.score``. Q weights for one probe's rows (D_q each), Q x N
+        for N rows per channel (N x D_q each)."""
+        scores = [r @ m.score + b for m, r, b in zip(self.probe_maps, rows, self.gating.biases)]
+        return softmax_columns(np.array(scores))
+
+    @cached_property
+    def train_weights(self) -> np.ndarray:
+        """The gallery's gating weights, ``gate(features)`` (Q x N), the read-out
+        a probe's rows get; computed on first use and kept for the model's
+        lifetime."""
+        w = self.gate(self.features)
+        w.setflags(write=False)
+        return w
 
 
 @dataclass(frozen=True)
@@ -201,7 +244,7 @@ class GramSpan:
     columns: tuple[np.ndarray, ...]
 
 
-def gram_span(bank: KernelBank) -> GramSpan:
+def gram_span(grams: Sequence[np.ndarray]) -> GramSpan:
     """Span of all Gram column differences: eigenvectors of
     ``sum_q K_q C K_q`` (C the centring matrix) whose eigenvalues exceed
     ``NULL_SPACE_RTOL`` times the largest.
@@ -211,14 +254,14 @@ def gram_span(bank: KernelBank) -> GramSpan:
     for every choice of positive gating weights. Raises
     ``ZeroTotalScatter`` when every Gram has numerically equal columns.
     """
-    centred = [gram - gram.mean(axis=1, keepdims=True) for gram in bank.grams]
+    centred = [k - k.mean(axis=1, keepdims=True) for k in grams]
     pair = sym_eig(sum(c @ c.T for c in centred))
     lam_max = float(pair.values[0])
     if lam_max <= TOTAL_SCATTER_FLOOR:
         raise ZeroTotalScatter(f"centred Grams: spectral radius {lam_max:.3e}")
     rank = int(np.count_nonzero(pair.values > NULL_SPACE_RTOL * lam_max))
     basis = pair.vectors[:, :rank].copy()
-    return GramSpan(basis=basis, columns=tuple(basis.T @ gram for gram in bank.grams))
+    return GramSpan(basis=basis, columns=tuple(basis.T @ k for k in grams))
 
 
 def scatter_matrices(
@@ -370,8 +413,9 @@ def train(
     """Alternating training loop over projection and gating parameters.
 
     ``features`` holds the gallery's lifted rows (``lift_features``), one
-    (N, D_q) array per channel of ``cfg.descriptors``; the bank is built from
-    them and the config, as ``load_model`` builds it. ``labels`` gives each
+    (N, D_q) array per channel of ``cfg.descriptors``; the Grams, each scaled
+    by ``gram_scale`` under ``cfg.normalize_kernels``, are built from them
+    here and nowhere else, and the model keeps the rows. ``labels`` gives each
     set's class and ``set_ids`` its id, one str each, as the gallery's
     ``ImageSet`` carry them; ``class_layout`` derives from the labels, once
     per call, the class structure every scatter, objective and gradient reads.
@@ -387,7 +431,7 @@ def train(
     those sums giving its objective and, at the iteration's start point, its
     gradient. The weights of the accepted step carry into the next
     iteration; ``ModelState.train_weights`` derives the last ones from the
-    final gating. An outer iteration so costs O(N r^2 + r^3) for the
+    rows and the final gating. An outer iteration so costs O(N r^2 + r^3) for the
     scatters and the solve, plus O(p N r) per channel for ``E.T @ K_q`` and
     one Gram matvec per channel for each line-search try and for the
     gradient.
@@ -403,12 +447,12 @@ def train(
     either the parameter update or the projection update falls below
     ``cfg.eps`` in max norm.
     """
-    bank = KernelBank(cfg.descriptors, tuple(features), cfg.normalize_kernels)
-    n = bank.n_train
+    features = tuple(read_only(f) for f in features)
+    grams = [gram(f, gram_scale(f, cfg.normalize_kernels)) for f in features]
     classes = class_layout(labels)
     rng = np.random.default_rng(cfg.seed)
-    params = init_gating_params(bank.n_kernels, n, rng)
-    span = gram_span(bank)
+    params = init_gating_params(len(grams), features[0].shape[0], rng)
+    span = gram_span(grams)
     width = min(cfg.target_dim, span.basis.shape[1])
     if width < cfg.target_dim:
         logger.warning(
@@ -418,7 +462,7 @@ def train(
     trace: list[float] = []
     transform = None
     coords = None  # the projection in span coordinates, r x p
-    weights = gating_weights(bank, params)
+    weights = gating_weights(grams, params)
     for it in range(1, cfg.iters + 1):
         scatter = scatter_matrices(span.columns, classes, weights)
         itr = solve_trace_ratio(
@@ -437,11 +481,11 @@ def train(
         objective, sums = _evaluate(projected, weights, classes)
         trace.append(objective)
 
-        grads = projected_gradients(bank.grams, weights, sums, classes)
+        grads = projected_gradients(grams, weights, sums, classes)
         step = cfg.learning_rate
         for _ in range(MAX_STEP_HALVINGS + 1):
             new_params = gradient_ascent_step(params, grads, step)
-            new_weights = gating_weights(bank, new_params)
+            new_weights = gating_weights(grams, new_params)
             if not _evaluate(projected, new_weights, classes)[0] < objective:
                 break
             step *= 0.5
@@ -465,7 +509,7 @@ def train(
     return ModelState(
         transform=transform,
         gating=params,
-        bank=bank,
+        features=features,
         labels=tuple(map(str, labels)),
         set_ids=tuple(set_ids),
         config=cfg,

@@ -4,13 +4,27 @@ The references (scalar kernels, ``is_spd``, the trace-ratio objective of
 N x N scatters and their null-space reduction, the gating gradient of a
 bank) are oracles the pipeline is checked against; the library computes the
 same quantities only in the forms training and classification need.
-``build_kernel_bank`` builds a bank of any channels from a descriptor stack,
-where ``train`` builds its own from the lifted rows and its config.
+
+A ``Bank`` is the Gram side of a gallery, which in the library lives only
+inside ``train``: its lifted rows with the scaled Grams that ``kernel_bank``
+builds from them by the library's own calls (``read_only``, ``gram_scale``,
+``gram``). ``build_kernel_bank`` lifts a descriptor stack into one, and
+``model_bank`` gives a model's.
 """
+
+import sys
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
-from setfuse.descriptors import DescriptorStack, ImageSet, check_orthonormal, encode_sets
+from setfuse.descriptors import (
+    DescriptorStack,
+    ImageSet,
+    check_orthonormal,
+    encode_sets,
+    read_only,
+)
 from setfuse.errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -19,7 +33,7 @@ from setfuse.errors import (
     ZeroTotalScatter,
 )
 from setfuse.gating import class_layout, gating_weights, projected_gradients, projected_pair_sums
-from setfuse.kernels import DESCRIPTOR_NAMES, KernelBank, lift_features
+from setfuse.kernels import DESCRIPTOR_NAMES, gram, gram_scale, lift_features, lift_width
 from setfuse.spd import spd_log, sym_eig
 from setfuse.trainer import DENOMINATOR_FLOOR, NULL_SPACE_RTOL, TOTAL_SCATTER_FLOOR
 from setfuse.trainer import scatter_matrices as library_scatter_matrices
@@ -118,8 +132,8 @@ def gating_gradients(bank, params, transform, labels):
     the ``class_layout`` of ``labels``, the weights, the
     ``projected_pair_sums`` of ``E.T @ K_q`` and ``projected_gradients``."""
     classes = class_layout(labels)
-    weights = gating_weights(bank, params)
-    projected = [transform.T @ gram for gram in bank.grams]
+    weights = gating_weights(bank.grams, params)
+    projected = [transform.T @ k for k in bank.grams]
     sums = projected_pair_sums(projected, weights, classes)
     return projected_gradients(bank.grams, weights, sums, classes)
 
@@ -152,16 +166,17 @@ def rows(stack, index):
     return DescriptorStack(*arrays, tuple(stack.set_ids[i] for i in keep))
 
 
-def probe_rows(probe, bank):
-    """A probe's lifted row per channel of ``bank``, from a stack of one set,
-    as ``predict`` lifts it: the rows ``distance_profile`` and
+def probe_rows(probe, descriptors):
+    """A probe's lifted row per channel in ``descriptors``, from a stack of
+    one set, as ``predict`` lifts it: the rows ``distance_profile`` and
     ``columns_from_rows`` score."""
-    return [lift_features(probe, name)[0] for name in bank.descriptors]
+    return [lift_features(probe, name)[0] for name in descriptors]
 
 
 def columns_from_rows(bank, rows):
-    """Scaled kernel columns of a probe's lifted rows, one per channel and
-    each as wide as the gallery, from the dot every Gram entry is built
+    """Scaled kernel columns of a probe's lifted rows against ``bank`` (a
+    ``Bank`` or a model: its ``features`` and ``scales``), one per channel
+    and each as wide as the gallery, from the dot every Gram entry is built
     with (``np.vecdot`` over C-contiguous rows): the oracle of the invariant
     that a gallery member sent as a probe reproduces its Gram column bit
     for bit."""
@@ -215,11 +230,65 @@ def random_gallery_sets(rng, n_classes=3, sets_per_class=3, d=6, n=12, shift=3.0
     return sets
 
 
+@dataclass(frozen=True)
+class Bank:
+    """A gallery's lifted rows per channel (``features``, read-only and
+    C-contiguous), each channel's scale and its scaled N x N Gram."""
+
+    descriptors: tuple[str, ...]
+    features: tuple[np.ndarray, ...]
+    scales: tuple[float, ...]
+    grams: tuple[np.ndarray, ...]
+
+    @property
+    def n_train(self) -> int:
+        return self.features[0].shape[0]
+
+    @property
+    def n_kernels(self) -> int:
+        return len(self.descriptors)
+
+
+def kernel_bank(descriptors, features, normalize=False):
+    """The ``Bank`` of lifted rows, one array per channel of ``descriptors``,
+    with the Grams and scales ``train`` builds from them: each array made
+    read-only and C-contiguous, then ``gram(f, gram_scale(f, normalize))``."""
+    features = tuple(read_only(f) for f in features)
+    scales = tuple(gram_scale(f, normalize) for f in features)
+    grams = tuple(gram(f, s) for f, s in zip(features, scales))
+    return Bank(tuple(descriptors), features, scales, grams)
+
+
 def build_kernel_bank(gallery, descriptors=DESCRIPTOR_NAMES, normalize=False):
-    """The ``KernelBank`` of a descriptor stack, lifted with one
-    ``lift_features`` call per channel of ``descriptors``."""
+    """The ``Bank`` of a descriptor stack, lifted with one ``lift_features``
+    call per channel of ``descriptors``."""
     names = tuple(descriptors)
-    return KernelBank(names, tuple(lift_features(gallery, name) for name in names), normalize)
+    return kernel_bank(names, [lift_features(gallery, name) for name in names], normalize)
+
+
+@contextmanager
+def gram_builds():
+    """Record the Gram builds made inside the block: the list it yields gets
+    one entry per call of ``kernels.gram``, under whatever name a module
+    binds it, as the call runs its code."""
+    code, calls = gram.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame.f_back.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
+
+
+def model_bank(model):
+    """The ``Bank`` of a model's gallery: the Grams its training built."""
+    cfg = model.config
+    return kernel_bank(cfg.descriptors, model.features, cfg.normalize_kernels)
 
 
 def ids_of(bank):
@@ -227,16 +296,21 @@ def ids_of(bank):
     return [f"s{i}" for i in range(bank.n_train)]
 
 
-def random_bank(rng, n, n_kernels):
+def random_bank(rng, n, n_kernels, dim=None):
     """Kernel bank of random lifted features, (n, n + 2) per channel, whose
     Gram matrices are random symmetric PSD with O(1) entries; its channels
-    are ``DESCRIPTOR_NAMES[:n_kernels]``, so ``train`` takes its features with
-    a config that names them."""
-    features = [rng.standard_normal((n, n + 2)) / np.sqrt(n + 2) for _ in range(n_kernels)]
-    return KernelBank(
-        descriptors=DESCRIPTOR_NAMES[:n_kernels],
-        features=tuple(features),
-    )
+    are ``DESCRIPTOR_NAMES[:n_kernels]``. With ``dim``, the same rows are
+    padded with zeros to the width of each channel's lift of sets of
+    dimension ``dim`` (at least n + 2), so ``train`` takes them with a config
+    that names the channels."""
+    names = DESCRIPTOR_NAMES[:n_kernels]
+    features = [rng.standard_normal((n, n + 2)) / np.sqrt(n + 2) for _ in names]
+    if dim is not None:
+        features = [
+            np.pad(f, ((0, 0), (0, lift_width(name, dim) - n - 2)))
+            for name, f in zip(names, features)
+        ]
+    return kernel_bank(names, features)
 
 
 def random_simplex_weights(rng, n_kernels, n):
@@ -266,8 +340,8 @@ def brute_force_scatters(bank, labels, weights):
                 n_within += 1
             else:
                 n_between += 1
-            for k, gram in enumerate(bank.grams):
-                diff = gram[:, i] - gram[:, j]
+            for k, kq in enumerate(bank.grams):
+                diff = kq[:, i] - kq[:, j]
                 contrib = weights[k, i] * weights[k, j] * np.outer(diff, diff)
                 if same:
                     within += contrib
@@ -284,12 +358,12 @@ def brute_force_gating_gradients(bank, params, transform, labels):
     same = (labels[:, None] == labels[None, :]).astype(np.float64)
     diff = 1.0 - same
     n_within, n_between = same.sum(), diff.sum()
-    weights = gating_weights(bank, params)
+    weights = gating_weights(bank.grams, params)
     h_w = h_b = 0.0
     dw_w = np.zeros_like(weights)  # d h / d w[k, i]
     dw_b = np.zeros_like(weights)
-    for k, gram in enumerate(bank.grams):
-        p = transform.T @ gram
+    for k, kq in enumerate(bank.grams):
+        p = transform.T @ kq
         dist = ((p[:, :, None] - p[:, None, :]) ** 2).sum(axis=0)
         pair = weights[k][:, None] * weights[k][None, :] * dist
         h_w += (pair * same).sum() / n_within
@@ -298,7 +372,7 @@ def brute_force_gating_gradients(bank, params, transform, labels):
         dw_b[k] = 2.0 * (dist * diff) @ weights[k] / n_between
     coeff_grads = np.zeros_like(params.coeffs)
     bias_grads = np.zeros_like(params.biases)
-    for q, gram in enumerate(bank.grams):
+    for q, kq in enumerate(bank.grams):
         ds_w = np.zeros(bank.n_train)
         ds_b = np.zeros(bank.n_train)
         for k in range(bank.n_kernels):
@@ -307,6 +381,6 @@ def brute_force_gating_gradients(bank, params, transform, labels):
             ds_w += f * dw_w[k]
             ds_b += f * dw_b[k]
         ds = (ds_b * h_w - ds_w * h_b) / (h_w + h_b) ** 2
-        coeff_grads[q] = gram @ ds
+        coeff_grads[q] = kq @ ds
         bias_grads[q] = ds.sum()
     return coeff_grads, bias_grads

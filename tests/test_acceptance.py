@@ -150,7 +150,7 @@ def test_gradient_finite_difference():
     worst = 0.0
 
     def objective(bank, labels, params, transform):
-        weights = gating_weights(bank, params)
+        weights = gating_weights(bank.grams, params)
         scatter = scatter_matrices(bank, labels, weights)
         return trace_ratio_objective(transform, scatter)
 

@@ -12,7 +12,14 @@ from setfuse.errors import BadSpec
 from setfuse.gating import softmax_columns
 from setfuse.trainer import train
 
-from helpers import build_kernel_bank, probe_rows, random_gallery_sets, rows, scalar_kernel_column
+from helpers import (
+    build_kernel_bank,
+    model_bank,
+    probe_rows,
+    random_gallery_sets,
+    rows,
+    scalar_kernel_column,
+)
 
 
 def trained_model(seed, n_classes=3, sets_per_class=3, target_dim=3, iters=4, normalize=False):
@@ -36,17 +43,18 @@ def naive_distance(test, model, gallery, i):
     total = 0.0
     crosses = [
         scale * scalar_kernel_column(channel, test, gallery)
-        for channel, scale in zip(model.bank.descriptors, model.bank.scales)
+        for channel, scale in zip(model.config.descriptors, model.scales)
     ]
+    bank = model_bank(model)
     scores = np.array(
         [
             float(model.gating.coeffs[q] @ crosses[q] + model.gating.biases[q])
-            for q in range(model.bank.n_kernels)
+            for q in range(bank.n_kernels)
         ]
     )
     test_w = softmax_columns(scores[:, None])[:, 0]
-    for q in range(model.bank.n_kernels):
-        diff = crosses[q] - model.bank.grams[q][:, i]
+    for q in range(bank.n_kernels):
+        diff = crosses[q] - bank.grams[q][:, i]
         proj = model.transform.T @ diff
         total += test_w[q] * float(proj @ proj) * model.train_weights[q, i]
     return total
@@ -56,7 +64,7 @@ class TestDistanceProfile:
     def test_gallery_member_is_closest_to_itself(self):
         model, _, gallery = trained_model(110)
         for i in (0, 4, 8):
-            profile = distance_profile(probe_rows(rows(gallery, i), model.bank), model)
+            profile = distance_profile(probe_rows(rows(gallery, i), model.config.descriptors), model)
             assert int(np.argmin(profile)) == i
             assert profile[i] <= 1e-9
 
@@ -64,9 +72,9 @@ class TestDistanceProfile:
         # trace-N normalization puts each channel's scale into the probe maps
         for normalize in (False, True):
             model, _, gallery = trained_model(111, normalize=normalize)
-            assert all((s != 1.0) == normalize for s in model.bank.scales)
+            assert all((s != 1.0) == normalize for s in model.scales)
             probe = rows(gallery, 2)
-            profile = distance_profile(probe_rows(probe, model.bank), model)
+            profile = distance_profile(probe_rows(probe, model.config.descriptors), model)
             scale = max(1.0, float(np.max(np.abs(profile))))
             for i in range(model.n_train):
                 assert abs(profile[i] - naive_distance(probe, model, gallery, i)) <= 1e-10 * scale
@@ -77,14 +85,14 @@ class TestDistanceProfile:
         probe = ImageSet(
             features=rng.standard_normal((6, 14)), label="?", set_id="probe"
         )
-        lifted = probe_rows(encode_sets([probe], model.config), model.bank)
+        lifted = probe_rows(encode_sets([probe], model.config), model.config.descriptors)
         profile = distance_profile(lifted, model)
         assert np.all(profile >= -1e-12)
 
     def test_zero_transform_gives_zero_profile(self):
         model, _, gallery = trained_model(113)
         zeroed = replace(model, transform=np.zeros_like(model.transform))
-        profile = distance_profile(probe_rows(rows(gallery, 0), zeroed.bank), zeroed)
+        profile = distance_profile(probe_rows(rows(gallery, 0), zeroed.config.descriptors), zeroed)
         assert np.array_equal(profile, np.zeros(model.n_train))
 
     def test_probe_weights_sum_to_one_effect(self):
@@ -94,8 +102,8 @@ class TestDistanceProfile:
             coeffs=model.gating.coeffs, biases=model.gating.biases + 3.0
         )
         shifted = replace(model, gating=shifted_gating)
-        a = distance_profile(probe_rows(rows(gallery, 1), model.bank), model)
-        b = distance_profile(probe_rows(rows(gallery, 1), shifted.bank), shifted)
+        a = distance_profile(probe_rows(rows(gallery, 1), model.config.descriptors), model)
+        b = distance_profile(probe_rows(rows(gallery, 1), shifted.config.descriptors), shifted)
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, float(np.max(np.abs(a))))
 
 
@@ -122,7 +130,7 @@ class TestPredict:
         model, _, gallery = trained_model(120)
         flat = replace(model, transform=np.zeros_like(model.transform))
         # zero transform makes every distance zero, an N-way tie
-        pred_profile = distance_profile(probe_rows(rows(gallery, 5), flat.bank), flat)
+        pred_profile = distance_profile(probe_rows(rows(gallery, 5), flat.config.descriptors), flat)
         assert np.array_equal(pred_profile, np.zeros(model.n_train))
         idx = int(np.argmin(pred_profile))
         assert idx == 0

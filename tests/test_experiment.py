@@ -11,7 +11,6 @@ import pytest
 import setfuse.classify as classify_module
 import setfuse.experiment as experiment_module
 import setfuse.kernels as kernels_module
-import setfuse.trainer as trainer_module
 from setfuse.classify import predict
 from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic, load_dataset, save_dataset
@@ -104,7 +103,7 @@ class TestEffectiveSubspaceDim:
         model = train_on_sets(sets, fast_cfg(subspace_dim=10))
         assert model.config.subspace_dim == 5
         # each projection-kernel row is a flattened rank-5 projector Y Y^T
-        projectors = model.bank.features[1].reshape(-1, 8, 8)
+        projectors = model.features[1].reshape(-1, 8, 8)
         assert np.allclose(np.trace(projectors, axis1=1, axis2=2), 5.0)
 
     def test_effective_dim_floor_is_one(self):
@@ -475,21 +474,21 @@ class TestOneProbePath:
         assert sorted(count_profiles) == sorted(want)
 
     def test_split_training_rows_are_kept_by_the_bank(self, monkeypatch):
-        # each split's training rows reach KernelBank read-only and
-        # C-contiguous, so the bank keeps them without a second copy
+        # each split's training rows reach train read-only and C-contiguous,
+        # so its Grams read them and the model keeps them without a second copy
         seen = []
-        real = trainer_module.KernelBank
+        real = experiment_module.train
 
-        def recording(descriptors, features, normalize):
-            bank = real(descriptors, features, normalize)
-            seen.append((features, bank))
-            return bank
+        def recording(features, *args):
+            model = real(features, *args)
+            seen.append((features, model))
+            return model
 
-        monkeypatch.setattr(trainer_module, "KernelBank", recording)
+        monkeypatch.setattr(experiment_module, "train", recording)
         run_experiment(small_sets(), fast_cfg(), n_splits=2)
         assert len(seen) == 2
-        for features, bank in seen:
-            for f, kept in zip(features, bank.features, strict=True):
+        for features, model in seen:
+            for f, kept in zip(features, model.features, strict=True):
                 assert not f.flags.writeable
                 assert f.flags.c_contiguous
                 assert kept is f

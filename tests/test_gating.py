@@ -15,6 +15,7 @@ from setfuse.gating import (
 from helpers import (
     brute_force_gating_gradients,
     gating_gradients,
+    kernel_bank,
     random_bank,
     random_labels,
     random_orthonormal,
@@ -28,7 +29,7 @@ def zero_params(n_kernels, n):
 
 
 def objective_at(bank, labels, params, transform):
-    weights = gating_weights(bank, params)
+    weights = gating_weights(bank.grams, params)
     scatter = scatter_matrices(bank, labels, weights)
     return trace_ratio_objective(transform, scatter)
 
@@ -37,20 +38,20 @@ class TestGatingWeights:
     def test_zero_params_give_uniform(self):
         rng = np.random.default_rng(60)
         bank = random_bank(rng, 5, 3)
-        w = gating_weights(bank, zero_params(3, 5))
+        w = gating_weights(bank.grams, zero_params(3, 5))
         assert np.allclose(w, 1.0 / 3.0, atol=1e-15)
 
     def test_single_kernel_weight_is_one(self):
         rng = np.random.default_rng(61)
         bank = random_bank(rng, 4, 1)
-        w = gating_weights(bank, zero_params(1, 4))
+        w = gating_weights(bank.grams, zero_params(1, 4))
         assert np.array_equal(w, np.ones((1, 4)))
 
     def test_large_bias_saturates(self):
         rng = np.random.default_rng(62)
         bank = random_bank(rng, 4, 3)
         params = GatingParams(coeffs=np.zeros((3, 4)), biases=np.array([50.0, 0.0, 0.0]))
-        w = gating_weights(bank, params)
+        w = gating_weights(bank.grams, params)
         assert np.all(w[0] >= 1.0 - 1e-20)
 
     def test_bias_shift_invariance(self):
@@ -58,8 +59,8 @@ class TestGatingWeights:
         bank = random_bank(rng, 6, 3)
         params = init_gating_params(3, 6, rng)
         shifted = GatingParams(coeffs=params.coeffs, biases=params.biases + 7.0)
-        a = gating_weights(bank, params)
-        b = gating_weights(bank, shifted)
+        a = gating_weights(bank.grams, params)
+        b = gating_weights(bank.grams, shifted)
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_columns_sum_to_one(self):
@@ -68,7 +69,7 @@ class TestGatingWeights:
         params = GatingParams(
             coeffs=rng.uniform(-1, 1, (3, 8)), biases=rng.uniform(-1, 1, 3)
         )
-        w = gating_weights(bank, params)
+        w = gating_weights(bank.grams, params)
         assert np.max(np.abs(w.sum(axis=0) - 1.0)) <= 1e-12
         assert np.all(w > 0)
 
@@ -78,7 +79,7 @@ class TestGatingWeights:
         params = GatingParams(
             coeffs=np.zeros((2, 3)), biases=np.array([700.0, -700.0])
         )
-        w = gating_weights(bank, params)
+        w = gating_weights(bank.grams, params)
         assert np.isfinite(w).all()
 
     def test_init_ranges(self):
@@ -162,12 +163,9 @@ class TestGatingGradients:
     def test_identical_grams_give_identical_gradients(self):
         rng = np.random.default_rng(70)
         base = random_bank(rng, 6, 1)
-        from setfuse.kernels import DESCRIPTOR_NAMES, KernelBank
+        from setfuse.kernels import DESCRIPTOR_NAMES
 
-        bank = KernelBank(
-            descriptors=DESCRIPTOR_NAMES,
-            features=(base.features[0],) * 3,
-        )
+        bank = kernel_bank(DESCRIPTOR_NAMES, (base.features[0],) * 3)
         labels = random_labels(rng, 6)
         e = random_orthonormal(rng, 6, 2)
         gc, gb = gating_gradients(bank, zero_params(3, 6), e, labels)

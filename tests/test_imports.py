@@ -2,8 +2,8 @@
 no module imports another's underscore name, every function and class a
 library module defines is read by the library or exported, every export is
 read by the library or is an entry point, the package's export list
-is the pipeline's 17 names, each once, and only ``train`` and ``load_model`` build a
-``KernelBank``.
+is the pipeline's 17 names, each once, and only ``train`` builds a Gram
+matrix (calls ``kernels.gram``).
 
 The check parses each ``src/setfuse/*.py`` with the stdlib ``ast`` module,
 so it needs no linter. A name counts as used when the module reads it or
@@ -215,7 +215,7 @@ def test_caller_checker_finds_calls_by_name_and_attribute():
     assert callers(sources, "KernelBank") == {("a", "f"), ("b", None), ("b", "C")}
 
 
-def test_a_kernel_bank_is_built_only_by_train_and_load_model():
-    # one way to make a model's bank: from lifted rows and a TrainConfig
+def test_a_gram_is_built_only_by_train():
+    # a model is its lifted rows: Grams live only inside training
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert callers(sources, "KernelBank") == {("trainer", "train"), ("persistence", "load_model")}
+    assert callers(sources, "gram") == {("trainer", "train")}

@@ -15,17 +15,17 @@ from setfuse.errors import (
     NormalizationDegenerate,
     NotOrthonormal,
 )
-from setfuse.kernels import (
-    DESCRIPTOR_NAMES,
-    KernelBank,
-    lift_features,
-)
+from setfuse.gating import GatingParams
+from setfuse.kernels import DESCRIPTOR_NAMES, gram_scale, lift_features, lifted_dim
+from setfuse.trainer import ModelState
 
 from helpers import (
     build_kernel_bank,
     columns_from_rows,
     fortran_read_only,
+    kernel_bank,
     log_euclidean_kernel,
+    model_bank,
     probe_rows,
     projection_kernel,
     random_gallery_sets,
@@ -49,6 +49,21 @@ def stack_of(cov, basis, embedding):
     """A descriptor stack of the given rows, one list per descriptor."""
     arrays = (np.array(a, dtype=np.float64) for a in (cov, basis, embedding))
     return DescriptorStack(*arrays, tuple(f"s{i}" for i in range(len(cov))))
+
+
+def hand_model(features, descriptors, normalize=False):
+    """A model of a gallery's lifted rows, one class per member, with a
+    one-column transform and zero gating."""
+    n, q = features[0].shape[0], len(descriptors)
+    return ModelState(
+        transform=np.ones((n, 1)),
+        gating=GatingParams(np.zeros((q, n)), np.zeros(q)),
+        features=tuple(features),
+        labels=tuple(f"c{i}" for i in range(n)),
+        set_ids=tuple(f"s{i}" for i in range(n)),
+        config=TrainConfig(descriptors=tuple(descriptors), normalize_kernels=normalize),
+        objective_trace=(),
+    )
 
 
 def gram_matrix(stack, name, normalize=False):
@@ -221,7 +236,7 @@ class TestGramMatrix:
 def cross_kernel_vector(probe, gallery, channel, normalize=False):
     """One probe's kernel column against a gallery, through a one-channel bank."""
     bank = build_kernel_bank(gallery, (channel,), normalize)
-    (column,) = columns_from_rows(bank, probe_rows(probe, bank))
+    (column,) = columns_from_rows(bank, probe_rows(probe, bank.descriptors))
     return column
 
 
@@ -289,7 +304,9 @@ class TestKernelBank:
         rng = np.random.default_rng(56)
         gallery = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
         for channel in DESCRIPTOR_NAMES:
-            assert build_kernel_bank(gallery, descriptors=(channel,)).dim == 5
+            (f,) = build_kernel_bank(gallery, descriptors=(channel,)).features
+            assert lifted_dim(channel, f.shape[1]) == 5
+            assert hand_model([f], (channel,)).dim == 5
 
     def test_subset_of_kernels(self):
         rng = np.random.default_rng(50)
@@ -329,7 +346,7 @@ class TestLiftedFeatures:
             norms = np.linalg.norm(np.array(lifted), axis=1)
             assert np.all(np.abs(gram - naive) <= 1e-12 * np.outer(norms, norms))
         for j, t in enumerate(alone):
-            for q, col in enumerate(columns_from_rows(bank, probe_rows(t, bank))):
+            for q, col in enumerate(columns_from_rows(bank, probe_rows(t, bank.descriptors))):
                 assert np.array_equal(col, bank.grams[q][:, j])
 
     def test_rows_are_flattened_lifts(self):
@@ -359,17 +376,21 @@ class TestLiftedFeatures:
         rng = np.random.default_rng(54)
         gallery = encode_sets(random_gallery_sets(rng, 2, 3, d=6, n=12), q=3)
         bank = build_kernel_bank(gallery, normalize=True)
-        for q, col in enumerate(columns_from_rows(bank, probe_rows(rows(gallery, 2), bank))):
+        probe = probe_rows(rows(gallery, 2), bank.descriptors)
+        for q, col in enumerate(columns_from_rows(bank, probe)):
             assert np.array_equal(col, bank.grams[q][:, 2])
 
     def test_bank_without_features_cannot_be_built(self):
+        # a model's gallery is its lifted rows; its scales are derived from them
         rng = np.random.default_rng(55)
         gallery = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
-        full = build_kernel_bank(gallery)
+        model = hand_model(build_kernel_bank(gallery).features, DESCRIPTOR_NAMES)
+        given = {f.name: getattr(model, f.name) for f in dataclasses.fields(model) if f.init}
+        del given["features"]
         with pytest.raises(TypeError):
-            KernelBank(descriptors=full.descriptors)
+            ModelState(**given)
         with pytest.raises(ValueError, match="init=False"):
-            dataclasses.replace(full, grams=tuple(g * 2.0 for g in full.grams))
+            dataclasses.replace(model, scales=tuple(s * 2.0 for s in model.scales))
 
 
 class TestChannelNames:
@@ -382,41 +403,46 @@ class TestChannelNames:
 
 
 class TestBankIsItsFeatures:
-    def test_only_features_and_flags_are_inputs(self):
-        names = [f.name for f in dataclasses.fields(KernelBank) if f.init]
-        assert names == ["descriptors", "features", "normalize"]
+    def test_a_model_holds_features_not_grams(self):
+        names = [f.name for f in dataclasses.fields(ModelState) if f.init]
+        assert names == [
+            "transform", "gating", "features", "labels", "set_ids", "config", "objective_trace"
+        ]
 
     @pytest.mark.parametrize("normalize", [False, True])
     def test_replaced_features_rederive_grams(self, normalize):
+        # a model with other rows has their scales, and training's Grams of them
         rng = np.random.default_rng(57)
         gallery = encode_sets(random_gallery_sets(rng, 2, 3, d=5, n=10), q=3)
-        bank = build_kernel_bank(gallery, normalize=normalize)
+        model = hand_model(build_kernel_bank(gallery).features, DESCRIPTOR_NAMES, normalize)
         other = build_kernel_bank(rows(gallery, slice(None, None, -1)), normalize=normalize)
-        swapped = dataclasses.replace(bank, features=other.features)
-        assert swapped.normalize is normalize
-        for got, want in zip(swapped.grams, other.grams):
-            assert np.array_equal(got, want)
+        swapped = dataclasses.replace(model, features=other.features)
         assert swapped.scales == other.scales
+        assert swapped.scales != model.scales if normalize else swapped.scales == (1.0,) * 3
+        for got, want in zip(model_bank(swapped).grams, other.grams):
+            assert np.array_equal(got, want)
 
     def test_writable_features_are_copied_read_only(self):
         rng = np.random.default_rng(58)
         f = rng.standard_normal((4, 9))
-        bank = KernelBank(descriptors=("subspace",), features=(f,))
+        model = hand_model([f], ("subspace",))
         f[0, 0] = 100.0
-        assert bank.features[0][0, 0] != 100.0
-        assert not bank.features[0].flags.writeable
-        assert not bank.grams[0].flags.writeable
-        assert bank.n_train == 4
+        assert model.features[0][0, 0] != 100.0
+        assert not model.features[0].flags.writeable
+        assert all(not a.flags.writeable for a in model.probe_maps[0])
+        assert model.n_train == 4
 
     def test_fortran_order_features_are_stored_in_c_order(self):
-        # the bits of a dot depend on its rows' layout, so a bank stores C
-        # order: a read-only Fortran-order array, and its strided rows sent
-        # as probes, give the Grams and columns of the same values in C order
+        # the bits of a dot depend on its rows' layout, so a model and a
+        # training Gram keep C order: a read-only Fortran-order array, and its
+        # strided rows sent as probes, give the Grams and columns of the same
+        # values in C order
         rng = np.random.default_rng(64)
         f = rng.standard_normal((97, 121))
         fortran = fortran_read_only(f)
-        c_bank = KernelBank(("gauss",), (f,))
-        f_bank = KernelBank(("gauss",), (fortran,))
+        assert hand_model([fortran], ("gauss",)).features[0].flags.c_contiguous
+        c_bank = kernel_bank(("gauss",), (f,))
+        f_bank = kernel_bank(("gauss",), (fortran,))
         assert f_bank.features[0].flags.c_contiguous
         assert np.array_equal(f_bank.grams[0], c_bank.grams[0])
         for j in range(f.shape[0]):
@@ -435,9 +461,11 @@ class TestOneDot:
         # 8-byte-offset read-only view into a bytes buffer (the way
         # load_model reads arrays), gives its Gram column bit for bit
         rng = np.random.default_rng(1000 * n + width)
-        bank = KernelBank(("cov",), (rng.standard_normal((n, width)),))
+        bank = kernel_bank(("cov",), (rng.standard_normal((n, width)),))
         (gram,) = bank.grams
         assert np.array_equal(gram, gram.T)
+        # the trace-N scale, read from the rows, has the bits of one read from the Gram
+        assert gram_scale(bank.features[0], True) == n / float(np.trace(gram))
         for j, row in enumerate(bank.features[0]):
             view = np.frombuffer(b"\0" * 8 + row.tobytes(), dtype="<f8", offset=8)
             assert not view.flags.writeable

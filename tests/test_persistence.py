@@ -30,7 +30,10 @@ from helpers import (
     build_kernel_bank,
     columns_from_rows,
     fortran_read_only,
+    gram_builds,
     ids_of,
+    kernel_bank,
+    model_bank,
     probe_rows,
     stack_length,
 )
@@ -101,10 +104,10 @@ class TestRoundTrip:
         assert np.array_equal(back.gating.coeffs, model.gating.coeffs)
         assert np.array_equal(back.gating.biases, model.gating.biases)
         assert np.array_equal(back.train_weights, model.train_weights)
-        for a, b in zip(back.bank.grams, model.bank.grams):
-            assert np.array_equal(a, b)
-        assert back.bank.descriptors == model.bank.descriptors
-        assert back.bank.scales == model.bank.scales
+        for a, b in zip(back.probe_maps, model.probe_maps, strict=True):
+            for x, y in zip(a, b, strict=True):
+                assert np.array_equal(x, y)
+        assert back.scales == model.scales
         assert back.labels == model.labels
         assert back.objective_trace == model.objective_trace
         assert back.config == model.config
@@ -114,8 +117,8 @@ class TestRoundTrip:
         model, sets = trained
         save_model(model, tmp_path / "m")
         back = load_model(tmp_path / "m")
-        assert len(back.bank.features) == len(model.bank.features)
-        for a, b in zip(back.bank.features, model.bank.features):
+        assert len(back.features) == len(model.features)
+        for a, b in zip(back.features, model.features):
             assert np.array_equal(a, b)
         assert back.set_ids == tuple(s.set_id for s in sets) == model.set_ids
         assert back.labels == tuple(s.label for s in sets) == model.labels
@@ -137,7 +140,7 @@ class TestRoundTrip:
             "gating_coeffs": model.gating.coeffs,
             "gating_biases": model.gating.biases,
         }
-        for channel, features in zip(model.bank.descriptors, model.bank.features):
+        for channel, features in zip(model.config.descriptors, model.features):
             stored[f"features_{channel}"] = features
         for name, arr in stored.items():
             assert np.array_equal(np.load(tmp_path / "m" / f"{name}.npy", allow_pickle=False), arr)
@@ -162,24 +165,26 @@ class TestRoundTrip:
         save_model(model, tmp_path / "m")
         back = load_model(tmp_path / "m")
         for m in (model, back):
-            assert np.array_equal(m.train_weights, gating_weights(m.bank, m.gating))
+            # read from the rows; training read the same weights from its Grams
+            assert np.array_equal(m.train_weights, m.gate(m.features))
+            grams = model_bank(m).grams
+            assert np.allclose(m.train_weights, gating_weights(grams, m.gating), rtol=0, atol=1e-14)
             assert not m.train_weights.flags.writeable
 
     def test_variant_round_trip_bit_identical(self, trained_variant, tmp_path):
         model, sets = trained_variant
         save_model(model, tmp_path / "m")
         back = load_model(tmp_path / "m")
-        assert back.bank.descriptors == model.bank.descriptors
-        assert back.bank.scales == model.bank.scales
-        for name in ("grams", "features"):
-            for a, b in zip(getattr(back.bank, name), getattr(model.bank, name)):
-                assert np.array_equal(a, b)
+        assert back.scales == model.scales
+        for a, b in zip(back.features, model.features, strict=True):
+            assert np.array_equal(a, b)
         for s in sets:
             assert np.array_equal(predict(s, back).distances, predict(s, model).distances)
-        # a gallery member sent as a probe reproduces its Gram column
-        probe = probe_rows(encode_sets([sets[4]], back.config), back.bank)
-        for q, col in enumerate(columns_from_rows(back.bank, probe)):
-            assert np.array_equal(col, back.bank.grams[q][:, 4])
+        # a gallery member sent as a probe reproduces the Gram column training built
+        probe = probe_rows(encode_sets([sets[4]], back.config), back.config.descriptors)
+        grams = model_bank(back).grams
+        for q, col in enumerate(columns_from_rows(back, probe)):
+            assert np.array_equal(col, grams[q][:, 4])
         assert distance_profile(probe, back)[4] <= 1e-12
 
     def test_every_member_probes_to_itself(self, trained_variant, tmp_path):
@@ -223,7 +228,7 @@ class TestRoundTrip:
         save_model(f_model, tmp_path / "m")
         back = load_model(tmp_path / "m")
         for s in probes:
-            probe = probe_rows(encode_sets([s], cfg), c_bank)
+            probe = probe_rows(encode_sets([s], cfg), c_bank.descriptors)
             want = distance_profile(probe, c_model)
             assert np.array_equal(distance_profile(probe, f_model), want)
             assert np.array_equal(distance_profile(probe, back), want)
@@ -235,8 +240,8 @@ class TestRoundTrip:
         assert not back.transform.flags.writeable
         assert not back.gating.coeffs.flags.writeable
         assert not back.gating.biases.flags.writeable
-        assert not back.bank.grams[0].flags.writeable
-        assert not back.bank.features[0].flags.writeable
+        assert not back.features[0].flags.writeable
+        assert all(not a.flags.writeable for m in back.probe_maps for a in m)
 
     def test_predict_on_loaded_model_lifts_only_the_probe(self, trained, tmp_path, monkeypatch):
         model, sets = trained
@@ -257,9 +262,9 @@ class TestRoundTrip:
     def test_predict_on_loaded_model_forms_no_kernel_column(
         self, trained, tmp_path, monkeypatch
     ):
-        # loading builds the Grams; predict then reads each probe row through
-        # the model's maps, derived once per channel for the model's lifetime,
-        # and takes no dot against the N gallery rows
+        # predict reads each probe row through the model's maps, derived once
+        # per channel for the model's lifetime, and takes no dot against the
+        # N gallery rows
         model, sets = trained
         save_model(model, tmp_path / "m")
         back = load_model(tmp_path / "m")
@@ -274,7 +279,7 @@ class TestRoundTrip:
         monkeypatch.setattr(np, "vecdot", lambda *a, **k: pytest.fail("predict took a kernel dot"))
         for s in sets:
             predict(s, back)
-        assert len(made) == back.bank.n_kernels
+        assert len(made) == len(back.config.descriptors)
 
     def test_load_lifts_nothing(self, trained, tmp_path, monkeypatch):
         model, _ = trained
@@ -302,11 +307,26 @@ class TestRoundTrip:
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
 
-    def test_save_builds_no_gram(self, trained, tmp_path, monkeypatch):
-        # the bank's Grams are derived from its features, so saving checks a flag
+    def test_save_builds_no_gram(self, trained, tmp_path):
+        # a model stores its features, and holds no Gram to save
         model, _ = trained
-        monkeypatch.setattr(kernels, "_gram", lambda f: pytest.fail("save_model built a Gram"))
-        save_model(model, tmp_path / "m")
+        with gram_builds() as built:
+            save_model(model, tmp_path / "m")
+        assert built == []
+
+    def test_load_and_predict_build_no_gram(self, trained, tmp_path):
+        # only training builds Grams: a loaded model derives what predict
+        # reads from its stored rows
+        model, sets = trained
+        with gram_builds() as built:
+            retrained = train(model.features, model.labels, model.set_ids, model.config)
+        assert len(built) == len(model.config.descriptors)
+        save_model(retrained, tmp_path / "m")
+        with gram_builds() as built:
+            back = load_model(tmp_path / "m")
+            for s in sets:
+                predict(s, back)
+        assert built == []
 
     def test_write_failure_raises_io_error(self, trained, tmp_path):
         model, _ = trained
@@ -315,13 +335,15 @@ class TestRoundTrip:
         with pytest.raises(IoError, match="cannot write model"):
             save_model(model, blocker / "sub")
 
-    def test_bank_normalization_must_match_config(self, trained):
-        # loading rescales by config.normalize_kernels, so a model whose bank
-        # is scaled the other way would not come back as trained
+    def test_scales_follow_the_config(self, trained):
+        # a model derives its scales from its rows under its config, as
+        # training and loading both do, so no scale can disagree with the config
         model, _ = trained
         cfg = dataclasses.replace(model.config, normalize_kernels=True)
-        with pytest.raises(BadSpec, match="normalize"):
-            dataclasses.replace(model, config=cfg)
+        scaled = dataclasses.replace(model, config=cfg)
+        assert model.scales == (1.0,) * len(cfg.descriptors)
+        assert scaled.scales == kernel_bank(cfg.descriptors, model.features, True).scales
+        assert all(s != 1.0 for s in scaled.scales)
 
     def test_bank_kernels_must_match_config(self, trained):
         # loading takes the channels from config.descriptors
@@ -341,13 +363,14 @@ class TestRoundTrip:
         [
             ("transform", lambda m: m.transform[1:]),
             ("transform", lambda m: m.transform[:, 0]),
+            ("transform", lambda m: m.transform[:, :0]),
             ("gating", lambda m: GatingParams(m.gating.coeffs[:, 1:], m.gating.biases)),
             ("gating", lambda m: GatingParams(m.gating.coeffs[1:], m.gating.biases)),
             ("gating", lambda m: GatingParams(m.gating.coeffs, m.gating.biases[1:])),
             ("labels", lambda m: m.labels[1:]),
             ("set_ids", lambda m: m.set_ids + ("extra",)),
         ],
-        ids=["transform-rows", "transform-1d", "coeffs-n", "coeffs-q", "biases", "labels", "ids"],
+        ids=["transform-rows", "transform-1d", "transform-no-columns", "coeffs-n", "coeffs-q", "biases", "labels", "ids"],
     )
     def test_arrays_must_fit_the_bank(self, trained, field, cut):
         # a hand-built model that does not fit its gallery fails when it is
@@ -475,10 +498,10 @@ class TestTamperDetection:
         # so loading names the file instead of predict failing on every probe
         model, _ = trained
         save_model(model, tmp_path / "m")
-        f = model.bank.features[model.bank.descriptors.index(name)]
+        f = model.features[model.config.descriptors.index(name)]
         wide = np.hstack([f, f[:, :1]])
         replace_array_file(tmp_path / "m", f"features_{name}.npy", npy_bytes(wide))
-        with pytest.raises(IoError, match=f"features_{name}.npy: {f.shape[1] + 1} features"):
+        with pytest.raises(IoError, match=f"features_{name}: {f.shape[1] + 1} features per set"):
             load_model(tmp_path / "m")
 
     def test_unlisted_array_file_rejected(self, trained, tmp_path):
@@ -538,4 +561,19 @@ class TestTamperDetection:
         save_model(model, tmp_path / "m")
         edit_meta(tmp_path / "m", edit)
         with pytest.raises(IoError):
+            load_model(tmp_path / "m")
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), 7.5, -0.5], ids=["nan", "inf", "above-one", "negative"]
+    )
+    def test_impossible_objective_trace_rejected(self, trained, tmp_path, value):
+        # train clips every objective into [0, 1], and json reads the NaN and
+        # Infinity tokens: a model refuses any other value when it is made,
+        # so loading refuses it too, and no model writes it back out
+        model, _ = trained
+        with pytest.raises(BadSpec, match="objective trace"):
+            dataclasses.replace(model, objective_trace=model.objective_trace + (value,))
+        save_model(model, tmp_path / "m")
+        edit_meta(tmp_path / "m", lambda m: m["objective_trace"].append(value))
+        with pytest.raises(IoError, match="objective trace"):
             load_model(tmp_path / "m")

@@ -37,6 +37,8 @@ from helpers import (
     build_kernel_bank,
     gating_gradients,
     ids_of,
+    kernel_bank,
+    model_bank,
     probe_rows,
     random_bank,
     random_gallery_sets,
@@ -49,7 +51,14 @@ from helpers import (
 )
 from helpers import random_orthonormal as helper_orthonormal
 
-# A one-iteration config naming the channels of ``random_bank(rng, n, 2)``.
+def assert_train_weights_read_the_grams(model):
+    # the model reads its gallery's weights from its rows, training read the
+    # same weights from its Grams: they agree to rounding
+    grams = model_bank(model).grams
+    assert np.allclose(model.train_weights, gating_weights(grams, model.gating), rtol=0, atol=1e-14)
+
+
+# A one-iteration config naming the channels of ``random_bank(rng, n, 2, dim)``.
 TWO_CHANNELS = TrainConfig(iters=1, descriptors=DESCRIPTOR_NAMES[:2])
 
 
@@ -103,7 +112,7 @@ def feature_bank(rng, n_classes=4, sets_per_class=10):
 
 
 def assert_reduced_matches_full(bank, labels, weights):
-    span = gram_span(bank)
+    span = gram_span(bank.grams)
     full = scatter_matrices(bank, labels, weights)
     reduced = trainer.scatter_matrices(span.columns, class_layout(labels), weights)
     for got, whole in ((reduced.within, full.within), (reduced.between, full.between)):
@@ -134,7 +143,7 @@ class TestGramSpan:
     def test_span_holds_every_column_difference(self):
         rng = np.random.default_rng(104)
         bank, _ = feature_bank(rng)
-        span = gram_span(bank)
+        span = gram_span(bank.grams)
         r = span.basis.shape[1]
         assert np.max(np.abs(span.basis.T @ span.basis - np.eye(r))) <= 1e-12
         for gram, cols in zip(bank.grams, span.columns):
@@ -148,13 +157,13 @@ class TestGramSpan:
         # one full-rank channel: its N columns span R^N, their differences N - 1
         bank = random_bank(np.random.default_rng(112), 7, 1)
         assert np.linalg.matrix_rank(bank.grams[0]) == 7
-        assert gram_span(bank).basis.shape == (7, 6)
+        assert gram_span(bank.grams).basis.shape == (7, 6)
 
     def test_zero_grams_raise(self):
         bank = random_bank(np.random.default_rng(105), 4, 2)
-        zero = type(bank)(descriptors=bank.descriptors, features=(np.zeros((4, 6)),) * 2)
+        zero = kernel_bank(bank.descriptors, (np.zeros((4, 6)),) * 2)
         with pytest.raises(ZeroTotalScatter):
-            gram_span(zero)
+            gram_span(zero.grams)
 
 
 class TestTraceRatioObjective:
@@ -386,7 +395,7 @@ class TestTrain:
         from setfuse.classify import distance_profile
 
         for i in range(12):
-            assert int(np.argmin(distance_profile(probe_rows(rows(gallery, i), bank), model))) == i
+            assert int(np.argmin(distance_profile(probe_rows(rows(gallery, i), bank.descriptors), model))) == i
 
     def test_objective_does_not_collapse(self):
         rng = np.random.default_rng(96)
@@ -406,8 +415,8 @@ class TestTrain:
 
         manual_rng = np.random.default_rng(cfg.seed)
         params = init_gating_params(bank.n_kernels, bank.n_train, manual_rng)
-        weights = gating_weights(bank, params)
-        span = gram_span(bank)
+        weights = gating_weights(bank.grams, params)
+        span = gram_span(bank.grams)
         classes = class_layout(labels)
         scatter = trainer.scatter_matrices(span.columns, classes, weights)
         itr = solve_trace_ratio(
@@ -452,7 +461,7 @@ class TestTrain:
         with caplog.at_level(logging.INFO, logger="setfuse.trainer"):
             model = assert_trace_ratio_optimum(monkeypatch, bank, labels, cfg)
         assert float(model.train_weights.min()) < 1e-4
-        width = min(cfg.target_dim, gram_span(bank).basis.shape[1])
+        width = min(cfg.target_dim, gram_span(bank.grams).basis.shape[1])
         assert model.transform.shape == (bank.n_train, width)
         assert not [r for r in caplog.records if "null-space" in r.message]
 
@@ -482,7 +491,7 @@ class TestTrain:
         monkeypatch.setattr(trainer, "gradient_ascent_step", recording_step)
         monkeypatch.setattr(trainer, "solve_trace_ratio", recording_solve)
         train(bank.features, labels, ids_of(bank), cfg)
-        basis = gram_span(bank).basis
+        basis = gram_span(bank.grams).basis
         assert len(steps) == len(projections) >= 3
         for (params, (gc, gb)), coords in zip(steps, projections):
             rc, rb = gating_gradients(bank, params, basis @ coords, labels)
@@ -503,12 +512,12 @@ class TestTrain:
         # one weight evaluation to start and one per line-search try; one pass of
         # pair sums per iteration start point and one per try
         assert calls == {"gating_weights": 21, "projected_pair_sums": 40, "gradient_ascent_step": 20}
-        assert np.array_equal(model.train_weights, gating_weights(model.bank, model.gating))
+        assert_train_weights_read_the_grams(model)
 
     @pytest.mark.parametrize("rate", [0.0, 100.0])
     def test_line_search_tries_are_evaluated_once(self, monkeypatch, rate):
         rng = np.random.default_rng(109)
-        bank = random_bank(rng, 12, 3)
+        bank = random_bank(rng, 12, 3, dim=4)
         labels = random_labels(rng, 12)
         calls = count_gating_evaluations(monkeypatch)
         cfg = TrainConfig(target_dim=3, iters=8, seed=2, learning_rate=rate)
@@ -517,12 +526,12 @@ class TestTrain:
         assert (tries > iters) == (rate > 0.0)  # at rate 100 a step is halved
         assert calls["gating_weights"] == 1 + tries
         assert calls["projected_pair_sums"] == iters + tries
-        assert np.array_equal(model.train_weights, gating_weights(model.bank, model.gating))
+        assert_train_weights_read_the_grams(model)
 
     def test_random_bank_trains(self):
         # a bank of random lifted features, not lifted descriptors
         rng = np.random.default_rng(109)
-        bank = random_bank(rng, 12, 3)
+        bank = random_bank(rng, 12, 3, dim=4)
         labels = random_labels(rng, 12)
         cfg = TrainConfig(target_dim=3, iters=4, seed=2)
         m1 = train(bank.features, labels, ids_of(bank), cfg)
@@ -561,20 +570,21 @@ class TestTrain:
 
     @pytest.mark.parametrize("normalize", [False, True])
     def test_bank_is_built_from_the_config(self, normalize):
-        # the model's bank takes its channels and scaling from the config and
-        # keeps the read-only rows it was given
+        # the model's scales follow the config, as the Grams training built,
+        # and it keeps the read-only rows it was given
         rng = np.random.default_rng(109)
-        bank = random_bank(rng, 12, 2)
+        bank = random_bank(rng, 12, 2, dim=4)
         cfg = replace(TWO_CHANNELS, target_dim=3, normalize_kernels=normalize)
         model = train(bank.features, random_labels(rng, 12), ids_of(bank), cfg)
-        assert (model.bank.descriptors, model.bank.normalize) == (cfg.descriptors, normalize)
-        for kept, given in zip(model.bank.features, bank.features, strict=True):
+        assert model.scales == kernel_bank(cfg.descriptors, bank.features, normalize).scales
+        assert all((s != 1.0) == normalize for s in model.scales)
+        for kept, given in zip(model.features, bank.features, strict=True):
             assert kept is given
         assert model.set_ids == tuple(ids_of(bank))
 
     def test_numpy_str_labels_train_as_str(self):
         rng = np.random.default_rng(109)
-        bank = random_bank(rng, 12, 3)
+        bank = random_bank(rng, 12, 3, dim=4)
         labels = random_labels(rng, 12)
         assert isinstance(labels[0], np.str_)
         cfg = TrainConfig(target_dim=3, iters=2, seed=2)

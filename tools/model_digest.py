@@ -10,9 +10,12 @@ one next to this file), so one copy of this script can digest any commit:
 
     python3 tools/model_digest.py --src /path/to/other/checkout/src
 
-Each train case prints two digests. ``model`` hashes the trained arrays
-(transform, gating parameters, training weights, every Gram, scale and lifted
-feature array, the objective trace, labels and set ids). ``saved`` hashes the
+Each train case prints two digests. ``model`` hashes what the trained model
+holds and derives (transform, gating parameters, training weights, every
+lifted feature array and scale, the objective trace, labels and set ids). A
+model holds no Gram matrix, so no Gram is hashed: the Grams exist only inside
+training, and the digests of what training learns from them stand for them.
+``saved`` hashes the
 bytes of the saved model directory. So a change of persistence format alone
 keeps every ``model`` digest and changes the ``saved`` ones. ``probe_stream``
 prints one more line for ten held-out probes sent to the loaded model:
@@ -65,9 +68,8 @@ class _Digest:
 
 
 def _add_model(d: _Digest, model) -> None:
-    bank = model.bank
     d.add(model.transform, model.gating.coeffs, model.gating.biases, model.train_weights)
-    d.add(*bank.grams, *bank.features, tuple(bank.scales), bank.n_train)
+    d.add(*model.features, model.scales, model.n_train)
     d.add(model.objective_trace, model.labels, model.set_ids)
 
 
