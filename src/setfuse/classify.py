@@ -30,10 +30,11 @@ from .gating import squared_distances
 from .kernels import lift_features
 from .trainer import ModelState
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prediction:
     """Predicted label plus the full gallery distance profile, which is
-    non-negative: each distance sums ``w * ||.||^2 * w`` with softmax weights."""
+    non-negative: each distance sums ``w * ||.||^2 * w`` with softmax weights.
+    Equality and hashing are by identity."""
 
     label: str
     distances: np.ndarray

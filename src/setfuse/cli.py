@@ -94,8 +94,10 @@ def _write_csv(path, rows) -> None:
 
 
 def _write_report_csv(report: ExperimentReport, path) -> None:
-    """Per-split CSV; ``train_seconds`` is the split's Gram build plus
-    training (each set is encoded once per run, shared by every split)."""
+    """Per-split CSV; ``train_seconds`` is the split's share of the training
+    time: the splits train together, so each gets the Gram builds plus
+    training of all of them divided by their count (each set is encoded once
+    per run, shared by every split)."""
     rows = [["split", "seed", "accuracy", "n_train", "n_test", "train_seconds"]]
     for s in report.splits:
         rows.append([s.split_index, s.seed, f"{s.accuracy:.6f}", s.n_train,
@@ -184,7 +186,8 @@ def train(manifest, out, **kwargs):
               help="Training sets drawn per class in each split.")
 @click.option("--report", type=click.Path(), default=None,
               help="Write per-split results to this CSV (traces go next to it); its "
-                   "train_seconds column times each split's Gram build plus training.")
+                   "train_seconds column is the splits' Gram builds plus training, which "
+                   "run together, divided by the number of splits.")
 @_train_options
 @_guarded
 def eval(manifest, splits, train_per_class, report, **kwargs):

@@ -56,11 +56,12 @@ def read_only(values, dtype=np.float64) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImageSet:
     """One labeled image set: columns of ``features`` are per-image vectors.
     ``label`` and ``set_id`` are each a str (numpy's ``str_`` is one), else
-    ``BadSpec`` names the set."""
+    ``BadSpec`` names the set. Equality and hashing are by identity, as for
+    every public type that holds arrays."""
 
     features: np.ndarray
     label: str
@@ -92,7 +93,7 @@ class ImageSet:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DescriptorStack:
     """The descriptors of N sets as read-only stacks, row i from set i: ``cov``
     (N, d, d), ``basis`` (N, d, q) and ``embedding`` (N, d+1, d+1)."""

@@ -11,7 +11,9 @@ one ``encode_sets`` call and lifts the collection with one ``lift_features``
 call per channel into a read-only (N, D_q) array F. Every split trains on
 its training rows ``F[train_idx]`` and scores test set i with
 ``classify.distance_profile`` of its rows ``F[i]``, so it reports what
-``train_on_sets`` and ``predict`` would give.
+``train_on_sets`` and ``predict`` would give. The splits of a report row
+train with one ``trainer.train`` call, which trains them in lockstep stacks
+(``trainer.STACK_BYTES``), and each split's model has the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .config import TrainConfig, check_int
 from .descriptors import ImageSet, common_dim, encode_sets
 from .errors import BadSpec, InsufficientSetsPerClass, TooFewSamples
 from .kernels import DESCRIPTOR_NAMES, lift_features
-from .trainer import ModelState, train
+from .trainer import Gallery, ModelState, train
 
 logger = logging.getLogger(__name__)
 
@@ -37,9 +39,11 @@ logger = logging.getLogger(__name__)
 class SplitResult:
     """Outcome of one train/test split.
 
-    ``train_seconds`` times the split's Gram build (from the training sets'
-    lifted rows) plus training. Encoding and lifting are shared
-    by every split of the call and not counted.
+    ``train_seconds`` is the split's share of its report row's training: the
+    row's splits train together with one ``train`` call, whose Gram builds
+    (from the training sets' lifted rows) plus training are divided evenly
+    among them, so the column sums to the row's training time. Encoding and
+    lifting are shared by every split of the call and not counted.
     """
 
     split_index: int
@@ -105,7 +109,8 @@ def train_on_sets(sets: Sequence[ImageSet], cfg: TrainConfig) -> ModelState:
     cfg = _capped_config(sets, cfg)
     stack = encode_sets(sets, cfg)
     features = [lift_features(stack, name) for name in cfg.descriptors]
-    return train(features, [s.label for s in sets], [s.set_id for s in sets], cfg)
+    gallery = Gallery(features, [s.label for s in sets], [s.set_id for s in sets])
+    return train([gallery], [cfg])[0]
 
 
 def split_sets(
@@ -180,36 +185,43 @@ def _plan_splits(
     return splits
 
 
-def _run_split(
+def _run_row(
     sets: Sequence[ImageSet],
     lifted: Mapping[str, np.ndarray],
     cfg: TrainConfig,
-    split: _Split,
-) -> SplitResult:
-    split_cfg = replace(cfg, seed=split.seed)
-    names = split_cfg.descriptors
-    features = [lifted[name][split.train] for name in names]
-    for f in features:
-        f.setflags(write=False)  # a fresh C-contiguous copy, so the model keeps it
-    train_sets = [sets[i] for i in split.train]
+    splits: Sequence[_Split],
+) -> tuple[SplitResult, ...]:
+    """Train every split of a report row with one ``train`` call, then score
+    each split's test sets with its model."""
+    names = cfg.descriptors
+    galleries = []
+    for split in splits:
+        features = [lifted[name][split.train] for name in names]
+        for f in features:
+            f.setflags(write=False)  # a fresh C-contiguous copy, so the model keeps it
+        train_sets = [sets[i] for i in split.train]
+        galleries.append(
+            Gallery(features, [s.label for s in train_sets], [s.set_id for s in train_sets])
+        )
     started = time.perf_counter()
-    model = train(
-        features, [s.label for s in train_sets], [s.set_id for s in train_sets], split_cfg
-    )
-    elapsed = time.perf_counter() - started
-    hits = 0
-    for i in split.test:
-        prediction = nearest(distance_profile([lifted[name][i] for name in names], model), model)
-        hits += prediction.label == sets[i].label
-    return SplitResult(
-        split_index=split.index,
-        seed=split.seed,
-        accuracy=hits / len(split.test),
-        n_train=len(split.train),
-        n_test=len(split.test),
-        train_seconds=elapsed,
-        objective_trace=model.objective_trace,
-    )
+    models = train(galleries, [replace(cfg, seed=split.seed) for split in splits])
+    per_split = (time.perf_counter() - started) / len(splits)
+    results = []
+    for split, model in zip(splits, models):
+        hits = 0
+        for i in split.test:
+            rows = [lifted[name][i] for name in names]
+            hits += nearest(distance_profile(rows, model), model).label == sets[i].label
+        results.append(SplitResult(
+            split_index=split.index,
+            seed=split.seed,
+            accuracy=hits / len(split.test),
+            n_train=len(split.train),
+            n_test=len(split.test),
+            train_seconds=per_split,
+            objective_trace=model.objective_trace,
+        ))
+    return tuple(results)
 
 
 def _protocol(
@@ -232,7 +244,7 @@ def _protocol(
     def run(row_cfg: TrainConfig) -> ExperimentReport:
         capped_row = replace(row_cfg, subspace_dim=capped.subspace_dim)
         return ExperimentReport(
-            splits=tuple(_run_split(sets, lifted, capped_row, split) for split in splits),
+            splits=_run_row(sets, lifted, capped_row, splits),
             config=capped_row,
             train_per_class=train_per_class,
         )

@@ -15,12 +15,22 @@ solved for; the exact gradient expressions live in ``projected_gradients``.
 Every scatter, pair sum and gradient sums over same-class and different-class
 pairs, and reads the gallery's classes from one frozen ``ClassLayout`` (class
 codes, one-hot indicator, pair counts) that ``class_layout`` builds once per
-``train`` call.
+gallery per ``train`` call.
+
+``train`` trains a stack of galleries at once, so the functions here that
+it calls take a leading problem axis, as the ``spd`` primitives do: weights
+``(..., Q, N)``, Grams ``(..., Q, N, N)``, projected columns
+``(..., Q, p, N)`` and a ``ClassLayout`` stacked by ``stack_layouts``. Each
+problem's slice gets the bits its 2-D call gives: every product runs as the
+same BLAS call per slice, every sum adds in the same order, and a gather by
+class code is an exact product with the 0/1 ``ClassLayout.members``
+(``per_sample``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -28,10 +38,12 @@ import numpy as np
 from .errors import NonFinite, NonFiniteGradient, SingleClassGallery
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GatingParams:
-    """Per-kernel read-out vectors (``coeffs``, Q x N) and biases (Q,);
-    ``train`` makes them in those shapes and ``ModelState`` checks a model's."""
+    """Per-kernel read-out vectors (``coeffs``, Q x N) and biases (Q,), or a
+    stack of them (``(..., Q, N)`` and ``(..., Q)``) inside ``train``; a
+    model's are checked by ``ModelState``. Equality and hashing are by
+    identity, as for every public type that holds arrays."""
 
     coeffs: np.ndarray
     biases: np.ndarray
@@ -57,36 +69,92 @@ def init_gating_params(n_kernels: int, n_train: int, rng: np.random.Generator) -
     return GatingParams(coeffs=coeffs, biases=biases)
 
 
-def softmax_columns(scores: np.ndarray) -> np.ndarray:
-    """Columnwise softmax with max subtraction; safe for scores up to ~1e308."""
-    shifted = scores - scores.max(axis=0, keepdims=True)
+def softmax_columns(scores: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Softmax along ``axis`` (the channels) with max subtraction; safe for
+    scores up to ~1e308."""
+    shifted = scores - scores.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
 
 
-def gating_weights(grams: Sequence[np.ndarray], params: GatingParams) -> np.ndarray:
+def gating_weights(grams, params: GatingParams) -> np.ndarray:
     """Per-sample kernel weights, Q x N, columns summing to one:
-    ``softmax_q(coeffs[q] @ K_q + biases[q])`` of the scaled Grams K_q."""
-    scores = [c @ k + b for c, k, b in zip(params.coeffs, grams, params.biases)]
-    return softmax_columns(np.array(scores))
+    ``softmax_q(coeffs[q] @ K_q + biases[q])`` of the scaled Grams K_q
+    (a sequence of Q, or an array ``(..., Q, N, N)`` with params to match)."""
+    scores = (params.coeffs[..., None, :] @ np.asarray(grams))[..., 0, :]
+    return softmax_columns(scores + params.biases[..., None], axis=-2)
 
 
 def squared_distances(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
     """``out[c, i] = ||points[:, i] - centres[:, c]||^2`` for points m x N and
-    centres m x C; the one distance of training and classification alike."""
-    return ((points[:, None, :] - centres[:, :, None]) ** 2).sum(axis=0)
+    centres m x C (or stacks of them); the one distance of training and
+    classification alike."""
+    diff = points[..., :, None, :] - centres[..., :, :, None]
+    return np.square(diff, out=diff).sum(axis=-3)
 
 
-@dataclass(frozen=True)
+def per_problem(x) -> np.ndarray:
+    """A per-problem scalar (a number, or one per problem of a stack) shaped
+    to broadcast against each problem's matrices."""
+    return np.asarray(x, dtype=np.float64)[..., None, None]
+
+
+@dataclass(frozen=True, eq=False)
 class ClassLayout:
     """A gallery's classes: ``codes`` (N, class indices in sorted label order),
     their N x C bool indicator ``onehot`` and the ordered-pair counts
-    ``n_within`` (i == j included) and ``n_between``, both positive."""
+    ``n_within`` (i == j included) and ``n_between``, both positive; or a
+    stack of layouts with as many classes each (``stack_layouts``), whose
+    fields gain a leading problem axis.
+
+    Its methods read per-sample arrays with a channel axis, ``(..., Q, N)``.
+    """
 
     codes: np.ndarray
     onehot: np.ndarray
-    n_within: int
-    n_between: int
+    n_within: int | np.ndarray
+    n_between: int | np.ndarray
+
+    @cached_property
+    def own(self) -> np.ndarray:
+        """``own[..., 0, c, i]``: sample i is in class c (shape (..., 1, C, N))."""
+        return self.onehot.swapaxes(-1, -2)[..., None, :, :]
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        """``own`` as floats, 1.0 and 0.0."""
+        return self.own.astype(np.float64)
+
+    @cached_property
+    def _bins(self) -> dict:
+        """Per shape of weights, the codes offset by C per problem and
+        channel and flattened, so that one ``bincount`` keeps them apart."""
+        return {}
+
+    def class_weights(self, w: np.ndarray) -> np.ndarray:
+        """Each class's total weight W_c of per-sample weights ``w``
+        (..., Q, N), per problem and channel: one ``bincount``, which adds
+        each class's weights in sample order."""
+        n_classes = self.onehot.shape[-1]
+        groups = w.size // w.shape[-1]
+        bins = self._bins.get(w.shape)
+        if bins is None:
+            offsets = n_classes * np.arange(groups).reshape(w.shape[:-1] + (1,))
+            bins = self._bins[w.shape] = (self.codes[..., None, :] + offsets).ravel()
+        totals = np.bincount(bins, weights=w.ravel(), minlength=n_classes * groups)
+        return totals.reshape(w.shape[:-1] + (n_classes,))
+
+    def per_sample(self, values: np.ndarray) -> np.ndarray:
+        """``values[..., codes]``: each sample's entry of per-class ``values``
+        (..., Q, m, C), as the product with ``members``, which is exact since
+        each sample has one 1.0 among zeros."""
+        return values @ self.members
+
+    def take(self, rows) -> "ClassLayout":
+        """The layouts of a stack's problems at ``rows``."""
+        return ClassLayout(
+            self.codes[rows], self.onehot[rows], self.n_within[rows], self.n_between[rows]
+        )
 
 
 def class_layout(labels: Sequence[str]) -> ClassLayout:
@@ -102,22 +170,38 @@ def class_layout(labels: Sequence[str]) -> ClassLayout:
     return ClassLayout(codes, onehot, n_within, codes.size**2 - n_within)
 
 
+def stack_layouts(layouts: Sequence[ClassLayout]) -> ClassLayout:
+    """One ``ClassLayout`` for a stack of galleries with as many sets and
+    classes each, problem k's from ``layouts[k]``."""
+    return ClassLayout(
+        np.stack([c.codes for c in layouts]),
+        np.stack([c.onehot for c in layouts]),
+        np.array([c.n_within for c in layouts]),
+        np.array([c.n_between for c in layouts]),
+    )
+
+
 def class_means(
     columns: np.ndarray, w: np.ndarray, classes: ClassLayout
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each class's total weight W_c and weighted mean m_c of ``columns`` (m x N).
+    """Each class's total weight W_c and weighted mean m_c of ``columns``
+    (m x N, weights N), of each channel's (Q x m x N, weights Q x N), or of
+    each of a stack of those.
 
     A class of zero weight gets a zero mean; a sample alone in its class is
     that class's mean exactly, since its share w_i / W_c is exactly one.
     """
-    codes, onehot = classes.codes, classes.onehot
-    class_w = np.bincount(codes, weights=w, minlength=onehot.shape[1])
-    share = np.divide(w, class_w[codes], out=np.zeros_like(w), where=class_w[codes] > 0.0)
-    return class_w, columns @ (onehot * share[:, None])
+    if w.ndim == classes.codes.ndim:  # one channel: give it the channel axis
+        class_w, means = class_means(columns[..., None, :, :], w[..., None, :], classes)
+        return class_w[..., 0, :], means[..., 0, :, :]
+    class_w = classes.class_weights(w)
+    own = classes.per_sample(class_w[..., None, :])[..., 0, :]
+    share = np.divide(w, own, out=np.zeros_like(w), where=own > 0.0)
+    return class_w, columns @ (classes.onehot[..., None, :, :] * share[..., None])
 
 
 def projected_pair_sums(
-    projected: Sequence[np.ndarray], weights: np.ndarray, classes: ClassLayout
+    projected, weights: np.ndarray, classes: ClassLayout
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample sums of gated projected pair distances, within and between class.
 
@@ -133,34 +217,32 @@ def projected_pair_sums(
     spread rho_c = sum_{j in c} w_j ||P_j - m_c||^2, because
     ``sum_{j in c} w_j ||P_i - P_j||^2 = W_c ||P_i - m_c||^2 + rho_c``; this
     costs O(p N n_classes) per channel where the pairs cost O(p N^2). A
-    sample alone in its class has zero within distance exactly.
+    sample alone in its class has zero within distance exactly. A stack
+    (``projected`` ``(..., Q, p, N)``) gets ``(..., Q, N)`` sums.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    codes, onehot = classes.codes, classes.onehot
-    g_w = np.empty_like(w)
-    g_b = np.empty_like(w)
-    for q, p in enumerate(projected):
-        class_w, means = class_means(p, w[q], classes)
-        dist = squared_distances(p, means)
-        spread = (dist * (onehot.T * w[q])).sum(axis=1)
-        per_class = class_w[:, None] * dist + spread[:, None]
-        g_w[q] = per_class[codes, np.arange(codes.size)]
-        g_b[q] = np.where(onehot.T, 0.0, per_class).sum(axis=0)
-    return g_w, g_b
+    w, p = np.asarray(weights, dtype=np.float64), np.asarray(projected)
+    class_w, means = class_means(p, w, classes)
+    dist = squared_distances(p, means)
+    spread = (dist * (classes.members * w[..., None, :])).sum(axis=-1)
+    per_class = class_w[..., None] * dist + spread[..., None]
+    # one nonzero term per sample: an exact gather of its own class's entry
+    g_w = np.where(classes.own, per_class, 0.0).sum(axis=-2)
+    return g_w, np.where(classes.own, 0.0, per_class).sum(axis=-2)
 
 
 def pair_traces(
     weights: np.ndarray, sums: tuple[np.ndarray, np.ndarray], classes: ClassLayout
-) -> tuple[float, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The projected within/between scatter traces ``(h_w, h_b)`` from the
-    ``projected_pair_sums`` of ``weights``, each divided by its pair count."""
+    ``projected_pair_sums`` of ``weights``, each divided by its pair count;
+    one per problem of a stack."""
     g_w, g_b = sums
-    h_w = float(np.sum(weights * g_w)) / classes.n_within
-    return h_w, float(np.sum(weights * g_b)) / classes.n_between
+    h_w = np.sum(weights * g_w, axis=(-2, -1)) / classes.n_within
+    return h_w, np.sum(weights * g_b, axis=(-2, -1)) / classes.n_between
 
 
 def projected_gradients(
-    grams: Sequence[np.ndarray],
+    grams,
     weights: np.ndarray,
     sums: tuple[np.ndarray, np.ndarray],
     classes: ClassLayout,
@@ -177,37 +259,39 @@ def projected_gradients(
     channel's scores ``coeffs[q] @ K_q + biases[q]`` then costs one Gram
     matvec per channel, and no N x N matrix beyond the Grams is formed. Any
     per-channel offset common to all projected columns cancels from the sums.
+    A stack gets one gradient per problem.
     """
     g_w, g_b = sums
     h_w, h_b = pair_traces(weights, sums, classes)
-
-    coeff_grads = np.zeros_like(weights)
-    bias_grads = np.zeros(weights.shape[0])
     # positive: train reads its objective from these sums first, and that
-    # raises DegenerateDenominator when h_w + h_b vanishes
-    denom = (h_w + h_b) ** 2
+    # raises DegenerateDenominator when h_w + h_b vanishes. Python's float
+    # power, per problem: numpy's can differ from it in the last bit.
+    total = np.asarray(h_w + h_b)
+    denom = np.array([float(t) ** 2 for t in total.flat]).reshape(total.shape)
     # softmax derivative: d w[k,i] / d score[q,i] = w[k,i] * (1{q==k} - w[q,i]),
     # so d h / d score[q,i] = 2 w[q,i] (g[q,i] - sum_k w[k,i] g[k,i]) / count
-    dh_w = 2.0 * weights * (g_w - (weights * g_w).sum(axis=0)) / classes.n_within
-    dh_b = 2.0 * weights * (g_b - (weights * g_b).sum(axis=0)) / classes.n_between
-    dj = (dh_b * h_w - dh_w * h_b) / denom
-    for q, gram in enumerate(grams):
-        coeff_grads[q] = gram @ dj[q]
-        bias_grads[q] = float(dj[q].sum())
-    return coeff_grads, bias_grads
+    dh_w = 2.0 * weights * (g_w - (weights * g_w).sum(axis=-2, keepdims=True))
+    dh_b = 2.0 * weights * (g_b - (weights * g_b).sum(axis=-2, keepdims=True))
+    dh_w /= per_problem(classes.n_within)
+    dh_b /= per_problem(classes.n_between)
+    dj = (dh_b * per_problem(h_w) - dh_w * per_problem(h_b)) / per_problem(denom)
+    coeff_grads = (np.asarray(grams) @ dj[..., None])[..., 0]
+    return coeff_grads, dj.sum(axis=-1)
 
 
 def gradient_ascent_step(
     params: GatingParams,
     grads: tuple[np.ndarray, np.ndarray],
-    learning_rate: float,
+    learning_rate,
 ) -> GatingParams:
     """One gradient-ascent step; pure (returns new params, inputs untouched).
-    ``grads`` has the shapes of ``params`` and the rate is ``TrainConfig``'s."""
+    ``grads`` has the shapes of ``params`` and the rate is ``TrainConfig``'s,
+    or one rate per problem of a stack."""
     coeff_grads, bias_grads = grads
     if not (np.isfinite(coeff_grads).all() and np.isfinite(bias_grads).all()):
         raise NonFiniteGradient("gradient contains NaN or Inf")
+    rate = per_problem(learning_rate)
     return GatingParams(
-        coeffs=params.coeffs + learning_rate * coeff_grads,
-        biases=params.biases + learning_rate * bias_grads,
+        coeffs=params.coeffs + rate * coeff_grads,
+        biases=params.biases + rate[..., 0] * bias_grads,
     )

@@ -24,10 +24,22 @@ direction of the span numerically thin, but such a direction adds about 0
 to both traces of the ratio, and a projection whose total scatter vanishes
 raises ``DegenerateDenominator``.
 
+``train`` trains a stack of galleries in lockstep, as the ``spd``
+primitives take a stack of matrices: the galleries of a split protocol's
+report row, or one gallery, a stack of one. The functions an iteration calls
+(``scatter_matrices``, ``solve_trace_ratio`` and the ``gating`` ones) take
+a leading problem axis, so each numpy call of an iteration serves every
+problem still training, and each problem gets the bits it gets alone. The
+per-problem control flow (trace-ratio updates, step halvings and rollback,
+the early stop) runs on the problems it concerns. Galleries train in stacks
+of one span rank and class count, as many at a time as ``STACK_BYTES``
+allows: stacking pays for small galleries, whose iterations are many small
+numpy calls, and is left out for large ones, whose calls are long already.
+
 Gram matrices exist only inside ``train``: it builds each channel's scaled
 Gram from the gallery's lifted rows (``kernels.gram``) and drops them when
-it returns. The model it returns, ``ModelState``, holds those rows and
-derives what prediction reads from them, the transform and the gating.
+it returns. The models it returns, ``ModelState``, hold those rows and
+derive what prediction reads from them, the transform and the gating.
 """
 
 from __future__ import annotations
@@ -51,12 +63,14 @@ from .gating import (
     gradient_ascent_step,
     init_gating_params,
     pair_traces,
+    per_problem,
     projected_gradients,
     projected_pair_sums,
     softmax_columns,
+    stack_layouts,
 )
 from .kernels import gram, gram_scale, lift_width, lifted_dim
-from .spd import sym_eig
+from .spd import raise_first, sym_eig
 
 logger = logging.getLogger(__name__)
 
@@ -91,7 +105,8 @@ class TraceRatioResult:
 
     ``projection`` has orthonormal columns in the space the scatters were
     given in; ``ratio_history`` records the objective after the initial
-    guess and after each update.
+    guess and after each update. A stack's result holds a projection and a
+    history per problem.
     """
 
     projection: np.ndarray
@@ -116,7 +131,7 @@ class ProbeMap(NamedTuple):
     gallery: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelState:
     """Everything needed to classify new sets: the frozen training state.
 
@@ -135,7 +150,8 @@ class ModelState:
     p >= 1; Q x N gating coefficients and Q biases; one label and one set id
     per set; and an objective trace of finite numbers in [0, 1], where
     ``train`` clips every objective. The features and the transform are kept
-    read-only and C-contiguous (any other array is copied).
+    read-only and C-contiguous (any other array is copied). Equality and
+    hashing are by identity.
     """
 
     transform: np.ndarray
@@ -232,16 +248,17 @@ class GramSpan:
     """An orthonormal basis of the span of Gram column differences, and the
     Grams in it.
 
-    ``basis`` is N x r; ``columns[q] = basis.T @ K_q`` (r x N). Every gated
-    scatter lies in this span, since each is a sum of outer products of Gram
-    column differences, so the trainer works on r x r scatters. The part of
-    a Gram column outside the span is common to all columns of its channel,
-    so it cancels from every difference and every projected distance. With
-    lifted features ``K_q = L_q L_q.T``, r is at most the sum of the D_q.
+    ``basis`` is N x r; ``columns`` is Q x r x N, ``columns[q] = basis.T @
+    K_q``. Every gated scatter lies in this span, since each is a sum of
+    outer products of Gram column differences, so the trainer works on
+    r x r scatters. The part of a Gram column outside the span is common to
+    all columns of its channel, so it cancels from every difference and
+    every projected distance. With lifted features ``K_q = L_q L_q.T``, r is
+    at most the sum of the D_q.
     """
 
     basis: np.ndarray
-    columns: tuple[np.ndarray, ...]
+    columns: np.ndarray
 
 
 def gram_span(grams: Sequence[np.ndarray]) -> GramSpan:
@@ -254,6 +271,7 @@ def gram_span(grams: Sequence[np.ndarray]) -> GramSpan:
     for every choice of positive gating weights. Raises
     ``ZeroTotalScatter`` when every Gram has numerically equal columns.
     """
+    grams = np.asarray(grams)
     centred = [k - k.mean(axis=1, keepdims=True) for k in grams]
     pair = sym_eig(sum(c @ c.T for c in centred))
     lam_max = float(pair.values[0])
@@ -261,12 +279,10 @@ def gram_span(grams: Sequence[np.ndarray]) -> GramSpan:
         raise ZeroTotalScatter(f"centred Grams: spectral radius {lam_max:.3e}")
     rank = int(np.count_nonzero(pair.values > NULL_SPACE_RTOL * lam_max))
     basis = pair.vectors[:, :rank].copy()
-    return GramSpan(basis=basis, columns=tuple(basis.T @ k for k in grams))
+    return GramSpan(basis=basis, columns=basis.T @ grams)
 
 
-def scatter_matrices(
-    columns: Sequence[np.ndarray], classes: ClassLayout, weights: np.ndarray
-) -> ScatterPair:
+def scatter_matrices(columns, classes: ClassLayout, weights: np.ndarray) -> ScatterPair:
     """Gated scatter matrices over Gram columns of the N samples ``classes`` lays out.
 
     ``columns[q]`` holds channel q's N Gram columns, m x N; the trainer
@@ -275,7 +291,8 @@ def scatter_matrices(
     every kernel channel, the difference of columns contributes an outer
     product weighted by both samples' gating weights. Same-class pairs feed
     the within scatter, different-class pairs the between scatter; each is
-    divided by its pair count.
+    divided by its pair count. A stack of problems (columns
+    ``(..., Q, m, N)``, weights ``(..., Q, N)``) gets ``(..., m, m)`` scatters.
 
     No pair is formed. Per channel, with columns a_i, weights w_i, class
     weight W_c, weighted class mean m_c and d_i = a_i - m_c, the pair sums
@@ -290,51 +307,75 @@ def scatter_matrices(
     symmetric rank-k product whose result is exactly symmetric; so a
     channel costs two such (m x N) products.
     """
-    codes, dim = classes.codes, columns[0].shape[0]
-    within = np.zeros((dim, dim), dtype=np.float64)
-    between = np.zeros((dim, dim), dtype=np.float64)
-    for a, wq in zip(columns, weights):
-        class_w, means = class_means(a, wq, classes)
-        total_w = float(class_w.sum())
-        d = a - means[:, codes]
-        # total_w >= class_w[c] in floating point too: it sums non-negative terms
-        x = d * np.sqrt(wq * class_w[codes])
-        within += x @ x.T
-        x = d * np.sqrt(wq * (total_w - class_w[codes]))
-        between += x @ x.T
-        if total_w > 0.0:
-            spread = means - (means @ class_w)[:, None] / total_w
-            x = spread * np.sqrt(total_w * class_w)
-            between += x @ x.T
-    within *= 2.0 / classes.n_within
-    between *= 2.0 / classes.n_between
+    a = np.asarray(columns)
+    class_w, means = class_means(a, weights, classes)
+    own = classes.per_sample(class_w[..., None, :])
+    total_w = class_w.sum(axis=-1)
+    # total_w >= class_w[c] in floating point too: it sums non-negative terms
+    root_within = np.sqrt(weights[..., None, :] * own)
+    root_between = np.sqrt(weights[..., None, :] * (total_w[..., None, None] - own))
+    spread = _class_spread(means, class_w, total_w)
+    within = np.zeros(weights.shape[:-2] + (a.shape[-2],) * 2)
+    between = np.zeros_like(within)
+    for q in range(a.shape[-3]):
+        channel = slice(q, q + 1)  # keeps the channel axis, which ``per_sample`` reads
+        d = classes.per_sample(means[..., channel, :, :])
+        np.subtract(a[..., channel, :, :], d, out=d)
+        x = d * root_within[..., channel, :, :]
+        within += _gram_of_rows(x)
+        np.multiply(d, root_between[..., channel, :, :], out=x)
+        between += _gram_of_rows(x)
+        between += _gram_of_rows(spread[..., channel, :, :])
+    within *= per_problem(2.0 / np.asarray(classes.n_within))
+    between *= per_problem(2.0 / np.asarray(classes.n_between))
     return ScatterPair(within=within, between=between)
 
 
-def _quotient(num: float, denom: float) -> float:
-    """``num / denom``; ``DegenerateDenominator`` when the projected total
-    scatter ``denom`` is at or below ``DENOMINATOR_FLOOR``."""
-    if denom <= DENOMINATOR_FLOOR:
-        raise DegenerateDenominator(f"projected total scatter {denom:.3e} is degenerate")
+def _gram_of_rows(x: np.ndarray) -> np.ndarray:
+    """``X @ X.T`` of one channel's (..., 1, m, k) rows, as (..., m, m): a
+    symmetric rank-k product, exactly symmetric."""
+    return (x @ x.swapaxes(-1, -2))[..., 0, :, :]
+
+
+def _class_spread(means: np.ndarray, class_w: np.ndarray, total_w: np.ndarray) -> np.ndarray:
+    """The class-mean part of the between scatter as rows X, with
+    ``X @ X.T = W sum_c W_c (m_c - m)(m_c - m).T`` per channel, from class
+    means (..., Q, m, C), class weights (..., Q, C) and their totals W
+    (..., Q). A channel of total weight zero gets zero rows, whose zero
+    product leaves the between scatter's bits as they were."""
+    total = total_w[..., None, None]
+    centre = np.divide(
+        means @ class_w[..., None], total, out=np.zeros(means.shape[:-1] + (1,)), where=total > 0.0
+    )
+    return (means - centre) * np.sqrt(total_w[..., None] * class_w)[..., None, :]
+
+
+def _quotient(num, denom):
+    """``num / denom``, per problem of a stack; ``DegenerateDenominator`` for
+    the first problem whose projected total scatter ``denom`` is at or below
+    ``DENOMINATOR_FLOOR``."""
+    denom = np.asarray(denom)
+    bad = denom <= DENOMINATOR_FLOOR
+    if bad.any():
+        raise_first(bad, DegenerateDenominator, lambda i: (
+            f"projected total scatter {denom.flat[i]:.3e} is degenerate"))
     return num / denom
 
 
-def _trace_ratio(v: np.ndarray, between: np.ndarray, total: np.ndarray) -> float:
-    """trace(V.T B V) / trace(V.T T V), unclipped."""
-    return _quotient(float(np.sum(v * (between @ v))), float(np.sum(v * (total @ v))))
+def _trace_ratio(v: np.ndarray, between: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """trace(V.T B V) / trace(V.T T V), unclipped, per problem of a stack."""
+    return _quotient(
+        np.sum(v * (between @ v), axis=(-2, -1)), np.sum(v * (total @ v), axis=(-2, -1))
+    )
 
 
 def _orthonormal_columns(m: np.ndarray) -> np.ndarray:
-    """Q of a thin QR of ``m``, with column signs fixed by diag(R) >= 0."""
+    """Q of a thin QR of ``m`` (or of each of a stack), with column signs
+    fixed by diag(R) >= 0."""
     q, r = np.linalg.qr(m)
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0
-    return q * signs
-
-
-def random_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Orthonormal columns from a QR of a Gaussian draw, with fixed signs."""
-    return _orthonormal_columns(rng.standard_normal((rows, cols)))
+    return q * signs[..., None, :]
 
 
 def solve_trace_ratio(
@@ -361,65 +402,127 @@ def solve_trace_ratio(
     or two updates. ``start`` (dim x target_dim, e.g. the previous solution)
     is the warm start, re-orthonormalised here by a sign-fixed QR; without
     it V starts from one orthonormal draw from ``rng``.
+
+    A stack of problems (B and T ``(S, dim, dim)``, ``start``
+    ``(S, dim, target_dim)``, which a stack needs) is solved in lockstep,
+    each problem stopping on its own: the updates run on the problems still
+    moving, and each gets the bits its 2-D solve gives. The result then
+    holds ``(S, dim, target_dim)`` projections and one history per problem.
     """
     b = np.asarray(between, dtype=np.float64)
     t = np.asarray(total, dtype=np.float64)
-    dim = t.shape[0]
-    if start is not None:
-        v = _orthonormal_columns(start)
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        v = random_orthonormal(rng, dim, target_dim)
-
+    single = b.ndim == 2
+    if single:
+        b, t = b[None], t[None]
+        if start is None:
+            if rng is None:
+                rng = np.random.default_rng(0)
+            start = rng.standard_normal((t.shape[-1], target_dim))
+        start = start[None]
+    dim = t.shape[-1]
+    v = _orthonormal_columns(start)
     lam = _trace_ratio(v, b, t)
-    history = [lam]
+    histories = [[x] for x in lam.tolist()]
+    active = np.arange(len(histories))  # the problems b, t, v and lam hold
+    out = None  # every problem's projection, once one has stopped
     for _ in range(max_iters):
-        pair = sym_eig(b - lam * t)
+        pair = sym_eig(b - lam[:, None, None] * t)
         if target_dim < dim:
-            gap = float(pair.values[target_dim - 1] - pair.values[target_dim])
-            if gap < EIGEN_GAP_TOL:
+            gaps = pair.values[:, target_dim - 1] - pair.values[:, target_dim]
+            for gap in gaps[gaps < EIGEN_GAP_TOL].tolist():
                 logger.info(
                     "trace-difference eigen-gap %.3e at cut %d; ordering convention decides",
                     gap,
                     target_dim,
                 )
-        v = pair.vectors[:, :target_dim]
+        v = pair.vectors[..., :target_dim]
         # canonical rotation: eigenbasis of the total scatter restricted to span(V)
-        v = v @ sym_eig(v.T @ t @ v).vectors
+        v = v @ sym_eig(v.swapaxes(-1, -2) @ t @ v).vectors
         new_lam = _trace_ratio(v, b, t)
-        history.append(new_lam)
-        if abs(new_lam - lam) < eps:
-            lam = new_lam
-            break
+        for k, x in zip(active.tolist(), new_lam.tolist()):
+            histories[k].append(x)
+        stops = np.abs(new_lam - lam) < eps
         lam = new_lam
-    return TraceRatioResult(projection=v, ratio_history=tuple(history))
+        if not stops.any():
+            continue
+        if out is None:
+            if stops.all():  # all stop at once, as a stack of one does
+                out, active = v, active[:0]
+                break
+            out = np.empty_like(v)
+        out[active[stops]] = v[stops]
+        moving = ~stops
+        active, b, t, v, lam = (x[moving] for x in (active, b, t, v, lam))
+        if not active.size:
+            break
+    if out is None:
+        out = v
+    elif active.size:
+        out[active] = v
+    if single:
+        return TraceRatioResult(projection=out[0], ratio_history=tuple(histories[0]))
+    return TraceRatioResult(projection=out, ratio_history=tuple(map(tuple, histories)))
 
 
-def _evaluate(
-    projected: Sequence[np.ndarray], weights: np.ndarray, classes: ClassLayout
-) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+def _evaluate(projected, weights: np.ndarray, classes: ClassLayout):
     """The trace-ratio objective at ``weights``, clipped into [0, 1], from
-    projected Gram columns, and the ``projected_pair_sums`` it was read from;
-    O(p N n_classes) per channel."""
+    projected Gram columns, one per problem, and the ``projected_pair_sums``
+    it was read from; O(p N n_classes) per channel."""
     sums = projected_pair_sums(projected, weights, classes)
     h_w, h_b = pair_traces(weights, sums, classes)
-    return min(max(_quotient(h_b, h_w + h_b), 0.0), 1.0), sums
+    return np.minimum(np.maximum(_quotient(h_b, h_w + h_b), 0.0), 1.0), sums
 
 
-def train(
-    features: Sequence[np.ndarray], labels, set_ids: Sequence[str], cfg: TrainConfig
-) -> ModelState:
-    """Alternating training loop over projection and gating parameters.
+class Gallery(NamedTuple):
+    """One training problem: a gallery's lifted rows (one (N, D_q) array per
+    channel, from ``lift_features``), and a str label and set id per set."""
 
-    ``features`` holds the gallery's lifted rows (``lift_features``), one
+    features: Sequence[np.ndarray]
+    labels: Sequence[str]
+    set_ids: Sequence[str]
+
+
+# Bytes of per-problem state (Grams, span columns and span basis, as
+# ``stack_size`` counts them) that one training stack may hold. A stack
+# shares each numpy call of an iteration among its problems, which pays
+# while those calls are small: at N=50 a problem holds about 140 KB, and
+# stacks of 4 train the split protocol's ten splits about a third faster
+# for 6 % more peak memory (stacks of 5, 7 and 10: 8, 9 and 13 %). At N=250
+# (about 3.5 MB) ten splits train little faster stacked, at nearly twice
+# the peak memory, so they train one at a time.
+STACK_BYTES = 640 * 1024
+
+
+def stack_size(n: int, widths: Sequence[int]) -> int:
+    """Galleries of N sets, lifted to ``widths`` (the D_q), per training
+    stack: as many as fit ``STACK_BYTES``, and at least one. A problem
+    holds Q float64 Grams (N x N), Q span columns (r x N) and a span basis
+    (N x r), with r = min(N, sum D_q) bounding its span rank."""
+    r = min(n, sum(widths))
+    problem_bytes = 8 * (len(widths) * n * (n + r) + n * r)
+    return max(1, STACK_BYTES // problem_bytes)
+
+
+def train(galleries: Sequence[Gallery], cfgs: Sequence[TrainConfig]) -> list[ModelState]:
+    """Alternating training loop over projection and gating parameters, for
+    a stack of galleries; returns one model per gallery, in order.
+
+    The galleries share N and the channels, and ``cfgs`` (one per gallery)
+    differ in ``seed`` alone; a single gallery is a stack of one. Each
+    model has the bits it gets when its gallery trains alone: the stack
+    shares each numpy call of an iteration among the galleries still
+    training, and each stops on its own. ``stack_size`` bounds how many
+    train together; galleries whose span ranks or class counts differ train
+    in separate stacks.
+
+    ``features`` holds a gallery's lifted rows (``lift_features``), one
     (N, D_q) array per channel of ``cfg.descriptors``; the Grams, each scaled
     by ``gram_scale`` under ``cfg.normalize_kernels``, are built from them
     here and nowhere else, and the model keeps the rows. ``labels`` gives each
     set's class and ``set_ids`` its id, one str each, as the gallery's
     ``ImageSet`` carry them; ``class_layout`` derives from the labels, once
-    per call, the class structure every scatter, objective and gradient reads.
-    Once per call, ``gram_span`` finds an orthonormal basis of the
+    per gallery, the class structure every scatter, objective and gradient
+    reads. Once per gallery, ``gram_span`` finds an orthonormal basis of the
     r-dimensional span of all Gram column differences, which holds the range
     of every gated total scatter, and the projection width is clamped to r.
     Each outer iteration builds the r x r gated scatters in that basis and
@@ -441,77 +544,176 @@ def train(
     and a projection whose total scatter vanishes raises
     ``DegenerateDenominator``.
 
-    Randomness comes from a single generator seeded with ``cfg.seed``: first
-    the gating init, then one orthonormal draw for the trace-ratio start at
-    the first outer iteration. From iteration 3 on, it stops early when
-    either the parameter update or the projection update falls below
-    ``cfg.eps`` in max norm.
+    Randomness comes from one generator per gallery, seeded with its
+    ``cfg.seed``: first the gating init, then one orthonormal draw for the
+    trace-ratio start at the first outer iteration. From iteration 3 on, a
+    gallery stops early when either its parameter update or its projection
+    update falls below ``cfg.eps`` in max norm. When several galleries
+    fail, the error raised is that of the first to fail at the earliest step.
     """
-    features = tuple(read_only(f) for f in features)
-    grams = [gram(f, gram_scale(f, cfg.normalize_kernels)) for f in features]
-    classes = class_layout(labels)
-    rng = np.random.default_rng(cfg.seed)
-    params = init_gating_params(len(grams), features[0].shape[0], rng)
-    span = gram_span(grams)
-    width = min(cfg.target_dim, span.basis.shape[1])
+    galleries = [g._replace(features=tuple(read_only(f) for f in g.features)) for g in galleries]
+    layouts = [class_layout(g.labels) for g in galleries]
+    normalize = cfgs[0].normalize_kernels
+    first = galleries[0].features
+    n = first[0].shape[0]
+    size = stack_size(n, [f.shape[1] for f in first])
+    models: list[ModelState] = []
+    for begin in range(0, len(galleries), size):
+        chunk = galleries[begin : begin + size]
+        grams = np.empty((len(chunk), len(first), n, n))
+        for k, g in enumerate(chunk):
+            for q, f in enumerate(g.features):
+                grams[k, q] = gram(f, gram_scale(f, normalize))
+        spans = [gram_span(k) for k in grams]
+        groups: dict[tuple[int, int], list[int]] = {}
+        for k, span in enumerate(spans):
+            key = (span.basis.shape[1], layouts[begin + k].onehot.shape[1])
+            groups.setdefault(key, []).append(k)
+        trained = {}
+        for rows in groups.values():
+            basis = _stack([spans[k].basis for k in rows])
+            columns = _stack([spans[k].columns for k in rows])
+            for k in rows:
+                spans[k] = None  # stacked now; a stack of one keeps views of them
+            stacked = _train_stack(
+                grams if len(rows) == len(chunk) else grams[rows],
+                basis,
+                columns,
+                stack_layouts([layouts[begin + k] for k in rows]),
+                [chunk[k] for k in rows],
+                [cfgs[begin + k] for k in rows],
+            )
+            trained.update(zip(rows, stacked))
+        models += [trained[k] for k in range(len(chunk))]
+    return models
+
+
+def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.stack`` of arrays of one shape; a view for a stack of one."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _train_stack(
+    grams: np.ndarray,
+    basis: np.ndarray,
+    columns: np.ndarray,
+    classes: ClassLayout,
+    galleries: Sequence[Gallery],
+    cfgs: Sequence[TrainConfig],
+) -> list[ModelState]:
+    """``train`` for one stack of S problems of one span rank r: Grams
+    (S, Q, N, N), span bases (S, N, r) and span columns (S, Q, r, N).
+
+    Every array of the loop's state holds the problems still training, whose
+    stack positions are ``active``. A problem that stops gets its model and
+    leaves those arrays; while all train, no array is copied to select them.
+    """
+    cfg = cfgs[0]
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    starts = [init_gating_params(grams.shape[1], grams.shape[-1], rng) for rng in rngs]
+    params = GatingParams(_stack([p.coeffs for p in starts]), _stack([p.biases for p in starts]))
+    rank = basis.shape[-1]
+    width = min(cfg.target_dim, rank)
     if width < cfg.target_dim:
         logger.warning(
             "target_dim clamped from %d to %d (usable scatter rank)", cfg.target_dim, width
         )
 
-    trace: list[float] = []
+    models: list[ModelState] = [None] * len(cfgs)
+    traces: list[list[float]] = [[] for _ in cfgs]
+    active = np.arange(len(cfgs))
     transform = None
-    coords = None  # the projection in span coordinates, r x p
+    coords = None  # the projections in span coordinates, (S, r, p)
     weights = gating_weights(grams, params)
     for it in range(1, cfg.iters + 1):
-        scatter = scatter_matrices(span.columns, classes, weights)
+        scatter = scatter_matrices(columns, classes, weights)
+        if coords is None:
+            coords = _stack([rngs[k].standard_normal((rank, width)) for k in active])
         itr = solve_trace_ratio(
-            scatter.between,
-            scatter.total,
-            width,
-            max_iters=cfg.itr_iters,
-            eps=cfg.eps,
-            rng=rng,
+            scatter.between, scatter.total, width, max_iters=cfg.itr_iters, eps=cfg.eps,
             start=coords,
         )
         prev_transform = transform
         coords = itr.projection
-        transform = span.basis @ coords
-        projected = [coords.T @ a for a in span.columns]
+        transform = basis @ coords
+        projected = coords.swapaxes(-1, -2)[:, None] @ columns
         objective, sums = _evaluate(projected, weights, classes)
-        trace.append(objective)
+        for k, x in zip(active.tolist(), objective.tolist()):
+            traces[k].append(x)
 
         grads = projected_gradients(grams, weights, sums, classes)
-        step = cfg.learning_rate
-        for _ in range(MAX_STEP_HALVINGS + 1):
-            new_params = gradient_ascent_step(params, grads, step)
-            new_weights = gating_weights(grams, new_params)
-            if not _evaluate(projected, new_weights, classes)[0] < objective:
-                break
-            step *= 0.5
-        else:
-            logger.info("iteration %d: gating step rolled back entirely", it)
-            new_params, new_weights = params, weights
+        new_params, new_weights = _line_search(
+            params, weights, grads, objective, projected, grams, classes, cfg.learning_rate, it
+        )
 
-        converged = False
+        stop = np.full(len(active), it == cfg.iters)
         if it > 2:
-            param_delta = max(
-                float(np.max(np.abs(new_params.coeffs - params.coeffs))),
-                float(np.max(np.abs(new_params.biases - params.biases))),
+            param_delta = np.maximum(
+                np.max(np.abs(new_params.coeffs - params.coeffs), axis=(-2, -1)),
+                np.max(np.abs(new_params.biases - params.biases), axis=-1),
             )
-            transform_delta = float(np.max(np.abs(transform - prev_transform)))
-            converged = param_delta < cfg.eps or transform_delta < cfg.eps
+            transform_delta = np.max(np.abs(transform - prev_transform), axis=(-2, -1))
+            converged = (param_delta < cfg.eps) | (transform_delta < cfg.eps)
+            for _ in range(np.count_nonzero(converged)):
+                logger.info("converged after %d outer iterations", it)
+            stop |= converged
         params, weights = new_params, new_weights
-        if converged:
-            logger.info("converged after %d outer iterations", it)
+        if not stop.any():
+            continue
+        for j in np.flatnonzero(stop).tolist():
+            k = int(active[j])
+            g = galleries[k]
+            models[k] = ModelState(
+                transform=transform[j],
+                gating=GatingParams(params.coeffs[j], params.biases[j]),
+                features=g.features,
+                labels=tuple(map(str, g.labels)),
+                set_ids=tuple(g.set_ids),
+                config=cfgs[k],
+                objective_trace=tuple(traces[k]),
+            )
+        if stop.all():
             break
+        keep = ~stop
+        active, grams, basis, columns = active[keep], grams[keep], basis[keep], columns[keep]
+        classes = classes.take(keep)
+        params = GatingParams(params.coeffs[keep], params.biases[keep])
+        weights, coords, transform = weights[keep], coords[keep], transform[keep]
+    return models
 
-    return ModelState(
-        transform=transform,
-        gating=params,
-        features=features,
-        labels=tuple(map(str, labels)),
-        set_ids=tuple(set_ids),
-        config=cfg,
-        objective_trace=tuple(trace),
-    )
+
+def _line_search(params, weights, grads, objective, projected, grams, classes, rate, it):
+    """Each problem's accepted gating step and its weights: the step from
+    ``rate``, halved while the objective there falls below ``objective``,
+    up to ``MAX_STEP_HALVINGS`` times, and rolled back entirely when it
+    still falls. Each try evaluates the problems still searching."""
+    every = np.arange(len(objective))
+    searching = every
+    step = np.full(len(objective), float(rate))
+    accepted = None  # coeffs, biases and weights, once a problem must wait for others
+    for _ in range(MAX_STEP_HALVINGS + 1):
+        # while every problem searches, the arrays themselves; then copies of rows
+        if searching is every:
+            rows, start, layout = slice(None), params, classes
+        else:
+            rows, layout = searching, classes.take(searching)
+            start = GatingParams(params.coeffs[rows], params.biases[rows])
+        trial = gradient_ascent_step(start, (grads[0][rows], grads[1][rows]), step[rows])
+        trial_weights = gating_weights(grams[rows], trial)
+        falls = _evaluate(projected[rows], trial_weights, layout)[0] < objective[rows]
+        if accepted is None:
+            if not falls.any():
+                return trial, trial_weights
+            accepted = (params.coeffs.copy(), params.biases.copy(), weights.copy())
+        done = ~falls
+        for out, a in zip(accepted, (trial.coeffs, trial.biases, trial_weights)):
+            out[searching[done]] = a[done]
+        step[searching[falls]] *= 0.5
+        if done.any():
+            searching = searching[falls]
+        if not searching.size:
+            break
+    else:
+        for _ in range(searching.size):
+            logger.info("iteration %d: gating step rolled back entirely", it)
+    return GatingParams(accepted[0], accepted[1]), accepted[2]

@@ -36,6 +36,7 @@ from setfuse.gating import class_layout, gating_weights, projected_gradients, pr
 from setfuse.kernels import DESCRIPTOR_NAMES, gram, gram_scale, lift_features, lift_width
 from setfuse.spd import spd_log, sym_eig
 from setfuse.trainer import DENOMINATOR_FLOOR, NULL_SPACE_RTOL, TOTAL_SCATTER_FLOOR
+from setfuse.trainer import Gallery, train
 from setfuse.trainer import scatter_matrices as library_scatter_matrices
 
 # An SPD check passes when the smallest eigenvalue exceeds this fraction of
@@ -289,6 +290,11 @@ def model_bank(model):
     """The ``Bank`` of a model's gallery: the Grams its training built."""
     cfg = model.config
     return kernel_bank(cfg.descriptors, model.features, cfg.normalize_kernels)
+
+
+def train_one(features, labels, set_ids, cfg):
+    """``trainer.train`` of one gallery: its stack of one."""
+    return train([Gallery(features, labels, set_ids)], [cfg])[0]
 
 
 def ids_of(bank):

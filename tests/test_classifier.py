@@ -10,7 +10,6 @@ from setfuse.config import TrainConfig
 from setfuse.descriptors import ImageSet, encode_sets
 from setfuse.errors import BadSpec
 from setfuse.gating import softmax_columns
-from setfuse.trainer import train
 
 from helpers import (
     build_kernel_bank,
@@ -19,6 +18,7 @@ from helpers import (
     random_gallery_sets,
     rows,
     scalar_kernel_column,
+    train_one,
 )
 
 
@@ -33,7 +33,7 @@ def trained_model(seed, n_classes=3, sets_per_class=3, target_dim=3, iters=4, no
     gallery = encode_sets(sets, cfg)
     labels = np.array([s.label for s in sets])
     bank = build_kernel_bank(gallery, cfg.descriptors)
-    model = train(bank.features, labels, [s.set_id for s in sets], cfg)
+    model = train_one(bank.features, labels, [s.set_id for s in sets], cfg)
     return model, sets, gallery
 
 

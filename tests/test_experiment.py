@@ -11,6 +11,7 @@ import pytest
 import setfuse.classify as classify_module
 import setfuse.experiment as experiment_module
 import setfuse.kernels as kernels_module
+import setfuse.trainer as trainer_module
 from setfuse.classify import predict
 from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic, load_dataset, save_dataset
@@ -44,6 +45,25 @@ def small_source():
 
 def small_sets():
     return generate_synthetic(**small_source())
+
+
+def interleaved_sets():
+    """The small sets reordered so that their classes interleave: each split's
+    gallery then lists its classes in its own order."""
+    ordered = sorted(enumerate(small_sets()), key=lambda p: (p[0] % 4, p[1].label))
+    return [s for _, s in ordered]
+
+
+def duplicated_sets():
+    """The small sets with class1's second set a copy of its first: a split
+    that trains on both has one Gram column difference fewer, so splits
+    differ in span rank."""
+    sets = small_sets()
+    first = next(i for i, s in enumerate(sets) if s.label == "class1")
+    sets[first + 1] = ImageSet(
+        features=sets[first].features, label="class1", set_id=sets[first + 1].set_id
+    )
+    return sets
 
 
 def fast_cfg(**overrides):
@@ -273,17 +293,17 @@ class TestDimensionSweep:
         "target_dims, keys", [([2, 2], [2]), ([4, 2, 4], [4, 2])], ids=["twice", "first-seen"]
     )
     def test_each_width_runs_once(self, monkeypatch, target_dims, keys):
-        calls = []
+        calls = []  # one train call per width trains both of its splits
         real = experiment_module.train
 
-        def counting(features, labels, set_ids, cfg):
-            calls.append(cfg.target_dim)
-            return real(features, labels, set_ids, cfg)
+        def counting(galleries, cfgs):
+            calls.append([cfg.target_dim for cfg in cfgs])
+            return real(galleries, cfgs)
 
         monkeypatch.setattr(experiment_module, "train", counting)
         sweep = run_dimension_sweep(small_sets(), fast_cfg(), target_dims=target_dims, n_splits=2)
         assert list(sweep) == keys
-        assert calls == [dim for dim in keys for _ in range(2)]
+        assert calls == [[dim, dim] for dim in keys]
 
     @pytest.mark.parametrize(
         "target_dims",
@@ -357,15 +377,38 @@ class TestSharedLiftsMatchPerSplitPath:
     split must still report exactly what the per-split public path gives."""
 
     @pytest.mark.parametrize(
-        "overrides",
-        [{}, {"normalize_kernels": True}, {"descriptors": ("subspace",)}],
-        ids=["default", "normalized", "single-descriptor"],
+        "overrides, collection",
+        [
+            ({}, small_sets),
+            ({"normalize_kernels": True}, small_sets),
+            ({"descriptors": ("subspace",)}, small_sets),
+            ({"learning_rate": 1.0}, small_sets),
+            ({"learning_rate": 0.0}, small_sets),
+            ({}, interleaved_sets),
+            ({}, duplicated_sets),
+        ],
+        ids=[
+            "default", "normalized", "single-descriptor", "rate-1", "rate-0", "interleaved",
+            "duplicated",
+        ],
     )
-    def test_report_equals_reference(self, overrides):
-        sets = generate_synthetic(**small_source())
+    def test_report_equals_reference(self, overrides, collection):
+        sets = collection()
         cfg = fast_cfg(**overrides)
         report = run_experiment(sets, cfg, n_splits=3)
         assert report_splits(report) == reference_splits(sets, cfg, 3)
+
+    def test_duplicated_sets_give_splits_of_two_span_ranks(self, monkeypatch):
+        ranks = []
+
+        def recording(grams, _real=trainer_module.gram_span):
+            span = _real(grams)
+            ranks.append(span.basis.shape[1])
+            return span
+
+        monkeypatch.setattr(trainer_module, "gram_span", recording)
+        run_experiment(duplicated_sets(), fast_cfg(), n_splits=3)
+        assert len(ranks) == 3 and len(set(ranks)) == 2
 
     def test_every_ablation_row_equals_reference(self):
         sets = generate_synthetic(**small_source())
@@ -412,6 +455,53 @@ class TestSharedLiftsMatchPerSplitPath:
         assert [r.config for r in sweep.values()] == [
             replace(capped, target_dim=dim) for dim in (2, 4)
         ]
+
+
+@pytest.fixture
+def stacks(monkeypatch):
+    """The number of galleries in each stack ``train`` trains in lockstep."""
+    sizes = []
+
+    def recording(*args, _real=trainer_module._train_stack):
+        sizes.append(len(args[4]))
+        return _real(*args)
+
+    monkeypatch.setattr(trainer_module, "_train_stack", recording)
+    return sizes
+
+
+class TestStackBudget:
+    """A report row's splits train in stacks of as many as ``stack_size``
+    allows, from the per-problem bytes and ``STACK_BYTES``."""
+
+    def protocol_sets(self, sets_per_class, classes):
+        return generate_synthetic(
+            classes=classes, sets_per_class=sets_per_class, dim=10, samples=20, separation=3.0,
+            seed=3,
+        )
+
+    def test_small_galleries_stack(self, stacks):
+        # the split protocol benchmark's rows: ten splits of N=50 galleries
+        sets = self.protocol_sets(10, 10)
+        cfg = TrainConfig(subspace_dim=5, target_dim=8, iters=2, seed=3)
+        run_experiment(sets, cfg, n_splits=10, train_per_class=5)
+        size = trainer_module.stack_size(50, [100, 100, 121])
+        assert size > 1
+        assert stacks == [min(size, 10 - k) for k in range(0, 10, size)]
+
+    def test_large_galleries_train_alone(self, stacks):
+        # an N=250 row, as large as the gallery training benchmark's gallery
+        sets = self.protocol_sets(51, 5)
+        cfg = TrainConfig(subspace_dim=5, target_dim=8, iters=1, seed=3)
+        run_experiment(sets, cfg, n_splits=2, train_per_class=50)
+        assert trainer_module.stack_size(250, [100, 100, 121]) == 1
+        assert stacks == [1, 1]
+
+    @pytest.mark.parametrize("budget, want", [(0, [1] * 4), (10**9, [4])], ids=["none", "ample"])
+    def test_the_budget_sets_the_stacks(self, monkeypatch, stacks, budget, want):
+        monkeypatch.setattr(trainer_module, "STACK_BYTES", budget)
+        run_experiment(small_sets(), fast_cfg(), n_splits=4)
+        assert stacks == want
 
 
 class TestEncodeOncePerCall:
@@ -479,10 +569,10 @@ class TestOneProbePath:
         seen = []
         real = experiment_module.train
 
-        def recording(features, *args):
-            model = real(features, *args)
-            seen.append((features, model))
-            return model
+        def recording(galleries, cfgs):
+            models = real(galleries, cfgs)
+            seen.extend((g.features, model) for g, model in zip(galleries, models, strict=True))
+            return models
 
         monkeypatch.setattr(experiment_module, "train", recording)
         run_experiment(small_sets(), fast_cfg(), n_splits=2)

@@ -6,10 +6,12 @@ import pytest
 from setfuse.errors import NonFiniteGradient
 from setfuse.gating import (
     GatingParams,
+    class_layout,
+    class_means,
     gating_weights,
     gradient_ascent_step,
-    class_layout,
     init_gating_params,
+    stack_layouts,
 )
 
 from helpers import (
@@ -235,3 +237,32 @@ class TestPairCounts:
         n_within, n_between = classes.n_within, classes.n_between
         assert n_within == 5  # (0,0),(0,1),(1,0),(1,1),(2,2)
         assert n_between == 4  # (0,2),(2,0),(1,2),(2,1)
+
+
+class TestClassMeans:
+    def test_one_channel_all_channels_and_a_stack_agree(self):
+        # one channel's call (m x N), the call over Q channels and a stack of
+        # galleries give the same bits, and the weighted class means
+        rng = np.random.default_rng(76)
+        labels = random_labels(rng, 9)
+        classes = class_layout(labels)
+        columns = rng.standard_normal((3, 4, 9))
+        w = rng.uniform(0.1, 1.0, (3, 9))
+        channels = class_means(columns, w, classes)
+        other = rng.permutation(labels)  # the second gallery orders its classes its own way
+        stacked = class_means(
+            np.stack([rng.standard_normal((3, 4, 9)), columns]),
+            np.stack([w[::-1], w]),
+            stack_layouts([class_layout(other), classes]),
+        )
+        for q in range(3):
+            one = class_means(columns[q], w[q], classes)
+            for got in (channels, (stacked[0][1], stacked[1][1])):
+                assert got[0][q].tobytes() == one[0].tobytes()
+                assert got[1][q].tobytes() == one[1].tobytes()
+            for c, name in enumerate(np.unique(labels)):
+                mask = labels == name
+                weight = w[q, mask].sum()
+                assert np.isclose(one[0][c], weight)
+                mean = (columns[q][:, mask] * w[q, mask]).sum(axis=1) / weight
+                assert np.allclose(one[1][:, c], mean, rtol=1e-12, atol=1e-14)

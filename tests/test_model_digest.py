@@ -21,9 +21,17 @@ CASES = [
     ("experiment_ablate", ("model", "saved")),
     ("dimension_sweep", ("model", "saved")),
     ("experiment_capped", ("model", "saved")),
+    ("experiment_learning_rate_1", ("model", "saved")),
+    ("experiment_interleaved", ("model", "saved")),
 ]
 # the split protocol cases save no model
-UNSAVED = {"experiment_ablate", "dimension_sweep", "experiment_capped"}
+UNSAVED = {
+    "experiment_ablate",
+    "dimension_sweep",
+    "experiment_capped",
+    "experiment_learning_rate_1",
+    "experiment_interleaved",
+}
 
 
 def test_tool_prints_a_digest_per_case(tmp_path):

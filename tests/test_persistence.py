@@ -13,7 +13,7 @@ from setfuse import kernels, persistence, trainer
 from setfuse.classify import distance_profile, predict
 from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic
-from setfuse.descriptors import encode_sets
+from setfuse.descriptors import ImageSet, encode_sets
 from setfuse.errors import (
     BadSpec,
     ChecksumMismatch,
@@ -24,7 +24,7 @@ from setfuse.experiment import train_on_sets
 from setfuse.gating import GatingParams, gating_weights
 from setfuse.persistence import META_NAME, load_model, save_model
 from setfuse.spd import spd_log
-from setfuse.trainer import ModelState, train
+from setfuse.trainer import ModelState
 
 from helpers import (
     build_kernel_bank,
@@ -36,6 +36,7 @@ from helpers import (
     model_bank,
     probe_rows,
     stack_length,
+    train_one,
 )
 
 
@@ -64,6 +65,32 @@ VARIANTS = {
 @pytest.fixture(scope="module", params=sorted(VARIANTS))
 def trained_variant(request):
     return train_small(**VARIANTS[request.param])
+
+
+def equal_content_pairs(trained, tmp_path):
+    """Per public type that holds arrays, two instances of equal content."""
+    model, sets = trained
+    save_model(model, tmp_path)
+    loaded = load_model(tmp_path)
+    copy = ImageSet(features=sets[0].features.copy(), label=sets[0].label, set_id=sets[0].set_id)
+    return {
+        "ImageSet": (sets[0], copy),
+        "Prediction": (predict(sets[0], model), predict(sets[0], loaded)),
+        "ModelState": (model, loaded),
+        "GatingParams": (model.gating, loaded.gating),
+        "DescriptorStack": (encode_sets(sets, model.config), encode_sets(sets, model.config)),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["ImageSet", "Prediction", "ModelState", "GatingParams", "DescriptorStack"]
+)
+def test_array_holding_types_compare_and_hash_by_identity(trained, tmp_path, name):
+    a, b = equal_content_pairs(trained, tmp_path)[name]
+    assert type(a).__name__ == name
+    assert a == a and a != b and not (a == b)
+    assert a in [b, a] and a not in [b]
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def edit_meta(model_dir, edit):
@@ -223,8 +250,8 @@ class TestRoundTrip:
         c_bank = build_kernel_bank(encode_sets(gallery, cfg))
         fortran = tuple(fortran_read_only(f) for f in c_bank.features)
         labels = [s.label for s in gallery]
-        c_model = train(c_bank.features, labels, ids_of(c_bank), cfg)
-        f_model = train(fortran, labels, ids_of(c_bank), cfg)
+        c_model = train_one(c_bank.features, labels, ids_of(c_bank), cfg)
+        f_model = train_one(fortran, labels, ids_of(c_bank), cfg)
         save_model(f_model, tmp_path / "m")
         back = load_model(tmp_path / "m")
         for s in probes:
@@ -319,7 +346,7 @@ class TestRoundTrip:
         # reads from its stored rows
         model, sets = trained
         with gram_builds() as built:
-            retrained = train(model.features, model.labels, model.set_ids, model.config)
+            retrained = train_one(model.features, model.labels, model.set_ids, model.config)
         assert len(built) == len(model.config.descriptors)
         save_model(retrained, tmp_path / "m")
         with gram_builds() as built:

@@ -16,6 +16,7 @@ from setfuse.errors import (
     ZeroTotalScatter,
 )
 from setfuse.gating import (
+    GatingParams,
     gating_weights,
     gradient_ascent_step,
     class_layout,
@@ -25,9 +26,9 @@ from setfuse import trainer
 from setfuse.experiment import split_sets, train_on_sets
 from setfuse.kernels import DESCRIPTOR_NAMES
 from setfuse.trainer import (
+    Gallery,
     ScatterPair,
     gram_span,
-    random_orthonormal,
     solve_trace_ratio,
     train,
 )
@@ -48,6 +49,7 @@ from helpers import (
     rows,
     scatter_matrices,
     trace_ratio_objective,
+    train_one,
 )
 from helpers import random_orthonormal as helper_orthonormal
 
@@ -288,7 +290,7 @@ class TestSolveTraceRatio:
         result = solve_trace_ratio(between, total, target, rng=rng)
         best = -np.inf
         for _ in range(2000):
-            v = random_orthonormal(rng, dim, target)
+            v = helper_orthonormal(rng, dim, target)
             best = max(
                 best,
                 np.trace(v.T @ between @ v) / np.trace(v.T @ total @ v),
@@ -368,11 +370,11 @@ def assert_trace_ratio_optimum(monkeypatch, bank, labels, cfg):
     seen = []
 
     def recording(columns, classes, weights, _scatter=trainer.scatter_matrices):
-        seen.append(weights)
+        seen.append(weights[0])  # the weights of the stack of one
         return _scatter(columns, classes, weights)
 
     monkeypatch.setattr(trainer, "scatter_matrices", recording)
-    model = train(bank.features, labels, ids_of(bank), cfg)
+    model = train_one(bank.features, labels, ids_of(bank), cfg)
     scatter = scatter_matrices(bank, labels, seen[-1])
     basis, red_b, red_t = remove_null_space(scatter.within, scatter.between)
     cold = solve_trace_ratio(
@@ -388,7 +390,7 @@ class TestTrain:
     def test_separable_gallery_trains_well(self):
         rng = np.random.default_rng(95)
         bank, labels, cfg, gallery = separable_bank(rng)
-        model = train(bank.features, labels, ids_of(bank), cfg)
+        model = train_one(bank.features, labels, ids_of(bank), cfg)
         assert model.objective_trace[-1] >= 0.95
         assert model.transform.shape == (12, 3)
         # every training set is nearest to itself in the learned metric
@@ -400,7 +402,7 @@ class TestTrain:
     def test_objective_does_not_collapse(self):
         rng = np.random.default_rng(96)
         bank, labels, cfg, _ = separable_bank(rng)
-        model = train(bank.features, labels, ids_of(bank), cfg)
+        model = train_one(bank.features, labels, ids_of(bank), cfg)
         trace = np.asarray(model.objective_trace)
         assert np.all((trace >= 0.0) & (trace <= 1.0))
         assert trace[-1] >= trace[0] - 1e-9
@@ -411,7 +413,7 @@ class TestTrain:
         cfg = TrainConfig(
             subspace_dim=3, target_dim=3, iters=1, learning_rate=0.0, seed=11
         )
-        model = train(bank.features, labels, ids_of(bank), cfg)
+        model = train_one(bank.features, labels, ids_of(bank), cfg)
 
         manual_rng = np.random.default_rng(cfg.seed)
         params = init_gating_params(bank.n_kernels, bank.n_train, manual_rng)
@@ -435,19 +437,24 @@ class TestTrain:
     def test_warm_started_solves_take_few_steps(self, monkeypatch):
         rng = np.random.default_rng(107)
         bank, labels, cfg, _ = separable_bank(rng)
-        calls = []
+        calls = []  # (start, result) of each solve of the stack of one
 
         def recording(*args, **kwargs):
             result = solve_trace_ratio(*args, **kwargs)
-            calls.append((kwargs["start"] is not None, len(result.ratio_history) - 1))
+            calls.append((kwargs["start"], result))
             return result
 
         monkeypatch.setattr(trainer, "solve_trace_ratio", recording)
-        model = train(bank.features, labels, ids_of(bank), cfg)
+        model = train_one(bank.features, labels, ids_of(bank), cfg)
         assert len(calls) == len(model.objective_trace) >= 3
-        assert calls[0][0] is False
-        for warm, steps in calls[1:]:
-            assert warm and steps <= 3
+        # the first solve starts from the Gaussian draw that follows the gating init
+        rng = np.random.default_rng(cfg.seed)
+        init_gating_params(bank.n_kernels, bank.n_train, rng)
+        first = calls[0][0][0]
+        assert np.array_equal(first, rng.standard_normal(first.shape))
+        for (start, result), (_, previous) in zip(calls[1:], calls):
+            assert start is previous.projection
+            assert len(result.ratio_history[0]) - 1 <= 3
 
     def test_final_projection_is_trace_ratio_optimum(self, monkeypatch):
         rng = np.random.default_rng(108)
@@ -468,7 +475,7 @@ class TestTrain:
     def test_underflowed_weight_trains_to_a_finite_objective(self):
         # at lr=100 some gating weights underflow to exactly 0.0
         bank, labels, cfg, _ = separable_bank(np.random.default_rng(95))
-        model = train(bank.features, labels, ids_of(bank), replace(cfg, learning_rate=100.0))
+        model = train_one(bank.features, labels, ids_of(bank), replace(cfg, learning_rate=100.0))
         assert float(model.train_weights.min()) == 0.0
         trace = np.asarray(model.objective_trace)
         assert np.all(np.isfinite(trace) & (trace >= 0.0) & (trace <= 1.0))
@@ -478,19 +485,24 @@ class TestTrain:
         steps = []  # (params, grads) of each outer iteration, halvings dropped
         projections = []
 
+        seen = []  # the stacked gradients already recorded
+
         def recording_step(params, grads, step):
-            if not steps or steps[-1][1] is not grads:
-                steps.append((params, grads))
+            # the arguments hold a stack of one
+            if not seen or seen[-1] is not grads:
+                seen.append(grads)
+                steps.append((GatingParams(params.coeffs[0], params.biases[0]),
+                              (grads[0][0], grads[1][0])))
             return gradient_ascent_step(params, grads, step)
 
         def recording_solve(*args, **kwargs):
             result = solve_trace_ratio(*args, **kwargs)
-            projections.append(result.projection)
+            projections.append(result.projection[0])
             return result
 
         monkeypatch.setattr(trainer, "gradient_ascent_step", recording_step)
         monkeypatch.setattr(trainer, "solve_trace_ratio", recording_solve)
-        train(bank.features, labels, ids_of(bank), cfg)
+        train_one(bank.features, labels, ids_of(bank), cfg)
         basis = gram_span(bank.grams).basis
         assert len(steps) == len(projections) >= 3
         for (params, (gc, gb)), coords in zip(steps, projections):
@@ -521,7 +533,7 @@ class TestTrain:
         labels = random_labels(rng, 12)
         calls = count_gating_evaluations(monkeypatch)
         cfg = TrainConfig(target_dim=3, iters=8, seed=2, learning_rate=rate)
-        model = train(bank.features, labels, ids_of(bank), cfg)
+        model = train_one(bank.features, labels, ids_of(bank), cfg)
         iters, tries = len(model.objective_trace), calls["gradient_ascent_step"]
         assert (tries > iters) == (rate > 0.0)  # at rate 100 a step is halved
         assert calls["gating_weights"] == 1 + tries
@@ -534,8 +546,8 @@ class TestTrain:
         bank = random_bank(rng, 12, 3, dim=4)
         labels = random_labels(rng, 12)
         cfg = TrainConfig(target_dim=3, iters=4, seed=2)
-        m1 = train(bank.features, labels, ids_of(bank), cfg)
-        m2 = train(bank.features, labels, ids_of(bank), cfg)
+        m1 = train_one(bank.features, labels, ids_of(bank), cfg)
+        m2 = train_one(bank.features, labels, ids_of(bank), cfg)
         assert m1.transform.shape == (12, 3)
         assert np.isfinite(m1.transform).all()
         assert np.array_equal(m1.transform, m2.transform)
@@ -544,8 +556,8 @@ class TestTrain:
     def test_training_is_deterministic(self):
         rng = np.random.default_rng(98)
         bank, labels, cfg, _ = separable_bank(rng)
-        m1 = train(bank.features, labels, ids_of(bank), cfg)
-        m2 = train(bank.features, labels, ids_of(bank), cfg)
+        m1 = train_one(bank.features, labels, ids_of(bank), cfg)
+        m2 = train_one(bank.features, labels, ids_of(bank), cfg)
         assert np.array_equal(m1.transform, m2.transform)
         assert np.array_equal(m1.gating.coeffs, m2.gating.coeffs)
         assert np.array_equal(m1.gating.biases, m2.gating.biases)
@@ -558,7 +570,7 @@ class TestTrain:
         import logging
 
         with caplog.at_level(logging.WARNING, logger="setfuse.trainer"):
-            model = train(bank.features, labels, ids_of(bank), cfg)
+            model = train_one(bank.features, labels, ids_of(bank), cfg)
         assert model.transform.shape[1] <= bank.n_train
         assert any("clamped" in rec.message for rec in caplog.records)
 
@@ -566,7 +578,7 @@ class TestTrain:
         rng = np.random.default_rng(100)
         bank = random_bank(rng, 4, 2)
         with pytest.raises(SingleClassGallery):
-            train(bank.features, ["a"] * 4, ids_of(bank), TWO_CHANNELS)
+            train_one(bank.features, ["a"] * 4, ids_of(bank), TWO_CHANNELS)
 
     @pytest.mark.parametrize("normalize", [False, True])
     def test_bank_is_built_from_the_config(self, normalize):
@@ -575,7 +587,7 @@ class TestTrain:
         rng = np.random.default_rng(109)
         bank = random_bank(rng, 12, 2, dim=4)
         cfg = replace(TWO_CHANNELS, target_dim=3, normalize_kernels=normalize)
-        model = train(bank.features, random_labels(rng, 12), ids_of(bank), cfg)
+        model = train_one(bank.features, random_labels(rng, 12), ids_of(bank), cfg)
         assert model.scales == kernel_bank(cfg.descriptors, bank.features, normalize).scales
         assert all((s != 1.0) == normalize for s in model.scales)
         for kept, given in zip(model.features, bank.features, strict=True):
@@ -588,7 +600,7 @@ class TestTrain:
         labels = random_labels(rng, 12)
         assert isinstance(labels[0], np.str_)
         cfg = TrainConfig(target_dim=3, iters=2, seed=2)
-        model = train(bank.features, labels, ids_of(bank), cfg)
+        model = train_one(bank.features, labels, ids_of(bank), cfg)
         assert model.labels == tuple(labels.tolist())
         assert all(type(label) is str for label in model.labels)
 
@@ -606,13 +618,83 @@ class TestTrain:
         for name in ("class_layout", "scatter_matrices"):
             monkeypatch.setattr(trainer, name, counting(name, getattr(trainer, name)))
         monkeypatch.setattr(np, "unique", counting("unique", np.unique))
-        model = train(bank.features, labels, ids_of(bank), cfg)
+        model = train_one(bank.features, labels, ids_of(bank), cfg)
         assert len(model.objective_trace) >= 3
         assert calls == {
             "class_layout": 1,
             "scatter_matrices": len(model.objective_trace),
             "unique": 1,
         }
+
+
+def stacked_galleries():
+    """Four galleries of 12 random lifted rows each, with random labels, so
+    that the classes interleave and their codes differ per gallery."""
+    rng = np.random.default_rng(109)
+    out = []
+    for _ in range(4):
+        bank = random_bank(rng, 12, 3, dim=4)
+        out.append(Gallery(bank.features, random_labels(rng, 12), ids_of(bank)))
+    return out
+
+
+class TestStackedTraining:
+    """``train`` trains a stack of galleries in lockstep; each must get the
+    bits it gets alone, however its control flow departs from the others'."""
+
+    def test_each_gallery_trains_as_it_does_alone(self, monkeypatch, caplog):
+        galleries = stacked_galleries()
+        cfgs = [TrainConfig(target_dim=3, iters=8, seed=s, learning_rate=100.0) for s in range(4)]
+        # the third gallery climbs along its negated gradient, so each of its
+        # steps lowers the objective and rolls back, and it stops at iteration 3
+        descending = float(np.vecdot(galleries[2].features[0][0], galleries[2].features[0][0]))
+        real_gradients = trainer.projected_gradients
+
+        def gradients(grams, *args):
+            coeffs, biases = real_gradients(grams, *args)
+            sign = np.where(grams[:, 0, 0, 0] == descending, -1.0, 1.0)
+            return coeffs * sign[:, None, None], biases * sign[:, None]
+
+        stacks, steps, inner = [], [], []
+
+        def stack_spy(*args, _real=trainer._train_stack):
+            stacks.append(len(args[4]))
+            return _real(*args)
+
+        def step_spy(params, grads, step, _real=trainer.gradient_ascent_step):
+            steps.append(np.array(step))
+            return _real(params, grads, step)
+
+        def solve_spy(*args, _real=trainer.solve_trace_ratio, **kwargs):
+            result = _real(*args, **kwargs)
+            inner.append([len(h) for h in result.ratio_history])
+            return result
+
+        monkeypatch.setattr(trainer, "projected_gradients", gradients)
+        with caplog.at_level(logging.INFO, logger="setfuse.trainer"):
+            alone = [train([g], [c])[0] for g, c in zip(galleries, cfgs)]
+            rolled_alone = sum("rolled back" in r.message for r in caplog.records)
+            caplog.clear()
+            for name, spy in [("_train_stack", stack_spy), ("gradient_ascent_step", step_spy),
+                              ("solve_trace_ratio", solve_spy)]:
+                monkeypatch.setattr(trainer, name, spy)
+            stacked = train(galleries, cfgs)
+            rolled = sum("rolled back" in r.message for r in caplog.records)
+
+        for a, m in zip(alone, stacked, strict=True):
+            assert m.transform.tobytes() == a.transform.tobytes()
+            assert m.gating.coeffs.tobytes() == a.gating.coeffs.tobytes()
+            assert m.gating.biases.tobytes() == a.gating.biases.tobytes()
+            assert m.objective_trace == a.objective_trace
+            assert m.labels == a.labels and m.config == a.config
+        # one stack, in which the galleries' control flow differed
+        assert stacks == [4]
+        assert len({len(m.objective_trace) for m in stacked}) > 1  # early stops
+        assert any(len(set(counts)) > 1 for counts in inner)  # inner trace-ratio steps
+        # halvings: tries of halved steps on fewer galleries than the stack holds
+        assert any(len(s) < 4 and (s < 100.0).all() for s in steps)
+        assert 0 < rolled == rolled_alone < 8  # rollbacks of the descending gallery only
+        assert len(stacked[2].objective_trace) == 3
 
 
 class TestTrainConfig:

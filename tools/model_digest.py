@@ -26,10 +26,13 @@ on sets of 12, 16 and 20 samples, interleaved. Each split protocol case
 prints one ``model`` digest, over every ``SplitResult`` field but the
 wall-clock ``train_seconds``, of every report it returns:
 ``experiment_ablate`` the combined row and each ablation row,
-``dimension_sweep`` one report per projection width, and
+``dimension_sweep`` one report per projection width,
 ``experiment_capped`` one report on sets short enough to cap
-``subspace_dim``. BLAS is pinned to one thread, because the thread count
-changes the bits.
+``subspace_dim``, ``experiment_learning_rate_1`` one report at
+``learning_rate=1.0`` (its splits stop early) and ``experiment_interleaved``
+one report on the sets reordered so that their classes interleave (each
+split's gallery then orders its classes its own way). BLAS is pinned to
+one thread, because the thread count changes the bits.
 """
 
 from __future__ import annotations
@@ -168,6 +171,20 @@ def _cases(sf, workdir: Path):
         ("saved", None),
     )
 
+    report = sf.run_experiment(sets, cfg(3, learning_rate=1.0), n_splits=10, train_per_class=5)
+    yield "experiment_learning_rate_1", (
+        ("model", _reports_digest({"combined": report})),
+        ("saved", None),
+    )
+
+    # the same sets ordered set 0 of each class, then set 1 of each class, ...
+    interleaved = [s for _, s in sorted(enumerate(sets), key=lambda p: (p[0] % 10, p[1].label))]
+    report = sf.run_experiment(interleaved, cfg(3), n_splits=10, train_per_class=5)
+    yield "experiment_interleaved", (
+        ("model", _reports_digest({"combined": report})),
+        ("saved", None),
+    )
+
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -178,7 +195,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         for name, digests in _cases(sf, Path(tmp)):
-            print(f"{name:<18} " + "  ".join(f"{k} {v or '-'}" for k, v in digests))
+            print(f"{name:<26} " + "  ".join(f"{k} {v or '-'}" for k, v in digests))
 
 
 if __name__ == "__main__":
