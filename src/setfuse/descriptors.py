@@ -41,17 +41,17 @@ RANK_EIG_RTOL = 1e-12
 ORTHONORMAL_ATOL = 1e-10
 
 
-def read_only(values, dtype=np.float64) -> np.ndarray:
-    """A read-only C-contiguous array of ``values``; one that already is one
-    is not copied."""
+def read_only(values) -> np.ndarray:
+    """A read-only C-contiguous float64 array of ``values``; one that already
+    is one is not copied."""
     if (
         isinstance(values, np.ndarray)
-        and values.dtype == dtype
+        and values.dtype == np.float64
         and not values.flags.writeable
         and values.flags.c_contiguous
     ):
         return values
-    a = np.array(values, dtype=dtype, order="C")
+    a = np.array(values, dtype=np.float64, order="C")
     a.setflags(write=False)
     return a
 

@@ -12,8 +12,10 @@ call per channel into a read-only (N, D_q) array F. Every split trains on
 its training rows ``F[train_idx]`` and scores test set i with
 ``classify.distance_profile`` of its rows ``F[i]``, so it reports what
 ``train_on_sets`` and ``predict`` would give. The splits of a report row
-train with one ``trainer.train`` call, which trains them in lockstep stacks
-(``trainer.STACK_BYTES``), and each split's model has the bits it gets alone.
+train in stacks of ``trainer.stack_size`` (``trainer.STACK_BYTES``), one
+``trainer.train`` call each, which trains the stack in lockstep; each
+split's model has the bits it gets alone. A row copies, trains and scores
+one stack at a time, so it holds one stack's training rows and models.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .config import TrainConfig, check_int
 from .descriptors import ImageSet, common_dim, encode_sets
 from .errors import BadSpec, InsufficientSetsPerClass, TooFewSamples
 from .kernels import DESCRIPTOR_NAMES, lift_features
-from .trainer import Gallery, ModelState, train
+from .trainer import Gallery, ModelState, stack_size, train
 
 logger = logging.getLogger(__name__)
 
@@ -40,10 +42,11 @@ class SplitResult:
     """Outcome of one train/test split.
 
     ``train_seconds`` is the split's share of its report row's training: the
-    row's splits train together with one ``train`` call, whose Gram builds
-    (from the training sets' lifted rows) plus training are divided evenly
-    among them, so the column sums to the row's training time. Encoding and
-    lifting are shared by every split of the call and not counted.
+    row's splits train in stacks, one ``train`` call each, whose Gram builds
+    (from the training sets' lifted rows) plus training are summed over the
+    row and divided evenly among its splits, so the column sums to the
+    row's training time. Encoding and lifting are shared by every split of
+    the call and not counted.
     """
 
     split_index: int
@@ -110,7 +113,7 @@ def train_on_sets(sets: Sequence[ImageSet], cfg: TrainConfig) -> ModelState:
     stack = encode_sets(sets, cfg)
     features = [lift_features(stack, name) for name in cfg.descriptors]
     gallery = Gallery(features, [s.label for s in sets], [s.set_id for s in sets])
-    return train([gallery], [cfg])[0]
+    return train([gallery], cfg, [cfg.seed])[0]
 
 
 def split_sets(
@@ -191,37 +194,55 @@ def _run_row(
     cfg: TrainConfig,
     splits: Sequence[_Split],
 ) -> tuple[SplitResult, ...]:
-    """Train every split of a report row with one ``train`` call, then score
-    each split's test sets with its model."""
+    """Train and score the splits of a report row one stack of ``stack_size``
+    splits at a time: copy the stack's training rows, train them with one
+    ``train`` call, score each split's test sets with its model, and drop
+    the stack before the next one's rows are copied."""
     names = cfg.descriptors
-    galleries = []
-    for split in splits:
-        features = [lifted[name][split.train] for name in names]
-        for f in features:
-            f.setflags(write=False)  # a fresh C-contiguous copy, so the model keeps it
-        train_sets = [sets[i] for i in split.train]
-        galleries.append(
-            Gallery(features, [s.label for s in train_sets], [s.set_id for s in train_sets])
-        )
-    started = time.perf_counter()
-    models = train(galleries, [replace(cfg, seed=split.seed) for split in splits])
-    per_split = (time.perf_counter() - started) / len(splits)
-    results = []
-    for split, model in zip(splits, models):
-        hits = 0
-        for i in split.test:
-            rows = [lifted[name][i] for name in names]
-            hits += nearest(distance_profile(rows, model), model).label == sets[i].label
-        results.append(SplitResult(
+    size = stack_size(len(splits[0].train), [lifted[name].shape[1] for name in names])
+    scored, seconds = [], 0.0
+    for begin in range(0, len(splits), size):
+        stack = splits[begin : begin + size]
+        galleries = [_gallery(sets, lifted, names, split) for split in stack]
+        started = time.perf_counter()
+        models = train(galleries, cfg, [split.seed for split in stack])
+        seconds += time.perf_counter() - started
+        scored += [
+            (split, _accuracy(sets, lifted, names, split, model), model.objective_trace)
+            for split, model in zip(stack, models)
+        ]
+        del galleries, models  # the models keep the rows: free them before the next copy
+    return tuple(
+        SplitResult(
             split_index=split.index,
             seed=split.seed,
-            accuracy=hits / len(split.test),
+            accuracy=accuracy,
             n_train=len(split.train),
             n_test=len(split.test),
-            train_seconds=per_split,
-            objective_trace=model.objective_trace,
-        ))
-    return tuple(results)
+            train_seconds=seconds / len(splits),
+            objective_trace=trace,
+        )
+        for split, accuracy, trace in scored
+    )
+
+
+def _gallery(sets, lifted, names, split: _Split) -> Gallery:
+    """A split's training rows, one fresh copy per channel, with their labels
+    and set ids."""
+    features = [lifted[name][split.train] for name in names]
+    for f in features:
+        f.setflags(write=False)  # a fresh C-contiguous copy, so the model keeps it
+    train_sets = [sets[i] for i in split.train]
+    return Gallery(features, [s.label for s in train_sets], [s.set_id for s in train_sets])
+
+
+def _accuracy(sets, lifted, names, split: _Split, model: ModelState) -> float:
+    """The share of a split's test sets whose rows ``model`` labels right."""
+    hits = 0
+    for i in split.test:
+        rows = [lifted[name][i] for name in names]
+        hits += nearest(distance_profile(rows, model), model).label == sets[i].label
+    return hits / len(split.test)
 
 
 def _protocol(

@@ -20,10 +20,11 @@ gallery per ``train`` call.
 ``train`` trains a stack of galleries at once, so the functions here that
 it calls take a leading problem axis, as the ``spd`` primitives do: weights
 ``(..., Q, N)``, Grams ``(..., Q, N, N)``, projected columns
-``(..., Q, p, N)`` and a ``ClassLayout`` stacked by ``stack_layouts``. Each
-problem's slice gets the bits its 2-D call gives: every product runs as the
-same BLAS call per slice, every sum adds in the same order, and a gather by
-class code is an exact product with the 0/1 ``ClassLayout.members``
+``(..., Q, p, N)`` and a ``ClassLayout`` stacked by ``stack_layouts``; each
+keeps the channel axis, even for one channel. Each problem's slice gets
+the bits it gets in a stack of one: every product runs as the same BLAS
+call per slice, every sum adds in the same order, and a gather by class
+code is an exact product with the 0/1 ``ClassLayout.members``
 (``per_sample``).
 """
 
@@ -184,16 +185,13 @@ def stack_layouts(layouts: Sequence[ClassLayout]) -> ClassLayout:
 def class_means(
     columns: np.ndarray, w: np.ndarray, classes: ClassLayout
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each class's total weight W_c and weighted mean m_c of ``columns``
-    (m x N, weights N), of each channel's (Q x m x N, weights Q x N), or of
-    each of a stack of those.
+    """Each class's total weight W_c (..., Q, C) and weighted mean m_c
+    (..., Q, m, C) of each channel's ``columns`` (..., Q, m, N) under its
+    weights ``w`` (..., Q, N).
 
     A class of zero weight gets a zero mean; a sample alone in its class is
     that class's mean exactly, since its share w_i / W_c is exactly one.
     """
-    if w.ndim == classes.codes.ndim:  # one channel: give it the channel axis
-        class_w, means = class_means(columns[..., None, :, :], w[..., None, :], classes)
-        return class_w[..., 0, :], means[..., 0, :, :]
     class_w = classes.class_weights(w)
     own = classes.per_sample(class_w[..., None, :])[..., 0, :]
     share = np.divide(w, own, out=np.zeros_like(w), where=own > 0.0)

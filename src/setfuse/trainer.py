@@ -25,16 +25,18 @@ to both traces of the ratio, and a projection whose total scatter vanishes
 raises ``DegenerateDenominator``.
 
 ``train`` trains a stack of galleries in lockstep, as the ``spd``
-primitives take a stack of matrices: the galleries of a split protocol's
-report row, or one gallery, a stack of one. The functions an iteration calls
-(``scatter_matrices``, ``solve_trace_ratio`` and the ``gating`` ones) take
-a leading problem axis, so each numpy call of an iteration serves every
-problem still training, and each problem gets the bits it gets alone. The
-per-problem control flow (trace-ratio updates, step halvings and rollback,
-the early stop) runs on the problems it concerns. Galleries train in stacks
-of one span rank and class count, as many at a time as ``STACK_BYTES``
-allows: stacking pays for small galleries, whose iterations are many small
-numpy calls, and is left out for large ones, whose calls are long already.
+primitives take a stack of matrices: a stack of a split protocol's splits,
+or one gallery, a stack of one. It is the one form of every function an
+iteration calls (``scatter_matrices``, ``solve_trace_ratio`` and the
+``gating`` ones): each takes a leading problem axis, so each numpy call of
+an iteration serves every problem still training, and each problem gets
+the bits it gets alone. The per-problem control flow (trace-ratio updates,
+step halvings and rollback, the early stop) runs on the problems it
+concerns. ``train`` groups the galleries it is given by span rank and class
+count; the split protocol gives it as many at a time as ``STACK_BYTES``
+allows (``stack_size``): stacking pays for small galleries, whose
+iterations are many small numpy calls, and is left out for large ones,
+whose calls are long already.
 
 Gram matrices exist only inside ``train``: it builds each channel's scaled
 Gram from the gallery's lifted rows (``kernels.gram``) and drops them when
@@ -45,7 +47,7 @@ derive what prediction reads from them, the transform and the gating.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -101,16 +103,15 @@ class ScatterPair:
 
 @dataclass(frozen=True)
 class TraceRatioResult:
-    """Output of the trace-ratio solve.
+    """Output of the trace-ratio solve of a stack of problems.
 
-    ``projection`` has orthonormal columns in the space the scatters were
-    given in; ``ratio_history`` records the objective after the initial
-    guess and after each update. A stack's result holds a projection and a
-    history per problem.
+    ``projection[k]`` has orthonormal columns in the space problem k's
+    scatters were given in; ``ratio_history[k]`` records its objective after
+    the initial guess and after each of its updates.
     """
 
     projection: np.ndarray
-    ratio_history: tuple[float, ...]
+    ratio_history: tuple[tuple[float, ...], ...]
 
 
 class ProbeMap(NamedTuple):
@@ -382,49 +383,40 @@ def solve_trace_ratio(
     between: np.ndarray,
     total: np.ndarray,
     target_dim: int,
-    max_iters: int = 30,
-    eps: float = 1e-5,
-    rng: np.random.Generator | None = None,
-    start: np.ndarray | None = None,
+    start: np.ndarray,
+    max_iters: int,
+    eps: float,
 ) -> TraceRatioResult:
-    """Maximize trace(V.T B V) / trace(V.T T V) over orthonormal V.
+    """Maximize trace(V.T B V) / trace(V.T T V) over orthonormal V, for each
+    of a stack of S problems: B and T ``(S, dim, dim)``, ``start``
+    ``(S, dim, target_dim)``.
 
     Iterative trace-difference scheme: from the current ratio ``lam``, the
     next V stacks the top eigenvectors of ``B - lam * T``; V is then rotated
     onto eigenvectors of the subspace-restricted total scatter (which leaves
     the ratio unchanged but makes the output basis canonical). The recorded
-    ratio history is non-decreasing; iteration stops when the ratio moves
-    less than ``eps`` or after ``max_iters`` updates. ``target_dim`` lies in
-    [1, dim], as ``train`` clamps it.
+    ratio history is non-decreasing; a problem stops when its ratio moves
+    less than ``eps``, and all stop after ``max_iters`` updates.
+    ``target_dim`` lies in [1, dim], as ``train`` clamps it.
 
     The scheme is Newton's method on ``lam`` (Wang et al. 2007; Ngo,
-    Bellalij & Saad 2012), so a start near the optimum needs one
-    or two updates. ``start`` (dim x target_dim, e.g. the previous solution)
-    is the warm start, re-orthonormalised here by a sign-fixed QR; without
-    it V starts from one orthonormal draw from ``rng``.
+    Bellalij & Saad 2012), so a start near the optimum needs one or two
+    updates. ``start`` (e.g. the previous solution) is re-orthonormalised
+    here by a sign-fixed QR.
 
-    A stack of problems (B and T ``(S, dim, dim)``, ``start``
-    ``(S, dim, target_dim)``, which a stack needs) is solved in lockstep,
-    each problem stopping on its own: the updates run on the problems still
-    moving, and each gets the bits its 2-D solve gives. The result then
-    holds ``(S, dim, target_dim)`` projections and one history per problem.
+    The problems are solved in lockstep, each stopping on its own: the
+    updates run on the problems still moving, and each gets the bits it
+    gets alone. The result holds ``(S, dim, target_dim)`` projections and
+    one history per problem.
     """
     b = np.asarray(between, dtype=np.float64)
     t = np.asarray(total, dtype=np.float64)
-    single = b.ndim == 2
-    if single:
-        b, t = b[None], t[None]
-        if start is None:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            start = rng.standard_normal((t.shape[-1], target_dim))
-        start = start[None]
     dim = t.shape[-1]
     v = _orthonormal_columns(start)
     lam = _trace_ratio(v, b, t)
     histories = [[x] for x in lam.tolist()]
     active = np.arange(len(histories))  # the problems b, t, v and lam hold
-    out = None  # every problem's projection, once one has stopped
+    out = v.copy()
     for _ in range(max_iters):
         pair = sym_eig(b - lam[:, None, None] * t)
         if target_dim < dim:
@@ -441,26 +433,15 @@ def solve_trace_ratio(
         new_lam = _trace_ratio(v, b, t)
         for k, x in zip(active.tolist(), new_lam.tolist()):
             histories[k].append(x)
+        out[active] = v
         stops = np.abs(new_lam - lam) < eps
         lam = new_lam
         if not stops.any():
             continue
-        if out is None:
-            if stops.all():  # all stop at once, as a stack of one does
-                out, active = v, active[:0]
-                break
-            out = np.empty_like(v)
-        out[active[stops]] = v[stops]
         moving = ~stops
         active, b, t, v, lam = (x[moving] for x in (active, b, t, v, lam))
         if not active.size:
             break
-    if out is None:
-        out = v
-    elif active.size:
-        out[active] = v
-    if single:
-        return TraceRatioResult(projection=out[0], ratio_history=tuple(histories[0]))
     return TraceRatioResult(projection=out, ratio_history=tuple(map(tuple, histories)))
 
 
@@ -503,17 +484,19 @@ def stack_size(n: int, widths: Sequence[int]) -> int:
     return max(1, STACK_BYTES // problem_bytes)
 
 
-def train(galleries: Sequence[Gallery], cfgs: Sequence[TrainConfig]) -> list[ModelState]:
+def train(
+    galleries: Sequence[Gallery], cfg: TrainConfig, seeds: Sequence[int]
+) -> list[ModelState]:
     """Alternating training loop over projection and gating parameters, for
-    a stack of galleries; returns one model per gallery, in order.
+    a stack of galleries; returns one model per gallery, in order, gallery
+    k's trained under ``replace(cfg, seed=seeds[k])``.
 
-    The galleries share N and the channels, and ``cfgs`` (one per gallery)
-    differ in ``seed`` alone; a single gallery is a stack of one. Each
-    model has the bits it gets when its gallery trains alone: the stack
-    shares each numpy call of an iteration among the galleries still
-    training, and each stops on its own. ``stack_size`` bounds how many
-    train together; galleries whose span ranks or class counts differ train
-    in separate stacks.
+    The galleries share N and the channels; a single gallery is a stack of
+    one. Each model has the bits it gets when its gallery trains alone: the
+    stack shares each numpy call of an iteration among the galleries still
+    training, and each stops on its own. Every gallery given trains in this
+    call, galleries whose span ranks or class counts differ in separate
+    stacks; a caller with many galleries passes ``stack_size`` at a time.
 
     ``features`` holds a gallery's lifted rows (``lift_features``), one
     (N, D_q) array per channel of ``cfg.descriptors``; the Grams, each scaled
@@ -544,48 +527,42 @@ def train(galleries: Sequence[Gallery], cfgs: Sequence[TrainConfig]) -> list[Mod
     and a projection whose total scatter vanishes raises
     ``DegenerateDenominator``.
 
-    Randomness comes from one generator per gallery, seeded with its
-    ``cfg.seed``: first the gating init, then one orthonormal draw for the
-    trace-ratio start at the first outer iteration. From iteration 3 on, a
-    gallery stops early when either its parameter update or its projection
-    update falls below ``cfg.eps`` in max norm. When several galleries
-    fail, the error raised is that of the first to fail at the earliest step.
+    Randomness comes from one generator per gallery, seeded with its seed:
+    first the gating init, then one orthonormal draw for the first
+    trace-ratio start. From iteration 3 on, a gallery stops early when
+    either its parameter update or its projection update falls below
+    ``cfg.eps`` in max norm. When several galleries fail, the error raised
+    is that of the first to fail at the earliest step.
     """
     galleries = [g._replace(features=tuple(read_only(f) for f in g.features)) for g in galleries]
     layouts = [class_layout(g.labels) for g in galleries]
-    normalize = cfgs[0].normalize_kernels
     first = galleries[0].features
     n = first[0].shape[0]
-    size = stack_size(n, [f.shape[1] for f in first])
-    models: list[ModelState] = []
-    for begin in range(0, len(galleries), size):
-        chunk = galleries[begin : begin + size]
-        grams = np.empty((len(chunk), len(first), n, n))
-        for k, g in enumerate(chunk):
-            for q, f in enumerate(g.features):
-                grams[k, q] = gram(f, gram_scale(f, normalize))
-        spans = [gram_span(k) for k in grams]
-        groups: dict[tuple[int, int], list[int]] = {}
-        for k, span in enumerate(spans):
-            key = (span.basis.shape[1], layouts[begin + k].onehot.shape[1])
-            groups.setdefault(key, []).append(k)
-        trained = {}
-        for rows in groups.values():
-            basis = _stack([spans[k].basis for k in rows])
-            columns = _stack([spans[k].columns for k in rows])
-            for k in rows:
-                spans[k] = None  # stacked now; a stack of one keeps views of them
-            stacked = _train_stack(
-                grams if len(rows) == len(chunk) else grams[rows],
-                basis,
-                columns,
-                stack_layouts([layouts[begin + k] for k in rows]),
-                [chunk[k] for k in rows],
-                [cfgs[begin + k] for k in rows],
-            )
-            trained.update(zip(rows, stacked))
-        models += [trained[k] for k in range(len(chunk))]
-    return models
+    grams = np.empty((len(galleries), len(first), n, n))
+    for k, g in enumerate(galleries):
+        for q, f in enumerate(g.features):
+            grams[k, q] = gram(f, gram_scale(f, cfg.normalize_kernels))
+    spans = [gram_span(k) for k in grams]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, span in enumerate(spans):
+        groups.setdefault((span.basis.shape[1], layouts[k].onehot.shape[1]), []).append(k)
+    trained = {}
+    for rows in groups.values():
+        basis = _stack([spans[k].basis for k in rows])
+        columns = _stack([spans[k].columns for k in rows])
+        for k in rows:
+            spans[k] = None  # stacked now; a stack of one keeps views of them
+        stacked = _train_stack(
+            grams if len(rows) == len(galleries) else grams[rows],
+            basis,
+            columns,
+            stack_layouts([layouts[k] for k in rows]),
+            [galleries[k] for k in rows],
+            cfg,
+            [seeds[k] for k in rows],
+        )
+        trained.update(zip(rows, stacked))
+    return [trained[k] for k in range(len(galleries))]
 
 
 def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -599,7 +576,8 @@ def _train_stack(
     columns: np.ndarray,
     classes: ClassLayout,
     galleries: Sequence[Gallery],
-    cfgs: Sequence[TrainConfig],
+    cfg: TrainConfig,
+    seeds: Sequence[int],
 ) -> list[ModelState]:
     """``train`` for one stack of S problems of one span rank r: Grams
     (S, Q, N, N), span bases (S, N, r) and span columns (S, Q, r, N).
@@ -608,8 +586,7 @@ def _train_stack(
     stack positions are ``active``. A problem that stops gets its model and
     leaves those arrays; while all train, no array is copied to select them.
     """
-    cfg = cfgs[0]
-    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    rngs = [np.random.default_rng(s) for s in seeds]
     starts = [init_gating_params(grams.shape[1], grams.shape[-1], rng) for rng in rngs]
     params = GatingParams(_stack([p.coeffs for p in starts]), _stack([p.biases for p in starts]))
     rank = basis.shape[-1]
@@ -618,20 +595,19 @@ def _train_stack(
         logger.warning(
             "target_dim clamped from %d to %d (usable scatter rank)", cfg.target_dim, width
         )
+    # the projections in span coordinates, (S, r, p): first one draw per problem
+    coords = _stack([rng.standard_normal((rank, width)) for rng in rngs])
 
-    models: list[ModelState] = [None] * len(cfgs)
-    traces: list[list[float]] = [[] for _ in cfgs]
-    active = np.arange(len(cfgs))
+    models: list[ModelState] = [None] * len(seeds)
+    traces: list[list[float]] = [[] for _ in seeds]
+    active = np.arange(len(seeds))
     transform = None
-    coords = None  # the projections in span coordinates, (S, r, p)
     weights = gating_weights(grams, params)
     for it in range(1, cfg.iters + 1):
         scatter = scatter_matrices(columns, classes, weights)
-        if coords is None:
-            coords = _stack([rngs[k].standard_normal((rank, width)) for k in active])
         itr = solve_trace_ratio(
-            scatter.between, scatter.total, width, max_iters=cfg.itr_iters, eps=cfg.eps,
-            start=coords,
+            scatter.between, scatter.total, width, start=coords, max_iters=cfg.itr_iters,
+            eps=cfg.eps,
         )
         prev_transform = transform
         coords = itr.projection
@@ -669,7 +645,7 @@ def _train_stack(
                 features=g.features,
                 labels=tuple(map(str, g.labels)),
                 set_ids=tuple(g.set_ids),
-                config=cfgs[k],
+                config=replace(cfg, seed=seeds[k]),
                 objective_trace=tuple(traces[k]),
             )
         if stop.all():

@@ -36,7 +36,7 @@ from setfuse.gating import class_layout, gating_weights, projected_gradients, pr
 from setfuse.kernels import DESCRIPTOR_NAMES, gram, gram_scale, lift_features, lift_width
 from setfuse.spd import spd_log, sym_eig
 from setfuse.trainer import DENOMINATOR_FLOOR, NULL_SPACE_RTOL, TOTAL_SCATTER_FLOOR
-from setfuse.trainer import Gallery, train
+from setfuse.trainer import Gallery, TraceRatioResult, solve_trace_ratio, train
 from setfuse.trainer import scatter_matrices as library_scatter_matrices
 
 # An SPD check passes when the smallest eigenvalue exceeds this fraction of
@@ -294,7 +294,21 @@ def model_bank(model):
 
 def train_one(features, labels, set_ids, cfg):
     """``trainer.train`` of one gallery: its stack of one."""
-    return train([Gallery(features, labels, set_ids)], [cfg])[0]
+    return train([Gallery(features, labels, set_ids)], cfg, [cfg.seed])[0]
+
+
+def solve_one(between, total, target_dim, rng=None, start=None, max_iters=30, eps=1e-5):
+    """``trainer.solve_trace_ratio`` of one problem, a stack of one, from
+    ``start`` or else from a Gaussian draw of ``rng`` (seeded 0 when none);
+    the result holds the problem's projection and history."""
+    if start is None:
+        rng = np.random.default_rng(0) if rng is None else rng
+        start = rng.standard_normal((np.shape(total)[-1], target_dim))
+    result = solve_trace_ratio(
+        np.asarray(between)[None], np.asarray(total)[None], target_dim, np.asarray(start)[None],
+        max_iters, eps,
+    )
+    return TraceRatioResult(result.projection[0], result.ratio_history[0])
 
 
 def ids_of(bank):

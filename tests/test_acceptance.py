@@ -17,7 +17,6 @@ from setfuse.data import generate_synthetic
 from setfuse.descriptors import encode_sets
 from setfuse.experiment import run_experiment, train_on_sets
 from setfuse.gating import GatingParams, gating_weights
-from setfuse.trainer import solve_trace_ratio
 
 from helpers import (
     brute_force_scatters,
@@ -31,6 +30,7 @@ from helpers import (
     random_simplex_weights,
     random_spd,
     scatter_matrices,
+    solve_one,
     trace_ratio_objective,
 )
 from helpers import random_orthonormal as helper_orthonormal
@@ -199,7 +199,7 @@ def test_trace_ratio_solver():
     failures = []
 
     # closed-form 2x2 case, exact
-    result = solve_trace_ratio(np.diag([3.0, 1.0]), np.eye(2), 1)
+    result = solve_one(np.diag([3.0, 1.0]), np.eye(2), 1)
     v = result.projection[:, 0]
     if result.ratio_history[-1] != 3.0 or abs(v[0]) != 1.0 or v[1] != 0.0:
         failures.append(
@@ -215,7 +215,7 @@ def test_trace_ratio_solver():
         between = a @ a.T / dim
         total = between + c @ c.T / dim
         hist = np.asarray(
-            solve_trace_ratio(between, total, target, rng=rng).ratio_history
+            solve_one(between, total, target, rng=rng).ratio_history
         )
         drop = float(np.min(np.diff(hist))) if hist.size > 1 else 0.0
         if drop < -1e-10:
@@ -227,7 +227,7 @@ def test_trace_ratio_solver():
         c = rng.standard_normal((6, 7))
         between = a @ a.T / 6.0
         total = between + c @ c.T / 6.0
-        solved = solve_trace_ratio(between, total, 2, rng=rng).ratio_history[-1]
+        solved = solve_one(between, total, 2, rng=rng).ratio_history[-1]
         g = rng.standard_normal((100_000, 6, 2))
         q, _ = np.linalg.qr(g)
         num = np.einsum("nij,ik,nkj->n", q, between, q)

@@ -296,9 +296,9 @@ class TestDimensionSweep:
         calls = []  # one train call per width trains both of its splits
         real = experiment_module.train
 
-        def counting(galleries, cfgs):
-            calls.append([cfg.target_dim for cfg in cfgs])
-            return real(galleries, cfgs)
+        def counting(galleries, cfg, seeds):
+            calls.append([cfg.target_dim] * len(galleries))
+            return real(galleries, cfg, seeds)
 
         monkeypatch.setattr(experiment_module, "train", counting)
         sweep = run_dimension_sweep(small_sets(), fast_cfg(), target_dims=target_dims, n_splits=2)
@@ -503,6 +503,44 @@ class TestStackBudget:
         run_experiment(small_sets(), fast_cfg(), n_splits=4)
         assert stacks == want
 
+    def test_each_stack_is_scored_before_the_next_is_copied(self, monkeypatch):
+        # a row copies a stack's training rows (one ``Gallery`` per split),
+        # trains them with one call of at most ``stack_size`` galleries and
+        # scores every split of the stack before it copies the next stack's rows
+        events = []  # ("copy",), ("train", model ids) and ("score", model id)
+
+        def gallery(*args, _real=experiment_module.Gallery):
+            events.append(("copy",))
+            return _real(*args)
+
+        def training(galleries, *args, _real=experiment_module.train):
+            models = _real(galleries, *args)
+            events.append(("train", [id(m) for m in models]))
+            return models
+
+        def scoring(rows, model, _real=experiment_module.distance_profile):
+            events.append(("score", id(model)))
+            return _real(rows, model)
+
+        for name, spy in [("Gallery", gallery), ("train", training), ("distance_profile", scoring)]:
+            monkeypatch.setattr(experiment_module, name, spy)
+        sets = self.protocol_sets(10, 10)
+        cfg = TrainConfig(subspace_dim=5, target_dim=8, iters=2, seed=3)
+        run_experiment(sets, cfg, n_splits=10, train_per_class=5)
+        size = trainer_module.stack_size(50, [100, 100, 121])
+        trains = [k for k, e in enumerate(events) if e[0] == "train"]
+        assert len(trains) == -(-10 // size)
+        for k in trains:
+            models = events[k][1]
+            assert len(models) <= size
+            # the stack's rows were copied right before its train call ...
+            assert events[k - len(models) : k] == [("copy",)] * len(models)
+            # ... and each of its splits scores its 50 test sets before any further copy
+            following = events[k + 1 :]
+            until = next((j for j, e in enumerate(following) if e[0] == "copy"), len(following))
+            scored = [e[1] for e in following[:until]]
+            assert sorted(scored) == sorted(m for m in models for _ in range(50))
+
 
 class TestEncodeOncePerCall:
     def test_run_experiment(self, count_calls):
@@ -569,8 +607,8 @@ class TestOneProbePath:
         seen = []
         real = experiment_module.train
 
-        def recording(galleries, cfgs):
-            models = real(galleries, cfgs)
+        def recording(galleries, cfg, seeds):
+            models = real(galleries, cfg, seeds)
             seen.extend((g.features, model) for g, model in zip(galleries, models, strict=True))
             return models
 

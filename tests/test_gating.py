@@ -241,8 +241,8 @@ class TestPairCounts:
 
 class TestClassMeans:
     def test_one_channel_all_channels_and_a_stack_agree(self):
-        # one channel's call (m x N), the call over Q channels and a stack of
-        # galleries give the same bits, and the weighted class means
+        # one channel's call (1 x m x N), the call over Q channels and a stack
+        # of galleries give the same bits, and the weighted class means
         rng = np.random.default_rng(76)
         labels = random_labels(rng, 9)
         classes = class_layout(labels)
@@ -256,7 +256,7 @@ class TestClassMeans:
             stack_layouts([class_layout(other), classes]),
         )
         for q in range(3):
-            one = class_means(columns[q], w[q], classes)
+            one = [x[0] for x in class_means(columns[q : q + 1], w[q : q + 1], classes)]
             for got in (channels, (stacked[0][1], stacked[1][1])):
                 assert got[0][q].tobytes() == one[0].tobytes()
                 assert got[1][q].tobytes() == one[1].tobytes()

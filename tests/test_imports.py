@@ -219,3 +219,70 @@ def test_a_gram_is_built_only_by_train():
     # a model is its lifted rows: Grams live only inside training
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert callers(sources, "gram") == {("trainer", "train")}
+
+
+def defaulted_parameters(tree) -> list[tuple[str, str, int | None]]:
+    """``(function, parameter, position)`` of each parameter with a default,
+    in every function of a module, nested ones and methods included;
+    ``position`` is the index a call's positional argument takes (a method's
+    ``self`` or ``cls`` not counted), None for a keyword-only parameter."""
+    found = []
+    methods = {
+        id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+        if isinstance(f, ast.FunctionDef)
+        and not any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
+    }
+    for f in ast.walk(tree):
+        if not isinstance(f, ast.FunctionDef) or is_click_command(f):
+            continue
+        a = f.args
+        positional = [p.arg for p in a.posonlyargs + a.args][int(id(f) in methods):]
+        first = len(positional) - len(a.defaults)
+        found += [(f.name, p, k) for k, p in enumerate(positional) if k >= first]
+        found += [(f.name, p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+    return found
+
+
+def unpassed_defaults(sources: dict[str, str], exempt) -> list[str]:
+    """``function(parameter)`` of each parameter with a default that no call
+    in the modules passes, by keyword or by position; a call with ``*args``
+    or ``**kwargs`` passes every parameter. Calls match a function by name,
+    as ``callers`` does; functions named in ``exempt`` are skipped."""
+    trees = [ast.parse(source) for source in sources.values()]
+    passed = set()
+    for n in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(n, ast.Call):
+            name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in n.args) or any(
+                k.arg is None for k in n.keywords
+            ):
+                passed.add((name, "*"))
+            passed |= {(name, k.arg) for k in n.keywords} | {(name, k) for k in range(len(n.args))}
+    return [
+        f"{func}({param})"
+        for tree in trees
+        for func, param, position in defaulted_parameters(tree)
+        if func not in exempt and not passed & {(func, param), (func, position), (func, "*")}
+    ]
+
+
+def test_default_checker_flags_parameters_no_call_passes():
+    sources = {
+        "a": (
+            "def f(x, y=1, z=2, *, w=3): pass\n"
+            "def g(x=1): pass\n"
+            "def entry(n=1): pass\n"
+            "class C:\n"
+            "    def m(self, k=0, j=1): pass\n"
+            "    @staticmethod\n"
+            "    def s(k=0): pass\n"
+        ),
+        "b": "f(0, 1)\nf(0, z=5)\ng(*args)\nC().m(1)\nC.s()\n",
+    }
+    assert unpassed_defaults(sources, ["entry"]) == ["f(w)", "m(j)", "s(k)"]
+
+
+def test_every_default_is_passed_by_the_library():
+    # a parameter that only its default ever fills is one the library does not need
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unpassed_defaults(sources, [name for name, _ in ENTRY_POINTS]) == []

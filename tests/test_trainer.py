@@ -48,6 +48,7 @@ from helpers import (
     remove_null_space,
     rows,
     scatter_matrices,
+    solve_one,
     trace_ratio_objective,
     train_one,
 )
@@ -261,7 +262,7 @@ class TestRemoveNullSpace:
 
 class TestSolveTraceRatio:
     def test_two_by_two_closed_form(self):
-        result = solve_trace_ratio(np.diag([3.0, 1.0]), np.eye(2), 1)
+        result = solve_one(np.diag([3.0, 1.0]), np.eye(2), 1)
         assert abs(result.ratio_history[-1] - 3.0) <= 1e-12
         v = result.projection[:, 0]
         assert abs(abs(v[0]) - 1.0) <= 1e-10
@@ -276,7 +277,7 @@ class TestSolveTraceRatio:
             c = rng.standard_normal((dim, dim + 1))
             between = a @ a.T / dim
             total = between + c @ c.T / dim
-            result = solve_trace_ratio(between, total, target, rng=rng)
+            result = solve_one(between, total, target, rng=rng)
             hist = np.asarray(result.ratio_history)
             assert np.all(np.diff(hist) >= -1e-10)
 
@@ -287,7 +288,7 @@ class TestSolveTraceRatio:
         c = rng.standard_normal((dim, dim))
         between = a @ a.T / dim
         total = between + c @ c.T / dim
-        result = solve_trace_ratio(between, total, target, rng=rng)
+        result = solve_one(between, total, target, rng=rng)
         best = -np.inf
         for _ in range(2000):
             v = helper_orthonormal(rng, dim, target)
@@ -303,7 +304,7 @@ class TestSolveTraceRatio:
         c = rng.standard_normal((4, 4))
         between = a @ a.T
         total = between + c @ c.T
-        result = solve_trace_ratio(between, total, 4, rng=rng)
+        result = solve_one(between, total, 4, rng=rng)
         # with V square orthonormal the ratio is trace(B) / trace(T)
         expected = np.trace(between) / np.trace(total)
         assert abs(result.ratio_history[-1] - expected) <= 1e-10
@@ -314,7 +315,7 @@ class TestSolveTraceRatio:
         c = rng.standard_normal((6, 6))
         between = a @ a.T
         total = between + c @ c.T
-        result = solve_trace_ratio(between, total, 3, rng=rng)
+        result = solve_one(between, total, 3, rng=rng)
         small = result.projection.T @ total @ result.projection
         off = small - np.diag(np.diag(small))
         assert np.max(np.abs(off)) <= 1e-8 * np.max(np.abs(small))
@@ -325,10 +326,10 @@ class TestSolveTraceRatio:
         c = rng.standard_normal((8, 8))
         between = a @ a.T
         total = between + c @ c.T
-        cold = solve_trace_ratio(between, total, 3, max_iters=200, eps=0.0, rng=rng)
+        cold = solve_one(between, total, 3, max_iters=200, eps=0.0, rng=rng)
         # any basis of the optimal subspace, not orthonormal
         start = cold.projection @ rng.standard_normal((3, 3))
-        warm = solve_trace_ratio(between, total, 3, start=start)
+        warm = solve_one(between, total, 3, start=start)
         assert len(warm.ratio_history) == 2
         assert abs(warm.ratio_history[-1] - cold.ratio_history[-1]) <= 1e-12
         assert np.max(np.abs(warm.projection.T @ warm.projection - np.eye(3))) <= 1e-12
@@ -336,8 +337,8 @@ class TestSolveTraceRatio:
     def test_deterministic_given_seed(self):
         a = np.diag([5.0, 2.0, 1.0])
         t = np.eye(3)
-        r1 = solve_trace_ratio(a, t, 2, rng=np.random.default_rng(7))
-        r2 = solve_trace_ratio(a, t, 2, rng=np.random.default_rng(7))
+        r1 = solve_one(a, t, 2, rng=np.random.default_rng(7))
+        r2 = solve_one(a, t, 2, rng=np.random.default_rng(7))
         assert np.array_equal(r1.projection, r2.projection)
         assert r1.ratio_history == r2.ratio_history
 
@@ -377,7 +378,7 @@ def assert_trace_ratio_optimum(monkeypatch, bank, labels, cfg):
     model = train_one(bank.features, labels, ids_of(bank), cfg)
     scatter = scatter_matrices(bank, labels, seen[-1])
     basis, red_b, red_t = remove_null_space(scatter.within, scatter.between)
-    cold = solve_trace_ratio(
+    cold = solve_one(
         red_b, red_t, model.transform.shape[1], max_iters=200, eps=0.0,
         rng=np.random.default_rng(1),
     )
@@ -421,7 +422,7 @@ class TestTrain:
         span = gram_span(bank.grams)
         classes = class_layout(labels)
         scatter = trainer.scatter_matrices(span.columns, classes, weights)
-        itr = solve_trace_ratio(
+        itr = solve_one(
             scatter.between,
             scatter.total,
             min(cfg.target_dim, span.basis.shape[1]),
@@ -644,7 +645,7 @@ class TestStackedTraining:
 
     def test_each_gallery_trains_as_it_does_alone(self, monkeypatch, caplog):
         galleries = stacked_galleries()
-        cfgs = [TrainConfig(target_dim=3, iters=8, seed=s, learning_rate=100.0) for s in range(4)]
+        cfg = TrainConfig(target_dim=3, iters=8, learning_rate=100.0)
         # the third gallery climbs along its negated gradient, so each of its
         # steps lowers the objective and rolls back, and it stops at iteration 3
         descending = float(np.vecdot(galleries[2].features[0][0], galleries[2].features[0][0]))
@@ -672,13 +673,13 @@ class TestStackedTraining:
 
         monkeypatch.setattr(trainer, "projected_gradients", gradients)
         with caplog.at_level(logging.INFO, logger="setfuse.trainer"):
-            alone = [train([g], [c])[0] for g, c in zip(galleries, cfgs)]
+            alone = [train([g], cfg, [s])[0] for s, g in enumerate(galleries)]
             rolled_alone = sum("rolled back" in r.message for r in caplog.records)
             caplog.clear()
             for name, spy in [("_train_stack", stack_spy), ("gradient_ascent_step", step_spy),
                               ("solve_trace_ratio", solve_spy)]:
                 monkeypatch.setattr(trainer, name, spy)
-            stacked = train(galleries, cfgs)
+            stacked = train(galleries, cfg, range(4))
             rolled = sum("rolled back" in r.message for r in caplog.records)
 
         for a, m in zip(alone, stacked, strict=True):
