@@ -14,8 +14,8 @@ with the probe's gating weights and the gallery's the one read-out of lifted
 rows (``ModelState.gate``), and the distance the one training uses
 (``gating.squared_distances``); no Gram matrix or kernel column is formed.
 The prediction is the label of the closest gallery member (ties break to
-the lowest index). ``distance_profile`` scores lifted rows, so ``predict``
-and every test set of a split protocol take the same path.
+the lowest index). ``distance_profile`` scores a stack of probes' lifted
+rows, so ``predict`` (a stack of one) and each split's test sets take one path.
 """
 
 from __future__ import annotations
@@ -50,21 +50,20 @@ class Prediction:
 
 
 def distance_profile(rows, model: ModelState) -> np.ndarray:
-    """Gated projected distances from a probe, given as its lifted rows (one
-    per channel of ``model.config.descriptors``, from ``lift_features``), to
-    every gallery member.
+    """Gated projected distances (T x N) from T probes, given as their lifted
+    rows (one (T, D_q) array per channel of ``model.config.descriptors``, from
+    ``lift_features``), to every gallery member.
 
-    Each row f_q enters only through the channel's ``ProbeMap``: its gating
-    score ``f_q @ score`` plus the bias (``model.gate``), and its projection
-    ``projection @ f_q``, measured against the gallery's projections. This
-    costs O(target_dim * (D_q + n_train)) per channel and forms no kernel
-    column.
+    Each channel's rows enter only through its ``ProbeMap``: their gating
+    scores ``rows @ score`` plus the bias (``model.gate``), and their
+    projections ``projection @ rows.T``, measured against the gallery's
+    projections. This costs O(T * target_dim * (D_q + n_train)) per channel
+    and forms no kernel column.
     """
-    test_weights = model.gate(rows)
-    out = np.zeros(model.n_train, dtype=np.float64)
-    for q, (m, row) in enumerate(zip(model.probe_maps, rows)):
-        projected_test = m.projection @ row
-        sq = squared_distances(m.gallery, projected_test[:, None])[0]
+    test_weights = model.gate(rows)[..., None]
+    out = np.zeros((len(rows[0]), model.n_train), dtype=np.float64)
+    for q, (m, r) in enumerate(zip(model.probe_maps, rows)):
+        sq = squared_distances(m.gallery, m.projection @ r.T)
         out += test_weights[q] * sq * model.train_weights[q]
     return out
 
@@ -92,5 +91,5 @@ def predict(test: ImageSet, model: ModelState) -> Prediction:
     (one lift per channel) and classify it against the model's gallery."""
     check_probe(test, model)
     stack = encode_sets([test], model.config)
-    rows = [lift_features(stack, name)[0] for name in model.config.descriptors]
-    return nearest(distance_profile(rows, model), model)
+    rows = [lift_features(stack, name) for name in model.config.descriptors]
+    return nearest(distance_profile(rows, model)[0], model)

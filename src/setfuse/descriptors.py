@@ -16,6 +16,7 @@ any stack, and a single set is a stack of one.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,7 +33,9 @@ from .errors import (
     SetfuseError,
     TooFewSamples,
 )
-from .spd import check_symmetric, raise_first, regularize_spd, sym_eig
+from .spd import check_symmetric, raise_first, regularize_spd, sym_eig, trace_floored
+
+logger = logging.getLogger(__name__)
 
 # Eigenvalues below this fraction of the largest are treated as rank loss
 # when extracting a subspace basis.
@@ -197,7 +200,8 @@ def encode_sets(sets: Sequence[ImageSet], cfg) -> DescriptorStack:
     ``alpha`` and ``subspace_dim`` are read). Sets are stacked by sample count
     for their moments, and every later step is one stacked call; a set's
     descriptors are bit-identical alone and inside any stack. An error names
-    the first set at fault, ``set i ('<set_id>')``, as a set-by-set encoding would."""
+    the first set at fault, ``set i ('<set_id>')``, as a set-by-set encoding would.
+    One warning counts the sets ``regularize_spd`` floors and names the first."""
     d, n = common_dim(sets), len(sets)
     groups: dict[int, list[int]] = {}
     for i, s in enumerate(sets):
@@ -217,6 +221,12 @@ def encode_sets(sets: Sequence[ImageSet], cfg) -> DescriptorStack:
         if i:  # an earlier set may fail a later check; this raises naming it
             encode_sets(sets[:i], cfg)
         raise type(exc)(f"set {i} ({sets[i].set_id!r}): {exc}") from exc
+    floored = np.flatnonzero(trace_floored(np.trace(scatter, axis1=1, axis2=2), d))
+    if floored.size:
+        logger.warning(
+            "%d of %d sets have a zero-trace covariance, shifted by the trace floor; "
+            "the first is set %d (%r)", floored.size, n, floored[0], sets[floored[0]].set_id
+        )
     for a in (cov, basis, embedding):
         a.setflags(write=False)
     return DescriptorStack(cov, basis, embedding, tuple(s.set_id for s in sets))

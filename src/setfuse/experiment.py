@@ -8,14 +8,14 @@ A split protocol call (``run_experiment`` with its ablation rows, or
 ``run_dimension_sweep``) takes the list of ``ImageSet`` that ``train_on_sets``
 takes. It first checks its sets and every split, then encodes the sets with
 one ``encode_sets`` call and lifts the collection with one ``lift_features``
-call per channel into a read-only (N, D_q) array F. Every split trains on
-its training rows ``F[train_idx]`` and scores test set i with
-``classify.distance_profile`` of its rows ``F[i]``, so it reports what
-``train_on_sets`` and ``predict`` would give. The splits of a report row
-train in stacks of ``trainer.stack_size`` (``trainer.STACK_BYTES``), one
-``trainer.train`` call each, which trains the stack in lockstep; each
-split's model has the bits it gets alone. A row copies, trains and scores
-one stack at a time, so it holds one stack's training rows and models.
+call per channel into a read-only (N, D_q) array F. Every split trains on its
+training rows ``F[train_idx]`` and scores its test rows ``F[test_idx]`` with
+one ``classify.distance_profile`` call, so it reports what ``train_on_sets``
+and ``predict`` would give. The splits of a report row train in stacks of
+``trainer.stack_size`` (``trainer.STACK_BYTES``), one ``trainer.train`` call
+each, which trains the stack in lockstep; each split's model has the bits it
+gets alone. A row copies, trains and scores one stack at a time, so it holds
+one stack's training rows and models.
 """
 
 from __future__ import annotations
@@ -237,11 +237,9 @@ def _gallery(sets, lifted, names, split: _Split) -> Gallery:
 
 
 def _accuracy(sets, lifted, names, split: _Split, model: ModelState) -> float:
-    """The share of a split's test sets whose rows ``model`` labels right."""
-    hits = 0
-    for i in split.test:
-        rows = [lifted[name][i] for name in names]
-        hits += nearest(distance_profile(rows, model), model).label == sets[i].label
+    """The share of a split's test sets whose stacked rows ``model`` labels right."""
+    profile = distance_profile([lifted[name][split.test] for name in names], model)
+    hits = sum(nearest(d, model).label == sets[i].label for i, d in zip(split.test, profile))
     return hits / len(split.test)
 
 

@@ -20,17 +20,17 @@ collection of a split protocol call, whose splits then slice their training
 rows from it. These arrays are a channel's one representation: a model
 (``trainer.ModelState``) holds them and derives everything else from them,
 and only ``trainer.train`` builds Gram matrices, with ``gram`` and
-``gram_scale``. Every Gram entry is the one dot ``np.vecdot(rows, row)`` in
-``_frobenius``. It computes each row's dot the same way wherever the row
-sits, so a Gram, built column by column with its lower triangle mirrored
-up, is exactly symmetric, and the same dot of a gallery member's row
-against the gallery reproduces that member's Gram column bit for bit. The
-bits of a dot depend on the layout of its rows (a strided row takes another
-summation path), so every lifted row is C-contiguous: ``lift_features``
-returns C order, and ``train`` and ``ModelState`` keep features in C order
-(a loaded model's included). A probe is never scored by kernel columns:
-prediction reads its lifted rows through linear maps of the gallery
-features (``trainer.ProbeMap``).
+``gram_scale``. Every Gram entry is the one dot ``np.vecdot(rows, row)``.
+It computes each row's dot the same way wherever the row sits, so a Gram,
+built column by column with its lower triangle mirrored up, is exactly
+symmetric, and the same dot of a gallery member's row against the gallery
+reproduces that member's Gram column bit for bit. The bits of a dot depend
+on the layout of its rows (a strided row takes another summation path), so
+every lifted row is C-contiguous, and then a row gives the same dot alone
+or inside its array: ``lift_features`` returns C order, and ``train`` and
+``ModelState`` keep features in C order (a loaded model's included). A
+probe is never scored by kernel columns: prediction reads its lifted rows
+through linear maps of the gallery features (``trainer.ProbeMap``).
 """
 
 from __future__ import annotations
@@ -45,16 +45,6 @@ from .spd import spd_log
 
 # Gram traces at or below this value cannot be normalized against.
 NORMALIZATION_TRACE_FLOOR = 1e-12
-
-
-def _frobenius(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Dot product of ``row`` with each lifted row.
-
-    ``np.vecdot`` is the one dot of every kernel value. Its bits depend on
-    the layout of the rows, not on where a row sits, so callers pass
-    C-contiguous rows: then a row gives the same dot alone or inside ``rows``.
-    """
-    return np.vecdot(rows, row)
 
 
 def _projector(basis: np.ndarray) -> np.ndarray:
@@ -107,7 +97,7 @@ def gram_scale(features: np.ndarray, normalize: bool) -> float:
     norms (the Gram diagonal's dots), so a scaled Gram has trace N; else 1.0."""
     if not normalize:
         return 1.0
-    tr = float(np.sum(_frobenius(features, features)))
+    tr = float(np.sum(np.vecdot(features, features)))
     if tr <= NORMALIZATION_TRACE_FLOOR:
         raise NormalizationDegenerate(f"gram trace {tr:.3e} too small to normalize")
     return features.shape[0] / tr
@@ -119,7 +109,7 @@ def gram(features: np.ndarray, scale: float) -> np.ndarray:
     n = features.shape[0]
     k = np.empty((n, n), dtype=np.float64)
     for j in range(n):
-        col = _frobenius(features[j:], features[j])
+        col = np.vecdot(features[j:], features[j])
         k[j:, j] = col
         k[j, j:] = col
     k *= scale

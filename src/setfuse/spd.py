@@ -106,18 +106,22 @@ def spd_log(c) -> np.ndarray:
     return 0.5 * (out + out.swapaxes(-1, -2))
 
 
+def trace_floored(tr: np.ndarray, d: int) -> np.ndarray:
+    """Mask of the traces of d x d matrices that take ``regularize_spd``'s floor."""
+    return tr <= TRACE_EPS_FLOOR * d
+
+
 def regularize_spd(c, alpha: float) -> np.ndarray:
     """Shift a symmetric PSD matrix, or each of a stack, onto the SPD cone.
 
     Adds ``trace(c) / alpha`` times the identity. When the trace is at or
     below ``TRACE_EPS_FLOOR * d`` (e.g. the zero matrix from a constant image
     set) the shift falls back to the absolute floor ``TRACE_EPS_FLOOR`` so the
-    output is still usable downstream. ``alpha`` is positive, as ``TrainConfig``
-    checks it; ``inf`` is a no-op sentinel for direct callers (tests) that
-    need the raw estimate.
+    output is still usable downstream (``encode_sets`` logs the sets it
+    floors). ``alpha`` is positive, as ``TrainConfig`` checks it; ``inf`` is a
+    no-op sentinel for direct callers (tests) that need the raw estimate.
     """
     a = check_symmetric(c)
-    d = a.shape[-1]
     tr = np.trace(a, axis1=-2, axis2=-1)
-    shift = np.where(tr <= TRACE_EPS_FLOOR * d, TRACE_EPS_FLOOR, tr / float(alpha))
-    return a + shift[..., None, None] * np.eye(d)
+    shift = np.where(trace_floored(tr, a.shape[-1]), TRACE_EPS_FLOOR, tr / float(alpha))
+    return a + shift[..., None, None] * np.eye(a.shape[-1])

@@ -227,10 +227,9 @@ class ModelState:
         return tuple(out)
 
     def gate(self, rows) -> np.ndarray:
-        """Gating weights of lifted rows, one array per channel:
-        ``softmax_q(rows_q @ score_q + biases[q])`` with each channel's
-        ``ProbeMap.score``. Q weights for one probe's rows (D_q each), Q x N
-        for N rows per channel (N x D_q each)."""
+        """Gating weights (Q x T) of T stacked lifted rows, one (T, D_q) array
+        per channel: ``softmax_q(rows_q @ score_q + biases[q])`` with each
+        channel's ``ProbeMap.score``."""
         scores = [r @ m.score + b for m, r, b in zip(self.probe_maps, rows, self.gating.biases)]
         return softmax_columns(np.array(scores))
 

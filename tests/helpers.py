@@ -168,19 +168,19 @@ def rows(stack, index):
 
 
 def probe_rows(probe, descriptors):
-    """A probe's lifted row per channel in ``descriptors``, from a stack of
-    one set, as ``predict`` lifts it: the rows ``distance_profile`` and
-    ``columns_from_rows`` score."""
-    return [lift_features(probe, name)[0] for name in descriptors]
+    """A probe's lifted rows per channel in ``descriptors``, a (1, D_q) stack
+    of one from a stack of one set, as ``predict`` lifts it: the rows
+    ``distance_profile`` and ``columns_from_rows`` score."""
+    return [lift_features(probe, name) for name in descriptors]
 
 
 def columns_from_rows(bank, rows):
-    """Scaled kernel columns of a probe's lifted rows against ``bank`` (a
-    ``Bank`` or a model: its ``features`` and ``scales``), one per channel
-    and each as wide as the gallery, from the dot every Gram entry is built
-    with (``np.vecdot`` over C-contiguous rows): the oracle of the invariant
-    that a gallery member sent as a probe reproduces its Gram column bit
-    for bit."""
+    """Scaled kernel columns of a probe's lifted rows (one D_q row, or a stack
+    of one, per channel) against ``bank`` (a ``Bank`` or a model: its
+    ``features`` and ``scales``), one per channel and each as wide as the
+    gallery, from the dot every Gram entry is built with (``np.vecdot`` over
+    C-contiguous rows): the oracle of the invariant that a gallery member
+    sent as a probe reproduces its Gram column bit for bit."""
     return [
         np.vecdot(f, np.ascontiguousarray(row)) * s
         for row, f, s in zip(rows, bank.features, bank.scales)

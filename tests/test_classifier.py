@@ -1,5 +1,6 @@
 """Classifier tests: distance profiles and nearest-neighbor prediction."""
 
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -7,9 +8,13 @@ import pytest
 
 from setfuse.classify import Prediction, distance_profile, predict
 from setfuse.config import TrainConfig
+from setfuse.data import generate_synthetic
 from setfuse.descriptors import ImageSet, encode_sets
 from setfuse.errors import BadSpec
+from setfuse.experiment import train_on_sets
 from setfuse.gating import softmax_columns
+from setfuse.kernels import lift_features
+from setfuse.persistence import load_model, save_model
 
 from helpers import (
     build_kernel_bank,
@@ -60,11 +65,17 @@ def naive_distance(test, model, gallery, i):
     return total
 
 
+def profile_of(probe, model):
+    """The distance profile of a probe (a stack of one set's descriptors):
+    row 0 of ``distance_profile`` of its stack of one per channel."""
+    return distance_profile(probe_rows(probe, model.config.descriptors), model)[0]
+
+
 class TestDistanceProfile:
     def test_gallery_member_is_closest_to_itself(self):
         model, _, gallery = trained_model(110)
         for i in (0, 4, 8):
-            profile = distance_profile(probe_rows(rows(gallery, i), model.config.descriptors), model)
+            profile = profile_of(rows(gallery, i), model)
             assert int(np.argmin(profile)) == i
             assert profile[i] <= 1e-9
 
@@ -74,7 +85,7 @@ class TestDistanceProfile:
             model, _, gallery = trained_model(111, normalize=normalize)
             assert all((s != 1.0) == normalize for s in model.scales)
             probe = rows(gallery, 2)
-            profile = distance_profile(probe_rows(probe, model.config.descriptors), model)
+            profile = profile_of(probe, model)
             scale = max(1.0, float(np.max(np.abs(profile))))
             for i in range(model.n_train):
                 assert abs(profile[i] - naive_distance(probe, model, gallery, i)) <= 1e-10 * scale
@@ -85,14 +96,13 @@ class TestDistanceProfile:
         probe = ImageSet(
             features=rng.standard_normal((6, 14)), label="?", set_id="probe"
         )
-        lifted = probe_rows(encode_sets([probe], model.config), model.config.descriptors)
-        profile = distance_profile(lifted, model)
+        profile = profile_of(encode_sets([probe], model.config), model)
         assert np.all(profile >= -1e-12)
 
     def test_zero_transform_gives_zero_profile(self):
         model, _, gallery = trained_model(113)
         zeroed = replace(model, transform=np.zeros_like(model.transform))
-        profile = distance_profile(probe_rows(rows(gallery, 0), zeroed.config.descriptors), zeroed)
+        profile = profile_of(rows(gallery, 0), zeroed)
         assert np.array_equal(profile, np.zeros(model.n_train))
 
     def test_probe_weights_sum_to_one_effect(self):
@@ -102,8 +112,8 @@ class TestDistanceProfile:
             coeffs=model.gating.coeffs, biases=model.gating.biases + 3.0
         )
         shifted = replace(model, gating=shifted_gating)
-        a = distance_profile(probe_rows(rows(gallery, 1), model.config.descriptors), model)
-        b = distance_profile(probe_rows(rows(gallery, 1), shifted.config.descriptors), shifted)
+        a = profile_of(rows(gallery, 1), model)
+        b = profile_of(rows(gallery, 1), shifted)
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, float(np.max(np.abs(a))))
 
 
@@ -130,7 +140,7 @@ class TestPredict:
         model, _, gallery = trained_model(120)
         flat = replace(model, transform=np.zeros_like(model.transform))
         # zero transform makes every distance zero, an N-way tie
-        pred_profile = distance_profile(probe_rows(rows(gallery, 5), flat.config.descriptors), flat)
+        pred_profile = profile_of(rows(gallery, 5), flat)
         assert np.array_equal(pred_profile, np.zeros(model.n_train))
         idx = int(np.argmin(pred_profile))
         assert idx == 0
@@ -145,6 +155,20 @@ class TestPredict:
         assert pred.label == model.labels[pred.nearest_index]
         assert not pred.distances.flags.writeable
 
+    def test_constant_sets_train_and_predict_with_a_warning(self, caplog):
+        # a constant set's covariance takes the trace floor, which is logged
+        sets = generate_synthetic(
+            classes=2, sets_per_class=4, dim=5, samples=10, separation=3.0, seed=123
+        )
+        flat = ImageSet(features=np.ones((5, 10)), label=sets[0].label, set_id="flat")
+        with caplog.at_level(logging.WARNING, logger="setfuse"):
+            model = train_on_sets(sets + [flat], TrainConfig(subspace_dim=1, target_dim=2, iters=2))
+            predict(ImageSet(features=np.full((5, 8), 2.0), label="?", set_id="probe"), model)
+        assert [r.getMessage().rsplit("; ", 1)[1] for r in caplog.records] == [
+            "the first is set 8 ('flat')",
+            "the first is set 0 ('probe')",
+        ]
+
     @pytest.mark.parametrize(
         "probe",
         [np.ones((6, 12)), None, "probe.csv"],
@@ -154,3 +178,43 @@ class TestPredict:
         model, _, _ = trained_model(122)
         with pytest.raises(BadSpec, match="ImageSet"):
             predict(probe, model)
+
+
+class TestStackedProbes:
+    """A stack of T probes, scored with one ``distance_profile`` call, agrees
+    with the same probes scored one at a time, and a stack of one is what
+    ``predict`` gives; on a trained model and on its saved-and-loaded copy."""
+
+    @pytest.fixture(params=["in-memory", "loaded"])
+    def stacked(self, request, tmp_path):
+        sets = generate_synthetic(
+            classes=4, sets_per_class=10, dim=12, samples=20, separation=3.0, seed=130
+        )
+        gallery, probes = sets[::2], sets[1::2]
+        cfg = TrainConfig(subspace_dim=3, target_dim=4, iters=3, seed=130)
+        model = train_on_sets(gallery, cfg)
+        if request.param == "loaded":
+            save_model(model, tmp_path / "m")
+            model = load_model(tmp_path / "m")
+        stack = encode_sets(probes, model.config)
+        rows = [lift_features(stack, name) for name in model.config.descriptors]
+        return model, probes, rows
+
+    def test_a_stack_agrees_with_one_probe_at_a_time(self, stacked):
+        model, probes, rows = stacked
+        profile = distance_profile(rows, model)
+        assert profile.shape == (len(probes), model.n_train)
+        for t, s in enumerate(probes):
+            one = distance_profile([r[t : t + 1] for r in rows], model)[0]
+            assert int(np.argmin(profile[t])) == int(np.argmin(one))
+            assert np.max(np.abs(profile[t] - one)) <= 1e-13 * np.max(one)
+            # a stack of one is what predict scores, bit for bit
+            assert np.array_equal(one, predict(s, model).distances)
+
+    def test_every_gallery_member_probes_to_itself_in_one_call(self, stacked):
+        # the bound of perfbench's self-probe check, for every member at once
+        model, _, _ = stacked
+        profile = distance_profile(model.features, model)
+        for i, d in enumerate(profile):
+            assert int(np.argmin(d)) == i
+            assert d[i] <= 1e-12 * max(float(np.median(d)), 1.0)

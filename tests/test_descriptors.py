@@ -1,5 +1,7 @@
 """Descriptor tests: covariance, subspace, Gaussian embedding, full encoding."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -324,6 +326,29 @@ class TestEncodeSets:
             assert np.array_equal(stack.basis[i], basis)
             assert np.array_equal(stack.embedding[i], embedding)
             assert np.array_equal(embedding, embed_gaussian(s.features.mean(axis=1), cov))
+
+    def test_floored_covariances_are_logged_once_per_call(self, caplog):
+        # two constant sets take the trace floor: one warning counts them and
+        # names the first, and every set keeps the bits it gets alone
+        rng = np.random.default_rng(29)
+        sets = [random_image_set(rng, d=4, n=6, set_id=f"s{i}") for i in range(5)]
+        sets[1] = make_set(np.ones((4, 6)), set_id="flat1")
+        sets[3] = make_set(np.full((4, 6), 2.0), set_id="flat3")
+        cfg = TrainConfig(subspace_dim=1)
+        with caplog.at_level(logging.DEBUG, logger="setfuse"):
+            stack = encode_sets(sets, cfg)
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [(
+            logging.WARNING,
+            "2 of 5 sets have a zero-trace covariance, shifted by the trace floor; "
+            "the first is set 1 ('flat1')",
+        )]
+        for i, s in enumerate(sets):
+            assert np.array_equal(stack.cov[i], encode_one(s, cfg)[0])
+        assert np.array_equal(stack.cov[1], 1e-8 * np.eye(4))
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="setfuse"):
+            encode_sets([sets[0], sets[2], sets[4]], cfg)
+        assert caplog.records == []
 
     def test_embed_gaussian_takes_a_stack(self):
         rng = np.random.default_rng(27)

@@ -506,8 +506,9 @@ class TestStackBudget:
     def test_each_stack_is_scored_before_the_next_is_copied(self, monkeypatch):
         # a row copies a stack's training rows (one ``Gallery`` per split),
         # trains them with one call of at most ``stack_size`` galleries and
-        # scores every split of the stack before it copies the next stack's rows
-        events = []  # ("copy",), ("train", model ids) and ("score", model id)
+        # scores every split of the stack, its test rows in one call, before it
+        # copies the next stack's rows
+        events = []  # ("copy",), ("train", model ids), ("score", model id, probe count)
 
         def gallery(*args, _real=experiment_module.Gallery):
             events.append(("copy",))
@@ -519,7 +520,7 @@ class TestStackBudget:
             return models
 
         def scoring(rows, model, _real=experiment_module.distance_profile):
-            events.append(("score", id(model)))
+            events.append(("score", id(model), len(rows[0])))
             return _real(rows, model)
 
         for name, spy in [("Gallery", gallery), ("train", training), ("distance_profile", scoring)]:
@@ -535,11 +536,12 @@ class TestStackBudget:
             assert len(models) <= size
             # the stack's rows were copied right before its train call ...
             assert events[k - len(models) : k] == [("copy",)] * len(models)
-            # ... and each of its splits scores its 50 test sets before any further copy
+            # ... and each of its splits scores its 50 test sets, in one call,
+            # before any further copy
             following = events[k + 1 :]
             until = next((j for j, e in enumerate(following) if e[0] == "copy"), len(following))
-            scored = [e[1] for e in following[:until]]
-            assert sorted(scored) == sorted(m for m in models for _ in range(50))
+            scored = [e[1:] for e in following[:until]]
+            assert sorted(scored) == sorted((m, 50) for m in models)
 
 
 class TestEncodeOncePerCall:
@@ -567,13 +569,13 @@ class TestEncodeOncePerCall:
 
 @pytest.fixture
 def count_profiles(monkeypatch):
-    """The probe row counts of every ``classify.distance_profile`` call,
-    wherever the library binds it."""
+    """The channel and probe counts, ``(len(rows), len(rows[0]))``, of every
+    ``classify.distance_profile`` call, wherever the library binds it."""
     calls = []
     real = classify_module.distance_profile
 
     def counting(rows, model):
-        calls.append(len(rows))
+        calls.append((len(rows), len(rows[0])))
         return real(rows, model)
 
     for mod in (classify_module, experiment_module):
@@ -582,23 +584,21 @@ def count_profiles(monkeypatch):
 
 
 class TestOneProbePath:
-    """``predict`` and every test set of a split protocol score a probe with
-    one ``distance_profile`` call on its lifted rows."""
+    """``predict`` scores its probe, a stack of one, and every split of a split
+    protocol its stack of test sets, with one ``distance_profile`` call."""
 
     def test_predict_calls_distance_profile_once(self, count_profiles):
         sets = generate_synthetic(**small_source())
         model = train_on_sets(sets[:9], fast_cfg())
         for s in sets[9:]:
             predict(s, model)
-        assert count_profiles == [3] * 3
+        assert count_profiles == [(3, 1)] * 3
 
     @pytest.mark.parametrize("ablate", [False, True], ids=["combined", "ablate"])
-    def test_one_call_per_test_set_per_split(self, count_profiles, ablate):
+    def test_one_call_per_split(self, count_profiles, ablate):
         report = run_experiment(small_sets(), fast_cfg(), n_splits=3, ablate=ablate)
         rows = report.ablation.values() if ablate else [report]
-        want = [
-            len(r.config.descriptors) for r in rows for s in r.splits for _ in range(s.n_test)
-        ]
+        want = [(len(r.config.descriptors), s.n_test) for r in rows for s in r.splits]
         assert sorted(count_profiles) == sorted(want)
 
     def test_split_training_rows_are_kept_by_the_bank(self, monkeypatch):

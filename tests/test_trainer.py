@@ -398,7 +398,8 @@ class TestTrain:
         from setfuse.classify import distance_profile
 
         for i in range(12):
-            assert int(np.argmin(distance_profile(probe_rows(rows(gallery, i), bank.descriptors), model))) == i
+            profile = distance_profile(probe_rows(rows(gallery, i), bank.descriptors), model)[0]
+            assert int(np.argmin(profile)) == i
 
     def test_objective_does_not_collapse(self):
         rng = np.random.default_rng(96)
