@@ -12,10 +12,13 @@ call per channel into a read-only (N, D_q) array F. Every split trains on its
 training rows ``F[train_idx]`` and scores its test rows ``F[test_idx]`` with
 one ``classify.distance_profile`` call, so it reports what ``train_on_sets``
 and ``predict`` would give. The splits of a report row train in stacks of
-``trainer.stack_size`` (``trainer.STACK_BYTES``), one ``trainer.train`` call
-each, which trains the stack in lockstep; each split's model has the bits it
-gets alone. A row copies, trains and scores one stack at a time, so it holds
-one stack's training rows and models.
+``trainer.stack_size`` (``trainer.STACK_BYTES``, which counts the training
+rows a stack copies), one ``trainer.train`` call each, which trains the
+stack in lockstep; each split's model has the bits it gets alone. Ten
+splits of N=50, d=10 galleries form one stack, at d=32 stacks of two, and
+at N=250 or d >= 64 every split trains alone. A row copies, trains and
+scores one stack at a time, so it holds one stack's training rows and
+models.
 """
 
 from __future__ import annotations

@@ -34,9 +34,12 @@ the bits it gets alone. The per-problem control flow (trace-ratio updates,
 step halvings and rollback, the early stop) runs on the problems it
 concerns. ``train`` groups the galleries it is given by span rank and class
 count; the split protocol gives it as many at a time as ``STACK_BYTES``
-allows (``stack_size``): stacking pays for small galleries, whose
-iterations are many small numpy calls, and is left out for large ones,
-whose calls are long already.
+allows (``stack_size``, which counts each gallery's lifted rows, Grams,
+span columns and basis): stacking pays for small galleries, whose
+iterations are many small numpy calls, so a ten-split row of N=50, d=10
+galleries trains as one stack; it is left out for large galleries
+(N=250), whose calls are long already, and for wide ones (d >= 64 at
+N=50), whose rows would multiply the memory.
 
 Gram matrices exist only inside ``train``: it builds each channel's scaled
 Gram from the gallery's lifted rows (``kernels.gram``) and drops them when
@@ -462,24 +465,27 @@ class Gallery(NamedTuple):
     set_ids: Sequence[str]
 
 
-# Bytes of per-problem state (Grams, span columns and span basis, as
-# ``stack_size`` counts them) that one training stack may hold. A stack
-# shares each numpy call of an iteration among its problems, which pays
-# while those calls are small: at N=50 a problem holds about 140 KB, and
-# stacks of 4 train the split protocol's ten splits about a third faster
-# for 6 % more peak memory (stacks of 5, 7 and 10: 8, 9 and 13 %). At N=250
-# (about 3.5 MB) ten splits train little faster stacked, at nearly twice
-# the peak memory, so they train one at a time.
-STACK_BYTES = 640 * 1024
+# Bytes of per-problem state (lifted rows, Grams, span columns and span
+# basis, as ``stack_size`` counts them) that one training stack may hold. A
+# stack shares each numpy call of an iteration among its problems, which
+# pays while those calls are small: an outer iteration has a fixed numpy-call
+# cost of about 0.8 ms however few problems share it. At N=50, d=10 a
+# problem holds about 270 KB, so a split protocol row of ten splits trains
+# as one stack, about 15 % faster than stacks of 4 for about 7.5 % more peak
+# memory. At N=250 (about 4.1 MB) or d >= 64 (about 5 MB of rows at N=50)
+# stacking saves little and costs memory in proportion, so those galleries
+# train one at a time.
+STACK_BYTES = 3 * 1024 * 1024
 
 
 def stack_size(n: int, widths: Sequence[int]) -> int:
     """Galleries of N sets, lifted to ``widths`` (the D_q), per training
     stack: as many as fit ``STACK_BYTES``, and at least one. A problem
-    holds Q float64 Grams (N x N), Q span columns (r x N) and a span basis
-    (N x r), with r = min(N, sum D_q) bounding its span rank."""
+    holds its lifted rows (N x sum D_q), Q float64 Grams (N x N), Q span
+    columns (r x N) and a span basis (N x r), with r = min(N, sum D_q)
+    bounding its span rank."""
     r = min(n, sum(widths))
-    problem_bytes = 8 * (len(widths) * n * (n + r) + n * r)
+    problem_bytes = 8 * (n * sum(widths) + len(widths) * n * (n + r) + n * r)
     return max(1, STACK_BYTES // problem_bytes)
 
 

@@ -497,11 +497,29 @@ class TestStackBudget:
         assert trainer_module.stack_size(250, [100, 100, 121]) == 1
         assert stacks == [1, 1]
 
+    @pytest.mark.parametrize(
+        "n, dim, per_row",
+        [(50, 10, 10), (250, 10, 1), (50, 32, 2), (50, 200, 1)],
+        ids=["N50-d10", "N250-d10", "N50-d32", "N50-d200"],
+    )
+    def test_the_budget_counts_the_gallery_rows(self, n, dim, per_row):
+        # a problem's lifted rows (N x sum D_q) count with its Grams, span
+        # columns and basis: at d=200 the rows of one N=50 gallery take 48 MB
+        widths = [kernels_module.lift_width(name, dim) for name in kernels_module.DESCRIPTOR_NAMES]
+        # the galleries of a ten-split row that one stack holds
+        assert min(trainer_module.stack_size(n, widths), 10) == per_row
+
     @pytest.mark.parametrize("budget, want", [(0, [1] * 4), (10**9, [4])], ids=["none", "ample"])
     def test_the_budget_sets_the_stacks(self, monkeypatch, stacks, budget, want):
         monkeypatch.setattr(trainer_module, "STACK_BYTES", budget)
-        run_experiment(small_sets(), fast_cfg(), n_splits=4)
+        report = run_experiment(small_sets(), fast_cfg(), n_splits=4)
         assert stacks == want
+        # the stack depth never moves a result: the other budget reads alike
+        monkeypatch.setattr(trainer_module, "STACK_BYTES", 10**9 - budget)
+        other = run_experiment(small_sets(), fast_cfg(), n_splits=4)
+        for split, alike in zip(report.splits, other.splits, strict=True):
+            assert split.accuracy == alike.accuracy
+            assert split.objective_trace == alike.objective_trace
 
     def test_each_stack_is_scored_before_the_next_is_copied(self, monkeypatch):
         # a row copies a stack's training rows (one ``Gallery`` per split),
@@ -525,15 +543,16 @@ class TestStackBudget:
 
         for name, spy in [("Gallery", gallery), ("train", training), ("distance_profile", scoring)]:
             monkeypatch.setattr(experiment_module, name, spy)
+        # room for four of these N=50, d=10 problems (about 270 KB each), so
+        # the row's ten splits form several stacks
+        monkeypatch.setattr(trainer_module, "STACK_BYTES", 1_100_000)
         sets = self.protocol_sets(10, 10)
         cfg = TrainConfig(subspace_dim=5, target_dim=8, iters=2, seed=3)
         run_experiment(sets, cfg, n_splits=10, train_per_class=5)
-        size = trainer_module.stack_size(50, [100, 100, 121])
         trains = [k for k, e in enumerate(events) if e[0] == "train"]
-        assert len(trains) == -(-10 // size)
+        assert [len(events[k][1]) for k in trains] == [4, 4, 2]
         for k in trains:
             models = events[k][1]
-            assert len(models) <= size
             # the stack's rows were copied right before its train call ...
             assert events[k - len(models) : k] == [("copy",)] * len(models)
             # ... and each of its splits scores its 50 test sets, in one call,

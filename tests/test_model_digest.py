@@ -23,6 +23,7 @@ CASES = [
     ("experiment_capped", ("model", "saved")),
     ("experiment_learning_rate_1", ("model", "saved")),
     ("experiment_interleaved", ("model", "saved")),
+    ("experiment_d32", ("model", "saved")),
 ]
 # the split protocol cases save no model
 UNSAVED = {
@@ -31,6 +32,7 @@ UNSAVED = {
     "experiment_capped",
     "experiment_learning_rate_1",
     "experiment_interleaved",
+    "experiment_d32",
 }
 
 

@@ -29,10 +29,11 @@ wall-clock ``train_seconds``, of every report it returns:
 ``dimension_sweep`` one report per projection width,
 ``experiment_capped`` one report on sets short enough to cap
 ``subspace_dim``, ``experiment_learning_rate_1`` one report at
-``learning_rate=1.0`` (its splits stop early) and ``experiment_interleaved``
+``learning_rate=1.0`` (its splits stop early), ``experiment_interleaved``
 one report on the sets reordered so that their classes interleave (each
-split's gallery then orders its classes its own way). BLAS is pinned to
-one thread, because the thread count changes the bits.
+split's gallery then orders its classes its own way) and ``experiment_d32``
+one report on ten splits of N=50 galleries at set dimension 32. BLAS is
+pinned to one thread, because the thread count changes the bits.
 """
 
 from __future__ import annotations
@@ -184,6 +185,14 @@ def _cases(sf, workdir: Path):
         ("model", _reports_digest({"combined": report})),
         ("saved", None),
     )
+
+    # ten splits of N=50 galleries at d=32, whose lifted rows make each
+    # problem about 1.4 MB, so they train in several stacks
+    sets = sf.generate_synthetic(
+        classes=10, sets_per_class=10, dim=32, samples=40, separation=3.0, seed=3
+    )
+    report = sf.run_experiment(sets, cfg(3), n_splits=10, train_per_class=5)
+    yield "experiment_d32", (("model", _reports_digest({"combined": report})), ("saved", None))
 
 
 def main() -> None:
