@@ -30,9 +30,11 @@ or one gallery, a stack of one. It is the one form of every function an
 iteration calls (``scatter_matrices``, ``solve_trace_ratio`` and the
 ``gating`` ones): each takes a leading problem axis, so each numpy call of
 an iteration serves every problem still training, and each problem gets
-the bits it gets alone. The per-problem control flow (trace-ratio updates,
-step halvings and rollback, the early stop) runs on the problems it
-concerns. ``train`` groups the galleries it is given by span rank and class
+the bits it gets alone. A problem leaves the stack only when its result
+is final: ``solve_trace_ratio`` drops the problems that stop moving and
+``_train_stack`` the galleries that stop early, while every line-search try
+steps the whole stack, a problem whose try was accepted repeating it bit
+for bit. ``train`` groups the galleries it is given by span rank and class
 count; the split protocol gives it as many at a time as ``STACK_BYTES``
 allows (``stack_size``, which counts each gallery's lifted rows, Grams,
 span columns and basis): stacking pays for small galleries, whose
@@ -667,34 +669,20 @@ def _line_search(params, weights, grads, objective, projected, grams, classes, r
     """Each problem's accepted gating step and its weights: the step from
     ``rate``, halved while the objective there falls below ``objective``,
     up to ``MAX_STEP_HALVINGS`` times, and rolled back entirely when it
-    still falls. Each try evaluates the problems still searching."""
-    every = np.arange(len(objective))
-    searching = every
+    still falls. Every try steps the whole stack: a problem whose objective
+    did not fall keeps its step, so it repeats its accepted try bit for bit
+    while the others halve theirs."""
     step = np.full(len(objective), float(rate))
-    accepted = None  # coeffs, biases and weights, once a problem must wait for others
     for _ in range(MAX_STEP_HALVINGS + 1):
-        # while every problem searches, the arrays themselves; then copies of rows
-        if searching is every:
-            rows, start, layout = slice(None), params, classes
-        else:
-            rows, layout = searching, classes.take(searching)
-            start = GatingParams(params.coeffs[rows], params.biases[rows])
-        trial = gradient_ascent_step(start, (grads[0][rows], grads[1][rows]), step[rows])
-        trial_weights = gating_weights(grams[rows], trial)
-        falls = _evaluate(projected[rows], trial_weights, layout)[0] < objective[rows]
-        if accepted is None:
-            if not falls.any():
-                return trial, trial_weights
-            accepted = (params.coeffs.copy(), params.biases.copy(), weights.copy())
-        done = ~falls
-        for out, a in zip(accepted, (trial.coeffs, trial.biases, trial_weights)):
-            out[searching[done]] = a[done]
-        step[searching[falls]] *= 0.5
-        if done.any():
-            searching = searching[falls]
-        if not searching.size:
-            break
-    else:
-        for _ in range(searching.size):
-            logger.info("iteration %d: gating step rolled back entirely", it)
-    return GatingParams(accepted[0], accepted[1]), accepted[2]
+        trial = gradient_ascent_step(params, grads, step)
+        trial_weights = gating_weights(grams, trial)
+        falls = _evaluate(projected, trial_weights, classes)[0] < objective
+        if not falls.any():
+            return trial, trial_weights
+        step[falls] *= 0.5
+    for _ in range(np.count_nonzero(falls)):
+        logger.info("iteration %d: gating step rolled back entirely", it)
+    return GatingParams(
+        np.where(falls[:, None, None], params.coeffs, trial.coeffs),
+        np.where(falls[:, None], params.biases, trial.biases),
+    ), np.where(falls[:, None, None], weights, trial_weights)

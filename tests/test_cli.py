@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -102,6 +103,43 @@ class TestTrain:
              "--descriptors", "cov,wavelet"],
         )
         assert result.exit_code == 3
+
+
+class TestConstantSet:
+    """A set whose samples are all equal has a zero covariance: encoding
+    floors it with a warning, so it trains at q=1, while its subspace has
+    rank 1, so training at q >= 2 is a numeric failure naming it."""
+
+    @pytest.fixture()
+    def manifest(self, runner, tmp_path):
+        manifest = make_dataset(runner, tmp_path)
+        path = manifest.parent / "class0_set0.csv"
+        x = np.loadtxt(path, delimiter=",")
+        np.savetxt(path, np.repeat(x[:, :1], x.shape[1], axis=1), delimiter=",")
+        return manifest
+
+    def test_trains_and_predicts_at_q1(self, runner, manifest, tmp_path, caplog):
+        model_dir = tmp_path / "model"
+        with caplog.at_level(logging.WARNING, logger="setfuse.descriptors"):
+            result = runner.invoke(
+                main,
+                ["train", "--manifest", str(manifest), "--out", str(model_dir), *FAST, "--q", "1"],
+            )
+        assert result.exit_code == 0, result.output
+        assert any("zero-trace covariance" in r.message for r in caplog.records)
+        probe = manifest.parent / "class0_set0.csv"
+        result = runner.invoke(main, ["predict", "--model", str(model_dir), "--set", str(probe)])
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("q", ["2", "4"])
+    def test_q_of_2_or_more_exits_4(self, runner, manifest, tmp_path, q):
+        result = runner.invoke(
+            main,
+            ["train", "--manifest", str(manifest), "--out", str(tmp_path / "m"), *FAST, "--q", q],
+        )
+        assert result.exit_code == 4, result.output
+        assert "class0_set0" in result.output
+        assert f"rank below q={q}" in result.output
 
 
 class TestPredict:

@@ -24,8 +24,9 @@ CASES = [
     ("experiment_learning_rate_1", ("model", "saved")),
     ("experiment_interleaved", ("model", "saved")),
     ("experiment_d32", ("model", "saved")),
+    ("stacked_halvings", ("model", "saved")),
 ]
-# the split protocol cases save no model
+# the split protocol cases and the stacked trainer case save no model
 UNSAVED = {
     "experiment_ablate",
     "dimension_sweep",
@@ -33,6 +34,7 @@ UNSAVED = {
     "experiment_learning_rate_1",
     "experiment_interleaved",
     "experiment_d32",
+    "stacked_halvings",
 }
 
 

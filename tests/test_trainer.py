@@ -693,8 +693,8 @@ class TestStackedTraining:
         assert stacks == [4]
         assert len({len(m.objective_trace) for m in stacked}) > 1  # early stops
         assert any(len(set(counts)) > 1 for counts in inner)  # inner trace-ratio steps
-        # halvings: tries of halved steps on fewer galleries than the stack holds
-        assert any(len(s) < 4 and (s < 100.0).all() for s in steps)
+        # halvings: whole-stack tries in which halved and full steps sit side by side
+        assert any(len(s) == 4 and (s < 100.0).any() and (s == 100.0).any() for s in steps)
         assert 0 < rolled == rolled_alone < 8  # rollbacks of the descending gallery only
         assert len(stacked[2].objective_trace) == 3
 

@@ -32,7 +32,10 @@ wall-clock ``train_seconds``, of every report it returns:
 ``learning_rate=1.0`` (its splits stop early), ``experiment_interleaved``
 one report on the sets reordered so that their classes interleave (each
 split's gallery then orders its classes its own way) and ``experiment_d32``
-one report on ten splits of N=50 galleries at set dimension 32. BLAS is
+one report on ten splits of N=50 galleries at set dimension 32.
+``stacked_halvings`` prints one ``model`` digest over four random galleries
+that ``trainer.train`` trains as one stack, in which some gating steps halve
+while others are accepted. BLAS is
 pinned to one thread, because the thread count changes the bits.
 """
 
@@ -193,6 +196,28 @@ def _cases(sf, workdir: Path):
     )
     report = sf.run_experiment(sets, cfg(3), n_splits=10, train_per_class=5)
     yield "experiment_d32", (("model", _reports_digest({"combined": report})), ("saved", None))
+
+    # four galleries of 12 random lifted rows, zero-padded to the lift widths
+    # of sets of dimension 4, trained as one stack at a rate at which some
+    # gating steps halve while others are accepted, and the galleries stop
+    # at different iterations
+    from setfuse.kernels import lift_width
+    from setfuse.trainer import Gallery, train
+
+    rng = np.random.default_rng(21)
+    galleries = []
+    for _ in range(4):
+        rows = [rng.standard_normal((12, 14)) / np.sqrt(14) for _ in sf.DESCRIPTOR_NAMES]
+        features = [
+            np.pad(r, ((0, 0), (0, lift_width(q, 4) - 14))) for q, r in zip(sf.DESCRIPTOR_NAMES, rows)
+        ]
+        labels = [f"c{c}" for c in rng.permutation(np.arange(12) % 3)]
+        galleries.append(Gallery(features, labels, [f"s{i}" for i in range(12)]))
+    d = _Digest()
+    halving = sf.TrainConfig(target_dim=3, iters=8, learning_rate=1000.0)
+    for model in train(galleries, halving, range(4)):
+        _add_model(d, model)
+    yield "stacked_halvings", (("model", d.hexdigest()), ("saved", None))
 
 
 def main() -> None:
