@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_type
 from .descriptors import ImageSet, encode_sets
-from .errors import BadSpec, DimensionMismatch, NonFinite, TooFewSamples
+from .errors import DimensionMismatch, NonFinite, TooFewSamples
 from .gating import squared_distances
 from .kernels import lift_features
 from .trainer import ModelState
@@ -69,10 +70,11 @@ def distance_profile(rows, model: ModelState) -> np.ndarray:
 
 
 def check_probe(test: ImageSet, model: ModelState) -> None:
-    """Reject a probe that is not an ``ImageSet`` (``BadSpec``), or whose
-    dimension or sample count the model cannot encode."""
-    if not isinstance(test, ImageSet):
-        raise BadSpec(f"probe must be an ImageSet, got {type(test).__name__}")
+    """Reject a probe that is not an ``ImageSet`` or a model that is not a
+    ``ModelState`` (``BadSpec``), or a probe whose dimension or sample
+    count the model cannot encode."""
+    check_type("probe", test, ImageSet)
+    check_type("model", model, ModelState)
     dim, q = model.dim, model.config.subspace_dim
     if test.dim != dim:
         raise DimensionMismatch(f"probe dimension {test.dim} != gallery dimension {dim}")

@@ -22,6 +22,12 @@ def check_int(name: str, value, minimum: int) -> None:
         raise BadSpec(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def check_type(name: str, value, cls: type) -> None:
+    """``BadSpec`` unless ``value`` is a ``cls``, naming both types."""
+    if not isinstance(value, cls):
+        raise BadSpec(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
+
+
 def is_real(x) -> bool:
     """True for a real number (integers and numpy's included) that is not a bool."""
     return isinstance(x, numbers.Real) and not isinstance(x, bool)

@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .classify import distance_profile, nearest
-from .config import TrainConfig, check_int
+from .config import TrainConfig, check_int, check_type
 from .descriptors import ImageSet, common_dim, encode_sets
 from .errors import BadSpec, InsufficientSetsPerClass, TooFewSamples
 from .kernels import DESCRIPTOR_NAMES, lift_features
@@ -102,6 +102,7 @@ def effective_subspace_dim(sets: Sequence[ImageSet], requested: int) -> int:
 
 
 def _capped_config(sets: Sequence[ImageSet], cfg: TrainConfig) -> TrainConfig:
+    check_type("cfg", cfg, TrainConfig)
     q = effective_subspace_dim(sets, cfg.subspace_dim)
     if q != cfg.subspace_dim:
         logger.warning("subspace_dim capped from %d to %d for this gallery", cfg.subspace_dim, q)
@@ -130,6 +131,7 @@ def split_sets(
     sets so the test side is never empty.
     """
     common_dim(sets)
+    check_type("rng", rng, np.random.Generator)
     train_idx, test_idx = _split_indices(sets, train_per_class, rng)
     return [sets[i] for i in train_idx], [sets[i] for i in test_idx]
 
@@ -247,21 +249,23 @@ def _accuracy(sets, lifted, names, split: _Split, model: ModelState) -> float:
 
 
 def _protocol(
-    sets: Sequence[ImageSet], cfg: TrainConfig, n_splits: int, train_per_class: int, descriptors
+    sets: Sequence[ImageSet], cfg: TrainConfig, n_splits: int, train_per_class: int, ablate: bool
 ) -> Callable[[TrainConfig], ExperimentReport]:
     """Check a call's arguments, sets and splits, encode each set once and
-    lift the collection once per channel in ``descriptors``.
+    lift the collection once per channel of ``cfg.descriptors``, or of
+    every descriptor with ``ablate``.
 
     Returns the function that runs the split protocol for a configuration
     that differs from ``cfg`` only in ``target_dim`` or in ``descriptors``
-    (within ``descriptors``).
+    (within those lifted).
     """
     check_int("n_splits", n_splits, 1)
     check_int("train_per_class", train_per_class, 1)
     capped = _capped_config(sets, cfg)
     splits = _plan_splits(sets, cfg, n_splits, train_per_class)
     stack = encode_sets(sets, capped)
-    lifted = {name: lift_features(stack, name) for name in descriptors}
+    names = DESCRIPTOR_NAMES if ablate else cfg.descriptors
+    lifted = {name: lift_features(stack, name) for name in names}
 
     def run(row_cfg: TrainConfig) -> ExperimentReport:
         capped_row = replace(row_cfg, subspace_dim=capped.subspace_dim)
@@ -288,8 +292,7 @@ def run_experiment(
     ``report.ablation`` along with the combined row. Each set is encoded and
     lifted once per call, however many splits and ablation rows use it.
     """
-    names = DESCRIPTOR_NAMES if ablate else cfg.descriptors
-    run = _protocol(sets, cfg, n_splits, train_per_class, names)
+    run = _protocol(sets, cfg, n_splits, train_per_class, ablate)
     combined = run(cfg)
     if not ablate:
         return combined
@@ -312,6 +315,6 @@ def run_dimension_sweep(
     first run."""
     if not (isinstance(target_dims, (list, tuple)) and target_dims):
         raise BadSpec(f"target_dims must be a non-empty list or tuple, got {target_dims!r:.80}")
-    run = _protocol(sets, cfg, n_splits, train_per_class, cfg.descriptors)
+    run = _protocol(sets, cfg, n_splits, train_per_class, ablate=False)
     configs = {c.target_dim: c for c in [replace(cfg, target_dim=dim) for dim in target_dims]}
     return {dim: run(c) for dim, c in configs.items()}

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import TrainConfig, is_real
+from .config import TrainConfig, check_type, is_real
 from .errors import BadSpec, ChecksumMismatch, FormatVersionMismatch, IoError
 from .gating import GatingParams
 from .trainer import ModelState
@@ -106,8 +106,10 @@ def save_model(model: ModelState, out_dir) -> Path:
 
     Loading takes the channels from ``config.descriptors``. Nothing a model
     derives is stored: ``ModelState`` derives it again from the stored
-    arrays. Write failures raise ``IoError``.
+    arrays. ``BadSpec`` before anything is written unless ``model`` is a
+    ``ModelState``; write failures raise ``IoError``.
     """
+    check_type("model", model, ModelState)
     out = Path(out_dir)
     values = (model.transform, model.gating.coeffs, model.gating.biases) + model.features
     checksums = {}

@@ -15,8 +15,9 @@ between-class spread dominates within-class spread.
 Every scatter is a sum of outer products of Gram column differences, so it
 lies in the span of those differences, whose rank r is at most the summed
 lifted-feature widths. Softmax weights are positive, so no gating shrinks
-that span: training fixes one orthonormal basis of it per call
-(``gram_span``) and works there throughout, with r x r scatters factored
+that span: training fixes one orthonormal basis of it per gallery
+(``gram_spans``, one stacked eigendecomposition for every gallery of a
+call) and works there throughout, with r x r scatters factored
 over classes rather than pairs, a trace-ratio solve warm-started from the
 previous projection, and an objective and gradient read from projected Gram
 columns. No iteration cuts a null space: extreme weights can make a
@@ -34,10 +35,10 @@ the bits it gets alone. A problem leaves the stack only when its result
 is final: ``solve_trace_ratio`` drops the problems that stop moving and
 ``_train_stack`` the galleries that stop early, while every line-search try
 steps the whole stack, a problem whose try was accepted repeating it bit
-for bit. ``train`` groups the galleries it is given by span rank and class
-count; the split protocol gives it as many at a time as ``STACK_BYTES``
-allows (``stack_size``, which counts each gallery's lifted rows, Grams,
-span columns and basis): stacking pays for small galleries, whose
+for bit. ``train`` groups the galleries it is given by span rank; the
+split protocol gives it as many at a time as ``STACK_BYTES`` allows
+(``stack_size``, which counts each gallery's lifted rows, Grams, span
+columns and basis): stacking pays for small galleries, whose
 iterations are many small numpy calls, so a ten-split row of N=50, d=10
 galleries trains as one stack; it is left out for large galleries
 (N=250), whose calls are long already, and for wide ones (d >= 64 at
@@ -82,7 +83,7 @@ from .spd import raise_first, sym_eig
 logger = logging.getLogger(__name__)
 
 # Eigenvalues of the centred Grams' sum above this fraction of the largest
-# span the Gram column differences (``gram_span``).
+# span the Gram column differences (``gram_spans``).
 NULL_SPACE_RTOL = 1e-10
 # At or below this spectral radius every Gram has numerically equal columns.
 TOTAL_SCATTER_FLOOR = 1e-15
@@ -248,56 +249,46 @@ class ModelState:
         return w
 
 
-@dataclass(frozen=True)
-class GramSpan:
-    """An orthonormal basis of the span of Gram column differences, and the
-    Grams in it.
-
-    ``basis`` is N x r; ``columns`` is Q x r x N, ``columns[q] = basis.T @
-    K_q``. Every gated scatter lies in this span, since each is a sum of
-    outer products of Gram column differences, so the trainer works on
-    r x r scatters. The part of a Gram column outside the span is common to
-    all columns of its channel, so it cancels from every difference and
-    every projected distance. With lifted features ``K_q = L_q L_q.T``, r is
-    at most the sum of the D_q.
-    """
-
-    basis: np.ndarray
-    columns: np.ndarray
-
-
-def gram_span(grams: Sequence[np.ndarray]) -> GramSpan:
-    """Span of all Gram column differences: eigenvectors of
-    ``sum_q K_q C K_q`` (C the centring matrix) whose eigenvalues exceed
-    ``NULL_SPACE_RTOL`` times the largest.
+def gram_spans(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spans of all Gram column differences of a stack of S galleries, from
+    their Grams (S, Q, N, N): the eigenvectors (S, N, N) of ``sum_q K_q C
+    K_q`` (C the centring matrix), one stacked ``sym_eig``, and each
+    gallery's rank r, its count of eigenvalues above ``NULL_SPACE_RTOL``
+    times the largest. Gallery k's span basis is ``vectors[k, :, :r_k]``.
 
     ``K_q C K_q`` is the Gram of the centred columns of K_q, so its range is
     the span of their differences; it holds the range of the total scatter
-    for every choice of positive gating weights. Raises
-    ``ZeroTotalScatter`` when every Gram has numerically equal columns.
+    for every choice of positive gating weights, so every gated scatter lies
+    in the span and the trainer works on r x r scatters. The part of a Gram
+    column outside the span is common to all columns of its channel, so it
+    cancels from every difference and every projected distance. With lifted
+    features ``K_q = L_q L_q.T``, r is at most the sum of the D_q. Raises
+    ``ZeroTotalScatter`` for the first gallery whose Grams all have
+    numerically equal columns.
     """
-    grams = np.asarray(grams)
-    centred = [k - k.mean(axis=1, keepdims=True) for k in grams]
-    pair = sym_eig(sum(c @ c.T for c in centred))
-    lam_max = float(pair.values[0])
-    if lam_max <= TOTAL_SCATTER_FLOOR:
-        raise ZeroTotalScatter(f"centred Grams: spectral radius {lam_max:.3e}")
-    rank = int(np.count_nonzero(pair.values > NULL_SPACE_RTOL * lam_max))
-    basis = pair.vectors[:, :rank].copy()
-    return GramSpan(basis=basis, columns=basis.T @ grams)
+    total = np.zeros(grams.shape[:1] + grams.shape[2:])
+    for k in grams.swapaxes(0, 1):  # one channel at a time, in channel order
+        c = k - k.mean(axis=-1, keepdims=True)
+        total += c @ c.swapaxes(-1, -2)
+    values, vectors = sym_eig(total)
+    lam_max = values[:, 0]
+    raise_first(lam_max <= TOTAL_SCATTER_FLOOR, ZeroTotalScatter, lambda i: (
+        f"centred Grams: spectral radius {lam_max[i]:.3e}"))
+    return vectors, np.count_nonzero(values > NULL_SPACE_RTOL * lam_max[:, None], axis=-1)
 
 
 def scatter_matrices(columns, classes: ClassLayout, weights: np.ndarray) -> ScatterPair:
     """Gated scatter matrices over Gram columns of the N samples ``classes`` lays out.
 
     ``columns[q]`` holds channel q's N Gram columns, m x N; the trainer
-    passes ``GramSpan.columns``, so the scatters come back m x m in the span
-    basis. For every ordered pair of training samples (including i == j) and
-    every kernel channel, the difference of columns contributes an outer
-    product weighted by both samples' gating weights. Same-class pairs feed
-    the within scatter, different-class pairs the between scatter; each is
-    divided by its pair count. A stack of problems (columns
-    ``(..., Q, m, N)``, weights ``(..., Q, N)``) gets ``(..., m, m)`` scatters.
+    passes the span columns ``basis.T @ K_q`` (``gram_spans``), so the
+    scatters come back m x m in the span basis. For every ordered pair of
+    training samples (including i == j) and every kernel channel, the
+    difference of columns contributes an outer product weighted by both
+    samples' gating weights. Same-class pairs feed the within scatter,
+    different-class pairs the between scatter; each is divided by its pair
+    count. A stack of problems (columns ``(..., Q, m, N)``, weights
+    ``(..., Q, N)``) gets ``(..., m, m)`` scatters.
 
     No pair is formed. Per channel, with columns a_i, weights w_i, class
     weight W_c, weighted class mean m_c and d_i = a_i - m_c, the pair sums
@@ -468,7 +459,8 @@ class Gallery(NamedTuple):
 
 
 # Bytes of per-problem state (lifted rows, Grams, span columns and span
-# basis, as ``stack_size`` counts them) that one training stack may hold. A
+# basis, as ``stack_size`` counts them; ``train`` drops the N x N
+# eigenvectors it cuts the bases from) that one training stack may hold. A
 # stack shares each numpy call of an iteration among its problems, which
 # pays while those calls are small: an outer iteration has a fixed numpy-call
 # cost of about 0.8 ms however few problems share it. At N=50, d=10 a
@@ -498,12 +490,13 @@ def train(
     a stack of galleries; returns one model per gallery, in order, gallery
     k's trained under ``replace(cfg, seed=seeds[k])``.
 
-    The galleries share N and the channels; a single gallery is a stack of
-    one. Each model has the bits it gets when its gallery trains alone: the
-    stack shares each numpy call of an iteration among the galleries still
-    training, and each stops on its own. Every gallery given trains in this
-    call, galleries whose span ranks or class counts differ in separate
-    stacks; a caller with many galleries passes ``stack_size`` at a time.
+    The galleries share N, the channels and the class count (every split
+    of a split protocol trains on every class); a single gallery is a stack
+    of one. Each model has the bits it gets when its gallery trains alone:
+    the stack shares each numpy call of an iteration among the galleries
+    still training, and each stops on its own. Every gallery given trains in
+    this call, galleries whose span ranks differ in separate stacks; a
+    caller with many galleries passes ``stack_size`` at a time.
 
     ``features`` holds a gallery's lifted rows (``lift_features``), one
     (N, D_q) array per channel of ``cfg.descriptors``; the Grams, each scaled
@@ -512,27 +505,27 @@ def train(
     set's class and ``set_ids`` its id, one str each, as the gallery's
     ``ImageSet`` carry them; ``class_layout`` derives from the labels, once
     per gallery, the class structure every scatter, objective and gradient
-    reads. Once per gallery, ``gram_span`` finds an orthonormal basis of the
-    r-dimensional span of all Gram column differences, which holds the range
-    of every gated total scatter, and the projection width is clamped to r.
-    Each outer iteration builds the r x r gated scatters in that basis and
-    solves the trace ratio there, from the second iteration warm-started
-    from the previous projection. The objective, the gating gradient and the
-    step line search read the projected Gram columns ``E.T @ K_q`` the
-    iteration forms once, through ``projected_pair_sums``, O(p N n_classes)
-    per channel; each gating point is evaluated once, with one pass of
-    those sums giving its objective and, at the iteration's start point, its
+    reads. One stacked ``gram_spans`` call finds each gallery's orthonormal
+    basis of the r-dimensional span of all its Gram column differences,
+    which holds the range of every gated total scatter; the galleries of one
+    rank r train as one stack, the projection width clamped to r. Each outer
+    iteration builds the r x r gated scatters in that basis and solves the
+    trace ratio there, from the second iteration warm-started from the
+    previous projection. The objective, the gating gradient and the step
+    line search read the projected Gram columns ``E.T @ K_q`` the iteration
+    forms once, through ``projected_pair_sums``, O(p N n_classes) per
+    channel; each gating point is evaluated once, with one pass of those
+    sums giving its objective and, at the iteration's start point, its
     gradient. The weights of the accepted step carry into the next
     iteration; ``ModelState.train_weights`` derives the last ones from the
-    rows and the final gating. An outer iteration so costs O(N r^2 + r^3) for the
-    scatters and the solve, plus O(p N r) per channel for ``E.T @ K_q`` and
-    one Gram matvec per channel for each line-search try and for the
-    gradient.
-    ``gram_span`` costs O(N^3) once. Every iteration solves in the full
-    span basis, however small a gating weight gets: a numerically thin
-    direction adds about 0 to both traces of the ratio, so it needs no cut,
-    and a projection whose total scatter vanishes raises
-    ``DegenerateDenominator``.
+    rows and the final gating. An outer iteration so costs O(N r^2 + r^3)
+    for the scatters and the solve, plus O(p N r) per channel for
+    ``E.T @ K_q`` and one Gram matvec per channel for each line-search try
+    and for the gradient. ``gram_spans`` costs O(N^3) per gallery, once.
+    Every iteration solves in the full span basis, however small a gating
+    weight gets: a numerically thin direction adds about 0 to both traces of
+    the ratio, so it needs no cut, and a projection whose total scatter
+    vanishes raises ``DegenerateDenominator``.
 
     Randomness comes from one generator per gallery, seeded with its seed:
     first the gating init, then one orthonormal draw for the first
@@ -549,53 +542,45 @@ def train(
     for k, g in enumerate(galleries):
         for q, f in enumerate(g.features):
             grams[k, q] = gram(f, gram_scale(f, cfg.normalize_kernels))
-    spans = [gram_span(k) for k in grams]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, span in enumerate(spans):
-        groups.setdefault((span.basis.shape[1], layouts[k].onehot.shape[1]), []).append(k)
-    trained = {}
-    for rows in groups.values():
-        basis = _stack([spans[k].basis for k in rows])
-        columns = _stack([spans[k].columns for k in rows])
-        for k in rows:
-            spans[k] = None  # stacked now; a stack of one keeps views of them
+    vectors, ranks = gram_spans(grams)
+    bases = {r: vectors[ranks == r, :, :r] for r in dict.fromkeys(ranks.tolist())}
+    del vectors  # each stack keeps its own basis only
+    models: list[ModelState] = [None] * len(galleries)
+    for rank, basis in bases.items():
+        rows = np.flatnonzero(ranks == rank).tolist()
         stacked = _train_stack(
             grams if len(rows) == len(galleries) else grams[rows],
             basis,
-            columns,
             stack_layouts([layouts[k] for k in rows]),
             [galleries[k] for k in rows],
             cfg,
             [seeds[k] for k in rows],
         )
-        trained.update(zip(rows, stacked))
-    return [trained[k] for k in range(len(galleries))]
-
-
-def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """``np.stack`` of arrays of one shape; a view for a stack of one."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+        for k, model in zip(rows, stacked):
+            models[k] = model
+    return models
 
 
 def _train_stack(
     grams: np.ndarray,
     basis: np.ndarray,
-    columns: np.ndarray,
     classes: ClassLayout,
     galleries: Sequence[Gallery],
     cfg: TrainConfig,
     seeds: Sequence[int],
 ) -> list[ModelState]:
     """``train`` for one stack of S problems of one span rank r: Grams
-    (S, Q, N, N), span bases (S, N, r) and span columns (S, Q, r, N).
+    (S, Q, N, N) and span bases (S, N, r), from which it forms the span
+    columns ``basis.T @ K_q`` (S, Q, r, N) that the scatters read.
 
     Every array of the loop's state holds the problems still training, whose
     stack positions are ``active``. A problem that stops gets its model and
     leaves those arrays; while all train, no array is copied to select them.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
-    starts = [init_gating_params(grams.shape[1], grams.shape[-1], rng) for rng in rngs]
-    params = GatingParams(_stack([p.coeffs for p in starts]), _stack([p.biases for p in starts]))
+    inits = [init_gating_params(grams.shape[1], grams.shape[-1], rng) for rng in rngs]
+    params = GatingParams(np.stack([p.coeffs for p in inits]), np.stack([p.biases for p in inits]))
+    columns = basis.swapaxes(-1, -2)[:, None] @ grams
     rank = basis.shape[-1]
     width = min(cfg.target_dim, rank)
     if width < cfg.target_dim:
@@ -603,7 +588,7 @@ def _train_stack(
             "target_dim clamped from %d to %d (usable scatter rank)", cfg.target_dim, width
         )
     # the projections in span coordinates, (S, r, p): first one draw per problem
-    coords = _stack([rng.standard_normal((rank, width)) for rng in rngs])
+    coords = np.stack([rng.standard_normal((rank, width)) for rng in rngs])
 
     models: list[ModelState] = [None] * len(seeds)
     traces: list[list[float]] = [[] for _ in seeds]

@@ -36,7 +36,7 @@ from setfuse.gating import class_layout, gating_weights, projected_gradients, pr
 from setfuse.kernels import DESCRIPTOR_NAMES, gram, gram_scale, lift_features, lift_width
 from setfuse.spd import spd_log, sym_eig
 from setfuse.trainer import DENOMINATOR_FLOOR, NULL_SPACE_RTOL, TOTAL_SCATTER_FLOOR
-from setfuse.trainer import Gallery, TraceRatioResult, solve_trace_ratio, train
+from setfuse.trainer import Gallery, TraceRatioResult, gram_spans, solve_trace_ratio, train
 from setfuse.trainer import scatter_matrices as library_scatter_matrices
 
 # An SPD check passes when the smallest eigenvalue exceeds this fraction of
@@ -295,6 +295,16 @@ def model_bank(model):
 def train_one(features, labels, set_ids, cfg):
     """``trainer.train`` of one gallery: its stack of one."""
     return train([Gallery(features, labels, set_ids)], cfg, [cfg.seed])[0]
+
+
+def span_of(grams):
+    """One gallery's span basis (N, r), copied as ``train`` copies it, and
+    its Grams in that basis, ``basis.T @ K_q`` (Q, r, N): ``gram_spans`` of
+    a stack of one."""
+    grams = np.asarray(grams)
+    vectors, ranks = gram_spans(grams[None])
+    basis = vectors[0, :, : ranks[0]].copy()
+    return basis, basis.T @ grams
 
 
 def solve_one(between, total, target_dim, rng=None, start=None, max_iters=30, eps=1e-5):

@@ -15,6 +15,7 @@ import setfuse.trainer as trainer_module
 from setfuse.classify import predict
 from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic, load_dataset, save_dataset
+from setfuse.persistence import save_model
 from setfuse.descriptors import ImageSet, encode_sets
 from setfuse.errors import (
     BadSpec,
@@ -158,7 +159,8 @@ UNWRITABLE = Path(os.devnull) / "ds"
 
 class TestCollectionMustBeAListOfSets:
     """Every entry point takes a list or tuple of ``ImageSet``; anything else,
-    a manifest path or a generator included, is a ``BadSpec``."""
+    a manifest path or a generator included, is a ``BadSpec``. So is a
+    generator, config or model argument of another type."""
 
     @pytest.mark.parametrize(
         "sets, match",
@@ -189,6 +191,32 @@ class TestCollectionMustBeAListOfSets:
     def test_raises_bad_spec(self, run, sets, match):
         with pytest.raises(BadSpec, match=match):
             run(sets)
+
+    @pytest.mark.parametrize(
+        "run, match",
+        [
+            (lambda sets, out: split_sets(sets, 1, 0), "rng must be of type Generator, got int"),
+            (lambda sets, out: split_sets(sets, 1, None), "rng .* got NoneType"),
+            (lambda sets, out: split_sets(sets, 1, "x"), "rng .* got str"),
+            (lambda sets, out: train_on_sets(sets, None), "cfg must be of type TrainConfig"),
+            (lambda sets, out: run_experiment(sets, None, n_splits=1), "cfg .* got NoneType"),
+            (
+                lambda sets, out: run_dimension_sweep(sets, None, target_dims=[2], n_splits=1),
+                "cfg .* got NoneType",
+            ),
+            (lambda sets, out: predict(sets[0], None), "model must be of type ModelState"),
+            (lambda sets, out: save_model(None, out), "model .* got NoneType"),
+        ],
+        ids=[
+            "split_sets-int", "split_sets-none", "split_sets-str", "train_on_sets",
+            "run_experiment", "run_dimension_sweep", "predict", "save_model",
+        ],
+    )
+    def test_argument_of_another_type_raises_bad_spec(self, tmp_path, run, match):
+        # refused before any work: save_model writes nothing
+        with pytest.raises(BadSpec, match=match):
+            run(small_sets(), tmp_path / "model")
+        assert not (tmp_path / "model").exists()
 
     def test_tuple_accepted(self):
         sets = small_sets()
@@ -401,12 +429,12 @@ class TestSharedLiftsMatchPerSplitPath:
     def test_duplicated_sets_give_splits_of_two_span_ranks(self, monkeypatch):
         ranks = []
 
-        def recording(grams, _real=trainer_module.gram_span):
-            span = _real(grams)
-            ranks.append(span.basis.shape[1])
-            return span
+        def recording(grams, _real=trainer_module.gram_spans):
+            vectors, stack_ranks = _real(grams)
+            ranks.extend(stack_ranks.tolist())
+            return vectors, stack_ranks
 
-        monkeypatch.setattr(trainer_module, "gram_span", recording)
+        monkeypatch.setattr(trainer_module, "gram_spans", recording)
         run_experiment(duplicated_sets(), fast_cfg(), n_splits=3)
         assert len(ranks) == 3 and len(set(ranks)) == 2
 
@@ -463,7 +491,7 @@ def stacks(monkeypatch):
     sizes = []
 
     def recording(*args, _real=trainer_module._train_stack):
-        sizes.append(len(args[4]))
+        sizes.append(len(args[3]))
         return _real(*args)
 
     monkeypatch.setattr(trainer_module, "_train_stack", recording)

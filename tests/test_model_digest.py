@@ -23,6 +23,7 @@ CASES = [
     ("experiment_capped", ("model", "saved")),
     ("experiment_learning_rate_1", ("model", "saved")),
     ("experiment_interleaved", ("model", "saved")),
+    ("experiment_two_ranks", ("model", "saved")),
     ("experiment_d32", ("model", "saved")),
     ("stacked_halvings", ("model", "saved")),
 ]
@@ -33,6 +34,7 @@ UNSAVED = {
     "experiment_capped",
     "experiment_learning_rate_1",
     "experiment_interleaved",
+    "experiment_two_ranks",
     "experiment_d32",
     "stacked_halvings",
 }

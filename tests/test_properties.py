@@ -17,7 +17,7 @@ from setfuse.config import TrainConfig  # noqa: E402
 from setfuse.descriptors import ImageSet, embed_gaussian, encode_sets  # noqa: E402
 from setfuse.kernels import DESCRIPTOR_NAMES  # noqa: E402
 from setfuse.spd import SYMMETRY_RTOL, check_symmetric, sym_eig  # noqa: E402
-from setfuse.trainer import NULL_SPACE_RTOL, gram_span  # noqa: E402
+from setfuse.trainer import NULL_SPACE_RTOL  # noqa: E402
 
 from helpers import (  # noqa: E402
     build_kernel_bank,
@@ -25,6 +25,7 @@ from helpers import (  # noqa: E402
     random_labels,
     random_simplex_weights,
     scatter_matrices,
+    span_of,
 )
 
 finite = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
@@ -115,7 +116,7 @@ def test_centred_span_holds_differences_and_scatters(seed, n, n_kernels, width):
     features = [rng.standard_normal((n, width)) for _ in range(n_kernels)]  # rank min(n, width)
     bank = kernel_bank(DESCRIPTOR_NAMES[:n_kernels], features)
     grams = bank.grams
-    q = gram_span(grams).basis
+    q, _ = span_of(grams)
     centred = [k - k.mean(axis=1, keepdims=True) for k in grams]
     lam_max = float(np.linalg.eigvalsh(sum(c @ c.T for c in centred)).max())
     slack = np.sqrt(2.0 * NULL_SPACE_RTOL * lam_max)

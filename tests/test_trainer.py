@@ -28,7 +28,7 @@ from setfuse.kernels import DESCRIPTOR_NAMES
 from setfuse.trainer import (
     Gallery,
     ScatterPair,
-    gram_span,
+    gram_spans,
     solve_trace_ratio,
     train,
 )
@@ -49,6 +49,7 @@ from helpers import (
     rows,
     scatter_matrices,
     solve_one,
+    span_of,
     trace_ratio_objective,
     train_one,
 )
@@ -115,13 +116,24 @@ def feature_bank(rng, n_classes=4, sets_per_class=10):
 
 
 def assert_reduced_matches_full(bank, labels, weights):
-    span = gram_span(bank.grams)
+    basis, columns = span_of(bank.grams)
     full = scatter_matrices(bank, labels, weights)
-    reduced = trainer.scatter_matrices(span.columns, class_layout(labels), weights)
+    reduced = trainer.scatter_matrices(columns, class_layout(labels), weights)
     for got, whole in ((reduced.within, full.within), (reduced.between, full.between)):
-        ref = span.basis.T @ whole @ span.basis
+        ref = basis.T @ whole @ basis
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-    return span
+    return basis
+
+
+def duplicated_rows_bank(rng, n, n_kernels):
+    """``random_bank`` with row 1 of every channel a copy of row 0: rows 0
+    and 1 of each Gram agree, so every vector of its span has two equal
+    entries and its span rank is at most n - 1, where ``random_bank``'s
+    channels together span all n dimensions."""
+    features = [f.copy() for f in random_bank(rng, n, n_kernels).features]
+    for f in features:
+        f[1] = f[0]
+    return kernel_bank(DESCRIPTOR_NAMES[:n_kernels], features)
 
 
 class TestGramSpan:
@@ -137,36 +149,63 @@ class TestGramSpan:
     def test_reduced_scatters_match_full_on_feature_bank(self):
         rng = np.random.default_rng(103)
         bank, labels = feature_bank(rng)
-        span = assert_reduced_matches_full(
+        basis = assert_reduced_matches_full(
             bank, labels, random_simplex_weights(rng, bank.n_kernels, bank.n_train)
         )
-        rank = span.basis.shape[1]
+        rank = basis.shape[1]
         assert rank <= sum(f.shape[1] for f in bank.features) < bank.n_train
 
     def test_span_holds_every_column_difference(self):
         rng = np.random.default_rng(104)
         bank, _ = feature_bank(rng)
-        span = gram_span(bank.grams)
-        r = span.basis.shape[1]
-        assert np.max(np.abs(span.basis.T @ span.basis - np.eye(r))) <= 1e-12
-        for gram, cols in zip(bank.grams, span.columns):
+        basis, columns = span_of(bank.grams)
+        r = basis.shape[1]
+        assert np.max(np.abs(basis.T @ basis - np.eye(r))) <= 1e-12
+        for gram, cols in zip(bank.grams, columns):
             assert cols.shape == (r, bank.n_train)
             # every difference is a difference of these, taken from column 0
             diffs = gram - gram[:, :1]
-            back = span.basis @ (cols - cols[:, :1])
+            back = basis @ (cols - cols[:, :1])
             assert np.max(np.abs(back - diffs)) <= 1e-10 * np.max(np.abs(gram))
 
     def test_centring_drops_the_common_column(self):
         # one full-rank channel: its N columns span R^N, their differences N - 1
         bank = random_bank(np.random.default_rng(112), 7, 1)
         assert np.linalg.matrix_rank(bank.grams[0]) == 7
-        assert gram_span(bank.grams).basis.shape == (7, 6)
+        assert span_of(bank.grams)[0].shape == (7, 6)
 
     def test_zero_grams_raise(self):
         bank = random_bank(np.random.default_rng(105), 4, 2)
         zero = kernel_bank(bank.descriptors, (np.zeros((4, 6)),) * 2)
         with pytest.raises(ZeroTotalScatter):
-            gram_span(zero.grams)
+            span_of(zero.grams)
+
+    def test_a_stack_gives_each_gallery_its_span_alone(self):
+        # galleries of two span ranks, and Grams of scales 1e6 apart, mixed:
+        # each gets the rank and the leading eigenvectors it gets as a stack
+        # of one, bit for bit
+        rng = np.random.default_rng(117)
+        small = [1e-3 * f for f in random_bank(rng, 9, 3).features]
+        banks = [random_bank(rng, 9, 3), duplicated_rows_bank(rng, 9, 3),
+                 kernel_bank(DESCRIPTOR_NAMES, small), duplicated_rows_bank(rng, 9, 3)]
+        grams = np.array([bank.grams for bank in banks])
+        vectors, ranks = gram_spans(grams)
+        assert ranks.tolist() == [9, 8, 9, 8]
+        for k, g in enumerate(grams):
+            alone_vectors, alone_ranks = gram_spans(g[None])
+            r = int(alone_ranks[0])
+            assert ranks[k] == r
+            assert vectors[k, :, :r].tobytes() == alone_vectors[0, :, :r].tobytes()
+
+    def test_a_stack_with_constant_grams_raises(self):
+        # the second gallery's rows are all equal, so its Grams are constant
+        rng = np.random.default_rng(118)
+        bank = random_bank(rng, 6, 2)
+        constant = kernel_bank(bank.descriptors, (np.ones((6, 8)),) * 2)
+        grams = np.array([bank.grams, constant.grams, bank.grams])
+        with pytest.raises(ZeroTotalScatter) as raised:
+            gram_spans(grams)
+        assert raised.value.index == 1
 
 
 class TestTraceRatioObjective:
@@ -420,18 +459,18 @@ class TestTrain:
         manual_rng = np.random.default_rng(cfg.seed)
         params = init_gating_params(bank.n_kernels, bank.n_train, manual_rng)
         weights = gating_weights(bank.grams, params)
-        span = gram_span(bank.grams)
+        basis, columns = span_of(bank.grams)
         classes = class_layout(labels)
-        scatter = trainer.scatter_matrices(span.columns, classes, weights)
+        scatter = trainer.scatter_matrices(columns, classes, weights)
         itr = solve_one(
             scatter.between,
             scatter.total,
-            min(cfg.target_dim, span.basis.shape[1]),
+            min(cfg.target_dim, basis.shape[1]),
             max_iters=cfg.itr_iters,
             eps=cfg.eps,
             rng=manual_rng,
         )
-        expected = span.basis @ itr.projection
+        expected = basis @ itr.projection
         assert np.array_equal(model.transform, expected)
         assert np.array_equal(model.gating.coeffs, params.coeffs)
         assert np.array_equal(model.gating.biases, params.biases)
@@ -470,7 +509,7 @@ class TestTrain:
         with caplog.at_level(logging.INFO, logger="setfuse.trainer"):
             model = assert_trace_ratio_optimum(monkeypatch, bank, labels, cfg)
         assert float(model.train_weights.min()) < 1e-4
-        width = min(cfg.target_dim, gram_span(bank.grams).basis.shape[1])
+        width = min(cfg.target_dim, span_of(bank.grams)[0].shape[1])
         assert model.transform.shape == (bank.n_train, width)
         assert not [r for r in caplog.records if "null-space" in r.message]
 
@@ -505,7 +544,7 @@ class TestTrain:
         monkeypatch.setattr(trainer, "gradient_ascent_step", recording_step)
         monkeypatch.setattr(trainer, "solve_trace_ratio", recording_solve)
         train_one(bank.features, labels, ids_of(bank), cfg)
-        basis = gram_span(bank.grams).basis
+        basis, _ = span_of(bank.grams)
         assert len(steps) == len(projections) >= 3
         for (params, (gc, gb)), coords in zip(steps, projections):
             rc, rb = gating_gradients(bank, params, basis @ coords, labels)
@@ -660,7 +699,7 @@ class TestStackedTraining:
         stacks, steps, inner = [], [], []
 
         def stack_spy(*args, _real=trainer._train_stack):
-            stacks.append(len(args[4]))
+            stacks.append(len(args[3]))
             return _real(*args)
 
         def step_spy(params, grads, step, _real=trainer.gradient_ascent_step):

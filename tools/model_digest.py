@@ -31,8 +31,11 @@ wall-clock ``train_seconds``, of every report it returns:
 ``subspace_dim``, ``experiment_learning_rate_1`` one report at
 ``learning_rate=1.0`` (its splits stop early), ``experiment_interleaved``
 one report on the sets reordered so that their classes interleave (each
-split's gallery then orders its classes its own way) and ``experiment_d32``
-one report on ten splits of N=50 galleries at set dimension 32.
+split's gallery then orders its classes its own way),
+``experiment_two_ranks`` one report on the sets with one set of a class
+duplicated (its splits differ in span rank, so the row trains as two stacks)
+and ``experiment_d32`` one report on ten splits of N=50 galleries at set
+dimension 32.
 ``stacked_halvings`` prints one ``model`` digest over four random galleries
 that ``trainer.train`` trains as one stack, in which some gating steps halve
 while others are accepted. BLAS is
@@ -185,6 +188,20 @@ def _cases(sf, workdir: Path):
     interleaved = [s for _, s in sorted(enumerate(sets), key=lambda p: (p[0] % 10, p[1].label))]
     report = sf.run_experiment(interleaved, cfg(3), n_splits=10, train_per_class=5)
     yield "experiment_interleaved", (
+        ("model", _reports_digest({"combined": report})),
+        ("saved", None),
+    )
+
+    # the same sets with class1's second set a copy of its first: a split that
+    # trains on both has one Gram column difference fewer, so the row trains
+    # in two stacks of different span ranks
+    first = next(i for i, s in enumerate(sets) if s.label == "class1")
+    twins = list(sets)
+    twins[first + 1] = sf.ImageSet(
+        features=sets[first].features, label="class1", set_id=sets[first + 1].set_id
+    )
+    report = sf.run_experiment(twins, cfg(3), n_splits=10, train_per_class=5)
+    yield "experiment_two_ranks", (
         ("model", _reports_digest({"combined": report})),
         ("saved", None),
     )
