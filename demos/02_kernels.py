@@ -27,7 +27,7 @@ gallery = encode_sets(sets, cfg)
 
 # --- Gram matrices --------------------------------------------------------
 # lift_features lifts every set of the stack once per channel into one row,
-# and gram takes the dot of every pair of those rows.
+# and gram takes the dot of every pair of those rows with one product.
 features = [lift_features(gallery, name) for name in DESCRIPTOR_NAMES]
 grams = [gram(f, 1.0) for f in features]
 

@@ -62,9 +62,11 @@ def read_only(values) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ImageSet:
     """One labeled image set: columns of ``features`` are per-image vectors.
-    ``label`` and ``set_id`` are each a str (numpy's ``str_`` is one), else
-    ``BadSpec`` names the set. Equality and hashing are by identity, as for
-    every public type that holds arrays."""
+    ``label`` and ``set_id`` are each a str (numpy's ``str_`` is one), and
+    ``features`` real numbers that numpy reads as float64 (no complex value,
+    no ragged nesting), else ``BadSpec`` names the set before any shape check.
+    Equality and hashing are by identity, as for every public type that
+    holds arrays."""
 
     features: np.ndarray
     label: str
@@ -74,7 +76,12 @@ class ImageSet:
         for what, value in (("label", self.label), ("set id", self.set_id)):
             if not isinstance(value, str):
                 raise BadSpec(f"set {self.set_id!r}: {what} must be a str, got {value!r:.80}")
-        a = np.asarray(self.features, dtype=np.float64)
+        try:
+            a = None if np.iscomplexobj(self.features) else np.asarray(self.features, np.float64)
+        except (TypeError, ValueError):
+            a = None
+        if a is None:
+            raise BadSpec(f"set {self.set_id!r}: features must be real numbers")
         if a.ndim != 2 or a.shape[0] < 1:
             raise DimensionMismatch(
                 f"set {self.set_id!r}: features must be a d x n matrix, got shape {a.shape}"

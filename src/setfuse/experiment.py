@@ -13,12 +13,13 @@ training rows ``F[train_idx]`` and scores its test rows ``F[test_idx]`` with
 one ``classify.distance_profile`` call, so it reports what ``train_on_sets``
 and ``predict`` would give. The splits of a report row train in stacks of
 ``trainer.stack_size`` (``trainer.STACK_BYTES``, which counts the training
-rows a stack copies), one ``trainer.train`` call each, which trains the
-stack in lockstep; each split's model has the bits it gets alone. Ten
-splits of N=50, d=10 galleries form one stack, at d=32 stacks of two, and
-at N=250 or d >= 64 every split trains alone. A row copies, trains and
-scores one stack at a time, so it holds one stack's training rows and
-models.
+rows a stack gathers), one ``trainer.train`` call each, which trains the
+stack in lockstep; each split's model has the bits it gets alone. A stack's
+training rows are one gather per channel, ``F[[train_idx, ...]]`` (S, N,
+D_q), whose views its models keep. Ten splits of N=50, d=10 galleries form
+one stack, at d=32 stacks of two, and at N=250 or d >= 64 every split
+trains alone. A row gathers, trains and scores one stack at a time, so it
+holds one stack's training rows and models.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .config import TrainConfig, check_int, check_type
 from .descriptors import ImageSet, common_dim, encode_sets
 from .errors import BadSpec, InsufficientSetsPerClass, TooFewSamples
 from .kernels import DESCRIPTOR_NAMES, lift_features
-from .trainer import Gallery, ModelState, stack_size, train
+from .trainer import ModelState, stack_size, train
 
 logger = logging.getLogger(__name__)
 
@@ -115,9 +116,8 @@ def train_on_sets(sets: Sequence[ImageSet], cfg: TrainConfig) -> ModelState:
     supports), lift it once per channel, train."""
     cfg = _capped_config(sets, cfg)
     stack = encode_sets(sets, cfg)
-    features = [lift_features(stack, name) for name in cfg.descriptors]
-    gallery = Gallery(features, [s.label for s in sets], [s.set_id for s in sets])
-    return train([gallery], cfg, [cfg.seed])[0]
+    rows = [lift_features(stack, name)[None] for name in cfg.descriptors]
+    return train(rows, [[s.label for s in sets]], [[s.set_id for s in sets]], cfg, [cfg.seed])[0]
 
 
 def split_sets(
@@ -200,23 +200,29 @@ def _run_row(
     splits: Sequence[_Split],
 ) -> tuple[SplitResult, ...]:
     """Train and score the splits of a report row one stack of ``stack_size``
-    splits at a time: copy the stack's training rows, train them with one
-    ``train`` call, score each split's test sets with its model, and drop
-    the stack before the next one's rows are copied."""
+    splits at a time: gather the stack's training rows with one index per
+    channel, train them with one ``train`` call, score each split's test
+    sets with its model, and drop the stack before the next one's rows are
+    gathered."""
     names = cfg.descriptors
     size = stack_size(len(splits[0].train), [lifted[name].shape[1] for name in names])
+    labels = np.array([s.label for s in sets], dtype=object)
+    set_ids = np.array([s.set_id for s in sets], dtype=object)
     scored, seconds = [], 0.0
     for begin in range(0, len(splits), size):
         stack = splits[begin : begin + size]
-        galleries = [_gallery(sets, lifted, names, split) for split in stack]
+        index = np.array([split.train for split in stack])
+        rows = [lifted[name][index] for name in names]
+        for r in rows:
+            r.setflags(write=False)  # a fresh C-contiguous gather, so the models keep views of it
         started = time.perf_counter()
-        models = train(galleries, cfg, [split.seed for split in stack])
+        models = train(rows, labels[index], set_ids[index], cfg, [split.seed for split in stack])
         seconds += time.perf_counter() - started
         scored += [
             (split, _accuracy(sets, lifted, names, split, model), model.objective_trace)
             for split, model in zip(stack, models)
         ]
-        del galleries, models  # the models keep the rows: free them before the next copy
+        del rows, models  # the models keep the rows: free them before the next gather
     return tuple(
         SplitResult(
             split_index=split.index,
@@ -229,16 +235,6 @@ def _run_row(
         )
         for split, accuracy, trace in scored
     )
-
-
-def _gallery(sets, lifted, names, split: _Split) -> Gallery:
-    """A split's training rows, one fresh copy per channel, with their labels
-    and set ids."""
-    features = [lifted[name][split.train] for name in names]
-    for f in features:
-        f.setflags(write=False)  # a fresh C-contiguous copy, so the model keeps it
-    train_sets = [sets[i] for i in split.train]
-    return Gallery(features, [s.label for s in train_sets], [s.set_id for s in train_sets])
 
 
 def _accuracy(sets, lifted, names, split: _Split, model: ModelState) -> float:
@@ -292,6 +288,7 @@ def run_experiment(
     ``report.ablation`` along with the combined row. Each set is encoded and
     lifted once per call, however many splits and ablation rows use it.
     """
+    check_type("ablate", ablate, bool)
     run = _protocol(sets, cfg, n_splits, train_per_class, ablate)
     combined = run(cfg)
     if not ablate:

@@ -16,19 +16,17 @@ is the channel order; ``TrainConfig`` refuses any other name. ``lift_features``
 lifts a ``DescriptorStack`` (from ``descriptors.encode_sets``) with one
 stacked call (one ``spd_log`` for ``cov`` and ``gauss``) into one read-only
 (N, D_q) array: a training gallery, a probe (a stack of one), or the set
-collection of a split protocol call, whose splits then slice their training
-rows from it. These arrays are a channel's one representation: a model
-(``trainer.ModelState``) holds them and derives everything else from them,
-and only ``trainer.train`` builds Gram matrices, with ``gram`` and
-``gram_scale``. Every Gram entry is the one dot ``np.vecdot(rows, row)``.
-It computes each row's dot the same way wherever the row sits, so a Gram,
-built column by column with its lower triangle mirrored up, is exactly
-symmetric, and the same dot of a gallery member's row against the gallery
-reproduces that member's Gram column bit for bit. The bits of a dot depend
-on the layout of its rows (a strided row takes another summation path), so
-every lifted row is C-contiguous, and then a row gives the same dot alone
-or inside its array: ``lift_features`` returns C order, and ``train`` and
-``ModelState`` keep features in C order (a loaded model's included). A
+collection of a split protocol call, whose splits then gather their
+training rows from it. These arrays are a channel's one representation: a
+model (``trainer.ModelState``) holds them and derives everything else from
+them, and only ``trainer.train`` builds Gram matrices, with ``gram`` and
+``gram_scale``. A stack of S galleries' rows is one (S, N, D_q) array, and
+``gram`` is one product ``rows @ rows.T`` over it, which BLAS forms as a
+symmetric rank-k update per gallery: each Gram is exactly symmetric and has
+the same bits alone or inside a stack. The bits of a product depend on the
+layout of its rows (strided rows take another summation path), so every
+lifted row is C-contiguous: ``lift_features`` returns C order, and ``train``
+and ``ModelState`` keep features in C order (a loaded model's included). A
 probe is never scored by kernel columns: prediction reads its lifted rows
 through linear maps of the gallery features (``trainer.ProbeMap``).
 """
@@ -103,14 +101,10 @@ def gram_scale(features: np.ndarray, normalize: bool) -> float:
     return features.shape[0] / tr
 
 
-def gram(features: np.ndarray, scale: float) -> np.ndarray:
-    """``scale`` times the exactly symmetric Gram matrix of lifted rows
-    (C-contiguous), built column by column with its lower triangle mirrored up."""
-    n = features.shape[0]
-    k = np.empty((n, n), dtype=np.float64)
-    for j in range(n):
-        col = np.vecdot(features[j:], features[j])
-        k[j:, j] = col
-        k[j, j:] = col
-    k *= scale
+def gram(rows: np.ndarray, scales) -> np.ndarray:
+    """The Grams of a stack of lifted rows (..., N, D_q), C-contiguous, each
+    times its gallery's scale (``scales`` (...), or one for all): one product
+    ``rows @ rows.T``, exactly symmetric."""
+    k = rows @ rows.swapaxes(-1, -2)
+    k *= np.asarray(scales)[..., None, None]
     return k

@@ -45,9 +45,10 @@ galleries trains as one stack; it is left out for large galleries
 N=50), whose rows would multiply the memory.
 
 Gram matrices exist only inside ``train``: it builds each channel's scaled
-Gram from the gallery's lifted rows (``kernels.gram``) and drops them when
-it returns. The models it returns, ``ModelState``, hold those rows and
-derive what prediction reads from them, the transform and the gating.
+Grams from the stack's lifted rows with one product (``kernels.gram``) and
+drops them when it returns. The models it returns, ``ModelState``, hold
+views of those rows and derive what prediction reads from them, the
+transform and the gating.
 """
 
 from __future__ import annotations
@@ -157,8 +158,9 @@ class ModelState:
     p >= 1; Q x N gating coefficients and Q biases; one label and one set id
     per set; and an objective trace of finite numbers in [0, 1], where
     ``train`` clips every objective. The features and the transform are kept
-    read-only and C-contiguous (any other array is copied). Equality and
-    hashing are by identity.
+    read-only and C-contiguous: such an array, or a view into one (a row of
+    ``train``'s stacked rows), is kept as it is, and any other is copied.
+    Equality and hashing are by identity.
     """
 
     transform: np.ndarray
@@ -449,15 +451,6 @@ def _evaluate(projected, weights: np.ndarray, classes: ClassLayout):
     return np.minimum(np.maximum(_quotient(h_b, h_w + h_b), 0.0), 1.0), sums
 
 
-class Gallery(NamedTuple):
-    """One training problem: a gallery's lifted rows (one (N, D_q) array per
-    channel, from ``lift_features``), and a str label and set id per set."""
-
-    features: Sequence[np.ndarray]
-    labels: Sequence[str]
-    set_ids: Sequence[str]
-
-
 # Bytes of per-problem state (lifted rows, Grams, span columns and span
 # basis, as ``stack_size`` counts them; ``train`` drops the N x N
 # eigenvectors it cuts the bases from) that one training stack may hold. A
@@ -484,48 +477,54 @@ def stack_size(n: int, widths: Sequence[int]) -> int:
 
 
 def train(
-    galleries: Sequence[Gallery], cfg: TrainConfig, seeds: Sequence[int]
+    rows: Sequence[np.ndarray],
+    labels: Sequence[Sequence[str]],
+    set_ids: Sequence[Sequence[str]],
+    cfg: TrainConfig,
+    seeds: Sequence[int],
 ) -> list[ModelState]:
     """Alternating training loop over projection and gating parameters, for
-    a stack of galleries; returns one model per gallery, in order, gallery
+    a stack of S galleries; returns one model per gallery, in order, gallery
     k's trained under ``replace(cfg, seed=seeds[k])``.
 
-    The galleries share N, the channels and the class count (every split
-    of a split protocol trains on every class); a single gallery is a stack
-    of one. Each model has the bits it gets when its gallery trains alone:
-    the stack shares each numpy call of an iteration among the galleries
-    still training, and each stops on its own. Every gallery given trains in
-    this call, galleries whose span ranks differ in separate stacks; a
-    caller with many galleries passes ``stack_size`` at a time.
+    ``rows`` holds the stack's lifted rows (``lift_features``), one
+    (S, N, D_q) array per channel of ``cfg.descriptors``, made read-only and
+    C-contiguous (``read_only`` copies no array that already is one); gallery
+    k's model keeps the views ``rows[q][k]``. ``labels[k]`` gives each of
+    gallery k's sets its class and ``set_ids[k]`` its id, one str each, as
+    the gallery's ``ImageSet`` carry them. The galleries share N, the channels
+    and the class count (every split of a split protocol trains on every
+    class); a single gallery is a stack of one. Each model has the bits it
+    gets when its gallery trains alone: the stack shares each numpy call of an
+    iteration among the galleries still training, and each stops on its own.
+    Every gallery given trains in this call, galleries whose span ranks differ
+    in separate stacks; a caller with many galleries passes ``stack_size`` at
+    a time.
 
-    ``features`` holds a gallery's lifted rows (``lift_features``), one
-    (N, D_q) array per channel of ``cfg.descriptors``; the Grams, each scaled
-    by ``gram_scale`` under ``cfg.normalize_kernels``, are built from them
-    here and nowhere else, and the model keeps the rows. ``labels`` gives each
-    set's class and ``set_ids`` its id, one str each, as the gallery's
-    ``ImageSet`` carry them; ``class_layout`` derives from the labels, once
-    per gallery, the class structure every scatter, objective and gradient
-    reads. One stacked ``gram_spans`` call finds each gallery's orthonormal
-    basis of the r-dimensional span of all its Gram column differences,
-    which holds the range of every gated total scatter; the galleries of one
-    rank r train as one stack, the projection width clamped to r. Each outer
-    iteration builds the r x r gated scatters in that basis and solves the
-    trace ratio there, from the second iteration warm-started from the
-    previous projection. The objective, the gating gradient and the step
-    line search read the projected Gram columns ``E.T @ K_q`` the iteration
-    forms once, through ``projected_pair_sums``, O(p N n_classes) per
-    channel; each gating point is evaluated once, with one pass of those
-    sums giving its objective and, at the iteration's start point, its
-    gradient. The weights of the accepted step carry into the next
-    iteration; ``ModelState.train_weights`` derives the last ones from the
-    rows and the final gating. An outer iteration so costs O(N r^2 + r^3)
-    for the scatters and the solve, plus O(p N r) per channel for
-    ``E.T @ K_q`` and one Gram matvec per channel for each line-search try
-    and for the gradient. ``gram_spans`` costs O(N^3) per gallery, once.
-    Every iteration solves in the full span basis, however small a gating
-    weight gets: a numerically thin direction adds about 0 to both traces of
-    the ratio, so it needs no cut, and a projection whose total scatter
-    vanishes raises ``DegenerateDenominator``.
+    The Grams, each scaled by ``gram_scale`` under ``cfg.normalize_kernels``,
+    are built here and nowhere else, one ``gram`` product per channel over
+    the stack. ``class_layout`` derives from the labels, once per gallery,
+    the class structure every scatter, objective and gradient reads. One
+    stacked ``gram_spans`` call finds each gallery's orthonormal basis of the
+    r-dimensional span of all its Gram column differences, which holds the
+    range of every gated total scatter; the galleries of one rank r train as
+    one stack, the projection width clamped to r. Each outer iteration builds
+    the r x r gated scatters in that basis and solves the trace ratio there,
+    from the second iteration warm-started from the previous projection. The
+    objective, the gating gradient and the step line search read the
+    projected Gram columns ``E.T @ K_q`` the iteration forms once, through
+    ``projected_pair_sums``, O(p N n_classes) per channel; each gating point
+    is evaluated once, with one pass of those sums giving its objective and,
+    at the iteration's start point, its gradient. The weights of the accepted
+    step carry into the next iteration; ``ModelState.train_weights`` derives
+    the last ones from the rows and the final gating. An outer iteration so
+    costs O(N r^2 + r^3) for the scatters and the solve, plus O(p N r) per
+    channel for ``E.T @ K_q`` and one Gram matvec per channel for each
+    line-search try and for the gradient. ``gram_spans`` costs O(N^3) per
+    gallery, once. Every iteration solves in the full span basis, however
+    small a gating weight gets: a numerically thin direction adds about 0 to
+    both traces of the ratio, so it needs no cut, and a projection whose
+    total scatter vanishes raises ``DegenerateDenominator``.
 
     Randomness comes from one generator per gallery, seeded with its seed:
     first the gating init, then one orthonormal draw for the first
@@ -534,30 +533,35 @@ def train(
     ``cfg.eps`` in max norm. When several galleries fail, the error raised
     is that of the first to fail at the earliest step.
     """
-    galleries = [g._replace(features=tuple(read_only(f) for f in g.features)) for g in galleries]
-    layouts = [class_layout(g.labels) for g in galleries]
-    first = galleries[0].features
-    n = first[0].shape[0]
-    grams = np.empty((len(galleries), len(first), n, n))
-    for k, g in enumerate(galleries):
-        for q, f in enumerate(g.features):
-            grams[k, q] = gram(f, gram_scale(f, cfg.normalize_kernels))
+    rows = [read_only(r) for r in rows]
+    layouts = [class_layout(x) for x in labels]
+    s, n = rows[0].shape[:2]
+    grams = np.empty((s, len(rows), n, n))
+    for q, r in enumerate(rows):
+        grams[:, q] = gram(r, [gram_scale(f, cfg.normalize_kernels) for f in r])
     vectors, ranks = gram_spans(grams)
     bases = {r: vectors[ranks == r, :, :r] for r in dict.fromkeys(ranks.tolist())}
     del vectors  # each stack keeps its own basis only
-    models: list[ModelState] = [None] * len(galleries)
+    models: list[ModelState] = [None] * s
     for rank, basis in bases.items():
-        rows = np.flatnonzero(ranks == rank).tolist()
-        stacked = _train_stack(
-            grams if len(rows) == len(galleries) else grams[rows],
+        members = np.flatnonzero(ranks == rank).tolist()
+        results = _train_stack(
+            grams if len(members) == s else grams[members],
             basis,
-            stack_layouts([layouts[k] for k in rows]),
-            [galleries[k] for k in rows],
+            stack_layouts([layouts[k] for k in members]),
             cfg,
-            [seeds[k] for k in rows],
+            [seeds[k] for k in members],
         )
-        for k, model in zip(rows, stacked):
-            models[k] = model
+        for k, (gating, transform, trace) in zip(members, results):
+            models[k] = ModelState(
+                transform=transform,
+                gating=gating,
+                features=tuple(r[k] for r in rows),
+                labels=tuple(map(str, labels[k])),
+                set_ids=tuple(set_ids[k]),
+                config=replace(cfg, seed=seeds[k]),
+                objective_trace=tuple(trace),
+            )
     return models
 
 
@@ -565,16 +569,16 @@ def _train_stack(
     grams: np.ndarray,
     basis: np.ndarray,
     classes: ClassLayout,
-    galleries: Sequence[Gallery],
     cfg: TrainConfig,
     seeds: Sequence[int],
-) -> list[ModelState]:
+) -> list[tuple[GatingParams, np.ndarray, list[float]]]:
     """``train`` for one stack of S problems of one span rank r: Grams
     (S, Q, N, N) and span bases (S, N, r), from which it forms the span
-    columns ``basis.T @ K_q`` (S, Q, r, N) that the scatters read.
+    columns ``basis.T @ K_q`` (S, Q, r, N) that the scatters read. Returns
+    each problem's gating, transform (N, p) and objective trace.
 
     Every array of the loop's state holds the problems still training, whose
-    stack positions are ``active``. A problem that stops gets its model and
+    stack positions are ``active``. A problem that stops gets its result and
     leaves those arrays; while all train, no array is copied to select them.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
@@ -590,7 +594,7 @@ def _train_stack(
     # the projections in span coordinates, (S, r, p): first one draw per problem
     coords = np.stack([rng.standard_normal((rank, width)) for rng in rngs])
 
-    models: list[ModelState] = [None] * len(seeds)
+    results: list[tuple[GatingParams, np.ndarray, list[float]]] = [None] * len(seeds)
     traces: list[list[float]] = [[] for _ in seeds]
     active = np.arange(len(seeds))
     transform = None
@@ -629,17 +633,8 @@ def _train_stack(
         if not stop.any():
             continue
         for j in np.flatnonzero(stop).tolist():
-            k = int(active[j])
-            g = galleries[k]
-            models[k] = ModelState(
-                transform=transform[j],
-                gating=GatingParams(params.coeffs[j], params.biases[j]),
-                features=g.features,
-                labels=tuple(map(str, g.labels)),
-                set_ids=tuple(g.set_ids),
-                config=replace(cfg, seed=seeds[k]),
-                objective_trace=tuple(traces[k]),
-            )
+            gating = GatingParams(params.coeffs[j], params.biases[j])
+            results[active[j]] = (gating, transform[j], traces[active[j]])
         if stop.all():
             break
         keep = ~stop
@@ -647,7 +642,7 @@ def _train_stack(
         classes = classes.take(keep)
         params = GatingParams(params.coeffs[keep], params.biases[keep])
         weights, coords, transform = weights[keep], coords[keep], transform[keep]
-    return models
+    return results
 
 
 def _line_search(params, weights, grads, objective, projected, grams, classes, rate, it):

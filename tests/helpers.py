@@ -36,7 +36,7 @@ from setfuse.gating import class_layout, gating_weights, projected_gradients, pr
 from setfuse.kernels import DESCRIPTOR_NAMES, gram, gram_scale, lift_features, lift_width
 from setfuse.spd import spd_log, sym_eig
 from setfuse.trainer import DENOMINATOR_FLOOR, NULL_SPACE_RTOL, TOTAL_SCATTER_FLOOR
-from setfuse.trainer import Gallery, TraceRatioResult, gram_spans, solve_trace_ratio, train
+from setfuse.trainer import TraceRatioResult, gram_spans, solve_trace_ratio, train
 from setfuse.trainer import scatter_matrices as library_scatter_matrices
 
 # An SPD check passes when the smallest eigenvalue exceeds this fraction of
@@ -61,23 +61,31 @@ def is_spd(m) -> bool:
     return float(pair.values[-1]) > SPD_EIG_RTOL * lam_max
 
 
+def pair_kernel(m1, m2) -> float:
+    """The Frobenius inner product of two lifted matrices as the library's
+    Gram product forms it: the off-diagonal entry of the Gram of their two
+    flattened rows."""
+    pair = np.stack([np.ravel(m1), np.ravel(m2)])
+    return float((pair @ pair.T)[1, 0])
+
+
 def log_euclidean_kernel(c1, c2) -> float:
-    """trace(log(C1) @ log(C2)) for SPD matrices of equal size, as the one
-    dot of the library's kernel values."""
+    """trace(log(C1) @ log(C2)) for SPD matrices of equal size, as a Gram
+    entry (``pair_kernel``) of their logs."""
     a1 = np.asarray(c1, dtype=np.float64)
     a2 = np.asarray(c2, dtype=np.float64)
     if a1.shape != a2.shape:
         raise DimensionMismatch(f"SPD shapes differ: {a1.shape} vs {a2.shape}")
-    return float(np.vecdot(spd_log(a1).ravel(), spd_log(a2).ravel()))
+    return pair_kernel(spd_log(a1), spd_log(a2))
 
 
 def projection_kernel(y1, y2) -> float:
     """||Y1.T @ Y2||_F^2 for orthonormal d x q subspace bases of equal shape,
-    as the dot of their projectors."""
+    as a Gram entry (``pair_kernel``) of their projectors."""
     b1, b2 = check_orthonormal(y1), check_orthonormal(y2)
     if b1.shape != b2.shape:
         raise DimensionMismatch(f"subspace shapes differ: {b1.shape} vs {b2.shape}")
-    return float(np.vecdot((b1 @ b1.T).ravel(), (b2 @ b2.T).ravel()))
+    return pair_kernel(b1 @ b1.T, b2 @ b2.T)
 
 
 def scatter_matrices(bank, labels, weights):
@@ -178,9 +186,8 @@ def columns_from_rows(bank, rows):
     """Scaled kernel columns of a probe's lifted rows (one D_q row, or a stack
     of one, per channel) against ``bank`` (a ``Bank`` or a model: its
     ``features`` and ``scales``), one per channel and each as wide as the
-    gallery, from the dot every Gram entry is built with (``np.vecdot`` over
-    C-contiguous rows): the oracle of the invariant that a gallery member
-    sent as a probe reproduces its Gram column bit for bit."""
+    gallery, one ``np.vecdot`` per channel: the reference a probe's kernel
+    values are checked against, since prediction forms none."""
     return [
         np.vecdot(f, np.ascontiguousarray(row)) * s
         for row, f, s in zip(rows, bank.features, bank.scales)
@@ -253,7 +260,8 @@ class Bank:
 def kernel_bank(descriptors, features, normalize=False):
     """The ``Bank`` of lifted rows, one array per channel of ``descriptors``,
     with the Grams and scales ``train`` builds from them: each array made
-    read-only and C-contiguous, then ``gram(f, gram_scale(f, normalize))``."""
+    read-only and C-contiguous, then ``gram(f, gram_scale(f, normalize))``,
+    the bits ``train`` gets for the gallery inside any stack."""
     features = tuple(read_only(f) for f in features)
     scales = tuple(gram_scale(f, normalize) for f in features)
     grams = tuple(gram(f, s) for f, s in zip(features, scales))
@@ -293,8 +301,10 @@ def model_bank(model):
 
 
 def train_one(features, labels, set_ids, cfg):
-    """``trainer.train`` of one gallery: its stack of one."""
-    return train([Gallery(features, labels, set_ids)], cfg, [cfg.seed])[0]
+    """``trainer.train`` of one gallery, one (N, D_q) array per channel: its
+    stack of one, each array's (1, N, D_q) view."""
+    rows = [np.asarray(f)[None] for f in features]
+    return train(rows, [labels], [set_ids], cfg, [cfg.seed])[0]
 
 
 def span_of(grams):

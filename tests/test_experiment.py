@@ -2,6 +2,7 @@
 
 import os
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -218,6 +219,25 @@ class TestCollectionMustBeAListOfSets:
             run(small_sets(), tmp_path / "model")
         assert not (tmp_path / "model").exists()
 
+    @pytest.mark.parametrize(
+        "run, match",
+        [
+            (lambda: ImageSet([["a", "b"], ["c", "d"]], "c", "s1"), "set 's1': features"),
+            (lambda: ImageSet(np.ones((2, 3)) * (1 + 1j), "c", "s1"), "set 's1': features"),
+            (lambda: ImageSet([[1.0, 2j], [3.0, 4.0]], "c", "s1"), "set 's1': features"),
+            (lambda: ImageSet(np.array([[1.0, 2j]], dtype=object), "c", "s1"), "real numbers"),
+            (lambda: ImageSet([[1.0, 2.0], [3.0]], "c", "s1"), "set 's1': features"),
+            (lambda: run_experiment(small_sets(), fast_cfg(), ablate="no"), "ablate .* got str"),
+        ],
+        ids=["str", "complex", "complex-list", "complex-object", "ragged", "ablate-str"],
+    )
+    def test_non_real_features_and_mistyped_ablate_raise_bad_spec(self, run, match, count_calls):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no imaginary part is dropped with a warning
+            with pytest.raises(BadSpec, match=match):
+                run()
+        assert count_calls == {"encode_set": 0, "spd_log": 0}
+
     def test_tuple_accepted(self):
         sets = small_sets()
         assert report_splits(run_experiment(tuple(sets), fast_cfg(), n_splits=1)) == (
@@ -324,9 +344,9 @@ class TestDimensionSweep:
         calls = []  # one train call per width trains both of its splits
         real = experiment_module.train
 
-        def counting(galleries, cfg, seeds):
-            calls.append([cfg.target_dim] * len(galleries))
-            return real(galleries, cfg, seeds)
+        def counting(rows, labels, set_ids, cfg, seeds):
+            calls.append([cfg.target_dim] * len(labels))
+            return real(rows, labels, set_ids, cfg, seeds)
 
         monkeypatch.setattr(experiment_module, "train", counting)
         sweep = run_dimension_sweep(small_sets(), fast_cfg(), target_dims=target_dims, n_splits=2)
@@ -490,9 +510,9 @@ def stacks(monkeypatch):
     """The number of galleries in each stack ``train`` trains in lockstep."""
     sizes = []
 
-    def recording(*args, _real=trainer_module._train_stack):
-        sizes.append(len(args[3]))
-        return _real(*args)
+    def recording(grams, *args, _real=trainer_module._train_stack):
+        sizes.append(len(grams))
+        return _real(grams, *args)
 
     monkeypatch.setattr(trainer_module, "_train_stack", recording)
     return sizes
@@ -550,18 +570,18 @@ class TestStackBudget:
             assert split.objective_trace == alike.objective_trace
 
     def test_each_stack_is_scored_before_the_next_is_copied(self, monkeypatch):
-        # a row copies a stack's training rows (one ``Gallery`` per split),
+        # a row gathers a stack's training rows (one fresh array per channel),
         # trains them with one call of at most ``stack_size`` galleries and
-        # scores every split of the stack, its test rows in one call, before it
-        # copies the next stack's rows
-        events = []  # ("copy",), ("train", model ids), ("score", model id, probe count)
+        # scores every split of the stack, its test rows in one call, before
+        # it trains the next stack, by which time the rows are freed
+        events = []  # ("train", model ids), ("score", model id, probe count)
+        gathered = []  # a weak reference to each stack's gathered rows
 
-        def gallery(*args, _real=experiment_module.Gallery):
-            events.append(("copy",))
-            return _real(*args)
-
-        def training(galleries, *args, _real=experiment_module.train):
-            models = _real(galleries, *args)
+        def training(rows, *args, _real=experiment_module.train):
+            assert all(ref() is None for ref in gathered)
+            assert all(r.flags.owndata and not r.flags.writeable for r in rows)
+            gathered.extend(weakref.ref(r) for r in rows)
+            models = _real(rows, *args)
             events.append(("train", [id(m) for m in models]))
             return models
 
@@ -569,7 +589,7 @@ class TestStackBudget:
             events.append(("score", id(model), len(rows[0])))
             return _real(rows, model)
 
-        for name, spy in [("Gallery", gallery), ("train", training), ("distance_profile", scoring)]:
+        for name, spy in [("train", training), ("distance_profile", scoring)]:
             monkeypatch.setattr(experiment_module, name, spy)
         # room for four of these N=50, d=10 problems (about 270 KB each), so
         # the row's ten splits form several stacks
@@ -579,16 +599,12 @@ class TestStackBudget:
         run_experiment(sets, cfg, n_splits=10, train_per_class=5)
         trains = [k for k, e in enumerate(events) if e[0] == "train"]
         assert [len(events[k][1]) for k in trains] == [4, 4, 2]
-        for k in trains:
-            models = events[k][1]
-            # the stack's rows were copied right before its train call ...
-            assert events[k - len(models) : k] == [("copy",)] * len(models)
-            # ... and each of its splits scores its 50 test sets, in one call,
-            # before any further copy
-            following = events[k + 1 :]
-            until = next((j for j, e in enumerate(following) if e[0] == "copy"), len(following))
-            scored = [e[1:] for e in following[:until]]
-            assert sorted(scored) == sorted((m, 50) for m in models)
+        assert len(gathered) == 3 * 3
+        for k, end in zip(trains, trains[1:] + [len(events)]):
+            # each split of the stack scores its 50 test sets, in one call,
+            # before the next stack trains
+            scored = [e[1:] for e in events[k + 1 : end]]
+            assert sorted(scored) == sorted((m, 50) for m in events[k][1])
 
 
 class TestEncodeOncePerCall:
@@ -649,24 +665,28 @@ class TestOneProbePath:
         assert sorted(count_profiles) == sorted(want)
 
     def test_split_training_rows_are_kept_by_the_bank(self, monkeypatch):
-        # each split's training rows reach train read-only and C-contiguous,
-        # so its Grams read them and the model keeps them without a second copy
+        # a stack's training rows reach train as one read-only, C-contiguous
+        # gather per channel, so its Grams read them and each model keeps a
+        # view of its split's rows without a second copy
         seen = []
         real = experiment_module.train
 
-        def recording(galleries, cfg, seeds):
-            models = real(galleries, cfg, seeds)
-            seen.extend((g.features, model) for g, model in zip(galleries, models, strict=True))
+        def recording(rows, labels, set_ids, cfg, seeds):
+            models = real(rows, labels, set_ids, cfg, seeds)
+            seen.append((rows, models))
             return models
 
         monkeypatch.setattr(experiment_module, "train", recording)
         run_experiment(small_sets(), fast_cfg(), n_splits=2)
-        assert len(seen) == 2
-        for features, model in seen:
-            for f, kept in zip(features, model.features, strict=True):
-                assert not f.flags.writeable
-                assert f.flags.c_contiguous
-                assert kept is f
+        assert [len(models) for _, models in seen] == [2]
+        for rows, models in seen:
+            for q, r in enumerate(rows):
+                assert not r.flags.writeable
+                assert r.flags.c_contiguous
+                for k, model in enumerate(models):
+                    kept = model.features[q]
+                    assert kept.base is r and np.shares_memory(kept, r[k])
+                    assert np.array_equal(kept, r[k])
 
 
 class TestErrorsKeepTheirClass:

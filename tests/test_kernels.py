@@ -16,7 +16,8 @@ from setfuse.errors import (
     NotOrthonormal,
 )
 from setfuse.gating import GatingParams
-from setfuse.kernels import DESCRIPTOR_NAMES, gram_scale, lift_features, lifted_dim
+from setfuse.descriptors import read_only
+from setfuse.kernels import DESCRIPTOR_NAMES, gram, gram_scale, lift_features, lifted_dim
 from setfuse.trainer import ModelState
 
 from helpers import (
@@ -69,6 +70,19 @@ def hand_model(features, descriptors, normalize=False):
 def gram_matrix(stack, name, normalize=False):
     """One channel's Gram matrix, through a one-channel bank."""
     return build_kernel_bank(stack, (name,), normalize).grams[0]
+
+
+def assert_gram_alone_and_stacked(rows, scale, want):
+    """``want`` is the ``gram`` of C-contiguous ``rows`` (N, D_q) at ``scale``,
+    exactly symmetric, and has the same bits inside a stack of two galleries
+    gathered by a fancy index, after the same rows reversed at scale 1."""
+    assert np.array_equal(gram(rows, scale), want)
+    assert np.array_equal(want, want.T)
+    n = rows.shape[0]
+    pool = np.concatenate([rows[::-1], rows])
+    stack = pool[np.array([np.arange(n), np.arange(n, 2 * n)])]
+    assert stack.flags.c_contiguous
+    assert np.array_equal(gram(stack, [1.0, scale])[1], want)
 
 
 class TestLogEuclideanKernel:
@@ -197,6 +211,13 @@ class TestGramMatrix:
             k = gram_matrix(gallery, channel)
             assert np.array_equal(k, k.T)
 
+    def test_gram_is_the_same_alone_and_stacked(self):
+        rng = np.random.default_rng(44)
+        gallery = encode_sets(random_gallery_sets(rng, 3, 3, d=6, n=12), q=3)
+        for channel in DESCRIPTOR_NAMES:
+            rows = lift_features(gallery, channel)
+            assert_gram_alone_and_stacked(rows, 1.0, gram_matrix(gallery, channel))
+
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(39)
         gallery = encode_sets(random_gallery_sets(rng, 4, 5, d=6, n=12), q=3)
@@ -249,15 +270,6 @@ class TestCrossKernelVector:
         v = cross_kernel_vector(rows(gallery, 0), rows(gallery, slice(1, None)), "cov")
         assert v.shape == (1,)
 
-    def test_probe_in_gallery_reproduces_gram_column(self):
-        rng = np.random.default_rng(44)
-        gallery = encode_sets(random_gallery_sets(rng, 3, 3, d=6, n=12), q=3)
-        j = 4
-        for channel in DESCRIPTOR_NAMES:
-            k = gram_matrix(gallery, channel)
-            v = cross_kernel_vector(rows(gallery, j), gallery, channel)
-            assert np.array_equal(v, k[:, j])
-
     def test_matches_scalar_kernels(self):
         rng = np.random.default_rng(45)
         gallery = encode_sets(random_gallery_sets(rng, 3, 5, d=6, n=12), q=3)
@@ -294,9 +306,9 @@ class TestKernelBank:
         gallery = encode_sets(random_gallery_sets(rng, 2, 3, d=6, n=12), q=3)
         bank = build_kernel_bank(gallery, normalize=True)
         raw = build_kernel_bank(gallery)
-        for g, s, r in zip(bank.grams, bank.scales, raw.grams):
+        for f, g, s, r in zip(bank.features, bank.grams, bank.scales, raw.grams):
             assert s != 1.0
-            assert s == 6.0 / float(np.trace(r))
+            assert s == 6.0 / float(np.sum(np.vecdot(f, f)))  # N over the squared norms
             assert np.array_equal(g, r * s)
             assert abs(np.trace(g) - 6.0) <= 1e-9
 
@@ -321,10 +333,9 @@ class TestLiftedFeatures:
     def test_bank_grams_match_per_pair_oracle(self, d):
         # a ragged gallery (three interleaved sample counts) encoded and lifted
         # as stacks: every row has the bits of its set encoded and lifted
-        # alone, every Gram entry is the per-pair dot ``np.vecdot`` of those
-        # rows bit for bit and their naive product sum to 1e-12 of the rows'
-        # norm product (the scale of a dot's rounding), and every member sent
-        # as a probe reproduces its Gram column
+        # alone, every Gram entry is the naive product sum of those rows to
+        # 1e-12 of the rows' norm product (the scale of a dot's rounding), and
+        # the Gram is exactly symmetric, with the same bits inside a stack
         rng = np.random.default_rng(51 + d)
         sets = [
             ImageSet(features=s.features[:, : d + 8 - 3 * (i % 3)], label=s.label, set_id=s.set_id)
@@ -334,20 +345,16 @@ class TestLiftedFeatures:
         bank = build_kernel_bank(encode_stack(sets, cfg))
         alone = [encode_stack([s], cfg) for s in sets]
         n = len(sets)
-        for channel, features, gram in zip(bank.descriptors, bank.features, bank.grams):
+        for channel, features, k in zip(bank.descriptors, bank.features, bank.grams):
             lifted = [lift_features(t, channel)[0] for t in alone]
             assert all(np.array_equal(f, row) for f, row in zip(features, lifted))
-            oracle, naive = np.empty((n, n)), np.empty((n, n))
+            naive = np.empty((n, n))
             for i in range(n):
                 for j in range(n):
-                    oracle[i, j] = float(np.vecdot(lifted[i], lifted[j]))
                     naive[i, j] = float(np.sum(lifted[i] * lifted[j]))
-            assert np.array_equal(gram, oracle)
             norms = np.linalg.norm(np.array(lifted), axis=1)
-            assert np.all(np.abs(gram - naive) <= 1e-12 * np.outer(norms, norms))
-        for j, t in enumerate(alone):
-            for q, col in enumerate(columns_from_rows(bank, probe_rows(t, bank.descriptors))):
-                assert np.array_equal(col, bank.grams[q][:, j])
+            assert np.all(np.abs(k - naive) <= 1e-12 * np.outer(norms, norms))
+            assert_gram_alone_and_stacked(features, 1.0, k)
 
     def test_rows_are_flattened_lifts(self):
         rng = np.random.default_rng(52)
@@ -372,13 +379,13 @@ class TestLiftedFeatures:
         with pytest.raises(NonSymmetric, match="^expected a square matrix"):
             lift_features(not_square, "cov")
 
-    def test_bank_features_feed_probe_columns(self):
+    def test_normalized_bank_grams_are_the_same_stacked(self):
         rng = np.random.default_rng(54)
         gallery = encode_sets(random_gallery_sets(rng, 2, 3, d=6, n=12), q=3)
         bank = build_kernel_bank(gallery, normalize=True)
-        probe = probe_rows(rows(gallery, 2), bank.descriptors)
-        for q, col in enumerate(columns_from_rows(bank, probe)):
-            assert np.array_equal(col, bank.grams[q][:, 2])
+        for f, s, k in zip(bank.features, bank.scales, bank.grams):
+            assert s != 1.0
+            assert_gram_alone_and_stacked(f, s, k)
 
     def test_bank_without_features_cannot_be_built(self):
         # a model's gallery is its lifted rows; its scales are derived from them
@@ -433,9 +440,9 @@ class TestBankIsItsFeatures:
         assert model.n_train == 4
 
     def test_fortran_order_features_are_stored_in_c_order(self):
-        # the bits of a dot depend on its rows' layout, so a model and a
-        # training Gram keep C order: a read-only Fortran-order array, and its
-        # strided rows sent as probes, give the Grams and columns of the same
+        # the bits of a product depend on its rows' layout, so a model and a
+        # training Gram keep C order: a read-only Fortran-order array, alone or
+        # as the stack of one ``train`` reads, gives the Grams of the same
         # values in C order
         rng = np.random.default_rng(64)
         f = rng.standard_normal((97, 121))
@@ -445,30 +452,32 @@ class TestBankIsItsFeatures:
         f_bank = kernel_bank(("gauss",), (fortran,))
         assert f_bank.features[0].flags.c_contiguous
         assert np.array_equal(f_bank.grams[0], c_bank.grams[0])
-        for j in range(f.shape[0]):
-            (col,) = columns_from_rows(f_bank, [fortran[j]])
-            assert np.array_equal(col, columns_from_rows(c_bank, [f[j]])[0])
-            assert np.array_equal(col, c_bank.grams[0][:, j])
+        stack = read_only(fortran[None])
+        assert stack.flags.c_contiguous
+        assert np.array_equal(gram(stack, 1.0)[0], c_bank.grams[0])
 
 
 class TestOneDot:
-    """Every kernel value is one ``np.vecdot`` over C-contiguous rows."""
+    """Every Gram entry is the dot of two C-contiguous rows, and a Gram is one
+    product over its rows: exactly symmetric, with the same bits alone,
+    inside a stack and from the same rows in another buffer."""
 
     @pytest.mark.parametrize("width", [1, 55, 66, 100, 121, 1024, 1089])
     @pytest.mark.parametrize("n", [1, 2, 97, 251])
     def test_self_probes_reproduce_symmetric_gram(self, n, width):
-        # a member's row sent as a probe, copied to a fresh array or as an
-        # 8-byte-offset read-only view into a bytes buffer (the way
-        # load_model reads arrays), gives its Gram column bit for bit
+        # the members' rows copied to a fresh array, or read as an
+        # 8-byte-offset read-only view into a bytes buffer (the way load_model
+        # reads arrays), rebuild the gallery's Gram bit for bit
         rng = np.random.default_rng(1000 * n + width)
         bank = kernel_bank(("cov",), (rng.standard_normal((n, width)),))
-        (gram,) = bank.grams
-        assert np.array_equal(gram, gram.T)
-        # the trace-N scale, read from the rows, has the bits of one read from the Gram
-        assert gram_scale(bank.features[0], True) == n / float(np.trace(gram))
-        for j, row in enumerate(bank.features[0]):
-            view = np.frombuffer(b"\0" * 8 + row.tobytes(), dtype="<f8", offset=8)
-            assert not view.flags.writeable
-            for probe in (row.copy(), view):
-                (col,) = columns_from_rows(bank, [probe])
-                assert np.array_equal(col, gram[:, j])
+        (f,), (k,) = bank.features, bank.grams
+        assert_gram_alone_and_stacked(f, 1.0, k)
+        view = np.frombuffer(b"\0" * 8 + f.tobytes(), dtype="<f8", offset=8).reshape(n, width)
+        assert not view.flags.writeable
+        for rows in (f.copy(), view):
+            assert np.array_equal(gram(rows, 1.0), k)
+        # the trace-N scale is N over the rows' summed squared norms, and the
+        # Gram it scales has trace N to 1e-15 relative
+        scale = gram_scale(f, True)
+        assert scale == n / float(np.sum(np.vecdot(f, f)))
+        assert abs(float(np.trace(gram(f, scale))) - n) <= 1e-15 * n

@@ -6,8 +6,8 @@ a library import of it would show up in every workload's peak memory. A
 fresh interpreter imports ``setfuse``, trains once and predicts once, and no
 ``scipy`` module may be loaded by then.
 
-Every kernel value is an ``np.vecdot``, which numpy 2.0 added, so the
-declared numpy floor must be at least 2.0. ``pyproject.toml`` is read as
+The kernel scales sum the lifted rows' squared norms with ``np.vecdot``,
+which numpy 2.0 added, so the declared numpy floor must be at least 2.0. ``pyproject.toml`` is read as
 plain text, since ``tomllib`` is missing on Python 3.10.
 """
 

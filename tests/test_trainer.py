@@ -26,7 +26,6 @@ from setfuse import trainer
 from setfuse.experiment import split_sets, train_on_sets
 from setfuse.kernels import DESCRIPTOR_NAMES
 from setfuse.trainer import (
-    Gallery,
     ScatterPair,
     gram_spans,
     solve_trace_ratio,
@@ -624,7 +623,7 @@ class TestTrain:
     @pytest.mark.parametrize("normalize", [False, True])
     def test_bank_is_built_from_the_config(self, normalize):
         # the model's scales follow the config, as the Grams training built,
-        # and it keeps the read-only rows it was given
+        # and it keeps the read-only rows it was given, sharing their memory
         rng = np.random.default_rng(109)
         bank = random_bank(rng, 12, 2, dim=4)
         cfg = replace(TWO_CHANNELS, target_dim=3, normalize_kernels=normalize)
@@ -632,7 +631,7 @@ class TestTrain:
         assert model.scales == kernel_bank(cfg.descriptors, bank.features, normalize).scales
         assert all((s != 1.0) == normalize for s in model.scales)
         for kept, given in zip(model.features, bank.features, strict=True):
-            assert kept is given
+            assert np.shares_memory(kept, given) and np.array_equal(kept, given)
         assert model.set_ids == tuple(ids_of(bank))
 
     def test_numpy_str_labels_train_as_str(self):
@@ -669,14 +668,16 @@ class TestTrain:
 
 
 def stacked_galleries():
-    """Four galleries of 12 random lifted rows each, with random labels, so
-    that the classes interleave and their codes differ per gallery."""
+    """Four galleries of 12 random lifted rows each, stacked per channel
+    (4, 12, D_q), with random labels, so that the classes interleave and their
+    codes differ per gallery; returns the rows, labels and set ids."""
     rng = np.random.default_rng(109)
-    out = []
+    banks, labels = [], []
     for _ in range(4):
-        bank = random_bank(rng, 12, 3, dim=4)
-        out.append(Gallery(bank.features, random_labels(rng, 12), ids_of(bank)))
-    return out
+        banks.append(random_bank(rng, 12, 3, dim=4))
+        labels.append(random_labels(rng, 12))
+    rows = [np.stack(features) for features in zip(*(b.features for b in banks))]
+    return rows, labels, [ids_of(b) for b in banks]
 
 
 class TestStackedTraining:
@@ -684,11 +685,11 @@ class TestStackedTraining:
     bits it gets alone, however its control flow departs from the others'."""
 
     def test_each_gallery_trains_as_it_does_alone(self, monkeypatch, caplog):
-        galleries = stacked_galleries()
+        rows, labels, ids = stacked_galleries()
         cfg = TrainConfig(target_dim=3, iters=8, learning_rate=100.0)
         # the third gallery climbs along its negated gradient, so each of its
         # steps lowers the objective and rolls back, and it stops at iteration 3
-        descending = float(np.vecdot(galleries[2].features[0][0], galleries[2].features[0][0]))
+        descending = (rows[0][2] @ rows[0][2].T)[0, 0]
         real_gradients = trainer.projected_gradients
 
         def gradients(grams, *args):
@@ -698,9 +699,9 @@ class TestStackedTraining:
 
         stacks, steps, inner = [], [], []
 
-        def stack_spy(*args, _real=trainer._train_stack):
-            stacks.append(len(args[3]))
-            return _real(*args)
+        def stack_spy(grams, *args, _real=trainer._train_stack):
+            stacks.append(len(grams))
+            return _real(grams, *args)
 
         def step_spy(params, grads, step, _real=trainer.gradient_ascent_step):
             steps.append(np.array(step))
@@ -713,13 +714,16 @@ class TestStackedTraining:
 
         monkeypatch.setattr(trainer, "projected_gradients", gradients)
         with caplog.at_level(logging.INFO, logger="setfuse.trainer"):
-            alone = [train([g], cfg, [s])[0] for s, g in enumerate(galleries)]
+            alone = [
+                train([r[k : k + 1] for r in rows], [labels[k]], [ids[k]], cfg, [k])[0]
+                for k in range(4)
+            ]
             rolled_alone = sum("rolled back" in r.message for r in caplog.records)
             caplog.clear()
             for name, spy in [("_train_stack", stack_spy), ("gradient_ascent_step", step_spy),
                               ("solve_trace_ratio", solve_spy)]:
                 monkeypatch.setattr(trainer, name, spy)
-            stacked = train(galleries, cfg, range(4))
+            stacked = train(rows, labels, ids, cfg, range(4))
             rolled = sum("rolled back" in r.message for r in caplog.records)
 
         for a, m in zip(alone, stacked, strict=True):

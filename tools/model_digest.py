@@ -36,9 +36,9 @@ split's gallery then orders its classes its own way),
 duplicated (its splits differ in span rank, so the row trains as two stacks)
 and ``experiment_d32`` one report on ten splits of N=50 galleries at set
 dimension 32.
-``stacked_halvings`` prints one ``model`` digest over four random galleries
-that ``trainer.train`` trains as one stack, in which some gating steps halve
-while others are accepted. BLAS is
+``stacked_halvings`` prints one ``model`` digest over four random galleries,
+their lifted rows stacked per channel, that ``trainer.train`` trains as one
+stack, in which some gating steps halve while others are accepted. BLAS is
 pinned to one thread, because the thread count changes the bits.
 """
 
@@ -219,20 +219,20 @@ def _cases(sf, workdir: Path):
     # gating steps halve while others are accepted, and the galleries stop
     # at different iterations
     from setfuse.kernels import lift_width
-    from setfuse.trainer import Gallery, train
+    from setfuse.trainer import train
 
     rng = np.random.default_rng(21)
-    galleries = []
+    galleries, labels = [], []
     for _ in range(4):
         rows = [rng.standard_normal((12, 14)) / np.sqrt(14) for _ in sf.DESCRIPTOR_NAMES]
-        features = [
+        galleries.append([
             np.pad(r, ((0, 0), (0, lift_width(q, 4) - 14))) for q, r in zip(sf.DESCRIPTOR_NAMES, rows)
-        ]
-        labels = [f"c{c}" for c in rng.permutation(np.arange(12) % 3)]
-        galleries.append(Gallery(features, labels, [f"s{i}" for i in range(12)]))
+        ])
+        labels.append([f"c{c}" for c in rng.permutation(np.arange(12) % 3)])
+    stacked = [np.stack(channel) for channel in zip(*galleries)]  # (4, 12, D_q) per channel
     d = _Digest()
     halving = sf.TrainConfig(target_dim=3, iters=8, learning_rate=1000.0)
-    for model in train(galleries, halving, range(4)):
+    for model in train(stacked, labels, [[f"s{i}" for i in range(12)]] * 4, halving, range(4)):
         _add_model(d, model)
     yield "stacked_halvings", (("model", d.hexdigest()), ("saved", None))
 
