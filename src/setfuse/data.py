@@ -52,7 +52,9 @@ def _manifest_rows(path: Path) -> list[list[str]]:
 
 
 def read_set_file(path: Path) -> np.ndarray:
-    """One set CSV as a d x n matrix; ``ParseError`` cites file and line."""
+    """One set CSV as a d x n matrix; ``ParseError`` cites file and line.
+    A token is an ASCII decimal number or a ``float`` spelling of NaN or
+    infinity, with optional whitespace around it."""
     if not path.is_file():
         raise IoError(f"set file not found: {path}")
     rows = []
@@ -66,6 +68,9 @@ def read_set_file(path: Path) -> np.ndarray:
             values = []
             for col, tok in enumerate(tokens, start=1):
                 try:
+                    # float() also reads "1_0" and non-ASCII digits, which no CSV writer emits
+                    if not tok.isascii() or "_" in tok:
+                        raise ValueError(tok)
                     values.append(float(tok))
                 except ValueError:
                     raise ParseError(

@@ -59,12 +59,20 @@ def read_only(values) -> np.ndarray:
     return a
 
 
+def _non_real(a: np.ndarray) -> bool:
+    """Whether ``a`` holds complex numbers, booleans or strings, as its dtype
+    or as the entries of an object array; numpy would read them as floats."""
+    kinds = (bool, np.bool_, str, bytes, complex, np.complexfloating)
+    return a.dtype.kind in "bcSU" or a.dtype == object and any(isinstance(x, kinds) for x in a.flat)
+
+
 @dataclass(frozen=True, eq=False)
 class ImageSet:
     """One labeled image set: columns of ``features`` are per-image vectors.
     ``label`` and ``set_id`` are each a str (numpy's ``str_`` is one), and
     ``features`` real numbers that numpy reads as float64 (no complex value,
-    no ragged nesting), else ``BadSpec`` names the set before any shape check.
+    boolean, string or ragged nesting), else ``BadSpec`` names the set before
+    any shape check.
     Equality and hashing are by identity, as for every public type that
     holds arrays."""
 
@@ -77,7 +85,8 @@ class ImageSet:
             if not isinstance(value, str):
                 raise BadSpec(f"set {self.set_id!r}: {what} must be a str, got {value!r:.80}")
         try:
-            a = None if np.iscomplexobj(self.features) else np.asarray(self.features, np.float64)
+            raw = np.asarray(self.features)
+            a = None if _non_real(raw) else np.asarray(raw, np.float64)
         except (TypeError, ValueError):
             a = None
         if a is None:

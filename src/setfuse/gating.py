@@ -13,9 +13,9 @@ by gradient ascent on the same trace-ratio objective the projection is
 solved for; the exact gradient expressions live in ``projected_gradients``.
 
 Every scatter, pair sum and gradient sums over same-class and different-class
-pairs, and reads the gallery's classes from one frozen ``ClassLayout`` (class
-codes, one-hot indicator, pair counts) that ``class_layout`` builds once per
-gallery per ``train`` call.
+pairs, and reads the gallery's classes from one frozen ``ClassLayout`` (the
+0/1 class membership matrix ``members`` and the pair counts) that
+``class_layout`` builds once per gallery per ``train`` call.
 
 ``train`` trains a stack of galleries at once, so the functions here that
 it calls take a leading problem axis, as the ``spd`` primitives do: weights
@@ -23,15 +23,16 @@ it calls take a leading problem axis, as the ``spd`` primitives do: weights
 ``(..., Q, p, N)`` and a ``ClassLayout`` stacked by ``stack_layouts``; each
 keeps the channel axis, even for one channel. Each problem's slice gets
 the bits it gets in a stack of one: every product runs as the same BLAS
-call per slice, every sum adds in the same order, and a gather by class
-code is an exact product with the 0/1 ``ClassLayout.members``
-(``per_sample``).
+call per slice and every sum adds in the same order. Class sums
+(``class_weights``, ``class_means``) and each sample's entry of a per-class
+array (``per_sample``, ``projected_pair_sums``) are products with
+``members``; the latter are exact, since each sample has one 1.0 among
+zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -102,60 +103,38 @@ def per_problem(x) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ClassLayout:
-    """A gallery's classes: ``codes`` (N, class indices in sorted label order),
-    their N x C bool indicator ``onehot`` and the ordered-pair counts
-    ``n_within`` (i == j included) and ``n_between``, both positive; or a
-    stack of layouts with as many classes each (``stack_layouts``), whose
-    fields gain a leading problem axis.
+    """A gallery's classes: ``members`` (1, C, N), 1.0 where sample i is in
+    class c and 0.0 elsewhere, classes in sorted label order, and the
+    ordered-pair counts ``n_within`` (i == j included) and ``n_between``,
+    both positive; or a stack of layouts with as many classes each
+    (``stack_layouts``), whose fields gain a leading problem axis.
 
-    Its methods read per-sample arrays with a channel axis, ``(..., Q, N)``.
+    Its methods read per-sample arrays with a channel axis, ``(..., Q, N)``;
+    each is a product with ``members``.
     """
 
-    codes: np.ndarray
-    onehot: np.ndarray
+    members: np.ndarray
     n_within: int | np.ndarray
     n_between: int | np.ndarray
 
-    @cached_property
-    def own(self) -> np.ndarray:
-        """``own[..., 0, c, i]``: sample i is in class c (shape (..., 1, C, N))."""
-        return self.onehot.swapaxes(-1, -2)[..., None, :, :]
-
-    @cached_property
-    def members(self) -> np.ndarray:
-        """``own`` as floats, 1.0 and 0.0."""
-        return self.own.astype(np.float64)
-
-    @cached_property
-    def _bins(self) -> dict:
-        """Per shape of weights, the codes offset by C per problem and
-        channel and flattened, so that one ``bincount`` keeps them apart."""
-        return {}
+    def __post_init__(self):
+        self.members.setflags(write=False)
 
     def class_weights(self, w: np.ndarray) -> np.ndarray:
         """Each class's total weight W_c of per-sample weights ``w``
-        (..., Q, N), per problem and channel: one ``bincount``, which adds
-        each class's weights in sample order."""
-        n_classes = self.onehot.shape[-1]
-        groups = w.size // w.shape[-1]
-        bins = self._bins.get(w.shape)
-        if bins is None:
-            offsets = n_classes * np.arange(groups).reshape(w.shape[:-1] + (1,))
-            bins = self._bins[w.shape] = (self.codes[..., None, :] + offsets).ravel()
-        totals = np.bincount(bins, weights=w.ravel(), minlength=n_classes * groups)
-        return totals.reshape(w.shape[:-1] + (n_classes,))
+        (..., Q, N), per problem and channel: one batched product with
+        ``members``."""
+        return (w[..., None, :] @ self.members.swapaxes(-1, -2))[..., 0, :]
 
     def per_sample(self, values: np.ndarray) -> np.ndarray:
-        """``values[..., codes]``: each sample's entry of per-class ``values``
-        (..., Q, m, C), as the product with ``members``, which is exact since
-        each sample has one 1.0 among zeros."""
+        """Each sample's entry of per-class ``values`` (..., Q, m, C), as the
+        product with ``members``, which is exact since each sample has one
+        1.0 among zeros."""
         return values @ self.members
 
     def take(self, rows) -> "ClassLayout":
         """The layouts of a stack's problems at ``rows``."""
-        return ClassLayout(
-            self.codes[rows], self.onehot[rows], self.n_within[rows], self.n_between[rows]
-        )
+        return ClassLayout(self.members[rows], self.n_within[rows], self.n_between[rows])
 
 
 def class_layout(labels: Sequence[str]) -> ClassLayout:
@@ -164,19 +143,16 @@ def class_layout(labels: Sequence[str]) -> ClassLayout:
     names, codes = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
     if names.size < 2:
         raise SingleClassGallery("training needs at least two classes")
-    onehot = codes[:, None] == np.arange(names.size)[None, :]
-    codes.setflags(write=False)
-    onehot.setflags(write=False)
+    members = (np.arange(names.size)[:, None] == codes[None, :]).astype(np.float64)
     n_within = int(np.sum(np.bincount(codes) ** 2))
-    return ClassLayout(codes, onehot, n_within, codes.size**2 - n_within)
+    return ClassLayout(members[None], n_within, codes.size**2 - n_within)
 
 
 def stack_layouts(layouts: Sequence[ClassLayout]) -> ClassLayout:
     """One ``ClassLayout`` for a stack of galleries with as many sets and
     classes each, problem k's from ``layouts[k]``."""
     return ClassLayout(
-        np.stack([c.codes for c in layouts]),
-        np.stack([c.onehot for c in layouts]),
+        np.stack([c.members for c in layouts]),
         np.array([c.n_within for c in layouts]),
         np.array([c.n_between for c in layouts]),
     )
@@ -195,7 +171,9 @@ def class_means(
     class_w = classes.class_weights(w)
     own = classes.per_sample(class_w[..., None, :])[..., 0, :]
     share = np.divide(w, own, out=np.zeros_like(w), where=own > 0.0)
-    return class_w, columns @ (classes.onehot[..., None, :, :] * share[..., None])
+    # (..., Q, N, C) in C order: the operand layout sets the BLAS call's bits
+    shares = np.multiply(classes.members.swapaxes(-1, -2), share[..., None], order="C")
+    return class_w, columns @ shares
 
 
 def projected_pair_sums(
@@ -224,8 +202,8 @@ def projected_pair_sums(
     spread = (dist * (classes.members * w[..., None, :])).sum(axis=-1)
     per_class = class_w[..., None] * dist + spread[..., None]
     # one nonzero term per sample: an exact gather of its own class's entry
-    g_w = np.where(classes.own, per_class, 0.0).sum(axis=-2)
-    return g_w, np.where(classes.own, 0.0, per_class).sum(axis=-2)
+    g_w = (per_class * classes.members).sum(axis=-2)
+    return g_w, (per_class * (1.0 - classes.members)).sum(axis=-2)
 
 
 def pair_traces(

@@ -7,6 +7,7 @@ from setfuse.data import (
     MANIFEST_NAME,
     generate_synthetic,
     load_dataset,
+    read_set_file,
     save_dataset,
 )
 from setfuse.errors import (
@@ -147,12 +148,19 @@ class TestSetFileErrors:
         manifest = save_dataset([random_image_set(rng, set_id="bad")], tmp_path)
         target = tmp_path / "bad.csv"
         lines = target.read_text().splitlines()
-        cells = lines[1].split(",")
-        cells[2] = "oops"
-        lines[1] = ",".join(cells)
-        target.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match=r"bad\.csv:2: column 3"):
-            load_dataset(manifest)
+        # Python's float() reads the last two (as 10.0 and 12.0); no CSV writer emits them
+        for token in ("oops", "1_0", "\u0661\u0662"):
+            cells = lines[1].split(",")
+            cells[2] = token
+            target.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+            with pytest.raises(ParseError, match=r"bad\.csv:2: column 3"):
+                load_dataset(manifest)
+
+    def test_decimal_and_non_finite_spellings_are_read(self, tmp_path):
+        tokens = ["1.5", " -2e3 ", "+.5", "5.", "1E+2", "nan", "-Infinity", "INF"]
+        target = tmp_path / "ok.csv"
+        target.write_text(",".join(tokens) + "\n" + ",".join(["0"] * len(tokens)) + "\n")
+        np.testing.assert_array_equal(read_set_file(target)[0], [float(t) for t in tokens])
 
     def test_ragged_rows_rejected(self, tmp_path):
         rng = np.random.default_rng(133)

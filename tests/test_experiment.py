@@ -227,9 +227,30 @@ class TestCollectionMustBeAListOfSets:
             (lambda: ImageSet([[1.0, 2j], [3.0, 4.0]], "c", "s1"), "set 's1': features"),
             (lambda: ImageSet(np.array([[1.0, 2j]], dtype=object), "c", "s1"), "real numbers"),
             (lambda: ImageSet([[1.0, 2.0], [3.0]], "c", "s1"), "set 's1': features"),
+            (lambda: ImageSet([[True, False], [False, True]], "c", "s1"), "real numbers"),
+            (lambda: ImageSet(np.eye(2, dtype=bool), "c", "s1"), "set 's1': features"),
+            (lambda: ImageSet([["1.5", "2"], ["3", "4"]], "c", "s1"), "real numbers"),
+            (lambda: ImageSet(np.array([["1.5", "2"], ["3", "4"]]), "c", "s1"), "real numbers"),
+            (lambda: ImageSet(np.array([[b"1", b"2"], [b"3", b"4"]]), "c", "s1"), "real numbers"),
+            (
+                lambda: ImageSet(np.array([[1.0, True], [2.0, 3.0]], dtype=object), "c", "s1"),
+                "real numbers",
+            ),
+            (
+                lambda: ImageSet(np.array([[1.0, "2"], [3.0, 4.0]], dtype=object), "c", "s1"),
+                "real numbers",
+            ),
+            (
+                lambda: ImageSet(np.array([[1.0, np.complex64(2j)]], dtype=object), "c", "s1"),
+                "real numbers",
+            ),
             (lambda: run_experiment(small_sets(), fast_cfg(), ablate="no"), "ablate .* got str"),
         ],
-        ids=["str", "complex", "complex-list", "complex-object", "ragged", "ablate-str"],
+        ids=[
+            "str", "complex", "complex-list", "complex-object", "ragged", "bool-list",
+            "bool-array", "numeric-str-list", "numeric-str-array", "bytes-array", "bool-object",
+            "str-object", "numpy-complex-object", "ablate-str",
+        ],
     )
     def test_non_real_features_and_mistyped_ablate_raise_bad_spec(self, run, match, count_calls):
         with warnings.catch_warnings():
