@@ -7,6 +7,8 @@
 # the ratio of between-class to total scatter, so it lives in [0, 1] and
 # larger is better.
 
+from dataclasses import replace
+
 import numpy as np
 
 from setfuse import TrainConfig, generate_synthetic, train_on_sets
@@ -41,6 +43,10 @@ for name, row in zip(model.config.descriptors, model.train_weights):
     print(f"  {name:<9} {row.mean():.4f}  (min {row.min():.4f}, max {row.max():.4f})")
 
 # --- reproducibility ------------------------------------------------------
-again = train_on_sets(sets, cfg)
-print("\nsame seed, same result:",
+# Training draws nothing at random: the gating starts uniform and the first
+# projection on the leading directions of the gallery's span, so a model is
+# a function of its gallery and config. The seed only draws the train/test
+# splits of an evaluation protocol.
+again = train_on_sets(sets, replace(cfg, seed=7))
+print("\nanother seed, same result:",
       np.array_equal(model.transform, again.transform))

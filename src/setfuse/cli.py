@@ -66,7 +66,7 @@ def _train_options(fn):
         click.option("--eps", type=float, default=defaults.eps, show_default=True,
                      help="Convergence tolerance (0 disables early stopping)."),
         click.option("--seed", type=int, default=defaults.seed, show_default=True,
-                     help="Run seed; all randomness derives from it."),
+                     help="Seed of the evaluation splits; training draws nothing at random."),
         click.option("--descriptors", type=str, default=",".join(defaults.descriptors),
                      show_default=True,
                      help="Comma-separated subset of cov,subspace,gauss."),

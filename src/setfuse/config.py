@@ -59,7 +59,8 @@ class TrainConfig:
     ``learning_rate`` drives the gating ascent, and ``eps`` is the
     convergence tolerance for both the outer loop and the inner trace-ratio
     solve (0 disables early stopping); both must be finite.
-    ``seed``, the source of all training randomness, must be non-negative.
+    ``seed`` draws a split protocol's train/test splits; training draws
+    nothing at random and does not read it. It must be non-negative.
     A field of the wrong type raises ``BadSpec``: the integer fields take
     integers, ``alpha``, ``learning_rate`` and ``eps`` real numbers (integers
     too), ``normalize_kernels`` a bool and ``descriptors`` a list or tuple

@@ -9,6 +9,7 @@ manifest's directory.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from pathlib import Path
 
@@ -24,13 +25,22 @@ MANIFEST_NAME = "manifest.csv"
 _FLOAT_FMT = "%.17g"
 
 
+def _text(path: Path, newline: str | None = None) -> io.StringIO:
+    """A file's text, decoded as UTF-8 and read as ``open`` reads it with
+    ``newline``; ``ParseError`` naming the file if it is not UTF-8."""
+    try:
+        return io.StringIO(path.read_bytes().decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _manifest_rows(path: Path) -> list[list[str]]:
-    """The stripped ``set_id, label, path`` rows of a manifest CSV; raises
-    ``ParseError`` citing file and line."""
+    """The stripped ``set_id, label, path`` rows of a UTF-8 manifest CSV;
+    raises ``ParseError`` citing file and line."""
     if not path.is_file():
         raise IoError(f"manifest not found: {path}")
     rows = []
-    with path.open(newline="") as fh:
+    with _text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -52,14 +62,15 @@ def _manifest_rows(path: Path) -> list[list[str]]:
 
 
 def read_set_file(path: Path) -> np.ndarray:
-    """One set CSV as a d x n matrix; ``ParseError`` cites file and line.
-    A token is an ASCII decimal number or a ``float`` spelling of NaN or
-    infinity, with optional whitespace around it."""
+    """One UTF-8 set CSV as a d x n matrix; ``ParseError`` cites the file,
+    and the line of a bad row. A token is an ASCII decimal number or a
+    ``float`` spelling of NaN or infinity, with optional whitespace around
+    it."""
     if not path.is_file():
         raise IoError(f"set file not found: {path}")
     rows = []
     width = None
-    with path.open() as fh:
+    with _text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped:

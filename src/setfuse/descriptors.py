@@ -85,7 +85,9 @@ class ImageSet:
             if not isinstance(value, str):
                 raise BadSpec(f"set {self.set_id!r}: {what} must be a str, got {value!r:.80}")
         try:
-            raw = np.asarray(self.features)
+            # a list's leaves as they are: numpy reads a bool among floats as 1.0
+            leaves = None if isinstance(self.features, np.ndarray) else object
+            raw = np.asarray(self.features, leaves)
             a = None if _non_real(raw) else np.asarray(raw, np.float64)
         except (TypeError, ValueError):
             a = None

@@ -1,8 +1,10 @@
 """Experiment orchestration: splits, training pipelines, sweeps, ablations.
 
-Every split derives its own seed from the run seed and the split index, so
-splits are mutually independent and the whole experiment is reproducible
-from one integer.
+Every split derives its own seed from the run seed and the split index and
+draws its train/test split from it, so splits are mutually independent and
+the whole experiment is reproducible from one integer; training draws
+nothing at random, so that seed is all a split's result depends on besides
+the sets and the config.
 
 A split protocol call (``run_experiment`` with its ablation rows, or
 ``run_dimension_sweep``) takes the list of ``ImageSet`` that ``train_on_sets``
@@ -117,7 +119,7 @@ def train_on_sets(sets: Sequence[ImageSet], cfg: TrainConfig) -> ModelState:
     cfg = _capped_config(sets, cfg)
     stack = encode_sets(sets, cfg)
     rows = [lift_features(stack, name)[None] for name in cfg.descriptors]
-    return train(rows, [[s.label for s in sets]], [[s.set_id for s in sets]], cfg, [cfg.seed])[0]
+    return train(rows, [[s.label for s in sets]], [[s.set_id for s in sets]], cfg)[0]
 
 
 def split_sets(
@@ -216,7 +218,7 @@ def _run_row(
         for r in rows:
             r.setflags(write=False)  # a fresh C-contiguous gather, so the models keep views of it
         started = time.perf_counter()
-        models = train(rows, labels[index], set_ids[index], cfg, [split.seed for split in stack])
+        models = train(rows, labels[index], set_ids[index], cfg)
         seconds += time.perf_counter() - started
         scored += [
             (split, _accuracy(sets, lifted, names, split, model), model.objective_trace)

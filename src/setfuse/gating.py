@@ -63,14 +63,6 @@ class GatingParams:
         object.__setattr__(self, "biases", b)
 
 
-def init_gating_params(n_kernels: int, n_train: int, rng: np.random.Generator) -> GatingParams:
-    """Small random initialization, scaled down with the gallery size."""
-    half = 0.01
-    coeffs = rng.uniform(-half / n_train, half / n_train, size=(n_kernels, n_train))
-    biases = rng.uniform(-half, half, size=n_kernels)
-    return GatingParams(coeffs=coeffs, biases=biases)
-
-
 def softmax_columns(scores: np.ndarray, axis: int = 0) -> np.ndarray:
     """Softmax along ``axis`` (the channels) with max subtraction; safe for
     scores up to ~1e308."""

@@ -168,8 +168,8 @@ def load_model(model_dir) -> ModelState:
     if not meta_path.is_file():
         raise IoError(f"model metadata not found: {meta_path}")
     try:
-        meta = json.loads(meta_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IoError(f"cannot parse {meta_path}: {exc}") from exc
     version = meta.get("format_version") if isinstance(meta, dict) else None
     if version != FORMAT_VERSION:

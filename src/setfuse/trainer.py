@@ -54,7 +54,7 @@ transform and the gating.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -70,7 +70,6 @@ from .gating import (
     class_means,
     gating_weights,
     gradient_ascent_step,
-    init_gating_params,
     pair_traces,
     per_problem,
     projected_gradients,
@@ -367,15 +366,6 @@ def _trace_ratio(v: np.ndarray, between: np.ndarray, total: np.ndarray) -> np.nd
     )
 
 
-def _orthonormal_columns(m: np.ndarray) -> np.ndarray:
-    """Q of a thin QR of ``m`` (or of each of a stack), with column signs
-    fixed by diag(R) >= 0."""
-    q, r = np.linalg.qr(m)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs[signs == 0.0] = 1.0
-    return q * signs[..., None, :]
-
-
 def solve_trace_ratio(
     between: np.ndarray,
     total: np.ndarray,
@@ -397,9 +387,12 @@ def solve_trace_ratio(
     ``target_dim`` lies in [1, dim], as ``train`` clamps it.
 
     The scheme is Newton's method on ``lam`` (Wang et al. 2007; Ngo,
-    Bellalij & Saad 2012), so a start near the optimum needs one or two
-    updates. ``start`` (e.g. the previous solution) is re-orthonormalised
-    here by a sign-fixed QR.
+    Bellalij & Saad 2012): it reaches the optimum from any start, and a
+    start near it needs one or two updates. ``start`` must have orthonormal
+    columns (``train`` passes the span's leading directions, then the
+    previous solution) and is used as given: it sets only the first ratio,
+    since ``max_iters`` >= 1 and the first update replaces every problem's
+    projection.
 
     The problems are solved in lockstep, each stopping on its own: the
     updates run on the problems still moving, and each gets the bits it
@@ -409,11 +402,10 @@ def solve_trace_ratio(
     b = np.asarray(between, dtype=np.float64)
     t = np.asarray(total, dtype=np.float64)
     dim = t.shape[-1]
-    v = _orthonormal_columns(start)
-    lam = _trace_ratio(v, b, t)
+    out = np.array(start, dtype=np.float64)
+    lam = _trace_ratio(out, b, t)
     histories = [[x] for x in lam.tolist()]
-    active = np.arange(len(histories))  # the problems b, t, v and lam hold
-    out = v.copy()
+    active = np.arange(len(histories))  # the problems b, t and lam hold
     for _ in range(max_iters):
         pair = sym_eig(b - lam[:, None, None] * t)
         if target_dim < dim:
@@ -436,7 +428,7 @@ def solve_trace_ratio(
         if not stops.any():
             continue
         moving = ~stops
-        active, b, t, v, lam = (x[moving] for x in (active, b, t, v, lam))
+        active, b, t, lam = (x[moving] for x in (active, b, t, lam))
         if not active.size:
             break
     return TraceRatioResult(projection=out, ratio_history=tuple(map(tuple, histories)))
@@ -481,11 +473,10 @@ def train(
     labels: Sequence[Sequence[str]],
     set_ids: Sequence[Sequence[str]],
     cfg: TrainConfig,
-    seeds: Sequence[int],
 ) -> list[ModelState]:
     """Alternating training loop over projection and gating parameters, for
-    a stack of S galleries; returns one model per gallery, in order, gallery
-    k's trained under ``replace(cfg, seed=seeds[k])``.
+    a stack of S galleries; returns one model per gallery, in order, each
+    holding ``cfg``.
 
     ``rows`` holds the stack's lifted rows (``lift_features``), one
     (S, N, D_q) array per channel of ``cfg.descriptors``, made read-only and
@@ -526,12 +517,15 @@ def train(
     both traces of the ratio, so it needs no cut, and a projection whose
     total scatter vanishes raises ``DegenerateDenominator``.
 
-    Randomness comes from one generator per gallery, seeded with its seed:
-    first the gating init, then one orthonormal draw for the first
-    trace-ratio start. From iteration 3 on, a gallery stops early when
-    either its parameter update or its projection update falls below
-    ``cfg.eps`` in max norm. When several galleries fail, the error raised
-    is that of the first to fail at the earliest step.
+    Training draws nothing at random: a model is a function of its gallery
+    and ``cfg``, whose ``seed`` it does not read. Every gallery starts from
+    zero gating parameters, so every weight is 1/Q, and its first
+    trace-ratio solve starts from the span's first p directions, the leading
+    kernel-PCA directions (``gram_spans`` orders them by eigenvalue). From
+    iteration 3 on, a gallery stops early when either its parameter update
+    or its projection update falls below ``cfg.eps`` in max norm. When
+    several galleries fail, the error raised is that of the first to fail at
+    the earliest step.
     """
     rows = [read_only(r) for r in rows]
     layouts = [class_layout(x) for x in labels]
@@ -550,7 +544,6 @@ def train(
             basis,
             stack_layouts([layouts[k] for k in members]),
             cfg,
-            [seeds[k] for k in members],
         )
         for k, (gating, transform, trace) in zip(members, results):
             models[k] = ModelState(
@@ -559,7 +552,7 @@ def train(
                 features=tuple(r[k] for r in rows),
                 labels=tuple(map(str, labels[k])),
                 set_ids=tuple(set_ids[k]),
-                config=replace(cfg, seed=seeds[k]),
+                config=cfg,
                 objective_trace=tuple(trace),
             )
     return models
@@ -570,7 +563,6 @@ def _train_stack(
     basis: np.ndarray,
     classes: ClassLayout,
     cfg: TrainConfig,
-    seeds: Sequence[int],
 ) -> list[tuple[GatingParams, np.ndarray, list[float]]]:
     """``train`` for one stack of S problems of one span rank r: Grams
     (S, Q, N, N) and span bases (S, N, r), from which it forms the span
@@ -581,9 +573,8 @@ def _train_stack(
     stack positions are ``active``. A problem that stops gets its result and
     leaves those arrays; while all train, no array is copied to select them.
     """
-    rngs = [np.random.default_rng(s) for s in seeds]
-    inits = [init_gating_params(grams.shape[1], grams.shape[-1], rng) for rng in rngs]
-    params = GatingParams(np.stack([p.coeffs for p in inits]), np.stack([p.biases for p in inits]))
+    s, q, n = grams.shape[:3]
+    params = GatingParams(np.zeros((s, q, n)), np.zeros((s, q)))
     columns = basis.swapaxes(-1, -2)[:, None] @ grams
     rank = basis.shape[-1]
     width = min(cfg.target_dim, rank)
@@ -591,12 +582,12 @@ def _train_stack(
         logger.warning(
             "target_dim clamped from %d to %d (usable scatter rank)", cfg.target_dim, width
         )
-    # the projections in span coordinates, (S, r, p): first one draw per problem
-    coords = np.stack([rng.standard_normal((rank, width)) for rng in rngs])
+    # the projections in span coordinates, (S, r, p): first the leading directions
+    coords = np.broadcast_to(np.eye(rank, width), (s, rank, width))
 
-    results: list[tuple[GatingParams, np.ndarray, list[float]]] = [None] * len(seeds)
-    traces: list[list[float]] = [[] for _ in seeds]
-    active = np.arange(len(seeds))
+    results: list[tuple[GatingParams, np.ndarray, list[float]]] = [None] * s
+    traces: list[list[float]] = [[] for _ in range(s)]
+    active = np.arange(s)
     transform = None
     weights = gating_weights(grams, params)
     for it in range(1, cfg.iters + 1):

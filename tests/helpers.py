@@ -304,7 +304,7 @@ def train_one(features, labels, set_ids, cfg):
     """``trainer.train`` of one gallery, one (N, D_q) array per channel: its
     stack of one, each array's (1, N, D_q) view."""
     rows = [np.asarray(f)[None] for f in features]
-    return train(rows, [labels], [set_ids], cfg, [cfg.seed])[0]
+    return train(rows, [labels], [set_ids], cfg)[0]
 
 
 def span_of(grams):
@@ -319,11 +319,12 @@ def span_of(grams):
 
 def solve_one(between, total, target_dim, rng=None, start=None, max_iters=30, eps=1e-5):
     """``trainer.solve_trace_ratio`` of one problem, a stack of one, from
-    ``start`` or else from a Gaussian draw of ``rng`` (seeded 0 when none);
-    the result holds the problem's projection and history."""
+    ``start`` (orthonormal columns) or else from the orthonormalised
+    Gaussian draw of ``rng`` (seeded 0 when none); the result holds the
+    problem's projection and history."""
     if start is None:
         rng = np.random.default_rng(0) if rng is None else rng
-        start = rng.standard_normal((np.shape(total)[-1], target_dim))
+        start = random_orthonormal(rng, np.shape(total)[-1], target_dim)
     result = solve_trace_ratio(
         np.asarray(between)[None], np.asarray(total)[None], target_dim, np.asarray(start)[None],
         max_iters, eps,

@@ -297,6 +297,24 @@ def _predict_edited_model(edit):
     return make
 
 
+def _non_utf8_probe(tmp_path, manifest, model_dir):
+    probe = tmp_path / "probe.csv"
+    blob = (manifest.parent / "class0_set0.csv").read_bytes()
+    probe.write_bytes(blob.replace(b"\n", b"\xff\n", 1))
+    return ["predict", "--model", str(model_dir), "--set", str(probe)]
+
+
+def _non_utf8_json(model_dir):
+    path = model_dir / "model.json"
+    path.write_bytes(b"\xff" + path.read_bytes())
+
+
+def _non_utf8_manifest(tmp_path, manifest, model_dir):
+    copy = tmp_path / manifest.name
+    copy.write_bytes(manifest.read_bytes().replace(b"class0", b"class\xff", 1))
+    return ["train", "--manifest", str(copy), "--out", str(tmp_path / "out"), *FAST]
+
+
 def _edit_json(change):
     def edit(model_dir):
         path = model_dir / "model.json"
@@ -369,6 +387,9 @@ EXIT_CASES = {
     "probe-wrong-dim": (_probe(_RNG.standard_normal((3, 12))), 3),
     "probe-too-few-samples": (_probe(_RNG.standard_normal((6, 3))), 3),
     "probe-nan-token": (_probe(_NAN_PROBE), 4),
+    "probe-not-utf8": (_non_utf8_probe, 3),
+    "model-json-not-utf8": (_predict_edited_model(_non_utf8_json), 3),
+    "train-manifest-not-utf8": (_non_utf8_manifest, 3),
     "probe-rank-deficient": (_probe(_RANK_ONE_PROBE), 4),
     "model-truncated-npy": (_predict_edited_model(_truncate("transform.npy")), 3),
     "model-format-2": (_predict_edited_model(_edit_json(lambda m: m.update(format_version=2))), 3),

@@ -134,6 +134,12 @@ class TestManifestErrors:
         with pytest.raises(ParseError, match="no sets"):
             load_dataset(p)
 
+    def test_non_utf8_manifest_raises_parse_error(self, tmp_path):
+        p = tmp_path / MANIFEST_NAME
+        p.write_bytes(b"set_id,label,path\na,\xff,a.csv\n")
+        with pytest.raises(ParseError, match=r"manifest\.csv: not UTF-8"):
+            load_dataset(p)
+
     def test_blank_lines_skipped(self, tmp_path):
         rng = np.random.default_rng(131)
         manifest = save_dataset([random_image_set(rng)], tmp_path)
@@ -171,6 +177,12 @@ class TestSetFileErrors:
         target.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=r"rag\.csv:3"):
             load_dataset(manifest)
+
+    def test_non_utf8_set_file_raises_parse_error(self, tmp_path):
+        target = tmp_path / "latin.csv"
+        target.write_bytes(b"1.0,2.0\n3.0,\xff4.0\n")
+        with pytest.raises(ParseError, match=r"latin\.csv: not UTF-8"):
+            read_set_file(target)
 
     def test_missing_set_file(self, tmp_path):
         p = tmp_path / MANIFEST_NAME

@@ -81,6 +81,13 @@ class TestImageSet:
                 for s in sets
             ]
 
+    def test_lists_of_python_and_numpy_numbers_accepted(self):
+        s = make_set([[1.0, np.float32(2.5)], [np.float64(3.0), 4]])
+        assert s.features.dtype == np.float64
+        assert np.array_equal(s.features, [[1.0, 2.5], [3.0, 4.0]])
+        rows = make_set([np.array([0.5, 1.0]), np.array([2.0, 3.0])])
+        assert np.array_equal(rows.features, [[0.5, 1.0], [2.0, 3.0]])
+
     def test_numpy_str_accepted(self):
         s = make_set([[0.0, 1.0], [1.0, 0.0]], label=np.str_("c0"), set_id=np.str_("s"))
         assert s.label == "c0" and s.set_id == "s"

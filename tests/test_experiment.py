@@ -228,6 +228,8 @@ class TestCollectionMustBeAListOfSets:
             (lambda: ImageSet(np.array([[1.0, 2j]], dtype=object), "c", "s1"), "real numbers"),
             (lambda: ImageSet([[1.0, 2.0], [3.0]], "c", "s1"), "set 's1': features"),
             (lambda: ImageSet([[True, False], [False, True]], "c", "s1"), "real numbers"),
+            (lambda: ImageSet([[True, 0.5], [1.0, 2.0]], "c", "s1"), "real numbers"),
+            (lambda: ImageSet([[np.True_, 0.5], [1.0, 2.0]], "c", "s1"), "real numbers"),
             (lambda: ImageSet(np.eye(2, dtype=bool), "c", "s1"), "set 's1': features"),
             (lambda: ImageSet([["1.5", "2"], ["3", "4"]], "c", "s1"), "real numbers"),
             (lambda: ImageSet(np.array([["1.5", "2"], ["3", "4"]]), "c", "s1"), "real numbers"),
@@ -248,6 +250,7 @@ class TestCollectionMustBeAListOfSets:
         ],
         ids=[
             "str", "complex", "complex-list", "complex-object", "ragged", "bool-list",
+            "bool-in-float-list", "numpy-bool-in-float-list",
             "bool-array", "numeric-str-list", "numeric-str-array", "bytes-array", "bool-object",
             "str-object", "numpy-complex-object", "ablate-str",
         ],
@@ -276,6 +279,28 @@ class TestTrainOnSets:
 
         hits = sum(1 for s in sets if predict(s, model).label == s.label)
         assert hits == len(sets)
+
+
+class TestSeedDrawsOnlySplits:
+    def test_training_does_not_read_the_seed(self):
+        a, b = (train_on_sets(small_sets(), fast_cfg(seed=seed)) for seed in (1, 2))
+        assert a.transform.tobytes() == b.transform.tobytes()
+        assert a.gating.coeffs.tobytes() == b.gating.coeffs.tobytes()
+        assert a.gating.biases.tobytes() == b.gating.biases.tobytes()
+        assert a.objective_trace == b.objective_trace
+
+    def test_seed_draws_the_splits(self, monkeypatch):
+        galleries = []  # the set ids of each train call's galleries
+        real = experiment_module.train
+
+        def recording(rows, labels, set_ids, cfg):
+            galleries.append([list(ids) for ids in set_ids])
+            return real(rows, labels, set_ids, cfg)
+
+        monkeypatch.setattr(experiment_module, "train", recording)
+        for seed in (1, 2):
+            run_experiment(small_sets(), fast_cfg(seed=seed), n_splits=2)
+        assert len(galleries) == 2 and galleries[0] != galleries[1]
 
 
 class TestRunExperiment:
@@ -365,9 +390,9 @@ class TestDimensionSweep:
         calls = []  # one train call per width trains both of its splits
         real = experiment_module.train
 
-        def counting(rows, labels, set_ids, cfg, seeds):
+        def counting(rows, labels, set_ids, cfg):
             calls.append([cfg.target_dim] * len(labels))
-            return real(rows, labels, set_ids, cfg, seeds)
+            return real(rows, labels, set_ids, cfg)
 
         monkeypatch.setattr(experiment_module, "train", counting)
         sweep = run_dimension_sweep(small_sets(), fast_cfg(), target_dims=target_dims, n_splits=2)
@@ -692,8 +717,8 @@ class TestOneProbePath:
         seen = []
         real = experiment_module.train
 
-        def recording(rows, labels, set_ids, cfg, seeds):
-            models = real(rows, labels, set_ids, cfg, seeds)
+        def recording(rows, labels, set_ids, cfg):
+            models = real(rows, labels, set_ids, cfg)
             seen.append((rows, models))
             return models
 

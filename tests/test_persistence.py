@@ -475,6 +475,13 @@ class TestTamperDetection:
         with pytest.raises(IoError):
             load_model(tmp_path / "m")
 
+    def test_non_utf8_metadata_raises_io_error(self, trained, tmp_path):
+        model, _ = trained
+        meta_path = save_model(model, tmp_path / "m")
+        meta_path.write_bytes(meta_path.read_bytes().replace(b'"labels"', b'"\xffabels"', 1))
+        with pytest.raises(IoError, match="model.json"):
+            load_model(tmp_path / "m")
+
     def test_shape_mismatch_detected(self, trained, tmp_path):
         # a header whose shape claims one row more than the payload holds
         model, _ = trained
