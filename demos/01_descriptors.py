@@ -2,9 +2,9 @@
 #
 # An image set is a d x n matrix: n feature vectors of dimension d observed
 # under varying conditions. This walk-through encodes synthetic sets with
-# encode_sets, which returns one DescriptorStack: (1) regularized covariance
-# matrices, (2) orthonormal subspace bases and (3) determinant-one Gaussian
-# embeddings, row i from set i. It checks the structural properties each
+# encode_sets, which returns one DescriptorStack: (1) the matrix logs of
+# regularized covariances, (2) orthonormal subspace bases and (3)
+# determinant-one Gaussian embeddings, row i from set i. It checks the structural properties each
 # row is guaranteed to have.
 
 import numpy as np
@@ -22,18 +22,20 @@ print(f"one set: {n} samples in {d} dimensions")
 q = 3
 cfg = TrainConfig(subspace_dim=q, alpha=1000.0)
 stack = encode_sets([image_set], cfg)
-print(f"encode_sets: cov {stack.cov.shape}, basis {stack.basis.shape}, "
+print(f"encode_sets: log_cov {stack.log_cov.shape}, basis {stack.basis.shape}, "
       f"embedding {stack.embedding.shape}, set_ids {stack.set_ids}")
 
 # --- covariance view ------------------------------------------------------
 # The sample covariance can be rank deficient when n <= d, so a small
-# spectrum shift (trace / alpha) keeps it safely positive definite.
-cov = stack.cov[0]
-eigs = np.linalg.eigvalsh(cov)
-print("\ncovariance descriptor")
-spd = np.array_equal(cov, cov.T) and eigs.min() > 0.0
-print(f"  shape {cov.shape}, symmetric positive definite: {spd}")
-print(f"  eigenvalue range [{eigs.min():.4f}, {eigs.max():.4f}]")
+# spectrum shift (trace / alpha) keeps it safely positive definite. The
+# stack holds its matrix log, the form the log-Euclidean kernel reads; the
+# exponential of that symmetric log gives the covariance back.
+log_cov = stack.log_cov[0]
+w, v = np.linalg.eigh(log_cov)
+cov = (v * np.exp(w)) @ v.T
+print("\ncovariance descriptor, held as its log")
+print(f"  shape {log_cov.shape}, log symmetric: {np.array_equal(log_cov, log_cov.T)}")
+print(f"  covariance eigenvalue range [{np.exp(w.min()):.4f}, {np.exp(w.max()):.4f}]")
 
 # --- subspace view --------------------------------------------------------
 # The top-q eigenvectors of X X^T span the directions the set actually
@@ -72,6 +74,6 @@ many = encode_sets(sets, cfg)
 same = all(
     np.array_equal(getattr(many, name)[i], getattr(encode_sets([s], cfg), name)[0])
     for i, s in enumerate(sets)
-    for name in ("cov", "basis", "embedding")
+    for name in ("log_cov", "basis", "embedding")
 )
 print(f"\n{len(sets)} sets in one stack, rows identical to one-set encodings: {same}")

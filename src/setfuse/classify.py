@@ -5,8 +5,8 @@ per channel. Every kernel is a Frobenius inner product of lifted rows, so
 the probe's kernel column is k_q = s_q F_q f_q (F_q the gallery's rows, s_q
 the channel's scale), and the learned metric reads it only through linear
 maps of f_q that the model derives once from its rows
-(``ModelState.probe_maps``). The distance to gallery member i sums, over
-channels,
+(``ModelState.probe_maps`` and ``ModelState.gallery_projections``). The
+distance to gallery member i sums, over channels,
 
     w_q(probe) * || E.T (k_q(probe) - K_q[:, i]) ||^2 * w_q(i)
 
@@ -15,7 +15,11 @@ rows (``ModelState.gate``), and the distance the one training uses
 (``gating.squared_distances``); no Gram matrix or kernel column is formed.
 The prediction is the label of the closest gallery member (ties break to
 the lowest index). ``distance_profile`` scores a stack of probes' lifted
-rows, so ``predict`` (a stack of one) and each split's test sets take one path.
+rows, every channel in one distance call, so ``predict`` (a stack of one)
+and each split's test sets take one path. A probe costs two
+eigendecompositions: ``encode_sets``'s one stacked ``eigh`` of its covariance
+and second moment, which gives both its covariance log and its basis, and
+the ``spd_log`` of its Gaussian embedding at lift time.
 """
 
 from __future__ import annotations
@@ -57,16 +61,15 @@ def distance_profile(rows, model: ModelState) -> np.ndarray:
 
     Each channel's rows enter only through its ``ProbeMap``: their gating
     scores ``rows @ score`` plus the bias (``model.gate``), and their
-    projections ``projection @ rows.T``, measured against the gallery's
-    projections. This costs O(T * target_dim * (D_q + n_train)) per channel
-    and forms no kernel column.
+    projections ``projection @ rows.T``, stacked over the channels and
+    measured against ``model.gallery_projections`` in one call. This costs
+    O(T * target_dim * (D_q + n_train)) per channel and forms no kernel column.
     """
-    test_weights = model.gate(rows)[..., None]
-    out = np.zeros((len(rows[0]), model.n_train), dtype=np.float64)
-    for q, (m, r) in enumerate(zip(model.probe_maps, rows)):
-        sq = squared_distances(m.gallery, m.projection @ r.T)
-        out += test_weights[q] * sq * model.train_weights[q]
-    return out
+    test_weights = model.gate(rows)
+    projections = np.array([m.projection @ r.T for m, r in zip(model.probe_maps, rows)])
+    sq = squared_distances(model.gallery_projections, projections)
+    # numpy sums a leading axis in order, one channel after another
+    return (test_weights[..., None] * sq * model.train_weights[:, None, :]).sum(axis=0)
 
 
 def check_probe(test: ImageSet, model: ModelState) -> None:

@@ -36,7 +36,8 @@ def _text(path: Path, newline: str | None = None) -> io.StringIO:
 
 def _manifest_rows(path: Path) -> list[list[str]]:
     """The stripped ``set_id, label, path`` rows of a UTF-8 manifest CSV;
-    raises ``ParseError`` citing file and line."""
+    raises ``ParseError`` citing file and line, also for a row the ``csv``
+    module refuses (such as a field over its size limit)."""
     if not path.is_file():
         raise IoError(f"manifest not found: {path}")
     rows = []
@@ -44,18 +45,21 @@ def _manifest_rows(path: Path) -> list[list[str]]:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            if [h.strip() for h in header] != MANIFEST_HEADER:
+                raise ParseError(
+                    f"{path}:1: expected header {','.join(MANIFEST_HEADER)!r}, "
+                    f"got {','.join(header)!r}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not any(c.strip() for c in row):
+                    continue
+                if len(row) != 3:
+                    raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+                rows.append([c.strip() for c in row])
         except StopIteration:
             raise ParseError(f"{path}:1: empty manifest") from None
-        if [h.strip() for h in header] != MANIFEST_HEADER:
-            raise ParseError(
-                f"{path}:1: expected header {','.join(MANIFEST_HEADER)!r}, got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not any(c.strip() for c in row):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            rows.append([c.strip() for c in row])
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: manifest lists no sets")
     return rows

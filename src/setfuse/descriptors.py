@@ -11,7 +11,10 @@ from the individual images. Three complementary descriptors summarize it:
 All three are deterministic functions of the input bits, computed for a
 whole collection by ``encode_sets`` as stacks (``DescriptorStack``), the one
 form a descriptor takes; a set's descriptors are the same bits alone or in
-any stack, and a single set is a stack of one.
+any stack, and a single set is a stack of one. The covariance is held as its
+matrix log, the form its log-Euclidean kernel reads: ``encode_sets`` takes
+it from the same stacked eigendecomposition that gives the subspace basis,
+so a set's covariance is never decomposed twice.
 """
 
 from __future__ import annotations
@@ -33,7 +36,16 @@ from .errors import (
     SetfuseError,
     TooFewSamples,
 )
-from .spd import check_symmetric, raise_first, regularize_spd, sym_eig, trace_floored
+from .spd import (
+    EigenPair,
+    canonical_signs,
+    check_symmetric,
+    eig_log,
+    eigh,
+    raise_first,
+    regularize_spd,
+    trace_floored,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -116,10 +128,12 @@ class ImageSet:
 
 @dataclass(frozen=True, eq=False)
 class DescriptorStack:
-    """The descriptors of N sets as read-only stacks, row i from set i: ``cov``
-    (N, d, d), ``basis`` (N, d, q) and ``embedding`` (N, d+1, d+1)."""
+    """The descriptors of N sets as read-only stacks, row i from set i:
+    ``log_cov`` (N, d, d), the matrix log of each regularized covariance;
+    ``basis`` (N, d, q), orthonormal columns with the ``sym_eig`` sign
+    convention; and ``embedding`` (N, d+1, d+1)."""
 
-    cov: np.ndarray
+    log_cov: np.ndarray
     basis: np.ndarray
     embedding: np.ndarray
     set_ids: tuple[str, ...]
@@ -146,7 +160,7 @@ def common_dim(sets: Sequence[ImageSet]) -> int:
 def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Means, symmetrized sample covariances (divisor n - 1) and ``X @ X.T``
     of a (k, d, n) stack of sets. An overflow does not warn: the Inf it
-    leaves fails the finiteness check of ``regularize_spd`` or ``sym_eig``."""
+    leaves fails the finiteness check of ``regularize_spd`` or ``eigh``."""
     with np.errstate(over="ignore"):
         mean = x.mean(axis=-1)
         centered = x - mean[..., None]
@@ -154,15 +168,14 @@ def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return mean, 0.5 * (c + c.swapaxes(-1, -2)), x @ x.swapaxes(-1, -2)
 
 
-def _bases(gram: np.ndarray, q: int) -> np.ndarray:
-    """Top-q eigenvectors of each ``X @ X.T`` of a (k, d, d) stack, (k, d, q)."""
-    if not 1 <= q <= gram.shape[-1]:
-        raise BadDimension(f"subspace dimension q={q} must be in [1, {gram.shape[-1]}]")
-    values, vectors = sym_eig(gram)
-    top, qth = values[:, 0], values[:, q - 1]
+def _bases(pair: EigenPair, q: int) -> np.ndarray:
+    """Top-q eigenvectors (k, d, q) of each ``X @ X.T`` of a stack, from their
+    ``eigh``, leading first, with the ``sym_eig`` sign convention."""
+    values, vectors = pair
+    top, qth = values[:, -1], values[:, -q]
     raise_first((top <= 0.0) | (qth < RANK_EIG_RTOL * top), RankDeficient, lambda i: (
         f"numerical rank below q={q} (eigenvalue {qth[i]:.3e} vs max {top[i]:.3e})"))
-    return check_orthonormal(vectors[..., :q].copy())
+    return check_orthonormal(canonical_signs(vectors[..., ::-1][..., :q].copy()))
 
 
 def check_orthonormal(basis) -> np.ndarray:
@@ -216,35 +229,43 @@ def embed_gaussian(mean, covariance) -> np.ndarray:
 def encode_sets(sets: Sequence[ImageSet], cfg) -> DescriptorStack:
     """All three descriptors of every set under a ``TrainConfig`` (only
     ``alpha`` and ``subspace_dim`` are read). Sets are stacked by sample count
-    for their moments, and every later step is one stacked call; a set's
+    for their moments, and every later step is one stacked call: one ``eigh``
+    of the regularized covariances and the second moments ``X @ X.T`` stacked
+    (2, N, d, d) gives both each covariance's log and each basis. A set's
     descriptors are bit-identical alone and inside any stack. An error names
-    the first set at fault, ``set i ('<set_id>')``, as a set-by-set encoding would.
-    One warning counts the sets ``regularize_spd`` floors and names the first."""
-    d, n = common_dim(sets), len(sets)
+    the first set at fault, ``set i ('<set_id>')``, as a set-by-set encoding
+    would, whichever half of the stack it is found in. One warning counts the
+    sets ``regularize_spd`` floors and names the first."""
+    d, n, q = common_dim(sets), len(sets), cfg.subspace_dim
+    if not 1 <= q <= d:
+        raise BadDimension(f"subspace dimension q={q} must be in [1, {d}]")
     groups: dict[int, list[int]] = {}
     for i, s in enumerate(sets):
         groups.setdefault(s.n_samples, []).append(i)
-    mean, scatter, gram = np.empty((n, d)), np.empty((n, d, d)), np.empty((n, d, d))
+    mean, moments = np.empty((n, d)), np.empty((2, n, d, d))  # covariances, then X @ X.T
     try:
         for members in groups.values():
             x = np.array([sets[i].features for i in members])
-            mean[members], scatter[members], gram[members] = _moments(x)
-        cov = regularize_spd(scatter, cfg.alpha)
-        embedding = embed_gaussian(mean, cov)
-        basis = _bases(gram, cfg.subspace_dim)
+            mean[members], moments[0, members], moments[1, members] = _moments(x)
+        floored = np.flatnonzero(trace_floored(np.trace(moments[0], axis1=1, axis2=2), d))
+        moments[0] = regularize_spd(moments[0], cfg.alpha)
+        embedding = embed_gaussian(mean, moments[0])
+        values, vectors = eigh(moments)
+        del moments  # encoding peaks in memory at the log's temporaries, so free it first
+        basis = _bases(EigenPair(values[1], vectors[1]), q)
+        log_cov = eig_log(EigenPair(values[0], vectors[0]))
     except SetfuseError as exc:
-        if not hasattr(exc, "index"):  # an error of no one set, such as a bad q
+        if not hasattr(exc, "index"):
             raise
-        i = exc.index
+        i = exc.index % n  # the stacked eigh counts X @ X.T from n on
         if i:  # an earlier set may fail a later check; this raises naming it
             encode_sets(sets[:i], cfg)
         raise type(exc)(f"set {i} ({sets[i].set_id!r}): {exc}") from exc
-    floored = np.flatnonzero(trace_floored(np.trace(scatter, axis1=1, axis2=2), d))
     if floored.size:
         logger.warning(
             "%d of %d sets have a zero-trace covariance, shifted by the trace floor; "
             "the first is set %d (%r)", floored.size, n, floored[0], sets[floored[0]].set_id
         )
-    for a in (cov, basis, embedding):
+    for a in (log_cov, basis, embedding):
         a.setflags(write=False)
-    return DescriptorStack(cov, basis, embedding, tuple(s.set_id for s in sets))
+    return DescriptorStack(log_cov, basis, embedding, tuple(s.set_id for s in sets))

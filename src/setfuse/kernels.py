@@ -14,8 +14,11 @@ once into a flat feature row of length D_q:
 ``_LIFTS`` holds each channel's lift, and its key order ``DESCRIPTOR_NAMES``
 is the channel order; ``TrainConfig`` refuses any other name. ``lift_features``
 lifts a ``DescriptorStack`` (from ``descriptors.encode_sets``) with one
-stacked call (one ``spd_log`` for ``cov`` and ``gauss``) into one read-only
-(N, D_q) array: a training gallery, a probe (a stack of one), or the set
+stacked call into one read-only (N, D_q) array: ``cov`` reads the covariance
+logs ``encode_sets`` took from its stacked eigendecomposition, ``subspace``
+forms the projectors, and ``gauss`` takes one ``spd_log`` of the embeddings.
+Neither a log nor a projector reads an eigenvector's sign, so neither fixes
+one. A lifted array is a training gallery, a probe (a stack of one), or the set
 collection of a split protocol call, whose splits then gather their
 training rows from it. These arrays are a channel's one representation: a
 model (``trainer.ModelState``) holds them and derives everything else from
@@ -53,7 +56,7 @@ def _projector(basis: np.ndarray) -> np.ndarray:
 # Per channel, the matrices whose Frobenius inner products are its kernel,
 # one per descriptor of a stack, from one call.
 _LIFTS = {
-    "cov": lambda e: spd_log(e.cov),
+    "cov": lambda e: e.log_cov,
     "subspace": lambda e: _projector(e.basis),
     "gauss": lambda e: spd_log(e.embedding),
 }

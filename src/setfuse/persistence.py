@@ -169,7 +169,8 @@ def load_model(model_dir) -> ModelState:
         raise IoError(f"model metadata not found: {meta_path}")
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # json raises RecursionError for nesting deeper than the interpreter's stack
         raise IoError(f"cannot parse {meta_path}: {exc}") from exc
     version = meta.get("format_version") if isinstance(meta, dict) else None
     if version != FORMAT_VERSION:

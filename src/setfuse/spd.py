@@ -3,10 +3,15 @@
 Everything here operates on plain float64 numpy arrays: a matrix, or a stack
 ``(..., d, d)`` of them, which takes one numpy call per step and gives each
 matrix the bits it gets alone. A check that fails on a stack names the first
-matrix at fault (``raise_first``). Eigendecompositions follow one
-deterministic convention used across the package: eigenvalues in descending
-order, and each eigenvector scaled so its largest-magnitude entry is
-positive. That convention is what makes training runs bit-reproducible.
+matrix at fault (``raise_first``). ``eigh`` checks and decomposes a stack
+as LAPACK does. ``sym_eig`` adds the one deterministic convention used
+wherever the package reads eigenvector signs (the subspace basis a
+descriptor exposes, the trainer's span basis and trace-ratio solve):
+eigenvalues in descending order, and each eigenvector scaled so its
+largest-magnitude entry is positive (``canonical_signs``). That convention
+is what makes training runs bit-reproducible. A matrix log
+(``eig_log``, ``spd_log``) and a projector ``Y Y.T`` read no sign, since a
+column sign flip leaves them bit for bit, so the log skips the convention.
 """
 
 from __future__ import annotations
@@ -46,7 +51,10 @@ def check_symmetric(m) -> np.ndarray:
     """Validate that ``m`` is a finite symmetric square matrix, or a stack
     ``(..., d, d)`` of them.
 
-    Returns the validated float64 array. Raises ``NonFinite`` on NaN/Inf and
+    Returns the validated float64 array: one that is not exactly symmetric
+    as its symmetric part ``0.5 * (m + m.T)``, so callers pass raw products
+    such as ``v.T @ t @ v``, and an exactly symmetric one (its own symmetric
+    part, bit for bit) as it is. Raises ``NonFinite`` on NaN/Inf and
     ``NonSymmetric`` when the relative asymmetry exceeds ``SYMMETRY_RTOL``,
     for the first matrix at fault.
     """
@@ -62,48 +70,68 @@ def check_symmetric(m) -> np.ndarray:
         raise_first(asym > SYMMETRY_RTOL * scale, NonSymmetric, lambda i: (
             f"matrix asymmetry {asym.flat[i]:.3e} exceeds "
             f"{SYMMETRY_RTOL:.1e} * {scale.flat[i]:.3e}"))
+        a = 0.5 * (a + a.swapaxes(-1, -2))
     return a
 
 
-def sym_eig(m) -> EigenPair:
-    """Eigendecomposition of a symmetric matrix, or of each of a stack.
+def eigh(m) -> EigenPair:
+    """``np.linalg.eigh`` of the ``check_symmetric`` result of a symmetric
+    matrix, or of each of a stack: eigenvalues ascending, each eigenvector's
+    sign as LAPACK leaves it. A matrix gets the same bits alone as inside a
+    stack."""
+    return EigenPair(*np.linalg.eigh(check_symmetric(m)))
 
-    Eigenvalues are returned in descending order. Each eigenvector has its
-    largest-magnitude entry made positive, which pins the sign that ``eigh``
-    would otherwise leave arbitrary. Reconstruction
-    ``vectors @ diag(values) @ vectors.T`` recovers the input to roundoff.
-    A matrix gets the same bits alone as inside a stack.
 
-    The input need only be symmetric to ``SYMMETRY_RTOL``. Its symmetric
-    part ``0.5 * (m + m.T)`` is what gets decomposed, so callers pass raw
-    products such as ``v.T @ t @ v`` and get the bits symmetrizing gives.
-    """
-    a = check_symmetric(m)
-    values, vectors = np.linalg.eigh(0.5 * (a + a.swapaxes(-1, -2)))
-    values = values[..., ::-1].copy()
-    vectors = vectors[..., ::-1].copy()
-    flat = vectors.reshape((-1,) + a.shape[-2:])
+def canonical_signs(vectors: np.ndarray) -> np.ndarray:
+    """Scale each column of a matrix, or of each of a stack, in place so its
+    largest-magnitude entry is positive, and return it."""
+    flat = vectors.reshape((-1,) + vectors.shape[-2:])
     rows = np.argmax(np.abs(flat), axis=1)
     largest = flat[np.arange(len(flat))[:, None], rows, np.arange(flat.shape[2])]
     flat *= np.where(largest < 0.0, -1.0, 1.0)[:, None, :]
-    return EigenPair(values, vectors)
+    return vectors
 
 
-def spd_log(c) -> np.ndarray:
-    """Matrix logarithm of an SPD matrix, or of each matrix of a stack, via
-    eigendecomposition; a matrix gets the same bits alone as inside a stack.
+def sym_eig(m) -> EigenPair:
+    """Eigendecomposition of a symmetric matrix, or of each of a stack, in
+    the package's convention: ``eigh``, with the eigenvalues in descending
+    order and each eigenvector scaled by ``canonical_signs``, which pins the
+    sign that ``eigh`` would otherwise leave arbitrary. Reconstruction
+    ``vectors @ diag(values) @ vectors.T`` recovers the input to roundoff.
+    A matrix gets the same bits alone as inside a stack.
+    """
+    values, vectors = eigh(m)
+    return EigenPair(values[..., ::-1].copy(), canonical_signs(vectors[..., ::-1].copy()))
+
+
+def eig_log(pair: EigenPair) -> np.ndarray:
+    """Matrix logarithm ``V diag(log λ) V.T`` of SPD matrices from their
+    ``eigh`` (ascending), summed over the eigenvalues in descending order.
+    No eigenvector sign is fixed first: flipping a column flips both of its
+    factors in every term, which leaves each term, so the log, bit for bit.
 
     Raises ``NotPositiveDefinite`` for the first matrix with an eigenvalue
     at or below ``LOG_EIG_FLOOR_RTOL`` times its largest (so for any whose
     largest is at or below 0).
     """
-    values, vectors = sym_eig(c)
+    # contiguous copies: numpy's log rounds some strided arrays apart from contiguous
+    # ones, and a product of strided operands takes another summation path
+    values, vectors = pair.values[..., ::-1].copy(), pair.vectors[..., ::-1].copy()
     lam_max, lam_min = values[..., 0], values[..., -1]
     raise_first(lam_min <= LOG_EIG_FLOOR_RTOL * lam_max, NotPositiveDefinite, lambda i: (
         "matrix log needs a strictly positive spectrum, eigenvalues in "
         f"[{lam_min.flat[i]:.3e}, {lam_max.flat[i]:.3e}]"))
     out = (vectors * np.log(values)[..., None, :]) @ vectors.swapaxes(-1, -2)
-    return 0.5 * (out + out.swapaxes(-1, -2))
+    out += out.swapaxes(-1, -2)  # numpy buffers the overlap: 0.5 * (out + out.T)
+    out *= 0.5
+    return out
+
+
+def spd_log(c) -> np.ndarray:
+    """Matrix logarithm of an SPD matrix, or of each matrix of a stack:
+    ``eig_log`` of its ``eigh``; a matrix gets the same bits alone as inside
+    a stack, and ``NotPositiveDefinite`` names the first matrix refused."""
+    return eig_log(eigh(c))
 
 
 def trace_floored(tr: np.ndarray, d: int) -> np.ndarray:

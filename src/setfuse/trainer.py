@@ -128,14 +128,13 @@ class ProbeMap(NamedTuple):
     ``projection`` (p x D_q, ``s_q E.T F_q``) gives a row's projection
     ``projection @ f``, which is ``E.T k_q`` for its kernel column k_q;
     ``score`` (D_q, ``s_q coeffs_q @ F_q``) gives its gating score less the
-    bias, ``score @ f = coeffs_q @ k_q``; ``gallery`` (p x N,
-    ``projection @ F_q.T``) holds the gallery's own projections, the
-    projected Gram columns ``E.T K_q``.
+    bias, ``score @ f = coeffs_q @ k_q``. The gallery's own projections
+    ``projection @ F_q.T`` are stacked over the channels in
+    ``ModelState.gallery_projections``.
     """
 
     projection: np.ndarray
     score: np.ndarray
-    gallery: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,8 +146,9 @@ class ModelState:
     ``labels`` and ``set_ids`` follow their row order. A model holds no Gram
     matrix: it derives ``scales`` (``gram_scale`` under
     ``config.normalize_kernels``, as ``train`` scales its Grams), ``n_train``
-    and ``dim`` from the features, and ``probe_maps`` and ``train_weights``
-    from the features, the gating and the transform.
+    and ``dim`` from the features, and ``probe_maps``,
+    ``gallery_projections`` and ``train_weights`` from the features, the
+    gating and the transform.
 
     This is the one place that checks a model's shapes, so every model saves
     as it loads. ``BadSpec`` unless the model fits one gallery of N >= 1 sets:
@@ -221,17 +221,27 @@ class ModelState:
     @cached_property
     def probe_maps(self) -> tuple[ProbeMap, ...]:
         """One read-only ``ProbeMap`` per channel, the whole of what a probe's
-        distances read besides the biases and ``train_weights``; computed on
-        first use and kept for the model's lifetime."""
+        distances read besides the biases, ``gallery_projections`` and
+        ``train_weights``; computed on first use and kept for the model's
+        lifetime."""
         e = self.transform
         out = []
         for f, s, c in zip(self.features, self.scales, self.gating.coeffs):
-            projection = s * (e.T @ f)
-            arrays = ProbeMap(projection, s * (c @ f), projection @ f.T)
+            arrays = ProbeMap(s * (e.T @ f), s * (c @ f))
             for a in arrays:
                 a.setflags(write=False)
             out.append(arrays)
         return tuple(out)
+
+    @cached_property
+    def gallery_projections(self) -> np.ndarray:
+        """The gallery's own projections (Q x p x N), ``projection @ F_q.T``
+        for each channel's ``ProbeMap``: its projected Gram columns
+        ``E.T K_q``, which a probe's projections are measured against;
+        computed on first use and kept for the model's lifetime."""
+        g = np.array([m.projection @ f.T for m, f in zip(self.probe_maps, self.features)])
+        g.setflags(write=False)
+        return g
 
     def gate(self, rows) -> np.ndarray:
         """Gating weights (Q x T) of T stacked lifted rows, one (T, D_q) array

@@ -2,8 +2,9 @@
 
 The references (scalar kernels, ``is_spd``, the trace-ratio objective of
 N x N scatters and their null-space reduction, the gating gradient of a
-bank) are oracles the pipeline is checked against; the library computes the
-same quantities only in the forms training and classification need.
+bank, a set's lifted rows by the sign-canonical route) are oracles the
+pipeline is checked against; the library computes the same quantities only
+in the forms training and classification need.
 
 A ``Bank`` is the Gram side of a gallery, which in the library lives only
 inside ``train``: its lifted rows with the scaled Grams that ``kernel_bank``
@@ -21,7 +22,9 @@ import numpy as np
 from setfuse.descriptors import (
     DescriptorStack,
     ImageSet,
+    _moments,
     check_orthonormal,
+    embed_gaussian,
     encode_sets,
     read_only,
 )
@@ -30,11 +33,12 @@ from setfuse.errors import (
     DimensionMismatch,
     NonFinite,
     NonSymmetric,
+    NotPositiveDefinite,
     ZeroTotalScatter,
 )
 from setfuse.gating import class_layout, gating_weights, projected_gradients, projected_pair_sums
 from setfuse.kernels import DESCRIPTOR_NAMES, gram, gram_scale, lift_features, lift_width
-from setfuse.spd import spd_log, sym_eig
+from setfuse.spd import LOG_EIG_FLOOR_RTOL, regularize_spd, spd_log, sym_eig
 from setfuse.trainer import DENOMINATOR_FLOOR, NULL_SPACE_RTOL, TOTAL_SCATTER_FLOOR
 from setfuse.trainer import TraceRatioResult, gram_spans, solve_trace_ratio, train
 from setfuse.trainer import scatter_matrices as library_scatter_matrices
@@ -147,9 +151,44 @@ def gating_gradients(bank, params, transform, labels):
     return projected_gradients(bank.grams, weights, sums, classes)
 
 
-# Per channel, the descriptor stack field it reads and its scalar kernel.
+def sign_canonical_log(c):
+    """The matrix log of one SPD matrix by the sign-canonical route:
+    ``sym_eig`` (descending, each eigenvector's sign fixed), the
+    ``LOG_EIG_FLOOR_RTOL`` refusal, then ``V diag(log λ) V.T`` symmetrized.
+    The library's logs fix no sign; they are checked against this bit for bit."""
+    values, vectors = sym_eig(c)
+    if values[-1] <= LOG_EIG_FLOOR_RTOL * values[0]:
+        raise NotPositiveDefinite(f"eigenvalues in [{values[-1]:.3e}, {values[0]:.3e}]")
+    out = (vectors * np.log(values)) @ vectors.T
+    return 0.5 * (out + out.T)
+
+
+def regularized_covariance(s, alpha):
+    """A set's regularized covariance, the matrix ``encode_sets`` takes the
+    log of: ``regularize_spd`` of its sample covariance (``_moments``)."""
+    return regularize_spd(_moments(s.features[None])[1], alpha)[0]
+
+
+def sign_canonical_rows(s, cfg):
+    """One set's lifted row per channel of ``DESCRIPTOR_NAMES``, by the
+    sign-canonical route, the set alone: the ``sign_canonical_log`` of its
+    regularized covariance and of its Gaussian embedding, and the projector
+    of the top ``cfg.subspace_dim`` eigenvectors of its ``X X.T`` by ``sym_eig``."""
+    mean, _, second = (a[0] for a in _moments(s.features[None]))
+    cov = regularized_covariance(s, cfg.alpha)
+    basis = sym_eig(second).vectors[:, : cfg.subspace_dim].copy()
+    lifts = {
+        "cov": sign_canonical_log(cov),
+        "subspace": basis @ basis.T,
+        "gauss": sign_canonical_log(embed_gaussian(mean, cov)),
+    }
+    return {name: lifts[name].ravel() for name in DESCRIPTOR_NAMES}
+
+
+# Per channel, the descriptor stack field it reads and its scalar kernel:
+# a covariance is held as its log, so its kernel is the logs' inner product.
 SCALAR_KERNELS = {
-    "cov": ("cov", log_euclidean_kernel),
+    "cov": ("log_cov", pair_kernel),
     "subspace": ("basis", projection_kernel),
     "gauss": ("embedding", log_euclidean_kernel),
 }
@@ -161,17 +200,17 @@ def stack_length(m):
 
 
 def encode_one(s, cfg):
-    """Row 0 of ``encode_sets([s], cfg)``: the set's covariance, subspace
+    """Row 0 of ``encode_sets([s], cfg)``: the set's covariance log, subspace
     basis and Gaussian embedding, encoded alone."""
     e = encode_sets([s], cfg)
-    return e.cov[0], e.basis[0], e.embedding[0]
+    return e.log_cov[0], e.basis[0], e.embedding[0]
 
 
 def rows(stack, index):
     """The rows ``index`` (an int, a slice or a list of positions) of a
     descriptor stack, as a stack of their own."""
     keep = np.atleast_1d(np.arange(len(stack.set_ids))[index])
-    arrays = (a[keep] for a in (stack.cov, stack.basis, stack.embedding))
+    arrays = (a[keep] for a in (stack.log_cov, stack.basis, stack.embedding))
     return DescriptorStack(*arrays, tuple(stack.set_ids[i] for i in keep))
 
 

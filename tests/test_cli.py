@@ -86,6 +86,16 @@ class TestTrain:
         )
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_manifest_field_over_the_csv_limit_exits_3(self, runner, tmp_path, command):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("set_id,label,path\na,b," + "x" * 200_000 + "\n")
+        args = ["--out", str(tmp_path / "m")] if command == "train" else []
+        result = runner.invoke(main, [command, "--manifest", str(manifest), *args])
+        assert result.exit_code == 3, result.output
+        assert "manifest.csv:2: field larger than field limit" in result.output
+        assert "Traceback" not in result.output
+
     def test_descriptor_subset_accepted(self, runner, tmp_path):
         manifest = make_dataset(runner, tmp_path)
         result = runner.invoke(
@@ -188,6 +198,17 @@ class TestPredict:
         )
         assert result.exit_code == code, result.output
         assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
+    def test_deeply_nested_model_json_exits_3(self, runner, tmp_path):
+        manifest = make_dataset(runner, tmp_path)
+        probe = manifest.parent / "class0_set0.csv"
+        (tmp_path / "m").mkdir()
+        (tmp_path / "m" / "model.json").write_text("[" * 100_000)
+        result = runner.invoke(
+            main, ["predict", "--model", str(tmp_path / "m"), "--set", str(probe)]
+        )
+        assert result.exit_code == 3, result.output
         assert "Traceback" not in result.output
 
     def test_missing_model_exits_3(self, runner, tmp_path):

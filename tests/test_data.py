@@ -128,6 +128,15 @@ class TestManifestErrors:
         with pytest.raises(ParseError, match=r":3:"):
             load_dataset(p)
 
+    @pytest.mark.parametrize(
+        "field", ["x" * 200_000, '"' + "x" * 200_000 + '"'], ids=["bare", "quoted"]
+    )
+    def test_field_over_the_csv_limit_cites_line(self, tmp_path, field):
+        p = tmp_path / MANIFEST_NAME
+        p.write_text(f"set_id,label,path\na,b,c.csv\nd,e,{field}\n")
+        with pytest.raises(ParseError, match=r"manifest\.csv:3: field larger than field limit"):
+            load_dataset(p)
+
     def test_header_only_manifest(self, tmp_path):
         p = tmp_path / MANIFEST_NAME
         p.write_text("set_id,label,path\n")

@@ -24,7 +24,18 @@ from setfuse.errors import (
     RankDeficient,
     TooFewSamples,
 )
-from helpers import encode_one, is_spd, random_image_set, random_orthonormal, random_spd
+from setfuse.kernels import DESCRIPTOR_NAMES, lift_features
+from helpers import (
+    encode_one,
+    is_spd,
+    random_gallery_sets,
+    random_image_set,
+    random_orthonormal,
+    random_spd,
+    regularized_covariance,
+    sign_canonical_log,
+    sign_canonical_rows,
+)
 
 
 def make_set(features, label="c0", set_id="s"):
@@ -32,8 +43,8 @@ def make_set(features, label="c0", set_id="s"):
 
 
 def covariance_of(s, alpha):
-    """The set's regularized covariance, encoded alone."""
-    return encode_one(s, TrainConfig(subspace_dim=1, alpha=alpha))[0]
+    """The set's regularized covariance, the matrix ``encode_sets`` takes the log of."""
+    return regularized_covariance(s, alpha)
 
 
 def raw_covariance(s):
@@ -255,9 +266,9 @@ class TestEmbedGaussian:
 class TestGaussianDescriptor:
     def test_two_point_example(self):
         s = make_set([[0.0, 2.0]])
-        cov, _, embedding = encode_one(s, TrainConfig(subspace_dim=1, alpha=1000.0))
+        log_cov, _, embedding = encode_one(s, TrainConfig(subspace_dim=1, alpha=1000.0))
         assert np.allclose(_moments(s.features[None])[0], [[1.0]])
-        assert np.allclose(cov, [[2.002]])
+        assert np.allclose(log_cov, [[np.log(2.002)]], atol=1e-15)
         scale = 2.002 ** -0.5
         expected = scale * np.array([[3.002, 1.0], [1.0, 1.0]])
         assert np.max(np.abs(embedding - expected)) <= 1e-14
@@ -265,8 +276,9 @@ class TestGaussianDescriptor:
     def test_shares_covariance_estimator_exactly(self):
         rng = np.random.default_rng(21)
         s = random_image_set(rng, d=5, n=30)
-        cov, _, embedding = encode_one(s, TrainConfig(subspace_dim=1, alpha=1000.0))
-        assert np.array_equal(cov, covariance_of(s, 1000.0))
+        log_cov, _, embedding = encode_one(s, TrainConfig(subspace_dim=1, alpha=1000.0))
+        cov = covariance_of(s, 1000.0)
+        assert np.array_equal(log_cov, sign_canonical_log(cov))
         assert np.array_equal(embedding, embed_gaussian(s.features.mean(axis=1), cov))
 
     def test_law_of_large_numbers(self):
@@ -287,7 +299,8 @@ class TestEncodeSet:
         s = random_image_set(rng, d=6, n=15, label="cat", set_id="x1")
         e = encode_sets([s], TrainConfig(subspace_dim=4))
         assert e.set_ids == ("x1",)
-        assert is_spd(e.cov[0])
+        assert e.log_cov.shape == (1, 6, 6)
+        assert np.array_equal(e.log_cov[0], e.log_cov[0].T)
         assert e.basis.shape == (1, 6, 4)
         assert e.embedding.shape == (1, 7, 7)
 
@@ -305,11 +318,12 @@ class TestEncodeSet:
             assert np.array_equal(u, v)
 
     def test_covariance_computed_once_and_shared(self):
-        # the embedding is built from the very covariance the stack holds
+        # the embedding and the log the stack holds come from one covariance
         rng = np.random.default_rng(25)
         s = random_image_set(rng, d=5, n=12)
-        cov, _, embedding = encode_one(s, TrainConfig(subspace_dim=3))
-        assert np.array_equal(cov, covariance_of(s, TrainConfig().alpha))
+        log_cov, _, embedding = encode_one(s, TrainConfig(subspace_dim=3))
+        cov = covariance_of(s, TrainConfig().alpha)
+        assert np.array_equal(log_cov, sign_canonical_log(cov))
         assert np.array_equal(embedding, embed_gaussian(s.features.mean(axis=1), cov))
 
     def test_mean_helper(self):
@@ -325,13 +339,14 @@ class TestEncodeSets:
         cfg = TrainConfig(subspace_dim=3)
         stack = encode_sets(sets, cfg)
         assert stack.set_ids == tuple(s.set_id for s in sets)
-        for a in (stack.cov, stack.basis, stack.embedding):
+        for a in (stack.log_cov, stack.basis, stack.embedding):
             assert not a.flags.writeable
         for i, s in enumerate(sets):
-            cov, basis, embedding = encode_one(s, cfg)
-            assert np.array_equal(stack.cov[i], cov)
+            log_cov, basis, embedding = encode_one(s, cfg)
+            assert np.array_equal(stack.log_cov[i], log_cov)
             assert np.array_equal(stack.basis[i], basis)
             assert np.array_equal(stack.embedding[i], embedding)
+            cov = covariance_of(s, cfg.alpha)
             assert np.array_equal(embedding, embed_gaussian(s.features.mean(axis=1), cov))
 
     def test_floored_covariances_are_logged_once_per_call(self, caplog):
@@ -350,8 +365,9 @@ class TestEncodeSets:
             "the first is set 1 ('flat1')",
         )]
         for i, s in enumerate(sets):
-            assert np.array_equal(stack.cov[i], encode_one(s, cfg)[0])
-        assert np.array_equal(stack.cov[1], 1e-8 * np.eye(4))
+            assert np.array_equal(stack.log_cov[i], encode_one(s, cfg)[0])
+        assert np.array_equal(covariance_of(sets[1], cfg.alpha), 1e-8 * np.eye(4))
+        assert np.array_equal(stack.log_cov[1], sign_canonical_log(1e-8 * np.eye(4)))
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="setfuse"):
             encode_sets([sets[0], sets[2], sets[4]], cfg)
@@ -385,3 +401,72 @@ class TestEncodeSets:
         with pytest.raises(BadDimension) as info:
             encode_sets(sets, TrainConfig(subspace_dim=5))
         assert str(info.value) == "subspace dimension q=5 must be in [1, 4]"
+
+
+class TestStackedDecomposition:
+    """``encode_sets`` decomposes the covariances and the second moments in
+    one stacked ``eigh`` and fixes no eigenvector sign for a log or a
+    projector; every lifted row keeps the bits of the sign-canonical route."""
+
+    @pytest.mark.parametrize("d", [3, 10, 32])
+    def test_lifted_rows_match_the_sign_canonical_route(self, d):
+        # ragged sample counts, some below d, each set alone and in a stack
+        rng = np.random.default_rng(60 + d)
+        cfg = TrainConfig(subspace_dim=3)
+        counts = (d + 6, d // 2 + 2, cfg.subspace_dim + 1)
+        sets = [
+            ImageSet(s.features[:, : counts[i % 3]], s.label, s.set_id)
+            for i, s in enumerate(random_gallery_sets(rng, 3, 4, d=d, n=d + 6))
+        ]
+        expected = [sign_canonical_rows(s, cfg) for s in sets]
+        stacked = {name: lift_features(encode_sets(sets, cfg), name) for name in DESCRIPTOR_NAMES}
+        for i, s in enumerate(sets):
+            alone = encode_sets([s], cfg)
+            for name in DESCRIPTOR_NAMES:
+                assert np.array_equal(stacked[name][i], expected[i][name]), (name, i)
+                assert np.array_equal(lift_features(alone, name)[0], expected[i][name]), (name, i)
+
+    @staticmethod
+    def _sets(rng, n=5, d=4):
+        return [random_image_set(rng, d=d, n=8, set_id=f"s{i}") for i in range(n)]
+
+    @staticmethod
+    def _far(rng):
+        """Features near 1e160: their covariance is finite, their X @ X.T is not."""
+        return 1e160 * (1.0 + 1e-10 * rng.standard_normal((4, 8)))
+
+    def test_refused_covariance_log_names_its_set(self):
+        # a rank-one covariance shifted by trace / 1e13 has too small a spectrum to log
+        rng = np.random.default_rng(61)
+        sets = self._sets(rng)
+        sets[2] = make_set(np.outer([1.0, 2.0, 0.5, 1.0], np.arange(8.0)), set_id="flat")
+        with pytest.raises(NotPositiveDefinite, match=r"^set 2 \('flat'\): matrix log needs"):
+            encode_sets(sets, TrainConfig(subspace_dim=1, alpha=1e13))
+
+    def test_rank_deficient_second_moment_names_its_set(self):
+        rng = np.random.default_rng(62)
+        sets = self._sets(rng)
+        sets[3] = make_set(np.outer([1.0, 2.0, 0.5, 1.0], np.arange(8.0)), set_id="line")
+        with pytest.raises(RankDeficient, match=r"^set 3 \('line'\): numerical rank below q=2"):
+            encode_sets(sets, TrainConfig(subspace_dim=2))
+
+    def test_non_finite_second_moment_names_its_set(self):
+        # a far-off mean overflows X @ X.T but not the covariance: the
+        # stacked decomposition finds it in its second half
+        rng = np.random.default_rng(63)
+        sets = self._sets(rng)
+        sets[3] = make_set(self._far(rng), set_id="far")
+        non_finite = r"^set 3 \('far'\): matrix contains NaN or Inf"
+        with np.errstate(over="ignore"), pytest.raises(NonFinite, match=non_finite):
+            encode_sets(sets, TrainConfig(subspace_dim=2))
+
+    def test_first_set_at_fault_across_the_halves(self):
+        # set 1's covariance log is refused, set 3's X @ X.T overflows: the
+        # second half's error is found first, and set 1 is named
+        rng = np.random.default_rng(64)
+        sets = self._sets(rng)
+        sets[1] = make_set(np.outer([1.0, 2.0, 0.5, 1.0], np.arange(8.0)), set_id="flat")
+        sets[3] = make_set(self._far(rng), set_id="far")
+        refused = r"^set 1 \('flat'\): matrix log needs"
+        with np.errstate(over="ignore"), pytest.raises(NotPositiveDefinite, match=refused):
+            encode_sets(sets, TrainConfig(subspace_dim=1, alpha=1e13))

@@ -18,6 +18,7 @@ from setfuse.errors import (
 from setfuse.gating import GatingParams
 from setfuse.descriptors import read_only
 from setfuse.kernels import DESCRIPTOR_NAMES, gram, gram_scale, lift_features, lifted_dim
+from setfuse.spd import spd_log
 from setfuse.trainer import ModelState
 
 from helpers import (
@@ -47,9 +48,10 @@ def make_embedding(rng, d):
 
 
 def stack_of(cov, basis, embedding):
-    """A descriptor stack of the given rows, one list per descriptor."""
-    arrays = (np.array(a, dtype=np.float64) for a in (cov, basis, embedding))
-    return DescriptorStack(*arrays, tuple(f"s{i}" for i in range(len(cov))))
+    """A descriptor stack of the given rows, one list per descriptor; the
+    covariances are held as their logs (``spd_log``), as ``encode_sets`` holds them."""
+    covs, *rest = (np.array(a, dtype=np.float64) for a in (cov, basis, embedding))
+    return DescriptorStack(spd_log(covs), *rest, tuple(f"s{i}" for i in range(len(cov))))
 
 
 def hand_model(features, descriptors, normalize=False):
@@ -369,15 +371,16 @@ class TestLiftedFeatures:
     def test_lift_error_names_the_descriptor_at_fault_only(self):
         rng = np.random.default_rng(53)
         gallery = encode_sets(random_gallery_sets(rng, 2, 2, d=5, n=10), q=3)
-        cov = gallery.cov.copy()
-        cov[2, 0, 1] += 1.0
-        bad_row = dataclasses.replace(gallery, cov=cov)
+        # the gauss lift takes the embeddings' log, so it checks them
+        embedding = gallery.embedding.copy()
+        embedding[2, 0, 1] += 1.0
+        bad_row = dataclasses.replace(gallery, embedding=embedding)
         with pytest.raises(NonSymmetric, match=r"^descriptor 2 \('c1_s0'\): matrix asymmetry"):
-            lift_features(bad_row, "cov")
+            lift_features(bad_row, "gauss")
         # a stack of non-square matrices is no one descriptor's fault
-        not_square = dataclasses.replace(gallery, cov=gallery.cov[:, :, :4])
+        not_square = dataclasses.replace(gallery, embedding=gallery.embedding[:, :, :4])
         with pytest.raises(NonSymmetric, match="^expected a square matrix"):
-            lift_features(not_square, "cov")
+            lift_features(not_square, "gauss")
 
     def test_normalized_bank_grams_are_the_same_stacked(self):
         rng = np.random.default_rng(54)

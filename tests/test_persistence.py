@@ -283,8 +283,9 @@ class TestRoundTrip:
 
         monkeypatch.setattr(kernels, "spd_log", counting_log)
         predict(sets[0], back)
-        # the probe's covariance and Gaussian embedding, never the gallery's
-        assert sum(calls) == 2
+        # the probe's Gaussian embedding, never the gallery's; the probe's
+        # covariance log comes from its encoding's stacked decomposition
+        assert sum(calls) == 1
 
     def test_predict_on_loaded_model_forms_no_kernel_column(
         self, trained, tmp_path, monkeypatch
@@ -473,6 +474,14 @@ class TestTamperDetection:
         meta_path = save_model(model, tmp_path / "m")
         meta_path.write_text("{not json")
         with pytest.raises(IoError):
+            load_model(tmp_path / "m")
+
+    def test_deeply_nested_metadata_raises_io_error(self, trained, tmp_path):
+        # json.loads runs out of stack on deep nesting and raises RecursionError
+        model, _ = trained
+        meta_path = save_model(model, tmp_path / "m")
+        meta_path.write_text("[" * 100_000)
+        with pytest.raises(IoError, match="cannot parse .*model.json"):
             load_model(tmp_path / "m")
 
     def test_non_utf8_metadata_raises_io_error(self, trained, tmp_path):

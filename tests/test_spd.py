@@ -8,6 +8,8 @@ from setfuse.errors import NonFinite, NonSymmetric, NotPositiveDefinite
 from setfuse.spd import (
     EigenPair,
     check_symmetric,
+    eig_log,
+    eigh,
     regularize_spd,
     spd_log,
     sym_eig,
@@ -76,6 +78,27 @@ class TestSymEig:
         m = np.array([[2.0, 1.0], [1.0 + 1e-14, 2.0]])
         pair = sym_eig(m)
         assert isinstance(pair, EigenPair)
+
+    def test_check_returns_the_symmetric_part(self):
+        # an exactly symmetric stack comes back as it is, one symmetric only
+        # to roundoff as its symmetric part, which is what eigh decomposes
+        rng = np.random.default_rng(4)
+        s = np.stack([random_spd(rng, 4) for _ in range(3)])
+        assert check_symmetric(s) is s
+        m = s.copy()
+        m[1, 0, 1] += 1e-14
+        part = 0.5 * (m + m.swapaxes(-1, -2))
+        assert np.array_equal(check_symmetric(m), part)
+        for got, want in zip(eigh(m), np.linalg.eigh(part)):
+            assert np.array_equal(got, want)
+
+    def test_log_reads_no_eigenvector_sign(self):
+        # flipping any columns of the decomposition leaves the log bit for bit
+        rng = np.random.default_rng(5)
+        pair = eigh(np.stack([random_spd(rng, 6) for _ in range(4)]))
+        flips = rng.choice([-1.0, 1.0], size=pair.values.shape)
+        flipped = EigenPair(pair.values, pair.vectors * flips[:, None, :])
+        assert np.array_equal(eig_log(flipped), eig_log(pair))
 
 
 class TestSpdLog:
