@@ -39,7 +39,9 @@ print(f"  covariance eigenvalue range [{np.exp(w.min()):.4f}, {np.exp(w.max()):.
 
 # --- subspace view --------------------------------------------------------
 # The top-q eigenvectors of X X^T span the directions the set actually
-# occupies. Only the span matters; the basis is one canonical representative.
+# occupies. Only the span matters: the subspace kernel reads the basis through
+# its projector B B^T, which no column sign changes, so each column keeps the
+# sign the eigensolver leaves it.
 basis = stack.basis[0]
 gram = basis.T @ basis
 print("\nsubspace descriptor")
@@ -49,18 +51,22 @@ print(f"  orthonormality residual {np.max(np.abs(gram - np.eye(q))):.2e}")
 # --- Gaussian view --------------------------------------------------------
 # Mean and covariance together map to one (d+1) x (d+1) SPD matrix with
 # determinant exactly one, so Gaussians can be compared with SPD machinery.
+# Its scale det(C)^(-1/(d+1)) comes from the covariance's eigenvalues, which
+# the encoder already has from the decomposition that gives the log.
 embedding = stack.embedding[0]
 print("\nGaussian descriptor")
 print(f"  embedding shape {embedding.shape}")
 print(f"  det(embedding) = {np.linalg.det(embedding):.12f}")
 print(f"  embedding SPD: {np.linalg.eigvalsh(embedding).min() > 0.0}")
+scale = np.exp(-w.sum() / (d + 1))
+print(f"  corner entry vs det(C)^(-1/(d+1)): {abs(embedding[d, d] / scale - 1.0):.2e}")
 # Its top-left block over its corner entry is covariance + mean mean^T.
 mean = features.mean(axis=1)
 block = embedding[:d, :d] / embedding[d, d]
 print(f"  block residual vs cov + m m^T: {np.max(np.abs(block - cov - np.outer(mean, mean))):.2e}")
 
 # The embedding of a zero-mean identity-covariance Gaussian is the identity.
-ident = embed_gaussian(np.zeros(3), np.eye(3))
+ident = embed_gaussian(np.zeros(3), np.eye(3), 0.0)
 print(f"  embed(0, I) == I(4): {np.array_equal(ident, np.eye(4))}")
 
 # --- many sets at once ----------------------------------------------------

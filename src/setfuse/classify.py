@@ -17,9 +17,10 @@ The prediction is the label of the closest gallery member (ties break to
 the lowest index). ``distance_profile`` scores a stack of probes' lifted
 rows, every channel in one distance call, so ``predict`` (a stack of one)
 and each split's test sets take one path. A probe costs two
-eigendecompositions: ``encode_sets``'s one stacked ``eigh`` of its covariance
-and second moment, which gives both its covariance log and its basis, and
-the ``spd_log`` of its Gaussian embedding at lift time.
+eigendecompositions and no Cholesky factor: ``encode_sets``'s one stacked
+``eigh`` of its covariance and second moment, which gives its covariance
+log, its basis and its embedding's scale, and the ``spd_log`` of its
+Gaussian embedding at lift time.
 """
 
 from __future__ import annotations
@@ -64,12 +65,14 @@ def distance_profile(rows, model: ModelState) -> np.ndarray:
     projections ``projection @ rows.T``, stacked over the channels and
     measured against ``model.gallery_projections`` in one call. This costs
     O(T * target_dim * (D_q + n_train)) per channel and forms no kernel column.
+    An overflow does not warn: the NaN or Inf it leaves fails ``Prediction``.
     """
-    test_weights = model.gate(rows)
-    projections = np.array([m.projection @ r.T for m, r in zip(model.probe_maps, rows)])
-    sq = squared_distances(model.gallery_projections, projections)
-    # numpy sums a leading axis in order, one channel after another
-    return (test_weights[..., None] * sq * model.train_weights[:, None, :]).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        test_weights = model.gate(rows)
+        projections = np.array([m.projection @ r.T for m, r in zip(model.probe_maps, rows)])
+        sq = squared_distances(model.gallery_projections, projections)
+        # numpy sums a leading axis in order, one channel after another
+        return (test_weights[..., None] * sq * model.train_weights[:, None, :]).sum(axis=0)
 
 
 def check_probe(test: ImageSet, model: ModelState) -> None:

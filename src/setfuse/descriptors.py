@@ -11,10 +11,11 @@ from the individual images. Three complementary descriptors summarize it:
 All three are deterministic functions of the input bits, computed for a
 whole collection by ``encode_sets`` as stacks (``DescriptorStack``), the one
 form a descriptor takes; a set's descriptors are the same bits alone or in
-any stack, and a single set is a stack of one. The covariance is held as its
-matrix log, the form its log-Euclidean kernel reads: ``encode_sets`` takes
-it from the same stacked eigendecomposition that gives the subspace basis,
-so a set's covariance is never decomposed twice.
+any stack, and a single set is a stack of one. Each of a set's matrices is
+factored once. One stacked eigendecomposition of the covariance and of
+``X X^T`` gives the covariance's matrix log (the form its log-Euclidean
+kernel reads), the subspace basis, and the log-determinant that scales the
+Gaussian embedding; the embedding's own log is taken when it is lifted.
 """
 
 from __future__ import annotations
@@ -30,30 +31,17 @@ from .errors import (
     BadSpec,
     DimensionMismatch,
     NonFinite,
-    NotOrthonormal,
-    NotPositiveDefinite,
     RankDeficient,
     SetfuseError,
     TooFewSamples,
 )
-from .spd import (
-    EigenPair,
-    canonical_signs,
-    check_symmetric,
-    eig_log,
-    eigh,
-    raise_first,
-    regularize_spd,
-    trace_floored,
-)
+from .spd import EigenPair, eig_log, eigh, raise_first, regularize_spd, trace_floored
 
 logger = logging.getLogger(__name__)
 
 # Eigenvalues below this fraction of the largest are treated as rank loss
 # when extracting a subspace basis.
 RANK_EIG_RTOL = 1e-12
-# Largest entry of |B^T B - I| an orthonormal basis B may show.
-ORTHONORMAL_ATOL = 1e-10
 
 
 def read_only(values) -> np.ndarray:
@@ -130,8 +118,9 @@ class ImageSet:
 class DescriptorStack:
     """The descriptors of N sets as read-only stacks, row i from set i:
     ``log_cov`` (N, d, d), the matrix log of each regularized covariance;
-    ``basis`` (N, d, q), orthonormal columns with the ``sym_eig`` sign
-    convention; and ``embedding`` (N, d+1, d+1)."""
+    ``basis`` (N, d, q), orthonormal columns, each with the sign LAPACK's
+    ``eigh`` leaves it (its projector reads no sign); and ``embedding``
+    (N, d+1, d+1)."""
 
     log_cov: np.ndarray
     basis: np.ndarray
@@ -170,60 +159,41 @@ def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _bases(pair: EigenPair, q: int) -> np.ndarray:
     """Top-q eigenvectors (k, d, q) of each ``X @ X.T`` of a stack, from their
-    ``eigh``, leading first, with the ``sym_eig`` sign convention."""
+    ``eigh``, leading first, each column's sign as LAPACK leaves it: the
+    projector, the one thing that reads a basis, reads no column sign."""
     values, vectors = pair
     top, qth = values[:, -1], values[:, -q]
     raise_first((top <= 0.0) | (qth < RANK_EIG_RTOL * top), RankDeficient, lambda i: (
         f"numerical rank below q={q} (eigenvalue {qth[i]:.3e} vs max {top[i]:.3e})"))
-    return check_orthonormal(canonical_signs(vectors[..., ::-1][..., :q].copy()))
+    return vectors[..., ::-1][..., :q].copy()
 
 
-def check_orthonormal(basis) -> np.ndarray:
-    """``basis`` as a float64 d x q array with 1 <= q <= d, or a stack
-    (..., d, q) of them, checked to have orthonormal columns: ``NotOrthonormal``
-    names the first basis that has not."""
-    b = np.asarray(basis, dtype=np.float64)
-    off = np.abs(b.swapaxes(-1, -2) @ b - np.eye(b.shape[-1])).max(axis=(-2, -1))
-    raise_first(
-        off > ORTHONORMAL_ATOL, NotOrthonormal, lambda i: "basis columns are not orthonormal"
-    )
-    return b
+def embed_gaussian(mean, covariance, log_det) -> np.ndarray:
+    """Embed a Gaussian (mean m, covariance C) as a determinant-one SPD
+    matrix, or each of a stack of means (..., d), covariances (..., d, d) and
+    log-determinants (...):
 
-
-def embed_gaussian(mean, covariance) -> np.ndarray:
-    """Embed a Gaussian (mean, covariance) as a determinant-one SPD matrix,
-    or each of a stack of means (..., d) and covariances (..., d, d).
-
-    With A the lower Cholesky factor of the covariance, the embedding is
-
-        |A|^(-2/(d+1)) * [[A A^T + m m^T, m],
-                          [m^T,           1]]
+        det(C)^(-1/(d+1)) * [[C + m m^T, m],
+                             [m^T,       1]]
 
     which has determinant exactly one and is congruence-covariant under
-    affine maps of the underlying space.
+    affine maps of the underlying space. ``log_det`` is log det(C), the sum
+    of the logs of C's eigenvalues, so nothing here factors C. An overflow
+    does not warn: the Inf or NaN it leaves is the caller's to refuse.
     """
     m = np.asarray(mean, dtype=np.float64)
-    c = check_symmetric(covariance)
+    c = np.asarray(covariance, dtype=np.float64)
     d = c.shape[-1]
-    try:
-        chol = np.linalg.cholesky(c)
-    except np.linalg.LinAlgError:
-        # a stacked Cholesky names no matrix, so find the first that fails alone
-        for i, ci in enumerate(c.reshape(-1, d, d)):
-            try:
-                np.linalg.cholesky(ci)
-            except np.linalg.LinAlgError:
-                exc = NotPositiveDefinite("covariance is not positive definite")
-                exc.index = i
-                raise exc from None
-        raise
-    # log-space determinant of the Cholesky factor, robust for larger d
-    log_det_a = np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
     p = np.empty(c.shape[:-2] + (d + 1, d + 1), dtype=np.float64)
-    p[..., :d, :d] = c + m[..., :, None] * m[..., None, :]
-    p[..., :d, d] = p[..., d, :d] = m
-    p[..., d, d] = 1.0
-    return np.exp(-2.0 / (d + 1) * log_det_a)[..., None, None] * p
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.exp(-np.asarray(log_det, dtype=np.float64) / (d + 1))
+        # in place, as the encoder builds this while its moment stack lives
+        p[..., :d, :d] = m[..., :, None] * m[..., None, :]
+        p[..., :d, :d] += c
+        p[..., :d, d] = p[..., d, :d] = m
+        p[..., d, d] = 1.0
+        p *= scale[..., None, None]
+    return p
 
 
 def encode_sets(sets: Sequence[ImageSet], cfg) -> DescriptorStack:
@@ -231,7 +201,8 @@ def encode_sets(sets: Sequence[ImageSet], cfg) -> DescriptorStack:
     ``alpha`` and ``subspace_dim`` are read). Sets are stacked by sample count
     for their moments, and every later step is one stacked call: one ``eigh``
     of the regularized covariances and the second moments ``X @ X.T`` stacked
-    (2, N, d, d) gives both each covariance's log and each basis. A set's
+    (2, N, d, d) gives each covariance's log and log-determinant (the
+    embedding's scale) and each basis. A set's
     descriptors are bit-identical alone and inside any stack. An error names
     the first set at fault, ``set i ('<set_id>')``, as a set-by-set encoding
     would, whichever half of the stack it is found in. One warning counts the
@@ -249,8 +220,10 @@ def encode_sets(sets: Sequence[ImageSet], cfg) -> DescriptorStack:
             mean[members], moments[0, members], moments[1, members] = _moments(x)
         floored = np.flatnonzero(trace_floored(np.trace(moments[0], axis1=1, axis2=2), d))
         moments[0] = regularize_spd(moments[0], cfg.alpha)
-        embedding = embed_gaussian(mean, moments[0])
         values, vectors = eigh(moments)
+        with np.errstate(divide="ignore", invalid="ignore"):  # eig_log refuses such a spectrum
+            log_det = np.log(values[0]).sum(axis=-1)
+        embedding = embed_gaussian(mean, moments[0], log_det)
         del moments  # encoding peaks in memory at the log's temporaries, so free it first
         basis = _bases(EigenPair(values[1], vectors[1]), q)
         log_cov = eig_log(EigenPair(values[0], vectors[0]))

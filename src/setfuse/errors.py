@@ -58,10 +58,6 @@ class BadDimension(NumericError):
     """Requested projection or subspace dimension is out of the feasible range."""
 
 
-class NotOrthonormal(NumericError):
-    """Basis expected to have orthonormal columns does not."""
-
-
 # --- data family ------------------------------------------------------------
 
 class TooFewSamples(DataError):

@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from .descriptors import DescriptorStack
-from .errors import NormalizationDegenerate, SetfuseError
+from .errors import NonFinite, NormalizationDegenerate, SetfuseError
 from .spd import spd_log
 
 # Gram traces at or below this value cannot be normalized against.
@@ -95,10 +95,14 @@ def lift_features(stack: DescriptorStack, name: str) -> np.ndarray:
 def gram_scale(features: np.ndarray, normalize: bool) -> float:
     """A channel's kernel scale s_q: with ``normalize``, N over the trace of
     its Gram matrix, read from its lifted rows as the sum of their squared
-    norms (the Gram diagonal's dots), so a scaled Gram has trace N; else 1.0."""
+    norms (the Gram diagonal's dots), so a scaled Gram has trace N; else 1.0.
+    ``NonFinite``, without numpy's overflow warning, when that trace overflows."""
     if not normalize:
         return 1.0
-    tr = float(np.sum(np.vecdot(features, features)))
+    with np.errstate(over="ignore"):
+        tr = float(np.sum(np.vecdot(features, features)))
+    if not math.isfinite(tr):
+        raise NonFinite("gram trace overflows")
     if tr <= NORMALIZATION_TRACE_FLOOR:
         raise NormalizationDegenerate(f"gram trace {tr:.3e} too small to normalize")
     return features.shape[0] / tr

@@ -21,8 +21,8 @@ exactly those keys and files and format 4 alone (formats 1 and 2 stored more
 than this, and format 3 named features by kernel number; retrain such
 models), or fails with a ``DataError``. The types and values of the
 configuration's fields are ``TrainConfig``'s to check, and the arrays'
-shapes, the labels, the set ids and the objective trace ``ModelState``'s;
-what either rejects fails to load with ``IoError``.
+shapes and finiteness, the labels, the set ids and the objective trace
+``ModelState``'s; what either rejects fails to load with ``IoError``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import TrainConfig, check_type, is_real
-from .errors import BadSpec, ChecksumMismatch, FormatVersionMismatch, IoError
+from .errors import BadSpec, ChecksumMismatch, FormatVersionMismatch, IoError, NonFinite
 from .gating import GatingParams
 from .trainer import ModelState
 
@@ -156,8 +156,9 @@ def _config(raw, where: str) -> TrainConfig:
 
 def load_model(model_dir) -> ModelState:
     """Read a model directory back, verifying version, keys and checksums;
-    ``ModelState`` checks the shapes, and whatever it rejects (``BadSpec``)
-    fails to load with ``IoError``.
+    ``ModelState`` and ``GatingParams`` check the shapes and that every array
+    is finite, and whatever they reject (``BadSpec``, ``NonFinite``) fails to
+    load with ``IoError``.
 
     Arrays come back read-only. The channels come from ``config.descriptors``;
     everything else a model holds is derived from the stored arrays as in
@@ -204,5 +205,5 @@ def load_model(model_dir) -> ModelState:
             config=cfg,
             objective_trace=tuple(objective_trace),
         )
-    except BadSpec as exc:
+    except (BadSpec, NonFinite) as exc:
         raise IoError(f"{where}: {exc}") from exc

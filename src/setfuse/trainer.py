@@ -62,7 +62,7 @@ import numpy as np
 
 from .config import TrainConfig, is_real
 from .descriptors import read_only
-from .errors import BadSpec, DegenerateDenominator, ZeroTotalScatter
+from .errors import BadSpec, DegenerateDenominator, NonFinite, ZeroTotalScatter
 from .gating import (
     ClassLayout,
     GatingParams,
@@ -156,7 +156,9 @@ class ModelState:
     lift of one set dimension d >= 1 (``lift_width``); an N x p transform,
     p >= 1; Q x N gating coefficients and Q biases; one label and one set id
     per set; and an objective trace of finite numbers in [0, 1], where
-    ``train`` clips every objective. The features and the transform are kept
+    ``train`` clips every objective. ``NonFinite`` for a transform or a
+    features array that holds NaN or Inf, as ``GatingParams`` refuses such
+    gating. The features and the transform are kept
     read-only and C-contiguous: such an array, or a view into one (a row of
     ``train``'s stacked rows), is kept as it is, and any other is copied.
     Equality and hashing are by identity.
@@ -197,6 +199,9 @@ class ModelState:
                     f"features_{name}: {f.shape[1]} features per set, where the {name} "
                     f"lift of sets of dimension {dim} has {lift_width(name, dim)}"
                 )
+        for what, a in zip(["transform"] + [f"features_{name}" for name in names], (e,) + features):
+            if not np.isfinite(a).all():
+                raise NonFinite(f"{what} contains NaN or Inf")
         if len(self.labels) != n or len(self.set_ids) != n:
             raise BadSpec(
                 f"{len(self.labels)} labels and {len(self.set_ids)} set ids "

@@ -23,7 +23,6 @@ from setfuse.descriptors import (
     DescriptorStack,
     ImageSet,
     _moments,
-    check_orthonormal,
     embed_gaussian,
     encode_sets,
     read_only,
@@ -38,7 +37,7 @@ from setfuse.errors import (
 )
 from setfuse.gating import class_layout, gating_weights, projected_gradients, projected_pair_sums
 from setfuse.kernels import DESCRIPTOR_NAMES, gram, gram_scale, lift_features, lift_width
-from setfuse.spd import LOG_EIG_FLOOR_RTOL, regularize_spd, spd_log, sym_eig
+from setfuse.spd import LOG_EIG_FLOOR_RTOL, eigh, regularize_spd, spd_log, sym_eig
 from setfuse.trainer import DENOMINATOR_FLOOR, NULL_SPACE_RTOL, TOTAL_SCATTER_FLOOR
 from setfuse.trainer import TraceRatioResult, gram_spans, solve_trace_ratio, train
 from setfuse.trainer import scatter_matrices as library_scatter_matrices
@@ -46,6 +45,9 @@ from setfuse.trainer import scatter_matrices as library_scatter_matrices
 # An SPD check passes when the smallest eigenvalue exceeds this fraction of
 # the largest one.
 SPD_EIG_RTOL = 1e-10
+# Largest entry of |B^T B - I| a basis the reference projection kernel reads
+# may show.
+ORTHONORMAL_ATOL = 1e-10
 
 
 def is_spd(m) -> bool:
@@ -83,10 +85,20 @@ def log_euclidean_kernel(c1, c2) -> float:
     return pair_kernel(spd_log(a1), spd_log(a2))
 
 
+def orthonormal(y) -> np.ndarray:
+    """``y`` as a float64 array, ``ValueError`` unless its columns are
+    orthonormal to ``ORTHONORMAL_ATOL``."""
+    b = np.asarray(y, dtype=np.float64)
+    if np.abs(b.T @ b - np.eye(b.shape[1])).max() > ORTHONORMAL_ATOL:
+        raise ValueError("basis columns are not orthonormal")
+    return b
+
+
 def projection_kernel(y1, y2) -> float:
     """||Y1.T @ Y2||_F^2 for orthonormal d x q subspace bases of equal shape,
-    as a Gram entry (``pair_kernel``) of their projectors."""
-    b1, b2 = check_orthonormal(y1), check_orthonormal(y2)
+    as a Gram entry (``pair_kernel``) of their projectors; ``ValueError`` for
+    a basis whose columns are not orthonormal."""
+    b1, b2 = orthonormal(y1), orthonormal(y2)
     if b1.shape != b2.shape:
         raise DimensionMismatch(f"subspace shapes differ: {b1.shape} vs {b2.shape}")
     return pair_kernel(b1 @ b1.T, b2 @ b2.T)
@@ -169,18 +181,29 @@ def regularized_covariance(s, alpha):
     return regularize_spd(_moments(s.features[None])[1], alpha)[0]
 
 
+def log_det(c) -> float:
+    """log det of an SPD matrix as the encoder takes it: the sum of the logs
+    of its ``eigh`` eigenvalues, ascending."""
+    return float(np.log(eigh(c).values).sum())
+
+
+def gaussian_embedding(s, alpha):
+    """A set's Gaussian embedding, the set alone: ``embed_gaussian`` of its
+    mean, its regularized covariance and that covariance's ``log_det``."""
+    cov = regularized_covariance(s, alpha)
+    return embed_gaussian(_moments(s.features[None])[0][0], cov, log_det(cov))
+
+
 def sign_canonical_rows(s, cfg):
     """One set's lifted row per channel of ``DESCRIPTOR_NAMES``, by the
     sign-canonical route, the set alone: the ``sign_canonical_log`` of its
     regularized covariance and of its Gaussian embedding, and the projector
     of the top ``cfg.subspace_dim`` eigenvectors of its ``X X.T`` by ``sym_eig``."""
-    mean, _, second = (a[0] for a in _moments(s.features[None]))
-    cov = regularized_covariance(s, cfg.alpha)
-    basis = sym_eig(second).vectors[:, : cfg.subspace_dim].copy()
+    basis = sym_eig(_moments(s.features[None])[2][0]).vectors[:, : cfg.subspace_dim].copy()
     lifts = {
-        "cov": sign_canonical_log(cov),
+        "cov": sign_canonical_log(regularized_covariance(s, cfg.alpha)),
         "subspace": basis @ basis.T,
-        "gauss": sign_canonical_log(embed_gaussian(mean, cov)),
+        "gauss": sign_canonical_log(gaussian_embedding(s, cfg.alpha)),
     }
     return {name: lifts[name].ravel() for name in DESCRIPTOR_NAMES}
 

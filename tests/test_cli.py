@@ -1,6 +1,8 @@
 """Command-line tests via click's test runner."""
 
 import csv
+import hashlib
+import io
 import json
 import logging
 
@@ -198,6 +200,36 @@ class TestPredict:
         )
         assert result.exit_code == code, result.output
         assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "fname, value",
+        [("gating_coeffs.npy", np.nan), ("transform.npy", np.nan), ("features_gauss.npy", np.inf)],
+        ids=["nan-gating", "nan-transform", "inf-feature"],
+    )
+    def test_non_finite_model_array_exits_3(self, runner, tmp_path, fname, value):
+        # the array is re-checksummed, so only its values are at fault
+        manifest = make_dataset(runner, tmp_path)
+        model_dir = tmp_path / "model"
+        assert runner.invoke(
+            main,
+            ["train", "--manifest", str(manifest), "--out", str(model_dir), *FAST],
+        ).exit_code == 0
+        poisoned = np.load(model_dir / fname).copy()
+        poisoned.flat[0] = value
+        buf = io.BytesIO()
+        np.save(buf, poisoned)
+        (model_dir / fname).write_bytes(buf.getvalue())
+        meta_path = model_dir / "model.json"
+        meta = json.loads(meta_path.read_text())
+        meta["checksums"][fname] = hashlib.sha256(buf.getvalue()).hexdigest()
+        meta_path.write_text(json.dumps(meta))
+        probe = manifest.parent / "class0_set0.csv"
+        result = runner.invoke(
+            main, ["predict", "--model", str(model_dir), "--set", str(probe)]
+        )
+        assert result.exit_code == 3, result.output
+        assert "NaN or Inf" in result.output
         assert "Traceback" not in result.output
 
     def test_deeply_nested_model_json_exits_3(self, runner, tmp_path):

@@ -1,6 +1,7 @@
 """Descriptor tests: covariance, subspace, Gaussian embedding, full encoding."""
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from setfuse.data import generate_synthetic
 from setfuse.descriptors import (
     ImageSet,
     _moments,
-    check_orthonormal,
     embed_gaussian,
     encode_sets,
 )
@@ -19,7 +19,6 @@ from setfuse.errors import (
     BadSpec,
     DimensionMismatch,
     NonFinite,
-    NotOrthonormal,
     NotPositiveDefinite,
     RankDeficient,
     TooFewSamples,
@@ -27,10 +26,11 @@ from setfuse.errors import (
 from setfuse.kernels import DESCRIPTOR_NAMES, lift_features
 from helpers import (
     encode_one,
+    gaussian_embedding,
     is_spd,
+    log_det,
     random_gallery_sets,
     random_image_set,
-    random_orthonormal,
     random_spd,
     regularized_covariance,
     sign_canonical_log,
@@ -165,11 +165,6 @@ class TestSubspaceDescriptor:
         expected = np.diag([1.0, 1.0, 0.0, 0.0])
         assert np.max(np.abs(proj - expected)) <= 1e-10
 
-    def test_rank_one_sign_convention(self):
-        x = np.outer([1.0, 0.0, 0.0], [1.0, -2.0, 3.0])
-        y = basis_of(make_set(x), 1)
-        assert np.allclose(y.ravel(), [1.0, 0.0, 0.0])
-
     def test_eigen_equation_residual(self):
         rng = np.random.default_rng(14)
         x = rng.standard_normal((8, 20))
@@ -220,47 +215,43 @@ class TestSubspaceDescriptor:
         y = basis_of(make_set(rng.standard_normal((7, 12))), 5)
         assert np.max(np.abs(y.T @ y - np.eye(5))) <= 1e-12
 
-    def test_non_orthonormal_basis_rejected(self):
-        with pytest.raises(NotOrthonormal):
-            check_orthonormal(np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
 
-    def test_orthonormality_check_names_the_first_basis(self):
-        rng = np.random.default_rng(29)
-        bases = np.stack([random_orthonormal(rng, 4, 2) for _ in range(4)])
-        assert np.array_equal(check_orthonormal(bases), bases)
-        bases[2] = [[1.0, 1.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
-        bases[3] = 2.0 * bases[3]
-        with pytest.raises(NotOrthonormal) as info:
-            check_orthonormal(bases)
-        assert info.value.index == 2
+def embed_random(rng, d):
+    """The embedding of a random mean and SPD covariance, with its covariance."""
+    cov = random_spd(rng, d)
+    return embed_gaussian(rng.standard_normal(d), cov, log_det(cov)), cov
 
 
 class TestEmbedGaussian:
     def test_scalar_example(self):
-        p = embed_gaussian([1.0], [[1.0]])
+        p = embed_gaussian([1.0], [[1.0]], 0.0)
         assert np.allclose(p, [[2.0, 1.0], [1.0, 1.0]], atol=1e-15)
 
     def test_standard_normal_maps_to_identity(self):
         d = 3
-        p = embed_gaussian(np.zeros(d), np.eye(d))
+        p = embed_gaussian(np.zeros(d), np.eye(d), 0.0)
         assert np.array_equal(p, np.eye(d + 1))
 
     def test_unit_determinant(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
-            d = int(rng.integers(2, 7))
-            p = embed_gaussian(rng.standard_normal(d), random_spd(rng, d))
+            p, _ = embed_random(rng, int(rng.integers(2, 7)))
             # oracle: LU-based determinant of the assembled matrix
             assert abs(np.linalg.det(p) - 1.0) <= 1e-6
 
+    def test_scale_is_the_cholesky_determinants(self):
+        # the eigenvalues' log-determinant gives the scale |A|^(-2/(d+1)) of
+        # the lower Cholesky factor A to the last places
+        rng = np.random.default_rng(31)
+        for d in (2, 10, 32, 64):
+            p, cov = embed_random(rng, d)
+            log_det_a = np.log(np.diag(np.linalg.cholesky(cov))).sum()
+            scale = np.exp(-2.0 / (d + 1) * log_det_a)
+            assert abs(p[d, d] / scale - 1.0) <= 1e-12
+
     def test_embedding_is_spd(self):
         rng = np.random.default_rng(20)
-        p = embed_gaussian(rng.standard_normal(4), random_spd(rng, 4))
-        assert is_spd(p)
-
-    def test_rejects_indefinite_covariance(self):
-        with pytest.raises(NotPositiveDefinite):
-            embed_gaussian([0.0, 0.0], np.diag([1.0, -1.0]))
+        assert is_spd(embed_random(rng, 4)[0])
 
 
 class TestGaussianDescriptor:
@@ -279,7 +270,7 @@ class TestGaussianDescriptor:
         log_cov, _, embedding = encode_one(s, TrainConfig(subspace_dim=1, alpha=1000.0))
         cov = covariance_of(s, 1000.0)
         assert np.array_equal(log_cov, sign_canonical_log(cov))
-        assert np.array_equal(embedding, embed_gaussian(s.features.mean(axis=1), cov))
+        assert np.array_equal(embedding, gaussian_embedding(s, 1000.0))
 
     def test_law_of_large_numbers(self):
         # standardized n=10^4 sample (mean zero, sample cov = identity):
@@ -324,7 +315,7 @@ class TestEncodeSet:
         log_cov, _, embedding = encode_one(s, TrainConfig(subspace_dim=3))
         cov = covariance_of(s, TrainConfig().alpha)
         assert np.array_equal(log_cov, sign_canonical_log(cov))
-        assert np.array_equal(embedding, embed_gaussian(s.features.mean(axis=1), cov))
+        assert np.array_equal(embedding, gaussian_embedding(s, TrainConfig().alpha))
 
     def test_mean_helper(self):
         s = make_set([[0.0, 2.0], [1.0, 3.0]])
@@ -346,8 +337,7 @@ class TestEncodeSets:
             assert np.array_equal(stack.log_cov[i], log_cov)
             assert np.array_equal(stack.basis[i], basis)
             assert np.array_equal(stack.embedding[i], embedding)
-            cov = covariance_of(s, cfg.alpha)
-            assert np.array_equal(embedding, embed_gaussian(s.features.mean(axis=1), cov))
+            assert np.array_equal(embedding, gaussian_embedding(s, cfg.alpha))
 
     def test_floored_covariances_are_logged_once_per_call(self, caplog):
         # two constant sets take the trace floor: one warning counts them and
@@ -377,13 +367,10 @@ class TestEncodeSets:
         rng = np.random.default_rng(27)
         means = rng.standard_normal((4, 3))
         covs = np.stack([random_spd(rng, 3) for _ in range(4)])
-        out = embed_gaussian(means, covs)
+        log_dets = np.array([log_det(c) for c in covs])
+        out = embed_gaussian(means, covs, log_dets)
         for i in range(4):
-            assert np.array_equal(out[i], embed_gaussian(means[i], covs[i]))
-        covs[2] = np.diag([1.0, -1.0, 1.0])
-        with pytest.raises(NotPositiveDefinite) as info:
-            embed_gaussian(means, covs)
-        assert info.value.index == 2
+            assert np.array_equal(out[i], embed_gaussian(means[i], covs[i], log_dets[i]))
 
     def test_no_sets_or_mixed_dimensions(self):
         rng = np.random.default_rng(28)
@@ -457,7 +444,8 @@ class TestStackedDecomposition:
         sets = self._sets(rng)
         sets[3] = make_set(self._far(rng), set_id="far")
         non_finite = r"^set 3 \('far'\): matrix contains NaN or Inf"
-        with np.errstate(over="ignore"), pytest.raises(NonFinite, match=non_finite):
+        with warnings.catch_warnings(), pytest.raises(NonFinite, match=non_finite):
+            warnings.simplefilter("error")  # refused before any overflow warns
             encode_sets(sets, TrainConfig(subspace_dim=2))
 
     def test_first_set_at_fault_across_the_halves(self):
@@ -468,5 +456,6 @@ class TestStackedDecomposition:
         sets[1] = make_set(np.outer([1.0, 2.0, 0.5, 1.0], np.arange(8.0)), set_id="flat")
         sets[3] = make_set(self._far(rng), set_id="far")
         refused = r"^set 1 \('flat'\): matrix log needs"
-        with np.errstate(over="ignore"), pytest.raises(NotPositiveDefinite, match=refused):
+        with warnings.catch_warnings(), pytest.raises(NotPositiveDefinite, match=refused):
+            warnings.simplefilter("error")
             encode_sets(sets, TrainConfig(subspace_dim=1, alpha=1e13))

@@ -4,26 +4,26 @@ import dataclasses
 import hashlib
 import io
 import json
-import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from setfuse import kernels, persistence, trainer
+from setfuse import persistence, trainer
 from setfuse.classify import distance_profile, predict
 from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic
-from setfuse.descriptors import ImageSet, encode_sets
+from setfuse.descriptors import ImageSet, _moments, encode_sets
 from setfuse.errors import (
     BadSpec,
     ChecksumMismatch,
     FormatVersionMismatch,
     IoError,
+    NonFinite,
 )
 from setfuse.experiment import train_on_sets
 from setfuse.gating import GatingParams, gating_weights
 from setfuse.persistence import META_NAME, load_model, save_model
-from setfuse.spd import spd_log
 from setfuse.trainer import ModelState
 
 from helpers import (
@@ -34,6 +34,7 @@ from helpers import (
     kernel_bank,
     model_bank,
     probe_rows,
+    regularized_covariance,
     stack_length,
     train_one,
 )
@@ -270,22 +271,35 @@ class TestRoundTrip:
         assert not back.features[0].flags.writeable
         assert all(not a.flags.writeable for m in back.probe_maps for a in m)
 
-    def test_predict_on_loaded_model_lifts_only_the_probe(self, trained, tmp_path, monkeypatch):
+    def test_load_and_predict_decompose_only_the_probe(self, trained, tmp_path, monkeypatch):
+        # counted at numpy's public API, whichever module calls it: loading
+        # factors nothing, and a probe takes two eigh calls over its three
+        # matrices (its covariance and X X^T stacked, then its embedding)
         model, sets = trained
         save_model(model, tmp_path / "m")
-        back = load_model(tmp_path / "m")
+        probe, cfg = sets[0], model.config
+        second_moment = _moments(probe.features[None])[2]
+        covariance = regularized_covariance(probe, cfg.alpha)[None]
+        embedding = encode_sets([probe], cfg).embedding
         calls = []
-        real_log = kernels.spd_log
 
-        def counting_log(c):
-            calls.append(stack_length(c))
-            return real_log(c)
+        def spy(name):
+            real = getattr(np.linalg, name)
 
-        monkeypatch.setattr(kernels, "spd_log", counting_log)
-        predict(sets[0], back)
-        # the probe's Gaussian embedding, never the gallery's; the probe's
-        # covariance log comes from its encoding's stacked decomposition
-        assert sum(calls) == 1
+            def counted(a, *args, **kwargs):
+                calls.append((name, np.array(a)))
+                return real(a, *args, **kwargs)
+
+            return counted
+
+        for name in ("eigh", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        back = load_model(tmp_path / "m")
+        assert calls == []
+        predict(probe, back)
+        assert [(name, stack_length(a)) for name, a in calls] == [("eigh", 2), ("eigh", 1)]
+        assert np.array_equal(calls[0][1], np.stack([covariance, second_moment]))
+        assert np.array_equal(calls[1][1], embedding)
 
     def test_predict_on_loaded_model_forms_no_kernel_column(
         self, trained, tmp_path, monkeypatch
@@ -308,22 +322,6 @@ class TestRoundTrip:
         for s in sets:
             predict(s, back)
         assert len(made) == len(back.config.descriptors)
-
-    def test_load_lifts_nothing(self, trained, tmp_path, monkeypatch):
-        model, _ = trained
-        save_model(model, tmp_path / "m")
-        calls = []
-
-        def counting_log(c):
-            calls.append(stack_length(c))
-            return spd_log(c)
-
-        # every module that binds spd_log, so no import path escapes the count
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("setfuse") and hasattr(mod, "spd_log"):
-                monkeypatch.setattr(mod, "spd_log", counting_log)
-        load_model(tmp_path / "m")
-        assert calls == []
 
     def test_save_is_deterministic(self, trained, tmp_path):
         model, _ = trained
@@ -533,6 +531,48 @@ class TestTamperDetection:
         digest = persistence._write_array(tmp_path / "m" / "transform.npy", model.transform[1:])
         edit_meta(tmp_path / "m", lambda m: m["checksums"].update({"transform.npy": digest}))
         with pytest.raises(IoError, match="do not fit"):
+            load_model(tmp_path / "m")
+
+    @pytest.mark.parametrize(
+        "fname, value",
+        [("gating_coeffs.npy", np.nan), ("transform.npy", np.nan), ("features_gauss.npy", np.inf)],
+        ids=["nan-gating", "nan-transform", "inf-feature"],
+    )
+    def test_non_finite_array_rejected(self, trained, tmp_path, fname, value):
+        # checksummed consistently: a stored value, not a byte, is at fault,
+        # so loading fails as a data error instead of predict failing later
+        model, _ = trained
+        save_model(model, tmp_path / "m")
+        poisoned = np.load(tmp_path / "m" / fname).copy()
+        poisoned.flat[0] = value
+        replace_array_file(tmp_path / "m", fname, npy_bytes(poisoned))
+        with pytest.raises(IoError, match="NaN or Inf"):
+            load_model(tmp_path / "m")
+
+    def test_huge_feature_refused_at_predict_without_warnings(self, trained, tmp_path):
+        # a finite 1e300 loads; the distances it overflows are refused as
+        # NonFinite before numpy warns of the overflow
+        model, sets = trained
+        save_model(model, tmp_path / "m")
+        features = np.load(tmp_path / "m" / "features_cov.npy").copy()
+        features[0, 0] = 1e300
+        replace_array_file(tmp_path / "m", "features_cov.npy", npy_bytes(features))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = load_model(tmp_path / "m")
+            with pytest.raises(NonFinite, match="distance profile"):
+                predict(sets[0], back)
+
+    def test_huge_feature_of_a_normalized_model_rejected(self, tmp_path):
+        # its Gram trace overflows: loading refuses the scale it would take
+        # as zero, without numpy's overflow warning
+        model, _ = train_small(normalize_kernels=True)
+        save_model(model, tmp_path / "m")
+        features = np.load(tmp_path / "m" / "features_cov.npy").copy()
+        features[0, 0] = 1e300
+        replace_array_file(tmp_path / "m", "features_cov.npy", npy_bytes(features))
+        with warnings.catch_warnings(), pytest.raises(IoError, match="gram trace overflows"):
+            warnings.simplefilter("error")
             load_model(tmp_path / "m")
 
     @pytest.mark.parametrize("name", ["cov", "subspace", "gauss"])

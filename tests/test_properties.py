@@ -22,6 +22,7 @@ from setfuse.trainer import NULL_SPACE_RTOL  # noqa: E402
 from helpers import (  # noqa: E402
     build_kernel_bank,
     kernel_bank,
+    log_det,
     random_labels,
     random_simplex_weights,
     scatter_matrices,
@@ -70,7 +71,8 @@ def test_sym_eig_symmetrizes_its_input(s, data):
 def test_embed_gaussian_has_unit_determinant(mean_and_factor):
     mean, a = mean_and_factor
     cov = a @ a.T + 0.5 * np.eye(mean.size)
-    p = embed_gaussian(mean, 0.5 * (cov + cov.T))
+    cov = 0.5 * (cov + cov.T)
+    p = embed_gaussian(mean, cov, log_det(cov))
     assert abs(np.linalg.det(p) - 1.0) <= 1e-10
 
 
