@@ -143,8 +143,11 @@ def regularize_spd(c, alpha: float) -> np.ndarray:
     output is still usable downstream (``encode_sets`` logs the sets it
     floors). ``alpha`` is positive, as ``TrainConfig`` checks it; ``inf`` is a
     no-op sentinel for direct callers (tests) that need the raw estimate.
+    A shift that overflows (a tiny ``alpha``) does not warn: the Inf or NaN
+    it leaves fails the caller's finiteness check.
     """
     a = check_symmetric(c)
     tr = np.trace(a, axis1=-2, axis2=-1)
-    shift = np.where(trace_floored(tr, a.shape[-1]), TRACE_EPS_FLOOR, tr / float(alpha))
-    return a + shift[..., None, None] * np.eye(a.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = np.where(trace_floored(tr, a.shape[-1]), TRACE_EPS_FLOOR, tr / float(alpha))
+        return a + shift[..., None, None] * np.eye(a.shape[-1])

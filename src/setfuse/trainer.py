@@ -657,11 +657,16 @@ def _line_search(params, weights, grads, objective, projected, grams, classes, r
     up to ``MAX_STEP_HALVINGS`` times, and rolled back entirely when it
     still falls. Every try steps the whole stack: a problem whose objective
     did not fall keeps its step, so it repeats its accepted try bit for bit
-    while the others halve theirs."""
+    while the others halve theirs. A try whose scores overflow, so that its
+    weights are not finite, raises ``NonFinite`` naming the step, without
+    numpy's warnings."""
     step = np.full(len(objective), float(rate))
     for _ in range(MAX_STEP_HALVINGS + 1):
-        trial = gradient_ascent_step(params, grads, step)
-        trial_weights = gating_weights(grams, trial)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trial = gradient_ascent_step(params, grads, step)
+            trial_weights = gating_weights(grams, trial)
+        raise_first(~np.isfinite(trial_weights).all(axis=(-2, -1)), NonFinite, lambda i: (
+            f"iteration {it}: gating step {step[i]:.3e} gives non-finite gating weights"))
         falls = _evaluate(projected, trial_weights, classes)[0] < objective
         if not falls.any():
             return trial, trial_weights

@@ -107,9 +107,7 @@ def projection_kernel(y1, y2) -> float:
 def scatter_matrices(bank, labels, weights):
     """The gated scatters over whole Gram columns, N x N: the library's
     ``scatter_matrices`` of ``bank.grams`` and the ``class_layout`` of
-    ``labels``, bound at import, so a test that patches
-    ``trainer.scatter_matrices`` or ``trainer.class_layout`` does not reach
-    them through here."""
+    ``labels``."""
     return library_scatter_matrices(bank.grams, class_layout(labels), weights)
 
 
@@ -354,6 +352,23 @@ def gram_builds():
         yield calls
     finally:
         sys.setprofile(previous)
+
+
+def spy(monkeypatch, owner, name, measure=lambda *args, **kwargs: None):
+    """Record the calls of ``owner.name`` for the test: each call appends
+    ``measure(*args, **kwargs)`` to the list returned, then runs the real
+    function. The measure is taken before the call, so a call that raises
+    still counts; with the default measure the list's length is the call
+    count. Every spy of the suite goes through here, most of them counting
+    a documented cost that ROADMAP item 1's tracer is to take over."""
+    real, calls = getattr(owner, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(measure(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
 
 def model_bank(model):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,21 @@ class TestTrain:
         assert result.exit_code == 3, result.output
         assert "manifest.csv:2: field larger than field limit" in result.output
         assert "Traceback" not in result.output
+
+    def test_overflowing_gating_step_exits_4_without_warnings(self, runner, tmp_path):
+        # the step's scores overflow: a numeric failure naming the step, and
+        # no numpy RuntimeWarning on the way
+        manifest = make_dataset(runner, tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(
+                main,
+                ["train", "--manifest", str(manifest), "--out", str(tmp_path / "m"), *FAST,
+                 "--gamma", "1e308"],
+            )
+        assert result.exit_code == 4, result.output
+        assert "gating step 1.000e+308 gives non-finite gating weights" in result.output
+        assert not (tmp_path / "m").exists()
 
     def test_descriptor_subset_accepted(self, runner, tmp_path):
         manifest = make_dataset(runner, tmp_path)

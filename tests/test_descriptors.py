@@ -448,6 +448,15 @@ class TestStackedDecomposition:
             warnings.simplefilter("error")  # refused before any overflow warns
             encode_sets(sets, TrainConfig(subspace_dim=2))
 
+    def test_overflowing_shift_names_the_first_set(self):
+        # trace / alpha overflows at alpha=1e-310: every shifted covariance
+        # is refused, set 0 first, before numpy warns of the overflow
+        sets = self._sets(np.random.default_rng(65))
+        non_finite = r"^set 0 \('s0'\): matrix contains NaN or Inf"
+        with warnings.catch_warnings(), pytest.raises(NonFinite, match=non_finite):
+            warnings.simplefilter("error")
+            encode_sets(sets, TrainConfig(subspace_dim=2, alpha=1e-310))
+
     def test_first_set_at_fault_across_the_halves(self):
         # set 1's covariance log is refused, set 3's X @ X.T overflows: the
         # second half's error is found first, and set 1 is named

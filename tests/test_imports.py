@@ -2,12 +2,14 @@
 no module imports another's underscore name, every function and class a
 library module defines is read by the library or exported, every export is
 read by the library or is an entry point, the package's export list
-is the pipeline's 17 names, each once, and only ``train`` builds a Gram
-matrix (calls ``kernels.gram``).
+is the pipeline's 17 names, each once, only ``train`` builds a Gram
+matrix (calls ``kernels.gram``), and no test patches a private name, a
+constant or a class of a ``setfuse`` module.
 
-The check parses each ``src/setfuse/*.py`` with the stdlib ``ast`` module,
-so it needs no linter. A name counts as used when the module reads it or
-lists it in ``__all__``, which exempts the re-exports of ``__init__.py``.
+The checks parse each ``src/setfuse/*.py``, and the patch check each
+``tests/*.py``, with the stdlib ``ast`` module, so they need no linter. A
+name counts as used when the module reads it or lists it in ``__all__``,
+which exempts the re-exports of ``__init__.py``.
 """
 
 import ast
@@ -17,7 +19,8 @@ import pytest
 
 import setfuse
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "setfuse"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "setfuse"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -219,6 +222,88 @@ def test_a_gram_is_built_only_by_train():
     # a model is its lifted rows: Grams live only inside training
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert callers(sources, "gram") == {("trainer", "train")}
+
+
+def setfuse_aliases(tree) -> set[str]:
+    """The names a module binds by importing from the ``setfuse`` package:
+    its modules, and the names imported from them."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {
+                a.asname or "setfuse" for a in node.names if a.name.split(".")[0] == "setfuse"
+            }
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "setfuse":
+            aliases |= {a.asname or a.name for a in node.names}
+    return aliases
+
+
+def patched_internals(source: str) -> list[str]:
+    """``owner.name`` of each attribute of a ``setfuse`` module that a test
+    replaces, with ``monkeypatch.setattr`` or the suite's ``spy`` helper, and
+    that is private (``_name``), a constant (``UPPER_CASE``) or a class
+    (``CapWords``). A name that is not a string literal counts too, as the
+    check cannot read it."""
+    tree = ast.parse(source)
+    aliases = setfuse_aliases(tree)
+    found = []
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Call):
+            continue
+        if getattr(n.func, "attr", None) == "setattr":
+            args = n.args
+        elif getattr(n.func, "id", None) == "spy":
+            args = n.args[1:]
+        else:
+            continue
+        if args and isinstance(args[0], ast.Constant) and isinstance(args[0].value, str):
+            # monkeypatch.setattr("package.module.name", value)
+            owner, _, name = args[0].value.rpartition(".")
+            if owner.split(".")[0] != "setfuse":
+                continue
+        elif len(args) >= 2 and ast.unparse(args[0]).split(".")[0] in aliases:
+            owner, name = ast.unparse(args[0]), getattr(args[1], "value", None)
+            if not isinstance(name, str):
+                name = f"<{ast.unparse(args[1])}>"
+        else:
+            continue
+        if name[0] in "_<" or name[0].isupper():
+            found.append(f"{owner}.{name}")
+    return sorted(found)
+
+
+def test_patch_checker_flags_internals_of_setfuse_modules_only():
+    source = (
+        "import numpy as np\n"
+        "import setfuse.kernels\n"
+        "import setfuse.trainer as t\n"
+        "from setfuse import classify\n"
+        "from helpers import spy\n"
+        "def test(monkeypatch):\n"
+        "    monkeypatch.setattr(t, '_train_stack', None)\n"
+        "    monkeypatch.setattr(t, 'STACK_BYTES', 0)\n"
+        "    spy(monkeypatch, classify, 'ModelState')\n"
+        "    monkeypatch.setattr('setfuse.trainer.ProbeMap', None)\n"
+        "    monkeypatch.setattr(setfuse.kernels, '_scale', None)\n"
+        "    for name in ('train',):\n"
+        "        monkeypatch.setattr(t, name, None)\n"
+        "    monkeypatch.setattr(t, 'train', None)\n"
+        "    spy(monkeypatch, classify, 'distance_profile')\n"
+        "    monkeypatch.setattr(np, 'unique', None)\n"
+        "    monkeypatch.setattr(np.linalg, '_umath_linalg', None)\n"
+        "    monkeypatch.setattr('numpy.ndarray', None)\n"
+    )
+    assert patched_internals(source) == [
+        "classify.ModelState", "setfuse.kernels._scale", "setfuse.trainer.ProbeMap",
+        "t.<name>", "t.STACK_BYTES", "t._train_stack",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_no_test_patches_an_internal(path):
+    # tests pin behaviour through public names; a spy on a private function,
+    # a patched budget constant or a counted class pins how the code is built
+    assert patched_internals(path.read_text()) == []
 
 
 def defaulted_parameters(tree) -> list[tuple[str, str, int | None]]:

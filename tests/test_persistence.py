@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from setfuse import persistence, trainer
+from setfuse import persistence
 from setfuse.classify import distance_profile, predict
 from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic
@@ -35,6 +35,7 @@ from helpers import (
     model_bank,
     probe_rows,
     regularized_covariance,
+    spy,
     stack_length,
     train_one,
 )
@@ -281,47 +282,31 @@ class TestRoundTrip:
         second_moment = _moments(probe.features[None])[2]
         covariance = regularized_covariance(probe, cfg.alpha)[None]
         embedding = encode_sets([probe], cfg).embedding
-        calls = []
-
-        def spy(name):
-            real = getattr(np.linalg, name)
-
-            def counted(a, *args, **kwargs):
-                calls.append((name, np.array(a)))
-                return real(a, *args, **kwargs)
-
-            return counted
-
-        for name in ("eigh", "cholesky"):
-            monkeypatch.setattr(np.linalg, name, spy(name))
+        eighs = spy(monkeypatch, np.linalg, "eigh", lambda a, *args, **kwargs: np.array(a))
+        choleskys = spy(monkeypatch, np.linalg, "cholesky")
         back = load_model(tmp_path / "m")
-        assert calls == []
+        assert eighs == []
         predict(probe, back)
-        assert [(name, stack_length(a)) for name, a in calls] == [("eigh", 2), ("eigh", 1)]
-        assert np.array_equal(calls[0][1], np.stack([covariance, second_moment]))
-        assert np.array_equal(calls[1][1], embedding)
+        assert [stack_length(a) for a in eighs] == [2, 1]
+        assert np.array_equal(eighs[0], np.stack([covariance, second_moment]))
+        assert np.array_equal(eighs[1], embedding)
+        assert choleskys == []
 
     def test_predict_on_loaded_model_forms_no_kernel_column(
         self, trained, tmp_path, monkeypatch
     ):
         # predict reads each probe row through the model's maps, derived once
-        # per channel for the model's lifetime, and takes no dot against the
-        # N gallery rows
+        # for the model's lifetime, and takes no dot against the N gallery rows
         model, sets = trained
         save_model(model, tmp_path / "m")
         back = load_model(tmp_path / "m")
-        made = []
-        real_map = trainer.ProbeMap
-
-        def counting_map(*arrays):
-            made.append(arrays)
-            return real_map(*arrays)
-
-        monkeypatch.setattr(trainer, "ProbeMap", counting_map)
         monkeypatch.setattr(np, "vecdot", lambda *a, **k: pytest.fail("predict took a kernel dot"))
-        for s in sets:
+        predict(sets[0], back)
+        maps = back.probe_maps
+        assert len(maps) == len(back.config.descriptors)
+        for s in sets[1:]:
             predict(s, back)
-        assert len(made) == len(back.config.descriptors)
+        assert back.probe_maps is maps
 
     def test_save_is_deterministic(self, trained, tmp_path):
         model, _ = trained

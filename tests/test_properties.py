@@ -1,9 +1,12 @@
 """Property tests: eigen convention and symmetrization, Gaussian embedding,
-Gram positivity, and the trainer's centred span.
+Gram positivity, the trainer's centred span, and the typed-error contract
+of training and prediction.
 
 Inputs are drawn by ``hypothesis`` under the derandomized, bounded profile
 registered in ``conftest.py``.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +16,12 @@ from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from setfuse.classify import predict  # noqa: E402
 from setfuse.config import TrainConfig  # noqa: E402
+from setfuse.data import generate_synthetic  # noqa: E402
 from setfuse.descriptors import ImageSet, embed_gaussian, encode_sets  # noqa: E402
+from setfuse.errors import SetfuseError  # noqa: E402
+from setfuse.experiment import train_on_sets  # noqa: E402
 from setfuse.kernels import DESCRIPTOR_NAMES  # noqa: E402
 from setfuse.spd import SYMMETRY_RTOL, check_symmetric, sym_eig  # noqa: E402
 from setfuse.trainer import NULL_SPACE_RTOL  # noqa: E402
@@ -134,3 +141,34 @@ def test_centred_span_holds_differences_and_scatters(seed, n, n_kernels, width):
     for s in (scatter.within, scatter.between):
         back = q @ (q.T @ s @ q) @ q.T
         assert np.max(np.abs(s - back)) <= reach + 1e-10 * max(float(np.max(np.abs(s))), 1.0)
+
+
+# Six sets of two classes: the first is the probe, the rest the gallery;
+# each example scales all of them.
+GALLERY = generate_synthetic(
+    classes=2, sets_per_class=3, dim=3, samples=6, separation=3.0, seed=5
+)
+
+
+@given(
+    alpha=st.floats(1e-320, 1e308, allow_subnormal=True),
+    learning_rate=st.floats(0.0, 1e308),
+    exponent=st.integers(-300, 300),
+)
+def test_training_and_prediction_succeed_or_raise_typed_errors(alpha, learning_rate, exponent):
+    """At any config ``TrainConfig`` accepts and any feature scale 10^k,
+    ``train_on_sets`` and then ``predict`` either succeed or raise a
+    ``SetfuseError``, and numpy warns of nothing on the way."""
+    sets = [
+        ImageSet(features=10.0**exponent * s.features, label=s.label, set_id=s.set_id)
+        for s in GALLERY
+    ]
+    cfg = TrainConfig(
+        subspace_dim=2, target_dim=2, iters=3, alpha=alpha, learning_rate=learning_rate
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            predict(sets[0], train_on_sets(sets[1:], cfg))
+        except SetfuseError:
+            pass

@@ -1,6 +1,7 @@
 """Trainer tests: scatters, trace-ratio solver, alternating loop."""
 
 import logging
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,13 +13,13 @@ from setfuse.descriptors import encode_sets
 from setfuse.errors import (
     BadSpec,
     DegenerateDenominator,
+    NonFinite,
     SingleClassGallery,
     ZeroTotalScatter,
 )
 from setfuse.gating import (
     GatingParams,
     gating_weights,
-    gradient_ascent_step,
     class_layout,
 )
 from setfuse import trainer
@@ -48,10 +49,18 @@ from helpers import (
     scatter_matrices,
     solve_one,
     span_of,
+    spy,
     trace_ratio_objective,
     train_one,
 )
 from helpers import random_orthonormal as helper_orthonormal
+
+
+def solve_arguments(*args, **kwargs):
+    """A ``solve_trace_ratio`` call's arguments, from which the pure solve
+    gives its result again."""
+    return args, kwargs
+
 
 def assert_train_weights_read_the_grams(model):
     # the model reads its gallery's weights from its rows, training read the
@@ -390,30 +399,16 @@ def separable_bank(rng, n_classes=2, sets_per_class=6, d=6, n=14, shift=4.0):
     return build_kernel_bank(gallery, cfg.descriptors), labels, cfg, gallery
 
 
-def count_gating_evaluations(monkeypatch):
-    """Count the trainer's calls to the gating steps each gating point takes."""
-    calls = dict.fromkeys(("gating_weights", "projected_pair_sums", "gradient_ascent_step"), 0)
-    for name in calls:
-        def counting(*args, _name=name, _fn=getattr(trainer, name)):
-            calls[_name] += 1
-            return _fn(*args)
-
-        monkeypatch.setattr(trainer, name, counting)
-    return calls
-
-
-def assert_trace_ratio_optimum(monkeypatch, bank, labels, cfg):
+def assert_trace_ratio_optimum(bank, labels, cfg):
     """Train, then check that a cold 200-iteration solve on the last
-    iteration's scatters, over whole Gram columns, gains <= 1e-6."""
-    seen = []
-
-    def recording(columns, classes, weights, _scatter=trainer.scatter_matrices):
-        seen.append(weights[0])  # the weights of the stack of one
-        return _scatter(columns, classes, weights)
-
-    monkeypatch.setattr(trainer, "scatter_matrices", recording)
+    iteration's scatters, over whole Gram columns, gains <= 1e-6. The last
+    iteration's weights are those of the gating it starts from, which the
+    same gallery trained one iteration fewer ends with."""
     model = train_one(bank.features, labels, ids_of(bank), cfg)
-    scatter = scatter_matrices(bank, labels, seen[-1])
+    iters = len(model.objective_trace)
+    assert iters >= 2
+    start = train_one(bank.features, labels, ids_of(bank), replace(cfg, iters=iters - 1))
+    scatter = scatter_matrices(bank, labels, gating_weights(bank.grams, start.gating))
     basis, red_b, red_t = remove_null_space(scatter.within, scatter.between)
     cold = solve_one(
         red_b, red_t, model.transform.shape[1], max_iters=200, eps=0.0,
@@ -475,36 +470,32 @@ class TestTrain:
         assert np.array_equal(model.gating.biases, params.biases)
 
     def test_warm_started_solves_take_few_steps(self, monkeypatch):
+        # README "Training cost": a solve warm-started from the previous
+        # projection takes one or two steps (a step is an eigendecomposition)
         rng = np.random.default_rng(107)
         bank, labels, cfg, _ = separable_bank(rng)
-        calls = []  # (start, result) of each solve of the stack of one
-
-        def recording(*args, **kwargs):
-            result = solve_trace_ratio(*args, **kwargs)
-            calls.append((kwargs["start"], result))
-            return result
-
-        monkeypatch.setattr(trainer, "solve_trace_ratio", recording)
+        solves = spy(monkeypatch, trainer, "solve_trace_ratio", solve_arguments)
         model = train_one(bank.features, labels, ids_of(bank), cfg)
-        assert len(calls) == len(model.objective_trace) >= 3
+        assert len(solves) == len(model.objective_trace) >= 3
         # the first solve starts from the span's leading directions
-        first = calls[0][0][0]
+        first = solves[0][1]["start"][0]
         assert np.array_equal(first, np.eye(*first.shape))
-        for (start, result), (_, previous) in zip(calls[1:], calls):
-            assert start is previous.projection
+        results = [solve_trace_ratio(*args, **kwargs) for args, kwargs in solves]
+        for (_, kwargs), result, previous in zip(solves[1:], results[1:], results):
+            assert np.array_equal(kwargs["start"], previous.projection)
             assert len(result.ratio_history[0]) - 1 <= 3
 
-    def test_final_projection_is_trace_ratio_optimum(self, monkeypatch):
+    def test_final_projection_is_trace_ratio_optimum(self):
         rng = np.random.default_rng(108)
         bank, labels, cfg, _ = separable_bank(rng)
-        assert_trace_ratio_optimum(monkeypatch, bank, labels, cfg)
+        assert_trace_ratio_optimum(bank, labels, cfg)
 
-    def test_extreme_weights_keep_the_fixed_basis(self, monkeypatch, caplog):
+    def test_extreme_weights_keep_the_fixed_basis(self, caplog):
         # at lr=1 some gating weight falls to ~6e-6; the span basis still serves
         bank, labels, cfg, _ = separable_bank(np.random.default_rng(95))
         cfg = replace(cfg, learning_rate=1.0)
         with caplog.at_level(logging.INFO, logger="setfuse.trainer"):
-            model = assert_trace_ratio_optimum(monkeypatch, bank, labels, cfg)
+            model = assert_trace_ratio_optimum(bank, labels, cfg)
         assert float(model.train_weights.min()) < 1e-4
         width = min(cfg.target_dim, span_of(bank.grams)[0].shape[1])
         assert model.transform.shape == (bank.n_train, width)
@@ -518,29 +509,39 @@ class TestTrain:
         trace = np.asarray(model.objective_trace)
         assert np.all(np.isfinite(trace) & (trace >= 0.0) & (trace <= 1.0))
 
+    def test_overflowing_gating_step_raises_non_finite(self):
+        # at rate 1e308 the first try's scores overflow, so its weights are
+        # NaN: training refuses the try, naming it, before numpy warns
+        sets = random_gallery_sets(np.random.default_rng(95), 2, 6, d=6, n=14, shift=4.0)
+        cfg = TrainConfig(subspace_dim=3, target_dim=3, iters=8, learning_rate=1e308)
+        with warnings.catch_warnings(), pytest.raises(
+            NonFinite, match=r"^iteration 1: gating step 1\.000e\+308 gives non-finite"
+        ):
+            warnings.simplefilter("error")
+            train_on_sets(sets, cfg)
+        # a rate of 1e200 still trains
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train_on_sets(sets, replace(cfg, learning_rate=1e200))
+        assert np.isfinite(model.train_weights).all()
+
     def test_train_gradient_matches_public_gradient(self, monkeypatch):
+        # no public view holds an iteration's gradient (ROADMAP item 3's run
+        # trace would), so the trainer's steps are read through the spy
         bank, labels, cfg, _ = separable_bank(np.random.default_rng(115))
-        steps = []  # (params, grads) of each outer iteration, halvings dropped
-        projections = []
-
-        seen = []  # the stacked gradients already recorded
-
-        def recording_step(params, grads, step):
-            # the arguments hold a stack of one
-            if not seen or seen[-1] is not grads:
-                seen.append(grads)
-                steps.append((GatingParams(params.coeffs[0], params.biases[0]),
-                              (grads[0][0], grads[1][0])))
-            return gradient_ascent_step(params, grads, step)
-
-        def recording_solve(*args, **kwargs):
-            result = solve_trace_ratio(*args, **kwargs)
-            projections.append(result.projection[0])
-            return result
-
-        monkeypatch.setattr(trainer, "gradient_ascent_step", recording_step)
-        monkeypatch.setattr(trainer, "solve_trace_ratio", recording_solve)
+        tries = spy(
+            monkeypatch, trainer, "gradient_ascent_step", lambda params, grads, step: (params, grads)
+        )
+        solves = spy(monkeypatch, trainer, "solve_trace_ratio", solve_arguments)
         train_one(bank.features, labels, ids_of(bank), cfg)
+        # each outer iteration's (params, grads), halvings dropped; the
+        # arguments hold a stack of one
+        steps = [
+            (GatingParams(params.coeffs[0], params.biases[0]), (grads[0][0], grads[1][0]))
+            for k, (params, grads) in enumerate(tries)
+            if k == 0 or grads is not tries[k - 1][1]
+        ]
+        projections = [solve_trace_ratio(*a, **kw).projection[0] for a, kw in solves]
         basis, _ = span_of(bank.grams)
         assert len(steps) == len(projections) >= 3
         for (params, (gc, gb)), coords in zip(steps, projections):
@@ -550,32 +551,38 @@ class TestTrain:
             assert np.max(np.abs(gb - rb)) <= 1e-12 * scale
 
     def test_each_gating_point_evaluated_once(self, monkeypatch):
+        # README "Training cost": each gating point is evaluated once
         # the perfbench gallery_train data (N=250, d=10), first variant at seed 3
         sets = generate_synthetic(
             classes=5, sets_per_class=60, dim=10, samples=20, separation=5.0, seed=0
         )
         seed = int(np.random.SeedSequence([3, 0]).generate_state(1)[0])
         gallery, _ = split_sets(sets, 50, np.random.default_rng(seed))
-        calls = count_gating_evaluations(monkeypatch)
+        weights = spy(monkeypatch, trainer, "gating_weights")
+        sums = spy(monkeypatch, trainer, "projected_pair_sums")
+        tries = spy(monkeypatch, trainer, "gradient_ascent_step")
         model = train_on_sets(gallery, TrainConfig(subspace_dim=5, target_dim=8, seed=seed))
         assert len(model.objective_trace) == 20
         # one weight evaluation to start and one per line-search try; one pass of
         # pair sums per iteration start point and one per try
-        assert calls == {"gating_weights": 21, "projected_pair_sums": 40, "gradient_ascent_step": 20}
+        assert (len(weights), len(sums), len(tries)) == (21, 40, 20)
         assert_train_weights_read_the_grams(model)
 
     @pytest.mark.parametrize("rate", [0.0, 300.0])
     def test_line_search_tries_are_evaluated_once(self, monkeypatch, rate):
+        # README "Training cost": one more pass of class sums scores each try
         rng = np.random.default_rng(109)
         bank = random_bank(rng, 12, 3, dim=4)
         labels = random_labels(rng, 12)
-        calls = count_gating_evaluations(monkeypatch)
+        weights = spy(monkeypatch, trainer, "gating_weights")
+        sums = spy(monkeypatch, trainer, "projected_pair_sums")
+        steps = spy(monkeypatch, trainer, "gradient_ascent_step")
         cfg = TrainConfig(target_dim=3, iters=8, seed=2, learning_rate=rate)
         model = train_one(bank.features, labels, ids_of(bank), cfg)
-        iters, tries = len(model.objective_trace), calls["gradient_ascent_step"]
+        iters, tries = len(model.objective_trace), len(steps)
         assert (tries > iters) == (rate > 0.0)  # at rate 300 a step is halved
-        assert calls["gating_weights"] == 1 + tries
-        assert calls["projected_pair_sums"] == iters + tries
+        assert len(weights) == 1 + tries
+        assert len(sums) == iters + tries
         assert_train_weights_read_the_grams(model)
 
     def test_random_bank_trains(self):
@@ -642,28 +649,6 @@ class TestTrain:
         assert model.labels == tuple(labels.tolist())
         assert all(type(label) is str for label in model.labels)
 
-    def test_class_layout_built_once_per_call(self, monkeypatch):
-        bank, labels, cfg, _ = separable_bank(np.random.default_rng(116))
-        calls = dict.fromkeys(("class_layout", "scatter_matrices", "unique"), 0)
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapped
-
-        for name in ("class_layout", "scatter_matrices"):
-            monkeypatch.setattr(trainer, name, counting(name, getattr(trainer, name)))
-        monkeypatch.setattr(np, "unique", counting("unique", np.unique))
-        model = train_one(bank.features, labels, ids_of(bank), cfg)
-        assert len(model.objective_trace) >= 3
-        assert calls == {
-            "class_layout": 1,
-            "scatter_matrices": len(model.objective_trace),
-            "unique": 1,
-        }
-
 
 def stacked_galleries():
     """Four galleries of 12 random lifted rows each, stacked per channel
@@ -695,21 +680,6 @@ class TestStackedTraining:
             sign = np.where(grams[:, 0, 0, 0] == descending, -1.0, 1.0)
             return coeffs * sign[:, None, None], biases * sign[:, None]
 
-        stacks, steps, inner = [], [], []
-
-        def stack_spy(grams, *args, _real=trainer._train_stack):
-            stacks.append(len(grams))
-            return _real(grams, *args)
-
-        def step_spy(params, grads, step, _real=trainer.gradient_ascent_step):
-            steps.append(np.array(step))
-            return _real(params, grads, step)
-
-        def solve_spy(*args, _real=trainer.solve_trace_ratio, **kwargs):
-            result = _real(*args, **kwargs)
-            inner.append([len(h) for h in result.ratio_history])
-            return result
-
         monkeypatch.setattr(trainer, "projected_gradients", gradients)
         with caplog.at_level(logging.INFO, logger="setfuse.trainer"):
             alone = [
@@ -718,11 +688,19 @@ class TestStackedTraining:
             ]
             rolled_alone = sum("rolled back" in r.message for r in caplog.records)
             caplog.clear()
-            for name, spy in [("_train_stack", stack_spy), ("gradient_ascent_step", step_spy),
-                              ("solve_trace_ratio", solve_spy)]:
-                monkeypatch.setattr(trainer, name, spy)
+            # how the stack's control flow departs (README "Training cost":
+            # a try steps the whole stack, a solve drops the problems that
+            # stop moving): each try's steps, and each solve's arguments
+            steps = spy(
+                monkeypatch, trainer, "gradient_ascent_step",
+                lambda params, grads, step: np.array(step),
+            )
+            solves = spy(monkeypatch, trainer, "solve_trace_ratio", solve_arguments)
             stacked = train(rows, labels, ids, cfg)
             rolled = sum("rolled back" in r.message for r in caplog.records)
+        inner = [
+            [len(h) for h in solve_trace_ratio(*a, **kw).ratio_history] for a, kw in solves
+        ]
 
         for a, m in zip(alone, stacked, strict=True):
             assert m.transform.tobytes() == a.transform.tobytes()
@@ -730,8 +708,10 @@ class TestStackedTraining:
             assert m.gating.biases.tobytes() == a.gating.biases.tobytes()
             assert m.objective_trace == a.objective_trace
             assert m.labels == a.labels and m.config == a.config
-        # one stack, in which the galleries' control flow differed
-        assert stacks == [4]
+        # one stack, as the galleries share one span rank, in which their
+        # control flow differed
+        grams = [kernel_bank(cfg.descriptors, [r[k] for r in rows]).grams for k in range(4)]
+        assert len(set(gram_spans(np.array(grams))[1].tolist())) == 1
         assert len({len(m.objective_trace) for m in stacked}) > 1  # early stops
         assert any(len(set(counts)) > 1 for counts in inner)  # inner trace-ratio steps
         # halvings: whole-stack tries in which halved and full steps sit side by side
