@@ -64,7 +64,8 @@ def _train_options(fn):
         click.option("--itr-iters", type=int, default=defaults.itr_iters, show_default=True,
                      help="Inner trace-ratio iterations."),
         click.option("--eps", type=float, default=defaults.eps, show_default=True,
-                     help="Convergence tolerance (0 disables early stopping)."),
+                     help="Stop tolerance of the gating step and of the trace ratio "
+                          "(0 disables early stopping)."),
         click.option("--seed", type=int, default=defaults.seed, show_default=True,
                      help="Seed of the evaluation splits; training draws nothing at random."),
         click.option("--descriptors", type=str, default=",".join(defaults.descriptors),

@@ -56,9 +56,10 @@ class TrainConfig:
     learned projection, clamped during training when the usable scatter rank
     is lower. ``alpha`` controls covariance regularization (the spectrum is
     shifted by trace/alpha) and must be finite and positive.
-    ``learning_rate`` drives the gating ascent, and ``eps`` is the
-    convergence tolerance for both the outer loop and the inner trace-ratio
-    solve (0 disables early stopping); both must be finite.
+    ``learning_rate`` drives the gating ascent, and ``eps`` is the stop
+    tolerance of the outer loop, on the max-norm gating step, and of the
+    inner trace-ratio solve, on the change of the ratio (0 disables early
+    stopping); both must be finite.
     ``seed`` draws a split protocol's train/test splits; training draws
     nothing at random and does not read it. It must be non-negative.
     A field of the wrong type raises ``BadSpec``: the integer fields take

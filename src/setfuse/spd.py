@@ -4,14 +4,13 @@ Everything here operates on plain float64 numpy arrays: a matrix, or a stack
 ``(..., d, d)`` of them, which takes one numpy call per step and gives each
 matrix the bits it gets alone. A check that fails on a stack names the first
 matrix at fault (``raise_first``). ``eigh`` checks and decomposes a stack
-as LAPACK does. ``sym_eig`` adds the one deterministic convention, used
-where the package reads eigenvector signs, the trainer's span basis and
-trace-ratio solve: eigenvalues in descending order, and each eigenvector
-scaled so its largest-magnitude entry is positive. That convention is what
-makes training runs bit-reproducible. A matrix log (``eig_log``,
-``spd_log``) and a projector ``Y Y.T`` read no sign, since a column sign
-flip leaves them bit for bit, so the encoder's logs and subspace bases keep
-the signs LAPACK leaves.
+as LAPACK does: eigenvalues ascending, each eigenvector's sign as LAPACK
+leaves it; a caller that wants them descending reads the pairs in reverse.
+No caller reads a sign. A matrix log (``eig_log``, ``spd_log``) and a
+projector ``Y Y.T`` are unchanged bit for bit by a column sign flip, and the
+trainer reads its span basis and trace-ratio solutions only through the
+subspaces they span: a model measures the same distances with a transform E
+as with E R, for any orthogonal R.
 """
 
 from __future__ import annotations
@@ -31,7 +30,8 @@ TRACE_EPS_FLOOR = 1e-8
 
 
 class EigenPair(NamedTuple):
-    """Eigendecomposition result: ``values`` descending, ``vectors`` columns."""
+    """Eigendecomposition result: ``values`` ascending, as ``eigh`` returns
+    them, and the matching eigenvectors as ``vectors`` columns."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -80,23 +80,6 @@ def eigh(m) -> EigenPair:
     sign as LAPACK leaves it. A matrix gets the same bits alone as inside a
     stack."""
     return EigenPair(*np.linalg.eigh(check_symmetric(m)))
-
-
-def sym_eig(m) -> EigenPair:
-    """Eigendecomposition of a symmetric matrix, or of each of a stack, in
-    the package's convention: ``eigh``, with the eigenvalues in descending
-    order and each eigenvector scaled so its largest-magnitude entry is
-    positive, which pins the sign that ``eigh`` would otherwise leave
-    arbitrary. Reconstruction ``vectors @ diag(values) @ vectors.T`` recovers
-    the input to roundoff. A matrix gets the same bits alone as inside a stack.
-    """
-    values, vectors = eigh(m)
-    vectors = vectors[..., ::-1].copy()
-    flat = vectors.reshape((-1,) + vectors.shape[-2:])
-    rows = np.argmax(np.abs(flat), axis=1)
-    largest = flat[np.arange(len(flat))[:, None], rows, np.arange(flat.shape[2])]
-    flat *= np.where(largest < 0.0, -1.0, 1.0)[:, None, :]
-    return EigenPair(values[..., ::-1].copy(), vectors)
 
 
 def eig_log(pair: EigenPair) -> np.ndarray:

@@ -10,7 +10,12 @@ Training alternates two blocks until convergence:
    decrease).
 
 The learned projection maps Gram columns to a low-dimensional space where
-between-class spread dominates within-class spread.
+between-class spread dominates within-class spread. What is learned is that
+space: a model reads its transform E only through the subspace E spans
+(E and E R, R orthogonal, measure the same distances), so training fixes
+no orientation of it. The span basis and each trace-ratio solution keep the
+eigenvectors ``eigh`` gives, signs included, and the outer loop stops on the
+gating step alone.
 
 Every scatter is a sum of outer products of Gram column differences, so it
 lies in the span of those differences, whose rank r is at most the summed
@@ -78,7 +83,7 @@ from .gating import (
     stack_layouts,
 )
 from .kernels import gram, gram_scale, lift_width, lifted_dim
-from .spd import raise_first, sym_eig
+from .spd import eigh, raise_first
 
 logger = logging.getLogger(__name__)
 
@@ -268,9 +273,10 @@ class ModelState:
 def gram_spans(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spans of all Gram column differences of a stack of S galleries, from
     their Grams (S, Q, N, N): the eigenvectors (S, N, N) of ``sum_q K_q C
-    K_q`` (C the centring matrix), one stacked ``sym_eig``, and each
-    gallery's rank r, its count of eigenvalues above ``NULL_SPACE_RTOL``
-    times the largest. Gallery k's span basis is ``vectors[k, :, :r_k]``.
+    K_q`` (C the centring matrix), one stacked ``eigh`` read in reverse, so
+    by descending eigenvalue, and each gallery's rank r, its count of
+    eigenvalues above ``NULL_SPACE_RTOL`` times the largest. Gallery k's span
+    basis is ``vectors[k, :, :r_k]``.
 
     ``K_q C K_q`` is the Gram of the centred columns of K_q, so its range is
     the span of their differences; it holds the range of the total scatter
@@ -286,11 +292,12 @@ def gram_spans(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for k in grams.swapaxes(0, 1):  # one channel at a time, in channel order
         c = k - k.mean(axis=-1, keepdims=True)
         total += c @ c.swapaxes(-1, -2)
-    values, vectors = sym_eig(total)
-    lam_max = values[:, 0]
+    values, vectors = eigh(total)
+    lam_max = values[:, -1]
     raise_first(lam_max <= TOTAL_SCATTER_FLOOR, ZeroTotalScatter, lambda i: (
         f"centred Grams: spectral radius {lam_max[i]:.3e}"))
-    return vectors, np.count_nonzero(values > NULL_SPACE_RTOL * lam_max[:, None], axis=-1)
+    ranks = np.count_nonzero(values > NULL_SPACE_RTOL * lam_max[:, None], axis=-1)
+    return vectors[..., ::-1], ranks
 
 
 def scatter_matrices(columns, classes: ClassLayout, weights: np.ndarray) -> ScatterPair:
@@ -394,9 +401,10 @@ def solve_trace_ratio(
     ``(S, dim, target_dim)``.
 
     Iterative trace-difference scheme: from the current ratio ``lam``, the
-    next V stacks the top eigenvectors of ``B - lam * T``; V is then rotated
-    onto eigenvectors of the subspace-restricted total scatter (which leaves
-    the ratio unchanged but makes the output basis canonical). The recorded
+    next V stacks the top eigenvectors of ``B - lam * T``, by descending
+    eigenvalue, as ``eigh`` leaves them. The scheme determines the subspace
+    of V, which is all that the ratio and a model's distances read, so V's
+    basis of it is kept as ``eigh`` gives it, signs included. The recorded
     ratio history is non-decreasing; a problem stops when its ratio moves
     less than ``eps``, and all stop after ``max_iters`` updates.
     ``target_dim`` lies in [1, dim], as ``train`` clamps it.
@@ -422,18 +430,16 @@ def solve_trace_ratio(
     histories = [[x] for x in lam.tolist()]
     active = np.arange(len(histories))  # the problems b, t and lam hold
     for _ in range(max_iters):
-        pair = sym_eig(b - lam[:, None, None] * t)
+        values, vectors = eigh(b - lam[:, None, None] * t)
         if target_dim < dim:
-            gaps = pair.values[:, target_dim - 1] - pair.values[:, target_dim]
+            gaps = values[:, dim - target_dim] - values[:, dim - target_dim - 1]
             for gap in gaps[gaps < EIGEN_GAP_TOL].tolist():
                 logger.info(
-                    "trace-difference eigen-gap %.3e at cut %d; ordering convention decides",
+                    "trace-difference eigen-gap %.3e at cut %d; the subspace kept is not unique",
                     gap,
                     target_dim,
                 )
-        v = pair.vectors[..., :target_dim]
-        # canonical rotation: eigenbasis of the total scatter restricted to span(V)
-        v = v @ sym_eig(v.swapaxes(-1, -2) @ t @ v).vectors
+        v = vectors[..., dim - target_dim :][..., ::-1]  # the top p, descending
         new_lam = _trace_ratio(v, b, t)
         for k, x in zip(active.tolist(), new_lam.tolist()):
             histories[k].append(x)
@@ -537,8 +543,11 @@ def train(
     zero gating parameters, so every weight is 1/Q, and its first
     trace-ratio solve starts from the span's first p directions, the leading
     kernel-PCA directions (``gram_spans`` orders them by eigenvalue). From
-    iteration 3 on, a gallery stops early when either its parameter update
-    or its projection update falls below ``cfg.eps`` in max norm. When
+    iteration 3 on, a gallery stops early when its gating step (coefficients
+    and biases) falls below ``cfg.eps`` in max norm. Its transform is formed
+    once, when it stops, from its span basis and its last solution; no two
+    transforms are compared, since their difference reads the bases the
+    solve returns, not the subspaces a model reads. When
     several galleries fail, the error raised is that of the first to fail at
     the earliest step.
     """
@@ -603,7 +612,6 @@ def _train_stack(
     results: list[tuple[GatingParams, np.ndarray, list[float]]] = [None] * s
     traces: list[list[float]] = [[] for _ in range(s)]
     active = np.arange(s)
-    transform = None
     weights = gating_weights(grams, params)
     for it in range(1, cfg.iters + 1):
         scatter = scatter_matrices(columns, classes, weights)
@@ -611,9 +619,7 @@ def _train_stack(
             scatter.between, scatter.total, width, start=coords, max_iters=cfg.itr_iters,
             eps=cfg.eps,
         )
-        prev_transform = transform
         coords = itr.projection
-        transform = basis @ coords
         projected = coords.swapaxes(-1, -2)[:, None] @ columns
         objective, sums = _evaluate(projected, weights, classes)
         for k, x in zip(active.tolist(), objective.tolist()):
@@ -630,8 +636,7 @@ def _train_stack(
                 np.max(np.abs(new_params.coeffs - params.coeffs), axis=(-2, -1)),
                 np.max(np.abs(new_params.biases - params.biases), axis=-1),
             )
-            transform_delta = np.max(np.abs(transform - prev_transform), axis=(-2, -1))
-            converged = (param_delta < cfg.eps) | (transform_delta < cfg.eps)
+            converged = param_delta < cfg.eps
             for _ in range(np.count_nonzero(converged)):
                 logger.info("converged after %d outer iterations", it)
             stop |= converged
@@ -640,14 +645,14 @@ def _train_stack(
             continue
         for j in np.flatnonzero(stop).tolist():
             gating = GatingParams(params.coeffs[j], params.biases[j])
-            results[active[j]] = (gating, transform[j], traces[active[j]])
+            results[active[j]] = (gating, basis[j] @ coords[j], traces[active[j]])
         if stop.all():
             break
         keep = ~stop
         active, grams, basis, columns = active[keep], grams[keep], basis[keep], columns[keep]
         classes = classes.take(keep)
         params = GatingParams(params.coeffs[keep], params.biases[keep])
-        weights, coords, transform = weights[keep], coords[keep], transform[keep]
+        weights, coords = weights[keep], coords[keep]
     return results
 
 

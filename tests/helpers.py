@@ -2,9 +2,10 @@
 
 The references (scalar kernels, ``is_spd``, the trace-ratio objective of
 N x N scatters and their null-space reduction, the gating gradient of a
-bank, a set's lifted rows by the sign-canonical route) are oracles the
-pipeline is checked against; the library computes the same quantities only
-in the forms training and classification need.
+bank, the sign-canonical eigendecomposition ``sym_eig`` and a set's lifted
+rows by that route) are oracles the pipeline is checked against; the
+library computes the same quantities only in the forms training and
+classification need.
 
 A ``Bank`` is the Gram side of a gallery, which in the library lives only
 inside ``train``: its lifted rows with the scaled Grams that ``kernel_bank``
@@ -37,7 +38,7 @@ from setfuse.errors import (
 )
 from setfuse.gating import class_layout, gating_weights, projected_gradients, projected_pair_sums
 from setfuse.kernels import DESCRIPTOR_NAMES, gram, gram_scale, lift_features, lift_width
-from setfuse.spd import LOG_EIG_FLOOR_RTOL, eigh, regularize_spd, spd_log, sym_eig
+from setfuse.spd import LOG_EIG_FLOOR_RTOL, EigenPair, eigh, regularize_spd, spd_log
 from setfuse.trainer import DENOMINATOR_FLOOR, NULL_SPACE_RTOL, TOTAL_SCATTER_FLOOR
 from setfuse.trainer import TraceRatioResult, gram_spans, solve_trace_ratio, train
 from setfuse.trainer import scatter_matrices as library_scatter_matrices
@@ -48,6 +49,21 @@ SPD_EIG_RTOL = 1e-10
 # Largest entry of |B^T B - I| a basis the reference projection kernel reads
 # may show.
 ORTHONORMAL_ATOL = 1e-10
+
+
+def sym_eig(m) -> EigenPair:
+    """The sign-canonical eigendecomposition the references use: ``eigh``,
+    with the eigenvalues descending and each eigenvector scaled so its
+    largest-magnitude entry is positive. A matrix gets the same bits alone as
+    inside a stack. The library fixes no sign; the logs and projectors it
+    forms are checked bit for bit against references built on this one."""
+    values, vectors = eigh(m)
+    vectors = vectors[..., ::-1].copy()
+    flat = vectors.reshape((-1,) + vectors.shape[-2:])
+    rows = np.argmax(np.abs(flat), axis=1)
+    largest = flat[np.arange(len(flat))[:, None], rows, np.arange(flat.shape[2])]
+    flat *= np.where(largest < 0.0, -1.0, 1.0)[:, None, :]
+    return EigenPair(values[..., ::-1].copy(), vectors)
 
 
 def is_spd(m) -> bool:

@@ -105,6 +105,24 @@ class TestDistanceProfile:
         profile = profile_of(rows(gallery, 0), zeroed)
         assert np.array_equal(profile, np.zeros(model.n_train))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_rotated_transform_measures_the_same_distances(self, seed):
+        # every distance reads the transform E through its span: ||E.T x||
+        # is the same for E and E R, R orthogonal, so training need not fix
+        # an orientation of E
+        sets = generate_synthetic(
+            classes=3, sets_per_class=6, dim=6, samples=14, separation=2.0, seed=seed
+        )
+        gallery, probes = sets[0::2], sets[1::2]
+        model = train_on_sets(gallery, TrainConfig(subspace_dim=3, target_dim=4, iters=4))
+        p = model.transform.shape[1]
+        r = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, p)))[0]
+        rotated = replace(model, transform=model.transform @ r)
+        for probe in probes:
+            a, b = predict(probe, model), predict(probe, rotated)
+            assert b.label == a.label
+            assert np.max(np.abs(b.distances - a.distances)) <= 1e-12 * np.max(a.distances)
+
     def test_probe_weights_sum_to_one_effect(self):
         # shifting every gating bias by a constant leaves distances unchanged
         model, _, gallery = trained_model(114)

@@ -1,12 +1,16 @@
-"""Property tests: eigen convention and symmetrization, Gaussian embedding,
+"""Property tests: the eigendecomposition's symmetrization, Gaussian embedding,
 Gram positivity, the trainer's centred span, and the typed-error contract
-of training and prediction.
+of training, prediction and loading a saved model.
 
 Inputs are drawn by ``hypothesis`` under the derandomized, bounded profile
 registered in ``conftest.py``.
 """
 
+import hashlib
+import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,8 @@ from setfuse.descriptors import ImageSet, embed_gaussian, encode_sets  # noqa: E
 from setfuse.errors import SetfuseError  # noqa: E402
 from setfuse.experiment import train_on_sets  # noqa: E402
 from setfuse.kernels import DESCRIPTOR_NAMES  # noqa: E402
-from setfuse.spd import SYMMETRY_RTOL, check_symmetric, sym_eig  # noqa: E402
+from setfuse.persistence import load_model, save_model  # noqa: E402
+from setfuse.spd import SYMMETRY_RTOL, check_symmetric, eigh  # noqa: E402
 from setfuse.trainer import NULL_SPACE_RTOL  # noqa: E402
 
 from helpers import (  # noqa: E402
@@ -46,23 +51,14 @@ def symmetric_matrices(draw):
     return a + a.T
 
 
-@given(symmetric_matrices())
-def test_sym_eig_descending_with_positive_largest_entry(m):
-    pair = sym_eig(m)
-    assert np.all(pair.values[:-1] >= pair.values[1:])
-    for k in range(m.shape[0]):
-        v = pair.vectors[:, k]
-        assert v[np.argmax(np.abs(v))] > 0.0
-
-
 @given(symmetric_matrices(), st.data())
-def test_sym_eig_symmetrizes_its_input(s, data):
+def test_eigh_symmetrizes_its_input(s, data):
     """A matrix symmetric only to ``SYMMETRY_RTOL`` decomposes to the same
     bits as its symmetric part, so callers need not symmetrize."""
     noise = data.draw(arrays(np.float64, s.shape, elements=st.floats(-1.0, 1.0)))
     m = s + (0.25 * SYMMETRY_RTOL * float(np.max(np.abs(s)))) * noise
     check_symmetric(m)
-    raw, symmetrized = sym_eig(m), sym_eig(0.5 * (m + m.T))
+    raw, symmetrized = eigh(m), eigh(0.5 * (m + m.T))
     assert np.array_equal(raw.values, symmetrized.values)
     assert np.array_equal(raw.vectors, symmetrized.vectors)
 
@@ -172,3 +168,61 @@ def test_training_and_prediction_succeed_or_raise_typed_errors(alpha, learning_r
             predict(sets[0], train_on_sets(sets[1:], cfg))
         except SetfuseError:
             pass
+
+
+# One small model, saved afresh for each edit, and the probe it predicts.
+MODEL = train_on_sets(GALLERY[1:], TrainConfig(subspace_dim=2, target_dim=2, iters=3))
+with tempfile.TemporaryDirectory() as _tmp:
+    META = json.loads(save_model(MODEL, _tmp).read_text())
+# (section, key): a key of ``model.json`` (section None) or of one of its objects
+META_KEYS = [(None, k) for k in sorted(META)] + [
+    (section, k) for section in ("config", "checksums") for k in sorted(META[section])
+]
+ARRAYS = sorted(META["checksums"])
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def drawn_arrays(draw, like):
+    """An array for the ``.npy`` file that holds ``like``: of its shape or
+    of a drawn one, float64 or another dtype, any values."""
+    shape = draw(st.just(like.shape) | st.lists(st.integers(0, 4), max_size=3).map(tuple))
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]))
+    return draw(arrays(dtype, shape))
+
+
+@given(st.data())
+def test_loading_and_predicting_an_edited_model_succeed_or_raise_typed_errors(data):
+    """A saved model with one edit (a ``model.json`` key dropped, a key's
+    value replaced by a drawn JSON value, or one ``.npy`` replaced by a
+    drawn array with its checksum rewritten) either loads and predicts or
+    raises a ``SetfuseError``, and numpy warns of nothing on the way."""
+    with tempfile.TemporaryDirectory() as tmp:
+        meta_path = save_model(MODEL, tmp)
+        meta = json.loads(meta_path.read_text())
+        edit = data.draw(st.sampled_from(["drop", "replace", "array"]))
+        if edit == "array":
+            name = data.draw(st.sampled_from(ARRAYS))
+            path = Path(tmp) / name
+            np.save(path, data.draw(drawn_arrays(np.load(path))), allow_pickle=False)
+            meta["checksums"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        else:
+            section, key = data.draw(st.sampled_from(META_KEYS))
+            owner = meta if section is None else meta[section]
+            if edit == "drop":
+                del owner[key]
+            else:
+                owner[key] = data.draw(json_values)
+        meta_path.write_text(json.dumps(meta))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                predict(GALLERY[0], load_model(tmp))
+            except SetfuseError:
+                pass

@@ -1,4 +1,4 @@
-"""SPD primitive tests: eigendecomposition convention, log/exp, regularization."""
+"""SPD primitive tests: eigendecomposition, log/exp, regularization."""
 
 import numpy as np
 import pytest
@@ -12,71 +12,62 @@ from setfuse.spd import (
     eigh,
     regularize_spd,
     spd_log,
-    sym_eig,
 )
 
 from helpers import is_spd, random_spd
 
 
-class TestSymEig:
-    def test_diagonal_matrix_sorted_descending(self):
-        pair = sym_eig(np.diag([1.0, 3.0, 2.0]))
-        assert np.array_equal(pair.values, [3.0, 2.0, 1.0])
+class TestEigh:
+    def test_diagonal_matrix_sorted_ascending(self):
+        pair = eigh(np.diag([1.0, 3.0, 2.0]))
+        assert np.array_equal(pair.values, [1.0, 2.0, 3.0])
         # eigenvectors are signed unit vectors matching the sort order
-        expected = np.eye(3)[:, [1, 2, 0]]
+        expected = np.eye(3)[:, [0, 2, 1]]
         assert np.allclose(np.abs(pair.vectors), expected)
 
     def test_identity(self):
-        pair = sym_eig(np.eye(4))
+        pair = eigh(np.eye(4))
         assert np.array_equal(pair.values, np.ones(4))
-
-    def test_sign_convention_largest_entry_positive(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            pair = sym_eig(random_spd(rng, 5))
-            for j in range(5):
-                col = pair.vectors[:, j]
-                assert col[np.argmax(np.abs(col))] > 0
 
     def test_reconstruction_small_and_large(self):
         rng = np.random.default_rng(1)
         for d in (2, 7, 40, 200):
             m = random_spd(rng, d)
-            pair = sym_eig(m)
+            pair = eigh(m)
             rec = (pair.vectors * pair.values) @ pair.vectors.T
             scale = np.max(np.abs(m))
             assert np.max(np.abs(rec - m)) <= 1e-9 * scale
 
     def test_orthonormal_vectors(self):
         rng = np.random.default_rng(2)
-        pair = sym_eig(random_spd(rng, 8))
+        pair = eigh(random_spd(rng, 8))
         assert np.max(np.abs(pair.vectors.T @ pair.vectors - np.eye(8))) < 1e-12
 
     def test_deterministic_bits(self):
         rng = np.random.default_rng(3)
         m = random_spd(rng, 6)
-        a = sym_eig(m)
-        b = sym_eig(m.copy())
+        a = eigh(m)
+        b = eigh(m.copy())
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.vectors, b.vectors)
 
     def test_rejects_asymmetric(self):
         m = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(NonSymmetric):
-            sym_eig(m)
+            eigh(m)
 
     def test_rejects_nan(self):
         m = np.array([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(NonFinite):
-            sym_eig(m)
+            eigh(m)
 
     def test_rejects_non_square(self):
         with pytest.raises(NonSymmetric):
-            sym_eig(np.ones((2, 3)))
+            eigh(np.ones((2, 3)))
 
     def test_tolerates_roundoff_asymmetry(self):
         m = np.array([[2.0, 1.0], [1.0 + 1e-14, 2.0]])
-        pair = sym_eig(m)
+        pair = eigh(m)
         assert isinstance(pair, EigenPair)
 
     def test_check_returns_the_symmetric_part(self):
@@ -199,11 +190,11 @@ class TestStacks:
     def test_each_matrix_has_its_lone_bits(self, d):
         rng = np.random.default_rng(70 + d)
         stack = random_stack(rng, 9, d)
-        values, vectors = sym_eig(stack)
+        values, vectors = eigh(stack)
         logs = spd_log(stack)
         shifted = regularize_spd(stack, 1000.0)
         for i, c in enumerate(stack):
-            alone = sym_eig(c)
+            alone = eigh(c)
             assert np.array_equal(values[i], alone.values)
             assert np.array_equal(vectors[i], alone.vectors)
             assert np.array_equal(logs[i], spd_log(c))
@@ -221,7 +212,7 @@ class TestStacks:
         "spoil, error, func",
         [
             (lambda c: c * np.nan, NonFinite, check_symmetric),
-            (lambda c: c + np.triu(np.ones_like(c), 1), NonSymmetric, sym_eig),
+            (lambda c: c + np.triu(np.ones_like(c), 1), NonSymmetric, eigh),
             (lambda c: -c, NotPositiveDefinite, spd_log),
             (lambda c: c * np.inf, NonFinite, lambda s: regularize_spd(s, 1000.0)),
         ],

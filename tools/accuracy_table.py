@@ -15,8 +15,11 @@ has the public API it calls (``generate_synthetic``, ``TrainConfig``,
     python3 tools/accuracy_table.py --out change.json --against parent.json
 
 ``--against`` reads a JSON this tool wrote and prints, for every record both
-runs hold, whether its per-split accuracies are equal, then each record that
-differs and the mean accuracy difference per regime, normalisation and row.
+runs hold, whether its per-split accuracies are equal and whether its
+per-split outer iteration counts are, then each record whose accuracies
+differ, each record whose iteration counts differ (a stop that moved while
+the accuracies stayed), and the mean accuracy difference per regime,
+normalisation and row.
 
 The cases are fixed here, before any result is read. Every regime draws
 ``generate_synthetic`` data with 10 classes and trains with
@@ -102,16 +105,19 @@ def print_paired(change: list[dict], parent: list[dict]) -> None:
     before = {_key(r): r for r in parent}
     pairs = [(before[_key(r)], r) for r in change if _key(r) in before]
     differ = [(a, b) for a, b in pairs if a["accuracies"] != b["accuracies"]]
+    stops = [(a, b) for a, b in pairs if a["iterations"] != b["iterations"]]
     print(f"{len(pairs) - len(differ)} of {len(pairs)} paired records have equal accuracies")
-    for a, b in differ:
-        print(
-            "differs: {} seed {} normalize {} {}: accuracies {} -> {}, last objectives {} -> {}, "
-            "iterations {} -> {}".format(
-                *_key(b), a["accuracies"], b["accuracies"],
-                [f"{x:.6g}" for x in a["last_objective"]],
-                [f"{x:.6g}" for x in b["last_objective"]], a["iterations"], b["iterations"],
+    print(f"{len(stops)} of {len(pairs)} paired records have different iteration counts")
+    for what, listed in (("differs", differ), ("stops differently", stops)):
+        for a, b in listed:
+            print(
+                "{}: {} seed {} normalize {} {}: accuracies {} -> {}, last objectives {} -> {}, "
+                "iterations {} -> {}".format(
+                    what, *_key(b), a["accuracies"], b["accuracies"],
+                    [f"{x:.6g}" for x in a["last_objective"]],
+                    [f"{x:.6g}" for x in b["last_objective"]], a["iterations"], b["iterations"],
+                )
             )
-        )
     groups: dict[tuple, list[float]] = {}
     for a, b in pairs:
         shift = float(np.mean(b["accuracies"]) - np.mean(a["accuracies"]))
@@ -132,6 +138,8 @@ def main() -> None:
     parser.add_argument("--regimes", nargs="+", choices=sorted(REGIMES), default=list(REGIMES))
     parser.add_argument("--seeds", nargs="+", type=int, choices=SEEDS, default=list(SEEDS))
     args = parser.parse_args()
+    # read before the run writes, as ``--out`` may name the same file
+    parent = json.loads(args.against.read_text())["records"] if args.against else None
     sys.path.insert(0, str(args.src.resolve()))
     import setfuse as sf
 
@@ -144,8 +152,8 @@ def main() -> None:
     ]
     lines = ",\n".join(json.dumps(record) for record in records)
     args.out.write_text(f'{{"records": [\n{lines}\n]}}\n')  # one record per line
-    if args.against is not None:
-        print_paired(records, json.loads(args.against.read_text())["records"])
+    if parent is not None:
+        print_paired(records, parent)
 
 
 if __name__ == "__main__":
