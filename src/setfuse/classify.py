@@ -15,8 +15,10 @@ rows (``ModelState.gate``), and the distance the one training uses
 (``gating.squared_distances``); no Gram matrix or kernel column is formed.
 The prediction is the label of the closest gallery member (ties break to
 the lowest index). ``distance_profile`` scores a stack of probes' lifted
-rows, every channel in one distance call, so ``predict`` (a stack of one)
-and each split's test sets take one path. A probe costs two
+rows, every channel in one distance call, so ``predict`` (a stack of one,
+whose row 0 it takes the ``argmin`` of) and each split's test sets (one
+``argmin`` per row of their profile) take one path. It checks the profile
+once, where it is made, and returns it read-only. A probe costs two
 eigendecompositions and no Cholesky factor: ``encode_sets``'s one stacked
 ``eigh`` of its covariance and second moment, which gives its covariance
 log, its basis and its embedding's scale, and the ``spd_log`` of its
@@ -38,21 +40,14 @@ from .trainer import ModelState
 
 @dataclass(frozen=True, eq=False)
 class Prediction:
-    """Predicted label plus the full gallery distance profile, which is
-    non-negative: each distance sums ``w * ||.||^2 * w`` with softmax weights.
-    Equality and hashing are by identity."""
+    """Predicted label plus the full gallery distance profile, as ``predict``
+    gives them: the profile is ``distance_profile``'s read-only, finite row,
+    non-negative since each distance sums ``w * ||.||^2 * w`` with softmax
+    weights. Equality and hashing are by identity."""
 
     label: str
     distances: np.ndarray
     nearest_index: int
-
-    def __post_init__(self):
-        d = np.asarray(self.distances, dtype=np.float64)
-        if not np.isfinite(d).all():
-            raise NonFinite("distance profile contains NaN or Inf")
-        d = d.copy()
-        d.setflags(write=False)
-        object.__setattr__(self, "distances", d)
 
 
 def distance_profile(rows, model: ModelState) -> np.ndarray:
@@ -65,14 +60,19 @@ def distance_profile(rows, model: ModelState) -> np.ndarray:
     projections ``projection @ rows.T``, stacked over the channels and
     measured against ``model.gallery_projections`` in one call. This costs
     O(T * target_dim * (D_q + n_train)) per channel and forms no kernel column.
-    An overflow does not warn: the NaN or Inf it leaves fails ``Prediction``.
+    The profile is returned read-only. An overflow does not warn: a profile
+    that holds the NaN or Inf it leaves raises ``NonFinite``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         test_weights = model.gate(rows)
         projections = np.array([m.projection @ r.T for m, r in zip(model.probe_maps, rows)])
         sq = squared_distances(model.gallery_projections, projections)
         # numpy sums a leading axis in order, one channel after another
-        return (test_weights[..., None] * sq * model.train_weights[:, None, :]).sum(axis=0)
+        profile = (test_weights[..., None] * sq * model.train_weights[:, None, :]).sum(axis=0)
+    if not np.isfinite(profile).all():
+        raise NonFinite("distance profile contains NaN or Inf")
+    profile.setflags(write=False)
+    return profile
 
 
 def check_probe(test: ImageSet, model: ModelState) -> None:
@@ -88,16 +88,12 @@ def check_probe(test: ImageSet, model: ModelState) -> None:
         raise TooFewSamples(f"probe has {test.n_samples} samples, fewer than subspace_dim={q}")
 
 
-def nearest(distances: np.ndarray, model: ModelState) -> Prediction:
-    """The prediction of a distance profile: its closest gallery member's label."""
-    idx = int(np.argmin(distances))
-    return Prediction(label=model.labels[idx], distances=distances, nearest_index=idx)
-
-
 def predict(test: ImageSet, model: ModelState) -> Prediction:
     """Check a probe set's dimension and sample count, encode it, lift it
     (one lift per channel) and classify it against the model's gallery."""
     check_probe(test, model)
     stack = encode_sets([test], model.config)
     rows = [lift_features(stack, name) for name in model.config.descriptors]
-    return nearest(distance_profile(rows, model)[0], model)
+    distances = distance_profile(rows, model)[0]
+    idx = int(np.argmin(distances))
+    return Prediction(label=model.labels[idx], distances=distances, nearest_index=idx)

@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .classify import distance_profile, nearest
+from .classify import distance_profile
 from .config import TrainConfig, check_int, check_type
 from .descriptors import ImageSet, common_dim, encode_sets
 from .errors import BadSpec, InsufficientSetsPerClass, TooFewSamples
@@ -242,7 +242,8 @@ def _run_row(
 def _accuracy(sets, lifted, names, split: _Split, model: ModelState) -> float:
     """The share of a split's test sets whose stacked rows ``model`` labels right."""
     profile = distance_profile([lifted[name][split.test] for name in names], model)
-    hits = sum(nearest(d, model).label == sets[i].label for i, d in zip(split.test, profile))
+    nearest = np.argmin(profile, axis=1).tolist()
+    hits = sum(model.labels[j] == sets[i].label for i, j in zip(split.test, nearest))
     return hits / len(split.test)
 
 

@@ -124,10 +124,6 @@ class ClassLayout:
         1.0 among zeros."""
         return values @ self.members
 
-    def take(self, rows) -> "ClassLayout":
-        """The layouts of a stack's problems at ``rows``."""
-        return ClassLayout(self.members[rows], self.n_within[rows], self.n_between[rows])
-
 
 def class_layout(labels: Sequence[str]) -> ClassLayout:
     """The ``ClassLayout`` of a gallery's str labels (``ImageSet`` checks

@@ -35,12 +35,13 @@ primitives take a stack of matrices: a stack of a split protocol's splits,
 or one gallery, a stack of one. It is the one form of every function an
 iteration calls (``scatter_matrices``, ``solve_trace_ratio`` and the
 ``gating`` ones): each takes a leading problem axis, so each numpy call of
-an iteration serves every problem still training, and each problem gets
-the bits it gets alone. A problem leaves the stack only when its result
-is final: ``solve_trace_ratio`` drops the problems that stop moving and
-``_train_stack`` the galleries that stop early, while every line-search try
-steps the whole stack, a problem whose try was accepted repeating it bit
-for bit. ``train`` groups the galleries it is given by span rank; the
+an iteration serves every problem of the stack, and each problem gets the
+bits it gets alone. Only ``solve_trace_ratio`` drops the problems that stop
+moving, as their solution is final. Every outer iteration steps every
+gallery of the stack, as every line-search try does: a gallery that stopped
+early steps by 0.0 and keeps its projection, and a problem whose try was
+accepted keeps its step, so each repeats its final state bit for bit while
+the others move. ``train`` groups the galleries it is given by span rank; the
 split protocol gives it as many at a time as ``STACK_BYTES`` allows
 (``stack_size``, which counts each gallery's lifted rows, Grams, span
 columns and basis): stacking pays for small galleries, whose
@@ -508,7 +509,7 @@ def train(
     and the class count (every split of a split protocol trains on every
     class); a single gallery is a stack of one. Each model has the bits it
     gets when its gallery trains alone: the stack shares each numpy call of an
-    iteration among the galleries still training, and each stops on its own.
+    iteration among all its galleries, and each stops on its own.
     Every gallery given trains in this call, galleries whose span ranks differ
     in separate stacks; a caller with many galleries passes ``stack_size`` at
     a time.
@@ -544,12 +545,17 @@ def train(
     trace-ratio solve starts from the span's first p directions, the leading
     kernel-PCA directions (``gram_spans`` orders them by eigenvalue). From
     iteration 3 on, a gallery stops early when its gating step (coefficients
-    and biases) falls below ``cfg.eps`` in max norm. Its transform is formed
-    once, when it stops, from its span basis and its last solution; no two
-    transforms are compared, since their difference reads the bases the
-    solve returns, not the subspaces a model reads. When
+    and biases) falls below ``cfg.eps`` in max norm; it then steps by 0.0 and
+    keeps its projection until the last gallery of its stack stops. Its
+    transform is formed once, after the loop, from its span basis and its
+    last solution; no two transforms are compared, since their difference
+    reads the bases the solve returns, not the subspaces a model reads. When
     several galleries fail, the error raised is that of the first to fail at
-    the earliest step.
+    the earliest step. A gallery that stopped is still scattered, solved and
+    evaluated at its final gating while its stack trains, work it does not do
+    alone: its gradient there is not read, so it raises nothing, but that
+    solve can log an eigen-gap line, or raise ``DegenerateDenominator``, that
+    the gallery alone would not.
     """
     rows = [read_only(r) for r in rows]
     layouts = [class_layout(x) for x in labels]
@@ -591,11 +597,16 @@ def _train_stack(
     """``train`` for one stack of S problems of one span rank r: Grams
     (S, Q, N, N) and span bases (S, N, r), from which it forms the span
     columns ``basis.T @ K_q`` (S, Q, r, N) that the scatters read. Returns
-    each problem's gating, transform (N, p) and objective trace.
+    each problem's gating, transform (N, p) and objective trace, formed
+    after the loop.
 
-    Every array of the loop's state holds the problems still training, whose
-    stack positions are ``active``. A problem that stops gets its result and
-    leaves those arrays; while all train, no array is copied to select them.
+    Every array of the loop's state holds all S problems from the first
+    iteration to the last; ``training`` marks those that have not stopped.
+    A stopped problem gets a zero gradient, a rate of 0.0 and its own
+    projection, so each later iteration repeats its final state bit for bit,
+    and its trace takes no further objective; the scatter, solve and
+    objective it still gets can log or raise as ``train`` says. The loop ends
+    when no problem trains, or at ``cfg.iters``.
     """
     s, q, n = grams.shape[:3]
     params = GatingParams(np.zeros((s, q, n)), np.zeros((s, q)))
@@ -609,9 +620,8 @@ def _train_stack(
     # the projections in span coordinates, (S, r, p): first the leading directions
     coords = np.broadcast_to(np.eye(rank, width), (s, rank, width))
 
-    results: list[tuple[GatingParams, np.ndarray, list[float]]] = [None] * s
     traces: list[list[float]] = [[] for _ in range(s)]
-    active = np.arange(s)
+    training = np.ones(s, dtype=bool)
     weights = gating_weights(grams, params)
     for it in range(1, cfg.iters + 1):
         scatter = scatter_matrices(columns, classes, weights)
@@ -619,53 +629,47 @@ def _train_stack(
             scatter.between, scatter.total, width, start=coords, max_iters=cfg.itr_iters,
             eps=cfg.eps,
         )
-        coords = itr.projection
+        coords = np.where(training[:, None, None], itr.projection, coords)
         projected = coords.swapaxes(-1, -2)[:, None] @ columns
         objective, sums = _evaluate(projected, weights, classes)
-        for k, x in zip(active.tolist(), objective.tolist()):
-            traces[k].append(x)
+        for k in np.flatnonzero(training).tolist():
+            traces[k].append(float(objective[k]))
 
-        grads = projected_gradients(grams, weights, sums, classes)
+        live = training[:, None, None]  # a stopped problem's gradient is not read
+        coeffs, biases = projected_gradients(grams, weights, sums, classes)
+        grads = np.where(live, coeffs, 0.0), np.where(live[..., 0], biases, 0.0)
+        rates = np.where(training, float(cfg.learning_rate), 0.0)
         new_params, new_weights = _line_search(
-            params, weights, grads, objective, projected, grams, classes, cfg.learning_rate, it
+            params, weights, grads, objective, projected, grams, classes, rates, it
         )
-
-        stop = np.full(len(active), it == cfg.iters)
         if it > 2:
             param_delta = np.maximum(
                 np.max(np.abs(new_params.coeffs - params.coeffs), axis=(-2, -1)),
                 np.max(np.abs(new_params.biases - params.biases), axis=-1),
             )
-            converged = param_delta < cfg.eps
+            converged = training & (param_delta < cfg.eps)
             for _ in range(np.count_nonzero(converged)):
                 logger.info("converged after %d outer iterations", it)
-            stop |= converged
+            training &= ~converged
         params, weights = new_params, new_weights
-        if not stop.any():
-            continue
-        for j in np.flatnonzero(stop).tolist():
-            gating = GatingParams(params.coeffs[j], params.biases[j])
-            results[active[j]] = (gating, basis[j] @ coords[j], traces[active[j]])
-        if stop.all():
+        if not training.any():
             break
-        keep = ~stop
-        active, grams, basis, columns = active[keep], grams[keep], basis[keep], columns[keep]
-        classes = classes.take(keep)
-        params = GatingParams(params.coeffs[keep], params.biases[keep])
-        weights, coords = weights[keep], coords[keep]
-    return results
+    return [
+        (GatingParams(params.coeffs[k], params.biases[k]), basis[k] @ coords[k], traces[k])
+        for k in range(s)
+    ]
 
 
-def _line_search(params, weights, grads, objective, projected, grams, classes, rate, it):
-    """Each problem's accepted gating step and its weights: the step from
-    ``rate``, halved while the objective there falls below ``objective``,
-    up to ``MAX_STEP_HALVINGS`` times, and rolled back entirely when it
-    still falls. Every try steps the whole stack: a problem whose objective
+def _line_search(params, weights, grads, objective, projected, grams, classes, rates, it):
+    """Each problem's accepted gating step and its weights: the step from its
+    rate in ``rates``, halved while the objective there falls below
+    ``objective``, up to ``MAX_STEP_HALVINGS`` times, and rolled back entirely
+    when it still falls. Every try steps the whole stack: a problem whose objective
     did not fall keeps its step, so it repeats its accepted try bit for bit
     while the others halve theirs. A try whose scores overflow, so that its
     weights are not finite, raises ``NonFinite`` naming the step, without
     numpy's warnings."""
-    step = np.full(len(objective), float(rate))
+    step = np.array(rates, dtype=np.float64)
     for _ in range(MAX_STEP_HALVINGS + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             trial = gradient_ascent_step(params, grads, step)

@@ -1,8 +1,9 @@
 """``tools/accuracy_table.py`` runs its fixed cases against the package in
 src/, writes one record per case and report row, gives the same JSON each
-time it runs, and pairs a run with another, reporting moved accuracies and
-moved stops."""
+time it runs, and pairs a run with another, reporting moved accuracies,
+moved stops, records without a pair and records whose splits stop apart."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ROWS = ["combined", "cov", "gauss", "subspace"]
+ROWS = ["combined", "cov", "frozen", "gauss", "subspace"]
 
 
 def run_tool(cwd, *args):
@@ -49,12 +50,45 @@ def test_one_case_has_its_shape_and_is_deterministic(tmp_path):
         assert all(0.0 <= a <= 1.0 for a in r["accuracies"])
         assert all(1 <= n <= 20 for n in r["iterations"])
     lines = paired.splitlines()
-    assert lines[0] == "8 of 8 paired records have equal accuracies"
-    assert lines[1] == "1 of 8 paired records have different iteration counts"
+    assert lines[0] == "10 of 10 paired records have equal accuracies"
+    assert lines[1] == "1 of 10 paired records have different iteration counts"
     moved = [line for line in lines if line.startswith("stops differently:")]
     assert len(moved) == 1
     assert moved[0].startswith("stops differently: d10 seed 1 normalize False combined:")
+    # learning_rate=0.0 steps no gating: every frozen split stops at iteration 3
+    frozen = [r for r in records if r["row"] == "frozen"]
+    assert all(r["iterations"] == [3] * 4 for r in frozen)
 
+
+def test_pairing_counts_records_without_a_pair_and_splits_that_stop_apart(capsys):
+    path = ROOT / "tools" / "accuracy_table.py"
+    spec = importlib.util.spec_from_file_location("accuracy_table", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def record(row, iterations):
+        return {
+            "regime": "d10", "seed": 1, "normalize": False, "row": row,
+            "accuracies": [0.5, 0.5], "first_objective": [0.9, 0.9],
+            "last_objective": [0.95, 0.95], "iterations": iterations,
+        }
+
+    parent = [record("combined", [20, 20]), record("cov", [3, 3])]
+    # the change adds the frozen row, and its combined splits stop apart
+    change = [record("combined", [20, 3]), record("cov", [3, 3]), record("frozen", [3, 3])]
+    tool.print_paired(change, parent)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == [
+        "2 of 2 paired records have equal accuracies",
+        "1 of 2 paired records have different iteration counts",
+        "1 of 3 records of this run and 0 of 2 of the other have no pair",
+        "1 of 3 records of this run have splits that stop apart",
+    ]
+    tool.print_paired(parent, change)
+    assert capsys.readouterr().out.splitlines()[2:4] == [
+        "0 of 2 records of this run and 1 of 3 of the other have no pair",
+        "0 of 2 records of this run have splits that stop apart",
+    ]
 
 
 def test_a_table_is_paired_with_what_it_held_before_it_is_overwritten(tmp_path):
@@ -65,4 +99,4 @@ def test_a_table_is_paired_with_what_it_held_before_it_is_overwritten(tmp_path):
     paired = run_tool(
         tmp_path, "--regimes", "d10", "--seeds", "1", "--out", "a.json", "--against", "a.json"
     )
-    assert paired.splitlines()[1] == "1 of 8 paired records have different iteration counts"
+    assert paired.splitlines()[1] == "1 of 10 paired records have different iteration counts"

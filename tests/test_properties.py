@@ -1,6 +1,7 @@
 """Property tests: the eigendecomposition's symmetrization, Gaussian embedding,
 Gram positivity, the trainer's centred span, and the typed-error contract
-of training, prediction and loading a saved model.
+of training, prediction, loading a saved model, loading a saved dataset and
+the ``setfuse train`` and ``predict`` commands.
 
 Inputs are drawn by ``hypothesis`` under the derandomized, bounded profile
 registered in ``conftest.py``.
@@ -19,10 +20,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
+from click.testing import CliRunner  # noqa: E402
 
 from setfuse.classify import predict  # noqa: E402
+from setfuse.cli import main as cli_main  # noqa: E402
 from setfuse.config import TrainConfig  # noqa: E402
-from setfuse.data import generate_synthetic  # noqa: E402
+from setfuse.data import generate_synthetic, load_dataset, save_dataset  # noqa: E402
 from setfuse.descriptors import ImageSet, embed_gaussian, encode_sets  # noqa: E402
 from setfuse.errors import SetfuseError  # noqa: E402
 from setfuse.experiment import train_on_sets  # noqa: E402
@@ -226,3 +229,82 @@ def test_loading_and_predicting_an_edited_model_succeed_or_raise_typed_errors(da
                 predict(GALLERY[0], load_model(tmp))
             except SetfuseError:
                 pass
+
+
+# The CLI flags of ``MODEL``'s config, for ``setfuse train`` on an edited dataset.
+TRAIN_FLAGS = ["--q", "2", "--dw", "2", "--iters", "3"]
+set_values = st.text(max_size=8) | json_values
+
+
+@st.composite
+def edited_dataset(draw, directory):
+    """Save ``GALLERY`` to ``directory`` and apply one drawn edit: a set
+    file's bytes replaced by drawn text or bytes, a manifest line (its
+    header or a row) dropped, duplicated or replaced by drawn text, or a
+    row pointed at a missing file. Returns the manifest path and the path
+    of one set file, edited or not."""
+    manifest = save_dataset(GALLERY, directory)
+    lines = manifest.read_text().splitlines()
+    set_file = directory / f"{draw(st.sampled_from([s.set_id for s in GALLERY]))}.csv"
+    edit = draw(st.sampled_from(["set", "drop", "duplicate", "garble", "missing"]))
+    if edit == "set":
+        content = draw(st.text(max_size=40).map(str.encode) | st.binary(max_size=40))
+        set_file.write_bytes(content)
+    elif edit == "missing":
+        i = draw(st.integers(1, len(lines) - 1))
+        lines[i] = lines[i].rsplit(",", 1)[0] + ",missing.csv"
+    else:
+        i = draw(st.integers(0, len(lines) - 1))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = draw(st.text(max_size=20))
+    if edit != "set":
+        manifest.write_text("\n".join(lines) + "\n")
+    return manifest, set_file
+
+
+def invoke_cli(*args):
+    """``setfuse`` run through click's runner, which must exit 0 (success),
+    3 (a data error) or 4 (a numeric failure), with no traceback."""
+    result = CliRunner().invoke(cli_main, list(args))
+    assert result.exit_code in (0, 3, 4), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+@given(st.data())
+def test_loading_and_training_an_edited_dataset_succeed_or_raise_typed_errors(data):
+    """A saved dataset with one edit (``edited_dataset``) either loads and
+    trains or raises a ``SetfuseError``; ``setfuse train`` on it and
+    ``setfuse predict`` of one of its set files exit 0, 3 or 4 without a
+    traceback; and an ``ImageSet`` of drawn arguments either predicts
+    against a small model or raises a ``SetfuseError``. numpy warns of
+    nothing on the way."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        manifest, set_file = data.draw(edited_dataset(Path(tmp) / "data"))
+        try:
+            train_on_sets(load_dataset(manifest), MODEL.config)
+        except SetfuseError:
+            pass
+        model_dir = Path(tmp) / "model"
+        invoke_cli("train", "--manifest", str(manifest), "--out", str(model_dir), *TRAIN_FLAGS)
+        if not model_dir.exists():
+            save_model(MODEL, model_dir)
+        invoke_cli("predict", "--model", str(model_dir), "--set", str(set_file))
+        features = data.draw(
+            drawn_arrays(GALLERY[0].features)
+            | arrays(np.complex128, GALLERY[0].features.shape)
+            | st.lists(st.lists(finite | st.booleans() | st.text(max_size=2), max_size=7))
+            | json_values
+        )
+        try:
+            probe = ImageSet(
+                features=features, label=data.draw(set_values), set_id=data.draw(set_values)
+            )
+            predict(probe, MODEL)
+        except SetfuseError:
+            pass

@@ -652,6 +652,10 @@ def stacked_galleries():
     return rows, labels, [ids_of(b) for b in banks]
 
 
+def converged_lines(records):
+    return [r.message for r in records if r.message.startswith("converged after")]
+
+
 class TestStackedTraining:
     """``train`` trains a stack of galleries in lockstep; each must get the
     bits it gets alone, however its control flow departs from the others'."""
@@ -660,13 +664,18 @@ class TestStackedTraining:
         rows, labels, ids = stacked_galleries()
         cfg = TrainConfig(target_dim=3, iters=8, learning_rate=100.0)
         # the third gallery climbs along its negated gradient, so each of its
-        # steps lowers the objective and rolls back, and it stops at iteration 3
+        # steps lowers the objective and rolls back, and it stops at iteration 3;
+        # from iteration 4 of the stack on, which it reaches only there, its
+        # gradient is NaN, which a stopped gallery does not read
         descending = (rows[0][2] @ rows[0][2].T)[0, 0]
         real_gradients = trainer.projected_gradients
+        iterations = []  # one gradient per outer iteration
 
         def gradients(grams, *args):
+            iterations.append(len(grams))
             coeffs, biases = real_gradients(grams, *args)
-            sign = np.where(grams[:, 0, 0, 0] == descending, -1.0, 1.0)
+            third = np.nan if len(grams) == 4 and len(iterations) > 3 else -1.0
+            sign = np.where(grams[:, 0, 0, 0] == descending, third, 1.0)
             return coeffs * sign[:, None, None], biases * sign[:, None]
 
         monkeypatch.setattr(trainer, "projected_gradients", gradients)
@@ -676,17 +685,21 @@ class TestStackedTraining:
                 for k in range(4)
             ]
             rolled_alone = sum("rolled back" in r.message for r in caplog.records)
+            converged_alone = sorted(converged_lines(caplog.records))
             caplog.clear()
+            iterations.clear()
             # how the stack's control flow departs (README "Training cost":
             # a try steps the whole stack, a solve drops the problems that
-            # stop moving): each try's steps, and each solve's arguments
+            # stop moving): each try's outer iteration and steps, and each
+            # solve's arguments
             steps = spy(
                 monkeypatch, trainer, "gradient_ascent_step",
-                lambda params, grads, step: np.array(step),
+                lambda params, grads, step: (len(iterations), np.array(step)),
             )
             solves = spy(monkeypatch, trainer, "solve_trace_ratio", solve_arguments)
             stacked = train(rows, labels, ids, cfg)
             rolled = sum("rolled back" in r.message for r in caplog.records)
+            converged = sorted(converged_lines(caplog.records))
         inner = [
             [len(h) for h in solve_trace_ratio(*a, **kw).ratio_history] for a, kw in solves
         ]
@@ -703,10 +716,18 @@ class TestStackedTraining:
         assert len(set(gram_spans(np.array(grams))[1].tolist())) == 1
         assert len({len(m.objective_trace) for m in stacked}) > 1  # early stops
         assert any(len(set(counts)) > 1 for counts in inner)  # inner trace-ratio steps
-        # halvings: whole-stack tries in which halved and full steps sit side by side
-        assert any(len(s) == 4 and (s < 100.0).any() and (s == 100.0).any() for s in steps)
+        # every try steps the whole stack, a gallery that stopped with a zero
+        # step: the third stops at iteration 3 and steps from then on by 0.0
+        assert iterations == [4] * max(len(m.objective_trace) for m in stacked)
+        assert all(len(s) == 4 for _, s in steps)
+        assert all((s[2] == 0.0) == (it > 3) for it, s in steps)
+        assert any(it > 3 for it, _ in steps)
+        # halvings: whole-stack tries in which halved and full steps sit side
+        # by side (a stopped gallery's 0.0 is no halving)
+        assert any(((s > 0.0) & (s < 100.0)).any() and (s == 100.0).any() for _, s in steps)
         assert 0 < rolled == rolled_alone < 8  # rollbacks of the descending gallery only
         assert len(stacked[2].objective_trace) == 3
+        assert converged == converged_alone and converged
 
 
 class TestTrainConfig:

@@ -16,10 +16,13 @@ has the public API it calls (``generate_synthetic``, ``TrainConfig``,
 
 ``--against`` reads a JSON this tool wrote and prints, for every record both
 runs hold, whether its per-split accuracies are equal and whether its
-per-split outer iteration counts are, then each record whose accuracies
-differ, each record whose iteration counts differ (a stop that moved while
-the accuracies stayed), and the mean accuracy difference per regime,
-normalisation and row.
+per-split outer iteration counts are; how many records of each run have no
+pair in the other (a row added or dropped); how many records of this run
+have splits that stop at different outer iterations (a stack of galleries
+that stop apart, in which ``train`` steps every gallery until the last
+stops); then each record whose accuracies differ, each record whose
+iteration counts differ (a stop that moved while the accuracies stayed),
+and the mean accuracy difference per regime, normalisation and row.
 
 The cases are fixed here, before any result is read. Every regime draws
 ``generate_synthetic`` data with 10 classes and trains with
@@ -34,10 +37,14 @@ The cases are fixed here, before any result is read. Every regime draws
 Each regime runs data seeds 1-10, with ``normalize_kernels`` off and on; the
 data seed is also the configuration's ``seed``, from which the split seeds
 derive. Each case is one ``run_experiment(..., n_splits=4, ablate=True)``
-call, and each of its rows (``cov``, ``subspace``, ``gauss`` and
-``combined``) is one record: its per-split accuracies, and each split's first
-objective, last objective and outer iteration count. BLAS is pinned to one
-thread, because the thread count changes the bits.
+call, whose rows are ``cov``, ``subspace``, ``gauss`` and ``combined``, and
+one ``run_experiment(..., n_splits=4)`` call at ``learning_rate=0.0``, whose
+combined row is ``frozen``: every channel fused with the gating held at its
+start, each weight 1/Q. ROADMAP items 4 (a gating step that moves) and 20
+(channel-level gating) read ``frozen`` beside ``combined``, the gain or loss
+of learning the gating. Each row is one record: its per-split accuracies,
+and each split's first objective, last objective and outer iteration count.
+BLAS is pinned to one thread, because the thread count changes the bits.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -81,18 +89,22 @@ def run_case(sf, regime: str, seed: int, normalize: bool) -> list[dict]:
     report = sf.run_experiment(
         sets, cfg, n_splits=N_SPLITS, train_per_class=train_per_class, ablate=True
     )
+    frozen = sf.run_experiment(
+        sets, replace(cfg, learning_rate=0.0), n_splits=N_SPLITS, train_per_class=train_per_class
+    )
+    rows = dict(report.ablation, frozen=frozen)
     return [
         {
             "regime": regime,
             "seed": seed,
             "normalize": normalize,
             "row": row,
-            "accuracies": [s.accuracy for s in rows.splits],
-            "first_objective": [s.objective_trace[0] for s in rows.splits],
-            "last_objective": [s.objective_trace[-1] for s in rows.splits],
-            "iterations": [len(s.objective_trace) for s in rows.splits],
+            "accuracies": [s.accuracy for s in row_report.splits],
+            "first_objective": [s.objective_trace[0] for s in row_report.splits],
+            "last_objective": [s.objective_trace[-1] for s in row_report.splits],
+            "iterations": [len(s.objective_trace) for s in row_report.splits],
         }
-        for row, rows in sorted(report.ablation.items())
+        for row, row_report in sorted(rows.items())
     ]
 
 
@@ -108,6 +120,12 @@ def print_paired(change: list[dict], parent: list[dict]) -> None:
     stops = [(a, b) for a, b in pairs if a["iterations"] != b["iterations"]]
     print(f"{len(pairs) - len(differ)} of {len(pairs)} paired records have equal accuracies")
     print(f"{len(stops)} of {len(pairs)} paired records have different iteration counts")
+    print(
+        f"{len(change) - len(pairs)} of {len(change)} records of this run and "
+        f"{len(parent) - len(pairs)} of {len(parent)} of the other have no pair"
+    )
+    mixed = sum(len(set(r["iterations"])) > 1 for r in change)
+    print(f"{mixed} of {len(change)} records of this run have splits that stop apart")
     for what, listed in (("differs", differ), ("stops differently", stops)):
         for a, b in listed:
             print(
