@@ -147,14 +147,13 @@ def common_dim(sets: Sequence[ImageSet]) -> int:
 
 
 def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Means, symmetrized sample covariances (divisor n - 1) and ``X @ X.T``
-    of a (k, d, n) stack of sets. An overflow does not warn: the Inf it
-    leaves fails the finiteness check of ``regularize_spd`` or ``eigh``."""
-    with np.errstate(over="ignore"):
-        mean = x.mean(axis=-1)
-        centered = x - mean[..., None]
-        c = (centered @ centered.swapaxes(-1, -2)) / (x.shape[-1] - 1)
-        return mean, 0.5 * (c + c.swapaxes(-1, -2)), x @ x.swapaxes(-1, -2)
+    """Means, sample covariances (divisor n - 1) and ``X @ X.T`` of a (k, d,
+    n) stack of sets. Each covariance is the stacked product of a centred set
+    with its own transpose, so exactly symmetric; ``check_symmetric`` would
+    hand any other its symmetric part."""
+    mean = x.sum(axis=-1) / x.shape[-1]  # np.mean's arithmetic, without its wrapper
+    centered = x - mean[..., None]
+    return mean, centered @ centered.swapaxes(-1, -2) / (x.shape[-1] - 1), x @ x.swapaxes(-1, -2)
 
 
 def _bases(pair: EigenPair, q: int) -> np.ndarray:
@@ -178,21 +177,18 @@ def embed_gaussian(mean, covariance, log_det) -> np.ndarray:
 
     which has determinant exactly one and is congruence-covariant under
     affine maps of the underlying space. ``log_det`` is log det(C), the sum
-    of the logs of C's eigenvalues, so nothing here factors C. An overflow
-    does not warn: the Inf or NaN it leaves is the caller's to refuse.
+    of the logs of C's eigenvalues, so nothing here factors C.
     """
     m = np.asarray(mean, dtype=np.float64)
     c = np.asarray(covariance, dtype=np.float64)
     d = c.shape[-1]
     p = np.empty(c.shape[:-2] + (d + 1, d + 1), dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.exp(-np.asarray(log_det, dtype=np.float64) / (d + 1))
-        # in place, as the encoder builds this while its moment stack lives
-        p[..., :d, :d] = m[..., :, None] * m[..., None, :]
-        p[..., :d, :d] += c
-        p[..., :d, d] = p[..., d, :d] = m
-        p[..., d, d] = 1.0
-        p *= scale[..., None, None]
+    # in place, as the encoder builds this while its moment stack lives
+    p[..., :d, :d] = m[..., :, None] * m[..., None, :]
+    p[..., :d, :d] += c
+    p[..., :d, d] = p[..., d, :d] = m
+    p[..., d, d] = 1.0
+    p *= np.exp(-np.asarray(log_det, dtype=np.float64) / (d + 1))[..., None, None]
     return p
 
 
@@ -206,7 +202,10 @@ def encode_sets(sets: Sequence[ImageSet], cfg) -> DescriptorStack:
     descriptors are bit-identical alone and inside any stack. An error names
     the first set at fault, ``set i ('<set_id>')``, as a set-by-set encoding
     would, whichever half of the stack it is found in. One warning counts the
-    sets ``regularize_spd`` floors and names the first."""
+    sets ``regularize_spd`` floors and names the first. An overflow anywhere
+    in the encoding does not warn: the Inf or NaN it leaves fails a
+    finiteness check (``check_symmetric``, in ``regularize_spd`` or ``eigh``)
+    or the positive-spectrum check of ``eig_log``, which names the set."""
     d, n, q = common_dim(sets), len(sets), cfg.subspace_dim
     if not 1 <= q <= d:
         raise BadDimension(f"subspace dimension q={q} must be in [1, {d}]")
@@ -215,18 +214,18 @@ def encode_sets(sets: Sequence[ImageSet], cfg) -> DescriptorStack:
         groups.setdefault(s.n_samples, []).append(i)
     mean, moments = np.empty((n, d)), np.empty((2, n, d, d))  # covariances, then X @ X.T
     try:
-        for members in groups.values():
-            x = np.array([sets[i].features for i in members])
-            mean[members], moments[0, members], moments[1, members] = _moments(x)
-        floored = np.flatnonzero(trace_floored(np.trace(moments[0], axis1=1, axis2=2), d))
-        moments[0] = regularize_spd(moments[0], cfg.alpha)
-        values, vectors = eigh(moments)
-        with np.errstate(divide="ignore", invalid="ignore"):  # eig_log refuses such a spectrum
-            log_det = np.log(values[0]).sum(axis=-1)
-        embedding = embed_gaussian(mean, moments[0], log_det)
-        del moments  # encoding peaks in memory at the log's temporaries, so free it first
-        basis = _bases(EigenPair(values[1], vectors[1]), q)
-        log_cov = eig_log(EigenPair(values[0], vectors[0]))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for members in groups.values():
+                x = np.array([sets[i].features for i in members])
+                mean[members], moments[0, members], moments[1, members] = _moments(x)
+            floored = np.flatnonzero(trace_floored(np.trace(moments[0], axis1=1, axis2=2), d))
+            moments[0] = regularize_spd(moments[0], cfg.alpha)
+            values, vectors = eigh(moments)
+            log_det = np.log(values[0]).sum(axis=-1)  # eig_log refuses a spectrum this fails on
+            embedding = embed_gaussian(mean, moments[0], log_det)
+            del moments  # encoding peaks in memory at the log's temporaries, so free it first
+            basis = _bases(EigenPair(values[1], vectors[1]), q)
+            log_cov = eig_log(EigenPair(values[0], vectors[0]))
     except SetfuseError as exc:
         if not hasattr(exc, "index"):
             raise

@@ -38,6 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonFinite, NonFiniteGradient, SingleClassGallery
+from .spd import raise_first
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,12 +251,14 @@ def gradient_ascent_step(
 ) -> GatingParams:
     """One gradient-ascent step; pure (returns new params, inputs untouched).
     ``grads`` has the shapes of ``params`` and the rate is ``TrainConfig``'s,
-    or one rate per problem of a stack."""
+    or one rate per problem of a stack. A step that overflows the parameters
+    raises ``NonFinite`` with the first problem it overflows as ``index``."""
     coeff_grads, bias_grads = grads
     if not (np.isfinite(coeff_grads).all() and np.isfinite(bias_grads).all()):
         raise NonFiniteGradient("gradient contains NaN or Inf")
     rate = per_problem(learning_rate)
-    return GatingParams(
-        coeffs=params.coeffs + rate * coeff_grads,
-        biases=params.biases + rate[..., 0] * bias_grads,
-    )
+    coeffs = params.coeffs + rate * coeff_grads
+    biases = params.biases + rate[..., 0] * bias_grads
+    finite = np.isfinite(coeffs).all(axis=(-2, -1)) & np.isfinite(biases).all(axis=-1)
+    raise_first(~finite, NonFinite, lambda i: "non-finite gating parameters")
+    return GatingParams(coeffs, biases)

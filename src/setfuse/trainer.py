@@ -375,10 +375,8 @@ def _quotient(num, denom):
     the first problem whose projected total scatter ``denom`` is at or below
     ``DENOMINATOR_FLOOR``."""
     denom = np.asarray(denom)
-    bad = denom <= DENOMINATOR_FLOOR
-    if bad.any():
-        raise_first(bad, DegenerateDenominator, lambda i: (
-            f"projected total scatter {denom.flat[i]:.3e} is degenerate"))
+    raise_first(denom <= DENOMINATOR_FLOOR, DegenerateDenominator, lambda i: (
+        f"projected total scatter {denom.flat[i]:.3e} is degenerate"))
     return num / denom
 
 
@@ -666,13 +664,17 @@ def _line_search(params, weights, grads, objective, projected, grams, classes, r
     ``objective``, up to ``MAX_STEP_HALVINGS`` times, and rolled back entirely
     when it still falls. Every try steps the whole stack: a problem whose objective
     did not fall keeps its step, so it repeats its accepted try bit for bit
-    while the others halve theirs. A try whose scores overflow, so that its
-    weights are not finite, raises ``NonFinite`` naming the step, without
-    numpy's warnings."""
+    while the others halve theirs. A try that overflows its gating
+    parameters, or its scores so that its weights are not finite, raises
+    ``NonFinite`` naming the iteration and the step, without numpy's
+    warnings."""
     step = np.array(rates, dtype=np.float64)
     for _ in range(MAX_STEP_HALVINGS + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            trial = gradient_ascent_step(params, grads, step)
+            try:
+                trial = gradient_ascent_step(params, grads, step)
+            except NonFinite as exc:  # the step overflows the gating parameters themselves
+                raise NonFinite(f"iteration {it}: gating step {step[exc.index]:.3e} gives {exc}")
             trial_weights = gating_weights(grams, trial)
         raise_first(~np.isfinite(trial_weights).all(axis=(-2, -1)), NonFinite, lambda i: (
             f"iteration {it}: gating step {step[i]:.3e} gives non-finite gating weights"))

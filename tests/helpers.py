@@ -23,7 +23,6 @@ import numpy as np
 from setfuse.descriptors import (
     DescriptorStack,
     ImageSet,
-    _moments,
     embed_gaussian,
     encode_sets,
     read_only,
@@ -38,7 +37,7 @@ from setfuse.errors import (
 )
 from setfuse.gating import class_layout, gating_weights, projected_gradients, projected_pair_sums
 from setfuse.kernels import DESCRIPTOR_NAMES, gram, gram_scale, lift_features, lift_width
-from setfuse.spd import LOG_EIG_FLOOR_RTOL, EigenPair, eigh, regularize_spd, spd_log
+from setfuse.spd import LOG_EIG_FLOOR_RTOL, TRACE_EPS_FLOOR, EigenPair, eigh, spd_log
 from setfuse.trainer import DENOMINATOR_FLOOR, NULL_SPACE_RTOL, TOTAL_SCATTER_FLOOR
 from setfuse.trainer import TraceRatioResult, gram_spans, solve_trace_ratio, train
 from setfuse.trainer import scatter_matrices as library_scatter_matrices
@@ -189,10 +188,27 @@ def sign_canonical_log(c):
     return 0.5 * (out + out.T)
 
 
+def set_moments(s):
+    """A set's mean (``np.mean``), its sample covariance (divisor n - 1) as
+    the symmetric part of the centred product, and its ``X @ X.T``, formed
+    here rather than by the encoder's ``_moments``, as the reference the
+    encoder is checked against bit for bit."""
+    x = s.features
+    mean = np.mean(x, axis=1)
+    centered = x - mean[:, None]
+    c = (centered @ centered.T) / (s.n_samples - 1)
+    return mean, 0.5 * (c + c.T), x @ x.T
+
+
 def regularized_covariance(s, alpha):
     """A set's regularized covariance, the matrix ``encode_sets`` takes the
-    log of: ``regularize_spd`` of its sample covariance (``_moments``)."""
-    return regularize_spd(_moments(s.features[None])[1], alpha)[0]
+    log of: its sample covariance (``set_moments``) plus ``trace / alpha``,
+    or the trace floor, times the identity, formed here rather than by
+    ``regularize_spd``."""
+    c = set_moments(s)[1]
+    tr = np.trace(c)
+    shift = TRACE_EPS_FLOOR if tr <= TRACE_EPS_FLOOR * s.dim else tr / float(alpha)
+    return c + shift * np.eye(s.dim)
 
 
 def log_det(c) -> float:
@@ -205,7 +221,7 @@ def gaussian_embedding(s, alpha):
     """A set's Gaussian embedding, the set alone: ``embed_gaussian`` of its
     mean, its regularized covariance and that covariance's ``log_det``."""
     cov = regularized_covariance(s, alpha)
-    return embed_gaussian(_moments(s.features[None])[0][0], cov, log_det(cov))
+    return embed_gaussian(set_moments(s)[0], cov, log_det(cov))
 
 
 def sign_canonical_rows(s, cfg):
@@ -213,7 +229,7 @@ def sign_canonical_rows(s, cfg):
     sign-canonical route, the set alone: the ``sign_canonical_log`` of its
     regularized covariance and of its Gaussian embedding, and the projector
     of the top ``cfg.subspace_dim`` eigenvectors of its ``X X.T`` by ``sym_eig``."""
-    basis = sym_eig(_moments(s.features[None])[2][0]).vectors[:, : cfg.subspace_dim].copy()
+    basis = sym_eig(set_moments(s)[2]).vectors[:, : cfg.subspace_dim].copy()
     lifts = {
         "cov": sign_canonical_log(regularized_covariance(s, cfg.alpha)),
         "subspace": basis @ basis.T,

@@ -33,6 +33,7 @@ from helpers import (
     random_image_set,
     random_spd,
     regularized_covariance,
+    set_moments,
     sign_canonical_log,
     sign_canonical_rows,
 )
@@ -49,7 +50,7 @@ def covariance_of(s, alpha):
 
 def raw_covariance(s):
     """The unregularized sample covariance the encoder starts from."""
-    return _moments(s.features[None])[1][0]
+    return set_moments(s)[1]
 
 
 def basis_of(s, q):

@@ -13,7 +13,7 @@ from setfuse import persistence
 from setfuse.classify import distance_profile, predict
 from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic
-from setfuse.descriptors import ImageSet, _moments, encode_sets
+from setfuse.descriptors import ImageSet, encode_sets
 from setfuse.errors import (
     BadSpec,
     ChecksumMismatch,
@@ -35,6 +35,7 @@ from helpers import (
     model_bank,
     probe_rows,
     regularized_covariance,
+    set_moments,
     spy,
     stack_length,
     train_one,
@@ -279,7 +280,7 @@ class TestRoundTrip:
         model, sets = trained
         save_model(model, tmp_path / "m")
         probe, cfg = sets[0], model.config
-        second_moment = _moments(probe.features[None])[2]
+        second_moment = set_moments(probe)[2][None]
         covariance = regularized_covariance(probe, cfg.alpha)[None]
         embedding = encode_sets([probe], cfg).embedding
         eighs = spy(monkeypatch, np.linalg, "eigh", lambda a, *args, **kwargs: np.array(a))

@@ -171,6 +171,23 @@ class TestRegularize:
         with pytest.raises(NonSymmetric):
             regularize_spd(np.array([[1.0, 1.0], [0.0, 1.0]]), 1000.0)
 
+    def test_one_ulp_off_symmetric_reads_as_its_symmetric_part(self):
+        # the encoder hands its covariances over unsymmetrized: one an ulp off
+        # symmetric regularizes to the bits of its symmetric part, alone and
+        # in a stack with exactly symmetric ones
+        rng = np.random.default_rng(9)
+        c = random_spd(rng, 5)
+        off = c.copy()
+        off[0, 1] = np.nextafter(off[0, 1], np.inf)
+        sym = 0.5 * (off + off.T)
+        assert not np.array_equal(off, off.T) and np.array_equal(sym, sym.T)
+        expected = regularize_spd(sym, 1000.0)
+        assert np.array_equal(regularize_spd(off, 1000.0), expected)
+        shifted = regularize_spd(np.stack([c, off, sym]), 1000.0)
+        assert np.array_equal(shifted[0], regularize_spd(c, 1000.0))
+        assert np.array_equal(shifted[1], expected)
+        assert np.array_equal(shifted[2], expected)
+
     def test_integer_alpha_matches_float(self):
         rng = np.random.default_rng(6)
         c = random_spd(rng, 4)

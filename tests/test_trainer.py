@@ -9,7 +9,7 @@ import pytest
 
 from setfuse.config import TrainConfig
 from setfuse.data import generate_synthetic
-from setfuse.descriptors import encode_sets
+from setfuse.descriptors import ImageSet, encode_sets
 from setfuse.errors import (
     BadSpec,
     DegenerateDenominator,
@@ -513,6 +513,21 @@ class TestTrain:
             warnings.simplefilter("error")
             model = train_on_sets(sets, replace(cfg, learning_rate=1e200))
         assert np.isfinite(model.train_weights).all()
+        # with features scaled by 1e3 the same rate overflows the gating
+        # parameters themselves, before any weight is formed: the same error
+        # names the iteration and the step
+        rng = np.random.default_rng(95)
+        big = [
+            ImageSet((rng.standard_normal((6, 14)) + 4.0 * c) * 1e3, f"c{c}", f"c{c}_s{k}")
+            for c in range(2)
+            for k in range(6)
+        ]
+        with warnings.catch_warnings(), pytest.raises(
+            NonFinite,
+            match=r"^iteration 1: gating step 1\.000e\+308 gives non-finite gating parameters$",
+        ):
+            warnings.simplefilter("error")
+            train_on_sets(big, cfg)
 
     def test_train_gradient_matches_public_gradient(self, monkeypatch):
         # no public view holds an iteration's gradient (ROADMAP item 3's run
