@@ -153,7 +153,8 @@ def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     hand any other its symmetric part."""
     mean = x.sum(axis=-1) / x.shape[-1]  # np.mean's arithmetic, without its wrapper
     centered = x - mean[..., None]
-    return mean, centered @ centered.swapaxes(-1, -2) / (x.shape[-1] - 1), x @ x.swapaxes(-1, -2)
+    covariance = centered @ centered.swapaxes(-1, -2) / (x.shape[-1] - 1)
+    return mean, covariance, x @ x.swapaxes(-1, -2)
 
 
 def _bases(pair: EigenPair, q: int) -> np.ndarray:
@@ -183,12 +184,13 @@ def embed_gaussian(mean, covariance, log_det) -> np.ndarray:
     c = np.asarray(covariance, dtype=np.float64)
     d = c.shape[-1]
     p = np.empty(c.shape[:-2] + (d + 1, d + 1), dtype=np.float64)
+    scale = np.exp(-np.asarray(log_det, dtype=np.float64) / (d + 1))
     # in place, as the encoder builds this while its moment stack lives
     p[..., :d, :d] = m[..., :, None] * m[..., None, :]
     p[..., :d, :d] += c
     p[..., :d, d] = p[..., d, :d] = m
     p[..., d, d] = 1.0
-    p *= np.exp(-np.asarray(log_det, dtype=np.float64) / (d + 1))[..., None, None]
+    p *= scale[..., None, None]
     return p
 
 

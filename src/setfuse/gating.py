@@ -37,6 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .descriptors import read_only
 from .errors import NonFinite, NonFiniteGradient, SingleClassGallery
 from .spd import raise_first
 
@@ -46,20 +47,21 @@ class GatingParams:
     """Per-kernel read-out vectors (``coeffs``, Q x N) and biases (Q,), or a
     stack of them (``(..., Q, N)`` and ``(..., Q)``) inside ``train``; a
     model's are checked by ``ModelState``. Equality and hashing are by
-    identity, as for every public type that holds arrays."""
+    identity, as for every public type that holds arrays. NaN or Inf raises
+    ``NonFinite`` with the first problem of a stack whose coefficients, else
+    whose biases, hold one as ``index``."""
 
     coeffs: np.ndarray
     biases: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.float64)
-        b = np.asarray(self.biases, dtype=np.float64)
-        if not (np.isfinite(c).all() and np.isfinite(b).all()):
-            raise NonFinite("gating parameters contain NaN or Inf")
-        c = c.copy()
-        b = b.copy()
-        c.setflags(write=False)
-        b.setflags(write=False)
+        c = read_only(self.coeffs)
+        b = read_only(self.biases)
+        # one flag per problem of a stack; a shape ModelState refuses reads as one problem
+        finite = (np.isfinite(np.atleast_2d(c)).all(axis=(-2, -1)),
+                  np.isfinite(np.atleast_1d(b)).all(axis=-1))
+        for ok in finite:
+            raise_first(~ok, NonFinite, lambda i: "gating parameters contain NaN or Inf")
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "biases", b)
 
@@ -252,13 +254,12 @@ def gradient_ascent_step(
     """One gradient-ascent step; pure (returns new params, inputs untouched).
     ``grads`` has the shapes of ``params`` and the rate is ``TrainConfig``'s,
     or one rate per problem of a stack. A step that overflows the parameters
-    raises ``NonFinite`` with the first problem it overflows as ``index``."""
+    raises ``GatingParams``' ``NonFinite``, which names the problem."""
     coeff_grads, bias_grads = grads
     if not (np.isfinite(coeff_grads).all() and np.isfinite(bias_grads).all()):
         raise NonFiniteGradient("gradient contains NaN or Inf")
     rate = per_problem(learning_rate)
-    coeffs = params.coeffs + rate * coeff_grads
-    biases = params.biases + rate[..., 0] * bias_grads
-    finite = np.isfinite(coeffs).all(axis=(-2, -1)) & np.isfinite(biases).all(axis=-1)
-    raise_first(~finite, NonFinite, lambda i: "non-finite gating parameters")
-    return GatingParams(coeffs, biases)
+    return GatingParams(
+        coeffs=params.coeffs + rate * coeff_grads,
+        biases=params.biases + rate[..., 0] * bias_grads,
+    )

@@ -126,13 +126,11 @@ def regularize_spd(c, alpha: float) -> np.ndarray:
     output is still usable downstream (``encode_sets`` logs the sets it
     floors). ``alpha`` is positive, as ``TrainConfig`` checks it; ``inf`` is a
     no-op sentinel for direct callers (tests) that need the raw estimate.
-    A shift that overflows (a tiny ``alpha``) leaves an Inf on the diagonal,
-    which fails the caller's finiteness check (``encode_sets`` holds back
-    numpy's overflow warning).
+    A shift that overflows (a tiny ``alpha``) leaves an Inf or NaN, which
+    fails the caller's finiteness check (``encode_sets`` holds back numpy's
+    warnings).
     """
     a = check_symmetric(c)
-    d, tr = a.shape[-1], np.trace(a, axis1=-2, axis2=-1)
-    shift = np.where(trace_floored(tr, d), TRACE_EPS_FLOOR, tr / float(alpha))
-    out = a + 0.0  # a copy; adding 0.0 reads a -0.0 entry as 0.0, as the identity's zeros did
-    out.reshape(*out.shape[:-2], d * d)[..., :: d + 1] += shift[..., None]  # the diagonals
-    return out
+    tr = np.trace(a, axis1=-2, axis2=-1)
+    shift = np.where(trace_floored(tr, a.shape[-1]), TRACE_EPS_FLOOR, tr / float(alpha))
+    return a + shift[..., None, None] * np.eye(a.shape[-1])

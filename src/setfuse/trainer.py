@@ -375,8 +375,10 @@ def _quotient(num, denom):
     the first problem whose projected total scatter ``denom`` is at or below
     ``DENOMINATOR_FLOOR``."""
     denom = np.asarray(denom)
-    raise_first(denom <= DENOMINATOR_FLOOR, DegenerateDenominator, lambda i: (
-        f"projected total scatter {denom.flat[i]:.3e} is degenerate"))
+    bad = denom <= DENOMINATOR_FLOOR
+    if bad.any():
+        raise_first(bad, DegenerateDenominator, lambda i: (
+            f"projected total scatter {denom.flat[i]:.3e} is degenerate"))
     return num / denom
 
 
@@ -674,7 +676,8 @@ def _line_search(params, weights, grads, objective, projected, grams, classes, r
             try:
                 trial = gradient_ascent_step(params, grads, step)
             except NonFinite as exc:  # the step overflows the gating parameters themselves
-                raise NonFinite(f"iteration {it}: gating step {step[exc.index]:.3e} gives {exc}")
+                raise NonFinite(f"iteration {it}: gating step {step[exc.index]:.3e} gives "
+                                "non-finite gating parameters") from exc
             trial_weights = gating_weights(grams, trial)
         raise_first(~np.isfinite(trial_weights).all(axis=(-2, -1)), NonFinite, lambda i: (
             f"iteration {it}: gating step {step[i]:.3e} gives non-finite gating weights"))

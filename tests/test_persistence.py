@@ -518,6 +518,14 @@ class TestTamperDetection:
         edit_meta(tmp_path / "m", lambda m: m["checksums"].update({"transform.npy": digest}))
         with pytest.raises(IoError, match="do not fit"):
             load_model(tmp_path / "m")
+        # gating coefficients of rank 1 are refused the same way, by the
+        # shape check rather than by the finiteness check's axes
+        save_model(model, tmp_path / "g")
+        coeffs = model.gating.coeffs[0]
+        digest = persistence._write_array(tmp_path / "g" / "gating_coeffs.npy", coeffs)
+        edit_meta(tmp_path / "g", lambda m: m["checksums"].update({"gating_coeffs.npy": digest}))
+        with pytest.raises(IoError, match="do not fit"):
+            load_model(tmp_path / "g")
 
     @pytest.mark.parametrize(
         "fname, value",

@@ -188,6 +188,20 @@ class TestRegularize:
         assert np.array_equal(shifted[1], expected)
         assert np.array_equal(shifted[2], expected)
 
+    def test_any_memory_layout_gets_the_same_bits(self):
+        # a transposed matrix or a swapaxes view of a stack is shifted as its
+        # C-ordered copy is, in place of a copy the shift never reaches
+        rng = np.random.default_rng(10)
+        c = random_spd(rng, 5)
+        c = 0.5 * (c + c.T)
+        stack = np.stack([c, random_spd(rng, 5), np.zeros((5, 5))])
+        stack = 0.5 * (stack + stack.swapaxes(-1, -2))
+        assert np.array_equal(regularize_spd(c.T, 1000.0), regularize_spd(c.copy(), 1000.0))
+        assert np.array_equal(
+            regularize_spd(stack.swapaxes(-1, -2), 1000.0), regularize_spd(stack, 1000.0)
+        )
+        assert not np.array_equal(regularize_spd(c.T, 1000.0), c)
+
     def test_integer_alpha_matches_float(self):
         rng = np.random.default_rng(6)
         c = random_spd(rng, 4)

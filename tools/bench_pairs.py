@@ -1,30 +1,30 @@
 """Run the benchmark of two checkouts in alternating pairs and say whether
-this checkout's gain on one metric is a claim the runs support.
+this checkout's gain in median operation time (``op_p50_ms``, lower is
+better) is a claim the runs support.
 
 Usage, from the repository root:
 
     python3 tools/bench_pairs.py --parent PATH --workload W [--pairs 10]
-                                 [--seconds 20] [--metric op_p50_ms]
-                                 [--first-seed 1]
+                                 [--seconds 20] [--first-seed 1]
 
 ``--parent`` is the root of the checkout to compare against (a ``git
 archive`` or ``git clone`` of the parent commit); the change is the checkout
 that holds this file. Pair k runs ``perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` of each checkout, each in its own process from its
 own root, with seed S = first seed + k for both; the parent goes first in
-even pairs and the change in odd ones, so a drift of the host's speed over
-a pair favours neither side. A pair is a win when the change's metric is
-strictly better than the parent's, in the direction ``BENCHMARK.json`` gives
-it; a tie counts for neither side.
+pairs 1, 3, 5, ... and the change in pairs 2, 4, 6, ..., so a drift of the
+host's speed over a pair favours neither side. A pair is a win when the change's
+``op_p50_ms`` is strictly lower than the parent's; a tie counts for neither
+side.
 
 The tool prints each pair (seed, which side ran first, both values, their
 ratio, the winner), each side's median and quartiles, each side's median of
 every end-to-end metric of ``BENCHMARK.json`` (to check that none got
 worse), the wins, and the verdict of the claim rule: the change wins at
-least 9 of every 10 pairs (rounded up), and its median is better than the
-parent's by more than the parent's interquartile range. Quartiles are ``statistics.quantiles(values,
-n=4, method="inclusive")``. A run whose operations fail, or that exits
-non-zero, stops the tool with exit code 1.
+least 9 of every 10 pairs (rounded up), and its median is lower than the
+parent's by more than the parent's interquartile range. Quartiles are
+``statistics.quantiles(values, n=4, method="inclusive")``. A run whose
+operations fail, or that exits non-zero, stops the tool with exit code 1.
 """
 
 from __future__ import annotations
@@ -38,21 +38,22 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+METRIC = "op_p50_ms"
 
 
-def verdict(parent: list[float], change: list[float], lower_is_better: bool) -> dict:
-    """The claim rule on paired values (pair k is ``parent[k]``, ``change[k]``):
-    the wins of the change (ties count for neither side), the wins needed,
-    each side's quartiles, the gap between the medians in the metric's
-    better direction, the parent's interquartile range, and whether the claim
-    holds: enough wins and a gap larger than that range."""
+def verdict(parent: list[float], change: list[float]) -> dict:
+    """The claim rule on paired times (pair k is ``parent[k]``, ``change[k]``;
+    lower is better): the wins of the change (ties count for neither side),
+    the wins needed, each side's quartiles, the parent's median less the
+    change's, the parent's interquartile range, and whether the claim holds:
+    enough wins and a gap larger than that range."""
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError("need two equal lists of at least two paired values")
-    sign = 1.0 if lower_is_better else -1.0
-    wins = sum(sign * (p - c) > 0.0 for p, c in zip(parent, change))
+    wins = sum(p > c for p, c in zip(parent, change))
     needed = math.ceil(9 * len(parent) / 10)  # 9 of every 10 pairs, exact in integers
     pq, cq = (tuple(statistics.quantiles(v, n=4, method="inclusive")) for v in (parent, change))
-    gap, iqr = sign * (pq[1] - cq[1]), pq[2] - pq[0]
+    gap = pq[1] - cq[1]
+    iqr = pq[2] - pq[0]
     return {
         "wins": wins,
         "needed": needed,
@@ -64,11 +65,10 @@ def verdict(parent: list[float], change: list[float], lower_is_better: bool) -> 
     }
 
 
-def end_to_end() -> dict[str, bool]:
-    """The end-to-end metrics of ``BENCHMARK.json``, each mapped to whether
-    it is better when lower."""
+def end_to_end() -> list[str]:
+    """The names of the end-to-end metrics of ``BENCHMARK.json``."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {entry["name"]: entry["better"] == "lower" for entry in spec["end_to_end"]}
+    return [entry["name"] for entry in spec["end_to_end"]]
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
@@ -95,15 +95,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--metric", default="op_p50_ms")
     parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
-    directions = end_to_end()
-    if args.metric not in directions:
-        parser.error(f"{args.metric!r} is not an end-to-end metric of BENCHMARK.json")
-    lower = directions[args.metric]
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     runs = {"parent": [], "change": []}
     print(f"{'pair':>4} {'seed':>4} {'first':>6} {'parent':>12} {'change':>12} {'ratio':>7}  winner")
@@ -112,22 +107,21 @@ def main(argv=None) -> int:
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(run(sides[side], args.workload, seed, args.seconds))
-        values = {side: runs[side][-1][args.metric] for side in sides}
-        gain = (values["parent"] - values["change"]) * (1.0 if lower else -1.0)
+        values = {side: runs[side][-1][METRIC] for side in sides}
+        gain = values["parent"] - values["change"]
         winner = "change" if gain > 0.0 else "parent" if gain < 0.0 else "tie"
         print(f"{k + 1:>4} {seed:>4} {order[0]:>6} {values['parent']:>12.4f} "
               f"{values['change']:>12.4f} {values['change'] / values['parent']:>7.4f}  {winner}",
               flush=True)
-    v = verdict(*([r[args.metric] for r in runs[side]] for side in sides), lower)
+    v = verdict(*([r[METRIC] for r in runs[side]] for side in sides))
     for side in sides:
         q1, median, q3 = v[side]
-        print(f"{side}: median {median:.4f}, quartiles {q1:.4f} .. {q3:.4f} ({args.metric})")
-    for name in directions:
+        print(f"{side}: median {median:.4f}, quartiles {q1:.4f} .. {q3:.4f} ({METRIC})")
+    for name in end_to_end():
         medians = [statistics.median(r[name] for r in runs[side]) for side in sides]
         print(f"median {name}: parent {medians[0]:.6g}, change {medians[1]:.6g}")
     print(f"wins: {v['wins']} of {args.pairs} (needed {v['needed']})")
-    print(f"median gap {v['gap']:.4f} vs parent IQR {v['parent_iqr']:.4f} "
-          f"({'lower' if lower else 'higher'} is better)")
+    print(f"median gap {v['gap']:.4f} vs parent IQR {v['parent_iqr']:.4f}")
     print(f"claim holds: {'yes' if v['holds'] else 'no'}")
     return 0
 
